@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -39,14 +40,11 @@ from .metrics import (
 )
 from .model import (
     FieldTag,
-    MeasurementEnsemble,
     NoiseSpec,
-    apply_noise,
-    correlate,
     decode_vector,
     deserialize_instance,
     encode_vector,
-    generate_sampling,
+    measure,
     serialize_instance,
     synthesize_instance,
 )
@@ -95,44 +93,47 @@ def _noise(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# One flag per SolverConfig field; the field's default is the flag's default.
+_SOLVER_HELP = {
+    "alpha": "Huber transition threshold",
+    "gamma": "largest trial step",
+    "beta": "backtracking ratio",
+    "delta": "sufficient-decrease constant",
+    "eps": "stopping tolerance",
+    "max_iter": "iteration cap",
+    "max_backtracks": "backtrack cap",
+}
+
+
 def _add_solver_flags(p, lambda_required=False):
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="regularization weight (required)" if lambda_required
                    else "regularization weight")
-    p.add_argument("--alpha", type=float, default=1.345,
-                   help="Huber transition threshold")
-    p.add_argument("--gamma", type=float, default=1.0, help="largest trial step")
-    p.add_argument("--beta", type=float, default=0.5, help="backtracking ratio")
-    p.add_argument("--delta", type=float, default=1e-4,
-                   help="sufficient-decrease constant")
-    p.add_argument("--eps", type=float, default=1e-6, help="stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=5000, help="iteration cap")
-    p.add_argument("--max-backtracks", type=int, default=60, help="backtrack cap")
+    for f in fields(SolverConfig):
+        if f.name != "lam":
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           default=f.default, help=_SOLVER_HELP[f.name])
 
 
 def _add_spectral_flags(p):
-    p.add_argument("--power-iterations", type=int, default=200,
+    p.add_argument("--power-iterations", type=int,
+                   default=SpectralConfig.power_iterations,
                    help="power-method iteration cap")
-    p.add_argument("--power-tol", type=float, default=1e-8,
+    p.add_argument("--power-tol", type=float, default=SpectralConfig.power_tol,
                    help="power-method convergence tolerance")
-    p.add_argument("--truncation", type=int, default=None,
+    p.add_argument("--truncation", type=int, default=SpectralConfig.truncation,
                    help="keep-count for the initializer (default: 2s for "
                         "complex instances when s is known, else none)")
 
 
-def _solver_config(args) -> SolverConfig:
-    if args.lam is None:
+def _solver_config(args, lam=None) -> SolverConfig:
+    """SolverConfig from the solver flags; ``lam`` overrides ``--lambda``."""
+    values = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
+    if lam is not None:
+        values["lam"] = lam
+    if values["lam"] is None:
         raise ValueError("lambda required (see bench lambda-grid)")
-    return SolverConfig(
-        lam=args.lam,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        beta=args.beta,
-        delta=args.delta,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        max_backtracks=args.max_backtracks,
-    )
+    return SolverConfig(**values)
 
 
 def _spectral_config(args, field: FieldTag, s: int | None) -> SpectralConfig:
@@ -143,6 +144,27 @@ def _spectral_config(args, field: FieldTag, s: int | None) -> SpectralConfig:
         power_iterations=args.power_iterations,
         power_tol=args.power_tol,
         truncation=truncation,
+    )
+
+
+def _known_sparsity(e) -> int | None:
+    if e.ground_truth is None:
+        return None
+    return int(np.count_nonzero(e.ground_truth))
+
+
+def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
+    return ExperimentSpec(
+        p=p,
+        s=args.s,
+        n_grid=n_grid,
+        noise=args.noise,
+        trials=args.trials,
+        solver=_solver_config(args),
+        spectral=_spectral_config(args, args.field, args.s),
+        master_seed=args.seed,
+        field=args.field,
+        success_threshold=args.threshold,
     )
 
 
@@ -157,6 +179,8 @@ def _load_solution(path, field: FieldTag):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in solution file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("solution document must be a JSON object")
     if "estimate" not in doc:
         raise ParseError("missing field: estimate")
     return decode_vector(doc["estimate"], field, "estimate")
@@ -205,10 +229,7 @@ def cmd_gen(args):
 def cmd_solve(args):
     e = _load_instance(args.instance)
     cfg = _solver_config(args)
-    s = None
-    if e.ground_truth is not None:
-        s = int(np.count_nonzero(e.ground_truth))
-    spectral_cfg = _spectral_config(args, e.field, s)
+    spectral_cfg = _spectral_config(args, e.field, _known_sparsity(e))
     seed = e.seed if args.seed is None else args.seed
     x0 = spectral_init(e, spectral_cfg, seed)
     result = solve(e, x0, cfg)
@@ -218,6 +239,7 @@ def cmd_solve(args):
         if last is not None
         else fixed_point_residual(result.estimate, e, cfg.lam, cfg.alpha, cfg.gamma)
     )
+    echo = asdict(cfg)
     doc = {
         "estimate": encode_vector(result.estimate),
         "field": e.field.value,
@@ -227,14 +249,8 @@ def cmd_solve(args):
         "final_objective": result.final_objective,
         "fixed_point_residual": fp_res,
         "config": {
-            "lambda": cfg.lam,
-            "alpha": cfg.alpha,
-            "gamma": cfg.gamma,
-            "beta": cfg.beta,
-            "delta": cfg.delta,
-            "eps": cfg.eps,
-            "max_iter": cfg.max_iter,
-            "max_backtracks": cfg.max_backtracks,
+            "lambda": echo.pop("lam"),
+            **echo,
             "seed": seed,
             "truncation": spectral_cfg.truncation,
         },
@@ -256,22 +272,8 @@ def cmd_solve(args):
 
 
 def _bench_success_rate(args):
-    if not args.grid:
-        raise ValueError("invalid value for --grid: must be a nonempty list")
     n_grid = tuple(sorted(m * args.p for m in args.grid))
-    spec = ExperimentSpec(
-        p=args.p,
-        s=args.s,
-        n_grid=n_grid,
-        noise=args.noise,
-        trials=args.trials,
-        solver=_solver_config(args),
-        spectral=_spectral_config(args, args.field, args.s),
-        master_seed=args.seed,
-        field=args.field,
-        success_threshold=args.threshold,
-    )
-    report = run_experiment(spec)
+    report = run_experiment(_experiment_spec(args, args.p, n_grid))
     prefix = args.out_prefix
     report.write_csv(prefix + ".csv")
     report.write_json(prefix + ".json")
@@ -313,14 +315,10 @@ def _bench_error_iter(args):
 
 
 def _bench_lambda_grid(args):
-    if not args.grid:
-        raise ValueError("invalid value for --grid: must be a nonempty list")
     e = _load_instance(args.instance)
-    base = _solver_config_with_placeholder(args)
-    s = None
-    if e.ground_truth is not None:
-        s = int(np.count_nonzero(e.ground_truth))
-    spectral_cfg = _spectral_config(args, e.field, s)
+    # lambda_grid_search sets lam per grid point; the base lam is a placeholder.
+    base = _solver_config(args, lam=1.0)
+    spectral_cfg = _spectral_config(args, e.field, _known_sparsity(e))
     chosen, table = lambda_grid_search(
         e, base, args.grid, args.rule, spectral=spectral_cfg, seed=args.seed
     )
@@ -335,40 +333,12 @@ def _bench_lambda_grid(args):
     return 0
 
 
-def _solver_config_with_placeholder(args) -> SolverConfig:
-    # lambda-grid supplies lam per grid point; use a placeholder for the base.
-    return SolverConfig(
-        lam=1.0,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        beta=args.beta,
-        delta=args.delta,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        max_backtracks=args.max_backtracks,
-    )
-
-
 def _bench_consistency(args):
-    if not args.p_grid:
-        raise ValueError("invalid value for --p-grid: must be a nonempty list")
     rows = ["p,n,median_relative_error,mean_relative_error,success_rate"]
     summaries = []
     for p in sorted(args.p_grid):
         n = args.ratio * p
-        spec = ExperimentSpec(
-            p=p,
-            s=args.s,
-            n_grid=(n,),
-            noise=args.noise,
-            trials=args.trials,
-            solver=_solver_config(args),
-            spectral=_spectral_config(args, args.field, args.s),
-            master_seed=args.seed,
-            field=args.field,
-            success_threshold=args.threshold,
-        )
-        report = run_experiment(spec)
+        report = run_experiment(_experiment_spec(args, p, (n,)))
         errs = np.array([r.relative_error for r in report.records])
         rows.append(
             f"{p},{n},{np.median(errs)!r},{np.mean(errs)!r},"
@@ -385,10 +355,6 @@ def _bench_consistency(args):
     for p, n, med in summaries:
         print(f"p={p} n={n}: median relative error {med:.3e}")
     return 0
-
-
-def cmd_bench(args):
-    return args.bench_func(args)
 
 
 def cmd_image(args):
@@ -409,20 +375,9 @@ def cmd_image(args):
     if not np.any(x_true):
         raise ValueError("image is entirely black after thresholding")
     n = args.ratio * p
-    a = generate_sampling(p, n, FieldTag.REAL, args.seed)
-    clean = correlate(a, x_true) ** 2
-    b, eps_rec = apply_noise(clean, x_true, args.noise, args.seed)
-    e = MeasurementEnsemble(
-        field=FieldTag.REAL,
-        sampling_vectors=a,
-        observations=b,
-        ground_truth=x_true,
-        noise_record=eps_rec,
-        seed=args.seed,
-    )
+    e = measure(x_true, n, args.noise, args.seed)
     cfg = _solver_config(args)
-    s = int(np.count_nonzero(x_true))
-    spectral_cfg = _spectral_config(args, FieldTag.REAL, s)
+    spectral_cfg = _spectral_config(args, e.field, _known_sparsity(e))
     x0 = spectral_init(e, spectral_cfg, args.seed)
     result = solve(e, x0, cfg)
     estimate = align(result.estimate, x_true)
@@ -512,10 +467,6 @@ def _diag_remark5(args):
     return 0
 
 
-def cmd_diag(args):
-    return args.diag_func(args)
-
-
 # ------------------------------------------------------------------ parser
 
 
@@ -580,11 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of n/p multipliers, e.g. 2,4,6,8")
     b_rate.add_argument("--trials", type=_positive_int("--trials"), default=50,
                         help="Monte Carlo trials per grid point")
-    b_rate.add_argument("--threshold", type=float, default=5e-3,
+    b_rate.add_argument("--threshold", type=float,
+                        default=ExperimentSpec.success_threshold,
                         help="success threshold on the relative error")
     b_rate.add_argument("--out-prefix", required=True,
                         help="prefix for CSV/JSON/plot outputs")
-    b_rate.set_defaults(func=cmd_bench, bench_func=_bench_success_rate)
+    b_rate.set_defaults(func=_bench_success_rate)
 
     b_iter = bench_sub.add_parser("error-iter", formatter_class=fmt,
                                   help="relative error along iterations")
@@ -593,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="n/p ratio")
     b_iter.add_argument("--out-prefix", required=True,
                         help="prefix for CSV/plot outputs")
-    b_iter.set_defaults(func=cmd_bench, bench_func=_bench_error_iter)
+    b_iter.set_defaults(func=_bench_error_iter)
 
     b_lam = bench_sub.add_parser("lambda-grid", formatter_class=fmt,
                                  help="grid search for lambda on an instance")
@@ -605,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_common(b_lam, needs_instance=True)
     b_lam.add_argument("--out-prefix", default=None,
                        help="prefix for the score table CSV and plot script")
-    b_lam.set_defaults(func=cmd_bench, bench_func=_bench_lambda_grid)
+    b_lam.set_defaults(func=_bench_lambda_grid)
 
     b_con = bench_sub.add_parser("consistency", formatter_class=fmt,
                                  help="error versus n at fixed n/p")
@@ -616,11 +568,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="n/p ratio")
     b_con.add_argument("--trials", type=_positive_int("--trials"), default=50,
                        help="trials per dimension")
-    b_con.add_argument("--threshold", type=float, default=5e-3,
+    b_con.add_argument("--threshold", type=float,
+                       default=ExperimentSpec.success_threshold,
                        help="success threshold on the relative error")
     b_con.add_argument("--out-prefix", required=True,
                        help="prefix for CSV/plot outputs")
-    b_con.set_defaults(func=cmd_bench, bench_func=_bench_consistency)
+    b_con.set_defaults(func=_bench_consistency)
 
     p_img = sub.add_parser("image", help="reconstruct a PGM image",
                            formatter_class=fmt)
@@ -650,10 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
     d_stab.add_argument("--instance", required=True)
     d_stab.add_argument("--samples", type=_positive_int("--samples"), default=200)
     d_stab.add_argument("--rho0", type=float, default=0.5)
-    d_stab.add_argument("--alpha", type=float, default=1.345)
+    d_stab.add_argument("--alpha", type=float, default=SolverConfig.alpha)
     d_stab.add_argument("--seed", type=int, default=0)
     d_stab.add_argument("--out", default=None, help="report JSON path")
-    d_stab.set_defaults(func=cmd_diag, diag_func=_diag_stability)
+    d_stab.set_defaults(func=_diag_stability)
 
     d_cert = diag_sub.add_parser("certificate", formatter_class=fmt,
                                  help="linear-rate spectral-gap certificate")
@@ -663,11 +616,11 @@ def build_parser() -> argparse.ArgumentParser:
     d_cert.add_argument("--use-truth", action="store_true",
                         help="evaluate at the stored ground truth")
     d_cert.add_argument("--lambda", dest="lam", type=float, default=None)
-    d_cert.add_argument("--alpha", type=float, default=1.345)
+    d_cert.add_argument("--alpha", type=float, default=SolverConfig.alpha)
     d_cert.add_argument("--eps1", type=float, default=None,
                         help="boundary width (default alpha/2)")
     d_cert.add_argument("--out", default=None, help="report JSON path")
-    d_cert.set_defaults(func=cmd_diag, diag_func=_diag_certificate)
+    d_cert.set_defaults(func=_diag_certificate)
 
     d_rem = diag_sub.add_parser("remark5", formatter_class=fmt,
                                 help="noise-weighted certificate terms")
@@ -676,10 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result JSON from 'solve'")
     d_rem.add_argument("--use-truth", action="store_true",
                        help="evaluate at the stored ground truth")
-    d_rem.add_argument("--alpha", type=float, default=1.345)
+    d_rem.add_argument("--alpha", type=float, default=SolverConfig.alpha)
     d_rem.add_argument("--rho0", type=float, default=0.5)
     d_rem.add_argument("--out", default=None, help="report JSON path")
-    d_rem.set_defaults(func=cmd_diag, diag_func=_diag_remark5)
+    d_rem.set_defaults(func=_diag_remark5)
 
     return parser
 

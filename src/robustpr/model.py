@@ -191,12 +191,12 @@ def apply_noise(
     return clean_b + eps, eps
 
 
-def synthesize_instance(
-    p: int, s: int, n: int, field: FieldTag, spec: NoiseSpec, seed: int
+def measure(
+    x_true: np.ndarray, n: int, spec: NoiseSpec, seed: int
 ) -> MeasurementEnsemble:
-    """Generate signal, sampling vectors and corrupted measurements from one seed."""
-    x_true = generate_signal(p, s, field, seed)
-    a = generate_sampling(p, n, field, seed)
+    """Sample n measurements of a known signal and corrupt them per ``spec``."""
+    field = field_of(x_true)
+    a = generate_sampling(x_true.shape[0], n, field, seed)
     clean_b = np.abs(correlate(a, x_true)) ** 2
     b, eps = apply_noise(clean_b, x_true, spec, seed)
     return MeasurementEnsemble(
@@ -207,6 +207,13 @@ def synthesize_instance(
         noise_record=eps,
         seed=seed,
     )
+
+
+def synthesize_instance(
+    p: int, s: int, n: int, field: FieldTag, spec: NoiseSpec, seed: int
+) -> MeasurementEnsemble:
+    """Generate signal, sampling vectors and corrupted measurements from one seed."""
+    return measure(generate_signal(p, s, field, seed), n, spec, seed)
 
 
 def encode_vector(arr: np.ndarray):

@@ -13,7 +13,6 @@ point.  Terminates when the step norm drops below eps * max(1, ||x||).
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,7 +117,6 @@ def solve(
     F_initial = F_x
     g_x = gradient_map(x, e, cfg.alpha)
     trace: list[IterationRecord] = []
-    recent_supports: list[tuple] = []
     termination = Termination.MAX_ITERATIONS
     if callback is not None:
         callback(0, x)
@@ -140,7 +138,6 @@ def solve(
         step_norm = float(np.linalg.norm(cand - x))
         converged = step_norm <= cfg.eps * max(1.0, float(np.linalg.norm(x)))
         g_new = gradient_map(cand, e, cfg.alpha)
-        support = np.flatnonzero(cand)
         fp_res = fixed_point_residual(cand, e, cfg.lam, cfg.alpha, tau, gx=g_new)
         trace.append(
             IterationRecord(
@@ -149,13 +146,10 @@ def solve(
                 tau=tau,
                 j=j,
                 step_norm=step_norm,
-                support_size=int(support.size),
+                support_size=int(np.count_nonzero(cand)),
                 fixed_point_residual=fp_res,
             )
         )
-        recent_supports.append(tuple(support))
-        if len(recent_supports) > 10:
-            recent_supports.pop(0)
         x, F_x, g_x = cand, F_cand, g_new
         if callback is not None:
             callback(k, x)
@@ -163,14 +157,6 @@ def solve(
             termination = Termination.CONVERGED
             break
 
-    if termination is Termination.CONVERGED and len(recent_supports) > 1:
-        if any(s != recent_supports[-1] for s in recent_supports):
-            warnings.warn(
-                "support still changing over the last iterations before "
-                "convergence; the iterate may not have settled",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     return SolverResult(
         estimate=x,
         trace=trace,

@@ -34,6 +34,10 @@ LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
 # A Huber threshold above every residual makes h_alpha(u) = u^2/2 everywhere:
 # the squared loss that criterion 6 compares the Huber loss against.
 SQUARED_LOSS_ALPHA = 1e6
+# (arm, trial, lambda) of the fixture runs known not to converge: the one
+# Gaussian-arm run that hits MaxIterations with its last step near 3.5e-6
+# (see ROADMAP Direction 4(b)).  Any other non-converged run is a new stall.
+KNOWN_STALLS = {("gaussian", 19, 1e-4)}
 
 
 def report(num, ok, detail):
@@ -42,8 +46,11 @@ def report(num, ok, detail):
     assert ok, line
 
 
-def tuned_trials(field, p, s, n, noise, alpha, trials, master_seed, runs):
-    """Oracle lambda tuning per trial over LAMBDA_GRID; collects every run."""
+def tuned_trials(arm, field, p, s, n, noise, alpha, trials, master_seed, runs):
+    """Oracle lambda tuning per trial over LAMBDA_GRID.
+
+    Every run lands in ``runs`` as ((arm, trial, lam), cfg, result).
+    """
     truncation = 2 * s if field is FieldTag.COMPLEX else None
     best_errors = []
     with warnings.catch_warnings():
@@ -56,7 +63,7 @@ def tuned_trials(field, p, s, n, noise, alpha, trials, master_seed, runs):
             for lam in LAMBDA_GRID:
                 cfg = SolverConfig(lam=lam, alpha=alpha)
                 result = solve(e, x0, cfg)
-                runs.append((cfg, result))
+                runs.append(((arm, trial, lam), cfg, result))
                 rel = relative_error(result.estimate, e.ground_truth)
                 if best is None or rel <= best:
                     best = rel
@@ -76,27 +83,25 @@ def experiments():
     """
     runs = []
     data = {}
+
+    def arm(name, *setup):
+        data[name] = tuned_trials(name, *setup, runs)
+
     t0 = time.perf_counter()
-    data["real_noiseless"] = tuned_trials(
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 1.345, 20, 100, runs
-    )
-    data["complex_noiseless"] = tuned_trials(
-        FieldTag.COMPLEX, 32, 4, 320, NoiseSpec("none"), 1.345, 20, 200, runs
-    )
+    arm("real_noiseless",
+        FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 1.345, 20, 100)
+    arm("complex_noiseless",
+        FieldTag.COMPLEX, 32, 4, 320, NoiseSpec("none"), 1.345, 20, 200)
     data["noiseless_time"] = time.perf_counter() - t0
-    data["real_noiseless_outlier_alpha"] = tuned_trials(
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 0.1345, 20, 300, runs
-    )
-    data["type3"] = tuned_trials(
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), 0.1345, 20, 300, runs
-    )
-    data["type3_squared"] = tuned_trials(
+    arm("real_noiseless_outlier_alpha",
+        FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 0.1345, 20, 300)
+    arm("type3",
+        FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), 0.1345, 20, 300)
+    arm("type3_squared",
         FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), SQUARED_LOSS_ALPHA,
-        20, 300, runs,
-    )
-    data["gaussian"] = tuned_trials(
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("gaussian", 0.01), 1.345, 20, 400, runs
-    )
+        20, 300)
+    arm("gaussian",
+        FieldTag.REAL, 64, 6, 512, NoiseSpec("gaussian", 0.01), 1.345, 20, 400)
     data["runs"] = runs
     return data
 
@@ -158,7 +163,7 @@ def test_criterion_2_gradient_matches_finite_differences():
 
 def test_criterion_3_descent_and_square_summability(experiments):
     checked = 0
-    for cfg, result in experiments["runs"]:
+    for _, cfg, result in experiments["runs"]:
         values = [result.initial_objective] + [r.F_value for r in result.trace]
         steps = [r.step_norm for r in result.trace]
         for f_prev, f_next, step in zip(values, values[1:], steps):
@@ -177,22 +182,32 @@ def test_criterion_3_descent_and_square_summability(experiments):
 
 
 def test_criterion_4_fixed_point_inclusion(experiments):
-    converged = [
-        (cfg, result)
-        for cfg, result in experiments["runs"]
-        if result.termination is Termination.CONVERGED
-    ]
+    converged = []
+    excluded = []
+    for tag, cfg, result in experiments["runs"]:
+        if result.termination is Termination.CONVERGED:
+            converged.append((cfg, result))
+        else:
+            excluded.append((tag, result.termination.value))
     worst = max(r.trace[-1].fixed_point_residual for _, r in converged)
     bound = max(10.0 * cfg.eps for cfg, _ in converged)
+    unexpected = [tag for tag, _ in excluded if tag not in KNOWN_STALLS]
+    listed = ", ".join(
+        f"{arm} trial {trial} lambda {lam:g} ({why})"
+        for (arm, trial, lam), why in excluded
+    )
     report(
         4,
         len(converged) > 0
+        and not unexpected
         and all(
             r.trace[-1].fixed_point_residual <= 10.0 * cfg.eps
             for cfg, r in converged
         ),
         f"fixed-point residual at the accepted step <= 10*eps on all "
-        f"{len(converged)} converged runs (worst {worst:.2e}, bound {bound:.0e})",
+        f"{len(converged)} converged runs (worst {worst:.2e}, bound {bound:.0e}); "
+        f"excluded {len(excluded)} non-converged: {listed or 'none'}"
+        + (f"; NOT IN KNOWN_STALLS: {unexpected}" if unexpected else ""),
     )
 
 

@@ -1,8 +1,18 @@
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
+import pytest
 
-from robustpr import GrayImage, deserialize_instance, read_pgm, write_pgm
+from robustpr import (
+    GrayImage,
+    SolverConfig,
+    SpectralConfig,
+    deserialize_instance,
+    read_pgm,
+    write_pgm,
+)
 from robustpr.cli import main
 
 
@@ -73,6 +83,31 @@ def test_solve_end_to_end(tmp_path, capsys):
     header = trace.read_text().splitlines()[0]
     assert header == "k,F,tau,j,step_norm,support_size,fp_residual"
     assert "relative error" in capsys.readouterr().out
+
+
+def test_solve_echoes_every_solver_flag(tmp_path):
+    inst = tmp_path / "inst.json"
+    res = tmp_path / "res.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    assert run("solve", "--instance", str(inst), "--lambda", "2e-4",
+               "--alpha", "0.9", "--gamma", "0.8", "--beta", "0.6",
+               "--delta", "2e-4", "--eps", "1e-5", "--max-iter", "400",
+               "--max-backtracks", "30", "--power-iterations", "150",
+               "--power-tol", "1e-7", "--truncation", "5", "--seed", "11",
+               "--out-result", str(res)) == 0
+    config = json.loads(res.read_text())["config"]
+    assert list(config) == ["lambda", "alpha", "gamma", "beta", "delta", "eps",
+                            "max_iter", "max_backtracks", "seed", "truncation"]
+    assert config["lambda"] == 2e-4
+    assert config["alpha"] == 0.9
+    assert config["gamma"] == 0.8
+    assert config["beta"] == 0.6
+    assert config["delta"] == 2e-4
+    assert config["eps"] == 1e-5
+    assert config["max_iter"] == 400
+    assert config["max_backtracks"] == 30
+    assert config["seed"] == 11
+    assert config["truncation"] == 5
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -280,6 +315,20 @@ def test_diag_remark5_ok(tmp_path):
     assert doc["inlier_noise_norm"] == 0.0
 
 
+@pytest.mark.parametrize("content", ["42", '"estimate"'])
+def test_diag_rejects_non_object_solution(tmp_path, capsys, content):
+    inst = tmp_path / "inst.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    sol = tmp_path / "sol.json"
+    sol.write_text(content)
+    assert run("diag", "certificate", "--instance", str(inst),
+               "--solution", str(sol), "--lambda", "1e-4") == 4
+    assert run("diag", "remark5", "--instance", str(inst),
+               "--solution", str(sol)) == 4
+    err = capsys.readouterr().err
+    assert err.count("solution document must be a JSON object") == 2
+
+
 def test_config_file_defaults_and_precedence(tmp_path):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("# defaults\np = 16\ns = 2\nn = 160\nseed = 3\nout = %s\n"
@@ -296,8 +345,18 @@ def test_config_file_defaults_and_precedence(tmp_path):
 
 def test_help_lists_defaults(capsys):
     assert run("solve", "--help") == 0
-    text = capsys.readouterr().out
-    assert "--alpha" in text and "1.345" in text
+    text = " ".join(capsys.readouterr().out.split())
+    options = text.split("options:", 1)[1]
+    shown = {}
+    for entry in re.split(r" (?=--[a-z])", options):
+        defaults = re.findall(r"\(default: ([^()]*)\)", entry)
+        if defaults:
+            shown[entry.split()[0]] = defaults[-1]
+    assert shown["--alpha"] == "1.345"
+    for f in fields(SolverConfig) + fields(SpectralConfig):
+        if f.name == "lam":
+            continue
+        assert shown["--" + f.name.replace("_", "-")] == str(f.default), f.name
 
 
 def test_unknown_command_usage_error():
