@@ -9,9 +9,6 @@ Exit codes: 0 success, 2 usage or validation error, 3 domain error
 A flat ``key = value`` config file (``--config``, '#' comments) supplies
 defaults for any long flag of the invoked command; explicit flags win over
 the config file, which wins over built-in defaults.
-
-The environment variable ROBUSTPR_THREADS caps Monte Carlo trial
-parallelism in ``bench``.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .diagnostics import (
+    RHO0,
     estimate_stability,
     linear_rate_certificate,
     remark5_quantities,
@@ -279,9 +277,9 @@ def _bench_success_rate(args):
     report.write_json(prefix + ".json")
     rows = ["n_over_p,n,success_rate,median_relative_error"]
     for n in n_grid:
-        errs = [r.relative_error for r in report.records if r.n == n]
         rows.append(
-            f"{n // args.p},{n},{report.success_rate[n]!r},{np.median(errs)!r}"
+            f"{n // args.p},{n},{report.success_rate[n]!r},"
+            f"{report.median_relative_error[n]!r}"
         )
     _write_text(prefix + "_rates.csv", "\n".join(rows) + "\n")
     _write_text(
@@ -339,12 +337,10 @@ def _bench_consistency(args):
     for p in sorted(args.p_grid):
         n = args.ratio * p
         report = run_experiment(_experiment_spec(args, p, (n,)))
-        errs = np.array([r.relative_error for r in report.records])
-        rows.append(
-            f"{p},{n},{np.median(errs)!r},{np.mean(errs)!r},"
-            f"{report.success_rate[n]!r}"
-        )
-        summaries.append((p, n, float(np.median(errs))))
+        med = report.median_relative_error[n]
+        mean = float(np.mean([r.relative_error for r in report.records]))
+        rows.append(f"{p},{n},{med!r},{mean!r},{report.success_rate[n]!r}")
+        summaries.append((p, n, med))
     prefix = args.out_prefix
     _write_text(prefix + ".csv", "\n".join(rows) + "\n")
     _write_text(
@@ -602,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="sampled stability constants")
     d_stab.add_argument("--instance", required=True)
     d_stab.add_argument("--samples", type=_positive_int("--samples"), default=200)
-    d_stab.add_argument("--rho0", type=float, default=0.5)
+    d_stab.add_argument("--rho0", type=float, default=RHO0,
+                        help="inliers have |eps_i| <= rho0 * alpha")
     d_stab.add_argument("--alpha", type=float, default=SolverConfig.alpha)
     d_stab.add_argument("--seed", type=int, default=0)
     d_stab.add_argument("--out", default=None, help="report JSON path")
@@ -630,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     d_rem.add_argument("--use-truth", action="store_true",
                        help="evaluate at the stored ground truth")
     d_rem.add_argument("--alpha", type=float, default=SolverConfig.alpha)
-    d_rem.add_argument("--rho0", type=float, default=0.5)
+    d_rem.add_argument("--rho0", type=float, default=RHO0,
+                       help="inliers have |eps_i| <= rho0 * alpha")
     d_rem.add_argument("--out", default=None, help="report JSON path")
     d_rem.set_defaults(func=_diag_remark5)
 

@@ -29,6 +29,11 @@ from .errors import MissingDataError, UnsupportedFieldError
 from .model import FieldTag, MeasurementEnsemble, correlate
 from .rng import TAG_STABILITY, stream
 
+# Inlier fraction of the Huber threshold: measurements with |eps_i| <= rho0 *
+# alpha count as inliers, and the certificate's boundary width is
+# eps1 = (1 - rho0) * alpha.
+RHO0 = 0.5
+
 
 def _min_eig(m: np.ndarray) -> float:
     """Smallest eigenvalue with a residual check on the returned eigenpair."""
@@ -92,10 +97,10 @@ def _refine_pair(a_hat, u, v, inliers, pick, rounds=6, step0=0.25):
     p = u.shape[0]
     for _ in range(rounds):
         for which in (0, 1):
-            vec = u if which == 0 else v
             for j in range(p):
                 for delta in (step, -step, None):
-                    trial = vec.copy()
+                    # perturb the current pair, so accepted moves compound
+                    trial = (u if which == 0 else v).copy()
                     if delta is None:
                         trial[j] = 0.0
                     else:
@@ -262,11 +267,10 @@ def linear_rate_certificate(
 ) -> CertificateReport:
     """Evaluate the linear-rate spectral-gap condition at x_star.
 
-    eps1 defaults to alpha/2, the value obtained from the recommended
-    eps1 = (1 - rho0) * alpha with rho0 = 0.5.
+    eps1 defaults to (1 - RHO0) * alpha, which is alpha/2.
     """
     if eps1 is None:
-        eps1 = 0.5 * alpha
+        eps1 = (1.0 - RHO0) * alpha
     if not 0.0 < eps1 < alpha:
         raise ValueError("eps1 must lie strictly between 0 and alpha")
     x = e.check_signal(x_star)
@@ -295,7 +299,7 @@ def remark5_quantities(
     x: np.ndarray,
     e: MeasurementEnsemble,
     alpha: float,
-    rho0: float = 0.5,
+    rho0: float = RHO0,
 ) -> Remark5Report:
     """Noise-weighted spectral norms behind the rate certificate (real field).
 
@@ -343,7 +347,7 @@ def consistency_conditions(
     lam: float,
     c1: float,
     c2: float,
-    rho0: float = 0.5,
+    rho0: float = RHO0,
 ) -> dict:
     """Report-only check of the parameter conditions behind estimator consistency.
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,6 +103,7 @@ class ExperimentReport:
     spec: ExperimentSpec
     records: list
     success_rate: dict
+    median_relative_error: dict
 
     def deterministic_records(self) -> list:
         """Record tuples without wall time, for determinism comparisons."""
@@ -138,9 +137,7 @@ class ExperimentReport:
             "alpha": self.spec.solver.alpha,
             "success_rate": {str(n): rate for n, rate in self.success_rate.items()},
             "median_relative_error": {
-                str(n): float(np.median([r.relative_error for r in self.records
-                                         if r.n == n]))
-                for n in self.spec.n_grid
+                str(n): err for n, err in self.median_relative_error.items()
             },
         }
         with open(path, "w") as fh:
@@ -151,14 +148,6 @@ class ExperimentReport:
 def trial_seed(master_seed: int, n: int, trial: int) -> int:
     """Per-trial seed; stable under extensions of the grid or trial count."""
     return mix(master_seed, n, trial)
-
-
-def max_workers() -> int:
-    value = os.environ.get("ROBUSTPR_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def run_trial(spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
@@ -182,16 +171,8 @@ def run_trial(spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run trials over the measurement grid; deterministic given the seed."""
-    tasks = [(n, t) for n in spec.n_grid for t in range(spec.trials)]
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda nt: run_trial(spec, *nt), tasks))
-    else:
-        results = [run_trial(spec, n, t) for n, t in tasks]
-    by_key = {(r.n, r.trial): r for r in results}
-    records = [by_key[key] for key in tasks]
-    rates = {}
+    records = [run_trial(spec, n, t) for n in spec.n_grid for t in range(spec.trials)]
+    rates, medians = {}, {}
     for n in spec.n_grid:
         group = [r for r in records if r.n == n]
         wins = sum(
@@ -201,7 +182,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             and r.termination != Termination.LINE_SEARCH_FAILED.value
         )
         rates[n] = wins / len(group)
-    return ExperimentReport(spec=spec, records=records, success_rate=rates)
+        medians[n] = float(np.median([r.relative_error for r in group]))
+    return ExperimentReport(
+        spec=spec, records=records, success_rate=rates, median_relative_error=medians
+    )
 
 
 def error_vs_iteration(

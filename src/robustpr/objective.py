@@ -23,7 +23,7 @@ class HuberParams:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not 0.0 < self.alpha < np.inf:
             raise ValueError("Huber threshold alpha must be positive")
 
 
@@ -33,7 +33,7 @@ class ObjectiveParams:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not 0.0 < self.lam < np.inf:
             raise ValueError("regularization weight lam must be positive")
 
 

@@ -42,13 +42,14 @@ class SolverConfig:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if self.lam <= 0 or self.alpha <= 0:
+        # chained comparisons reject NaN and inf as well as nonpositive values
+        if not (0.0 < self.lam < np.inf and 0.0 < self.alpha < np.inf):
             raise ValueError("lam and alpha must be positive")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.delta <= 0 or self.eps <= 0:
+        if not (0.0 < self.delta < np.inf and 0.0 < self.eps < np.inf):
             raise ValueError("delta and eps must be positive")
         if self.max_iter < 1 or self.max_backtracks < 1:
             raise ValueError("iteration limits must be positive")

@@ -27,7 +27,7 @@ class SpectralConfig:
     def __post_init__(self):
         if self.power_iterations < 1:
             raise ValueError("power_iterations must be at least 1")
-        if self.power_tol <= 0:
+        if not 0.0 < self.power_tol < np.inf:
             raise ValueError("power_tol must be positive")
         if self.truncation is not None and self.truncation < 1:
             raise ValueError("truncation must be a positive keep-count")

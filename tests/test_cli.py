@@ -14,6 +14,7 @@ from robustpr import (
     write_pgm,
 )
 from robustpr.cli import main
+from robustpr.diagnostics import RHO0
 
 
 def run(*argv):
@@ -66,6 +67,14 @@ def test_solve_requires_lambda(tmp_path, capsys):
     code = run("solve", "--instance", str(inst))
     assert code == 2
     assert "lambda required (see bench lambda-grid)" in capsys.readouterr().err
+
+
+def test_solve_rejects_nan_eps(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    code = run("solve", "--instance", str(inst), "--lambda", "1e-3", "--eps", "nan")
+    assert code == 2
+    assert "delta and eps must be positive" in capsys.readouterr().err
 
 
 def test_solve_end_to_end(tmp_path, capsys):
@@ -156,6 +165,8 @@ def test_bench_success_rate_outputs(tmp_path, capsys):
     rates = (tmp_path / "bench_rates.csv").read_text().splitlines()
     assert len(rates) == 3
     assert (tmp_path / "bench.gp").read_text().startswith("# gnuplot")
+    for row in rates[1:]:
+        assert all(np.isfinite(float(cell)) for cell in row.split(","))
     agg = json.loads((tmp_path / "bench.json").read_text())
     assert set(agg["success_rate"]) == {"64", "160"}
 
@@ -199,6 +210,8 @@ def test_bench_consistency(tmp_path):
     assert code == 0
     rows = (tmp_path / "cons.csv").read_text().splitlines()
     assert len(rows) == 3
+    for row in rows[1:]:
+        assert all(np.isfinite(float(cell)) for cell in row.split(","))
 
 
 def sparse_image(tmp_path, width=8, height=8):
@@ -343,8 +356,9 @@ def test_config_file_defaults_and_precedence(tmp_path):
     assert e.p == 16
 
 
-def test_help_lists_defaults(capsys):
-    assert run("solve", "--help") == 0
+def help_defaults(capsys, *command):
+    """Flag -> default as shown by ``<command> --help``."""
+    assert run(*command, "--help") == 0
     text = " ".join(capsys.readouterr().out.split())
     options = text.split("options:", 1)[1]
     shown = {}
@@ -352,11 +366,18 @@ def test_help_lists_defaults(capsys):
         defaults = re.findall(r"\(default: ([^()]*)\)", entry)
         if defaults:
             shown[entry.split()[0]] = defaults[-1]
+    return shown
+
+
+def test_help_lists_defaults(capsys):
+    shown = help_defaults(capsys, "solve")
     assert shown["--alpha"] == "1.345"
     for f in fields(SolverConfig) + fields(SpectralConfig):
         if f.name == "lam":
             continue
         assert shown["--" + f.name.replace("_", "-")] == str(f.default), f.name
+    for mode in ("stability", "remark5"):
+        assert help_defaults(capsys, "diag", mode)["--rho0"] == str(RHO0), mode
 
 
 def test_unknown_command_usage_error():

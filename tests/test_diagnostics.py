@@ -16,7 +16,7 @@ from robustpr import (
     spectral_init,
     synthesize_instance,
 )
-from robustpr.diagnostics import _min_eig
+from robustpr.diagnostics import _min_eig, _refine_pair
 from robustpr.errors import MissingDataError, UnsupportedFieldError
 from robustpr.gradient import realify, realify_quadratic
 from robustpr.model import MeasurementEnsemble
@@ -49,6 +49,17 @@ def test_stability_gaussian_ensemble_positive():
     assert est.c2_hat > 0.0
     assert est.used_noise_record
     assert est.inlier_threshold == pytest.approx(0.5 * ALPHA)
+
+
+def test_refine_pair_compounds_accepted_moves():
+    # Rows sqrt(p) e_i give mu(u, v) = sum_i |u_i v_i|, which is 0 for pairs
+    # with disjoint supports.  From u = v uniform, one round reaches 0 only if
+    # each zeroing acts on the vector left by the previous accepted move.
+    p = 8
+    u = np.full(p, 1.0 / np.sqrt(p))
+    mu = _refine_pair(np.sqrt(p) * np.eye(p), u, u.copy(), np.ones(p, dtype=bool),
+                      pick=lambda m, c: m, rounds=1)
+    assert mu == 0.0
 
 
 def test_stability_validation():

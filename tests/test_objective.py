@@ -190,7 +190,8 @@ def test_surrogate_rejects_bad_tau():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        HuberParams(0.0)
-    with pytest.raises(ValueError):
-        ObjectiveParams(HuberParams(1.0), 0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            HuberParams(bad)
+        with pytest.raises(ValueError):
+            ObjectiveParams(HuberParams(1.0), bad)

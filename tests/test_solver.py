@@ -141,6 +141,10 @@ def test_solver_config_validation():
         SolverConfig(lam=1.0, beta=1.0)
     with pytest.raises(ValueError):
         SolverConfig(lam=1.0, eps=0.0)
+    for bad in (float("nan"), float("inf")):
+        for name in ("lam", "alpha", "delta", "eps"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{"lam": 1.0, name: bad})
 
 
 def test_solve_rejects_bad_start():

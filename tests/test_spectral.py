@@ -89,7 +89,8 @@ def test_phase_indifference():
 def test_spectral_config_validation():
     with pytest.raises(ValueError):
         SpectralConfig(power_iterations=0)
-    with pytest.raises(ValueError):
-        SpectralConfig(power_tol=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SpectralConfig(power_tol=bad)
     with pytest.raises(ValueError):
         SpectralConfig(truncation=0)
