@@ -596,24 +596,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     d_stab = diag_sub.add_parser("stability", formatter_class=fmt,
                                  help="sampled stability constants")
-    d_stab.add_argument("--instance", required=True)
-    d_stab.add_argument("--samples", type=_positive_int("--samples"), default=200)
+    d_stab.add_argument("--instance", required=True, help="instance JSON path")
+    d_stab.add_argument("--samples", type=_positive_int("--samples"), default=200,
+                        help="random direction pairs before refinement")
     d_stab.add_argument("--rho0", type=float, default=RHO0,
                         help="inliers have |eps_i| <= rho0 * alpha")
-    d_stab.add_argument("--alpha", type=float, default=SolverConfig.alpha)
-    d_stab.add_argument("--seed", type=int, default=0)
+    d_stab.add_argument("--alpha", type=float, default=SolverConfig.alpha,
+                        help="Huber transition threshold")
+    d_stab.add_argument("--seed", type=int, default=0,
+                        help="seed of the sampled directions")
     d_stab.add_argument("--out", default=None, help="report JSON path")
     d_stab.set_defaults(func=_diag_stability)
 
     d_cert = diag_sub.add_parser("certificate", formatter_class=fmt,
                                  help="linear-rate spectral-gap certificate")
-    d_cert.add_argument("--instance", required=True)
+    d_cert.add_argument("--instance", required=True, help="instance JSON path")
     d_cert.add_argument("--solution", default=None,
                         help="result JSON from 'solve'")
     d_cert.add_argument("--use-truth", action="store_true",
                         help="evaluate at the stored ground truth")
-    d_cert.add_argument("--lambda", dest="lam", type=float, default=None)
-    d_cert.add_argument("--alpha", type=float, default=SolverConfig.alpha)
+    d_cert.add_argument("--lambda", dest="lam", type=float, default=None,
+                        help="regularization weight (required)")
+    d_cert.add_argument("--alpha", type=float, default=SolverConfig.alpha,
+                        help="Huber transition threshold")
     d_cert.add_argument("--eps1", type=float, default=None,
                         help="boundary width (default alpha/2)")
     d_cert.add_argument("--out", default=None, help="report JSON path")
@@ -621,12 +626,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     d_rem = diag_sub.add_parser("remark5", formatter_class=fmt,
                                 help="noise-weighted certificate terms")
-    d_rem.add_argument("--instance", required=True)
+    d_rem.add_argument("--instance", required=True, help="instance JSON path")
     d_rem.add_argument("--solution", default=None,
                        help="result JSON from 'solve'")
     d_rem.add_argument("--use-truth", action="store_true",
                        help="evaluate at the stored ground truth")
-    d_rem.add_argument("--alpha", type=float, default=SolverConfig.alpha)
+    d_rem.add_argument("--alpha", type=float, default=SolverConfig.alpha,
+                       help="Huber transition threshold")
     d_rem.add_argument("--rho0", type=float, default=RHO0,
                        help="inliers have |eps_i| <= rho0 * alpha")
     d_rem.add_argument("--out", default=None, help="report JSON path")

@@ -49,6 +49,21 @@ def _min_eig(m: np.ndarray) -> float:
     return lmin
 
 
+def _masks(r: np.ndarray, alpha: float, eps1: float):
+    """Inliers |r_i| <= alpha - eps1 and the boundary band ||r_i| - alpha| < eps1."""
+    inliers = np.abs(r) <= alpha - eps1
+    boundary = np.abs(np.abs(r) - alpha) < eps1
+    return inliers, boundary
+
+
+def _check_alpha_rho0(alpha: float, rho0: float) -> None:
+    # chained comparisons reject NaN and inf as well as out-of-range values
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive")
+    if not 0.0 < rho0 < 1.0:
+        raise ValueError("rho0 must lie in (0, 1)")
+
+
 def _normalized(e: MeasurementEnsemble):
     """Equal-energy rows: a_i rescaled to norm sqrt(p), b and eps to match.
 
@@ -135,8 +150,7 @@ def estimate_stability(
         )
     if samples < 1:
         raise ValueError("need at least one sampled direction pair")
-    if not 0.0 < rho0 < 1.0:
-        raise ValueError("rho0 must lie in (0, 1)")
+    _check_alpha_rho0(alpha, rho0)
     a_hat, _, eps_hat = _normalized(e)
     used_record = eps_hat is not None
     threshold = rho0 * alpha
@@ -184,48 +198,20 @@ class CertificateReport:
         return json.dumps(asdict(self))
 
 
-def _certificate_real(x, e, lam, alpha, eps1) -> CertificateReport:
-    support = np.flatnonzero(x)
-    a_g = e.sampling_vectors[:, support]
-    c = e.sampling_vectors @ x
-    r = c**2 - e.observations
-    inliers = np.abs(r) <= alpha - eps1
-    boundary = np.abs(np.abs(r) - alpha) < eps1
+def _real_terms(a_s, c, r, inliers, e):
+    """Restricted curvature M over the inliers and per-row norms, real field."""
     weights = (3.0 * c**2 - e.observations) / e.n
-    m = (a_g[inliers].T * weights[inliers]) @ a_g[inliers]
-    lhs = _min_eig(m)
-    row_sq = np.sum(a_g**2, axis=1)
-    rhs_boundary = 3.0 * float(np.sum(np.abs(weights[boundary]) * row_sq[boundary]))
-    rhs_reg = 0.75 * lam * float(np.min(np.abs(x[support]))) ** (-1.5)
-    return CertificateReport(
-        field=FieldTag.REAL.value,
-        support=[int(j) for j in support],
-        support_realified=None,
-        eps1=eps1,
-        lhs_min_eig=lhs,
-        rhs_boundary_norms=rhs_boundary,
-        rhs_reg_term=rhs_reg,
-        n_inliers=int(np.count_nonzero(inliers)),
-        n_boundary=int(np.count_nonzero(boundary)),
-        passed=bool(lhs >= rhs_boundary + rhs_reg),
-    )
+    m = (a_s[inliers].T * weights[inliers]) @ a_s[inliers]
+    norms = np.abs(weights) * np.sum(a_s**2, axis=1)
+    return m, norms
 
 
-def _certificate_complex(x, e, lam, alpha, eps1) -> CertificateReport:
-    p = e.p
-    support = np.flatnonzero(np.abs(x) > 0.0)
-    support_rl = np.concatenate([support, support + p])
-    a = e.sampling_vectors
+def _complex_terms(a_s, c, r, inliers, e):
+    """Realified curvature M over the inliers and per-row norms, complex field."""
     # phi/psi restricted to the realified support; phi and psi stay orthogonal
     # with equal norms after restriction, which gives the closed-form norms.
-    phi = np.concatenate([np.real(a[:, support]), np.imag(a[:, support])], axis=1)
-    psi = np.concatenate([-np.imag(a[:, support]), np.real(a[:, support])], axis=1)
-    c = correlate(a, x)
-    quad = np.abs(c) ** 2
-    r = quad - e.observations
-    inliers = np.abs(r) <= alpha - eps1
-    boundary = np.abs(np.abs(r) - alpha) < eps1
-
+    phi = np.concatenate([np.real(a_s), np.imag(a_s)], axis=1)
+    psi = np.concatenate([-np.imag(a_s), np.real(a_s)], axis=1)
     q = np.real(c)[:, None] * phi + np.imag(c)[:, None] * psi
     q_in, phi_in, psi_in = q[inliers], phi[inliers], psi[inliers]
     r_in = r[inliers]
@@ -234,28 +220,13 @@ def _certificate_complex(x, e, lam, alpha, eps1) -> CertificateReport:
         + (phi_in.T * r_in) @ phi_in
         + (psi_in.T * r_in) @ psi_in
     ) / e.n
-    lhs = _min_eig(m)
-
     # Restricted H_i has rank <= 2 with eigenvalues (rho^2/n)*{2|c|^2 + r, r},
     # rho^2 = sum_{j in support} |a_ij|^2.
-    rho_sq = np.sum(np.abs(a[:, support]) ** 2, axis=1)
-    eig_a = np.abs(2.0 * quad + r)
+    rho_sq = np.sum(np.abs(a_s) ** 2, axis=1)
+    eig_a = np.abs(2.0 * np.abs(c) ** 2 + r)
     eig_b = np.abs(r)
     norms = rho_sq * np.maximum(eig_a, eig_b) / e.n
-    rhs_boundary = 3.0 * float(np.sum(norms[boundary]))
-    rhs_reg = 1.5 * lam * float(np.min(np.abs(x[support]))) ** (-1.5)
-    return CertificateReport(
-        field=FieldTag.COMPLEX.value,
-        support=[int(j) for j in support],
-        support_realified=[int(j) for j in support_rl],
-        eps1=eps1,
-        lhs_min_eig=lhs,
-        rhs_boundary_norms=rhs_boundary,
-        rhs_reg_term=rhs_reg,
-        n_inliers=int(np.count_nonzero(inliers)),
-        n_boundary=int(np.count_nonzero(boundary)),
-        passed=bool(lhs >= rhs_boundary + rhs_reg),
-    )
+    return m, norms
 
 
 def linear_rate_certificate(
@@ -269,16 +240,41 @@ def linear_rate_certificate(
 
     eps1 defaults to (1 - RHO0) * alpha, which is alpha/2.
     """
+    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
+        raise ValueError("lam and alpha must be positive")
     if eps1 is None:
         eps1 = (1.0 - RHO0) * alpha
     if not 0.0 < eps1 < alpha:
         raise ValueError("eps1 must lie strictly between 0 and alpha")
     x = e.check_signal(x_star)
-    if not np.any(x != 0):
+    support = np.flatnonzero(x)
+    if support.size == 0:
         raise ValueError("certificate requires a solution with nonempty support")
     if e.field is FieldTag.REAL:
-        return _certificate_real(x, e, lam, alpha, eps1)
-    return _certificate_complex(x, e, lam, alpha, eps1)
+        terms, reg_coef, support_realified = _real_terms, 0.75, None
+    else:
+        terms, reg_coef = _complex_terms, 1.5
+        support_realified = [int(j) for j in np.concatenate([support, support + e.p])]
+    a = e.sampling_vectors
+    c = correlate(a, x)
+    r = np.abs(c) ** 2 - e.observations
+    inliers, boundary = _masks(r, alpha, eps1)
+    m, norms = terms(a[:, support], c, r, inliers, e)
+    lhs = _min_eig(m)
+    rhs_boundary = 3.0 * float(np.sum(norms[boundary]))
+    rhs_reg = reg_coef * lam * float(np.min(np.abs(x[support]))) ** (-1.5)
+    return CertificateReport(
+        field=e.field.value,
+        support=[int(j) for j in support],
+        support_realified=support_realified,
+        eps1=eps1,
+        lhs_min_eig=lhs,
+        rhs_boundary_norms=rhs_boundary,
+        rhs_reg_term=rhs_reg,
+        n_inliers=int(np.count_nonzero(inliers)),
+        n_boundary=int(np.count_nonzero(boundary)),
+        passed=bool(lhs >= rhs_boundary + rhs_reg),
+    )
 
 
 @dataclass(frozen=True)
@@ -312,14 +308,14 @@ def remark5_quantities(
         raise UnsupportedFieldError("Remark-5 quantities are real-field only")
     if e.noise_record is None:
         raise MissingDataError("Remark-5 quantities require a noise record")
+    _check_alpha_rho0(alpha, rho0)
     x = e.check_signal(x)
     support = np.flatnonzero(x)
     if support.size == 0:
         raise ValueError("signal has empty support")
     a_hat, _, eps_hat = _normalized(e)
     eps1 = (1.0 - rho0) * alpha
-    inliers = np.abs(eps_hat) <= alpha - eps1
-    boundary = np.abs(np.abs(eps_hat) - alpha) < eps1
+    inliers, boundary = _masks(eps_hat, alpha, eps1)
     a_g = a_hat[:, support]
 
     def weighted_norm(mask, w):
@@ -361,6 +357,7 @@ def consistency_conditions(
         raise UnsupportedFieldError("consistency conditions are real-field only")
     if e.ground_truth is None or e.noise_record is None:
         raise MissingDataError("needs ground truth and noise record")
+    _check_alpha_rho0(alpha, rho0)
     _, _, eps_hat = _normalized(e)
     x = e.ground_truth
     n, p = e.n, e.p

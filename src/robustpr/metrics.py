@@ -114,7 +114,7 @@ class ExperimentReport:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["n", "trial", "seed", "relative_error", "iterations", "termination"]
             )

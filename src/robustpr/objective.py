@@ -11,30 +11,9 @@ would define a different, non-equivalent problem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import MeasurementEnsemble, correlate
-
-
-@dataclass(frozen=True)
-class HuberParams:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < np.inf:
-            raise ValueError("Huber threshold alpha must be positive")
-
-
-@dataclass(frozen=True)
-class ObjectiveParams:
-    huber: HuberParams
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < np.inf:
-            raise ValueError("regularization weight lam must be positive")
 
 
 def huber(u, alpha: float):
@@ -66,16 +45,20 @@ def loss(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> float:
     return float(np.mean(huber(residuals(x, e), alpha)))
 
 
-def objective(x: np.ndarray, e: MeasurementEnsemble, params: ObjectiveParams) -> float:
+def objective(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float) -> float:
     """F(x) = loss + lam * half_norm."""
-    return loss(x, e, params.huber.alpha) + params.lam * half_norm(x)
+    # chained comparisons reject NaN and inf as well as nonpositive values
+    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
+        raise ValueError("lam and alpha must be positive")
+    return loss(x, e, alpha) + lam * half_norm(x)
 
 
 def surrogate(
     x: np.ndarray,
     y: np.ndarray,
     e: MeasurementEnsemble,
-    params: ObjectiveParams,
+    lam: float,
+    alpha: float,
     tau: float,
 ) -> float:
     """MM surrogate around y.
@@ -87,16 +70,18 @@ def surrogate(
     """
     from .gradient import g as gradient_map
 
+    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
+        raise ValueError("lam and alpha must be positive")
     if tau <= 0:
         raise ValueError("surrogate step tau must be positive")
     x = e.check_signal(x)
     y = e.check_signal(y)
     d = x - y
-    gy = gradient_map(y, e, params.huber.alpha)
+    gy = gradient_map(y, e, alpha)
     lin = 2.0 * float(np.real(np.vdot(gy, d)))
     return (
-        loss(y, e, params.huber.alpha)
+        loss(y, e, alpha)
         + lin
         + float(np.vdot(d, d).real) / (2.0 * tau)
-        + params.lam * half_norm(x)
+        + lam * half_norm(x)
     )

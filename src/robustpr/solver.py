@@ -20,7 +20,7 @@ import numpy as np
 
 from .gradient import g as gradient_map
 from .model import MeasurementEnsemble
-from .objective import HuberParams, ObjectiveParams, objective
+from .objective import objective
 from .prox import half_threshold
 
 
@@ -53,9 +53,6 @@ class SolverConfig:
             raise ValueError("delta and eps must be positive")
         if self.max_iter < 1 or self.max_backtracks < 1:
             raise ValueError("iteration limits must be positive")
-
-    def objective_params(self) -> ObjectiveParams:
-        return ObjectiveParams(HuberParams(self.alpha), self.lam)
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,7 @@ def solve(
     x = e.check_signal(x0).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial point contains non-finite entries")
-    params = cfg.objective_params()
-    F_x = objective(x, e, params)
+    F_x = objective(x, e, cfg.lam, cfg.alpha)
     F_initial = F_x
     g_x = gradient_map(x, e, cfg.alpha)
     trace: list[IterationRecord] = []
@@ -127,7 +123,7 @@ def solve(
         for j in range(cfg.max_backtracks + 1):
             tau = cfg.gamma * cfg.beta**j
             cand = half_threshold(x - 2.0 * tau * g_x, 2.0 * cfg.lam * tau)
-            F_cand = objective(cand, e, params)
+            F_cand = objective(cand, e, cfg.lam, cfg.alpha)
             step_sq = float(np.vdot(cand - x, cand - x).real)
             if F_x - F_cand >= cfg.delta * step_sq:
                 accepted = True
@@ -173,7 +169,7 @@ TRACE_COLUMNS = ("k", "F", "tau", "j", "step_norm", "support_size", "fp_residual
 def write_trace_csv(path, result: SolverResult) -> None:
     """Export the iteration trace with one row per accepted step."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for r in result.trace:
             writer.writerow(

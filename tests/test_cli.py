@@ -91,6 +91,7 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert doc["termination"] == "Converged"
     header = trace.read_text().splitlines()[0]
     assert header == "k,F,tau,j,step_norm,support_size,fp_residual"
+    assert b"\r" not in trace.read_bytes()
     assert "relative error" in capsys.readouterr().out
 
 
@@ -169,6 +170,8 @@ def test_bench_success_rate_outputs(tmp_path, capsys):
         assert all(np.isfinite(float(cell)) for cell in row.split(","))
     agg = json.loads((tmp_path / "bench.json").read_text())
     assert set(agg["success_rate"]) == {"64", "160"}
+    for name in ("bench.csv", "bench_rates.csv"):
+        assert b"\r" not in (tmp_path / name).read_bytes(), name
 
 
 def test_bench_empty_grid_usage_error(tmp_path):
@@ -185,6 +188,7 @@ def test_bench_error_iter(tmp_path):
     assert code == 0
     rows = (tmp_path / "curve.csv").read_text().splitlines()
     assert rows[0] == "k,relative_error"
+    assert b"\r" not in (tmp_path / "curve.csv").read_bytes()
     last = rows[-1].split(",")
     assert float(last[1]) < 5e-3
 
@@ -199,6 +203,7 @@ def test_bench_lambda_grid(tmp_path, capsys):
     assert "chose lambda" in capsys.readouterr().out
     rows = (tmp_path / "tab.csv").read_text().splitlines()
     assert rows[0] == "lambda,score" and len(rows) == 3
+    assert b"\r" not in (tmp_path / "tab.csv").read_bytes()
     assert (tmp_path / "tab.gp").read_text().startswith("set logscale x")
 
 
@@ -210,6 +215,7 @@ def test_bench_consistency(tmp_path):
     assert code == 0
     rows = (tmp_path / "cons.csv").read_text().splitlines()
     assert len(rows) == 3
+    assert b"\r" not in (tmp_path / "cons.csv").read_bytes()
     for row in rows[1:]:
         assert all(np.isfinite(float(cell)) for cell in row.split(","))
 
@@ -342,6 +348,28 @@ def test_diag_rejects_non_object_solution(tmp_path, capsys, content):
     assert err.count("solution document must be a JSON object") == 2
 
 
+DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
+                 "--noise", "type2:0.1", "--seed", "3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certificate", "--use-truth", "--lambda", "-1"], "lam and alpha"),
+    (["certificate", "--use-truth", "--lambda", "nan"], "lam and alpha"),
+    (["stability", "--alpha", "nan"], "alpha must be positive"),
+    (["stability", "--alpha", "-1"], "alpha must be positive"),
+    (["remark5", "--use-truth", "--alpha", "nan"], "alpha must be positive"),
+    (["remark5", "--use-truth", "--alpha", "-2"], "alpha must be positive"),
+    (["remark5", "--use-truth", "--rho0", "1.5"], "rho0 must lie in (0, 1)"),
+    (["remark5", "--use-truth", "--rho0", "-1"], "rho0 must lie in (0, 1)"),
+])
+def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
+    inst = tmp_path / "inst.json"
+    assert run(*DIAG_INSTANCE, "--out", str(inst)) == 0
+    capsys.readouterr()
+    assert run("diag", argv[0], "--instance", str(inst), *argv[1:]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_file_defaults_and_precedence(tmp_path):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("# defaults\np = 16\ns = 2\nn = 160\nseed = 3\nout = %s\n"
@@ -378,6 +406,10 @@ def test_help_lists_defaults(capsys):
         assert shown["--" + f.name.replace("_", "-")] == str(f.default), f.name
     for mode in ("stability", "remark5"):
         assert help_defaults(capsys, "diag", mode)["--rho0"] == str(RHO0), mode
+    for mode in ("stability", "certificate", "remark5"):
+        shown = help_defaults(capsys, "diag", mode)
+        assert shown["--alpha"] == str(SolverConfig.alpha), mode
+    assert help_defaults(capsys, "diag", "stability")["--samples"] == "200"
 
 
 def test_unknown_command_usage_error():

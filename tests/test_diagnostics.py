@@ -16,7 +16,7 @@ from robustpr import (
     spectral_init,
     synthesize_instance,
 )
-from robustpr.diagnostics import _min_eig, _refine_pair
+from robustpr.diagnostics import RHO0, _min_eig, _refine_pair
 from robustpr.errors import MissingDataError, UnsupportedFieldError
 from robustpr.gradient import realify, realify_quadratic
 from robustpr.model import MeasurementEnsemble
@@ -140,6 +140,11 @@ def test_certificate_real_embedded_as_complex():
     report = linear_rate_certificate(x_c, ec, lam=1e-4, alpha=ALPHA)
     support = np.flatnonzero(np.abs(x_c))
     assert len(report.support_realified) == 2 * len(support)
+    # the shared residuals and masks see the same data in both fields
+    real_report = linear_rate_certificate(e.ground_truth, e, lam=1e-4, alpha=ALPHA)
+    assert report.support == real_report.support == support.tolist()
+    assert report.n_inliers == real_report.n_inliers
+    assert report.n_boundary == real_report.n_boundary
     xt = realify(x_c)
     for a_i, b_i in zip(a_c[:10], e.observations[:10]):
         quad = xt @ realify_quadratic(a_i) @ xt
@@ -155,6 +160,35 @@ def test_certificate_validation():
         linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA, eps1=2.0)
     with pytest.raises(ValueError):
         linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA, eps1=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam and alpha must be positive"):
+            linear_rate_certificate(result.estimate, e, lam=bad, alpha=ALPHA)
+        with pytest.raises(ValueError, match="lam and alpha must be positive"):
+            linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=bad)
+
+
+@pytest.mark.parametrize(
+    "alpha, rho0, message",
+    [
+        (0.0, RHO0, "alpha must be positive"),
+        (-1.0, RHO0, "alpha must be positive"),
+        (float("nan"), RHO0, "alpha must be positive"),
+        (float("inf"), RHO0, "alpha must be positive"),
+        (ALPHA, 0.0, r"rho0 must lie in \(0, 1\)"),
+        (ALPHA, 1.0, r"rho0 must lie in \(0, 1\)"),
+        (ALPHA, -1.0, r"rho0 must lie in \(0, 1\)"),
+        (ALPHA, 1.5, r"rho0 must lie in \(0, 1\)"),
+        (ALPHA, float("nan"), r"rho0 must lie in \(0, 1\)"),
+    ],
+)
+def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):
+    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    with pytest.raises(ValueError, match=message):
+        estimate_stability(e, samples=5, rho0=rho0, alpha=alpha, seed=0)
+    with pytest.raises(ValueError, match=message):
+        remark5_quantities(e.ground_truth, e, alpha, rho0=rho0)
+    with pytest.raises(ValueError, match=message):
+        consistency_conditions(e, alpha=alpha, lam=1e-3, c1=0.6, c2=0.3, rho0=rho0)
 
 
 def test_remark5_zero_noise():

@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 
 from robustpr import (
     FieldTag,
-    HuberParams,
     NoiseSpec,
-    ObjectiveParams,
     half_norm,
     huber,
     huber_deriv,
@@ -20,10 +18,6 @@ from robustpr.model import MeasurementEnsemble
 ALPHA = 1.345
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-def params(lam=1e-3, alpha=ALPHA):
-    return ObjectiveParams(HuberParams(alpha), lam)
 
 
 def test_huber_values():
@@ -112,37 +106,36 @@ def test_loss_field_mismatch():
 
 def test_objective_at_truth_is_regularizer():
     e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("none"), 1)
-    pr = params(lam=1e-2)
     assert np.isclose(
-        objective(e.ground_truth, e, pr), 1e-2 * half_norm(e.ground_truth)
+        objective(e.ground_truth, e, 1e-2, ALPHA), 1e-2 * half_norm(e.ground_truth)
     )
 
 
 def test_objective_dominated_by_regularizer():
     e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("type2", 0.3), 1)
-    pr = params(lam=0.05)
+    lam = 0.05
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.standard_normal(8)
-        assert objective(x, e, pr) >= pr.lam * half_norm(x)
+        assert objective(x, e, lam, ALPHA) >= lam * half_norm(x)
 
 
 def test_objective_coercive():
     e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("none"), 1)
-    pr = params(lam=1e-2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(8)
     scales = [10.0, 30.0, 100.0, 300.0, 1000.0]
-    values = [objective(c * x, e, pr) for c in scales]
+    values = [objective(c * x, e, 1e-2, ALPHA) for c in scales]
     assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
 
 
 def test_surrogate_touches_objective():
     e = synthesize_instance(8, 2, 32, FieldTag.COMPLEX, NoiseSpec("type1", 0.1), 5)
-    pr = params(lam=1e-3)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.isclose(surrogate(x, x, e, pr, tau=0.7), objective(x, e, pr))
+    assert np.isclose(
+        surrogate(x, x, e, 1e-3, ALPHA, tau=0.7), objective(x, e, 1e-3, ALPHA)
+    )
 
 
 def _lipschitz_bound(e, alpha, r, field):
@@ -154,7 +147,6 @@ def _lipschitz_bound(e, alpha, r, field):
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
 def test_surrogate_majorizes_on_ball(field):
     e = synthesize_instance(6, 2, 24, field, NoiseSpec("type1", 0.1), 6)
-    pr = params(lam=1e-3)
     r = 2.0
     tau = min(1.0, 1.0 / _lipschitz_bound(e, ALPHA, r, field))
     rng = np.random.default_rng(7)
@@ -165,8 +157,8 @@ def test_surrogate_majorizes_on_ball(field):
             x, y = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
         x *= r * rng.random() / np.linalg.norm(x)
         y *= r * rng.random() / np.linalg.norm(y)
-        fx = objective(x, e, pr)
-        fxy = surrogate(x, y, e, pr, tau)
+        fx = objective(x, e, 1e-3, ALPHA)
+        fxy = surrogate(x, y, e, 1e-3, ALPHA, tau)
         assert fx <= fxy + 1e-10 * (1.0 + abs(fxy))
 
 
@@ -174,24 +166,29 @@ def test_surrogate_collapse_when_gradient_vanishes():
     # at the noiseless ground truth g(y) = 0, so the linear term drops and
     # F_tau(x, y) = f(y) + ||x-y||^2/(2 tau) + lam * half_norm(x)
     e = synthesize_instance(6, 2, 24, FieldTag.REAL, NoiseSpec("none"), 8)
-    pr = params(lam=1e-4)
+    lam = 1e-4
     y = e.ground_truth
     rng = np.random.default_rng(9)
     x = rng.standard_normal(6)
-    expected = 0.5 * np.linalg.norm(x - y) ** 2 + pr.lam * half_norm(x)
-    assert np.isclose(surrogate(x, y, e, pr, tau=1.0), expected)
+    expected = 0.5 * np.linalg.norm(x - y) ** 2 + lam * half_norm(x)
+    assert np.isclose(surrogate(x, y, e, lam, ALPHA, tau=1.0), expected)
 
 
 def test_surrogate_rejects_bad_tau():
     e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
-    pr = params()
     with pytest.raises(ValueError):
-        surrogate(e.ground_truth, e.ground_truth, e, pr, tau=0.0)
+        surrogate(e.ground_truth, e.ground_truth, e, 1e-3, ALPHA, tau=0.0)
 
 
 def test_params_validation():
-    for bad in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            HuberParams(bad)
-        with pytest.raises(ValueError):
-            ObjectiveParams(HuberParams(1.0), bad)
+    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
+    x = e.ground_truth
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam and alpha must be positive"):
+            objective(x, e, 1e-3, bad)
+        with pytest.raises(ValueError, match="lam and alpha must be positive"):
+            objective(x, e, bad, ALPHA)
+        with pytest.raises(ValueError, match="lam and alpha must be positive"):
+            surrogate(x, x, e, 1e-3, bad, tau=1.0)
+        with pytest.raises(ValueError, match="lam and alpha must be positive"):
+            surrogate(x, x, e, bad, ALPHA, tau=1.0)

@@ -105,7 +105,7 @@ def test_objective_cached_value_matches_recomputation():
 
     x0 = spectral_init(e, SpectralConfig(truncation=4), 4)
     result = solve(e, x0, cfg)
-    recomputed = objective(result.estimate, e, cfg.objective_params())
+    recomputed = objective(result.estimate, e, cfg.lam, cfg.alpha)
     assert np.isclose(result.final_objective, recomputed, rtol=1e-12)
 
 
@@ -179,6 +179,6 @@ def test_type3_estimate_is_the_minimizer_not_a_stall(trial):
     assert from_truth.termination is Termination.CONVERGED
     gap = relative_error(from_spectral.estimate, from_truth.estimate)
     assert gap <= 10.0 * cfg.eps
-    F_truth = objective(e.ground_truth, e, cfg.objective_params())
+    F_truth = objective(e.ground_truth, e, cfg.lam, cfg.alpha)
     assert from_spectral.final_objective <= F_truth
     assert from_truth.final_objective <= F_truth
