@@ -358,6 +358,8 @@ def consistency_conditions(
     if e.ground_truth is None or e.noise_record is None:
         raise MissingDataError("needs ground truth and noise record")
     _check_alpha_rho0(alpha, rho0)
+    if not (0.0 < lam < np.inf and 0.0 < c1 < np.inf and 0.0 < c2 < np.inf):
+        raise ValueError("lam, c1 and c2 must be positive")
     _, _, eps_hat = _normalized(e)
     x = e.ground_truth
     n, p = e.n, e.p

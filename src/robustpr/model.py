@@ -35,8 +35,13 @@ def field_of(x: np.ndarray) -> FieldTag:
 
 
 def correlate(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inner products <a_i, x> = a_i^H x for a stack of rows (or one vector)."""
-    return a.conj() @ x
+    """Inner products <a_i, x> = a_i^H x for a stack of rows (or one vector).
+
+    Computed as conj(a x^*): conjugating the length-p signal and the result
+    avoids copying the (n, p) matrix, and ``conj`` of a real array is the
+    array itself.
+    """
+    return (a @ x.conj()).conj()
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,18 @@
 
 Each iteration applies the thresholded gradient map
 
-    x+ = H_{2 lam tau}(x - 2 tau g(x)),    tau = gamma * beta^j,
+    x+ = H_{2 lam tau}(x - 2 tau g(x)),    tau = tau0 * beta^j,
 
 with j the smallest nonnegative integer achieving the sufficient decrease
-F(x) - F(x+) >= delta ||x+ - x||^2.  The accepted objective value is cached
+F(x) - F(x+) >= delta ||x+ - x||^2.  The trial step tau0 is the
+Barzilai-Borwein step of the last accepted move s = x_k - x_{k-1},
+y = g(x_k) - g(x_{k-1}):
+
+    tau0 = ||s||^2 / (2 Re<s, y>)   clipped to [TAU_MIN, gamma],
+
+and gamma on the first iteration or when Re<s, y> <= 0.  Every accepted tau
+lies in (0, gamma] and passes the same sufficient-decrease test, which is
+all the convergence argument needs.  The accepted objective value is cached
 and carried forward, so the recorded descent inequality is exact in floating
 point.  Terminates when the step norm drops below eps * max(1, ||x||).
 """
@@ -22,6 +30,8 @@ from .gradient import g as gradient_map
 from .model import MeasurementEnsemble
 from .objective import objective
 from .prox import half_threshold
+
+TAU_MIN = 1e-8  # floor of the Barzilai-Borwein trial step
 
 
 class Termination(Enum):
@@ -118,13 +128,15 @@ def solve(
     if callback is not None:
         callback(0, x)
 
+    tau0 = cfg.gamma
     for k in range(1, cfg.max_iter + 1):
         accepted = False
         for j in range(cfg.max_backtracks + 1):
-            tau = cfg.gamma * cfg.beta**j
+            tau = tau0 * cfg.beta**j
             cand = half_threshold(x - 2.0 * tau * g_x, 2.0 * cfg.lam * tau)
             F_cand = objective(cand, e, cfg.lam, cfg.alpha)
-            step_sq = float(np.vdot(cand - x, cand - x).real)
+            step = cand - x
+            step_sq = float(np.vdot(step, step).real)
             if F_x - F_cand >= cfg.delta * step_sq:
                 accepted = True
                 break
@@ -132,9 +144,15 @@ def solve(
             termination = Termination.LINE_SEARCH_FAILED
             break
 
-        step_norm = float(np.linalg.norm(cand - x))
+        step_norm = float(np.linalg.norm(step))
         converged = step_norm <= cfg.eps * max(1.0, float(np.linalg.norm(x)))
         g_new = gradient_map(cand, e, cfg.alpha)
+        curvature = float(np.vdot(step, g_new - g_x).real)
+        tau0 = (
+            min(max(step_sq / (2.0 * curvature), TAU_MIN), cfg.gamma)
+            if curvature > 0.0
+            else cfg.gamma
+        )
         fp_res = fixed_point_residual(cand, e, cfg.lam, cfg.alpha, tau, gx=g_new)
         trace.append(
             IterationRecord(

@@ -191,6 +191,15 @@ def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):
         consistency_conditions(e, alpha=alpha, lam=1e-3, c1=0.6, c2=0.3, rho0=rho0)
 
 
+@pytest.mark.parametrize("name", ["lam", "c1", "c2"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_consistency_conditions_reject_bad_lam_c1_c2(name, bad):
+    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    params = {"lam": 1e-3, "c1": 0.6, "c2": 0.3, name: bad}
+    with pytest.raises(ValueError, match="lam, c1 and c2 must be positive"):
+        consistency_conditions(e, alpha=ALPHA, **params)
+
+
 def test_remark5_zero_noise():
     e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("none"), 4)
     report = remark5_quantities(e.ground_truth, e, ALPHA, rho0=0.5)

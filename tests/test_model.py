@@ -191,3 +191,16 @@ def test_field_mismatch_rejected():
         e.check_signal(np.zeros(4, dtype=np.complex128))
     with pytest.raises(ValueError, match="length"):
         e.check_signal(np.zeros(5))
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (320, 32), (768, 128)])
+def test_correlate_equals_conjugate_matvec_bitwise(n, p):
+    rng = np.random.default_rng(n + p)
+    a_re = rng.standard_normal((n, p))
+    a = a_re + 1j * rng.standard_normal((n, p))
+    x_re = rng.standard_normal(p)
+    x = x_re + 1j * rng.standard_normal(p)
+    for rows, sig in ((a, x), (a, x_re), (a_re, x), (a_re, x_re), (a[0], x)):
+        got = correlate(rows, sig)
+        assert got.dtype == (rows.conj() @ sig).dtype
+        assert np.array_equal(got, rows.conj() @ sig)

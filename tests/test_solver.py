@@ -182,3 +182,21 @@ def test_type3_estimate_is_the_minimizer_not_a_stall(trial):
     F_truth = objective(e.ground_truth, e, cfg.lam, cfg.alpha)
     assert from_spectral.final_objective <= F_truth
     assert from_truth.final_objective <= F_truth
+
+
+def test_bb_step_escapes_the_barely_stable_fixed_step():
+    # `gen --p 16 --s 2 --n 160 --noise none --seed 3`, `solve --lambda 1e-4`.
+    # The restricted Jacobian of g at the solution has eigenvalues 0.459 and
+    # 1.998, so tau = 1 is rejected and the fixed grid's tau = 0.5 contracts
+    # by only 0.998 per iteration: 2106 iterations to F = 1.2481309366e-4.
+    from robustpr.spectral import SpectralConfig, spectral_init
+
+    e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 3)
+    cfg = SolverConfig(lam=1e-4)
+    result = solve(e, spectral_init(e, SpectralConfig(), 3), cfg)
+    assert result.termination is Termination.CONVERGED
+    assert result.iterations <= 60
+    assert result.final_objective == pytest.approx(1.2481309366e-4, rel=1e-6)
+    first = result.trace[0]
+    assert first.tau == cfg.gamma * cfg.beta**first.j
+    assert all(r.tau <= cfg.gamma for r in result.trace)
