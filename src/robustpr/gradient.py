@@ -26,10 +26,15 @@ from .objective import huber_deriv, loss
 def g(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> np.ndarray:
     """Unified gradient map; see module docstring for conventions."""
     x = e.check_signal(x)
-    a = e.sampling_vectors
-    c = correlate(a, x)
-    w = huber_deriv(np.abs(c) ** 2 - e.observations, alpha)
-    return a.T @ (w * c) / e.n
+    c = correlate(e.sampling_vectors, x)
+    return _adjoint(e, c, np.abs(c) ** 2 - e.observations, alpha)
+
+
+def _adjoint(
+    e: MeasurementEnsemble, c: np.ndarray, r: np.ndarray, alpha: float
+) -> np.ndarray:
+    """g from c = <a_i, x> and r = |c|^2 - b: one adjoint product, no forward one."""
+    return e.sampling_vectors.T @ (huber_deriv(r, alpha) * c) / e.n
 
 
 def realify(x: np.ndarray) -> np.ndarray:

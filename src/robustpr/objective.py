@@ -25,7 +25,7 @@ def huber(u, alpha: float):
 
 def huber_deriv(u, alpha: float):
     """Derivative of the Huber function: u clamped to [-alpha, alpha]."""
-    return np.clip(u, -alpha, alpha)
+    return np.minimum(np.maximum(u, -alpha), alpha)
 
 
 def half_norm(x: np.ndarray) -> float:
@@ -33,16 +33,24 @@ def half_norm(x: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.abs(x))))
 
 
-def residuals(x: np.ndarray, e: MeasurementEnsemble) -> np.ndarray:
-    """|<a_i, x>|^2 - b_i for all measurements."""
+def _evaluate(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float):
+    """(F(x), c, r) at an already validated x, from one forward product.
+
+    c = <a_i, x> and r = |c|^2 - b feed ``gradient._adjoint``, so g at the
+    same point costs one adjoint product more.  With lam = 0 the value is the
+    loss alone.
+    """
     c = correlate(e.sampling_vectors, x)
-    return np.abs(c) ** 2 - e.observations
+    r = np.abs(c) ** 2 - e.observations
+    value = float(np.mean(huber(r, alpha)))
+    if lam:
+        value += lam * half_norm(x)
+    return value, c, r
 
 
 def loss(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> float:
     """Averaged Huber loss (1/n) sum_i h_alpha(|<a_i,x>|^2 - b_i)."""
-    x = e.check_signal(x)
-    return float(np.mean(huber(residuals(x, e), alpha)))
+    return _evaluate(e.check_signal(x), e, 0.0, alpha)[0]
 
 
 def objective(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float) -> float:
@@ -50,7 +58,7 @@ def objective(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float) -
     # chained comparisons reject NaN and inf as well as nonpositive values
     if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
         raise ValueError("lam and alpha must be positive")
-    return loss(x, e, alpha) + lam * half_norm(x)
+    return _evaluate(e.check_signal(x), e, lam, alpha)[0]
 
 
 def surrogate(
@@ -68,19 +76,19 @@ def surrogate(
 
     which touches F at x = y and majorizes F on a ball once tau <= 1/L.
     """
-    from .gradient import g as gradient_map
+    from .gradient import _adjoint
 
     if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
         raise ValueError("lam and alpha must be positive")
-    if tau <= 0:
-        raise ValueError("surrogate step tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValueError("surrogate step tau must be positive and finite")
     x = e.check_signal(x)
     y = e.check_signal(y)
     d = x - y
-    gy = gradient_map(y, e, alpha)
-    lin = 2.0 * float(np.real(np.vdot(gy, d)))
+    f_y, c, r = _evaluate(y, e, 0.0, alpha)
+    lin = 2.0 * float(np.real(np.vdot(_adjoint(e, c, r, alpha), d)))
     return (
-        loss(y, e, alpha)
+        f_y
         + lin
         + float(np.vdot(d, d).real) / (2.0 * tau)
         + lam * half_norm(x)

@@ -20,8 +20,9 @@ _TBAR_COEF = 54.0 ** (1.0 / 3.0) / 4.0
 
 def threshold_point(mu: float) -> float:
     """The hard-thresholding radius tbar(mu) = (54^(1/3)/4) mu^(2/3)."""
-    if mu <= 0:
-        raise ValueError("prox weight mu must be positive")
+    # chained comparison rejects NaN and inf as well as nonpositive values
+    if not 0.0 < mu < np.inf:
+        raise ValueError("prox weight mu must be positive and finite")
     return _TBAR_COEF * mu ** (2.0 / 3.0)
 
 
@@ -34,11 +35,11 @@ def half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     mag = np.abs(xi)
     keep = mag > tbar
     out = np.zeros_like(xi)
-    if np.any(keep):
+    if keep.any():
         t = xi[keep]
-        # arccos argument < 1/sqrt(2) on the kept set; clip guards rounding
-        # for |t| within machine epsilon of tbar.
-        arg = np.clip((mu / 8.0) * (np.abs(t) / 3.0) ** (-1.5), 0.0, 1.0)
+        # arccos argument in (0, 1/sqrt(2)) on the kept set; the cap guards
+        # rounding for |t| within machine epsilon of tbar.
+        arg = np.minimum((mu / 8.0) * (mag[keep] / 3.0) ** (-1.5), 1.0)
         phi = (2.0 / 3.0) * np.arccos(arg)
         out[keep] = (2.0 / 3.0) * t * (1.0 + np.cos(2.0 * np.pi / 3.0 - phi))
     return out

@@ -16,6 +16,11 @@ lies in (0, gamma] and passes the same sufficient-decrease test, which is
 all the convergence argument needs.  The accepted objective value is cached
 and carried forward, so the recorded descent inequality is exact in floating
 point.  Terminates when the step norm drops below eps * max(1, ||x||).
+
+Work per iteration: each Armijo trial costs one prox and one forward product
+A^H x, which yields F and the residuals together; the accepted trial's
+products give g(x+) with one adjoint product, and the fixed-point residual
+reuses that g for a second prox.  x0 is validated once per solve.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ from enum import Enum
 
 import numpy as np
 
+from .gradient import _adjoint
 from .gradient import g as gradient_map
 from .model import MeasurementEnsemble
-from .objective import objective
+from .objective import _evaluate
+from .objective import objective  # unused here; benchmarks/tracing.py binds it
 from .prox import half_threshold
 
 TAU_MIN = 1e-8  # floor of the Barzilai-Borwein trial step
@@ -98,8 +105,9 @@ def fixed_point_residual(
     gx: np.ndarray | None = None,
 ) -> float:
     """||x - H_{2 lam tau}(x - 2 tau g(x))|| / max(1, ||x||)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    # chained comparison rejects NaN and inf as well as nonpositive values
+    if not 0.0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     if gx is None:
         gx = gradient_map(x, e, alpha)
     mapped = half_threshold(x - 2.0 * tau * gx, 2.0 * lam * tau)
@@ -120,9 +128,9 @@ def solve(
     x = e.check_signal(x0).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial point contains non-finite entries")
-    F_x = objective(x, e, cfg.lam, cfg.alpha)
+    F_x, c, r = _evaluate(x, e, cfg.lam, cfg.alpha)
     F_initial = F_x
-    g_x = gradient_map(x, e, cfg.alpha)
+    g_x = _adjoint(e, c, r, cfg.alpha)
     trace: list[IterationRecord] = []
     termination = Termination.MAX_ITERATIONS
     if callback is not None:
@@ -134,7 +142,7 @@ def solve(
         for j in range(cfg.max_backtracks + 1):
             tau = tau0 * cfg.beta**j
             cand = half_threshold(x - 2.0 * tau * g_x, 2.0 * cfg.lam * tau)
-            F_cand = objective(cand, e, cfg.lam, cfg.alpha)
+            F_cand, c, r = _evaluate(cand, e, cfg.lam, cfg.alpha)
             step = cand - x
             step_sq = float(np.vdot(step, step).real)
             if F_x - F_cand >= cfg.delta * step_sq:
@@ -146,7 +154,7 @@ def solve(
 
         step_norm = float(np.linalg.norm(step))
         converged = step_norm <= cfg.eps * max(1.0, float(np.linalg.norm(x)))
-        g_new = gradient_map(cand, e, cfg.alpha)
+        g_new = _adjoint(e, c, r, cfg.alpha)
         curvature = float(np.vdot(step, g_new - g_x).real)
         tau0 = (
             min(max(step_sq / (2.0 * curvature), TAU_MIN), cfg.gamma)

@@ -11,8 +11,8 @@ from robustpr import (
     synthesize_instance,
     unrealify,
 )
-from robustpr.gradient import fd_loss_gradient
-from robustpr.objective import loss
+from robustpr.gradient import _adjoint, fd_loss_gradient
+from robustpr.objective import _evaluate, loss
 
 ALPHA = 1.345
 
@@ -32,6 +32,19 @@ def test_g_zero_input():
 def test_g_vanishes_at_truth_noiseless():
     e = synthesize_instance(6, 2, 12, FieldTag.COMPLEX, NoiseSpec("none"), 1)
     assert np.linalg.norm(g(e.ground_truth, e, ALPHA)) == 0.0
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_adjoint_of_the_evaluation_core_is_bitwise_g(field):
+    # solve builds g(x+) from the products its line search already made
+    e = synthesize_instance(24, 3, 96, field, NoiseSpec("type3", 0.1), 26)
+    rng = np.random.default_rng(26)
+    for _ in range(5):
+        x = rng.standard_normal(24).astype(field.dtype)
+        if field is FieldTag.COMPLEX:
+            x += 1j * rng.standard_normal(24)
+        _, c, r = _evaluate(x, e, 0.0, ALPHA)
+        assert _adjoint(e, c, r, ALPHA).tobytes() == g(x, e, ALPHA).tobytes()
 
 
 def test_real_gradient_matches_finite_differences():

@@ -180,6 +180,13 @@ def test_surrogate_rejects_bad_tau():
         surrogate(e.ground_truth, e.ground_truth, e, 1e-3, ALPHA, tau=0.0)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+def test_surrogate_rejects_nonpositive_or_nonfinite_tau(tau):
+    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
+    with pytest.raises(ValueError, match="tau"):
+        surrogate(e.ground_truth, e.ground_truth, e, 1e-3, ALPHA, tau=tau)
+
+
 def test_params_validation():
     e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
     x = e.ground_truth

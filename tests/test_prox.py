@@ -12,6 +12,48 @@ def test_threshold_point_constant():
         threshold_point(0.0)
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
+def test_nonpositive_or_nonfinite_weight_is_rejected(mu):
+    with pytest.raises(ValueError):
+        threshold_point(mu)
+    with pytest.raises(ValueError):
+        half_threshold(np.ones(3), mu)
+    with pytest.raises(ValueError):
+        chi(1.0, mu)
+
+
+def _half_threshold_reference(xi, mu):
+    """The half_threshold body before np.clip and np.abs(t) were dropped."""
+    tbar = threshold_point(mu)
+    xi = np.asarray(xi)
+    if not np.iscomplexobj(xi):
+        xi = xi.astype(np.float64, copy=False)
+    mag = np.abs(xi)
+    keep = mag > tbar
+    out = np.zeros_like(xi)
+    if np.any(keep):
+        t = xi[keep]
+        arg = np.clip((mu / 8.0) * (np.abs(t) / 3.0) ** (-1.5), 0.0, 1.0)
+        phi = (2.0 / 3.0) * np.arccos(arg)
+        out[keep] = (2.0 / 3.0) * t * (1.0 + np.cos(2.0 * np.pi / 3.0 - phi))
+    return out
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_half_threshold_is_bitwise_the_reference_body(complex_field):
+    rng = np.random.default_rng(25)
+    for mu in np.logspace(-12, 1, 27):
+        tbar = threshold_point(mu)
+        xi = rng.standard_normal(64) * rng.choice([tbar, 1.0, 10.0], 64)
+        if complex_field:
+            xi = xi + 1j * rng.standard_normal(64) * tbar
+        xi[:4] = 0.0
+        xi[4:8] = [tbar, -tbar, np.nextafter(tbar, np.inf), -np.nextafter(tbar, 0)]
+        got, want = half_threshold(xi, mu), _half_threshold_reference(xi, mu)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_chi_below_threshold():
     assert chi(0.5, 1.0) == 0.0
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from robustpr import (
 from robustpr.model import MeasurementEnsemble
 from robustpr.objective import objective
 from robustpr.solver import write_trace_csv
+from robustpr.spectral import SpectralConfig, spectral_init
 
 
 def easy_instance(seed=11):
@@ -96,6 +98,56 @@ def test_fixed_point_residual_cases():
     assert fixed_point_residual(wild, e, cfg.lam, cfg.alpha, tau) > 1e-2
     with pytest.raises(ValueError):
         fixed_point_residual(np.zeros(16), e, 1e-4, 1.345, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+def test_fixed_point_residual_rejects_nonpositive_or_nonfinite_tau(tau):
+    e = easy_instance(9)
+    with pytest.raises(ValueError, match="tau"):
+        fixed_point_residual(e.ground_truth, e, 1e-3, 1.345, tau)
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_trace_rows_equal_the_public_maps_at_each_iterate(field):
+    # The loop evaluates F and g through the shared core; every recorded
+    # value must be exactly what objective and fixed_point_residual give.
+    e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
+    cfg = SolverConfig(lam=1e-3)
+    x0 = spectral_init(e, SpectralConfig(truncation=6), 27)
+    iterates = []
+    result = solve(e, x0, cfg, callback=lambda k, x: iterates.append(x.copy()))
+    assert result.termination is Termination.CONVERGED
+    assert result.initial_objective == objective(iterates[0], e, cfg.lam, cfg.alpha)
+    for row, x in zip(result.trace, iterates[1:], strict=True):
+        assert row.F_value == objective(x, e, cfg.lam, cfg.alpha)
+        assert row.fixed_point_residual == fixed_point_residual(
+            x, e, cfg.lam, cfg.alpha, row.tau
+        )
+
+
+def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatch):
+    e = easy_instance(5)
+    x0 = spectral_init(e, SpectralConfig(), 5)
+    forward = []
+    checks = []
+    for name in ("model", "objective", "gradient"):
+        module = importlib.import_module(f"robustpr.{name}")
+        inner = module.correlate
+        monkeypatch.setattr(
+            module, "correlate",
+            lambda a, x, inner=inner: forward.append(1) or inner(a, x),
+        )
+    check = MeasurementEnsemble.check_signal
+    monkeypatch.setattr(
+        MeasurementEnsemble, "check_signal",
+        lambda self, x: checks.append(1) or check(self, x),
+    )
+    result = solve(e, x0, SolverConfig(lam=1e-4))
+    assert result.termination is Termination.CONVERGED
+    # F(x0) and g(x0), then one product per Armijo trial; an accepted
+    # trial's products give g(x+) through the adjoint alone.
+    assert len(forward) == 1 + sum(r.j + 1 for r in result.trace)
+    assert len(checks) == 1
 
 
 def test_objective_cached_value_matches_recomputation():
