@@ -171,7 +171,7 @@ def _load_instance(path):
         return deserialize_instance(fh.read())
 
 
-def _load_solution(path, field: FieldTag):
+def _load_solution(path, e):
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -181,7 +181,7 @@ def _load_solution(path, field: FieldTag):
         raise ParseError("solution document must be a JSON object")
     if "estimate" not in doc:
         raise ParseError("missing field: estimate")
-    return decode_vector(doc["estimate"], field, "estimate")
+    return decode_vector(doc["estimate"], e.field, "estimate", e.p)
 
 
 def _write_text(path, text):
@@ -431,7 +431,7 @@ def _diag_solution(args, e):
         return e.ground_truth
     if not args.solution:
         raise ValueError("either --solution or --use-truth is required")
-    return _load_solution(args.solution, e.field)
+    return _load_solution(args.solution, e)
 
 
 def _diag_certificate(args):

@@ -9,6 +9,7 @@ and a measurement is ``b_i = |a_i^H x|^2 + eps_i``.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -227,13 +228,59 @@ def encode_vector(arr: np.ndarray):
     return [float(v) for v in arr.ravel()]
 
 
-def decode_vector(data, field: FieldTag, key: str) -> np.ndarray:
+def decode_vector(data, field: FieldTag, key: str, size: int) -> np.ndarray:
+    """Inverse of ``encode_vector``; ParseError naming ``key`` unless the data
+    is a list of ``size`` JSON numbers (``[re, im]`` pairs for a complex field).
+    """
     try:
-        if field is FieldTag.COMPLEX:
-            return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-        return np.array(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(data)
+    except ValueError as exc:  # ragged nesting
         raise ParseError(f"malformed field: {key}") from exc
+    shape = (size, 2) if field is FieldTag.COMPLEX else (size,)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise ParseError(f"malformed field: {key}")
+    arr = arr.astype(np.float64, copy=False)
+    return arr.view(np.complex128).ravel() if field is FieldTag.COMPLEX else arr
+
+
+def _wire_dtype(field: FieldTag) -> np.dtype:
+    """Byte layout of the encoded matrix: little-endian float64 or complex128."""
+    return np.dtype(field.dtype).newbyteorder("<")
+
+
+def encode_matrix(a: np.ndarray, field: FieldTag) -> str:
+    """Base64 of the row-major little-endian bytes of ``a``."""
+    raw = np.ascontiguousarray(a, dtype=_wire_dtype(field)).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_matrix(data, field: FieldTag, n: int, p: int) -> np.ndarray:
+    """Inverse of ``encode_matrix``; a flat list of n*p scalars (the layout
+    written before the base64 one) is still read."""
+    if isinstance(data, str):
+        wire = _wire_dtype(field)
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII string
+            raise ParseError("malformed field: a") from exc
+        if len(raw) != n * p * wire.itemsize:
+            raise ParseError("malformed field: a")
+        return np.frombuffer(raw, wire).astype(field.dtype).reshape(n, p)
+    if isinstance(data, list):
+        return decode_vector(data, field, "a", n * p).reshape(n, p)
+    raise ParseError("malformed field: a")
+
+
+def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a bool) at least ``minimum``, else ParseError."""
+    value = doc[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        raise ParseError(f"malformed field: {key}")
+    return value
 
 
 def serialize_instance(e: MeasurementEnsemble) -> str:
@@ -243,7 +290,7 @@ def serialize_instance(e: MeasurementEnsemble) -> str:
         "p": e.p,
         "n": e.n,
         "seed": e.seed,
-        "a": encode_vector(e.sampling_vectors),
+        "a": encode_matrix(e.sampling_vectors, e.field),
         "b": encode_vector(e.observations),
     }
     if e.ground_truth is not None:
@@ -268,16 +315,14 @@ def deserialize_instance(text: str) -> MeasurementEnsemble:
         field = FieldTag(doc["field"])
     except ValueError as exc:
         raise ParseError("malformed field: field") from exc
-    p, n = int(doc["p"]), int(doc["n"])
-    a_flat = doc["a"]
-    if len(a_flat) != n * p:
-        raise ParseError("malformed field: a")
-    a = decode_vector(a_flat, field, "a").reshape(n, p)
-    b = decode_vector(doc["b"], FieldTag.REAL, "b")
+    p, n = _json_int(doc, "p", 1), _json_int(doc, "n", 1)
+    seed = _json_int(doc, "seed")
+    a = decode_matrix(doc["a"], field, n, p)
+    b = decode_vector(doc["b"], FieldTag.REAL, "b", n)
     x_true = (
-        decode_vector(doc["x_true"], field, "x_true") if "x_true" in doc else None
+        decode_vector(doc["x_true"], field, "x_true", p) if "x_true" in doc else None
     )
-    eps = decode_vector(doc["eps"], FieldTag.REAL, "eps") if "eps" in doc else None
+    eps = decode_vector(doc["eps"], FieldTag.REAL, "eps", n) if "eps" in doc else None
     try:
         return MeasurementEnsemble(
             field=field,
@@ -285,7 +330,7 @@ def deserialize_instance(text: str) -> MeasurementEnsemble:
             observations=b,
             ground_truth=x_true,
             noise_record=eps,
-            seed=int(doc["seed"]),
+            seed=seed,
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

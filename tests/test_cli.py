@@ -46,6 +46,8 @@ def test_gen_full_scale_roundtrip(tmp_path):
     e = deserialize_instance(out.read_text())
     assert e.p == 128 and e.n == 768
     assert np.count_nonzero(e.ground_truth) == 12
+    # 2.06 MB with the matrix as decimal floats; base64 bytes take 1.08 MB
+    assert out.stat().st_size < 1.2e6
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -93,6 +95,55 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert header == "k,F,tau,j,step_norm,support_size,fp_residual"
     assert b"\r" not in trace.read_bytes()
     assert "relative error" in capsys.readouterr().out
+
+
+def test_list_form_instance_gives_byte_identical_outputs(tmp_path):
+    outputs = []
+    for form in ("base64", "list"):
+        inst = tmp_path / f"{form}.json"
+        assert run(*GEN, "--out", str(inst)) == 0
+        if form == "list":  # the matrix as written before it became base64
+            doc = json.loads(inst.read_text())
+            a = deserialize_instance(inst.read_text()).sampling_vectors
+            doc["a"] = a.ravel().tolist()
+            inst.write_text(json.dumps(doc) + "\n")
+        res, trace, cert = (tmp_path / f"{form}-{name}"
+                            for name in ("res.json", "trace.csv", "cert.json"))
+        assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
+                   "--out-result", str(res), "--out-trace", str(trace)) == 0
+        assert run("diag", "certificate", "--instance", str(inst), "--solution",
+                   str(res), "--lambda", "1e-4", "--out", str(cert)) == 0
+        outputs.append([path.read_bytes() for path in (res, trace, cert)])
+    assert outputs[0] == outputs[1]
+
+
+MALFORMED = [
+    ({"a": 3}, "a"),
+    ({"p": None}, "p"),
+    ({"p": "x"}, "p"),
+    ({"p": -1, "n": -1}, "p"),
+    ({"seed": 1.5}, "seed"),
+]
+
+
+@pytest.mark.parametrize("fields, key", MALFORMED, ids=[
+    ",".join(f"{k}={v!r}" for k, v in fields.items()) for fields, _ in MALFORMED])
+def test_solve_malformed_instance_is_parse_error(tmp_path, capsys, fields, key):
+    inst = tmp_path / "inst.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    inst.write_text(json.dumps({**json.loads(inst.read_text()), **fields}))
+    capsys.readouterr()
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-4") == 4
+    assert f"malformed field: {key}\n" in capsys.readouterr().err
+
+
+def test_diag_rejects_wrong_length_estimate(tmp_path, capsys):
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    sol.write_text(json.dumps({"estimate": [0.0] * 15}))
+    assert run("diag", "certificate", "--instance", str(inst),
+               "--solution", str(sol), "--lambda", "1e-4") == 4
+    assert "malformed field: estimate" in capsys.readouterr().err
 
 
 def test_solve_echoes_every_solver_flag(tmp_path):

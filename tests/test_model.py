@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr.errors import ParseError
-from robustpr.model import correlate
+from robustpr.model import correlate, decode_vector
 
 
 def test_generate_signal_sparsity_large_instance():
@@ -167,18 +170,148 @@ def test_deserialize_malformed():
     with pytest.raises(ParseError):
         deserialize_instance("not json")
     e = synthesize_instance(2, 1, 3, FieldTag.REAL, NoiseSpec("none"), 0)
-    import json
-
     doc = json.loads(serialize_instance(e))
     doc["a"] = doc["a"][:-1]  # wrong length
     with pytest.raises(ParseError, match="a"):
         deserialize_instance(json.dumps(doc))
+    doc["a"] = doc["a"][:-3]  # whole base64 quanta, 3 bytes short
+    with pytest.raises(ParseError, match="malformed field: a$"):
+        deserialize_instance(json.dumps(doc))
+
+
+def _bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def _legacy_doc(e):
+    """The instance document as written before ``a`` became base64."""
+    doc = json.loads(serialize_instance(e))
+    a = e.sampling_vectors.ravel()
+    if e.field is FieldTag.COMPLEX:
+        doc["a"] = [[float(v.real), float(v.imag)] for v in a]
+    else:
+        doc["a"] = [float(v) for v in a]
+    return doc
+
+
+@pytest.mark.parametrize("field, a, expected", [
+    (FieldTag.REAL, "AAAAAAAA8D8=", [[1.0]]),
+    (FieldTag.COMPLEX, "AAAAAAAA8D8AAAAAAAAAQAAAAAAAAACAAAAAAAAA4L8=",
+     [[1 + 2j], [-0.0 - 0.5j]]),
+])
+def test_matrix_bytes_are_little_endian_row_major(field, a, expected):
+    n = len(expected)
+    doc = {"field": field.value, "p": 1, "n": n, "seed": 0, "a": a, "b": [0.0] * n}
+    e = deserialize_instance(json.dumps(doc))
+    expected = np.array(expected, dtype=field.dtype)
+    assert _bits(e.sampling_vectors) == _bits(expected)
+    assert json.loads(serialize_instance(e))["a"] == a
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_list_form_loads_bit_identically(field):
+    e = synthesize_instance(16, 3, 64, field, NoiseSpec("type2", 0.1), 4)
+    new = deserialize_instance(serialize_instance(e))
+    old = deserialize_instance(json.dumps(_legacy_doc(e)))
+    assert _bits(new.sampling_vectors) == _bits(e.sampling_vectors)
+    assert _bits(old.sampling_vectors) == _bits(e.sampling_vectors)
+    assert serialize_instance(old) == serialize_instance(new)
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_decoded_matrix_is_native_and_writable(field):
+    e = synthesize_instance(4, 2, 8, field, NoiseSpec("none"), 1)
+    a = deserialize_instance(serialize_instance(e)).sampling_vectors
+    assert a.dtype == field.dtype and a.dtype.isnative
+    assert a.flags.writeable and a.flags.c_contiguous
+
+
+def _with(doc, **fields):
+    return json.dumps({**doc, **fields})
+
+
+@pytest.mark.parametrize("bad", [
+    "!!!!", "AAAA AAAA", "AAAAAAAA8D8", "AAAAAAAA8D8=", "é", {"x": 1}, 3, 2.5,
+    None, True,
+], ids=["bad-chars", "space", "bad-padding", "wrong-count", "non-ascii",
+        "dict", "int", "float", "null", "bool"])
+def test_bad_matrix_encoding_is_a_parse_error(bad):
+    e = synthesize_instance(2, 1, 3, FieldTag.REAL, NoiseSpec("none"), 0)
+    doc = json.loads(serialize_instance(e))
+    with pytest.raises(ParseError, match="malformed field: a$"):
+        deserialize_instance(_with(doc, a=bad))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_bytes_are_a_parse_error(value):
+    e = synthesize_instance(2, 1, 3, FieldTag.REAL, NoiseSpec("none"), 0)
+    doc = json.loads(serialize_instance(e))
+    a = e.sampling_vectors.copy()
+    a[1, 0] = value
+    raw = base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")
+    with pytest.raises(ParseError, match="non-finite"):
+        deserialize_instance(_with(doc, a=raw))
+
+
+MALFORMED = [
+    ({"a": 3}, "a"),
+    ({"a": [[1.0, 2.0]] * 3}, "a"),
+    ({"p": None}, "p"),
+    ({"p": "x"}, "p"),
+    ({"p": -1, "n": -1}, "p"),
+    ({"p": 0}, "p"),
+    ({"n": 0}, "n"),
+    ({"p": 1.7}, "p"),
+    ({"p": 2.0}, "p"),
+    ({"p": True}, "p"),
+    ({"n": False}, "n"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "0"}, "seed"),
+    ({"seed": None}, "seed"),
+    ({"b": [1.0, 2.0]}, "b"),
+    ({"b": [[1.0], [2.0], [3.0]]}, "b"),
+    ({"b": ["1", "2", "3"]}, "b"),
+    ({"b": [True, False, True]}, "b"),
+    ({"b": [1.0, [2.0], 3.0]}, "b"),
+    ({"b": {"0": 1.0}}, "b"),
+    ({"x_true": [0.0]}, "x_true"),
+    ({"x_true": [[0.0, 0.0], [0.0, 0.0]]}, "x_true"),
+    ({"eps": [0.0] * 4}, "eps"),
+    ({"field": "quaternion"}, "field"),
+    ({"field": ["real"]}, "field"),
+]
+
+
+@pytest.mark.parametrize("fields, key", MALFORMED, ids=[
+    ",".join(f"{k}={v!r}" for k, v in fields.items()) for fields, _ in MALFORMED])
+def test_malformed_instance_fields_are_parse_errors(fields, key):
+    e = synthesize_instance(2, 1, 3, FieldTag.REAL, NoiseSpec("none"), 0)
+    doc = json.loads(serialize_instance(e))
+    with pytest.raises(ParseError, match=f"malformed field: {key}$"):
+        deserialize_instance(_with(doc, **fields))
+
+
+@pytest.mark.parametrize("x_true", [[[0.0, 0.0, 0.0]] * 2, [0.0, 0.0], [[0.0]] * 2])
+def test_complex_vector_needs_re_im_pairs(x_true):
+    e = synthesize_instance(2, 1, 3, FieldTag.COMPLEX, NoiseSpec("none"), 0)
+    doc = json.loads(serialize_instance(e))
+    with pytest.raises(ParseError, match="malformed field: x_true$"):
+        deserialize_instance(_with(doc, x_true=x_true))
+
+
+def test_complex_pairs_decode_bitwise_like_complex_of_each_pair():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308]
+    pairs = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(-300, 300, (500, 1))
+    pairs = pairs.tolist() + [[re, im] for re in special for im in special]
+    old = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    new = decode_vector(pairs, FieldTag.COMPLEX, "x", len(pairs))
+    assert _bits(new) == _bits(old)
+    assert decode_vector([[1, 2]], FieldTag.COMPLEX, "x", 1).tolist() == [1 + 2j]
 
 
 def test_ensemble_rejects_inconsistent_observations():
     e = synthesize_instance(4, 2, 8, FieldTag.REAL, NoiseSpec("none"), 3)
-    import json
-
     doc = json.loads(serialize_instance(e))
     doc["b"] = [v + 1.0 for v in doc["b"]]
     with pytest.raises(ParseError):
