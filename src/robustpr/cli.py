@@ -6,18 +6,22 @@ Commands: gen | solve | bench {success-rate,error-iter,lambda-grid,consistency}
 Exit codes: 0 success, 2 usage or validation error, 3 domain error
 (unsupported field, missing data), 4 I/O or file-format error.
 
-A flat ``key = value`` config file (``--config``, '#' comments) supplies
-defaults for any long flag of the invoked command; explicit flags win over
-the config file, which wins over built-in defaults.
+Each flag is declared once: shared groups are argparse parent parsers, and
+the solver and spectral flags are generated from the ``SolverConfig`` and
+``SpectralConfig`` fields.  A flat ``key = value`` config file (``--config``,
+'#' comments) supplies defaults for any long flag of the invoked command,
+``true`` or ``false`` for a switch; explicit flags win over the config file,
+which wins over built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -51,28 +55,21 @@ from .solver import SolverConfig, fixed_point_residual, solve, write_trace_csv
 from .spectral import SpectralConfig, spectral_init
 
 
-def _positive_int(flag):
-    def convert(text):
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"invalid value for {flag}: must be >= 1")
-        return value
-
-    return convert
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def _int_list(text):
-    items = [tok for tok in text.split(",") if tok.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("list flag must contain at least one value")
-    return [int(tok) for tok in items]
+def _comma_list(convert):
+    def comma_list(text):
+        items = [tok for tok in text.split(",") if tok.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("list flag must contain at least one value")
+        return [convert(tok) for tok in items]
 
-
-def _float_list(text):
-    items = [tok for tok in text.split(",") if tok.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("list flag must contain at least one value")
-    return [float(tok) for tok in items]
+    return comma_list
 
 
 def _field(text):
@@ -91,8 +88,10 @@ def _noise(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-# One flag per SolverConfig field; the field's default is the flag's default.
-_SOLVER_HELP = {
+# One flag per SolverConfig and SpectralConfig field; the field's annotation
+# gives the flag's type and its default the flag's default.
+_FIELD_HELP = {
+    "lam": "regularization weight (required except by bench lambda-grid)",
     "alpha": "Huber transition threshold",
     "gamma": "largest trial step",
     "beta": "backtracking ratio",
@@ -100,28 +99,24 @@ _SOLVER_HELP = {
     "eps": "stopping tolerance",
     "max_iter": "iteration cap",
     "max_backtracks": "backtrack cap",
+    "power_iterations": "power-method iteration cap",
+    "power_tol": "power-method convergence tolerance",
+    "truncation": "keep-count for the initializer (default: 2s for complex "
+                  "instances when s is known, else none)",
 }
+# the fields' annotations are strings (postponed evaluation)
+_FIELD_TYPES = {"float": float, "int": int, "int | None": int}
 
 
-def _add_solver_flags(p, lambda_required=False):
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="regularization weight (required)" if lambda_required
-                   else "regularization weight")
-    for f in fields(SolverConfig):
-        if f.name != "lam":
-            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                           default=f.default, help=_SOLVER_HELP[f.name])
-
-
-def _add_spectral_flags(p):
-    p.add_argument("--power-iterations", type=int,
-                   default=SpectralConfig.power_iterations,
-                   help="power-method iteration cap")
-    p.add_argument("--power-tol", type=float, default=SpectralConfig.power_tol,
-                   help="power-method convergence tolerance")
-    p.add_argument("--truncation", type=int, default=SpectralConfig.truncation,
-                   help="keep-count for the initializer (default: 2s for "
-                        "complex instances when s is known, else none)")
+def _field_flags(*config_fields) -> argparse.ArgumentParser:
+    """Parent parser with one flag per dataclass field (``lam`` is ``--lambda``)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for f in config_fields:
+        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        parent.add_argument(flag, dest=f.name, type=_FIELD_TYPES[f.type],
+                            default=None if f.default is MISSING else f.default,
+                            help=_FIELD_HELP[f.name])
+    return parent
 
 
 def _solver_config(args, lam=None) -> SolverConfig:
@@ -135,14 +130,10 @@ def _solver_config(args, lam=None) -> SolverConfig:
 
 
 def _spectral_config(args, field: FieldTag, s: int | None) -> SpectralConfig:
-    truncation = args.truncation
-    if truncation is None and field is FieldTag.COMPLEX and s is not None:
-        truncation = 2 * s
-    return SpectralConfig(
-        power_iterations=args.power_iterations,
-        power_tol=args.power_tol,
-        truncation=truncation,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(SpectralConfig)}
+    if values["truncation"] is None and field is FieldTag.COMPLEX and s is not None:
+        values["truncation"] = 2 * s
+    return SpectralConfig(**values)
 
 
 def _known_sparsity(e) -> int | None:
@@ -466,253 +457,209 @@ def _diag_remark5(args):
 # ------------------------------------------------------------------ parser
 
 
+def _config_flag() -> argparse.ArgumentParser:
+    # main pre-parses --config with abbreviations off, so no other flag
+    # (--cap, say) is ever taken for it
+    parent = argparse.ArgumentParser(prog="robustpr", add_help=False,
+                                     allow_abbrev=False)
+    parent.add_argument("--config", default=None,
+                        help="flat key = value file supplying flag defaults")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    # shared(): a flag group that commands attach with parents=[...];
+    # command(): a command parser whose help shows each flag's default
+    shared = functools.partial(argparse.ArgumentParser, add_help=False)
+    command = functools.partial(argparse.ArgumentParser,
+                                formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    instance = shared()
+    instance.add_argument("--instance", required=True, help="instance JSON path")
+    seed = shared()
+    seed.add_argument("--seed", type=int, default=0, help="master seed")
+    noise = shared()
+    noise.add_argument("--noise", type=_noise, default=NoiseSpec("none"),
+                       help="noise spec, e.g. none, type1:0.1, gaussian:0.01")
+    signal = shared(parents=[noise, seed])
+    signal.add_argument("--field", type=_field, default=FieldTag.REAL,
+                        help="scalar field: real or complex")
+    ratio = shared()
+    ratio.add_argument("--ratio", type=_positive_int, default=6,
+                       help="n/p ratio of the synthesized measurements")
+    solver = _field_flags(*fields(SolverConfig), *fields(SpectralConfig))
+    solver_field = {f.name: f for f in fields(SolverConfig)}
+
     parser = argparse.ArgumentParser(
         prog="robustpr",
         description="Robust sparse phase retrieval solver and benchmarks",
+        parents=[_config_flag()],
     )
-    parser.add_argument("--config", default=None,
-                        help="flat key = value file supplying flag defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=command)
 
-    p_gen = sub.add_parser("gen", help="synthesize an instance file",
-                           formatter_class=fmt)
-    p_gen.add_argument("--p", type=_positive_int("--p"), required=True,
+    p_gen = sub.add_parser("gen", parents=[signal],
+                           help="synthesize an instance file")
+    p_gen.add_argument("--p", type=_positive_int, required=True,
                        help="signal dimension")
-    p_gen.add_argument("--s", type=_positive_int("--s"), required=True,
+    p_gen.add_argument("--s", type=_positive_int, required=True,
                        help="sparsity of the ground truth")
-    p_gen.add_argument("--n", type=_positive_int("--n"), required=True,
+    p_gen.add_argument("--n", type=_positive_int, required=True,
                        help="number of measurements")
-    p_gen.add_argument("--field", type=_field, default=FieldTag.REAL,
-                       help="scalar field: real or complex")
-    p_gen.add_argument("--noise", type=_noise, default=NoiseSpec("none"),
-                       help="noise spec, e.g. none, type1:0.1, gaussian:0.01")
-    p_gen.add_argument("--seed", type=int, default=0, help="master seed")
     p_gen.add_argument("--out", required=True, help="output instance JSON path")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", help="solve an instance file",
-                             formatter_class=fmt)
-    p_solve.add_argument("--instance", required=True, help="instance JSON path")
-    _add_solver_flags(p_solve, lambda_required=True)
-    _add_spectral_flags(p_solve)
+    p_solve = sub.add_parser("solve", parents=[instance, solver],
+                             help="solve an instance file")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="spectral-init seed (default: instance seed)")
     p_solve.add_argument("--out-result", default=None, help="result JSON path")
     p_solve.add_argument("--out-trace", default=None, help="trace CSV path")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bench = sub.add_parser("bench", help="Monte Carlo benchmarks")
-    bench_sub = p_bench.add_subparsers(dest="bench_mode", required=True)
-
-    def bench_common(bp, needs_instance=False):
-        if not needs_instance:
-            bp.add_argument("--p", type=_positive_int("--p"), default=32,
-                            help="signal dimension")
-            bp.add_argument("--s", type=_positive_int("--s"), default=4,
-                            help="sparsity")
-            bp.add_argument("--field", type=_field, default=FieldTag.REAL,
-                            help="scalar field")
-            bp.add_argument("--noise", type=_noise, default=NoiseSpec("none"),
-                            help="noise spec")
-        _add_solver_flags(bp)
-        _add_spectral_flags(bp)
-        bp.add_argument("--seed", type=int, default=0, help="master seed")
-
-    b_rate = bench_sub.add_parser("success-rate", formatter_class=fmt,
-                                  help="success rate versus n/p")
-    bench_common(b_rate)
-    b_rate.add_argument("--grid", type=_int_list, required=True,
-                        help="comma list of n/p multipliers, e.g. 2,4,6,8")
-    b_rate.add_argument("--trials", type=_positive_int("--trials"), default=50,
+    # the bench modes other than lambda-grid synthesize their instances
+    synthetic = shared(parents=[signal, solver])
+    synthetic.add_argument("--p", type=_positive_int, default=32,
+                           help="signal dimension")
+    synthetic.add_argument("--s", type=_positive_int, default=4,
+                           help="sparsity")
+    synthetic.add_argument("--out-prefix", required=True,
+                           help="prefix for CSV/JSON/plot outputs")
+    trials = shared()
+    trials.add_argument("--trials", type=_positive_int, default=50,
                         help="Monte Carlo trials per grid point")
-    b_rate.add_argument("--threshold", type=float,
+    trials.add_argument("--threshold", type=float,
                         default=ExperimentSpec.success_threshold,
                         help="success threshold on the relative error")
-    b_rate.add_argument("--out-prefix", required=True,
-                        help="prefix for CSV/JSON/plot outputs")
+
+    p_bench = sub.add_parser("bench", help="Monte Carlo benchmarks")
+    bench = p_bench.add_subparsers(dest="bench_mode", required=True,
+                                   parser_class=command)
+
+    b_rate = bench.add_parser("success-rate", parents=[synthetic, trials],
+                              help="success rate versus n/p")
+    b_rate.add_argument("--grid", type=_comma_list(int), required=True,
+                        help="comma list of n/p multipliers, e.g. 2,4,6,8")
     b_rate.set_defaults(func=_bench_success_rate)
 
-    b_iter = bench_sub.add_parser("error-iter", formatter_class=fmt,
-                                  help="relative error along iterations")
-    bench_common(b_iter)
-    b_iter.add_argument("--ratio", type=_positive_int("--ratio"), default=6,
-                        help="n/p ratio")
-    b_iter.add_argument("--out-prefix", required=True,
-                        help="prefix for CSV/plot outputs")
+    b_iter = bench.add_parser("error-iter", parents=[synthetic, ratio],
+                              help="relative error along iterations")
     b_iter.set_defaults(func=_bench_error_iter)
 
-    b_lam = bench_sub.add_parser("lambda-grid", formatter_class=fmt,
-                                 help="grid search for lambda on an instance")
-    b_lam.add_argument("--instance", required=True, help="instance JSON path")
-    b_lam.add_argument("--grid", type=_float_list, required=True,
+    b_lam = bench.add_parser("lambda-grid", parents=[instance, solver, seed],
+                             help="grid search for lambda on an instance")
+    b_lam.add_argument("--grid", type=_comma_list(float), required=True,
                        help="comma list of lambda values")
     b_lam.add_argument("--rule", choices=("oracle", "holdout"), default="holdout",
                        help="validation rule")
-    bench_common(b_lam, needs_instance=True)
     b_lam.add_argument("--out-prefix", default=None,
                        help="prefix for the score table CSV and plot script")
     b_lam.set_defaults(func=_bench_lambda_grid)
 
-    b_con = bench_sub.add_parser("consistency", formatter_class=fmt,
-                                 help="error versus n at fixed n/p")
-    bench_common(b_con)
-    b_con.add_argument("--p-grid", type=_int_list, required=True,
+    b_con = bench.add_parser("consistency", parents=[synthetic, ratio, trials],
+                             help="error versus n at fixed n/p")
+    b_con.add_argument("--p-grid", type=_comma_list(int), required=True,
                        help="comma list of signal dimensions")
-    b_con.add_argument("--ratio", type=_positive_int("--ratio"), default=6,
-                       help="n/p ratio")
-    b_con.add_argument("--trials", type=_positive_int("--trials"), default=50,
-                       help="trials per dimension")
-    b_con.add_argument("--threshold", type=float,
-                       default=ExperimentSpec.success_threshold,
-                       help="success threshold on the relative error")
-    b_con.add_argument("--out-prefix", required=True,
-                       help="prefix for CSV/plot outputs")
     b_con.set_defaults(func=_bench_consistency)
 
-    p_img = sub.add_parser("image", help="reconstruct a PGM image",
-                           formatter_class=fmt)
+    p_img = sub.add_parser("image", parents=[ratio, noise, seed, solver],
+                           help="reconstruct a PGM image")
     p_img.add_argument("--input", required=True, help="input PGM path")
     p_img.add_argument("--out-image", required=True, help="output PGM path")
     p_img.add_argument("--out-metrics", default=None, help="metrics JSON path")
     p_img.add_argument("--passthrough", action="store_true",
                        help="read and rewrite the image without solving")
-    p_img.add_argument("--ratio", type=_positive_int("--ratio"), default=6,
-                       help="n/p ratio for the synthesized measurements")
-    p_img.add_argument("--noise", type=_noise, default=NoiseSpec("none"),
-                       help="noise spec")
     p_img.add_argument("--threshold", type=float, default=0.0,
                        help="zero out pixels below this value at ingestion")
     p_img.add_argument("--cap", type=int, default=16384,
                        help="largest accepted pixel count")
-    p_img.add_argument("--seed", type=int, default=0, help="master seed")
-    _add_solver_flags(p_img, lambda_required=True)
-    _add_spectral_flags(p_img)
     p_img.set_defaults(func=cmd_image)
 
-    p_diag = sub.add_parser("diag", help="theory diagnostics")
-    diag_sub = p_diag.add_subparsers(dest="diag_mode", required=True)
+    report = shared(parents=[instance, _field_flags(solver_field["alpha"])])
+    report.add_argument("--out", default=None, help="report JSON path")
+    rho0 = shared()
+    rho0.add_argument("--rho0", type=float, default=RHO0,
+                      help="inliers have |eps_i| <= rho0 * alpha")
+    solution = shared()
+    solution.add_argument("--solution", default=None, help="result JSON from 'solve'")
+    solution.add_argument("--use-truth", action="store_true",
+                          help="evaluate at the stored ground truth")
 
-    d_stab = diag_sub.add_parser("stability", formatter_class=fmt,
-                                 help="sampled stability constants")
-    d_stab.add_argument("--instance", required=True, help="instance JSON path")
-    d_stab.add_argument("--samples", type=_positive_int("--samples"), default=200,
+    p_diag = sub.add_parser("diag", help="theory diagnostics")
+    diag = p_diag.add_subparsers(dest="diag_mode", required=True,
+                                 parser_class=command)
+
+    d_stab = diag.add_parser("stability", parents=[report, rho0, seed],
+                             help="sampled stability constants")
+    d_stab.add_argument("--samples", type=_positive_int, default=200,
                         help="random direction pairs before refinement")
-    d_stab.add_argument("--rho0", type=float, default=RHO0,
-                        help="inliers have |eps_i| <= rho0 * alpha")
-    d_stab.add_argument("--alpha", type=float, default=SolverConfig.alpha,
-                        help="Huber transition threshold")
-    d_stab.add_argument("--seed", type=int, default=0,
-                        help="seed of the sampled directions")
-    d_stab.add_argument("--out", default=None, help="report JSON path")
     d_stab.set_defaults(func=_diag_stability)
 
-    d_cert = diag_sub.add_parser("certificate", formatter_class=fmt,
-                                 help="linear-rate spectral-gap certificate")
-    d_cert.add_argument("--instance", required=True, help="instance JSON path")
-    d_cert.add_argument("--solution", default=None,
-                        help="result JSON from 'solve'")
-    d_cert.add_argument("--use-truth", action="store_true",
-                        help="evaluate at the stored ground truth")
-    d_cert.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="regularization weight (required)")
-    d_cert.add_argument("--alpha", type=float, default=SolverConfig.alpha,
-                        help="Huber transition threshold")
+    lam = _field_flags(solver_field["lam"])
+    d_cert = diag.add_parser("certificate", parents=[report, solution, lam],
+                             help="linear-rate spectral-gap certificate")
     d_cert.add_argument("--eps1", type=float, default=None,
                         help="boundary width (default alpha/2)")
-    d_cert.add_argument("--out", default=None, help="report JSON path")
     d_cert.set_defaults(func=_diag_certificate)
 
-    d_rem = diag_sub.add_parser("remark5", formatter_class=fmt,
-                                help="noise-weighted certificate terms")
-    d_rem.add_argument("--instance", required=True, help="instance JSON path")
-    d_rem.add_argument("--solution", default=None,
-                       help="result JSON from 'solve'")
-    d_rem.add_argument("--use-truth", action="store_true",
-                       help="evaluate at the stored ground truth")
-    d_rem.add_argument("--alpha", type=float, default=SolverConfig.alpha,
-                       help="Huber transition threshold")
-    d_rem.add_argument("--rho0", type=float, default=RHO0,
-                       help="inliers have |eps_i| <= rho0 * alpha")
-    d_rem.add_argument("--out", default=None, help="report JSON path")
+    d_rem = diag.add_parser("remark5", parents=[report, solution, rho0],
+                            help="noise-weighted certificate terms")
     d_rem.set_defaults(func=_diag_remark5)
 
     return parser
 
 
-def _read_config(path) -> dict:
-    values = {}
+def _switches(parser):
+    """Option strings of every store_true flag in the parser tree."""
+    for action in parser._actions:
+        if isinstance(action, argparse._StoreTrueAction):
+            yield from action.option_strings
+        elif isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                yield from _switches(command)
+
+
+def _inject_config(argv: list, path, switches: set) -> list:
+    """Splice the config file's ``key = value`` lines in as flags right after
+    the command words.
+
+    Explicit flags appear later in argv, so argparse's last-wins rule gives
+    them precedence over the config file.  A switch (a store_true flag) takes
+    ``true`` (set) or ``false`` (left off).
+    """
+    head = []
+    rest = list(argv)
+    while rest and not rest[0].startswith("-") and len(head) < 2:
+        head.append(rest.pop(0))
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ParseError(f"config line {lineno}: expected 'key = value'")
-            values[key.strip()] = value.strip()
-    return values
-
-
-def _inject_config(argv: list, config: dict) -> list:
-    """Splice config entries as flags right after the command words.
-
-    Explicit flags appear later in argv, so argparse's last-wins rule gives
-    them precedence over the config file.
-    """
-    head = []
-    rest = list(argv)
-    words = 0
-    while rest and not rest[0].startswith("-") and words < 2:
-        head.append(rest.pop(0))
-        words += 1
-    injected = []
-    for key, value in config.items():
-        flag = "--" + key.replace("_", "-")
-        injected.extend([flag, value])
-    return head + injected + rest
+            flag = "--" + key.replace("_", "-")
+            if flag not in switches:
+                head.extend([flag, value])
+            elif value == "true":
+                head.append(flag)
+            elif value != "false":
+                raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+    return head + rest
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    config_path = None
-    cleaned = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                print("error: --config needs a path", file=sys.stderr)
-                return 2
-            config_path = argv[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-            i += 1
-        else:
-            cleaned.append(tok)
-            i += 1
+    known, argv = _config_flag().parse_known_args(argv)
     parser = build_parser()
     try:
-        if config_path is not None:
-            cleaned = _inject_config(cleaned, _read_config(config_path))
-        args = parser.parse_args(cleaned)
+        if known.config is not None:
+            argv = _inject_config(argv, known.config, set(_switches(parser)))
+        args = parser.parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
+    except (ValueError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, (ParseError, OSError)):  # a ParseError is a ValueError
+            return 4
+        return 3 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

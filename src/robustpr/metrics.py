@@ -85,6 +85,8 @@ class ExperimentSpec:
             raise ValueError("need at least one trial")
         if len(self.n_grid) == 0 or list(self.n_grid) != sorted(self.n_grid):
             raise ValueError("n_grid must be nonempty and ascending")
+        if not 0.0 < self.success_threshold < np.inf:  # also rejects NaN
+            raise ValueError("success_threshold must be finite and positive")
 
 
 @dataclass(frozen=True)

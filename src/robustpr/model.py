@@ -63,8 +63,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if self.eta < 0:
-            raise ValueError("noise intensity eta must be nonnegative")
+        if not 0.0 <= self.eta < np.inf:  # also rejects NaN
+            raise ValueError("noise intensity eta must be finite and nonnegative")
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":

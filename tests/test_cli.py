@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +439,74 @@ def test_config_file_defaults_and_precedence(tmp_path):
     assert e.p == 16
 
 
+@pytest.mark.parametrize("head", [["--config", "{cfg}", "gen"],
+                                  ["gen", "--config={cfg}"]])
+def test_config_file_before_the_command_or_joined(tmp_path, head):
+    cfg = tmp_path / "conf.txt"
+    out = tmp_path / "inst.json"
+    cfg.write_text(f"p = 16\ns = 2\nn = 160\nseed = 3\nout = {out}\n")
+    assert run(*(word.format(cfg=cfg) for word in head)) == 0
+    assert deserialize_instance(out.read_text()).p == 16
+
+
+def test_config_flag_errors(tmp_path, capsys):
+    assert run("gen", "--config") == 2  # no path
+    assert run("gen", "--config", str(tmp_path / "nope.txt")) == 4  # unreadable
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("p = 16\ns = 2\nn = 160\nout = x.json\nsamples = 3\n")
+    capsys.readouterr()
+    assert run("gen", "--config", str(cfg)) == 2  # --samples is not a gen flag
+    assert "unrecognized arguments: --samples 3" in capsys.readouterr().err
+
+
+def test_config_file_sets_switches(tmp_path, capsys):
+    inst, cfg = tmp_path / "inst.json", tmp_path / "conf.txt"
+    assert run(*GEN, "--out", str(inst)) == 0
+    cfg.write_text("use_truth = true\n")
+    assert run("diag", "remark5", "--instance", str(inst), "--config", str(cfg)) == 0
+    cfg.write_text("use_truth = false\n")
+    capsys.readouterr()
+    assert run("diag", "remark5", "--instance", str(inst), "--config", str(cfg)) == 2
+    assert "either --solution or --use-truth is required" in capsys.readouterr().err
+    cfg.write_text("use_truth = yes\n")
+    assert run("diag", "remark5", "--instance", str(inst), "--config", str(cfg)) == 2
+    assert "config key use_truth" in capsys.readouterr().err
+    src, out = sparse_image(tmp_path), tmp_path / "copy.pgm"
+    cfg.write_text("passthrough = true\n")
+    assert run("--config", str(cfg), "image", "--input", str(src),
+               "--out-image", str(out)) == 0
+    assert out.read_bytes() == src.read_bytes()
+    assert run("--config", str(cfg), *GEN, "--out", str(inst)) == 2  # not a gen flag
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("p = 16\ns = 2\nn = 160\nseed = 3\nout = inst.json\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "robustpr.cli", "--config", str(cfg),
+                           "gen", "--seed", "4"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "seed=4 -> inst.json" in proc.stdout
+    assert deserialize_instance((tmp_path / "inst.json").read_text()).seed == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", "8", "--s", "2", "--n", "32", "--noise", "type1:nan"],
+    ["gen", "--p", "8", "--s", "2", "--n", "32", "--noise", "type3:inf"],
+    ["bench", "success-rate", "--p", "8", "--s", "2", "--grid", "2",
+     "--lambda", "1e-4", "--threshold", "nan"],
+    ["bench", "consistency", "--p-grid", "8", "--s", "2", "--lambda", "1e-4",
+     "--threshold", "-1"],
+])
+def test_non_finite_or_nonpositive_parameters_are_usage_errors(tmp_path, argv):
+    assert run(*argv, "--out" if argv[0] == "gen" else "--out-prefix",
+               str(tmp_path / "x")) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def help_defaults(capsys, *command):
     """Flag -> default as shown by ``<command> --help``."""
     assert run(*command, "--help") == 0
@@ -449,12 +521,17 @@ def help_defaults(capsys, *command):
 
 
 def test_help_lists_defaults(capsys):
-    shown = help_defaults(capsys, "solve")
-    assert shown["--alpha"] == "1.345"
-    for f in fields(SolverConfig) + fields(SpectralConfig):
-        if f.name == "lam":
-            continue
-        assert shown["--" + f.name.replace("_", "-")] == str(f.default), f.name
+    assert help_defaults(capsys, "solve")["--alpha"] == "1.345"
+    for command in (["solve"], ["image"], ["bench", "success-rate"],
+                    ["bench", "error-iter"], ["bench", "lambda-grid"],
+                    ["bench", "consistency"]):
+        shown = help_defaults(capsys, *command)
+        assert shown["--lambda"] == "None", command
+        for f in fields(SolverConfig) + fields(SpectralConfig):
+            if f.name == "lam":
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            assert shown[flag] == str(f.default), (command, f.name)
     for mode in ("stability", "remark5"):
         assert help_defaults(capsys, "diag", mode)["--rho0"] == str(RHO0), mode
     for mode in ("stability", "certificate", "remark5"):

@@ -101,6 +101,12 @@ def desk_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+@pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, np.inf])
+def test_experiment_spec_rejects_bad_success_threshold(threshold):
+    with pytest.raises(ValueError, match="success_threshold"):
+        desk_spec(success_threshold=threshold)
+
+
 def test_run_experiment_easy_instance_succeeds():
     report = run_experiment(desk_spec())
     assert report.success_rate[160] == 1.0

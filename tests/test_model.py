@@ -15,7 +15,7 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr.errors import ParseError
-from robustpr.model import correlate, decode_vector
+from robustpr.model import NOISE_KINDS, correlate, decode_vector
 
 
 def test_generate_signal_sparsity_large_instance():
@@ -108,6 +108,15 @@ def test_apply_noise_gaussian_scale():
 def test_noise_spec_rejects_negative_eta():
     with pytest.raises(ValueError):
         NoiseSpec("type1", -0.5)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_noise_spec_rejects_non_finite_eta(kind, eta):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        NoiseSpec(kind, eta)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        NoiseSpec.parse(f"{kind}:{eta}")
 
 
 def test_noise_spec_parse_roundtrip():
