@@ -67,7 +67,10 @@ def _comma_list(convert):
         items = [tok for tok in text.split(",") if tok.strip()]
         if not items:
             raise argparse.ArgumentTypeError("list flag must contain at least one value")
-        return [convert(tok) for tok in items]
+        values = [convert(tok) for tok in items]
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError("list flag repeats a value")
+        return values
 
     return comma_list
 
@@ -402,11 +405,7 @@ def _diag_stability(args):
     e = _load_instance(args.instance)
     est = estimate_stability(e, args.samples, args.rho0, args.alpha, args.seed)
     doc = {
-        "mu_hat": est.mu_hat,
-        "c2_hat": est.c2_hat,
-        "samples": est.samples,
-        "inlier_threshold": est.inlier_threshold,
-        "used_noise_record": est.used_noise_record,
+        **asdict(est),
         "note": "sampled infima; heuristic upper bounds on the true constants",
     }
     if args.out:

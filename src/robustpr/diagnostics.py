@@ -5,7 +5,10 @@ Three groups of checks:
 * ``estimate_stability`` -- sampled lower-bound estimates of the bilinear
   stability constants of the sampling ensemble (real field only).  The
   sampled infimum can only overestimate the true constant, so the numbers
-  are heuristic upper bounds on the true C1/C2.
+  are heuristic upper bounds on the true C1/C2.  The estimate also carries
+  the parameter conditions behind estimator consistency, evaluated at
+  C1 = mu_hat and C2 = c2_hat; since those overestimate the constants, a
+  condition that holds there is optimistic.
 * ``linear_rate_certificate`` -- evaluates the spectral-gap condition that
   certifies a linear convergence rate at a solution x*: the smallest
   eigenvalue of the inlier generalized-Jacobian sum on the support must
@@ -13,9 +16,9 @@ Three groups of checks:
 * ``remark5_quantities`` -- the noise-weighted spectral norms that explain
   when the certificate is expected to hold.
 
-Stability and Remark-5 checks follow the unit-vector convention of the
-consistency theory: rows are normalized internally to a_i/||a_i|| with
-b_i and eps_i rescaled by 1/||a_i||^2.
+Stability and Remark-5 checks follow the equal-energy convention of the
+consistency theory: rows are rescaled internally to a common norm with
+eps_i rescaled to match (see ``_normalized``).
 """
 
 from __future__ import annotations
@@ -56,16 +59,13 @@ def _masks(r: np.ndarray, alpha: float, eps1: float):
     return inliers, boundary
 
 
-def _check_alpha_rho0(alpha: float, rho0: float) -> None:
-    # chained comparisons reject NaN and inf as well as out-of-range values
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive")
-    if not 0.0 < rho0 < 1.0:
-        raise ValueError("rho0 must lie in (0, 1)")
+class _Report:
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
 
 
-def _normalized(e: MeasurementEnsemble):
-    """Equal-energy rows: a_i rescaled to norm sqrt(p), b and eps to match.
+def _normalized(e: MeasurementEnsemble, alpha: float, rho0: float, what: str):
+    """Checked real ensemble as (a_hat, eps_hat): rows at norm sqrt(p), eps to match.
 
     Equalizing row norms is what makes the stability conditions comparable
     across measurements; the sqrt(p) scale keeps the ensemble isotropic
@@ -73,23 +73,30 @@ def _normalized(e: MeasurementEnsemble):
     thresholds like C1 > 1/2 are meaningful.  For standard Gaussian rows
     the rescaled quantities match the raw ones in expectation.
     """
+    if e.field is not FieldTag.REAL:
+        raise UnsupportedFieldError(f"{what} is defined for real ensembles only")
+    # chained comparisons reject NaN and inf as well as out-of-range values
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive")
+    if not 0.0 < rho0 < 1.0:
+        raise ValueError("rho0 must lie in (0, 1)")
     norms = np.linalg.norm(e.sampling_vectors, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("sampling ensemble contains a zero row")
     scale = np.sqrt(e.p) / norms
     a_hat = e.sampling_vectors * scale[:, None]
-    b_hat = e.observations * scale**2
     eps_hat = None if e.noise_record is None else e.noise_record * scale**2
-    return a_hat, b_hat, eps_hat
+    return a_hat, eps_hat
 
 
 @dataclass(frozen=True)
-class StabilityEstimate:
+class StabilityEstimate(_Report):
     mu_hat: float
     c2_hat: float
     samples: int
     inlier_threshold: float
     used_noise_record: bool
+    consistency: dict | None  # at C1 = mu_hat, C2 = c2_hat; see _consistency
 
 
 def _bilinear_means(a_hat: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -144,14 +151,9 @@ def estimate_stability(
     seed: int,
 ) -> StabilityEstimate:
     """Sampled estimates of the stability constants; heuristic upper bounds."""
-    if e.field is not FieldTag.REAL:
-        raise UnsupportedFieldError(
-            "stability estimation is defined for real ensembles only"
-        )
+    a_hat, eps_hat = _normalized(e, alpha, rho0, "stability estimation")
     if samples < 1:
         raise ValueError("need at least one sampled direction pair")
-    _check_alpha_rho0(alpha, rho0)
-    a_hat, _, eps_hat = _normalized(e)
     used_record = eps_hat is not None
     threshold = rho0 * alpha
     inliers = (
@@ -178,11 +180,51 @@ def estimate_stability(
         samples=samples,
         inlier_threshold=threshold,
         used_noise_record=used_record,
+        consistency=_consistency(e, eps_hat, alpha, rho0, mu_best, c2_best),
     )
 
 
+def _consistency(e, eps_hat, alpha, rho0, c1, c2) -> dict | None:
+    """Parameter conditions behind estimator consistency at constants C1, C2.
+
+    Evaluates the sample-size quantity t_n, the floor on alpha, the window
+    on lambda and the floor on the smallest nonzero signal entry, using the
+    normalized ensemble and the empirical mean |eps| as a stand-in for the
+    noise's first absolute moment.  None without a noise record or a
+    nonzero ground truth; the alpha floor is None when 2 (1 - rho0) C1 <= 1,
+    where no alpha meets the condition.  Nothing in the solver depends on this.
+    """
+    x = e.ground_truth
+    if eps_hat is None or x is None or not np.any(x):
+        return None
+    n, p = e.n, e.p
+    t_n = float(np.sqrt(2.0 * (2 * p + 1) * np.log(1.0 + 2 * n) / n))
+    mean_abs_eps = float(np.mean(np.abs(eps_hat)))
+    nnz = np.abs(x) > 0
+    s = int(np.count_nonzero(nnz))
+    x_min = float(np.min(np.abs(x[nnz])))
+    half = float(np.sum(np.sqrt(np.abs(x))))
+    norm_sq = float(np.linalg.norm(x) ** 2)
+    margin = 2.0 * (1.0 - rho0) * c1 - 1.0
+    alpha_floor = float(6.0 * mean_abs_eps / margin) if margin > 0.0 else None
+    lam_upper = 0.25 * c2 * t_n ** (2.0 / 3.0) / (np.sqrt(s) + half)
+    lam_lower = (np.sqrt(2.0) / 2.0) * c2 * np.sqrt(x_min) * norm_sq * t_n / np.sqrt(s)
+    return {
+        "t_n": t_n,
+        "mean_abs_eps": mean_abs_eps,
+        "alpha_floor": alpha_floor,
+        "alpha_ok": alpha_floor is not None and bool(alpha >= alpha_floor),
+        "lambda_upper": float(lam_upper),
+        "lambda_lower": float(lam_lower),
+        "x_min": x_min,
+        "x_min_floor": float(2.0 * t_n ** (1.0 / 6.0)),
+        "x_min_ok": bool(x_min >= 2.0 * t_n ** (1.0 / 6.0)),
+        "p_log_n_over_n": float(p * np.log(n) / n),
+    }
+
+
 @dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(_Report):
     field: str
     support: list
     support_realified: list | None
@@ -193,9 +235,6 @@ class CertificateReport:
     n_inliers: int
     n_boundary: int
     passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _real_terms(a_s, c, r, inliers, e):
@@ -278,7 +317,7 @@ def linear_rate_certificate(
 
 
 @dataclass(frozen=True)
-class Remark5Report:
+class Remark5Report(_Report):
     eps1: float
     support: list
     n_inliers: int
@@ -286,9 +325,6 @@ class Remark5Report:
     inlier_noise_norm: float
     boundary_noise_norm: float
     inlier_quadratic_min_eig: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def remark5_quantities(
@@ -304,16 +340,13 @@ def remark5_quantities(
     and the smallest eigenvalue of the inlier quadratic term
     (2/n) sum <a_i,x>^2 a_G a_G^T.
     """
-    if e.field is not FieldTag.REAL:
-        raise UnsupportedFieldError("Remark-5 quantities are real-field only")
-    if e.noise_record is None:
+    a_hat, eps_hat = _normalized(e, alpha, rho0, "the Remark-5 check")
+    if eps_hat is None:
         raise MissingDataError("Remark-5 quantities require a noise record")
-    _check_alpha_rho0(alpha, rho0)
     x = e.check_signal(x)
     support = np.flatnonzero(x)
     if support.size == 0:
         raise ValueError("signal has empty support")
-    a_hat, _, eps_hat = _normalized(e)
     eps1 = (1.0 - rho0) * alpha
     inliers, boundary = _masks(eps_hat, alpha, eps1)
     a_g = a_hat[:, support]
@@ -336,55 +369,3 @@ def remark5_quantities(
         inlier_quadratic_min_eig=_min_eig(quad_m),
     )
 
-
-def consistency_conditions(
-    e: MeasurementEnsemble,
-    alpha: float,
-    lam: float,
-    c1: float,
-    c2: float,
-    rho0: float = RHO0,
-) -> dict:
-    """Report-only check of the parameter conditions behind estimator consistency.
-
-    Evaluates the sample-size quantity t_n, the floor on alpha, the window
-    on lambda and the floor on the smallest nonzero signal entry, using the
-    normalized ensemble and the empirical mean |eps| as a stand-in for the
-    noise's first absolute moment.  Informational; nothing in the solver
-    depends on this.
-    """
-    if e.field is not FieldTag.REAL:
-        raise UnsupportedFieldError("consistency conditions are real-field only")
-    if e.ground_truth is None or e.noise_record is None:
-        raise MissingDataError("needs ground truth and noise record")
-    _check_alpha_rho0(alpha, rho0)
-    if not (0.0 < lam < np.inf and 0.0 < c1 < np.inf and 0.0 < c2 < np.inf):
-        raise ValueError("lam, c1 and c2 must be positive")
-    _, _, eps_hat = _normalized(e)
-    x = e.ground_truth
-    n, p = e.n, e.p
-    t_n = float(np.sqrt(2.0 * (2 * p + 1) * np.log(1.0 + 2 * n) / n))
-    mean_abs_eps = float(np.mean(np.abs(eps_hat)))
-    nnz = np.abs(x) > 0
-    s = int(np.count_nonzero(nnz))
-    x_min = float(np.min(np.abs(x[nnz])))
-    half = float(np.sum(np.sqrt(np.abs(x))))
-    norm_sq = float(np.linalg.norm(x) ** 2)
-    alpha_floor = 6.0 * mean_abs_eps / (2.0 * (1.0 - rho0) * c1 - 1.0) if (
-        2.0 * (1.0 - rho0) * c1 > 1.0
-    ) else np.inf
-    lam_upper = 0.25 * c2 * t_n ** (2.0 / 3.0) / (np.sqrt(s) + half)
-    lam_lower = (np.sqrt(2.0) / 2.0) * c2 * np.sqrt(x_min) * norm_sq * t_n / np.sqrt(s)
-    return {
-        "t_n": t_n,
-        "mean_abs_eps": mean_abs_eps,
-        "alpha_floor": float(alpha_floor),
-        "alpha_ok": bool(alpha >= alpha_floor),
-        "lambda_upper": float(lam_upper),
-        "lambda_lower": float(lam_lower),
-        "lambda_ok": bool(lam_lower <= lam <= lam_upper),
-        "x_min": x_min,
-        "x_min_floor": float(2.0 * t_n ** (1.0 / 6.0)),
-        "x_min_ok": bool(x_min >= 2.0 * t_n ** (1.0 / 6.0)),
-        "p_log_n_over_n": float(p * np.log(n) / n),
-    }

@@ -25,6 +25,8 @@ from .objective import huber_deriv, loss
 
 def g(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> np.ndarray:
     """Unified gradient map; see module docstring for conventions."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive")
     x = e.check_signal(x)
     c = correlate(e.sampling_vectors, x)
     return _adjoint(e, c, np.abs(c) ** 2 - e.observations, alpha)

@@ -20,11 +20,11 @@ from .model import (
     FieldTag,
     MeasurementEnsemble,
     NoiseSpec,
-    correlate,
     field_of,
     synthesize_instance,
 )
-from .objective import huber
+from .model import correlate  # unused here; benchmarks/tracing.py binds it
+from .objective import loss
 from .rng import TAG_HOLDOUT, mix, stream
 from .solver import SolverConfig, SolverResult, Termination, solve
 from .spectral import SpectralConfig, spectral_init
@@ -83,8 +83,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if len(self.n_grid) == 0 or list(self.n_grid) != sorted(self.n_grid):
-            raise ValueError("n_grid must be nonempty and ascending")
+        n_grid = list(self.n_grid)
+        if not n_grid or any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+            raise ValueError("n_grid must be nonempty and strictly ascending")
         if not 0.0 < self.success_threshold < np.inf:  # also rejects NaN
             raise ValueError("success_threshold must be finite and positive")
 
@@ -251,8 +252,8 @@ def lambda_grid_search(
     Returns (chosen_lambda, table) with one (lambda, score) row per grid point.
     """
     grid = sorted(float(v) for v in lambda_grid)
-    if not grid:
-        raise ValueError("lambda grid must be nonempty")
+    if not grid or len(set(grid)) < len(grid):
+        raise ValueError("lambda grid must be nonempty and free of repeats")
     if validation_rule not in ("oracle", "holdout"):
         raise ValueError(f"unknown validation rule: {validation_rule!r}")
     if validation_rule == "oracle" and e.ground_truth is None:
@@ -278,11 +279,7 @@ def lambda_grid_search(
         if validation_rule == "oracle":
             score = relative_error(result.estimate, e.ground_truth)
         else:
-            resid = (
-                np.abs(correlate(val.sampling_vectors, result.estimate)) ** 2
-                - val.observations
-            )
-            score = float(np.mean(huber(resid, cfg.alpha)))
+            score = loss(result.estimate, val, cfg.alpha)
         table.append((lam, score))
         if score <= best_score:  # ascending grid: later (larger) lambda wins ties
             best_lam, best_score = lam, score

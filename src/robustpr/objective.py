@@ -50,6 +50,8 @@ def _evaluate(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float):
 
 def loss(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> float:
     """Averaged Huber loss (1/n) sum_i h_alpha(|<a_i,x>|^2 - b_i)."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive")
     return _evaluate(e.check_signal(x), e, 0.0, alpha)[0]
 
 

@@ -78,9 +78,10 @@ def read_pgm(path) -> GrayImage:
         raise ParseError("PGM header out of range")
     count = width * height
     if magic == b"P2":
-        values = []
-        for _, tok in toks:
-            values.append(int(tok))
+        try:
+            values = [int(tok) for _, tok in toks]
+        except ValueError:
+            raise ParseError("malformed P2 raster value") from None
         if len(values) != count:
             raise ParseError(f"expected {count} pixels, found {len(values)}")
         raster = np.array(values, dtype=np.int64)

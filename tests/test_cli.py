@@ -235,6 +235,21 @@ def test_bench_empty_grid_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["success-rate", "--p", "8", "--s", "2", "--grid", "4,4", "--lambda", "1e-4"],
+    ["consistency", "--p-grid", "8,8", "--s", "2", "--lambda", "1e-4"],
+    ["lambda-grid", "--grid", "1e-3,1e-4,0.001"],
+])
+def test_bench_repeated_grid_value_usage_error(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    if argv[0] == "lambda-grid":
+        argv = argv + ["--instance", str(inst)]
+    assert run("bench", *argv, "--out-prefix", str(tmp_path / "x")) == 2
+    assert "list flag repeats a value" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [inst]
+
+
 def test_bench_error_iter(tmp_path):
     prefix = tmp_path / "curve"
     code = run("bench", "error-iter", "--p", "16", "--s", "2", "--ratio", "6",
@@ -336,6 +351,15 @@ def test_image_rejects_non_pgm(tmp_path):
                str(tmp_path / "o.pgm"), "--lambda", "1e-4") == 4
 
 
+@pytest.mark.parametrize("token", [b"x", b"2.5"])
+def test_image_malformed_p2_raster_is_format_error(tmp_path, capsys, token):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P2\n2 2\n255\n0 1 " + token + b" 3\n")
+    assert run("image", "--input", str(bad), "--out-image",
+               str(tmp_path / "o.pgm"), "--lambda", "1e-4") == 4
+    assert "malformed P2 raster value" in capsys.readouterr().err
+
+
 def test_diag_stability_complex_unsupported(tmp_path):
     inst = tmp_path / "c.json"
     assert run("gen", "--p", "8", "--s", "2", "--n", "32", "--field", "complex",
@@ -351,6 +375,15 @@ def test_diag_stability_real(tmp_path):
                "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["mu_hat"] >= 0.0
+    assert list(doc) == ["mu_hat", "c2_hat", "samples", "inlier_threshold",
+                         "used_noise_record", "consistency", "note"]
+    assert list(doc["consistency"]) == [
+        "t_n", "mean_abs_eps", "alpha_floor", "alpha_ok", "lambda_upper",
+        "lambda_lower", "x_min", "x_min_floor", "x_min_ok", "p_log_n_over_n",
+    ]
+    # mu_hat = 0.25 gives 2 (1 - rho0) mu_hat <= 1: no alpha meets the floor
+    assert doc["consistency"]["alpha_floor"] is None
+    assert doc["consistency"]["alpha_ok"] is False
 
 
 def test_diag_certificate_pipeline(tmp_path):
@@ -542,3 +575,34 @@ def test_help_lists_defaults(capsys):
 
 def test_unknown_command_usage_error():
     assert run("frobnicate") == 2
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_outputs_are_strict_json(tmp_path):
+    # NaN and Infinity are not JSON; parse every written document strictly
+    inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+    written = [inst, res]
+    assert run(*DIAG_INSTANCE, "--out", str(inst)) == 0
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-3",
+               "--out-result", str(res)) == 0
+    assert run("bench", "success-rate", "--p", "8", "--s", "2", "--grid", "4",
+               "--trials", "1", "--lambda", "1e-4",
+               "--out-prefix", str(tmp_path / "rate")) == 0
+    written.append(tmp_path / "rate.json")
+    metrics = tmp_path / "img.json"
+    assert run("image", "--input", str(sparse_image(tmp_path)), "--out-image",
+               str(tmp_path / "o.pgm"), "--out-metrics", str(metrics),
+               "--ratio", "8", "--lambda", "1e-4") == 0
+    written.append(metrics)
+    for mode, extra in [("stability", ["--samples", "20"]),
+                        ("certificate", ["--solution", str(res), "--lambda", "1e-3"]),
+                        ("remark5", ["--use-truth"])]:
+        out = tmp_path / f"{mode}.json"
+        assert run("diag", mode, "--instance", str(inst), *extra,
+                   "--out", str(out)) == 0
+        written.append(out)
+    for path in written:
+        json.loads(path.read_text(), parse_constant=reject_constant)

@@ -8,7 +8,6 @@ from robustpr import (
     NoiseSpec,
     SolverConfig,
     SpectralConfig,
-    consistency_conditions,
     estimate_stability,
     linear_rate_certificate,
     remark5_quantities,
@@ -187,17 +186,6 @@ def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):
         estimate_stability(e, samples=5, rho0=rho0, alpha=alpha, seed=0)
     with pytest.raises(ValueError, match=message):
         remark5_quantities(e.ground_truth, e, alpha, rho0=rho0)
-    with pytest.raises(ValueError, match=message):
-        consistency_conditions(e, alpha=alpha, lam=1e-3, c1=0.6, c2=0.3, rho0=rho0)
-
-
-@pytest.mark.parametrize("name", ["lam", "c1", "c2"])
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_consistency_conditions_reject_bad_lam_c1_c2(name, bad):
-    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
-    params = {"lam": 1e-3, "c1": 0.6, "c2": 0.3, name: bad}
-    with pytest.raises(ValueError, match="lam, c1 and c2 must be positive"):
-        consistency_conditions(e, alpha=ALPHA, **params)
 
 
 def test_remark5_zero_noise():
@@ -250,17 +238,66 @@ def test_remark5_requires_real_and_noise_record():
         remark5_quantities(e.ground_truth, bare, ALPHA)
 
 
+CONSISTENCY_KEYS = [
+    "t_n", "mean_abs_eps", "alpha_floor", "alpha_ok", "lambda_upper",
+    "lambda_lower", "x_min", "x_min_floor", "x_min_ok", "p_log_n_over_n",
+]
+
+
 def test_consistency_conditions_report():
     e = synthesize_instance(8, 2, 400, FieldTag.REAL, NoiseSpec("type1", 0.05), 6)
-    report = consistency_conditions(e, alpha=ALPHA, lam=1e-3, c1=0.6, c2=0.3)
+    est = estimate_stability(e, samples=50, rho0=0.5, alpha=ALPHA, seed=1)
+    report = est.consistency
+    assert list(report) == CONSISTENCY_KEYS
     n, p = 400, 8
     t_n = np.sqrt(2 * (2 * p + 1) * np.log(1 + 2 * n) / n)
     assert np.isclose(report["t_n"], t_n)
-    assert set(report) >= {
-        "alpha_ok",
-        "lambda_ok",
-        "x_min_ok",
-        "lambda_upper",
-        "lambda_lower",
-        "mean_abs_eps",
-    }
+    # the lambda window scales with C2 = c2_hat
+    x = e.ground_truth
+    half = np.sum(np.sqrt(np.abs(x)))
+    assert np.isclose(report["lambda_upper"],
+                      0.25 * est.c2_hat * t_n ** (2 / 3) / (np.sqrt(2) + half))
+    assert report["x_min"] == np.min(np.abs(x[x != 0]))
+    assert report["x_min_ok"] == (report["x_min"] >= report["x_min_floor"])
+    assert json.loads(est.to_json())["consistency"] == report
+
+
+def test_consistency_is_none_without_noise_record_or_nonzero_truth():
+    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    bare = MeasurementEnsemble(
+        field=FieldTag.REAL,
+        sampling_vectors=e.sampling_vectors,
+        observations=e.observations,
+        ground_truth=e.ground_truth,
+    )
+    zero_truth = MeasurementEnsemble(
+        field=FieldTag.REAL,
+        sampling_vectors=e.sampling_vectors,
+        observations=e.noise_record,  # b = |<a_i, 0>|^2 + eps_i
+        ground_truth=np.zeros(8),
+        noise_record=e.noise_record,
+    )
+    for ens in (bare, zero_truth):
+        est = estimate_stability(ens, samples=5, rho0=0.5, alpha=ALPHA, seed=0)
+        assert est.consistency is None
+        assert json.loads(est.to_json())["consistency"] is None
+
+
+@pytest.mark.parametrize("rho0", [0.05, 0.3, 0.5])
+def test_alpha_floor_is_none_exactly_without_a_margin(rho0):
+    # mu_hat = 0.549 here, so 2 (1 - rho0) mu_hat exceeds 1 only at rho0 = 0.05
+    e = synthesize_instance(4, 1, 400, FieldTag.REAL, NoiseSpec("type1", 0.05), 1)
+    est = estimate_stability(e, samples=50, rho0=rho0, alpha=ALPHA, seed=1)
+    report = est.consistency
+    has_margin = 2.0 * (1.0 - rho0) * est.mu_hat > 1.0
+    assert (report["alpha_floor"] is None) == (not has_margin)
+    assert has_margin == (rho0 == 0.05)
+    if has_margin:
+        assert report["alpha_ok"] == (ALPHA >= report["alpha_floor"])
+    else:
+        assert report["alpha_ok"] is False
+    json.loads(est.to_json(), parse_constant=reject_constant)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")

@@ -9,12 +9,15 @@ from robustpr import (
     SpectralConfig,
     error_vs_iteration,
     lambda_grid_search,
+    loss,
     relative_error,
     run_experiment,
+    solve,
+    spectral_init,
     synthesize_instance,
 )
 from robustpr.errors import MissingDataError
-from robustpr.metrics import align, holdout_split, trial_seed
+from robustpr.metrics import _sub_ensemble, align, holdout_split, trial_seed
 
 
 def random_complex(rng, p):
@@ -140,6 +143,8 @@ def test_experiment_spec_validation():
         desk_spec(n_grid=())
     with pytest.raises(ValueError):
         desk_spec(n_grid=(160, 64))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        desk_spec(n_grid=(32, 32))
 
 
 def test_error_vs_iteration_curve():
@@ -200,12 +205,26 @@ def test_lambda_grid_search_holdout():
     assert all(score >= 0.0 for _, score in table)
 
 
+def test_holdout_score_is_the_validation_loss_bitwise():
+    e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("type1", 0.1), 13)
+    cfg = SolverConfig(lam=1.0)
+    _, table = lambda_grid_search(e, cfg, [1e-4, 1e-2], "holdout")
+    train_idx, val_idx = holdout_split(e)
+    train, val = _sub_ensemble(e, train_idx), _sub_ensemble(e, val_idx)
+    x0 = spectral_init(train, SpectralConfig(), e.seed)
+    for lam, score in table:
+        estimate = solve(train, x0, SolverConfig(lam=lam)).estimate
+        assert score == loss(estimate, val, cfg.alpha)
+
+
 def test_lambda_grid_search_validation():
     e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("none"), 14)
     with pytest.raises(ValueError):
         lambda_grid_search(e, SolverConfig(lam=1.0), [], "oracle")
     with pytest.raises(ValueError):
         lambda_grid_search(e, SolverConfig(lam=1.0), [1e-3], "bogus")
+    with pytest.raises(ValueError, match="free of repeats"):
+        lambda_grid_search(e, SolverConfig(lam=1.0), [1e-3, 1e-4, 0.001], "oracle")
     from robustpr.model import MeasurementEnsemble
 
     bare = MeasurementEnsemble(

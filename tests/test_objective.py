@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from robustpr import (
     FieldTag,
     NoiseSpec,
+    fixed_point_residual,
+    g,
     half_norm,
     huber,
     huber_deriv,
@@ -199,3 +201,15 @@ def test_params_validation():
             surrogate(x, x, e, 1e-3, bad, tau=1.0)
         with pytest.raises(ValueError, match="lam and alpha must be positive"):
             surrogate(x, x, e, bad, ALPHA, tau=1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_loss_and_g_reject_bad_alpha(alpha):
+    e = synthesize_instance(8, 2, 40, FieldTag.REAL, NoiseSpec("none"), 1)
+    x = e.ground_truth
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        loss(x, e, alpha)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        g(x, e, alpha)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        fixed_point_residual(x, e, 1e-3, alpha, tau=1.0)

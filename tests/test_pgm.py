@@ -64,6 +64,14 @@ def test_rejects_truncated_raster(tmp_path):
         read_pgm(ascii_short)
 
 
+@pytest.mark.parametrize("token", [b"x", b"2.5"])
+def test_rejects_malformed_p2_raster_token(tmp_path, token):
+    path = tmp_path / "token.pgm"
+    path.write_bytes(b"P2\n2 1\n10\n5 " + token + b"\n")
+    with pytest.raises(ParseError, match="malformed P2 raster value"):
+        read_pgm(path)
+
+
 def test_rejects_out_of_range_pixels(tmp_path):
     path = tmp_path / "range.pgm"
     path.write_bytes(b"P2\n2 1\n10\n5 11\n")
