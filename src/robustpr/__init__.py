@@ -8,7 +8,7 @@ from .diagnostics import (
     linear_rate_certificate,
     remark5_quantities,
 )
-from .gradient import g, realify, realify_gradient, realify_quadratic, unrealify
+from .gradient import g
 from .metrics import (
     ExperimentReport,
     ExperimentSpec,
@@ -35,10 +35,9 @@ from .objective import (
     huber_deriv,
     loss,
     objective,
-    surrogate,
 )
 from .pgm import GrayImage, read_pgm, write_pgm
-from .prox import chi, chi_oracle, half_threshold, threshold_point
+from .prox import half_threshold, threshold_point
 from .solver import (
     IterationRecord,
     SolverConfig,
@@ -67,8 +66,6 @@ __all__ = [
     "Termination",
     "align",
     "apply_noise",
-    "chi",
-    "chi_oracle",
     "deserialize_instance",
     "error_vs_iteration",
     "estimate_stability",
@@ -86,19 +83,14 @@ __all__ = [
     "objective",
     "power_iteration",
     "read_pgm",
-    "realify",
-    "realify_gradient",
-    "realify_quadratic",
     "relative_error",
     "remark5_quantities",
     "run_experiment",
     "serialize_instance",
     "solve",
     "spectral_init",
-    "surrogate",
     "synthesize_instance",
     "threshold_point",
-    "unrealify",
     "write_pgm",
     "write_trace_csv",
 ]

@@ -62,6 +62,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_float(text):
+    value = float(text)
+    if not 0.0 <= value < np.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _comma_list(convert):
     def comma_list(text):
         items = [tok for tok in text.split(",") if tok.strip()]
@@ -360,8 +367,7 @@ def cmd_image(args):
             "downscale it or raise --cap"
         )
     x_true = img.as_signal()
-    if args.threshold > 0:
-        x_true = np.where(np.abs(x_true) < args.threshold, 0.0, x_true)
+    x_true = np.where(np.abs(x_true) < args.threshold, 0.0, x_true)
     if not np.any(x_true):
         raise ValueError("image is entirely black after thresholding")
     n = args.ratio * p
@@ -466,7 +472,9 @@ def _config_flag() -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process; parsing leaves it unchanged."""
     # shared(): a flag group that commands attach with parents=[...];
     # command(): a command parser whose help shows each flag's default
     shared = functools.partial(argparse.ArgumentParser, add_help=False)
@@ -566,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("--out-metrics", default=None, help="metrics JSON path")
     p_img.add_argument("--passthrough", action="store_true",
                        help="read and rewrite the image without solving")
-    p_img.add_argument("--threshold", type=float, default=0.0,
+    p_img.add_argument("--threshold", type=_nonnegative_float, default=0.0,
                        help="zero out pixels below this value at ingestion")
-    p_img.add_argument("--cap", type=int, default=16384,
+    p_img.add_argument("--cap", type=_positive_int, default=16384,
                        help="largest accepted pixel count")
     p_img.set_defaults(func=cmd_image)
 

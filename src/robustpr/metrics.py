@@ -30,41 +30,37 @@ from .solver import SolverConfig, SolverResult, Termination, solve
 from .spectral import SpectralConfig, spectral_init
 
 
+def _phase(x_hat: np.ndarray, x_true: np.ndarray):
+    """Validate the pair and return ``relative_error``'s optimal global
+    phase; a real-field tie goes to +1."""
+    if x_hat.shape != x_true.shape or field_of(x_hat) is not field_of(x_true):
+        raise ValueError("estimate and truth must share field and length")
+    if np.linalg.norm(x_true) == 0.0:
+        raise ValueError("relative error is undefined for a zero ground truth")
+    if field_of(x_true) is FieldTag.REAL:
+        closer = np.linalg.norm(x_hat - x_true) <= np.linalg.norm(x_hat + x_true)
+        return 1.0 if closer else -1.0
+    inner = complex(np.vdot(x_hat, x_true))
+    return np.conj(inner) / abs(inner) if inner else 1.0
+
+
 def relative_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     """Phase-invariant relative recovery error.
 
-    Complex: the optimal phase is e^{i theta*} = conj(<x_hat, x_true>) / |.|
-    (any phase when the inner product vanishes).  Real: the better of +-1.
+    ||x_hat - phi x_true|| / ||x_true|| at the optimal global phase phi: the
+    better of +-1 (real), or conj(<x_hat, x_true>) / |.| (complex; 1 when
+    the inner product vanishes, any phase being optimal then).
     """
     x_hat = np.asarray(x_hat)
     x_true = np.asarray(x_true)
-    if x_hat.shape != x_true.shape or field_of(x_hat) is not field_of(x_true):
-        raise ValueError("estimate and truth must share field and length")
-    norm_true = float(np.linalg.norm(x_true))
-    if norm_true == 0.0:
-        raise ValueError("relative error is undefined for a zero ground truth")
-    if field_of(x_true) is FieldTag.REAL:
-        return float(
-            min(np.linalg.norm(x_hat - x_true), np.linalg.norm(x_hat + x_true))
-            / norm_true
-        )
-    inner = complex(np.vdot(x_hat, x_true))
-    if inner == 0:
-        return float(np.sqrt(np.linalg.norm(x_hat) ** 2 + norm_true**2) / norm_true)
-    phase = np.conj(inner) / abs(inner)
-    return float(np.linalg.norm(x_hat - phase * x_true) / norm_true)
+    phase = _phase(x_hat, x_true)
+    return float(np.linalg.norm(x_hat - phase * x_true) / np.linalg.norm(x_true))
 
 
 def align(x_hat: np.ndarray, x_true: np.ndarray) -> np.ndarray:
     """Rotate/flip x_hat onto x_true's global phase."""
-    if field_of(x_true) is FieldTag.REAL:
-        if np.linalg.norm(x_hat - x_true) <= np.linalg.norm(x_hat + x_true):
-            return x_hat.copy()
-        return -x_hat
-    inner = complex(np.vdot(x_true, x_hat))
-    if inner == 0:
-        return x_hat.copy()
-    return x_hat * (np.conj(inner) / abs(inner))
+    x_hat = np.asarray(x_hat)
+    return x_hat * np.conj(_phase(x_hat, np.asarray(x_true)))
 
 
 @dataclass(frozen=True)
@@ -107,13 +103,6 @@ class ExperimentReport:
     records: list
     success_rate: dict
     median_relative_error: dict
-
-    def deterministic_records(self) -> list:
-        """Record tuples without wall time, for determinism comparisons."""
-        return [
-            (r.n, r.trial, r.seed, r.relative_error, r.iterations, r.termination)
-            for r in self.records
-        ]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

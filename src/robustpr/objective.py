@@ -1,4 +1,4 @@
-"""Huber loss, l_1/2 regularizer, full objective and the MM surrogate.
+"""Huber loss, l_1/2 regularizer and the full objective.
 
 The objective being minimized is
 
@@ -62,36 +62,3 @@ def objective(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float) -
         raise ValueError("lam and alpha must be positive")
     return _evaluate(e.check_signal(x), e, lam, alpha)[0]
 
-
-def surrogate(
-    x: np.ndarray,
-    y: np.ndarray,
-    e: MeasurementEnsemble,
-    lam: float,
-    alpha: float,
-    tau: float,
-) -> float:
-    """MM surrogate around y.
-
-    F_tau(x, y) = f(y) + 2 Re<g(y), x - y> + ||x - y||^2 / (2 tau)
-                  + lam * half_norm(x),
-
-    which touches F at x = y and majorizes F on a ball once tau <= 1/L.
-    """
-    from .gradient import _adjoint
-
-    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
-        raise ValueError("lam and alpha must be positive")
-    if not 0.0 < tau < np.inf:
-        raise ValueError("surrogate step tau must be positive and finite")
-    x = e.check_signal(x)
-    y = e.check_signal(y)
-    d = x - y
-    f_y, c, r = _evaluate(y, e, 0.0, alpha)
-    lin = 2.0 * float(np.real(np.vdot(_adjoint(e, c, r, alpha), d)))
-    return (
-        f_y
-        + lin
-        + float(np.vdot(d, d).real) / (2.0 * tau)
-        + lam * half_norm(x)
-    )

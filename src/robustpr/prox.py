@@ -44,53 +44,3 @@ def half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
         out[keep] = (2.0 / 3.0) * t * (1.0 + np.cos(2.0 * np.pi / 3.0 - phi))
     return out
 
-
-def chi(t, mu: float):
-    """Scalar half-thresholding; see half_threshold."""
-    return half_threshold(np.asarray([t]), mu)[0]
-
-
-def _prox_objective(r: np.ndarray, mag: float, mu: float) -> np.ndarray:
-    return (r - mag) ** 2 + mu * np.sqrt(r)
-
-
-def chi_oracle(t, mu: float, grid_step: float):
-    """Brute-force minimizer of |v - t|^2 + mu |v|^(1/2) on a radial grid.
-
-    The objective depends on v only through |v| and Re(conj(v) t), which is
-    maximized at phase alignment, so the search reduces to v = r * t/|t| with
-    r in [0, 2|t|].  The grid is refined coarse-to-fine: every local minimum
-    of each pass is re-examined at a finer spacing until the spacing drops
-    below grid_step, which is equivalent to the full grid at that resolution.
-    """
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
-    mag = float(np.abs(t))
-    if mag == 0.0:
-        return 0.0 * t
-    hi = 2.0 * mag
-    windows = [(0.0, hi)]
-    step = hi / 20000.0
-    best_r = 0.0
-    while True:
-        step = max(step, grid_step)
-        candidates = []
-        for lo, up in windows:
-            lo = max(lo, 0.0)
-            up = min(up, hi)
-            npts = max(int(np.ceil((up - lo) / step)) + 1, 3)
-            r = np.linspace(lo, up, npts)
-            vals = _prox_objective(r, mag, mu)
-            interior = np.where(
-                (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-            )[0]
-            idx = set(interior + 1) | {0, npts - 1}
-            candidates.extend((vals[i], r[i]) for i in idx)
-        candidates.sort()
-        best_r = candidates[0][1]
-        if step <= grid_step:
-            break
-        next_step = max(step / 64.0, grid_step)
-        windows = [(r - step, r + step) for _, r in candidates[:8]]
-        step = next_step
-    return best_r * (t / mag)

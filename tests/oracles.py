@@ -1,0 +1,151 @@
+"""Reference implementations the tests check the package against.
+
+None of these run when solving: they are the brute-force prox, the
+finite-difference gradient, the realified forms and the MM surrogate that
+the acceptance criteria and unit tests compare ``half_threshold``, ``g``
+and ``objective`` with.
+
+Complex problems can be rewritten over R^(2p) via xt = [Re x; Im x]:
+|<a_i, x>|^2 = xt^T A_i xt with A_i = phi phi^T + psi psi^T, where
+phi = [Re a_i; Im a_i] and psi = [-Im a_i; Re a_i].  The gradient of the
+realified loss is then 2 [Re g(x); Im g(x)].
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from robustpr import FieldTag, MeasurementEnsemble, g, half_threshold, loss
+from robustpr.gradient import _adjoint
+from robustpr.objective import _evaluate, half_norm
+
+
+def chi(t, mu: float):
+    """Scalar half-thresholding; see half_threshold."""
+    return half_threshold(np.asarray([t]), mu)[0]
+
+
+def chi_oracle(t, mu: float, grid_step: float):
+    """Brute-force minimizer of |v - t|^2 + mu |v|^(1/2) on a radial grid.
+
+    The objective depends on v only through |v| and Re(conj(v) t), which is
+    maximized at phase alignment, so the search reduces to v = r * t/|t| with
+    r in [0, 2|t|].  The grid is refined coarse-to-fine: every local minimum
+    of each pass is re-examined at a finer spacing until the spacing drops
+    below grid_step, which is equivalent to the full grid at that resolution.
+    """
+    if grid_step <= 0:
+        raise ValueError("grid step must be positive")
+    mag = float(np.abs(t))
+    if mag == 0.0:
+        return 0.0 * t
+    hi = 2.0 * mag
+    windows = [(0.0, hi)]
+    step = hi / 20000.0
+    best_r = 0.0
+    while True:
+        step = max(step, grid_step)
+        candidates = []
+        for lo, up in windows:
+            lo = max(lo, 0.0)
+            up = min(up, hi)
+            npts = max(int(np.ceil((up - lo) / step)) + 1, 3)
+            r = np.linspace(lo, up, npts)
+            vals = (r - mag) ** 2 + mu * np.sqrt(r)
+            interior = np.where(
+                (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
+            )[0]
+            idx = set(interior + 1) | {0, npts - 1}
+            candidates.extend((vals[i], r[i]) for i in idx)
+        candidates.sort()
+        best_r = candidates[0][1]
+        if step <= grid_step:
+            break
+        next_step = max(step / 64.0, grid_step)
+        windows = [(r - step, r + step) for _, r in candidates[:8]]
+        step = next_step
+    return best_r * (t / mag)
+
+
+def realify(x: np.ndarray) -> np.ndarray:
+    """Stack a complex vector as [Re(x); Im(x)]."""
+    return np.concatenate([np.real(x), np.imag(x)]).astype(np.float64)
+
+
+def unrealify(v: np.ndarray) -> np.ndarray:
+    """Inverse of realify."""
+    if v.shape[0] % 2:
+        raise ValueError("realified vector must have even length")
+    p = v.shape[0] // 2
+    return v[:p] + 1j * v[p:]
+
+
+def realify_gradient(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> np.ndarray:
+    """Gradient of the realified loss ft(xt) = f(x) at xt = [Re x; Im x]."""
+    if e.field is not FieldTag.COMPLEX:
+        raise ValueError("realify_gradient is defined for complex ensembles")
+    gx = g(x, e, alpha)
+    return 2.0 * realify(gx)
+
+
+def realify_quadratic(a_i: np.ndarray) -> np.ndarray:
+    """Symmetric 2p x 2p matrix A with xt^T A xt = |<a_i, x>|^2 for all x."""
+    a_i = np.asarray(a_i, dtype=np.complex128)
+    phi = np.concatenate([np.real(a_i), np.imag(a_i)])
+    psi = np.concatenate([-np.imag(a_i), np.real(a_i)])
+    return np.outer(phi, phi) + np.outer(psi, psi)
+
+
+def fd_loss_gradient(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> np.ndarray:
+    """Central finite differences of the loss.
+
+    Real field: returns the gradient of f in R^p.  Complex field: returns
+    the gradient of the realified loss in R^(2p).  Relative step
+    1e-6 * (1 + ||x||).
+    """
+    step = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    if e.field is FieldTag.REAL:
+        v, func = x, lambda u: loss(u, e, alpha)
+    else:
+        v, func = realify(x), lambda u: loss(unrealify(u), e, alpha)
+    grad = np.zeros_like(v, dtype=np.float64)
+    for j in range(v.shape[0]):
+        vp = v.copy()
+        vm = v.copy()
+        vp[j] += step
+        vm[j] -= step
+        grad[j] = (func(vp) - func(vm)) / (2.0 * step)
+    return grad
+
+
+def surrogate(
+    x: np.ndarray,
+    y: np.ndarray,
+    e: MeasurementEnsemble,
+    lam: float,
+    alpha: float,
+    tau: float,
+) -> float:
+    """MM surrogate around y.
+
+    F_tau(x, y) = f(y) + 2 Re<g(y), x - y> + ||x - y||^2 / (2 tau)
+                  + lam * half_norm(x),
+
+    which touches F at x = y and majorizes F on a ball once tau <= 1/L.
+    It evaluates f(y) and g(y) through the solver's evaluation core.
+    """
+    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
+        raise ValueError("lam and alpha must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValueError("surrogate step tau must be positive and finite")
+    x = e.check_signal(x)
+    y = e.check_signal(y)
+    d = x - y
+    f_y, c, r = _evaluate(y, e, 0.0, alpha)
+    lin = 2.0 * float(np.real(np.vdot(_adjoint(e, c, r, alpha), d)))
+    return (
+        f_y
+        + lin
+        + float(np.vdot(d, d).real) / (2.0 * tau)
+        + lam * half_norm(x)
+    )

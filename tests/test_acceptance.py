@@ -17,8 +17,6 @@ from robustpr import (
     SolverConfig,
     SpectralConfig,
     Termination,
-    chi,
-    chi_oracle,
     half_threshold,
     relative_error,
     solve,
@@ -27,8 +25,10 @@ from robustpr import (
     threshold_point,
 )
 from robustpr.cli import main as cli_main
-from robustpr.gradient import fd_loss_gradient, g, realify_gradient
+from robustpr.gradient import g
 from robustpr.rng import mix
+
+from oracles import chi, chi_oracle, fd_loss_gradient, realify_gradient
 
 LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
 # A Huber threshold above every residual makes h_alpha(u) = u^2/2 everywhere:

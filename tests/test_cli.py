@@ -333,6 +333,19 @@ def test_image_cap_refusal(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--threshold", "nan"), ("--threshold", "-1"), ("--threshold", "inf"),
+    ("--cap", "-5"), ("--cap", "0"),
+])
+def test_image_rejects_bad_threshold_and_cap(tmp_path, capsys, flag, value):
+    src = sparse_image(tmp_path)
+    out = tmp_path / "o.pgm"
+    assert run("image", "--input", str(src), "--out-image", str(out),
+               "--lambda", "1e-4", flag, value) == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_image_72x60_accepted(tmp_path):
     pixels = np.zeros((60, 72))
     pixels[10:20, 30:40] = 1.0
@@ -510,6 +523,26 @@ def test_config_file_sets_switches(tmp_path, capsys):
                "--out-image", str(out)) == 0
     assert out.read_bytes() == src.read_bytes()
     assert run("--config", str(cfg), *GEN, "--out", str(inst)) == 2  # not a gen flag
+
+
+def test_main_calls_share_no_parser_state(tmp_path, capsys):
+    # the parser is built once per process; a switch one call sets from its
+    # config file must not reach the next call
+    inst, cfg = tmp_path / "inst.json", tmp_path / "conf.txt"
+    assert run(*GEN, "--out", str(inst)) == 0
+    cfg.write_text("use_truth = true\n")
+    at_truth, at_solution = tmp_path / "truth.json", tmp_path / "solution.json"
+    assert run("diag", "remark5", "--instance", str(inst), "--config", str(cfg),
+               "--out", str(at_truth)) == 0
+    sol = tmp_path / "sol.json"
+    truth = deserialize_instance(inst.read_text()).ground_truth
+    sol.write_text(json.dumps({"estimate": (2.0 * truth).tolist()}))
+    assert run("diag", "remark5", "--instance", str(inst), "--solution", str(sol),
+               "--out", str(at_solution)) == 0
+    assert at_solution.read_text() != at_truth.read_text()
+    capsys.readouterr()
+    assert run("diag", "remark5", "--instance", str(inst)) == 2
+    assert "either --solution or --use-truth is required" in capsys.readouterr().err
 
 
 def test_module_entry_point_reads_sys_argv(tmp_path):

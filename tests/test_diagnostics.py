@@ -17,8 +17,9 @@ from robustpr import (
 )
 from robustpr.diagnostics import RHO0, _min_eig, _refine_pair
 from robustpr.errors import MissingDataError, UnsupportedFieldError
-from robustpr.gradient import realify, realify_quadratic
 from robustpr.model import MeasurementEnsemble
+
+from oracles import realify, realify_quadratic
 
 ALPHA = 1.345
 

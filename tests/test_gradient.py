@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from robustpr import (
-    FieldTag,
-    NoiseSpec,
-    g,
+from robustpr import FieldTag, NoiseSpec, g, synthesize_instance
+from robustpr.gradient import _adjoint
+from robustpr.objective import _evaluate, loss
+
+from oracles import (
+    fd_loss_gradient,
     realify,
     realify_gradient,
     realify_quadratic,
-    synthesize_instance,
     unrealify,
 )
-from robustpr.gradient import _adjoint, fd_loss_gradient
-from robustpr.objective import _evaluate, loss
 
 ALPHA = 1.345
 

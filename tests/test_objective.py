@@ -12,10 +12,11 @@ from robustpr import (
     huber_deriv,
     loss,
     objective,
-    surrogate,
     synthesize_instance,
 )
 from robustpr.model import MeasurementEnsemble
+
+from oracles import surrogate
 
 ALPHA = 1.345
 

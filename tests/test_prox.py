@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustpr import chi, chi_oracle, half_threshold, threshold_point
+from robustpr import half_threshold, threshold_point
 from robustpr.objective import half_norm
+
+from oracles import chi, chi_oracle
 
 
 def test_threshold_point_constant():
