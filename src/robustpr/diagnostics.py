@@ -13,6 +13,11 @@ Three groups of checks:
   certifies a linear convergence rate at a solution x*: the smallest
   eigenvalue of the inlier generalized-Jacobian sum on the support must
   dominate the boundary-measurement norms plus a regularizer curvature term.
+  For a complex x* the sum is the realified 2|S| x 2|S| curvature M,
+  assembled from two complex Gram products over the inlier rows (see
+  ``_complex_terms``).  F(e^{i theta} x) = F(x), so M is singular along the
+  global-phase tangent realify(i x*_S) and the rate can hold only modulo
+  the phase: the eigenvalue is taken on the complement of that direction.
 * ``remark5_quantities`` -- the noise-weighted spectral norms that explain
   when the certificate is expected to hold.
 
@@ -229,7 +234,8 @@ class CertificateReport(_Report):
     support: list
     support_realified: list | None
     eps1: float
-    lhs_min_eig: float
+    lhs_min_eig: float  # complex field: on the complement of the phase tangent
+    phase_direction_curvature: float | None  # v^T M v / ||v||^2, v = realify(i x*_S)
     rhs_boundary_norms: float
     rhs_reg_term: float
     n_inliers: int
@@ -237,35 +243,81 @@ class CertificateReport(_Report):
     passed: bool
 
 
+def _solution(x: np.ndarray, e: MeasurementEnsemble):
+    """Checked solution and its support; ValueError unless finite and nonzero."""
+    x = e.check_signal(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("solution has a non-finite entry")
+    support = np.flatnonzero(x)
+    if support.size == 0:
+        raise ValueError("solution has empty support")
+    return x, support
+
+
 def _real_terms(a_s, c, r, inliers, e):
     """Restricted curvature M over the inliers and per-row norms, real field."""
     weights = (3.0 * c**2 - e.observations) / e.n
-    m = (a_s[inliers].T * weights[inliers]) @ a_s[inliers]
+    a_in = a_s[inliers]
+    m = (a_in.T * weights[inliers]) @ a_in
     norms = np.abs(weights) * np.sum(a_s**2, axis=1)
     return m, norms
 
 
 def _complex_terms(a_s, c, r, inliers, e):
-    """Realified curvature M over the inliers and per-row norms, complex field."""
-    # phi/psi restricted to the realified support; phi and psi stay orthogonal
-    # with equal norms after restriction, which gives the closed-form norms.
-    phi = np.concatenate([np.real(a_s), np.imag(a_s)], axis=1)
-    psi = np.concatenate([-np.imag(a_s), np.real(a_s)], axis=1)
-    q = np.real(c)[:, None] * phi + np.imag(c)[:, None] * psi
-    q_in, phi_in, psi_in = q[inliers], phi[inliers], psi[inliers]
-    r_in = r[inliers]
-    m = (
-        2.0 * q_in.T @ q_in
-        + (phi_in.T * r_in) @ phi_in
-        + (psi_in.T * r_in) @ psi_in
-    ) / e.n
+    """Realified curvature M over the inliers and per-row norms, complex field.
+
+    Row i contributes 2 (q_i.z)^2 + r_i ((phi_i.z)^2 + (psi_i.z)^2) to z^T M z,
+    with phi_i = [Re a_i; Im a_i], psi_i = [-Im a_i; Re a_i] and
+    q_i = Re(c_i) phi_i + Im(c_i) psi_i restricted to the support.  For
+    z = realify(zeta) and w_i = <a_i, zeta> that is
+    (r_i + |c_i|^2) |w_i|^2 + Re(conj(c_i)^2 w_i^2), so with A = a_s[inliers]
+
+        herm = A^T diag(r + |c|^2) conj(A),   sym = A^T diag(c^2) A,
+        M = [[Re herm + Re sym, Im sym - Im herm],
+             [Im herm + Im sym, Re herm - Re sym]] / n.
+    """
     # Restricted H_i has rank <= 2 with eigenvalues (rho^2/n)*{2|c|^2 + r, r},
     # rho^2 = sum_{j in support} |a_ij|^2.
     rho_sq = np.sum(np.abs(a_s) ** 2, axis=1)
     eig_a = np.abs(2.0 * np.abs(c) ** 2 + r)
     eig_b = np.abs(r)
     norms = rho_sq * np.maximum(eig_a, eig_b) / e.n
+    # norms first, so their temporaries are gone before the two Gram buffers
+    a_in = a_s[inliers]
+    c_in = c[inliers]
+    weighted = np.conjugate(a_in)
+    weighted *= (r[inliers] + np.abs(c_in) ** 2)[:, None]
+    herm = a_in.T @ weighted
+    np.multiply(a_in, (c_in**2)[:, None], out=weighted)
+    sym = a_in.T @ weighted
+    del a_in, weighted  # free the Gram buffers before M is assembled
+    k = a_s.shape[1]
+    m = np.empty((2 * k, 2 * k))
+    np.add(herm.real, sym.real, out=m[:k, :k])
+    np.subtract(sym.imag, herm.imag, out=m[:k, k:])
+    np.add(herm.imag, sym.imag, out=m[k:, :k])
+    np.subtract(herm.real, sym.real, out=m[k:, k:])
+    m /= e.n
     return m, norms
+
+
+def _phase_projected(m: np.ndarray, x_s: np.ndarray):
+    """M on the complement of the phase tangent v = realify(i x_s), and v^T M v / ||v||^2.
+
+    The Householder reflector P = I - beta u u^T with P v parallel to e_1
+    gives P M P = M - u w^T - w u^T (w = beta M u - (beta^2/2)(u^T M u) u):
+    its trailing block is M on v-perp in an orthonormal basis, and its
+    corner (P M P)_00 is the Rayleigh quotient of M at v.
+    """
+    u = np.concatenate([-x_s.imag, x_s.real])
+    u /= np.max(np.abs(u))  # v, scaled to keep ||v||^2 clear of underflow
+    u[0] += np.copysign(np.linalg.norm(u), u[0])
+    beta = 2.0 / (u @ u)
+    mu = beta * (m @ u)
+    w = mu - (0.5 * beta * (u @ mu)) * u
+    pmp = m - np.outer(u, w)
+    pmp -= np.outer(w, u)
+    return pmp[1:, 1:], float(pmp[0, 0])
 
 
 def linear_rate_certificate(
@@ -277,7 +329,9 @@ def linear_rate_certificate(
 ) -> CertificateReport:
     """Evaluate the linear-rate spectral-gap condition at x_star.
 
-    eps1 defaults to (1 - RHO0) * alpha, which is alpha/2.
+    eps1 defaults to (1 - RHO0) * alpha, which is alpha/2.  For a complex
+    x_star the smallest eigenvalue is taken modulo the global phase (see
+    ``_phase_projected``).
     """
     if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
         raise ValueError("lam and alpha must be positive")
@@ -285,29 +339,38 @@ def linear_rate_certificate(
         eps1 = (1.0 - RHO0) * alpha
     if not 0.0 < eps1 < alpha:
         raise ValueError("eps1 must lie strictly between 0 and alpha")
-    x = e.check_signal(x_star)
-    support = np.flatnonzero(x)
-    if support.size == 0:
-        raise ValueError("certificate requires a solution with nonempty support")
-    if e.field is FieldTag.REAL:
-        terms, reg_coef, support_realified = _real_terms, 0.75, None
-    else:
-        terms, reg_coef = _complex_terms, 1.5
-        support_realified = [int(j) for j in np.concatenate([support, support + e.p])]
-    a = e.sampling_vectors
-    c = correlate(a, x)
+    x, support = _solution(x_star, e)
+    real = e.field is FieldTag.REAL
+    reg_coef = 0.75 if real else 1.5
+    try:
+        rhs_reg = reg_coef * lam * float(np.min(np.abs(x[support]))) ** (-1.5)
+    except OverflowError:  # min |x_S| ** -1.5 beyond the float range
+        rhs_reg = np.inf
+    if not np.isfinite(rhs_reg):
+        raise ValueError(
+            "regularizer term overflows: the solution's smallest nonzero entry "
+            "is too small for this lambda"
+        )
+    c = correlate(e.sampling_vectors, x)
     r = np.abs(c) ** 2 - e.observations
     inliers, boundary = _masks(r, alpha, eps1)
-    m, norms = terms(a[:, support], c, r, inliers, e)
+    a_s = e.sampling_vectors[:, support]
+    if real:
+        m, norms = _real_terms(a_s, c, r, inliers, e)
+        phase, support_realified = None, None
+    else:
+        m, norms = _complex_terms(a_s, c, r, inliers, e)
+        m, phase = _phase_projected(m, x[support])
+        support_realified = [int(j) for j in np.concatenate([support, support + e.p])]
     lhs = _min_eig(m)
     rhs_boundary = 3.0 * float(np.sum(norms[boundary]))
-    rhs_reg = reg_coef * lam * float(np.min(np.abs(x[support]))) ** (-1.5)
     return CertificateReport(
         field=e.field.value,
         support=[int(j) for j in support],
         support_realified=support_realified,
         eps1=eps1,
         lhs_min_eig=lhs,
+        phase_direction_curvature=phase,
         rhs_boundary_norms=rhs_boundary,
         rhs_reg_term=rhs_reg,
         n_inliers=int(np.count_nonzero(inliers)),
@@ -343,10 +406,7 @@ def remark5_quantities(
     a_hat, eps_hat = _normalized(e, alpha, rho0, "the Remark-5 check")
     if eps_hat is None:
         raise MissingDataError("Remark-5 quantities require a noise record")
-    x = e.check_signal(x)
-    support = np.flatnonzero(x)
-    if support.size == 0:
-        raise ValueError("signal has empty support")
+    x, support = _solution(x, e)
     eps1 = (1.0 - rho0) * alpha
     inliers, boundary = _masks(eps_hat, alpha, eps1)
     a_g = a_hat[:, support]
@@ -357,8 +417,11 @@ def remark5_quantities(
         m = (a_g[mask].T * w[mask]) @ a_g[mask] / e.n
         return float(np.linalg.norm(m, 2))
 
-    c = a_hat @ x
-    quad_m = (a_g[inliers].T * (2.0 * c[inliers] ** 2)) @ a_g[inliers] / e.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = a_hat @ x
+        quad_m = (a_g[inliers].T * (2.0 * c[inliers] ** 2)) @ a_g[inliers] / e.n
+    if not np.all(np.isfinite(quad_m)):
+        raise ValueError("solution overflows the inlier quadratic term")
     return Remark5Report(
         eps1=eps1,
         support=[int(j) for j in support],

@@ -1,9 +1,10 @@
 """Reference implementations the tests check the package against.
 
 None of these run when solving: they are the brute-force prox, the
-finite-difference gradient, the realified forms and the MM surrogate that
-the acceptance criteria and unit tests compare ``half_threshold``, ``g``
-and ``objective`` with.
+finite-difference gradient, the realified forms, the MM surrogate and the
+realified rate-certificate curvature that the acceptance criteria and unit
+tests compare ``half_threshold``, ``g``, ``objective`` and
+``diagnostics._complex_terms`` with.
 
 Complex problems can be rewritten over R^(2p) via xt = [Re x; Im x]:
 |<a_i, x>|^2 = xt^T A_i xt with A_i = phi phi^T + psi psi^T, where
@@ -149,3 +150,30 @@ def surrogate(
         + float(np.vdot(d, d).real) / (2.0 * tau)
         + lam * half_norm(x)
     )
+
+
+def realified_curvature(a_s, c, r, inliers, e):
+    """Realified curvature M over the inliers and per-row norms, complex field.
+
+    Three real n x 2|S| Gram products over the phi/psi/q copies of the rows;
+    ``diagnostics._complex_terms`` builds the same M from two complex ones.
+    """
+    # phi/psi restricted to the realified support; phi and psi stay orthogonal
+    # with equal norms after restriction, which gives the closed-form norms.
+    phi = np.concatenate([np.real(a_s), np.imag(a_s)], axis=1)
+    psi = np.concatenate([-np.imag(a_s), np.real(a_s)], axis=1)
+    q = np.real(c)[:, None] * phi + np.imag(c)[:, None] * psi
+    q_in, phi_in, psi_in = q[inliers], phi[inliers], psi[inliers]
+    r_in = r[inliers]
+    m = (
+        2.0 * q_in.T @ q_in
+        + (phi_in.T * r_in) @ phi_in
+        + (psi_in.T * r_in) @ psi_in
+    ) / e.n
+    # Restricted H_i has rank <= 2 with eigenvalues (rho^2/n)*{2|c|^2 + r, r},
+    # rho^2 = sum_{j in support} |a_ij|^2.
+    rho_sq = np.sum(np.abs(a_s) ** 2, axis=1)
+    eig_a = np.abs(2.0 * np.abs(c) ** 2 + r)
+    eig_b = np.abs(r)
+    norms = rho_sq * np.maximum(eig_a, eig_b) / e.n
+    return m, norms

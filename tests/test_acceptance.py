@@ -294,16 +294,30 @@ def test_criterion_8_certificate_sanity():
 
     good = linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=1.345)
     flipped = linear_rate_certificate(result.estimate, e, lam=1e-4 * 1e6, alpha=1.345)
+    # complex: the certificate is taken modulo the global phase
+    ec = synthesize_instance(64, 4, 640, FieldTag.COMPLEX, NoiseSpec("none"), 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        x0c = spectral_init(ec, SpectralConfig(truncation=8), 7)
+        result_c = solve(ec, x0c, SolverConfig(lam=1e-4))
+    good_c = linear_rate_certificate(result_c.estimate, ec, lam=1e-4, alpha=1.345)
+    flipped_c = linear_rate_certificate(
+        result_c.estimate, ec, lam=1e-4 * 1e6, alpha=1.345)
     elapsed = time.perf_counter() - t0
     report(
         8,
         result.termination is Termination.CONVERGED
         and good.passed
         and not flipped.passed
+        and result_c.termination is Termination.CONVERGED
+        and good_c.passed
+        and not flipped_c.passed
         and elapsed < 5.0,
-        f"certificate passes on converged noiseless run "
+        f"certificate passes on converged noiseless real and complex runs "
         f"(lhs {good.lhs_min_eig:.3g} >= rhs "
-        f"{good.rhs_boundary_norms + good.rhs_reg_term:.3g}) and flips to "
+        f"{good.rhs_boundary_norms + good.rhs_reg_term:.3g}; complex modulo "
+        f"phase {good_c.lhs_min_eig:.3g} >= "
+        f"{good_c.rhs_boundary_norms + good_c.rhs_reg_term:.3g}) and flips to "
         f"failed at lambda x 1e6, {elapsed:.1f}s (< 5 s)",
     )
 

@@ -471,6 +471,32 @@ def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+NON_FINITE = "solution has a non-finite entry"
+TOO_SMALL = "smallest nonzero entry is too small"
+
+
+@pytest.mark.parametrize("field, mode, entry, message", [
+    *[(field, "certificate", entry, message)
+      for field in ("real", "complex")
+      for entry, message in [("Infinity", NON_FINITE), ("NaN", NON_FINITE),
+                             ("1e-300", TOO_SMALL)]],
+    ("real", "remark5", "Infinity", NON_FINITE),
+    ("real", "remark5", "NaN", NON_FINITE),
+])
+def test_diag_rejects_non_finite_or_degenerate_solution(tmp_path, capsys, field,
+                                                        mode, entry, message):
+    inst, sol, out = (tmp_path / f for f in ("inst.json", "sol.json", "out.json"))
+    assert run(*DIAG_INSTANCE, "--field", field, "--out", str(inst)) == 0
+    zero, value = ("0", entry) if field == "real" else ("[0, 0]", f"[{entry}, 0]")
+    sol.write_text('{"estimate": [%s]}' % ", ".join([value] + [zero] * 15))
+    capsys.readouterr()
+    extra = ["--lambda", "1e-3"] if mode == "certificate" else []
+    assert run("diag", mode, "--instance", str(inst), "--solution", str(sol),
+               *extra, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_defaults_and_precedence(tmp_path):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("# defaults\np = 16\ns = 2\nn = 160\nseed = 3\nout = %s\n"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,19 @@ from robustpr import (
     spectral_init,
     synthesize_instance,
 )
-from robustpr.diagnostics import RHO0, _min_eig, _refine_pair
+from robustpr.diagnostics import (
+    RHO0,
+    _complex_terms,
+    _masks,
+    _min_eig,
+    _phase_projected,
+    _real_terms,
+    _refine_pair,
+)
 from robustpr.errors import MissingDataError, UnsupportedFieldError
-from robustpr.model import MeasurementEnsemble
+from robustpr.model import MeasurementEnsemble, correlate
 
-from oracles import realify, realify_quadratic
+from oracles import realified_curvature, realify, realify_quadratic
 
 ALPHA = 1.345
 
@@ -124,19 +133,204 @@ def test_certificate_complex_realified_support():
     )
 
 
-def test_certificate_real_embedded_as_complex():
-    # real signal with zero imaginary parts: realified quadratic identity holds
-    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("none"), 7)
-    a_c = e.sampling_vectors.astype(np.complex128)
-    x_c = e.ground_truth.astype(np.complex128)
-    ec = MeasurementEnsemble(
+def converged_complex_solution(p=64, s=4, n=640, spec=NoiseSpec("none"),
+                               lam=1e-4, seed=7):
+    e = synthesize_instance(p, s, n, FieldTag.COMPLEX, spec, seed)
+    x0 = spectral_init(e, SpectralConfig(truncation=2 * s), seed)
+    result = solve(e, x0, SolverConfig(lam=lam))
+    return e, result
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_complex_certificate_passes_modulo_phase(seed):
+    # M is singular along realify(i x*): the Rayleigh quotient there is the
+    # unprojected smallest eigenvalue, and the certificate ignores it
+    e, result = converged_complex_solution(seed=seed)
+    x = result.estimate
+    report = linear_rate_certificate(x, e, lam=1e-4, alpha=ALPHA)
+    assert report.passed
+    assert abs(report.phase_direction_curvature) < 1e-3
+    m, _ = _complex_terms(*certificate_inputs(e, x))
+    low, second = np.linalg.eigvalsh(m)[:2]
+    assert np.isclose(report.phase_direction_curvature, low, rtol=1e-2, atol=1e-6)
+    assert np.isclose(report.lhs_min_eig, second, rtol=1e-3)
+    assert not linear_rate_certificate(x, e, lam=1e-4 * 1e6, alpha=ALPHA).passed
+
+
+def test_complex_certificate_passes_under_type3_outliers():
+    for shape in (dict(p=64, s=4, n=640), dict(p=128, s=8, n=768)):
+        e, result = converged_complex_solution(
+            **shape, spec=NoiseSpec("type3", 0.05), lam=1e-2)
+        assert linear_rate_certificate(
+            result.estimate, e, lam=1e-2, alpha=ALPHA).passed, shape
+
+
+def test_phase_direction_curvature_is_the_rayleigh_quotient():
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((10, 10))
+    m = b + b.T
+    x_s = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    v = realify(1j * x_s)
+    _, phase = _phase_projected(m, x_s)
+    assert np.isclose(phase, v @ m @ v / (v @ v), rtol=1e-12)
+    # the quotient is scale-free, so a tiny or huge x_S gives the same value
+    for scale in (1e-200, 1e200):
+        assert np.isclose(_phase_projected(m, scale * x_s)[1], phase, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_phase_projection_interlaces(seed):
+    # Cauchy interlacing: M on v-perp has its smallest eigenvalue in [l1, l2]
+    rng = np.random.default_rng(seed)
+    k = 6
+    b = rng.standard_normal((2 * k, 2 * k))
+    m = b + b.T
+    x_s = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    block, _ = _phase_projected(m, x_s)
+    assert block.shape == (2 * k - 1, 2 * k - 1)
+    l1, l2 = np.linalg.eigvalsh(m)[:2]
+    low = _min_eig(block)
+    assert l1 - 1e-12 <= low <= l2 + 1e-12
+    # with v the l1 eigenvector, M on v-perp starts at l2 exactly
+    v = realify(1j * x_s)
+    q, _ = np.linalg.qr(np.column_stack([v, rng.standard_normal((2 * k, 2 * k - 1))]))
+    vals = np.sort(rng.standard_normal(2 * k))
+    m_v = (q * vals) @ q.T
+    block_v, phase_v = _phase_projected(m_v, x_s)
+    assert np.isclose(_min_eig(block_v), vals[1], rtol=0, atol=1e-12)
+    assert np.isclose(phase_v, vals[0], rtol=0, atol=1e-12)
+
+
+def certificate_inputs(e, x, alpha=ALPHA):
+    """The (a_s, c, r, inliers, e) that linear_rate_certificate builds M from."""
+    support = np.flatnonzero(x)
+    c = correlate(e.sampling_vectors, x)
+    r = np.abs(c) ** 2 - e.observations
+    inliers, _ = _masks(r, alpha, (1.0 - RHO0) * alpha)
+    return e.sampling_vectors[:, support], c, r, inliers, e
+
+
+def real_as_complex(e):
+    return MeasurementEnsemble(
         field=FieldTag.COMPLEX,
-        sampling_vectors=a_c,
+        sampling_vectors=e.sampling_vectors.astype(np.complex128),
         observations=e.observations,
-        ground_truth=x_c,
+        ground_truth=e.ground_truth.astype(np.complex128),
         noise_record=e.noise_record,
         seed=e.seed,
     )
+
+
+def complex_outliers_inputs():
+    e, result = converged_complex_solution(
+        p=128, s=8, n=768, spec=NoiseSpec("type3", 0.05), lam=1e-3)
+    return certificate_inputs(e, result.estimate)
+
+
+def embedded_real_inputs():
+    e = real_as_complex(
+        synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 7))
+    return certificate_inputs(e, e.ground_truth)
+
+
+def single_row_inputs():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
+    x = np.array([1.0 - 0.5j, 0.0, 0.3j, 0.0])
+    b = np.abs(correlate(a, x)) ** 2 + 0.1
+    e = MeasurementEnsemble(field=FieldTag.COMPLEX, sampling_vectors=a, observations=b)
+    return certificate_inputs(e, x)
+
+
+def no_inlier_inputs():
+    a_s, c, r, _, e = embedded_real_inputs()
+    return a_s, c, r, np.zeros(e.n, dtype=bool), e
+
+
+@pytest.mark.parametrize("build", [complex_outliers_inputs, embedded_real_inputs,
+                                   single_row_inputs, no_inlier_inputs])
+def test_complex_terms_match_the_realified_oracle(build):
+    args = build()
+    m, norms = _complex_terms(*args)
+    m_ref, norms_ref = realified_curvature(*args)
+    assert m.shape == m_ref.shape == (2 * args[0].shape[1],) * 2
+    assert np.max(np.abs(m - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
+    assert np.array_equal(norms, norms_ref)
+    if not np.any(args[3]):
+        assert not np.any(m)
+
+
+def test_real_terms_match_the_gram_over_inliers():
+    e = synthesize_instance(128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1), 7)
+    a_s, c, r, inliers, _ = certificate_inputs(e, e.ground_truth)
+    m, _ = _real_terms(a_s, c, r, inliers, e)
+    weights = (3.0 * c**2 - e.observations) / e.n
+    assert np.array_equal(m, (a_s[inliers].T * weights[inliers]) @ a_s[inliers])
+
+
+def test_certificate_memory_stays_off_the_realified_copies():
+    # three realified n x 2|S| copies peak at 11.9 MB on this instance, the
+    # two complex Gram buffers at 4.6 MB
+    e, result = converged_complex_solution(
+        p=128, s=8, n=768, spec=NoiseSpec("type3", 0.05), lam=1e-3)
+    tracemalloc.start()
+    try:
+        report = linear_rate_certificate(result.estimate, e, lam=1e-3, alpha=ALPHA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.support) > 100
+    assert peak < 6e6
+
+
+def test_real_certificate_has_no_phase_direction():
+    e, result = converged_real_solution()
+    report = linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA)
+    assert report.phase_direction_curvature is None
+    assert json.loads(report.to_json())["phase_direction_curvature"] is None
+
+
+def one_entry(field, value, p=16):
+    x = np.zeros(p, dtype=field.dtype)
+    x[3] = value
+    return x
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+@pytest.mark.parametrize("value, message", [
+    (np.inf, "solution has a non-finite entry"),
+    (-np.inf, "solution has a non-finite entry"),
+    (np.nan, "solution has a non-finite entry"),
+    (1e-300, "solution's smallest nonzero entry is too small"),
+])
+def test_certificate_rejects_non_finite_or_degenerate_solution(field, value, message):
+    e = synthesize_instance(16, 2, 96, field, NoiseSpec("type2", 0.1), 3)
+    with pytest.raises(ValueError, match=message):
+        linear_rate_certificate(one_entry(field, value), e, lam=1e-3, alpha=ALPHA)
+
+
+def test_certificate_rejects_an_overflowing_regularizer_term():
+    e, result = converged_real_solution()
+    with pytest.raises(ValueError, match="regularizer term overflows"):
+        linear_rate_certificate(result.estimate, e, lam=1e308, alpha=ALPHA)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.inf, "solution has a non-finite entry"),
+    (np.nan, "solution has a non-finite entry"),
+    (1e200, "solution overflows the inlier quadratic term"),
+])
+def test_remark5_rejects_non_finite_or_degenerate_solution(value, message):
+    e = synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    with pytest.raises(ValueError, match=message):
+        remark5_quantities(one_entry(FieldTag.REAL, value), e, ALPHA)
+
+
+def test_certificate_real_embedded_as_complex():
+    # real signal with zero imaginary parts: realified quadratic identity holds
+    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("none"), 7)
+    ec = real_as_complex(e)
+    a_c, x_c = ec.sampling_vectors, ec.ground_truth
     report = linear_rate_certificate(x_c, ec, lam=1e-4, alpha=ALPHA)
     support = np.flatnonzero(np.abs(x_c))
     assert len(report.support_realified) == 2 * len(support)
