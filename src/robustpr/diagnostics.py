@@ -351,15 +351,19 @@ def linear_rate_certificate(
             "regularizer term overflows: the solution's smallest nonzero entry "
             "is too small for this lambda"
         )
-    c = correlate(e.sampling_vectors, x)
-    r = np.abs(c) ** 2 - e.observations
-    inliers, boundary = _masks(r, alpha, eps1)
-    a_s = e.sampling_vectors[:, support]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = correlate(e.sampling_vectors, x)
+        r = np.abs(c) ** 2 - e.observations
+        inliers, boundary = _masks(r, alpha, eps1)
+        a_s = e.sampling_vectors[:, support]
+        terms = _real_terms if real else _complex_terms
+        m, norms = terms(a_s, c, r, inliers, e)
+    # an overflowing residual is dropped from the inliers but not from norms
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(norms))):
+        raise ValueError("solution overflows the certificate's curvature terms")
     if real:
-        m, norms = _real_terms(a_s, c, r, inliers, e)
         phase, support_realified = None, None
     else:
-        m, norms = _complex_terms(a_s, c, r, inliers, e)
         m, phase = _phase_projected(m, x[support])
         support_realified = [int(j) for j in np.concatenate([support, support + e.p])]
     lhs = _min_eig(m)

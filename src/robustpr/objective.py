@@ -42,7 +42,7 @@ def _evaluate(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float):
     """
     c = correlate(e.sampling_vectors, x)
     r = np.abs(c) ** 2 - e.observations
-    value = float(np.mean(huber(r, alpha)))
+    value = float(huber(r, alpha).sum() / e.n)
     if lam:
         value += lam * half_norm(x)
     return value, c, r

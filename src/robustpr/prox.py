@@ -32,15 +32,27 @@ def half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     xi = np.asarray(xi)
     if not np.iscomplexobj(xi):
         xi = xi.astype(np.float64, copy=False)
+    return _half_threshold(xi, mu, tbar)
+
+
+def _half_threshold(xi: np.ndarray, mu, tbar) -> np.ndarray:
+    """chi(xi, mu) for a float64 or complex128 xi, with tbar = threshold_point(mu).
+
+    mu and tbar are scalars, or (k, 1) columns for a (k, p) block of k rows
+    with one weight each; every entry goes through the same float operations
+    either way, so a block row equals the 1-D call on that row bit for bit.
+    """
     mag = np.abs(xi)
     keep = mag > tbar
     out = np.zeros_like(xi)
     if keep.any():
         t = xi[keep]
+        scale = mu / 8.0
+        if np.ndim(scale):
+            scale = np.broadcast_to(scale, xi.shape)[keep]
         # arccos argument in (0, 1/sqrt(2)) on the kept set; the cap guards
         # rounding for |t| within machine epsilon of tbar.
-        arg = np.minimum((mu / 8.0) * (mag[keep] / 3.0) ** (-1.5), 1.0)
+        arg = np.minimum(scale * (mag[keep] / 3.0) ** (-1.5), 1.0)
         phi = (2.0 / 3.0) * np.arccos(arg)
         out[keep] = (2.0 / 3.0) * t * (1.0 + np.cos(2.0 * np.pi / 3.0 - phi))
     return out
-

@@ -473,13 +473,14 @@ def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
 
 NON_FINITE = "solution has a non-finite entry"
 TOO_SMALL = "smallest nonzero entry is too small"
+OVERFLOWS = "solution overflows the certificate's curvature terms"
 
 
 @pytest.mark.parametrize("field, mode, entry, message", [
     *[(field, "certificate", entry, message)
       for field in ("real", "complex")
       for entry, message in [("Infinity", NON_FINITE), ("NaN", NON_FINITE),
-                             ("1e-300", TOO_SMALL)]],
+                             ("1e-300", TOO_SMALL), ("1e200", OVERFLOWS)]],
     ("real", "remark5", "Infinity", NON_FINITE),
     ("real", "remark5", "NaN", NON_FINITE),
 ])

@@ -302,6 +302,7 @@ def one_entry(field, value, p=16):
     (-np.inf, "solution has a non-finite entry"),
     (np.nan, "solution has a non-finite entry"),
     (1e-300, "solution's smallest nonzero entry is too small"),
+    (1e200, "solution overflows the certificate's curvature terms"),
 ])
 def test_certificate_rejects_non_finite_or_degenerate_solution(field, value, message):
     e = synthesize_instance(16, 2, 96, field, NoiseSpec("type2", 0.1), 3)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from robustpr import half_threshold, threshold_point
 from robustpr.objective import half_norm
+from robustpr.prox import _half_threshold
 
 from oracles import chi, chi_oracle
 
@@ -44,7 +45,9 @@ def _half_threshold_reference(xi, mu):
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_half_threshold_is_bitwise_the_reference_body(complex_field):
     rng = np.random.default_rng(25)
-    for mu in np.logspace(-12, 1, 27):
+    mus = np.logspace(-12, 1, 27)
+    rows = []
+    for mu in mus:
         tbar = threshold_point(mu)
         xi = rng.standard_normal(64) * rng.choice([tbar, 1.0, 10.0], 64)
         if complex_field:
@@ -54,6 +57,23 @@ def test_half_threshold_is_bitwise_the_reference_body(complex_field):
         got, want = half_threshold(xi, mu), _half_threshold_reference(xi, mu)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+        rows.append(xi)
+    # rows with nothing kept: zeros, and entries at or below the threshold
+    for mu in (1e-3, 10.0):
+        tbar = threshold_point(mu)
+        rows.append(np.zeros(64, dtype=rows[0].dtype))
+        rows.append(rng.uniform(-tbar, tbar, 64).astype(rows[0].dtype))
+        rows[-1][:2] = [tbar, -tbar]
+        mus = np.append(mus, [mu, mu])
+    block = np.stack(rows)
+    tbars = np.array([threshold_point(mu) for mu in mus])
+    # the block body with one weight per row is the 1-D call on each row
+    for k in (len(rows), 1):
+        out = _half_threshold(block[:k], mus[:k, None], tbars[:k, None])
+        assert out.dtype == block.dtype
+        for row, mu, got in zip(block[:k], mus[:k], out, strict=True):
+            assert got.tobytes() == half_threshold(row, mu).tobytes()
+    assert not _half_threshold(block[-4:], mus[-4:, None], tbars[-4:, None]).any()
 
 
 def test_chi_below_threshold():

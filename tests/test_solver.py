@@ -1,5 +1,6 @@
 import csv
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from robustpr import (
     solve,
     synthesize_instance,
 )
+from robustpr import prox, solver
 from robustpr.model import MeasurementEnsemble
 from robustpr.objective import objective
 from robustpr.solver import write_trace_csv
@@ -107,22 +109,35 @@ def test_fixed_point_residual_rejects_nonpositive_or_nonfinite_tau(tau):
         fixed_point_residual(e.ground_truth, e, 1e-3, 1.345, tau)
 
 
-@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
-def test_trace_rows_equal_the_public_maps_at_each_iterate(field):
-    # The loop evaluates F and g through the shared core; every recorded
-    # value must be exactly what objective and fixed_point_residual give.
-    e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
-    cfg = SolverConfig(lam=1e-3)
-    x0 = spectral_init(e, SpectralConfig(truncation=6), 27)
+def _assert_rows_equal_public_maps(e, x0, cfg):
     iterates = []
     result = solve(e, x0, cfg, callback=lambda k, x: iterates.append(x.copy()))
-    assert result.termination is Termination.CONVERGED
     assert result.initial_objective == objective(iterates[0], e, cfg.lam, cfg.alpha)
     for row, x in zip(result.trace, iterates[1:], strict=True):
         assert row.F_value == objective(x, e, cfg.lam, cfg.alpha)
         assert row.fixed_point_residual == fixed_point_residual(
             x, e, cfg.lam, cfg.alpha, row.tau
         )
+        assert row.support_size == np.count_nonzero(x)
+    return result
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_trace_rows_equal_the_public_maps_at_each_iterate(field):
+    # The loop evaluates F and g through the shared core and the residuals
+    # a block of rows at a time; every recorded value must be exactly what
+    # objective and fixed_point_residual give.
+    e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
+    cfg = SolverConfig(lam=1e-3)
+    x0 = spectral_init(e, SpectralConfig(truncation=6), 27)
+    result = _assert_rows_equal_public_maps(e, x0, cfg)
+    assert result.termination is Termination.CONVERGED
+    # n = p: 5000 rows of 16 entries, so the pending rows are flushed at
+    # the block bound several times and once more after the loop.
+    e = synthesize_instance(16, 2, 16, field, NoiseSpec("none"), 4)
+    x0 = spectral_init(e, SpectralConfig(), 4)
+    result = _assert_rows_equal_public_maps(e, x0, cfg)
+    assert result.iterations > 2 * solver._BLOCK_ENTRIES // e.p
 
 
 def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatch):
@@ -148,6 +163,57 @@ def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatc
     # trial's products give g(x+) through the adjoint alone.
     assert len(forward) == 1 + sum(r.j + 1 for r in result.trace)
     assert len(checks) == 1
+
+
+def test_solve_makes_one_prox_per_trial_and_one_block_prox_per_flush(monkeypatch):
+    e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
+    x0 = spectral_init(e, SpectralConfig(), 4)
+    shapes, weights = [], []
+    inner, check = solver._half_threshold, solver.threshold_point
+    monkeypatch.setattr(solver, "_half_threshold",
+                        lambda xi, mu, tbar: shapes.append(xi.shape) or inner(xi, mu, tbar))
+    monkeypatch.setattr(solver, "threshold_point",
+                        lambda mu: weights.append(mu) or check(mu))
+    public = []
+    for module, name in ((prox, "half_threshold"), (solver, "half_threshold"),
+                         (solver, "fixed_point_residual")):
+        monkeypatch.setattr(module, name, lambda *a, **k: public.append(1))
+    result = solve(e, x0, SolverConfig(lam=1e-3))
+    trials = sum(r.j + 1 for r in result.trace)
+    block_rows = -(-solver._BLOCK_ENTRIES // e.p)
+    flushes = -(-result.iterations // block_rows)
+    assert flushes >= 2
+    assert len(shapes) == trials + flushes
+    # every trial validates its weight; the residuals reuse the accepted ones
+    assert len(weights) == trials
+    blocks = [shape for shape in shapes if len(shape) == 2]
+    assert [rows for rows, _ in blocks] == [block_rows] * (flushes - 1) + [
+        result.iterations - block_rows * (flushes - 1)]
+    assert not public
+
+
+def test_trace_block_bounds_the_memory_of_a_long_solve(monkeypatch):
+    # p = 512: the pending rows are flushed every 2**13 / 512 = 16 iterations.
+    # Holding all 200 iterates and gradients until the end would take 200 *
+    # 2 * 512 * 8 B = 1.6 MB before the block is even stacked.
+    e = synthesize_instance(512, 8, 1024, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    x0 = spectral_init(e, SpectralConfig(), 3)
+    cfg = SolverConfig(lam=1e-3, eps=1e-300, max_iter=200)
+    bound = 20 * solver._BLOCK_ENTRIES * 8
+
+    def peak():
+        tracemalloc.start()
+        try:
+            result = solve(e, x0, cfg)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    bytes_used, result = peak()
+    assert result.iterations == 200
+    assert bytes_used <= bound
+    monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 2**40)  # one block at the end
+    assert peak()[0] > 4 * bound
 
 
 def test_objective_cached_value_matches_recomputation():
