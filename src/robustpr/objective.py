@@ -19,8 +19,13 @@ from .model import MeasurementEnsemble, correlate
 def huber(u, alpha: float):
     """Huber function: u^2/2 for |u| <= alpha, alpha*|u| - alpha^2/2 beyond."""
     u = np.asarray(u, dtype=np.float64)
-    absu = np.abs(u)
-    return np.where(absu <= alpha, 0.5 * u**2, alpha * absu - 0.5 * alpha**2)
+    # one clamp d: beyond alpha, d = +-alpha gives alpha|u| - alpha^2/2; within
+    # it, d = u and u^2 - u^2/2 is exact (Sterbenz), so both branches give the
+    # two-branch values bit for bit, except by one ulp where u^2 is subnormal
+    d = huber_deriv(u, alpha)
+    h = d * u
+    h -= (0.5 * d) * d
+    return h
 
 
 def huber_deriv(u, alpha: float):
@@ -30,7 +35,7 @@ def huber_deriv(u, alpha: float):
 
 def half_norm(x: np.ndarray) -> float:
     """sum_j |x_j|^(1/2) with the complex modulus."""
-    return float(np.sum(np.sqrt(np.abs(x))))
+    return float(np.sqrt(np.abs(x)).sum())
 
 
 def _evaluate(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float):

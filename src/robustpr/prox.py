@@ -9,6 +9,12 @@ because the penalty depends on v only through |v|.
 In the MM solver the prox weight is mu = 2*lam*tau: minimizing the
 surrogate at step tau is equivalent to min ||x - (y - 2 tau g(y))||^2
 + 2 lam tau ||x||_{1/2}^{1/2}.
+
+The body is dense: it evaluates the shrinkage on every entry, in one
+scratch array updated in place, and then zeros the dropped entries.  Each
+kept entry goes through the float operations a gather of the kept set would
+apply, so the output is bit for bit that of a gather and scatter body, with
+no copies of the kept set.
 """
 
 from __future__ import annotations
@@ -41,18 +47,31 @@ def _half_threshold(xi: np.ndarray, mu, tbar) -> np.ndarray:
     mu and tbar are scalars, or (k, 1) columns for a (k, p) block of k rows
     with one weight each; every entry goes through the same float operations
     either way, so a block row equals the 1-D call on that row bit for bit.
+
+    The shrinkage runs on every entry of max(|xi|, tbar), which is |xi| on
+    the kept set and tbar on the other non-NaN entries; copyto then writes
+    +0.0 over the entries with |xi| <= tbar and the NaN ones (a 0/1 mask
+    would give -0.0).
+    For mu near the subnormal range, (tbar / 3) ** -1.5 overflows to inf,
+    which the cap turns into 1 as it does for a kept entry that close to
+    tbar; errstate keeps that overflow silent.
     """
     mag = np.abs(xi)
     keep = mag > tbar
-    out = np.zeros_like(xi)
-    if keep.any():
-        t = xi[keep]
-        scale = mu / 8.0
-        if np.ndim(scale):
-            scale = np.broadcast_to(scale, xi.shape)[keep]
-        # arccos argument in (0, 1/sqrt(2)) on the kept set; the cap guards
-        # rounding for |t| within machine epsilon of tbar.
-        arg = np.minimum(scale * (mag[keep] / 3.0) ** (-1.5), 1.0)
-        phi = (2.0 / 3.0) * np.arccos(arg)
-        out[keep] = (2.0 / 3.0) * t * (1.0 + np.cos(2.0 * np.pi / 3.0 - phi))
+    s = np.maximum(mag, tbar, out=mag)
+    s /= 3.0
+    with np.errstate(over="ignore"):
+        s **= -1.5
+    s *= mu / 8.0
+    # arccos argument in (0, 1/sqrt(2)) on the kept set; the cap guards
+    # rounding for |t| within machine epsilon of tbar.
+    np.minimum(s, 1.0, out=s)
+    np.arccos(s, out=s)
+    s *= 2.0 / 3.0
+    np.subtract(2.0 * np.pi / 3.0, s, out=s)
+    np.cos(s, out=s)
+    s += 1.0
+    out = (2.0 / 3.0) * xi
+    out *= s
+    np.copyto(out, 0.0, where=~keep)
     return out

@@ -114,9 +114,8 @@ def fixed_point_residual(
     # chained comparison rejects NaN and inf as well as nonpositive values
     if not 0.0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
-    if gx is None:
-        gx = gradient_map(x, e, alpha)
-    x = np.asarray(x)
+    x = e.check_signal(x)
+    gx = gradient_map(x, e, alpha) if gx is None else e.check_signal(gx)
     mu = 2.0 * lam * tau
     residuals, _ = _residuals([x], [gx], [tau], [mu], [threshold_point(mu)], [_norm(x)])
     return residuals[0]
@@ -147,10 +146,11 @@ def _residuals(x, gx, tau, mu, tbar, x_norm):
 
 
 # Pending trace rows are flushed through one block prox once they hold this
-# many entries, which bounds the iterates they keep alive for any p.  A flush
-# briefly holds about 14 arrays of the block's size (the pending rows, their
-# stacks and the prox's temporaries), so the block stays small: at 2**15
-# entries, complex p = 128 solves raised the peak RSS by up to 1.3 MB.
+# many entries, which bounds the iterates they keep alive for any p.  A long
+# real p = 512 solve peaks at about 7.5 arrays of the block's size under
+# tracemalloc (the pending rows, their stacks and the prox's scratch), so the
+# block stays small: at 2**15 entries, complex p = 128 solves raised the peak
+# RSS by up to 1.3 MB with the prox's former gather and scatter body.
 _BLOCK_ENTRIES = 2**13
 
 

@@ -42,6 +42,31 @@ def test_huber_sandwich(u):
     assert value <= ALPHA * abs(u) + 1e-12
 
 
+def _huber_reference(u, alpha):
+    """The two-branch huber body before the value came from one clamp."""
+    u = np.asarray(u, dtype=np.float64)
+    absu = np.abs(u)
+    return np.where(absu <= alpha, 0.5 * u**2, alpha * absu - 0.5 * alpha**2)
+
+
+# below this |u|, u^2 is subnormal and fl(u^2) - fl(0.5 u^2) may round once
+SUBNORMAL_SQUARE = 2.0**-511
+
+
+@pytest.mark.parametrize("alpha", [ALPHA, 0.1 * ALPHA, 1e-3, 1e6])
+def test_huber_is_bitwise_the_reference_body(alpha):
+    edges = [alpha, np.nextafter(alpha, 0), np.nextafter(alpha, np.inf), 0.0, np.inf]
+    u = np.array(edges + [-v for v in edges] + [np.nan])
+    assert huber(u, alpha).tobytes() == _huber_reference(u, alpha).tobytes()
+    rng = np.random.default_rng(26)
+    u = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-150, 150, 20000)
+    assert np.abs(u).min() >= SUBNORMAL_SQUARE
+    assert huber(u, alpha).tobytes() == _huber_reference(u, alpha).tobytes()
+    tiny = rng.choice([-1.0, 1.0], 2000) * SUBNORMAL_SQUARE * rng.uniform(0, 1, 2000)
+    gap = np.abs(huber(tiny, alpha) - _huber_reference(tiny, alpha))
+    assert gap.max() <= np.finfo(np.float64).smallest_subnormal
+
+
 def test_huber_deriv_clamp():
     assert huber_deriv(0.5, ALPHA) == 0.5
     assert huber_deriv(10.0, ALPHA) == ALPHA

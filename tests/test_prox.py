@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,10 +44,29 @@ def _half_threshold_reference(xi, mu):
     return out
 
 
+def _caught(fn, *args):
+    """fn(*args) and the set of warning messages it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, {str(w.message) for w in caught}
+
+
+# entries the solver never feeds the prox but a caller may: signed zeros, the
+# smallest subnormal, a tiny normal, NaN (dropped: NaN > tbar is False) and
+# +-inf (kept).  With a complex xi an inf entry meets an imaginary part, and
+# the complex product (2/3) * xi warns in both bodies.
+EDGES = [0.0, -0.0, 5e-324, 1e-250, np.nan, np.inf, -np.inf]
+
+
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_half_threshold_is_bitwise_the_reference_body(complex_field):
     rng = np.random.default_rng(25)
-    mus = np.logspace(-12, 1, 27)
+    # mu = 1e-310 and 5e-324 give tbar ~ 2e-207 and ~ 3e-216, where
+    # (tbar / 3) ** -1.5 overflows: the gather body warns for a kept entry
+    # that close to tbar, and the dense body evaluates every dropped entry
+    # at tbar, so its guard must keep it silent
+    mus = np.append(np.logspace(-12, 1, 27), [1e-310, 5e-324])
     rows = []
     for mu in mus:
         tbar = threshold_point(mu)
@@ -54,26 +75,36 @@ def test_half_threshold_is_bitwise_the_reference_body(complex_field):
             xi = xi + 1j * rng.standard_normal(64) * tbar
         xi[:4] = 0.0
         xi[4:8] = [tbar, -tbar, np.nextafter(tbar, np.inf), -np.nextafter(tbar, 0)]
-        got, want = half_threshold(xi, mu), _half_threshold_reference(xi, mu)
+        xi[8:8 + len(EDGES)] = EDGES
+        (got, new), (want, old) = (
+            _caught(f, xi, mu) for f in (half_threshold, _half_threshold_reference))
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+        assert new <= old
         rows.append(xi)
     # rows with nothing kept: zeros, and entries at or below the threshold
-    for mu in (1e-3, 10.0):
+    for mu in (1e-3, 10.0, 1e-310):
         tbar = threshold_point(mu)
         rows.append(np.zeros(64, dtype=rows[0].dtype))
         rows.append(rng.uniform(-tbar, tbar, 64).astype(rows[0].dtype))
         rows[-1][:2] = [tbar, -tbar]
+        rows[-1][2:5] = [-0.0, 5e-324, np.nan]
         mus = np.append(mus, [mu, mu])
     block = np.stack(rows)
     tbars = np.array([threshold_point(mu) for mu in mus])
-    # the block body with one weight per row is the 1-D call on each row
+    # the block body with one weight per row is the reference on each row
     for k in (len(rows), 1):
-        out = _half_threshold(block[:k], mus[:k, None], tbars[:k, None])
+        out, new = _caught(_half_threshold, block[:k], mus[:k, None], tbars[:k, None])
         assert out.dtype == block.dtype
+        old = set()
         for row, mu, got in zip(block[:k], mus[:k], out, strict=True):
-            assert got.tobytes() == half_threshold(row, mu).tobytes()
-    assert not _half_threshold(block[-4:], mus[-4:, None], tbars[-4:, None]).any()
+            want, caught = _caught(_half_threshold_reference, row, mu)
+            assert got.tobytes() == want.tobytes()
+            old |= caught
+        assert new <= old
+    assert not _half_threshold(block[-6:], mus[-6:, None], tbars[-6:, None]).any()
+    # the dense body's zeros are +0.0, never the -0.0 a 0/1 mask would write
+    assert not np.signbit(half_threshold(np.array([-0.0, -1e-9]), 1.0)).any()
 
 
 def test_chi_below_threshold():

@@ -109,6 +109,24 @@ def test_fixed_point_residual_rejects_nonpositive_or_nonfinite_tau(tau):
         fixed_point_residual(e.ground_truth, e, 1e-3, 1.345, tau)
 
 
+@pytest.mark.parametrize(
+    "case, given",
+    [("short x", True), ("complex x", True), ("short gx", True),
+     ("short x", False), ("complex x", False)],
+)
+def test_fixed_point_residual_rejects_a_mismatched_x_or_gx(case, given):
+    # with gx given, x once skipped validation: a length-1 x broadcast
+    # against gx and returned a number, a complex x hit numpy's casting error
+    e = synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    x = e.ground_truth
+    gx = solver.gradient_map(x, e, 1.345)
+    x, gx = {
+        "short x": (x[:1], gx), "complex x": (x + 0j, gx), "short gx": (x, gx[:1])
+    }[case]
+    with pytest.raises(ValueError, match="signal"):
+        fixed_point_residual(x, e, 1e-3, 1.345, 0.5, gx=gx if given else None)
+
+
 def _assert_rows_equal_public_maps(e, x0, cfg):
     iterates = []
     result = solve(e, x0, cfg, callback=lambda k, x: iterates.append(x.copy()))
@@ -199,21 +217,30 @@ def test_trace_block_bounds_the_memory_of_a_long_solve(monkeypatch):
     e = synthesize_instance(512, 8, 1024, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
     x0 = spectral_init(e, SpectralConfig(), 3)
     cfg = SolverConfig(lam=1e-3, eps=1e-300, max_iter=200)
-    bound = 20 * solver._BLOCK_ENTRIES * 8
+    block = solver._BLOCK_ENTRIES * 8
+    # measured 7.5 blocks; the prox's gather and scatter body took 14.3
+    bound = 10 * block
 
-    def peak():
+    def peak(f, *args):
         tracemalloc.start()
         try:
-            result = solve(e, x0, cfg)
-            return tracemalloc.get_traced_memory()[1], result
+            out = f(*args)
+            return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
 
-    bytes_used, result = peak()
+    bytes_used, result = peak(solve, e, x0, cfg)
     assert result.iterations == 200
     assert bytes_used <= bound
+    # one flush's block prox: measured 2.3 times the block's bytes for a real
+    # block and 2.6 for a complex one, 9.1 and 7.6 with gather and scatter
+    xi = np.random.default_rng(3).standard_normal((block // 8 // e.p, e.p))
+    mu = np.full((len(xi), 1), 1e-3)
+    tbar = np.full((len(xi), 1), prox.threshold_point(1e-3))
+    for xi in (xi, xi + 1j * xi[::-1]):
+        assert peak(prox._half_threshold, xi, mu, tbar)[0] <= 3 * xi.nbytes
     monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 2**40)  # one block at the end
-    assert peak()[0] > 4 * bound
+    assert peak(solve, e, x0, cfg)[0] > 4 * bound
 
 
 def test_objective_cached_value_matches_recomputation():
