@@ -39,7 +39,6 @@ from .objective import (
 from .pgm import GrayImage, read_pgm, write_pgm
 from .prox import half_threshold, threshold_point
 from .solver import (
-    IterationRecord,
     SolverConfig,
     SolverResult,
     Termination,
@@ -55,7 +54,6 @@ __all__ = [
     "ExperimentSpec",
     "FieldTag",
     "GrayImage",
-    "IterationRecord",
     "MeasurementEnsemble",
     "NoiseSpec",
     "Remark5Report",

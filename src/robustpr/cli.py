@@ -232,7 +232,7 @@ def cmd_solve(args):
     seed = e.seed if args.seed is None else args.seed
     x0 = spectral_init(e, spectral_cfg, seed)
     result = solve(e, x0, cfg)
-    last = result.trace[-1] if result.trace else None
+    last = result.trace[-1] if result.iterations else None
     fp_res = (
         last.fixed_point_residual
         if last is not None

@@ -25,6 +25,9 @@ wait in a pending list and go through one block prox once they hold
 _BLOCK_ENTRIES entries, and once more after the loop.  The values are those
 of the one-row fixed_point_residual, bit for bit.  x0 is validated once per
 solve, and each trial validates its prox weight once.
+
+The trace is one NumPy record array with a row per accepted step, built once
+after the loop: trace.F_value is a column, trace[-1] a row.
 """
 
 from __future__ import annotations
@@ -78,21 +81,16 @@ class SolverConfig:
             raise ValueError("iteration limits must be positive")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    k: int
-    F_value: float
-    tau: float
-    j: int
-    step_norm: float
-    support_size: int
-    fixed_point_residual: float
+TRACE_DTYPE = np.dtype([
+    ("k", "i8"), ("F_value", "f8"), ("tau", "f8"), ("j", "i8"),
+    ("step_norm", "f8"), ("support_size", "i8"), ("fixed_point_residual", "f8"),
+])
 
 
 @dataclass
 class SolverResult:
     estimate: np.ndarray
-    trace: list[IterationRecord]
+    trace: np.recarray  # TRACE_DTYPE, one row per accepted step
     termination: Termination
     final_objective: float
     initial_objective: float
@@ -108,14 +106,13 @@ def fixed_point_residual(
     lam: float,
     alpha: float,
     tau: float,
-    gx: np.ndarray | None = None,
 ) -> float:
     """||x - H_{2 lam tau}(x - 2 tau g(x))|| / max(1, ||x||)."""
     # chained comparison rejects NaN and inf as well as nonpositive values
     if not 0.0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
     x = e.check_signal(x)
-    gx = gradient_map(x, e, alpha) if gx is None else e.check_signal(gx)
+    gx = gradient_map(x, e, alpha)
     mu = 2.0 * lam * tau
     residuals, _ = _residuals([x], [gx], [tau], [mu], [threshold_point(mu)], [_norm(x)])
     return residuals[0]
@@ -154,14 +151,11 @@ def _residuals(x, gx, tau, mu, tbar, x_norm):
 _BLOCK_ENTRIES = 2**13
 
 
-def _records(pending) -> list[IterationRecord]:
+def _records(pending) -> list[tuple]:
     """Trace rows from pending (k, F, tau, j, step_norm, x, g(x), mu, tbar, ||x||)."""
     k, F, tau, j, step_norm, x, gx, mu, tbar, x_norm = zip(*pending)
     residuals, support = _residuals(x, gx, tau, mu, tbar, x_norm)
-    return [
-        IterationRecord(*row, support_size=int(size), fixed_point_residual=res)
-        for *row, size, res in zip(k, F, tau, j, step_norm, support, residuals)
-    ]
+    return list(zip(k, F, tau, j, step_norm, support.tolist(), residuals))
 
 
 def solve(
@@ -176,6 +170,8 @@ def solve(
     accepted iterate; it must not mutate x.  The trace rows of iterates not
     yet flushed hold references to them, so a mutated x would change their
     recorded support size and fixed-point residual.
+
+    The result's trace has one row per accepted step, possibly none.
     """
     x = e.check_signal(x0).copy()
     if not np.all(np.isfinite(x)):
@@ -184,7 +180,7 @@ def solve(
     F_initial = F_x
     g_x = _adjoint(e, c, r, cfg.alpha)
     x_norm = _norm(x)
-    trace: list[IterationRecord] = []
+    rows = []
     pending = []
     block_rows = -(-_BLOCK_ENTRIES // e.p)
     termination = Termination.MAX_ITERATIONS
@@ -221,7 +217,7 @@ def solve(
         x, F_x, g_x, x_norm = cand, F_cand, g_new, _norm(cand)
         pending.append((k, F_x, tau, j, step_norm, x, g_x, mu, tbar, x_norm))
         if len(pending) == block_rows:
-            trace += _records(pending)
+            rows += _records(pending)
             pending = []
         if callback is not None:
             callback(k, x)
@@ -229,11 +225,11 @@ def solve(
             termination = Termination.CONVERGED
             break
     if pending:
-        trace += _records(pending)
+        rows += _records(pending)
 
     return SolverResult(
         estimate=x,
-        trace=trace,
+        trace=np.rec.fromrecords(rows, dtype=TRACE_DTYPE),
         termination=termination,
         final_objective=F_x,
         initial_objective=F_initial,
@@ -244,19 +240,11 @@ TRACE_COLUMNS = ("k", "F", "tau", "j", "step_norm", "support_size", "fp_residual
 
 
 def write_trace_csv(path, result: SolverResult) -> None:
-    """Export the iteration trace with one row per accepted step."""
+    """Export the iteration trace with one row per accepted step.
+
+    tolist() gives Python ints and floats, which csv writes by repr().
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        for r in result.trace:
-            writer.writerow(
-                [
-                    r.k,
-                    repr(r.F_value),
-                    repr(r.tau),
-                    r.j,
-                    repr(r.step_norm),
-                    r.support_size,
-                    repr(r.fixed_point_residual),
-                ]
-            )
+        writer.writerows(result.trace.tolist())

@@ -163,14 +163,10 @@ def test_criterion_2_gradient_matches_finite_differences():
 def test_criterion_3_descent_and_square_summability(experiments):
     checked = 0
     for _, cfg, result in experiments["runs"]:
-        values = [result.initial_objective] + [r.F_value for r in result.trace]
-        steps = [r.step_norm for r in result.trace]
-        for f_prev, f_next, step in zip(values, values[1:], steps):
-            assert f_prev - f_next >= cfg.delta * step**2 - 1e-15
-        assert (
-            sum(s**2 for s in steps)
-            <= 2.0 * result.initial_objective / cfg.delta + 1e-12
-        )
+        values = np.append(result.initial_objective, result.trace.F_value)
+        steps = result.trace.step_norm
+        assert np.all(values[:-1] - values[1:] >= cfg.delta * steps**2 - 1e-15)
+        assert np.sum(steps**2) <= 2.0 * result.initial_objective / cfg.delta + 1e-12
         checked += 1
     report(
         3,
@@ -188,7 +184,7 @@ def test_criterion_4_fixed_point_inclusion(experiments):
             converged.append((cfg, result))
         else:
             excluded.append((tag, result.termination.value))
-    worst = max(r.trace[-1].fixed_point_residual for _, r in converged)
+    worst = max(r.trace.fixed_point_residual[-1] for _, r in converged)
     bound = max(10.0 * cfg.eps for cfg, _ in converged)
     unexpected = [tag for tag, _ in excluded if tag not in KNOWN_STALLS]
     listed = ", ".join(
@@ -200,7 +196,7 @@ def test_criterion_4_fixed_point_inclusion(experiments):
         len(converged) > 0
         and not unexpected
         and all(
-            r.trace[-1].fixed_point_residual <= 10.0 * cfg.eps
+            r.trace.fixed_point_residual[-1] <= 10.0 * cfg.eps
             for cfg, r in converged
         ),
         f"fixed-point residual at the accepted step <= 10*eps on all "

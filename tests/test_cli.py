@@ -14,11 +14,13 @@ from robustpr import (
     SolverConfig,
     SpectralConfig,
     deserialize_instance,
+    fixed_point_residual,
     read_pgm,
     write_pgm,
 )
 from robustpr.cli import main
 from robustpr.diagnostics import RHO0
+from robustpr.model import decode_vector
 
 
 def run(*argv):
@@ -99,6 +101,25 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert header == "k,F,tau,j,step_norm,support_size,fp_residual"
     assert b"\r" not in trace.read_bytes()
     assert "relative error" in capsys.readouterr().out
+
+
+def test_solve_with_no_accepted_step(tmp_path):
+    # delta = 1e12 rejects every trial at k = 1, so the trace has no rows and
+    # the result's residual is evaluated at the start point with tau = gamma.
+    inst, res, trace = (tmp_path / name for name in ("inst.json", "res.json", "trace.csv"))
+    assert run(*GEN, "--out", str(inst)) == 0
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
+               "--delta", "1e12", "--max-backtracks", "3",
+               "--out-result", str(res), "--out-trace", str(trace)) == 0
+    doc = json.loads(res.read_text())
+    assert doc["termination"] == "LineSearchFailed"
+    assert doc["iterations"] == 0
+    assert trace.read_bytes() == b"k,F,tau,j,step_norm,support_size,fp_residual\n"
+    e = deserialize_instance(inst.read_text())
+    x = decode_vector(doc["estimate"], e.field, "estimate", e.p)
+    cfg = SolverConfig(lam=1e-4)
+    assert doc["fixed_point_residual"] == fixed_point_residual(
+        x, e, cfg.lam, cfg.alpha, cfg.gamma)
 
 
 def test_list_form_instance_gives_byte_identical_outputs(tmp_path):

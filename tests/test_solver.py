@@ -1,4 +1,3 @@
-import csv
 import importlib
 import tracemalloc
 
@@ -52,13 +51,12 @@ def test_trace_descent_and_square_summability():
     e = synthesize_instance(24, 3, 192, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
     cfg = SolverConfig(lam=1e-3)
     result = solve(e, np.zeros(24) + 0.5, cfg)
-    values = [result.initial_objective] + [r.F_value for r in result.trace]
-    steps = [r.step_norm for r in result.trace]
-    for f_prev, f_next, step in zip(values, values[1:], steps):
-        assert f_prev - f_next >= cfg.delta * step**2 - 1e-15
-    assert all(v2 <= v1 for v1, v2 in zip(values, values[1:]))
-    assert sum(s**2 for s in steps) <= 2.0 * result.initial_objective / cfg.delta
-    assert all(0.0 < r.tau <= cfg.gamma for r in result.trace)
+    values = np.append(result.initial_objective, result.trace.F_value)
+    steps = result.trace.step_norm
+    assert np.all(values[:-1] - values[1:] >= cfg.delta * steps**2 - 1e-15)
+    assert np.all(values[1:] <= values[:-1])
+    assert np.sum(steps**2) <= 2.0 * result.initial_objective / cfg.delta
+    assert np.all((0.0 < result.trace.tau) & (result.trace.tau <= cfg.gamma))
 
 
 def test_converged_step_criterion():
@@ -91,7 +89,7 @@ def test_fixed_point_residual_cases():
     # x = 0 is a fixed point of the map at x=0 (g(0)=0, threshold keeps 0)
     assert fixed_point_residual(np.zeros(16), e, 1e-4, 1.345, 0.5) == 0.0
     result = solve(e, e.ground_truth, cfg)
-    tau = result.trace[-1].tau if result.trace else 0.5
+    tau = result.trace[-1].tau if result.iterations else 0.5
     assert (
         fixed_point_residual(result.estimate, e, cfg.lam, cfg.alpha, tau) <= 1e-5
     )
@@ -109,22 +107,12 @@ def test_fixed_point_residual_rejects_nonpositive_or_nonfinite_tau(tau):
         fixed_point_residual(e.ground_truth, e, 1e-3, 1.345, tau)
 
 
-@pytest.mark.parametrize(
-    "case, given",
-    [("short x", True), ("complex x", True), ("short gx", True),
-     ("short x", False), ("complex x", False)],
-)
-def test_fixed_point_residual_rejects_a_mismatched_x_or_gx(case, given):
-    # with gx given, x once skipped validation: a length-1 x broadcast
-    # against gx and returned a number, a complex x hit numpy's casting error
+@pytest.mark.parametrize("case", ["short x", "complex x"])
+def test_fixed_point_residual_rejects_a_mismatched_x(case):
     e = synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
-    x = e.ground_truth
-    gx = solver.gradient_map(x, e, 1.345)
-    x, gx = {
-        "short x": (x[:1], gx), "complex x": (x + 0j, gx), "short gx": (x, gx[:1])
-    }[case]
+    x = {"short x": e.ground_truth[:1], "complex x": e.ground_truth + 0j}[case]
     with pytest.raises(ValueError, match="signal"):
-        fixed_point_residual(x, e, 1e-3, 1.345, 0.5, gx=gx if given else None)
+        fixed_point_residual(x, e, 1e-3, 1.345, 0.5)
 
 
 def _assert_rows_equal_public_maps(e, x0, cfg):
@@ -264,17 +252,33 @@ def test_callback_sees_initial_point_and_each_iterate():
     assert len(seen) == result.iterations + 1
 
 
+def _trace_csv_oracle(trace) -> bytes:
+    """The trace CSV as written one row at a time, each float by repr()."""
+    lines = ["k,F,tau,j,step_norm,support_size,fp_residual"]
+    for r in trace:
+        lines.append(",".join([
+            str(int(r.k)), repr(float(r.F_value)), repr(float(r.tau)), str(int(r.j)),
+            repr(float(r.step_norm)), str(int(r.support_size)),
+            repr(float(r.fixed_point_residual)),
+        ]))
+    return "".join(line + "\n" for line in lines).encode()
+
+
 def test_trace_csv_export(tmp_path):
-    e = easy_instance(15)
-    result = solve(e, e.ground_truth, SolverConfig(lam=1e-4))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, result)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "F", "tau", "j", "step_norm", "support_size",
-                       "fp_residual"]
-    assert len(rows) == len(result.trace) + 1
-    assert float(rows[1][1]) == result.trace[0].F_value
+    real = easy_instance(15)
+    cplx = synthesize_instance(24, 3, 144, FieldTag.COMPLEX, NoiseSpec("type2", 0.1), 27)
+    results = [
+        solve(real, real.ground_truth, SolverConfig(lam=1e-4)),
+        solve(cplx, spectral_init(cplx, SpectralConfig(truncation=6), 27),
+              SolverConfig(lam=1e-3)),
+        # every trial is rejected at k = 1: no rows, the header alone
+        solve(real, np.ones(16), SolverConfig(lam=1e-4, delta=1e12, max_backtracks=3)),
+    ]
+    assert [r.iterations > 0 for r in results] == [True, True, False]
+    for i, result in enumerate(results):
+        path = tmp_path / f"trace{i}.csv"
+        write_trace_csv(path, result)
+        assert path.read_bytes() == _trace_csv_oracle(result.trace)
 
 
 def test_solver_config_validation():
