@@ -14,12 +14,16 @@ Three groups of checks:
   eigenvalue of the inlier generalized-Jacobian sum on the support must
   dominate the boundary-measurement norms plus a regularizer curvature term.
   For a complex x* the sum is the realified 2|S| x 2|S| curvature M,
-  assembled from two complex Gram products over the inlier rows (see
-  ``_complex_terms``).  F(e^{i theta} x) = F(x), so M is singular along the
-  global-phase tangent realify(i x*_S) and the rate can hold only modulo
-  the phase: the eigenvalue is taken on the complement of that direction.
+  assembled from two complex Gram products over the inlier rows, summed
+  over row blocks of A[:, S] (see ``_complex_terms``).  F(e^{i theta} x) =
+  F(x), so M is singular along the global-phase tangent realify(i x*_S) and
+  the rate can hold only modulo the phase: the eigenvalue is taken on the
+  complement of that direction.
 * ``remark5_quantities`` -- the noise-weighted spectral norms that explain
   when the certificate is expected to hold.
+
+Each smallest eigenvalue comes from ``eigvalsh`` and is checked by an inertia
+bracket of two Cholesky factorizations (see ``_min_eig``).
 
 Stability and Remark-5 checks follow the equal-energy convention of the
 consistency theory: rows are rescaled internally to a common norm with
@@ -44,16 +48,30 @@ RHO0 = 0.5
 
 
 def _min_eig(m: np.ndarray) -> float:
-    """Smallest eigenvalue with a residual check on the returned eigenpair."""
+    """Smallest eigenvalue of the symmetric m, bracketed by its inertia.
+
+    eigvalsh gives lambda.  With tol = 1e-8 max_i |lambda_i|, Sylvester's law
+    of inertia turns two Cholesky factorizations into a bracket: that of
+    m - (lambda - tol) I exists, so no eigenvalue lies below lambda - tol, and
+    that of m - (lambda + tol) I does not, so one lies below lambda + tol.
+    """
     if m.size == 0:
         return 0.0
-    vals, vecs = np.linalg.eigh(m)
+    vals = np.linalg.eigvalsh(m)
     lmin = float(vals[0])
-    v = vecs[:, 0]
-    scale = float(np.max(np.abs(vals)))
-    resid = float(np.linalg.norm(m @ v - lmin * v))
-    if resid > 1e-8 * max(scale, 1e-300):
-        raise RuntimeError("eigensolver residual check failed")
+    tol = 1e-8 * max(float(np.max(np.abs(vals))), 1e-300)
+
+    def positive_definite(shift):
+        shifted = m.copy()
+        shifted.flat[:: m.shape[0] + 1] -= shift
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    if not positive_definite(lmin - tol) or positive_definite(lmin + tol):
+        raise RuntimeError("eigenvalue inertia check failed")
     return lmin
 
 
@@ -263,35 +281,51 @@ def _real_terms(a_s, c, r, inliers, e):
     return m, norms
 
 
-def _complex_terms(a_s, c, r, inliers, e):
+# Rows of A[:, S] per block of the complex curvature: a block holds about
+# this many entries, so each of its three copies (the block, its inlier rows
+# and their weighted copy) stays near 256 KB whatever n is.
+_BLOCK_ENTRIES = 2**14
+
+
+def _complex_terms(a, support, c, r, inliers, e):
     """Realified curvature M over the inliers and per-row norms, complex field.
 
     Row i contributes 2 (q_i.z)^2 + r_i ((phi_i.z)^2 + (psi_i.z)^2) to z^T M z,
     with phi_i = [Re a_i; Im a_i], psi_i = [-Im a_i; Re a_i] and
     q_i = Re(c_i) phi_i + Im(c_i) psi_i restricted to the support.  For
     z = realify(zeta) and w_i = <a_i, zeta> that is
-    (r_i + |c_i|^2) |w_i|^2 + Re(conj(c_i)^2 w_i^2), so with A = a_s[inliers]
+    (r_i + |c_i|^2) |w_i|^2 + Re(conj(c_i)^2 w_i^2), so with the inlier rows
+    A = a[inliers][:, support]
 
         herm = A^T diag(r + |c|^2) conj(A),   sym = A^T diag(c^2) A,
         M = [[Re herm + Re sym, Im sym - Im herm],
              [Im herm + Im sym, Re herm - Re sym]] / n.
+
+    herm and sym are summed over row blocks of a[:, support] of about
+    _BLOCK_ENTRIES entries, so no n x |S| array is built; the norms cover
+    every row, block by block.
     """
-    # Restricted H_i has rank <= 2 with eigenvalues (rho^2/n)*{2|c|^2 + r, r},
-    # rho^2 = sum_{j in support} |a_ij|^2.
-    rho_sq = np.sum(np.abs(a_s) ** 2, axis=1)
-    eig_a = np.abs(2.0 * np.abs(c) ** 2 + r)
-    eig_b = np.abs(r)
-    norms = rho_sq * np.maximum(eig_a, eig_b) / e.n
-    # norms first, so their temporaries are gone before the two Gram buffers
-    a_in = a_s[inliers]
-    c_in = c[inliers]
-    weighted = np.conjugate(a_in)
-    weighted *= (r[inliers] + np.abs(c_in) ** 2)[:, None]
-    herm = a_in.T @ weighted
-    np.multiply(a_in, (c_in**2)[:, None], out=weighted)
-    sym = a_in.T @ weighted
-    del a_in, weighted  # free the Gram buffers before M is assembled
-    k = a_s.shape[1]
+    k = support.size
+    herm = np.zeros((k, k), dtype=np.complex128)
+    sym = np.zeros((k, k), dtype=np.complex128)
+    norms = np.empty(e.n)
+    step = max(1, _BLOCK_ENTRIES // k)
+    for lo in range(0, e.n, step):
+        rows = slice(lo, lo + step)
+        blk, c_b, r_b = a[rows][:, support], c[rows], r[rows]
+        # Restricted H_i has rank <= 2 with eigenvalues (rho^2/n)*{2|c|^2 + r, r},
+        # rho^2 = sum_{j in support} |a_ij|^2.
+        rho_sq = np.sum(np.abs(blk) ** 2, axis=1)
+        eig_a = np.abs(2.0 * np.abs(c_b) ** 2 + r_b)
+        eig_b = np.abs(r_b)
+        norms[rows] = rho_sq * np.maximum(eig_a, eig_b) / e.n
+        keep = inliers[rows]
+        blk_in, c_in = blk[keep], c_b[keep]
+        weighted = np.conjugate(blk_in)
+        weighted *= (r_b[keep] + np.abs(c_in) ** 2)[:, None]
+        herm += blk_in.T @ weighted
+        np.multiply(blk_in, (c_in**2)[:, None], out=weighted)
+        sym += blk_in.T @ weighted
     m = np.empty((2 * k, 2 * k))
     np.add(herm.real, sym.real, out=m[:k, :k])
     np.subtract(sym.imag, herm.imag, out=m[:k, k:])
@@ -355,9 +389,10 @@ def linear_rate_certificate(
         c = correlate(e.sampling_vectors, x)
         r = np.abs(c) ** 2 - e.observations
         inliers, boundary = _masks(r, alpha, eps1)
-        a_s = e.sampling_vectors[:, support]
-        terms = _real_terms if real else _complex_terms
-        m, norms = terms(a_s, c, r, inliers, e)
+        if real:
+            m, norms = _real_terms(e.sampling_vectors[:, support], c, r, inliers, e)
+        else:
+            m, norms = _complex_terms(e.sampling_vectors, support, c, r, inliers, e)
     # an overflowing residual is dropped from the inliers but not from norms
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(norms))):
         raise ValueError("solution overflows the certificate's curvature terms")

@@ -165,9 +165,11 @@ def generate_sampling(p: int, n: int, field: FieldTag, seed: int) -> np.ndarray:
     rng = stream(seed, TAG_SAMPLING)
     if field is FieldTag.REAL:
         return rng.standard_normal((n, p))
-    re = rng.standard_normal((n, p))
-    im = rng.standard_normal((n, p))
-    return (re + 1j * im) / np.sqrt(2)
+    a = np.empty((n, p), dtype=np.complex128)
+    a.real = rng.standard_normal((n, p))
+    a.imag = rng.standard_normal((n, p))
+    a /= np.sqrt(2)
+    return a
 
 
 def apply_noise(

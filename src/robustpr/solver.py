@@ -132,14 +132,22 @@ def _residuals(x, gx, tau, mu, tbar, x_norm):
     Each argument holds one entry per iterate, with mu = 2 lam tau and
     tbar = threshold_point(mu); the iterates go through one prox as a block.
     """
-    x, xi = np.stack(x), np.stack(gx)
+    x, xi = np.array(x), np.array(gx)
     tau, mu, tbar = (np.array(v)[:, None] for v in (tau, mu, tbar))
     # xi = x - 2 tau g(x) and diff = x - prox(xi), in place to bound the block's memory
     np.subtract(x, np.multiply(2.0 * tau, xi, out=xi), out=xi)
     diff = _half_threshold(xi, mu, tbar)
     np.subtract(x, diff, out=diff)
-    residuals = [_norm(d) / max(1.0, n) for d, n in zip(diff, x_norm)]
-    return residuals, np.count_nonzero(x, axis=1)
+    residuals = np.sqrt(_row_squares(diff)) / np.maximum(1.0, x_norm)
+    return residuals.tolist(), np.count_nonzero(x, axis=1)
+
+
+def _row_squares(d: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of d, from the dot products of ``_norm``."""
+    if d.dtype.kind == "c":
+        re, im = d.real, d.imag
+        return np.vecdot(re, re) + np.vecdot(im, im)
+    return np.vecdot(d, d)
 
 
 # Pending trace rows are flushed through one block prox once they hold this

@@ -17,6 +17,7 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr.diagnostics import (
+    _BLOCK_ENTRIES,
     RHO0,
     _complex_terms,
     _masks,
@@ -38,6 +39,29 @@ def test_min_eig_matches_numpy_and_checks_residual():
     m = rng.standard_normal((6, 6))
     m = m + m.T
     assert np.isclose(_min_eig(m), np.linalg.eigvalsh(m)[0])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_min_eig_inertia_bracket_rejects_a_wrong_eigenvalue(monkeypatch, sign):
+    # above the smallest eigenvalue, M - (lambda - tol) I is indefinite; below
+    # it, M - (lambda + tol) I is still positive definite
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((8, 8))
+    m = b + b.T
+    vals = np.linalg.eigvalsh(m)
+    shifted = vals + sign * 1e-6 * np.max(np.abs(vals))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: shifted)
+    with pytest.raises(RuntimeError, match="inertia"):
+        _min_eig(m)
+
+
+def test_min_eig_of_a_scalar_and_of_zero():
+    assert _min_eig(np.array([[-2.5]])) == -2.5
+    assert _min_eig(np.array([[3.0]])) == 3.0
+    m, _ = _complex_terms(*restricted(no_inlier_inputs()))
+    assert not np.any(m)
+    assert _min_eig(m) == 0.0
+    assert _min_eig(np.zeros((0, 0))) == 0.0
 
 
 def test_stability_rank_one_ensemble_hits_zero():
@@ -150,7 +174,8 @@ def test_complex_certificate_passes_modulo_phase(seed):
     report = linear_rate_certificate(x, e, lam=1e-4, alpha=ALPHA)
     assert report.passed
     assert abs(report.phase_direction_curvature) < 1e-3
-    m, _ = _complex_terms(*certificate_inputs(e, x))
+    m, _ = _complex_terms(e.sampling_vectors, np.flatnonzero(x),
+                          *certificate_inputs(e, x)[1:])
     low, second = np.linalg.eigvalsh(m)[:2]
     assert np.isclose(report.phase_direction_curvature, low, rtol=1e-2, atol=1e-6)
     assert np.isclose(report.lhs_min_eig, second, rtol=1e-3)
@@ -247,17 +272,46 @@ def no_inlier_inputs():
     return a_s, c, r, np.zeros(e.n, dtype=bool), e
 
 
+def multi_block_inputs():
+    # |S| = 96 gives row blocks of 170: five full blocks and a partial one of 150
+    e = synthesize_instance(96, 96, 1000, FieldTag.COMPLEX, NoiseSpec("type3", 0.05), 5)
+    step = _BLOCK_ENTRIES // 96
+    assert e.n > 2 * step and e.n % step
+    args = certificate_inputs(e, e.ground_truth)
+    assert 0 < np.count_nonzero(args[3]) < e.n
+    return args
+
+
+def restricted(args):
+    """(a_s, c, r, inliers, e) as _complex_terms arguments over all of a_s's columns."""
+    return args[0], np.arange(args[0].shape[1]), *args[1:]
+
+
 @pytest.mark.parametrize("build", [complex_outliers_inputs, embedded_real_inputs,
-                                   single_row_inputs, no_inlier_inputs])
+                                   single_row_inputs, no_inlier_inputs,
+                                   multi_block_inputs])
 def test_complex_terms_match_the_realified_oracle(build):
     args = build()
-    m, norms = _complex_terms(*args)
+    m, norms = _complex_terms(*restricted(args))
     m_ref, norms_ref = realified_curvature(*args)
     assert m.shape == m_ref.shape == (2 * args[0].shape[1],) * 2
     assert np.max(np.abs(m - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
     assert np.array_equal(norms, norms_ref)
     if not np.any(args[3]):
         assert not np.any(m)
+
+
+def test_complex_terms_select_the_support_block_by_block():
+    # columns picked from the full A per block give the bits of a pre-restricted A
+    e = synthesize_instance(
+        160, 96, 1000, FieldTag.COMPLEX, NoiseSpec("type3", 0.05), 5)
+    x = e.ground_truth
+    support = np.flatnonzero(x)
+    args = certificate_inputs(e, x)
+    m, norms = _complex_terms(e.sampling_vectors, support, *args[1:])
+    m_s, norms_s = _complex_terms(*restricted(args))
+    assert np.array_equal(m, m_s)
+    assert np.array_equal(norms, norms_s)
 
 
 def test_real_terms_match_the_gram_over_inliers():
@@ -269,18 +323,20 @@ def test_real_terms_match_the_gram_over_inliers():
 
 
 def test_certificate_memory_stays_off_the_realified_copies():
-    # three realified n x 2|S| copies peak at 11.9 MB on this instance, the
-    # two complex Gram buffers at 4.6 MB
-    e, result = converged_complex_solution(
-        p=128, s=8, n=768, spec=NoiseSpec("type3", 0.05), lam=1e-3)
-    tracemalloc.start()
-    try:
-        report = linear_rate_certificate(result.estimate, e, lam=1e-3, alpha=ALPHA)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(report.support) > 100
-    assert peak < 6e6
+    # at n = 768, three realified n x 2|S| copies peak at 11.9 MB, two complex
+    # n x |S| Gram buffers at 4.6 MB (7.0 MB at n = 3072), and the row blocks
+    # at 1.3-1.6 MB whatever n is
+    for n, support_size in ((768, 100), (3072, 40)):
+        e, result = converged_complex_solution(
+            p=128, s=8, n=n, spec=NoiseSpec("type3", 0.05), lam=1e-3)
+        tracemalloc.start()
+        try:
+            report = linear_rate_certificate(result.estimate, e, lam=1e-3, alpha=ALPHA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.support) > support_size, n
+        assert peak < 2.5e6, n
 
 
 def test_real_certificate_has_no_phase_direction():
