@@ -462,6 +462,7 @@ def _diag_remark5(args):
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def _config_flag() -> argparse.ArgumentParser:
     # main pre-parses --config with abbreviations off, so no other flag
     # (--cap, say) is ever taken for it

@@ -9,7 +9,7 @@ and a measurement is ``b_i = |a_i^H x|^2 + eps_i``.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -251,20 +251,27 @@ def _wire_dtype(field: FieldTag) -> np.dtype:
 
 
 def encode_matrix(a: np.ndarray, field: FieldTag) -> str:
-    """Base64 of the row-major little-endian bytes of ``a``."""
-    raw = np.ascontiguousarray(a, dtype=_wire_dtype(field)).tobytes()
-    return base64.b64encode(raw).decode("ascii")
+    """Base64 of the row-major little-endian bytes of ``a``, encoded from the
+    array's own buffer (no bytes copy when ``a`` is already in wire layout)."""
+    wire = np.ascontiguousarray(a, dtype=_wire_dtype(field))
+    return binascii.b2a_base64(wire, newline=False).decode("ascii")
 
 
 def decode_matrix(data, field: FieldTag, n: int, p: int) -> np.ndarray:
     """Inverse of ``encode_matrix``; a flat list of n*p scalars (the layout
-    written before the base64 one) is still read."""
+    written before the base64 one) is still read.
+
+    The base64 text is decoded with ``b64decode(validate=True)``'s strictness
+    but without its ASCII copy, and dropped before the native copy is made:
+    a caller that hands over its only reference holds one payload at a time.
+    """
     if isinstance(data, str):
         wire = _wire_dtype(field)
         try:
-            raw = base64.b64decode(data, validate=True)
+            raw = binascii.a2b_base64(data, strict_mode=True)
         except ValueError as exc:  # binascii.Error, or a non-ASCII string
             raise ParseError("malformed field: a") from exc
+        del data
         if len(raw) != n * p * wire.itemsize:
             raise ParseError("malformed field: a")
         return np.frombuffer(raw, wire).astype(field.dtype).reshape(n, p)
@@ -286,20 +293,23 @@ def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:
 
 
 def serialize_instance(e: MeasurementEnsemble) -> str:
-    """Render an ensemble as a JSON document (lossless round-trip)."""
-    doc = {
-        "field": e.field.value,
-        "p": e.p,
-        "n": e.n,
-        "seed": e.seed,
-        "a": encode_matrix(e.sampling_vectors, e.field),
-        "b": encode_vector(e.observations),
-    }
+    """Render an ensemble as a JSON document (lossless round-trip).
+
+    The text is ``json.dumps`` of the document with the keys ``field, p, n,
+    seed, a, b`` and then ``x_true`` and ``eps`` when present.  It is joined
+    from the dumped fields before and after ``a`` around the base64 matrix,
+    which has no character JSON escapes: the same bytes, without an escape
+    scan or a second copy of the payload.
+    """
+    rest = {"b": encode_vector(e.observations)}
     if e.ground_truth is not None:
-        doc["x_true"] = encode_vector(e.ground_truth)
+        rest["x_true"] = encode_vector(e.ground_truth)
     if e.noise_record is not None:
-        doc["eps"] = encode_vector(e.noise_record)
-    return json.dumps(doc)
+        rest["eps"] = encode_vector(e.noise_record)
+    head = json.dumps({"field": e.field.value, "p": e.p, "n": e.n, "seed": e.seed})
+    tail = json.dumps(rest)
+    a = encode_matrix(e.sampling_vectors, e.field)
+    return "".join((head[:-1], ', "a": "', a, '", ', tail[1:]))
 
 
 def deserialize_instance(text: str) -> MeasurementEnsemble:
@@ -319,7 +329,7 @@ def deserialize_instance(text: str) -> MeasurementEnsemble:
         raise ParseError("malformed field: field") from exc
     p, n = _json_int(doc, "p", 1), _json_int(doc, "n", 1)
     seed = _json_int(doc, "seed")
-    a = decode_matrix(doc["a"], field, n, p)
+    a = decode_matrix(doc.pop("a"), field, n, p)
     b = decode_vector(doc["b"], FieldTag.REAL, "b", n)
     x_true = (
         decode_vector(doc["x_true"], field, "x_true", p) if "x_true" in doc else None

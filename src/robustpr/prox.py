@@ -55,6 +55,10 @@ def _half_threshold(xi: np.ndarray, mu, tbar) -> np.ndarray:
     For mu near the subnormal range, (tbar / 3) ** -1.5 overflows to inf,
     which the cap turns into 1 as it does for a kept entry that close to
     tbar; errstate keeps that overflow silent.
+    A complex xi is scaled by its real and imaginary parts apart: a complex
+    product would meet inf * 0 in its cross terms and turn an entry with an
+    infinite part into NaN.  On finite entries the two agree bit for bit,
+    except that a zero part keeps its sign here, as under a real scaling.
     """
     mag = np.abs(xi)
     keep = mag > tbar
@@ -71,7 +75,13 @@ def _half_threshold(xi: np.ndarray, mu, tbar) -> np.ndarray:
     np.subtract(2.0 * np.pi / 3.0, s, out=s)
     np.cos(s, out=s)
     s += 1.0
-    out = (2.0 / 3.0) * xi
-    out *= s
+    if xi.dtype.kind == "c":
+        out = np.empty_like(xi)
+        for part, src in ((out.real, xi.real), (out.imag, xi.imag)):
+            np.multiply(src, 2.0 / 3.0, out=part)
+            part *= s
+    else:
+        out = (2.0 / 3.0) * xi
+        out *= s
     np.copyto(out, 0.0, where=~keep)
     return out

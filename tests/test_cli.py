@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from robustpr import (
     read_pgm,
     write_pgm,
 )
+from robustpr import cli
 from robustpr.cli import main
 from robustpr.diagnostics import RHO0
 from robustpr.model import decode_vector
@@ -591,6 +593,25 @@ def test_main_calls_share_no_parser_state(tmp_path, capsys):
     capsys.readouterr()
     assert run("diag", "remark5", "--instance", str(inst)) == 2
     assert "either --solution or --use-truth is required" in capsys.readouterr().err
+
+
+def test_main_calls_share_one_config_preparser(tmp_path, monkeypatch):
+    # the --config pre-parser is built once per process, as the parser is;
+    # the first parser main asks to parse is the pre-parser
+    seen, parse = [], argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        seen.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    first = []
+    for name in ("a.json", "b.json"):
+        seen.clear()
+        assert run(*GEN, "--out", str(tmp_path / name)) == 0
+        first.append(seen[0])
+    assert first[0] is first[1] is cli._config_flag()
+    assert first[0] is not cli.build_parser()
 
 
 def test_module_entry_point_reads_sys_argv(tmp_path):

@@ -1,5 +1,7 @@
 import base64
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +235,51 @@ def test_decoded_matrix_is_native_and_writable(field):
     a = deserialize_instance(serialize_instance(e)).sampling_vectors
     assert a.dtype == field.dtype and a.dtype.isnative
     assert a.flags.writeable and a.flags.c_contiguous
+
+
+def _dumped(e):
+    """json.dumps of the instance document, built field by field."""
+    a = e.sampling_vectors.astype(np.dtype(e.field.dtype).newbyteorder("<"))
+    doc = {"field": e.field.value, "p": e.p, "n": e.n, "seed": e.seed,
+           "a": base64.b64encode(a.tobytes()).decode("ascii"),
+           "b": e.observations.tolist()}
+    for key, v in (("x_true", e.ground_truth), ("eps", e.noise_record)):
+        if v is not None:
+            pairs = np.iscomplexobj(v)
+            doc[key] = (np.column_stack([v.real, v.imag]) if pairs else v).tolist()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+@pytest.mark.parametrize("optional", [(), ("ground_truth",), ("noise_record",),
+                                      ("ground_truth", "noise_record")],
+                         ids=["both", "no-x_true", "no-eps", "neither"])
+def test_serialize_is_json_dumps_of_the_document(field, optional):
+    e = synthesize_instance(16, 3, 64, field, NoiseSpec("type1", 0.1), 5)
+    e = dataclasses.replace(e, **dict.fromkeys(optional))
+    assert serialize_instance(e) == _dumped(e)
+
+
+def _peak(f, arg):
+    tracemalloc.start()
+    try:
+        out = f(arg)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_instance_io_holds_one_payload_copy(field):
+    # measured 2.8 and 2.4 times the matrix bytes; 4.2-4.3 and 3.7 when the
+    # matrix went through tobytes, json.dumps' escape scan and an ASCII copy
+    e = synthesize_instance(128, 12, 768, field, NoiseSpec("type2", 0.1), 3)
+    size = e.sampling_vectors.nbytes
+    written, text = _peak(serialize_instance, e)
+    assert written <= 3.0 * size
+    read, back = _peak(deserialize_instance, text)
+    assert read <= 2.6 * size
+    assert _bits(back.sampling_vectors) == _bits(e.sampling_vectors)
 
 
 def _with(doc, **fields):

@@ -28,7 +28,8 @@ def test_nonpositive_or_nonfinite_weight_is_rejected(mu):
 
 
 def _half_threshold_reference(xi, mu):
-    """The half_threshold body before np.clip and np.abs(t) were dropped."""
+    """The half_threshold body before np.clip and np.abs(t) were dropped, with
+    a complex t scaled by its real and imaginary parts apart."""
     tbar = threshold_point(mu)
     xi = np.asarray(xi)
     if not np.iscomplexobj(xi):
@@ -40,7 +41,12 @@ def _half_threshold_reference(xi, mu):
         t = xi[keep]
         arg = np.clip((mu / 8.0) * (np.abs(t) / 3.0) ** (-1.5), 0.0, 1.0)
         phi = (2.0 / 3.0) * np.arccos(arg)
-        out[keep] = (2.0 / 3.0) * t * (1.0 + np.cos(2.0 * np.pi / 3.0 - phi))
+        factor = 1.0 + np.cos(2.0 * np.pi / 3.0 - phi)
+        if np.iscomplexobj(t):
+            out.real[keep] = (2.0 / 3.0) * t.real * factor
+            out.imag[keep] = (2.0 / 3.0) * t.imag * factor
+        else:
+            out[keep] = (2.0 / 3.0) * t * factor
     return out
 
 
@@ -54,8 +60,7 @@ def _caught(fn, *args):
 
 # entries the solver never feeds the prox but a caller may: signed zeros, the
 # smallest subnormal, a tiny normal, NaN (dropped: NaN > tbar is False) and
-# +-inf (kept).  With a complex xi an inf entry meets an imaginary part, and
-# the complex product (2/3) * xi warns in both bodies.
+# +-inf (kept).
 EDGES = [0.0, -0.0, 5e-324, 1e-250, np.nan, np.inf, -np.inf]
 
 
@@ -105,6 +110,17 @@ def test_half_threshold_is_bitwise_the_reference_body(complex_field):
     assert not _half_threshold(block[-6:], mus[-6:, None], tbars[-6:, None]).any()
     # the dense body's zeros are +0.0, never the -0.0 a 0/1 mask would write
     assert not np.signbit(half_threshold(np.array([-0.0, -1e-9]), 1.0)).any()
+
+
+def test_complex_infinities_keep_their_other_part():
+    # a complex product (2/3) * xi would meet inf * 0 and give nan+nanj, and
+    # would turn the -0.0 part into +0.0
+    xi = np.array([np.inf + 0j, -np.inf + 2j, complex(-0.0, -np.inf), 3.0 + 0j])
+    want = np.array([np.inf + 0j, -np.inf + 2j, complex(-0.0, -np.inf), 0j])
+    for body in (half_threshold, _half_threshold_reference):
+        got, caught = _caught(body, xi, 10.0)
+        assert not caught
+        assert got.tobytes() == want.tobytes()
 
 
 def test_chi_below_threshold():
