@@ -38,7 +38,9 @@ def half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     xi = np.asarray(xi)
     if not np.iscomplexobj(xi):
         xi = xi.astype(np.float64, copy=False)
-    return _half_threshold(xi, mu, tbar)
+    # np.abs of a 0-d array is a scalar the body cannot write into, so a
+    # 0-d xi runs as a 1-element view and gets its shape back
+    return _half_threshold(np.atleast_1d(xi), mu, tbar).reshape(xi.shape)
 
 
 def _half_threshold(xi: np.ndarray, mu, tbar) -> np.ndarray:

@@ -5,15 +5,19 @@ Each iteration applies the thresholded gradient map
     x+ = H_{2 lam tau}(x - 2 tau g(x)),    tau = tau0 * beta^j,
 
 with j the smallest nonnegative integer achieving the sufficient decrease
-F(x) - F(x+) >= delta ||x+ - x||^2.  The trial step tau0 is the
-Barzilai-Borwein step of the last accepted move s = x_k - x_{k-1},
-y = g(x_k) - g(x_{k-1}):
+F(x) - F(x+) >= delta ||x+ - x||^2.  The trial step tau0 alternates the
+long and short Barzilai-Borwein steps of the last accepted move
+s = x_k - x_{k-1}, y = g(x_k) - g(x_{k-1}) (the alternate BB method of
+Dai and Fletcher):
 
-    tau0 = ||s||^2 / (2 Re<s, y>)   clipped to [TAU_MIN, gamma],
+    tau0 = ||s||^2 / (2 Re<s, y>)     after an odd k,
+    tau0 = Re<s, y> / (2 ||y||^2)     after an even k,
 
-and gamma on the first iteration or when Re<s, y> <= 0.  Every accepted tau
-lies in (0, gamma] and passes the same sufficient-decrease test, which is
-all the convergence argument needs.  The accepted objective value is cached
+each clipped to [TAU_MIN, gamma].  By Cauchy-Schwarz the short step is never
+larger than the long one.  The first iteration, and any iteration with
+Re<s, y> <= 0, starts at gamma.  Every accepted tau lies in (0, gamma] and
+passes the same sufficient-decrease test, which is all the convergence
+argument needs.  The accepted objective value is cached
 and carried forward, so the recorded descent inequality is exact in floating
 point.  Terminates when the step norm drops below eps * max(1, ||x||).
 
@@ -216,12 +220,18 @@ def solve(
         step_norm = _norm(step)
         converged = step_norm <= cfg.eps * max(1.0, x_norm)
         g_new = _adjoint(e, c, r, cfg.alpha)
-        curvature = float(np.vdot(step, g_new - g_x).real)
-        tau0 = (
-            min(max(step_sq / (2.0 * curvature), TAU_MIN), cfg.gamma)
-            if curvature > 0.0
-            else cfg.gamma
-        )
+        y = g_new - g_x
+        curvature = float(np.vdot(step, y).real)
+        tau0 = cfg.gamma
+        if curvature > 0.0:
+            if k % 2:
+                tau0 = step_sq / (2.0 * curvature)
+            else:
+                # ||y||^2 may underflow to 0 while Re<s, y> > 0: an infinite
+                # short step, which the clip takes to gamma
+                y_sq = float(np.vdot(y, y).real)
+                tau0 = curvature / (2.0 * y_sq) if y_sq > 0.0 else cfg.gamma
+            tau0 = min(max(tau0, TAU_MIN), cfg.gamma)
         x, F_x, g_x, x_norm = cand, F_cand, g_new, _norm(cand)
         pending.append((k, F_x, tau, j, step_norm, x, g_x, mu, tbar, x_norm))
         if len(pending) == block_rows:

@@ -161,18 +161,21 @@ def test_criterion_2_gradient_matches_finite_differences():
 
 
 def test_criterion_3_descent_and_square_summability(experiments):
-    checked = 0
+    checked = iterations = trials = 0
     for _, cfg, result in experiments["runs"]:
         values = np.append(result.initial_objective, result.trace.F_value)
         steps = result.trace.step_norm
         assert np.all(values[:-1] - values[1:] >= cfg.delta * steps**2 - 1e-15)
         assert np.sum(steps**2) <= 2.0 * result.initial_objective / cfg.delta + 1e-12
         checked += 1
+        iterations += result.iterations
+        trials += int(np.sum(result.trace.j + 1))
     report(
         3,
         checked == len(experiments["runs"]) and checked > 0,
         f"descent inequality and sum ||dx||^2 <= 2 F(x0)/delta verified on "
-        f"all {checked} benchmark runs",
+        f"all {checked} benchmark runs ({iterations} iterations, {trials} "
+        f"Armijo trials)",
     )
 
 

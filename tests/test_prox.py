@@ -123,6 +123,18 @@ def test_complex_infinities_keep_their_other_part():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("t", [5.0, -2.5 + 4.0j, 1e-3])
+def test_half_threshold_of_a_0d_input_is_the_1_element_call(t):
+    # np.abs of a 0-d array is a scalar, which the body's in-place maximum
+    # cannot write into; a 0-d input goes through a 1-element view
+    want = half_threshold(np.array([t]), 0.5)
+    for xi in (np.array(t), t):
+        got = half_threshold(xi, 0.5)
+        assert got.shape == ()
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_chi_below_threshold():
     assert chi(0.5, 1.0) == 0.0
 

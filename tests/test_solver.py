@@ -15,6 +15,7 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr import prox, solver
+from robustpr.gradient import g
 from robustpr.model import MeasurementEnsemble
 from robustpr.objective import objective
 from robustpr.solver import write_trace_csv
@@ -144,6 +145,51 @@ def test_trace_rows_equal_the_public_maps_at_each_iterate(field):
     x0 = spectral_init(e, SpectralConfig(), 4)
     result = _assert_rows_equal_public_maps(e, x0, cfg)
     assert result.iterations > 2 * solver._BLOCK_ENTRIES // e.p
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_trial_step_alternates_the_long_and_short_bb_steps(field):
+    # After an accepted iteration k with Re<s, y> > 0 the next backtracking
+    # starts at the long step ||s||^2 / (2 Re<s, y>) for odd k and at the
+    # short step Re<s, y> / (2 ||y||^2) for even k, clipped to [TAU_MIN,
+    # gamma]; the public g gives the solver's gradients bit for bit.
+    e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
+    cfg = SolverConfig(lam=1e-3)
+    iterates = []
+    x0 = spectral_init(e, SpectralConfig(truncation=6), 27)
+    result = solve(e, x0, cfg, callback=lambda k, x: iterates.append(x.copy()))
+    assert result.termination is Termination.CONVERGED
+    grads = [g(x, e, cfg.alpha) for x in iterates]
+    want = [cfg.gamma]
+    shorter = 0
+    for k in range(1, result.iterations):
+        s, y = iterates[k] - iterates[k - 1], grads[k] - grads[k - 1]
+        curvature = float(np.vdot(s, y).real)
+        if curvature <= 0.0:
+            want.append(cfg.gamma)
+            continue
+        long_step = float(np.vdot(s, s).real) / (2.0 * curvature)
+        short_step = curvature / (2.0 * float(np.vdot(y, y).real))
+        assert short_step <= long_step
+        step = long_step if k % 2 else short_step
+        want.append(min(max(step, solver.TAU_MIN), cfg.gamma))
+        shorter += k % 2 == 0 and want[-1] < min(long_step, cfg.gamma)
+    # the step the parent rule would have taken differs on these rows
+    assert shorter > 0
+    tau0 = result.trace.tau / cfg.beta**result.trace.j
+    assert tau0.tolist() == want
+    assert np.all(result.trace.tau <= cfg.gamma)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_degenerate_n_equals_p_instances_converge(seed):
+    # n = p = 16 from the spectral init at lam = 1e-3.  With the long BB step
+    # alone seed 4 ran to MaxIterations at F = 8.976e-3; alternating it with
+    # the short step converges every seed (seed 4 in 4745 iterations).
+    e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), seed)
+    x0 = spectral_init(e, SpectralConfig(), seed)
+    result = solve(e, x0, SolverConfig(lam=1e-3))
+    assert result.termination is Termination.CONVERGED
 
 
 def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatch):
