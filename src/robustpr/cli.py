@@ -49,6 +49,9 @@ from .model import (
     measure,
     serialize_instance,
     synthesize_instance,
+    write_csv,
+    write_json,
+    write_text,
 )
 from .pgm import GrayImage, read_pgm, write_pgm
 from .solver import SolverConfig, fixed_point_residual, solve, write_trace_csv
@@ -147,9 +150,10 @@ def _spectral_config(args, field: FieldTag, s: int | None) -> SpectralConfig:
 
 
 def _known_sparsity(e) -> int | None:
+    """Nonzero count of the ground truth; None without one or when all zero."""
     if e.ground_truth is None:
         return None
-    return int(np.count_nonzero(e.ground_truth))
+    return int(np.count_nonzero(e.ground_truth)) or None
 
 
 def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
@@ -185,29 +189,22 @@ def _load_solution(path, e):
     return decode_vector(doc["estimate"], e.field, "estimate", e.p)
 
 
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _plot_script(csv_name, xlabel, ylabel, columns, logy=False):
-    # reference the CSV by basename so the script is relocatable and the
-    # emitted bytes do not depend on the working directory
-    csv_name = os.path.basename(str(csv_name))
-    lines = [
+def _write_plot(csv_path, header, rows, gp_path, x, y, xlabel, ylabel, logscale=""):
+    """Write a table to ``csv_path`` and, to ``gp_path``, a gnuplot script
+    plotting its column ``y`` against ``x``, any ``set logscale`` line first.
+    The script names the CSV by basename: relocatable, the same bytes from
+    any working directory."""
+    write_csv(csv_path, header, rows)
+    lines = [f"set logscale {logscale}"] if logscale else []
+    lines += [
         "# gnuplot script generated by robustpr",
         'set datafile separator ","',
         "set key autotitle columnhead",
         f'set xlabel "{xlabel}"',
         f'set ylabel "{ylabel}"',
+        f'plot "{os.path.basename(csv_path)}" using {x}:{y} with linespoints',
     ]
-    if logy:
-        lines.append("set logscale y")
-    plots = ", ".join(
-        f'"{csv_name}" using {x}:{y} with linespoints' for x, y in columns
-    )
-    lines.append(f"plot {plots}")
-    return "\n".join(lines) + "\n"
+    write_text(gp_path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -217,7 +214,7 @@ def cmd_gen(args):
     ensemble = synthesize_instance(
         args.p, args.s, args.n, args.field, args.noise, args.seed
     )
-    _write_text(args.out, serialize_instance(ensemble) + "\n")
+    write_text(args.out, serialize_instance(ensemble) + "\n")
     print(
         f"gen p={args.p} n={args.n} s={args.s} field={args.field.value} "
         f"noise={args.noise} seed={args.seed} -> {args.out}"
@@ -228,7 +225,8 @@ def cmd_gen(args):
 def cmd_solve(args):
     e = _load_instance(args.instance)
     cfg = _solver_config(args)
-    spectral_cfg = _spectral_config(args, e.field, _known_sparsity(e))
+    s = _known_sparsity(e)
+    spectral_cfg = _spectral_config(args, e.field, s)
     seed = e.seed if args.seed is None else args.seed
     x0 = spectral_init(e, spectral_cfg, seed)
     result = solve(e, x0, cfg)
@@ -258,12 +256,12 @@ def cmd_solve(args):
         f"solve {args.instance}: {result.termination.value} after "
         f"{result.iterations} iterations, F={result.final_objective:.6g}"
     )
-    if e.ground_truth is not None:
+    if s is not None:
         rel = relative_error(result.estimate, e.ground_truth)
         doc["relative_error"] = rel
         message += f", relative error {rel:.3e}"
     if args.out_result:
-        _write_text(args.out_result, json.dumps(doc, indent=2) + "\n")
+        write_json(args.out_result, doc)
     if args.out_trace:
         write_trace_csv(args.out_trace, result)
     print(message)
@@ -276,17 +274,11 @@ def _bench_success_rate(args):
     prefix = args.out_prefix
     report.write_csv(prefix + ".csv")
     report.write_json(prefix + ".json")
-    rows = ["n_over_p,n,success_rate,median_relative_error"]
-    for n in n_grid:
-        rows.append(
-            f"{n // args.p},{n},{report.success_rate[n]!r},"
-            f"{report.median_relative_error[n]!r}"
-        )
-    _write_text(prefix + "_rates.csv", "\n".join(rows) + "\n")
-    _write_text(
-        prefix + ".gp",
-        _plot_script(prefix + "_rates.csv", "n/p", "success rate", [(1, 3)]),
-    )
+    rows = [(n // args.p, n, report.success_rate[n], report.median_relative_error[n])
+            for n in n_grid]
+    _write_plot(prefix + "_rates.csv",
+                ("n_over_p", "n", "success_rate", "median_relative_error"), rows,
+                prefix + ".gp", 1, 3, "n/p", "success rate")
     for n in n_grid:
         print(f"n={n} (n/p={n // args.p}): success rate {report.success_rate[n]:.2f}")
     return 0
@@ -299,13 +291,8 @@ def _bench_error_iter(args):
         e, _solver_config(args), _spectral_config(args, args.field, args.s)
     )
     prefix = args.out_prefix
-    rows = ["k,relative_error"] + [f"{k},{err!r}" for k, err in curve]
-    _write_text(prefix + ".csv", "\n".join(rows) + "\n")
-    _write_text(
-        prefix + ".gp",
-        _plot_script(prefix + ".csv", "iteration", "relative error", [(1, 2)],
-                     logy=True),
-    )
+    _write_plot(prefix + ".csv", ("k", "relative_error"), curve,
+                prefix + ".gp", 1, 2, "iteration", "relative error", logscale="y")
     print(
         f"error-iter n={n}: {result.termination.value} after {result.iterations} "
         f"iterations, final relative error {curve[-1][1]:.3e}"
@@ -321,35 +308,28 @@ def _bench_lambda_grid(args):
     chosen, table = lambda_grid_search(
         e, base, args.grid, args.rule, spectral=spectral_cfg, seed=args.seed
     )
-    rows = ["lambda,score"] + [f"{lam!r},{score!r}" for lam, score in table]
     if args.out_prefix:
-        _write_text(args.out_prefix + ".csv", "\n".join(rows) + "\n")
-        script = "set logscale x\n" + _plot_script(
-            args.out_prefix + ".csv", "lambda", "validation score", [(1, 2)]
-        )
-        _write_text(args.out_prefix + ".gp", script)
+        _write_plot(args.out_prefix + ".csv", ("lambda", "score"), table,
+                    args.out_prefix + ".gp", 1, 2, "lambda", "validation score",
+                    logscale="x")
     print(f"lambda-grid rule={args.rule}: chose lambda={chosen:g}")
     return 0
 
 
 def _bench_consistency(args):
-    rows = ["p,n,median_relative_error,mean_relative_error,success_rate"]
-    summaries = []
+    rows = []
     for p in sorted(args.p_grid):
         n = args.ratio * p
         report = run_experiment(_experiment_spec(args, p, (n,)))
-        med = report.median_relative_error[n]
         mean = float(np.mean([r.relative_error for r in report.records]))
-        rows.append(f"{p},{n},{med!r},{mean!r},{report.success_rate[n]!r}")
-        summaries.append((p, n, med))
+        rows.append((p, n, report.median_relative_error[n], mean,
+                     report.success_rate[n]))
     prefix = args.out_prefix
-    _write_text(prefix + ".csv", "\n".join(rows) + "\n")
-    _write_text(
-        prefix + ".gp",
-        _plot_script(prefix + ".csv", "n", "median relative error", [(2, 3)],
-                     logy=True),
-    )
-    for p, n, med in summaries:
+    _write_plot(prefix + ".csv",
+                ("p", "n", "median_relative_error", "mean_relative_error",
+                 "success_rate"), rows,
+                prefix + ".gp", 2, 3, "n", "median relative error", logscale="y")
+    for p, n, med, _, _ in rows:
         print(f"p={p} n={n}: median relative error {med:.3e}")
     return 0
 
@@ -399,7 +379,7 @@ def cmd_image(args):
         "relative_error": rel,
     }
     if args.out_metrics:
-        _write_text(args.out_metrics, json.dumps(metrics, indent=2) + "\n")
+        write_json(args.out_metrics, metrics)
     print(
         f"image {args.input} ({img.width}x{img.height}): relative error {rel:.3e} "
         f"after {result.iterations} iterations -> {args.out_image}"
@@ -415,7 +395,7 @@ def _diag_stability(args):
         "note": "sampled infima; heuristic upper bounds on the true constants",
     }
     if args.out:
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        write_json(args.out, doc)
     print(f"stability: mu_hat={est.mu_hat:.4g} c2_hat={est.c2_hat:.4g}")
     return 0
 
@@ -437,7 +417,7 @@ def _diag_certificate(args):
         raise ValueError("lambda required (see bench lambda-grid)")
     report = linear_rate_certificate(x, e, args.lam, args.alpha, args.eps1)
     if args.out:
-        _write_text(args.out, report.to_json() + "\n")
+        write_text(args.out, report.to_json() + "\n")
     print(
         f"certificate: passed={report.passed} lhs={report.lhs_min_eig:.4g} "
         f"boundary={report.rhs_boundary_norms:.4g} reg={report.rhs_reg_term:.4g}"
@@ -450,7 +430,7 @@ def _diag_remark5(args):
     x = _diag_solution(args, e)
     report = remark5_quantities(x, e, args.alpha, args.rho0)
     if args.out:
-        _write_text(args.out, report.to_json() + "\n")
+        write_text(args.out, report.to_json() + "\n")
     print(
         f"remark5: inlier_noise={report.inlier_noise_norm:.4g} "
         f"boundary_noise={report.boundary_noise_norm:.4g} "

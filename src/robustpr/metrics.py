@@ -8,8 +8,6 @@ error is below the success threshold (default 5e-3).
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass, replace
 
@@ -22,6 +20,8 @@ from .model import (
     NoiseSpec,
     field_of,
     synthesize_instance,
+    write_csv,
+    write_json,
 )
 from .model import correlate  # unused here; benchmarks/tracing.py binds it
 from .objective import loss
@@ -105,16 +105,12 @@ class ExperimentReport:
     median_relative_error: dict
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["n", "trial", "seed", "relative_error", "iterations", "termination"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [r.n, r.trial, r.seed, repr(r.relative_error), r.iterations,
-                     r.termination]
-                )
+        write_csv(
+            path,
+            ("n", "trial", "seed", "relative_error", "iterations", "termination"),
+            [(r.n, r.trial, r.seed, r.relative_error, r.iterations, r.termination)
+             for r in self.records],
+        )
 
     def write_json(self, path) -> None:
         doc = {
@@ -132,9 +128,7 @@ class ExperimentReport:
                 str(n): err for n, err in self.median_relative_error.items()
             },
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(path, doc)
 
 
 def trial_seed(master_seed: int, n: int, trial: int) -> int:

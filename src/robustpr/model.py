@@ -1,4 +1,4 @@
-"""Measurement model: signals, sampling ensembles, noise synthesis, instance I/O.
+"""Measurement model: signals, sampling ensembles, noise synthesis, file formats.
 
 A signal is a plain 1-D numpy array; its dtype carries the scalar field
 (float64 for the real field, complex128 for the complex field).  The
@@ -10,6 +10,7 @@ and a measurement is ``b_i = |a_i^H x|^2 + eps_i``.
 from __future__ import annotations
 
 import binascii
+import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -346,3 +347,26 @@ def deserialize_instance(text: str) -> MeasurementEnsemble:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as it is: no newline translation on any platform."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON indented by two spaces, ending in LF."""
+    write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then ``rows``, each line ending in LF.
+
+    csv writes a float, a NumPy float64 too, as ``repr(float(x))``, so a
+    cell reads back to the same bits.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -36,7 +36,6 @@ after the loop: trace.F_value is a column, trace[-1] a row.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,7 +44,7 @@ import numpy as np
 
 from .gradient import _adjoint
 from .gradient import g as gradient_map
-from .model import MeasurementEnsemble
+from .model import MeasurementEnsemble, write_csv
 from .objective import _evaluate
 from .objective import objective  # unused here; benchmarks/tracing.py binds it
 from .prox import _half_threshold, threshold_point
@@ -258,11 +257,5 @@ TRACE_COLUMNS = ("k", "F", "tau", "j", "step_norm", "support_size", "fp_residual
 
 
 def write_trace_csv(path, result: SolverResult) -> None:
-    """Export the iteration trace with one row per accepted step.
-
-    tolist() gives Python ints and floats, which csv writes by repr().
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(result.trace.tolist())
+    """Export the iteration trace with one row per accepted step."""
+    write_csv(path, TRACE_COLUMNS, result.trace.tolist())

@@ -1,4 +1,6 @@
+import _pyio
 import argparse
+import builtins
 import json
 import os
 import re
@@ -11,12 +13,19 @@ import numpy as np
 import pytest
 
 from robustpr import (
+    ExperimentSpec,
+    FieldTag,
     GrayImage,
+    NoiseSpec,
     SolverConfig,
     SpectralConfig,
     deserialize_instance,
+    error_vs_iteration,
     fixed_point_residual,
+    lambda_grid_search,
     read_pgm,
+    run_experiment,
+    synthesize_instance,
     write_pgm,
 )
 from robustpr import cli
@@ -232,6 +241,27 @@ def test_solve_without_ground_truth(tmp_path):
     assert out["termination"] in ("Converged", "MaxIterations")
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_solve_with_zero_ground_truth(tmp_path, field):
+    # an all-zero truth gives no sparsity and no relative error
+    inst = tmp_path / "inst.json"
+    assert run("gen", "--p", "16", "--s", "2", "--n", "160", "--field", field,
+               "--seed", "3", "--out", str(inst)) == 0
+    doc = json.loads(inst.read_text())
+    doc["x_true"] = [[0.0, 0.0] if field == "complex" else 0.0] * 16
+    del doc["eps"]
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(doc))
+    res = tmp_path / "res.json"
+    assert run("solve", "--instance", str(zero), "--lambda", "1e-4",
+               "--out-result", str(res)) == 0
+    out = json.loads(res.read_text())
+    assert "relative_error" not in out
+    assert out["config"]["truncation"] is None
+    assert run("bench", "lambda-grid", "--instance", str(zero), "--grid", "1e-4,1e-3",
+               "--rule", "holdout") == 0
+
+
 def test_bench_success_rate_outputs(tmp_path, capsys):
     prefix = tmp_path / "bench"
     code = run("bench", "success-rate", "--p", "16", "--s", "2",
@@ -311,6 +341,59 @@ def test_bench_consistency(tmp_path):
     assert b"\r" not in (tmp_path / "cons.csv").read_bytes()
     for row in rows[1:]:
         assert all(np.isfinite(float(cell)) for cell in row.split(","))
+
+
+def _lines(rows) -> bytes:
+    return "".join(row + "\n" for row in rows).encode()
+
+
+def test_bench_tables_match_a_repr_oracle(tmp_path):
+    """Each bench table is its header and then one row per record, every
+    float by repr(), as computed by the library calls behind the mode."""
+    cfg, spectral = SolverConfig(lam=1e-4), SpectralConfig()
+
+    def spec(p, n_grid):
+        return ExperimentSpec(p=p, s=2, n_grid=n_grid, noise=NoiseSpec(), trials=2,
+                              solver=cfg, spectral=spectral, master_seed=3)
+
+    assert run("bench", "success-rate", "--p", "8", "--s", "2", "--grid", "4,6",
+               "--trials", "2", "--noise", "none", "--lambda", "1e-4", "--seed", "3",
+               "--out-prefix", str(tmp_path / "rate")) == 0
+    report = run_experiment(spec(8, (32, 48)))
+    assert (tmp_path / "rate_rates.csv").read_bytes() == _lines(
+        ["n_over_p,n,success_rate,median_relative_error"]
+        + [f"{n // 8},{n},{report.success_rate[n]!r},"
+           f"{report.median_relative_error[n]!r}" for n in (32, 48)])
+
+    assert run("bench", "error-iter", "--p", "8", "--s", "2", "--ratio", "6",
+               "--noise", "none", "--lambda", "1e-4", "--seed", "3",
+               "--out-prefix", str(tmp_path / "curve")) == 0
+    e = synthesize_instance(8, 2, 48, FieldTag.REAL, NoiseSpec(), 3)
+    curve, _ = error_vs_iteration(e, cfg, spectral)
+    assert (tmp_path / "curve.csv").read_bytes() == _lines(
+        ["k,relative_error"] + [f"{k},{err!r}" for k, err in curve])
+
+    inst = tmp_path / "inst.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    assert run("bench", "lambda-grid", "--instance", str(inst),
+               "--grid", "1e-5,1e-4,1e-3", "--rule", "holdout",
+               "--out-prefix", str(tmp_path / "tab")) == 0
+    _, table = lambda_grid_search(deserialize_instance(inst.read_text()),
+                                  SolverConfig(lam=1.0), [1e-5, 1e-4, 1e-3],
+                                  "holdout", spectral=spectral, seed=0)
+    assert (tmp_path / "tab.csv").read_bytes() == _lines(
+        ["lambda,score"] + [f"{lam!r},{score!r}" for lam, score in table])
+
+    assert run("bench", "consistency", "--p-grid", "8,12", "--s", "2", "--ratio", "6",
+               "--trials", "2", "--noise", "none", "--lambda", "1e-4", "--seed", "3",
+               "--out-prefix", str(tmp_path / "cons")) == 0
+    rows = ["p,n,median_relative_error,mean_relative_error,success_rate"]
+    for p in (8, 12):
+        report = run_experiment(spec(p, (6 * p,)))
+        mean = float(np.mean([r.relative_error for r in report.records]))
+        rows.append(f"{p},{6 * p},{report.median_relative_error[6 * p]!r},"
+                    f"{mean!r},{report.success_rate[6 * p]!r}")
+    assert (tmp_path / "cons.csv").read_bytes() == _lines(rows)
 
 
 def sparse_image(tmp_path, width=8, height=8):
@@ -708,3 +791,33 @@ def test_json_outputs_are_strict_json(tmp_path):
         written.append(out)
     for path in written:
         json.loads(path.read_text(), parse_constant=reject_constant)
+
+
+def test_text_outputs_end_lines_with_lf_under_a_crlf_platform(tmp_path, monkeypatch):
+    # _pyio's text mode translates "\n" to os.linesep, as on Windows
+    monkeypatch.setattr(builtins, "open", _pyio.open)
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+    assert run(*DIAG_INSTANCE, "--out", str(inst)) == 0
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-3",
+               "--out-result", str(res), "--out-trace", str(tmp_path / "trace.csv")) == 0
+    synthetic = ["--p", "8", "--s", "2", "--trials", "1", "--lambda", "1e-4"]
+    assert run("bench", "success-rate", *synthetic, "--grid", "4",
+               "--out-prefix", str(tmp_path / "rate")) == 0
+    assert run("bench", "error-iter", "--p", "8", "--s", "2", "--lambda", "1e-4",
+               "--out-prefix", str(tmp_path / "curve")) == 0
+    assert run("bench", "lambda-grid", "--instance", str(inst), "--grid", "1e-4,1e-3",
+               "--out-prefix", str(tmp_path / "tab")) == 0
+    assert run("bench", "consistency", *synthetic, "--p-grid", "8",
+               "--out-prefix", str(tmp_path / "cons")) == 0
+    for mode, extra in [("certificate", ["--solution", str(res), "--lambda", "1e-3"]),
+                        ("stability", ["--samples", "20"]),
+                        ("remark5", ["--use-truth"])]:
+        assert run("diag", mode, "--instance", str(inst), *extra,
+                   "--out", str(tmp_path / f"{mode}.json")) == 0
+    assert run("image", "--input", str(sparse_image(tmp_path)), "--out-image",
+               str(tmp_path / "o.pgm"), "--out-metrics", str(tmp_path / "img.json"),
+               "--ratio", "8", "--lambda", "1e-4") == 0
+    written = sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".pgm")
+    assert len(written) == 17
+    assert [name for name in written if b"\r" in (tmp_path / name).read_bytes()] == []
