@@ -232,15 +232,31 @@ def lambda_grid_search(
     rule 'oracle': smallest relative error against the ground truth.
     rule 'holdout': fit on 80% of the measurements, score by the Huber loss
     on the held-out 20%.  Ties go to the larger lambda (sparser solutions).
-    Returns (chosen_lambda, table) with one (lambda, score) row per grid point.
+    Returns (chosen_lambda, table) with one (lambda, score) row per grid
+    point, in ascending lambda.
+
+    The grid is solved once per lambda in ascending order, along a
+    continuation path.  The smallest lambda starts from the spectral point.
+    Each later lambda starts from the previous lambda's estimate, unless that
+    estimate is all zero (g(0) = 0, so zero is a fixed point of every MM
+    step) or scores worse than the spectral point under the same rule (the
+    path is trapped at a poor stationary point); then it starts from the
+    spectral point again.  So a score after the smallest lambda's usually
+    comes from a warm start.  Every grid value must be finite and positive.
     """
-    grid = sorted(float(v) for v in lambda_grid)
+    grid = [float(v) for v in lambda_grid]
+    for lam in grid:
+        if not 0.0 < lam < np.inf:  # also rejects NaN, before sort() meets it
+            raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+    grid.sort()
     if not grid or len(set(grid)) < len(grid):
         raise ValueError("lambda grid must be nonempty and free of repeats")
     if validation_rule not in ("oracle", "holdout"):
         raise ValueError(f"unknown validation rule: {validation_rule!r}")
-    if validation_rule == "oracle" and e.ground_truth is None:
-        raise MissingDataError("oracle rule needs a ground truth")
+    if validation_rule == "oracle" and (
+        e.ground_truth is None or not np.any(e.ground_truth)
+    ):
+        raise MissingDataError("oracle rule needs a nonzero ground truth")
     if spectral is None:
         spectral = SpectralConfig()
     if seed is None:
@@ -250,20 +266,26 @@ def lambda_grid_search(
         train_idx, val_idx = holdout_split(e)
         train = _sub_ensemble(e, train_idx)
         val = _sub_ensemble(e, val_idx)
-    else:
-        train, val = e, None
 
-    x0 = spectral_init(train, spectral, seed)
+        def score(x):
+            return loss(x, val, cfg_base.alpha)
+    else:
+        train = e
+
+        def score(x):
+            return relative_error(x, e.ground_truth)
+
+    x_spectral = spectral_init(train, spectral, seed)
+    spectral_score = score(x_spectral)
+    x0 = x_spectral
     table = []
     best_lam, best_score = None, np.inf
     for lam in grid:
-        cfg = replace(cfg_base, lam=lam)
-        result = solve(train, x0, cfg)
-        if validation_rule == "oracle":
-            score = relative_error(result.estimate, e.ground_truth)
-        else:
-            score = loss(result.estimate, val, cfg.alpha)
-        table.append((lam, score))
-        if score <= best_score:  # ascending grid: later (larger) lambda wins ties
-            best_lam, best_score = lam, score
+        result = solve(train, x0, replace(cfg_base, lam=lam))
+        lam_score = score(result.estimate)
+        table.append((lam, lam_score))
+        if lam_score <= best_score:  # ascending grid: later (larger) lambda wins ties
+            best_lam, best_score = lam, lam_score
+        warm = np.any(result.estimate) and lam_score <= spectral_score
+        x0 = result.estimate if warm else x_spectral
     return best_lam, table

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import robustpr.metrics
 from robustpr import (
     ExperimentSpec,
     FieldTag,
@@ -260,6 +261,43 @@ def test_solve_with_zero_ground_truth(tmp_path, field):
     assert out["config"]["truncation"] is None
     assert run("bench", "lambda-grid", "--instance", str(zero), "--grid", "1e-4,1e-3",
                "--rule", "holdout") == 0
+
+
+def _no_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(robustpr.metrics, "solve", refuse)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_lambda_grid_oracle_on_a_zero_truth_exits_3_before_solving(
+    tmp_path, field, monkeypatch, capsys
+):
+    inst = tmp_path / "inst.json"
+    assert run("gen", "--p", "16", "--s", "2", "--n", "160", "--field", field,
+               "--seed", "3", "--out", str(inst)) == 0
+    doc = json.loads(inst.read_text())
+    doc["x_true"] = [[0.0, 0.0] if field == "complex" else 0.0] * 16
+    del doc["eps"]
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(doc))
+    _no_solve(monkeypatch)
+    assert run("bench", "lambda-grid", "--instance", str(zero), "--grid", "1e-4,1e-3",
+               "--rule", "oracle") == 3
+    assert "nonzero ground truth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_lambda_grid_rejects_a_bad_grid_value_before_solving(
+    tmp_path, bad, monkeypatch, capsys
+):
+    inst = tmp_path / "inst.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    _no_solve(monkeypatch)
+    assert run("bench", "lambda-grid", "--instance", str(inst),
+               f"--grid=1e-3,{bad}", "--rule", "oracle") == 2
+    assert f"got {float(bad)!r}" in capsys.readouterr().err
 
 
 def test_bench_success_rate_outputs(tmp_path, capsys):

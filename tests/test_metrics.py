@@ -1,8 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import robustpr.metrics
 from robustpr import (
     ExperimentSpec,
     FieldTag,
@@ -278,13 +280,34 @@ def test_holdout_score_is_the_validation_loss_bitwise():
     _, table = lambda_grid_search(e, cfg, [1e-4, 1e-2], "holdout")
     train_idx, val_idx = holdout_split(e)
     train, val = _sub_ensemble(e, train_idx), _sub_ensemble(e, val_idx)
-    x0 = spectral_init(train, SpectralConfig(), e.seed)
-    for lam, score in table:
+    x_spectral = spectral_init(train, SpectralConfig(), e.seed)
+    spectral_score = loss(x_spectral, val, cfg.alpha)
+    x0 = x_spectral
+    for lam, score in table:  # the continuation path
         estimate = solve(train, x0, SolverConfig(lam=lam)).estimate
         assert score == loss(estimate, val, cfg.alpha)
+        x0 = estimate if np.any(estimate) and score <= spectral_score else x_spectral
 
 
-def test_lambda_grid_search_validation():
+def _captured_solves(monkeypatch, alter=None):
+    """Record each solve's start, lambda and result; ``alter(i, estimate)``
+    may replace the estimate that call i returns."""
+    calls = []
+
+    def capturing(e, x0, cfg, *args, **kwargs):
+        start = x0.copy()
+        result = solve(e, x0, cfg, *args, **kwargs)
+        if alter is not None:
+            result = replace(result, estimate=alter(len(calls), result.estimate))
+        calls.append((start, cfg.lam, result))
+        return result
+
+    monkeypatch.setattr(robustpr.metrics, "solve", capturing)
+    return calls
+
+
+def test_lambda_grid_search_validation(monkeypatch):
+    calls = _captured_solves(monkeypatch)
     e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("none"), 14)
     with pytest.raises(ValueError):
         lambda_grid_search(e, SolverConfig(lam=1.0), [], "oracle")
@@ -292,6 +315,11 @@ def test_lambda_grid_search_validation():
         lambda_grid_search(e, SolverConfig(lam=1.0), [1e-3], "bogus")
     with pytest.raises(ValueError, match="free of repeats"):
         lambda_grid_search(e, SolverConfig(lam=1.0), [1e-3, 1e-4, 0.001], "oracle")
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1e-3):
+        for rule in ("oracle", "holdout"):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                lambda_grid_search(e, SolverConfig(lam=1.0), [1e-3, bad], rule)
+    assert calls == []
     from robustpr.model import MeasurementEnsemble
 
     bare = MeasurementEnsemble(
@@ -301,6 +329,75 @@ def test_lambda_grid_search_validation():
     )
     with pytest.raises(MissingDataError):
         lambda_grid_search(bare, SolverConfig(lam=1.0), [1e-3], "oracle")
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_oracle_rule_rejects_a_zero_truth_before_any_solve(field, monkeypatch):
+    e = synthesize_instance(16, 2, 160, field, NoiseSpec("none"), 3)
+    zero = replace(e, ground_truth=np.zeros_like(e.ground_truth), noise_record=None)
+    calls, spectral_calls = _captured_solves(monkeypatch), []
+    monkeypatch.setattr(robustpr.metrics, "spectral_init",
+                        lambda *args: spectral_calls.append(args))
+    with pytest.raises(MissingDataError, match="nonzero ground truth"):
+        lambda_grid_search(zero, SolverConfig(lam=1.0), [1e-4, 1e-3], "oracle")
+    assert calls == [] and spectral_calls == []
+
+
+def _training_set(e, rule):
+    return _sub_ensemble(e, holdout_split(e)[0]) if rule == "holdout" else e
+
+
+def _score(e, rule, x, alpha):
+    if rule == "holdout":
+        return loss(x, _sub_ensemble(e, holdout_split(e)[1]), alpha)
+    return relative_error(x, e.ground_truth)
+
+
+@pytest.mark.parametrize("rule", ["oracle", "holdout"])
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_grid_search_warm_starts_along_the_ascending_grid(field, rule, monkeypatch):
+    e = synthesize_instance(16, 2, 160, field, NoiseSpec("type1", 0.1), 21)
+    spectral, cfg = SpectralConfig(truncation=4), SolverConfig(lam=1.0)
+    calls = _captured_solves(monkeypatch)
+    grid = [1e-2, 1e-6, 1e-3, 1e-4]
+    _, table = lambda_grid_search(e, cfg, grid, rule, spectral=spectral, seed=8)
+    # one solve per grid point, in ascending lambda, as the table lists them
+    assert [lam for _, lam, _ in calls] == sorted(grid)
+    assert [lam for lam, _ in table] == sorted(grid)
+    x_spectral = spectral_init(_training_set(e, rule), spectral, 8)
+    assert calls[0][0].tobytes() == x_spectral.tobytes()
+    spectral_score = _score(e, rule, x_spectral, cfg.alpha)
+    for (_, _, previous), (start, _, _), (_, score) in zip(calls, calls[1:], table):
+        assert np.any(previous.estimate) and score <= spectral_score
+        assert start.tobytes() == previous.estimate.tobytes()
+
+
+@pytest.mark.parametrize("rule", ["oracle", "holdout"])
+@pytest.mark.parametrize("spoil", ["zero", "worse than spectral"])
+def test_a_spoiled_estimate_restarts_from_the_spectral_point(rule, spoil, monkeypatch):
+    e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("type1", 0.1), 22)
+    cfg = SolverConfig(lam=1.0)
+    x_spectral = spectral_init(_training_set(e, rule), SpectralConfig(), e.seed)
+    if spoil == "zero":
+        # a start so poor that zero outscores it: only the zero guard restarts
+        x_spectral = 10.0 * x_spectral
+        monkeypatch.setattr(robustpr.metrics, "spectral_init", lambda *args: x_spectral)
+    scale = 0.0 if spoil == "zero" else 1e3
+
+    def alter(i, estimate):
+        return scale * estimate if i == 1 else estimate
+
+    calls = _captured_solves(monkeypatch, alter)
+    _, table = lambda_grid_search(e, cfg, [1e-6, 1e-5, 1e-4, 1e-3], rule)
+    spectral_score = _score(e, rule, x_spectral, cfg.alpha)
+    if spoil == "zero":
+        assert not np.any(calls[1][2].estimate) and table[1][1] <= spectral_score
+    else:
+        assert table[1][1] > spectral_score
+    starts = [start.tobytes() for start, _, _ in calls]
+    assert starts[0] == starts[2] == x_spectral.tobytes()
+    assert starts[1] == calls[0][2].estimate.tobytes()
+    assert starts[3] == calls[2][2].estimate.tobytes()
 
 
 def test_holdout_split_deterministic_and_disjoint():
