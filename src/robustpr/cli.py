@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -47,6 +46,7 @@ from .model import (
     deserialize_instance,
     encode_vector,
     measure,
+    parse_document,
     serialize_instance,
     synthesize_instance,
     write_csv,
@@ -178,14 +178,7 @@ def _load_instance(path):
 
 def _load_solution(path, e):
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in solution file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("solution document must be a JSON object")
-    if "estimate" not in doc:
-        raise ParseError("missing field: estimate")
+        doc = parse_document(fh.read(), "solution", ("estimate",))
     return decode_vector(doc["estimate"], e.field, "estimate", e.p)
 
 

@@ -175,36 +175,26 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def error_vs_iteration(
-    e: MeasurementEnsemble,
-    cfg: SolverConfig,
-    spectral: SpectralConfig,
-    seed: int | None = None,
-    x0: np.ndarray | None = None,
+    e: MeasurementEnsemble, cfg: SolverConfig, spectral: SpectralConfig
 ) -> tuple[list, SolverResult]:
-    """Relative-error curve along the iterates, starting at the initial point.
-
-    The initializer is spectral unless an explicit x0 is supplied.
-    """
+    """Relative-error curve along the iterates, starting at the spectral point
+    drawn with the ensemble's seed."""
     if e.ground_truth is None:
         raise MissingDataError("error-vs-iteration needs a ground truth")
-    if seed is None:
-        seed = e.seed
     curve = []
 
     def record(k, x):
         curve.append((k, relative_error(x, e.ground_truth)))
 
-    if x0 is None:
-        x0 = spectral_init(e, spectral, seed)
-    result = solve(e, x0, cfg, callback=record)
+    result = solve(e, spectral_init(e, spectral, e.seed), cfg, callback=record)
     return curve, result
 
 
-def holdout_split(e: MeasurementEnsemble, fraction: float = 0.8):
-    """Deterministic measurement split derived from the ensemble seed."""
+def holdout_split(e: MeasurementEnsemble):
+    """Deterministic 80/20 measurement split derived from the ensemble seed."""
     rng = stream(e.seed, TAG_HOLDOUT)
     perm = rng.permutation(e.n)
-    cut = max(1, min(e.n - 1, int(round(fraction * e.n))))
+    cut = max(1, min(e.n - 1, int(round(0.8 * e.n))))
     return np.sort(perm[:cut]), np.sort(perm[cut:])
 
 

@@ -259,26 +259,24 @@ def encode_matrix(a: np.ndarray, field: FieldTag) -> str:
 
 
 def decode_matrix(data, field: FieldTag, n: int, p: int) -> np.ndarray:
-    """Inverse of ``encode_matrix``; a flat list of n*p scalars (the layout
-    written before the base64 one) is still read.
+    """Inverse of ``encode_matrix``; ParseError naming ``a`` unless ``data`` is
+    the base64 text of exactly n*p entries.
 
     The base64 text is decoded with ``b64decode(validate=True)``'s strictness
     but without its ASCII copy, and dropped before the native copy is made:
     a caller that hands over its only reference holds one payload at a time.
     """
-    if isinstance(data, str):
-        wire = _wire_dtype(field)
-        try:
-            raw = binascii.a2b_base64(data, strict_mode=True)
-        except ValueError as exc:  # binascii.Error, or a non-ASCII string
-            raise ParseError("malformed field: a") from exc
-        del data
-        if len(raw) != n * p * wire.itemsize:
-            raise ParseError("malformed field: a")
-        return np.frombuffer(raw, wire).astype(field.dtype).reshape(n, p)
-    if isinstance(data, list):
-        return decode_vector(data, field, "a", n * p).reshape(n, p)
-    raise ParseError("malformed field: a")
+    if not isinstance(data, str):
+        raise ParseError("malformed field: a")
+    wire = _wire_dtype(field)
+    try:
+        raw = binascii.a2b_base64(data, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ParseError("malformed field: a") from exc
+    del data
+    if len(raw) != n * p * wire.itemsize:
+        raise ParseError("malformed field: a")
+    return np.frombuffer(raw, wire).astype(field.dtype).reshape(n, p)
 
 
 def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:
@@ -313,17 +311,24 @@ def serialize_instance(e: MeasurementEnsemble) -> str:
     return "".join((head[:-1], ', "a": "', a, '", ', tail[1:]))
 
 
-def deserialize_instance(text: str) -> MeasurementEnsemble:
-    """Parse a JSON instance document; raises ParseError naming the bad key."""
+def parse_document(text: str, kind: str, keys: tuple[str, ...]) -> dict:
+    """Parse a JSON object that holds every one of ``keys``; ParseError
+    naming the ``kind`` of document, or the missing key, otherwise."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON in {kind} document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError("instance document must be a JSON object")
-    for key in ("p", "n", "field", "seed", "a", "b"):
+        raise ParseError(f"{kind} document must be a JSON object")
+    for key in keys:
         if key not in doc:
             raise ParseError(f"missing field: {key}")
+    return doc
+
+
+def deserialize_instance(text: str) -> MeasurementEnsemble:
+    """Parse a JSON instance document; raises ParseError naming the bad key."""
+    doc = parse_document(text, "instance", ("p", "n", "field", "seed", "a", "b"))
     try:
         field = FieldTag(doc["field"])
     except ValueError as exc:

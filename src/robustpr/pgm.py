@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,21 +38,12 @@ class GrayImage:
 
 
 def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    pos = 0
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            yield pos, data[pos:end]
-            pos = end
+    """Yield (offset, token) for each whitespace-separated header token,
+    skipping '#' comments.  Whitespace is the bytes-mode ``\\s``: the six
+    ASCII bytes that ``bytes.isspace`` accepts."""
+    for match in re.finditer(rb"#[^\n]*|\S+", data):
+        if not match[0].startswith(b"#"):
+            yield match.start(), match[0]
 
 
 def read_pgm(path) -> GrayImage:

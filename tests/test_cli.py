@@ -4,6 +4,7 @@ import builtins
 import json
 import os
 import re
+import reprlib
 import subprocess
 import sys
 from dataclasses import fields
@@ -134,28 +135,9 @@ def test_solve_with_no_accepted_step(tmp_path):
         x, e, cfg.lam, cfg.alpha, cfg.gamma)
 
 
-def test_list_form_instance_gives_byte_identical_outputs(tmp_path):
-    outputs = []
-    for form in ("base64", "list"):
-        inst = tmp_path / f"{form}.json"
-        assert run(*GEN, "--out", str(inst)) == 0
-        if form == "list":  # the matrix as written before it became base64
-            doc = json.loads(inst.read_text())
-            a = deserialize_instance(inst.read_text()).sampling_vectors
-            doc["a"] = a.ravel().tolist()
-            inst.write_text(json.dumps(doc) + "\n")
-        res, trace, cert = (tmp_path / f"{form}-{name}"
-                            for name in ("res.json", "trace.csv", "cert.json"))
-        assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
-                   "--out-result", str(res), "--out-trace", str(trace)) == 0
-        assert run("diag", "certificate", "--instance", str(inst), "--solution",
-                   str(res), "--lambda", "1e-4", "--out", str(cert)) == 0
-        outputs.append([path.read_bytes() for path in (res, trace, cert)])
-    assert outputs[0] == outputs[1]
-
-
 MALFORMED = [
     ({"a": 3}, "a"),
+    ({"a": [0.0] * 2560}, "a"),  # n*p scalars, the layout before base64
     ({"p": None}, "p"),
     ({"p": "x"}, "p"),
     ({"p": -1, "n": -1}, "p"),
@@ -164,7 +146,8 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("fields, key", MALFORMED, ids=[
-    ",".join(f"{k}={v!r}" for k, v in fields.items()) for fields, _ in MALFORMED])
+    ",".join(f"{k}={reprlib.repr(v)}" for k, v in fields.items())
+    for fields, _ in MALFORMED])
 def test_solve_malformed_instance_is_parse_error(tmp_path, capsys, fields, key):
     inst = tmp_path / "inst.json"
     assert run(*GEN, "--out", str(inst)) == 0
@@ -490,6 +473,14 @@ def test_image_rejects_bad_threshold_and_cap(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_image_threshold_above_every_pixel(tmp_path, capsys):
+    src, out = sparse_image(tmp_path), tmp_path / "o.pgm"
+    assert run("image", "--input", str(src), "--out-image", str(out),
+               "--lambda", "1e-4", "--threshold", "1.5") == 2
+    assert "entirely black after thresholding" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_image_72x60_accepted(tmp_path):
     pixels = np.zeros((60, 72))
     pixels[10:20, 30:40] = 1.0
@@ -569,6 +560,27 @@ def test_diag_remark5_missing_record(tmp_path):
                "--use-truth") == 3
 
 
+def test_solve_default_truncation_is_2s_for_a_complex_instance(tmp_path):
+    inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+    assert run("gen", "--p", "16", "--s", "3", "--n", "96", "--field", "complex",
+               "--out", str(inst)) == 0
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-3",
+               "--max-iter", "5", "--out-result", str(res)) == 0
+    assert json.loads(res.read_text())["config"]["truncation"] == 6
+
+
+def test_diag_use_truth_needs_a_ground_truth(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    doc = json.loads(inst.read_text())
+    del doc["x_true"]
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("diag", "certificate", "--instance", str(inst), "--use-truth",
+               "--lambda", "1e-4") == 3
+    assert "instance has no ground truth" in capsys.readouterr().err
+
+
 def test_diag_remark5_ok(tmp_path):
     inst = tmp_path / "inst.json"
     assert run(*GEN, "--out", str(inst)) == 0
@@ -593,6 +605,22 @@ def test_diag_rejects_non_object_solution(tmp_path, capsys, content):
     assert err.count("solution document must be a JSON object") == 2
 
 
+@pytest.mark.parametrize("document, content, message", [
+    ("instance", "[]", "instance document must be a JSON object\n"),
+    ("solution", '{"estimate": [', "invalid JSON in solution "),
+    ("solution", '{"x": []}', "missing field: estimate\n"),
+], ids=["instance-not-an-object", "solution-not-json", "solution-without-estimate"])
+def test_diag_rejects_bad_documents(tmp_path, capsys, document, content, message):
+    paths = {"instance": tmp_path / "inst.json", "solution": tmp_path / "sol.json"}
+    assert run(*GEN, "--out", str(paths["instance"])) == 0
+    paths["solution"].write_text(json.dumps({"estimate": [0.0] * 16}))
+    paths[document].write_text(content)
+    capsys.readouterr()
+    assert run("diag", "certificate", "--instance", str(paths["instance"]),
+               "--solution", str(paths["solution"]), "--lambda", "1e-4") == 4
+    assert message in capsys.readouterr().err
+
+
 DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
                  "--noise", "type2:0.1", "--seed", "3"]
 
@@ -606,6 +634,7 @@ DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
     (["remark5", "--use-truth", "--alpha", "-2"], "alpha must be positive"),
     (["remark5", "--use-truth", "--rho0", "1.5"], "rho0 must lie in (0, 1)"),
     (["remark5", "--use-truth", "--rho0", "-1"], "rho0 must lie in (0, 1)"),
+    (["certificate", "--use-truth"], "lambda required"),
 ])
 def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
     inst = tmp_path / "inst.json"
@@ -674,6 +703,9 @@ def test_config_flag_errors(tmp_path, capsys):
     capsys.readouterr()
     assert run("gen", "--config", str(cfg)) == 2  # --samples is not a gen flag
     assert "unrecognized arguments: --samples 3" in capsys.readouterr().err
+    cfg.write_text("p = 16\nverbose\n")
+    assert run("gen", "--config", str(cfg)) == 4
+    assert "config line 2: expected 'key = value'" in capsys.readouterr().err
 
 
 def test_config_file_sets_switches(tmp_path, capsys):

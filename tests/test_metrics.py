@@ -221,11 +221,6 @@ def test_error_vs_iteration_curve():
     curve, result = error_vs_iteration(e, SolverConfig(lam=1e-4), SpectralConfig())
     assert len(curve) == result.iterations + 1
     assert curve[-1][1] < 5e-3
-    # started at the truth the curve begins at zero error
-    curve2, _ = error_vs_iteration(
-        e, SolverConfig(lam=1e-6), SpectralConfig(), x0=e.ground_truth
-    )
-    assert curve2[0][1] <= 5e-3
 
 
 def test_error_vs_iteration_needs_truth():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from robustpr import GrayImage, read_pgm, write_pgm
+from robustpr import GrayImage, pgm, read_pgm, write_pgm
 from robustpr.errors import ParseError
 
 
@@ -40,6 +41,49 @@ def test_p2_ascii_with_comments(tmp_path):
     img = read_pgm(path)
     assert img.width == 3 and img.height == 2
     assert np.isclose(img.pixels[0, 1], 128 / 255)
+
+
+def _tokens_reference(data: bytes):
+    """The byte-by-byte header scanner that ``pgm._tokens`` replaced."""
+    pos = 0
+    while pos < len(data):
+        ch = data[pos:pos + 1]
+        if ch.isspace():
+            pos += 1
+        elif ch == b"#":
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1
+        else:
+            end = pos
+            while end < len(data) and not data[end:end + 1].isspace():
+                end += 1
+            yield pos, data[pos:end]
+            pos = end
+
+
+# the six bytes bytes.isspace() accepts, '#', and \x1c, \x85 and \xa0, which
+# str.isspace() accepts as characters but bytes.isspace() does not
+HEADER_BYTES = st.lists(st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"\x00", b"\x1c",
+     b"\x85", b"\xa0", b"P", b"5"]), max_size=40).map(b"".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.binary(max_size=64), HEADER_BYTES))
+def test_tokens_match_the_reference_scanner(data):
+    assert list(pgm._tokens(data)) == list(_tokens_reference(data))
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P2\n3 2\n", "truncated PGM header"),
+    (b"P5\n3 two\n255\n", "malformed PGM header"),
+    (b"P2\n3 2\n65536\n", "PGM header out of range"),
+], ids=["truncated", "malformed", "out-of-range"])
+def test_rejects_bad_header(tmp_path, data, message):
+    path = tmp_path / "header.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=message):
+        read_pgm(path)
 
 
 def test_rejects_non_pgm(tmp_path):

@@ -2,7 +2,9 @@
 
 A name in ``robustpr.__all__`` that no package module (other than the
 re-exporting ``__init__``) and no benchmark script uses is test-only code;
-it belongs in ``tests/oracles.py``.
+it belongs in ``tests/oracles.py``.  Likewise an optional parameter of a
+public function that no call in the package or the benchmark passes is a
+knob only tests turn.
 """
 
 import ast
@@ -32,3 +34,57 @@ def test_every_exported_name_is_used_outside_the_tests():
     sources += (ROOT / "benchmarks").glob("*.py")
     used = set().union(*map(_used_names, sources))
     assert sorted(set(robustpr.__all__) - used) == []
+
+
+def _optional_parameters(path: Path):
+    """(function, parameter, position) for each optional parameter of a
+    public function or method; the position is None for a keyword-only one
+    and does not count ``self`` or ``cls``."""
+    tree = ast.parse(path.read_text(), str(path))
+    functions = [(node, 0) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions += [(node, 1) for node in cls.body
+                      if isinstance(node, ast.FunctionDef)]
+    for fn, skip in functions:
+        if fn.name.startswith("_"):
+            continue
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            yield fn.name, positional[i], i
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.name, a.arg, None
+
+
+def _passed_arguments(path: Path) -> set:
+    """(callee name, position or keyword) for each argument a call passes;
+    (callee name, None) for a call that unpacks ``*args`` or ``**kwargs``."""
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            passed.add((name, None))
+            continue
+        passed.update((name, i) for i in range(len(node.args)))
+        passed.update((name, k.arg) for k in node.keywords)
+    return passed
+
+
+def test_every_optional_parameter_has_a_caller():
+    package = sorted((ROOT / "src" / "robustpr").glob("*.py"))
+    callers = package + sorted((ROOT / "benchmarks").glob("*.py"))
+    passed = set().union(*map(_passed_arguments, callers))
+    uncalled = [
+        f"{fn}({param})"
+        for path in package
+        for fn, param, position in _optional_parameters(path)
+        if not {(fn, None), (fn, param), (fn, position)} & passed
+    ]
+    assert uncalled == []

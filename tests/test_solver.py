@@ -340,6 +340,9 @@ def test_solver_config_validation():
         for name in ("lam", "alpha", "delta", "eps"):
             with pytest.raises(ValueError):
                 SolverConfig(**{"lam": 1.0, name: bad})
+    for name in ("max_iter", "max_backtracks"):
+        with pytest.raises(ValueError, match="iteration limits must be positive"):
+            SolverConfig(**{"lam": 1.0, name: 0})
 
 
 def test_solve_rejects_bad_start():

@@ -22,6 +22,16 @@ def test_zero_observations_gives_zero_signal():
     assert not x0.any()
 
 
+def test_nonpositive_mean_observation_gives_zero_signal():
+    a = generate_sampling(4, 8, FieldTag.REAL, 0)
+    b = np.zeros(8)
+    b[0] = -1.0
+    e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a, observations=b)
+    with pytest.warns(RuntimeWarning, match="mean observation is nonpositive"):
+        x0 = spectral_init(e, SpectralConfig(), 0)
+    assert not x0.any()
+
+
 def test_alignment_spiked_instance():
     # x_true = e_1, heavily oversampled: the top eigenvector concentrates
     p, good = 16, 0
