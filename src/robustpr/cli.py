@@ -6,12 +6,13 @@ Commands: gen | solve | bench {success-rate,error-iter,lambda-grid,consistency}
 Exit codes: 0 success, 2 usage or validation error, 3 domain error
 (unsupported field, missing data), 4 I/O or file-format error.
 
-Each flag is declared once: shared groups are argparse parent parsers, and
-the solver and spectral flags are generated from the ``SolverConfig`` and
-``SpectralConfig`` fields.  A flat ``key = value`` config file (``--config``,
-'#' comments) supplies defaults for any long flag of the invoked command,
-``true`` or ``false`` for a switch; explicit flags win over the config file,
-which wins over built-in defaults.
+Each flag is declared once and read by its command: shared groups are
+argparse parent parsers, and the solver and spectral flags are generated from
+the ``SolverConfig`` and ``SpectralConfig`` fields (``bench lambda-grid`` has
+no ``--lambda``: it searches a grid).  A flat ``key = value`` config file
+(``--config``, '#' comments) supplies ``--key value`` for any long flag of the
+invoked command, ``true`` or ``false`` for a switch; explicit flags win over
+the config file, which wins over built-in defaults.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ def _comma_list(convert):
     return comma_list
 
 
+def _switch(text):
+    # True or False itself: an exclusive group tests values against defaults by `is`
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
 def _field(text):
     try:
         return FieldTag(text)
@@ -104,7 +112,7 @@ def _noise(text):
 # One flag per SolverConfig and SpectralConfig field; the field's annotation
 # gives the flag's type and its default the flag's default.
 _FIELD_HELP = {
-    "lam": "regularization weight (required except by bench lambda-grid)",
+    "lam": "regularization weight (required)",
     "alpha": "Huber transition threshold",
     "gamma": "largest trial step",
     "beta": "backtracking ratio",
@@ -133,10 +141,8 @@ def _field_flags(*config_fields) -> argparse.ArgumentParser:
 
 
 def _solver_config(args, lam=None) -> SolverConfig:
-    """SolverConfig from the solver flags; ``lam`` overrides ``--lambda``."""
-    values = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
-    if lam is not None:
-        values["lam"] = lam
+    """SolverConfig from the solver flags; ``lam`` stands in for no ``--lambda``."""
+    values = {f.name: getattr(args, f.name, lam) for f in fields(SolverConfig)}
     if values["lam"] is None:
         raise ValueError("lambda required (see bench lambda-grid)")
     return SolverConfig(**values)
@@ -174,12 +180,6 @@ def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
 def _load_instance(path):
     with open(path) as fh:
         return deserialize_instance(fh.read())
-
-
-def _load_solution(path, e):
-    with open(path) as fh:
-        doc = parse_document(fh.read(), "solution", ("estimate",))
-    return decode_vector(doc["estimate"], e.field, "estimate", e.p)
 
 
 def _write_plot(csv_path, header, rows, gp_path, x, y, xlabel, ylabel, logscale=""):
@@ -398,9 +398,9 @@ def _diag_solution(args, e):
         if e.ground_truth is None:
             raise DomainError("instance has no ground truth; pass --solution")
         return e.ground_truth
-    if not args.solution:
-        raise ValueError("either --solution or --use-truth is required")
-    return _load_solution(args.solution, e)
+    with open(args.solution) as fh:
+        doc = parse_document(fh.read(), "solution", ("estimate",))
+    return decode_vector(doc["estimate"], e.field, "estimate", e.p)
 
 
 def _diag_certificate(args):
@@ -458,6 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--instance", required=True, help="instance JSON path")
     seed = shared()
     seed.add_argument("--seed", type=int, default=0, help="master seed")
+    init_seed = shared()
+    init_seed.add_argument("--seed", type=int, default=None,
+                           help="spectral-init seed (default: instance seed)")
     noise = shared()
     noise.add_argument("--noise", type=_noise, default=NoiseSpec("none"),
                        help="noise spec, e.g. none, type1:0.1, gaussian:0.01")
@@ -467,8 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     ratio = shared()
     ratio.add_argument("--ratio", type=_positive_int, default=6,
                        help="n/p ratio of the synthesized measurements")
-    solver = _field_flags(*fields(SolverConfig), *fields(SpectralConfig))
     solver_field = {f.name: f for f in fields(SolverConfig)}
+    lam = _field_flags(solver_field.pop("lam"))
+    # every solver flag but --lambda, for bench lambda-grid's grid search
+    search = _field_flags(*solver_field.values(), *fields(SpectralConfig))
+    solver = shared(parents=[lam, search])
 
     parser = argparse.ArgumentParser(
         prog="robustpr",
@@ -488,22 +494,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output instance JSON path")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", parents=[instance, solver],
+    p_solve = sub.add_parser("solve", parents=[instance, solver, init_seed],
                              help="solve an instance file")
-    p_solve.add_argument("--seed", type=int, default=None,
-                         help="spectral-init seed (default: instance seed)")
     p_solve.add_argument("--out-result", default=None, help="result JSON path")
     p_solve.add_argument("--out-trace", default=None, help="trace CSV path")
     p_solve.set_defaults(func=cmd_solve)
 
     # the bench modes other than lambda-grid synthesize their instances
     synthetic = shared(parents=[signal, solver])
-    synthetic.add_argument("--p", type=_positive_int, default=32,
-                           help="signal dimension")
     synthetic.add_argument("--s", type=_positive_int, default=4,
                            help="sparsity")
     synthetic.add_argument("--out-prefix", required=True,
                            help="prefix for CSV/JSON/plot outputs")
+    # consistency takes its dimensions from --p-grid instead
+    dimension = shared()
+    dimension.add_argument("--p", type=_positive_int, default=32,
+                           help="signal dimension")
     trials = shared()
     trials.add_argument("--trials", type=_positive_int, default=50,
                         help="Monte Carlo trials per grid point")
@@ -515,17 +521,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench = p_bench.add_subparsers(dest="bench_mode", required=True,
                                    parser_class=command)
 
-    b_rate = bench.add_parser("success-rate", parents=[synthetic, trials],
+    b_rate = bench.add_parser("success-rate", parents=[synthetic, dimension, trials],
                               help="success rate versus n/p")
     b_rate.add_argument("--grid", type=_comma_list(int), required=True,
                         help="comma list of n/p multipliers, e.g. 2,4,6,8")
     b_rate.set_defaults(func=_bench_success_rate)
 
-    b_iter = bench.add_parser("error-iter", parents=[synthetic, ratio],
+    b_iter = bench.add_parser("error-iter", parents=[synthetic, dimension, ratio],
                               help="relative error along iterations")
     b_iter.set_defaults(func=_bench_error_iter)
 
-    b_lam = bench.add_parser("lambda-grid", parents=[instance, solver, seed],
+    b_lam = bench.add_parser("lambda-grid", parents=[instance, search, init_seed],
                              help="grid search for lambda on an instance")
     b_lam.add_argument("--grid", type=_comma_list(float), required=True,
                        help="comma list of lambda values")
@@ -546,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("--input", required=True, help="input PGM path")
     p_img.add_argument("--out-image", required=True, help="output PGM path")
     p_img.add_argument("--out-metrics", default=None, help="metrics JSON path")
-    p_img.add_argument("--passthrough", action="store_true",
-                       help="read and rewrite the image without solving")
+    p_img.add_argument("--passthrough", type=_switch, nargs="?", const=True,
+                       default=False, help="read and rewrite the image without solving")
     p_img.add_argument("--threshold", type=_nonnegative_float, default=0.0,
                        help="zero out pixels below this value at ingestion")
     p_img.add_argument("--cap", type=_positive_int, default=16384,
@@ -560,9 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     rho0.add_argument("--rho0", type=float, default=RHO0,
                       help="inliers have |eps_i| <= rho0 * alpha")
     solution = shared()
-    solution.add_argument("--solution", default=None, help="result JSON from 'solve'")
-    solution.add_argument("--use-truth", action="store_true",
-                          help="evaluate at the stored ground truth")
+    point = solution.add_mutually_exclusive_group(required=True)
+    point.add_argument("--solution", default=None, help="result JSON from 'solve'")
+    point.add_argument("--use-truth", type=_switch, nargs="?", const=True,
+                       default=False, help="evaluate at the stored ground truth")
 
     p_diag = sub.add_parser("diag", help="theory diagnostics")
     diag = p_diag.add_subparsers(dest="diag_mode", required=True,
@@ -574,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random direction pairs before refinement")
     d_stab.set_defaults(func=_diag_stability)
 
-    lam = _field_flags(solver_field["lam"])
     d_cert = diag.add_parser("certificate", parents=[report, solution, lam],
                              help="linear-rate spectral-gap certificate")
     d_cert.add_argument("--eps1", type=float, default=None,
@@ -588,23 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _switches(parser):
-    """Option strings of every store_true flag in the parser tree."""
-    for action in parser._actions:
-        if isinstance(action, argparse._StoreTrueAction):
-            yield from action.option_strings
-        elif isinstance(action, argparse._SubParsersAction):
-            for command in action.choices.values():
-                yield from _switches(command)
-
-
-def _inject_config(argv: list, path, switches: set) -> list:
-    """Splice the config file's ``key = value`` lines in as flags right after
-    the command words.
+def _inject_config(argv: list, path) -> list:
+    """Splice the config file's ``key = value`` lines in as ``--key value``
+    right after the command words.
 
     Explicit flags appear later in argv, so argparse's last-wins rule gives
-    them precedence over the config file.  A switch (a store_true flag) takes
-    ``true`` (set) or ``false`` (left off).
+    them precedence over the config file.
     """
     head = []
     rest = list(argv)
@@ -618,23 +613,16 @@ def _inject_config(argv: list, path, switches: set) -> list:
             key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ParseError(f"config line {lineno}: expected 'key = value'")
-            flag = "--" + key.replace("_", "-")
-            if flag not in switches:
-                head.extend([flag, value])
-            elif value == "true":
-                head.append(flag)
-            elif value != "false":
-                raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+            head.extend(["--" + key.replace("_", "-"), value])
     return head + rest
 
 
 def main(argv=None) -> int:
     known, argv = _config_flag().parse_known_args(argv)
-    parser = build_parser()
     try:
         if known.config is not None:
-            argv = _inject_config(argv, known.config, set(_switches(parser)))
-        args = parser.parse_args(argv)
+            argv = _inject_config(argv, known.config)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

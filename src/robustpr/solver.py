@@ -111,7 +111,9 @@ def fixed_point_residual(
     tau: float,
 ) -> float:
     """||x - H_{2 lam tau}(x - 2 tau g(x))|| / max(1, ||x||)."""
-    # chained comparison rejects NaN and inf as well as nonpositive values
+    # chained comparisons reject NaN and inf as well as nonpositive values
+    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
+        raise ValueError("lam and alpha must be positive")
     if not 0.0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
     x = e.check_signal(x)
@@ -157,8 +159,7 @@ def _row_squares(d: np.ndarray) -> np.ndarray:
 # many entries, which bounds the iterates they keep alive for any p.  A long
 # real p = 512 solve peaks at about 7.5 arrays of the block's size under
 # tracemalloc (the pending rows, their stacks and the prox's scratch), so the
-# block stays small: at 2**15 entries, complex p = 128 solves raised the peak
-# RSS by up to 1.3 MB with the prox's former gather and scatter body.
+# block stays small.
 _BLOCK_ENTRIES = 2**13
 
 

@@ -351,6 +351,19 @@ def test_bench_lambda_grid(tmp_path, capsys):
     assert (tmp_path / "tab.gp").read_text().startswith("set logscale x")
 
 
+def test_lambda_grid_scores_the_point_solve_reaches(tmp_path):
+    # both commands start from the spectral point at the instance seed
+    inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+    assert run("gen", "--p", "16", "--s", "2", "--n", "160", "--noise", "type1:0.1",
+               "--seed", "5", "--out", str(inst)) == 0
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
+               "--out-result", str(res)) == 0
+    assert run("bench", "lambda-grid", "--instance", str(inst), "--grid", "1e-4",
+               "--rule", "oracle", "--out-prefix", str(tmp_path / "tab")) == 0
+    score = (tmp_path / "tab.csv").read_text().splitlines()[1].split(",")[1]
+    assert float(score) == json.loads(res.read_text())["relative_error"]
+
+
 def test_bench_consistency(tmp_path):
     prefix = tmp_path / "cons"
     code = run("bench", "consistency", "--p-grid", "8,16", "--s", "2",
@@ -401,7 +414,7 @@ def test_bench_tables_match_a_repr_oracle(tmp_path):
                "--out-prefix", str(tmp_path / "tab")) == 0
     _, table = lambda_grid_search(deserialize_instance(inst.read_text()),
                                   SolverConfig(lam=1.0), [1e-5, 1e-4, 1e-3],
-                                  "holdout", spectral=spectral, seed=0)
+                                  "holdout", spectral=spectral, seed=None)
     assert (tmp_path / "tab.csv").read_bytes() == _lines(
         ["lambda,score"] + [f"{lam!r},{score!r}" for lam, score in table])
 
@@ -635,6 +648,10 @@ DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
     (["remark5", "--use-truth", "--rho0", "1.5"], "rho0 must lie in (0, 1)"),
     (["remark5", "--use-truth", "--rho0", "-1"], "rho0 must lie in (0, 1)"),
     (["certificate", "--use-truth"], "lambda required"),
+    (["certificate", "--solution", "sol.json", "--use-truth", "--lambda", "1e-3"],
+     "argument --use-truth: not allowed with argument --solution"),
+    (["remark5", "--use-truth", "--solution", "sol.json"],
+     "argument --solution: not allowed with argument --use-truth"),
 ])
 def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
     inst = tmp_path / "inst.json"
@@ -716,10 +733,12 @@ def test_config_file_sets_switches(tmp_path, capsys):
     cfg.write_text("use_truth = false\n")
     capsys.readouterr()
     assert run("diag", "remark5", "--instance", str(inst), "--config", str(cfg)) == 2
-    assert "either --solution or --use-truth is required" in capsys.readouterr().err
+    assert ("one of the arguments --solution --use-truth is required"
+            in capsys.readouterr().err)
     cfg.write_text("use_truth = yes\n")
     assert run("diag", "remark5", "--instance", str(inst), "--config", str(cfg)) == 2
-    assert "config key use_truth" in capsys.readouterr().err
+    assert ("argument --use-truth: expected true or false, got 'yes'"
+            in capsys.readouterr().err)
     src, out = sparse_image(tmp_path), tmp_path / "copy.pgm"
     cfg.write_text("passthrough = true\n")
     assert run("--config", str(cfg), "image", "--input", str(src),
@@ -745,7 +764,8 @@ def test_main_calls_share_no_parser_state(tmp_path, capsys):
     assert at_solution.read_text() != at_truth.read_text()
     capsys.readouterr()
     assert run("diag", "remark5", "--instance", str(inst)) == 2
-    assert "either --solution or --use-truth is required" in capsys.readouterr().err
+    assert ("one of the arguments --solution --use-truth is required"
+            in capsys.readouterr().err)
 
 
 def test_main_calls_share_one_config_preparser(tmp_path, monkeypatch):
@@ -814,7 +834,10 @@ def test_help_lists_defaults(capsys):
                     ["bench", "error-iter"], ["bench", "lambda-grid"],
                     ["bench", "consistency"]):
         shown = help_defaults(capsys, *command)
-        assert shown["--lambda"] == "None", command
+        if command == ["bench", "lambda-grid"]:  # it searches a grid of lambdas
+            assert "--lambda" not in shown
+        else:
+            assert shown["--lambda"] == "None", command
         for f in fields(SolverConfig) + fields(SpectralConfig):
             if f.name == "lam":
                 continue
@@ -830,6 +853,91 @@ def test_help_lists_defaults(capsys):
 
 def test_unknown_command_usage_error():
     assert run("frobnicate") == 2
+
+
+class Recorder(argparse.Namespace):
+    """Namespace that adds each public attribute read from it to ``Recorder.read``."""
+
+    read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            Recorder.read.add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_flag_is_read_by_its_command(tmp_path, capsys):
+    inst, res = str(tmp_path / "inst.json"), str(tmp_path / "res.json")
+    assert run(*GEN, "--out", inst) == 0
+    assert run("solve", "--instance", inst, "--lambda", "1e-3", "--out-result", res) == 0
+    out, image = str(tmp_path / "out"), str(sparse_image(tmp_path))
+    quick = ["--lambda", "1e-3", "--max-iter", "5"]
+    synthetic = ["--s", "2", *quick, "--out-prefix", out]
+    images = ["image", "--input", image, "--out-image", out + ".pgm",
+              "--out-metrics", out]
+    diag = ["--instance", inst, "--out", out]
+    variants = [
+        ["gen", "--p", "8", "--s", "2", "--n", "32", "--out", out],
+        ["solve", "--instance", inst, *quick, "--out-result", out,
+         "--out-trace", out + ".csv"],
+        ["bench", "success-rate", *synthetic, "--p", "8", "--grid", "4",
+         "--trials", "1"],
+        ["bench", "error-iter", *synthetic, "--p", "8"],
+        ["bench", "lambda-grid", "--instance", inst, "--grid", "1e-3", "--max-iter",
+         "5", "--out-prefix", out],
+        ["bench", "consistency", *synthetic, "--p-grid", "8", "--trials", "1"],
+        [*images, *quick],
+        [*images, "--passthrough"],
+        ["diag", "stability", *diag, "--samples", "5"],
+        *[["diag", mode, *diag, *point, *extra]
+          for mode, extra in [("certificate", ["--lambda", "1e-3"]), ("remark5", [])]
+          for point in (["--solution", res], ["--use-truth"])],
+    ]
+    unread = {}
+    for argv in variants:
+        args = cli.build_parser().parse_args(argv, namespace=Recorder())
+        Recorder.read.clear()  # parse_args reads and copies the namespace
+        assert args.func(args) == 0, argv
+        command = " ".join(argv[:2] if argv[0] in ("bench", "diag") else argv[:1])
+        keys = set(vars(args)) - Recorder.read
+        keys -= {"func", "command", "bench_mode", "diag_mode", "config"}
+        unread[command] = unread.get(command, keys) & keys
+    assert {command: keys for command, keys in unread.items() if keys} == {}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lambda-grid", "--instance", "inst.json", "--grid", "1e-3", "--lambda", "1e-3"],
+     "unrecognized arguments: --lambda 1e-3"),
+    (["consistency", "--p-grid", "8", "--p", "8", "--s", "2", "--trials", "1",
+      "--lambda", "1e-3"], "ambiguous option: --p could match"),
+], ids=["lambda-grid-lambda", "consistency-p"])
+def test_bench_rejects_a_flag_it_would_not_read(tmp_path, capsys, argv, message):
+    assert run("bench", *argv, "--out-prefix", str(tmp_path / "x")) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_switches_take_true_or_false(tmp_path, capsys):
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    truth = deserialize_instance(inst.read_text()).ground_truth
+    sol.write_text(json.dumps({"estimate": (2.0 * truth).tolist()}))
+    reports = {}
+    for name, point in [("solution", ["--solution", str(sol)]),
+                        ("false", ["--use-truth", "false", "--solution", str(sol)]),
+                        ("true", ["--use-truth", "true"]), ("bare", ["--use-truth"])]:
+        reports[name] = tmp_path / f"{name}.json"
+        assert run("diag", "remark5", "--instance", str(inst), *point,
+                   "--out", str(reports[name])) == 0
+    text = {name: path.read_text() for name, path in reports.items()}
+    assert text["false"] == text["solution"] != text["true"] == text["bare"]
+    image = ["image", "--input", str(sparse_image(tmp_path)),
+             "--out-image", str(tmp_path / "copy.pgm")]
+    capsys.readouterr()
+    assert run(*image, "--passthrough", "true") == 0
+    assert capsys.readouterr().out.startswith("image passthrough ")
+    assert run(*image, "--passthrough", "false", "--ratio", "8", "--lambda", "1e-4") == 0
+    assert "relative error" in capsys.readouterr().out
 
 
 def reject_constant(name):
@@ -871,8 +979,8 @@ def test_text_outputs_end_lines_with_lf_under_a_crlf_platform(tmp_path, monkeypa
     assert run(*DIAG_INSTANCE, "--out", str(inst)) == 0
     assert run("solve", "--instance", str(inst), "--lambda", "1e-3",
                "--out-result", str(res), "--out-trace", str(tmp_path / "trace.csv")) == 0
-    synthetic = ["--p", "8", "--s", "2", "--trials", "1", "--lambda", "1e-4"]
-    assert run("bench", "success-rate", *synthetic, "--grid", "4",
+    synthetic = ["--s", "2", "--trials", "1", "--lambda", "1e-4"]
+    assert run("bench", "success-rate", *synthetic, "--p", "8", "--grid", "4",
                "--out-prefix", str(tmp_path / "rate")) == 0
     assert run("bench", "error-iter", "--p", "8", "--s", "2", "--lambda", "1e-4",
                "--out-prefix", str(tmp_path / "curve")) == 0

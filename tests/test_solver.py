@@ -108,6 +108,18 @@ def test_fixed_point_residual_rejects_nonpositive_or_nonfinite_tau(tau):
         fixed_point_residual(e.ground_truth, e, 1e-3, 1.345, tau)
 
 
+@pytest.mark.parametrize("lam", [-1.0, 0.0, float("nan"), float("inf")])
+def test_fixed_point_residual_rejects_a_bad_lam_before_any_gradient(lam, monkeypatch):
+    e = easy_instance(9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gradient was computed")
+
+    monkeypatch.setattr(solver, "gradient_map", refuse)
+    with pytest.raises(ValueError, match="lam and alpha must be positive"):
+        fixed_point_residual(e.ground_truth, e, lam, 1.345, 0.5)
+
+
 @pytest.mark.parametrize("case", ["short x", "complex x"])
 def test_fixed_point_residual_rejects_a_mismatched_x(case):
     e = synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
