@@ -122,8 +122,7 @@ _FIELD_HELP = {
     "max_backtracks": "backtrack cap",
     "power_iterations": "power-method iteration cap",
     "power_tol": "power-method convergence tolerance",
-    "truncation": "keep-count for the initializer (default: 2s for complex "
-                  "instances when s is known, else none)",
+    "truncation": "keep-count for the initializer's direction",
 }
 # the fields' annotations are strings (postponed evaluation)
 _FIELD_TYPES = {"float": float, "int": int, "int | None": int}
@@ -131,7 +130,7 @@ _FIELD_TYPES = {"float": float, "int": int, "int | None": int}
 
 def _field_flags(*config_fields) -> argparse.ArgumentParser:
     """Parent parser with one flag per dataclass field (``lam`` is ``--lambda``)."""
-    parent = argparse.ArgumentParser(add_help=False)
+    parent = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     for f in config_fields:
         flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
         parent.add_argument(flag, dest=f.name, type=_FIELD_TYPES[f.type],
@@ -148,11 +147,9 @@ def _solver_config(args, lam=None) -> SolverConfig:
     return SolverConfig(**values)
 
 
-def _spectral_config(args, field: FieldTag, s: int | None) -> SpectralConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(SpectralConfig)}
-    if values["truncation"] is None and field is FieldTag.COMPLEX and s is not None:
-        values["truncation"] = 2 * s
-    return SpectralConfig(**values)
+def _spectral_config(args) -> SpectralConfig:
+    return SpectralConfig(**{f.name: getattr(args, f.name)
+                             for f in fields(SpectralConfig)})
 
 
 def _known_sparsity(e) -> int | None:
@@ -170,7 +167,7 @@ def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
         noise=args.noise,
         trials=args.trials,
         solver=_solver_config(args),
-        spectral=_spectral_config(args, args.field, args.s),
+        spectral=_spectral_config(args),
         master_seed=args.seed,
         field=args.field,
         success_threshold=args.threshold,
@@ -218,8 +215,7 @@ def cmd_gen(args):
 def cmd_solve(args):
     e = _load_instance(args.instance)
     cfg = _solver_config(args)
-    s = _known_sparsity(e)
-    spectral_cfg = _spectral_config(args, e.field, s)
+    spectral_cfg = _spectral_config(args)
     seed = e.seed if args.seed is None else args.seed
     x0 = spectral_init(e, spectral_cfg, seed)
     result = solve(e, x0, cfg)
@@ -249,7 +245,7 @@ def cmd_solve(args):
         f"solve {args.instance}: {result.termination.value} after "
         f"{result.iterations} iterations, F={result.final_objective:.6g}"
     )
-    if s is not None:
+    if _known_sparsity(e) is not None:
         rel = relative_error(result.estimate, e.ground_truth)
         doc["relative_error"] = rel
         message += f", relative error {rel:.3e}"
@@ -281,7 +277,7 @@ def _bench_error_iter(args):
     n = args.ratio * args.p
     e = synthesize_instance(args.p, args.s, n, args.field, args.noise, args.seed)
     curve, result = error_vs_iteration(
-        e, _solver_config(args), _spectral_config(args, args.field, args.s)
+        e, _solver_config(args), _spectral_config(args)
     )
     prefix = args.out_prefix
     _write_plot(prefix + ".csv", ("k", "relative_error"), curve,
@@ -297,9 +293,8 @@ def _bench_lambda_grid(args):
     e = _load_instance(args.instance)
     # lambda_grid_search sets lam per grid point; the base lam is a placeholder.
     base = _solver_config(args, lam=1.0)
-    spectral_cfg = _spectral_config(args, e.field, _known_sparsity(e))
     chosen, table = lambda_grid_search(
-        e, base, args.grid, args.rule, spectral=spectral_cfg, seed=args.seed
+        e, base, args.grid, args.rule, spectral=_spectral_config(args), seed=args.seed
     )
     if args.out_prefix:
         _write_plot(args.out_prefix + ".csv", ("lambda", "score"), table,
@@ -346,8 +341,7 @@ def cmd_image(args):
     n = args.ratio * p
     e = measure(x_true, n, args.noise, args.seed)
     cfg = _solver_config(args)
-    spectral_cfg = _spectral_config(args, e.field, _known_sparsity(e))
-    x0 = spectral_init(e, spectral_cfg, args.seed)
+    x0 = spectral_init(e, _spectral_config(args), args.seed)
     result = solve(e, x0, cfg)
     estimate = align(result.estimate, x_true)
     rel = relative_error(result.estimate, x_true)
@@ -451,8 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser tree, built once per process; parsing leaves it unchanged."""
     # shared(): a flag group that commands attach with parents=[...];
     # command(): a command parser whose help shows each flag's default
-    shared = functools.partial(argparse.ArgumentParser, add_help=False)
-    command = functools.partial(argparse.ArgumentParser,
+    # abbreviations are off everywhere, so a flag or config key that is a
+    # prefix of another flag (--eps of --eps1, say) is an error, not that flag
+    shared = functools.partial(argparse.ArgumentParser, add_help=False,
+                               allow_abbrev=False)
+    command = functools.partial(argparse.ArgumentParser, allow_abbrev=False,
                                 formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     instance = shared()
     instance.add_argument("--instance", required=True, help="instance JSON path")
@@ -480,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="robustpr",
         description="Robust sparse phase retrieval solver and benchmarks",
         parents=[_config_flag()],
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=command)
 

@@ -50,14 +50,13 @@ def tuned_trials(arm, field, p, s, n, noise, alpha, trials, master_seed, runs):
 
     Every run lands in ``runs`` as ((arm, trial, lam), cfg, result).
     """
-    truncation = 2 * s if field is FieldTag.COMPLEX else None
     best_errors = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for trial in range(trials):
             seed = mix(master_seed, n, trial)
             e = synthesize_instance(p, s, n, field, noise, seed)
-            x0 = spectral_init(e, SpectralConfig(truncation=truncation), seed)
+            x0 = spectral_init(e, SpectralConfig(), seed)
             best = None
             for lam in LAMBDA_GRID:
                 cfg = SolverConfig(lam=lam, alpha=alpha)

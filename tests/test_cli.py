@@ -573,13 +573,23 @@ def test_diag_remark5_missing_record(tmp_path):
                "--use-truth") == 3
 
 
-def test_solve_default_truncation_is_2s_for_a_complex_instance(tmp_path):
-    inst, res = tmp_path / "inst.json", tmp_path / "res.json"
+def test_solve_start_reads_no_ground_truth(tmp_path):
+    # the start comes from the measurements alone: the same complex file
+    # without x_true and eps gives the same estimate, and no truncation
+    inst, blind = tmp_path / "inst.json", tmp_path / "blind.json"
     assert run("gen", "--p", "16", "--s", "3", "--n", "96", "--field", "complex",
                "--out", str(inst)) == 0
-    assert run("solve", "--instance", str(inst), "--lambda", "1e-3",
-               "--max-iter", "5", "--out-result", str(res)) == 0
-    assert json.loads(res.read_text())["config"]["truncation"] == 6
+    doc = json.loads(inst.read_text())
+    del doc["x_true"], doc["eps"]
+    blind.write_text(json.dumps(doc))
+    outs = []
+    for path in (inst, blind):
+        res = tmp_path / f"{path.stem}_result.json"
+        assert run("solve", "--instance", str(path), "--lambda", "1e-3",
+                   "--max-iter", "5", "--out-result", str(res)) == 0
+        outs.append(json.loads(res.read_text()))
+    assert outs[0]["estimate"] == outs[1]["estimate"]
+    assert outs[0]["config"]["truncation"] is outs[1]["config"]["truncation"] is None
 
 
 def test_diag_use_truth_needs_a_ground_truth(tmp_path, capsys):
@@ -723,6 +733,21 @@ def test_config_flag_errors(tmp_path, capsys):
     cfg.write_text("p = 16\nverbose\n")
     assert run("gen", "--config", str(cfg)) == 4
     assert "config line 2: expected 'key = value'" in capsys.readouterr().err
+
+
+def test_a_prefix_of_a_flag_is_not_that_flag(tmp_path, capsys):
+    # --eps (the solver's tolerance) is a prefix of diag certificate's --eps1;
+    # on the command line or as a config key it must not set --eps1
+    inst, cfg = tmp_path / "inst.json", tmp_path / "conf.txt"
+    assert run(*GEN, "--out", str(inst)) == 0
+    argv = ["diag", "certificate", "--instance", str(inst), "--use-truth",
+            "--lambda", "1e-4"]
+    capsys.readouterr()
+    assert run(*argv, "--eps", "0.3") == 2
+    assert "unrecognized arguments: --eps 0.3" in capsys.readouterr().err
+    cfg.write_text("eps = 0.3\n")
+    assert run(*argv, "--config", str(cfg)) == 2
+    assert "unrecognized arguments: --eps 0.3" in capsys.readouterr().err
 
 
 def test_config_file_sets_switches(tmp_path, capsys):
@@ -909,7 +934,7 @@ def test_every_flag_is_read_by_its_command(tmp_path, capsys):
     (["lambda-grid", "--instance", "inst.json", "--grid", "1e-3", "--lambda", "1e-3"],
      "unrecognized arguments: --lambda 1e-3"),
     (["consistency", "--p-grid", "8", "--p", "8", "--s", "2", "--trials", "1",
-      "--lambda", "1e-3"], "ambiguous option: --p could match"),
+      "--lambda", "1e-3"], "unrecognized arguments: --p 8"),
 ], ids=["lambda-grid-lambda", "consistency-p"])
 def test_bench_rejects_a_flag_it_would_not_read(tmp_path, capsys, argv, message):
     assert run("bench", *argv, "--out-prefix", str(tmp_path / "x")) == 2

@@ -410,3 +410,16 @@ def test_bb_step_escapes_the_barely_stable_fixed_step():
     first = result.trace[0]
     assert first.tau == cfg.gamma * cfg.beta**first.j
     assert all(r.tau <= cfg.gamma for r in result.trace)
+
+
+@pytest.mark.parametrize("seed, lam", [(7016, 0.1), (7025, 1e-5)])
+def test_quick_shape_traps_end_at_or_below_the_truth(seed, lam):
+    # README quick-start shape.  From the dense all-coordinate spectral start
+    # these runs converged silently to spurious stationary points at 5.73x
+    # and 12.45x F(x_true), relative error above 1; a global minimizer has
+    # F <= F(x_true), and the screened start reaches such a point.
+    e = synthesize_instance(128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1), seed)
+    cfg = SolverConfig(lam=lam)
+    result = solve(e, spectral_init(e, SpectralConfig(), seed), cfg)
+    assert result.termination is Termination.CONVERGED
+    assert result.final_objective <= objective(e.ground_truth, e, cfg.lam, cfg.alpha)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,52 @@ def test_spectral_config_validation():
             SpectralConfig(power_tol=bad)
     with pytest.raises(ValueError):
         SpectralConfig(truncation=0)
+
+
+QUICK = (128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1))
+CPLX = (128, 8, 768, FieldTag.COMPLEX, NoiseSpec("type3", 0.05))
+
+
+def _screen(e):
+    """S = {j : m_j > (1 + sqrt(log(np)/n)) mean b}, m_j = mean_i b_i |a_ij|^2."""
+    m = e.observations @ np.abs(e.sampling_vectors) ** 2 / e.n
+    level = (1.0 + np.sqrt(np.log(e.n * e.p) / e.n)) * np.mean(e.observations)
+    return np.flatnonzero(m > level)
+
+
+@pytest.mark.parametrize("shape", [QUICK, CPLX], ids=["real", "complex"])
+def test_start_is_supported_on_the_screened_coordinates(shape):
+    for seed in (5, 6):
+        e = synthesize_instance(*shape, seed)
+        support = _screen(e)
+        assert 0 < support.size < e.p
+        x0 = spectral_init(e, SpectralConfig(), seed)
+        np.testing.assert_array_equal(np.flatnonzero(x0), support)
+
+
+def test_empty_screen_falls_back_to_the_largest_marginal():
+    # every |a_ij| is constant down a column and at most 1, so no marginal
+    # m_j = |a_.j|^2 mean b clears the threshold; column 1 has the largest
+    rng = np.random.default_rng(0)
+    signs = rng.choice([-1.0, 1.0], size=(8, 3))
+    a = signs * np.array([0.9, 1.0, 0.5])
+    b = rng.uniform(1.0, 2.0, 8)
+    e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a, observations=b)
+    assert _screen(e).size == 0
+    x0 = spectral_init(e, SpectralConfig(), 0)
+    np.testing.assert_array_equal(np.flatnonzero(x0), [1])
+    assert abs(abs(x0[1]) - np.sqrt(np.mean(b))) <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [QUICK, CPLX], ids=["real", "complex"])
+def test_start_makes_no_n_by_p_temporary(shape):
+    # the marginals are reductions over rows; |a|^2 alone would be an (n, p)
+    # temporary of a's size (half of it for a complex a)
+    e = synthesize_instance(*shape, 5)
+    tracemalloc.start()
+    try:
+        spectral_init(e, SpectralConfig(), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < e.sampling_vectors.nbytes / 2
