@@ -119,44 +119,35 @@ _FIELD_HELP = {
     "delta": "sufficient-decrease constant",
     "eps": "stopping tolerance",
     "max_iter": "iteration cap",
-    "max_backtracks": "backtrack cap",
-    "power_iterations": "power-method iteration cap",
-    "power_tol": "power-method convergence tolerance",
     "truncation": "keep-count for the initializer's direction",
 }
 # the fields' annotations are strings (postponed evaluation)
 _FIELD_TYPES = {"float": float, "int": int, "int | None": int}
 
 
-def _field_flags(*config_fields) -> argparse.ArgumentParser:
-    """Parent parser with one flag per dataclass field (``lam`` is ``--lambda``)."""
+def _field_flags(*config_fields, require=True) -> argparse.ArgumentParser:
+    """Parent parser with one flag per dataclass field (``lam`` is ``--lambda``);
+    with ``require``, a field without a default gives a required flag."""
     parent = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     for f in config_fields:
         flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        missing = f.default is MISSING
         parent.add_argument(flag, dest=f.name, type=_FIELD_TYPES[f.type],
-                            default=None if f.default is MISSING else f.default,
+                            required=require and missing,
+                            default=None if missing else f.default,
                             help=_FIELD_HELP[f.name])
     return parent
 
 
 def _solver_config(args, lam=None) -> SolverConfig:
     """SolverConfig from the solver flags; ``lam`` stands in for no ``--lambda``."""
-    values = {f.name: getattr(args, f.name, lam) for f in fields(SolverConfig)}
-    if values["lam"] is None:
-        raise ValueError("lambda required (see bench lambda-grid)")
-    return SolverConfig(**values)
+    return SolverConfig(**{f.name: getattr(args, f.name, lam)
+                           for f in fields(SolverConfig)})
 
 
 def _spectral_config(args) -> SpectralConfig:
     return SpectralConfig(**{f.name: getattr(args, f.name)
                              for f in fields(SpectralConfig)})
-
-
-def _known_sparsity(e) -> int | None:
-    """Nonzero count of the ground truth; None without one or when all zero."""
-    if e.ground_truth is None:
-        return None
-    return int(np.count_nonzero(e.ground_truth)) or None
 
 
 def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
@@ -245,7 +236,7 @@ def cmd_solve(args):
         f"solve {args.instance}: {result.termination.value} after "
         f"{result.iterations} iterations, F={result.final_objective:.6g}"
     )
-    if _known_sparsity(e) is not None:
+    if e.ground_truth is not None and np.any(e.ground_truth):
         rel = relative_error(result.estimate, e.ground_truth)
         doc["relative_error"] = rel
         message += f", relative error {rel:.3e}"
@@ -328,6 +319,8 @@ def cmd_image(args):
         write_pgm(args.out_image, img)
         print(f"image passthrough {args.input} -> {args.out_image}")
         return 0
+    if args.lam is None:
+        raise ValueError("lambda required unless --passthrough")
     p = img.width * img.height
     if p > args.cap:
         raise ValueError(
@@ -400,8 +393,6 @@ def _diag_solution(args, e):
 def _diag_certificate(args):
     e = _load_instance(args.instance)
     x = _diag_solution(args, e)
-    if args.lam is None:
-        raise ValueError("lambda required (see bench lambda-grid)")
     report = linear_rate_certificate(x, e, args.lam, args.alpha, args.eps1)
     if args.out:
         write_text(args.out, report.to_json() + "\n")
@@ -468,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     ratio.add_argument("--ratio", type=_positive_int, default=6,
                        help="n/p ratio of the synthesized measurements")
     solver_field = {f.name: f for f in fields(SolverConfig)}
-    lam = _field_flags(solver_field.pop("lam"))
+    lam_field = solver_field.pop("lam")
+    lam = _field_flags(lam_field)
     # every solver flag but --lambda, for bench lambda-grid's grid search
     search = _field_flags(*solver_field.values(), *fields(SpectralConfig))
     solver = shared(parents=[lam, search])
@@ -545,7 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of signal dimensions")
     b_con.set_defaults(func=_bench_consistency)
 
-    p_img = sub.add_parser("image", parents=[ratio, noise, seed, solver],
+    # --passthrough solves nothing, so cmd_image checks --lambda itself
+    p_img = sub.add_parser("image", parents=[ratio, noise, seed,
+                                             _field_flags(lam_field, require=False),
+                                             search],
                            help="reconstruct a PGM image")
     p_img.add_argument("--input", required=True, help="input PGM path")
     p_img.add_argument("--out-image", required=True, help="output PGM path")

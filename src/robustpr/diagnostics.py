@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MissingDataError, UnsupportedFieldError
-from .model import FieldTag, MeasurementEnsemble, correlate
+from .model import FieldTag, MeasurementEnsemble, _is_int, correlate
 from .rng import TAG_STABILITY, stream
 
 # Inlier fraction of the Huber threshold: measurements with |eps_i| <= rho0 *
@@ -175,8 +175,8 @@ def estimate_stability(
 ) -> StabilityEstimate:
     """Sampled estimates of the stability constants; heuristic upper bounds."""
     a_hat, eps_hat = _normalized(e, alpha, rho0, "stability estimation")
-    if samples < 1:
-        raise ValueError("need at least one sampled direction pair")
+    if not (_is_int(samples) and samples >= 1):
+        raise ValueError("samples must be a positive integer")
     used_record = eps_hat is not None
     threshold = rho0 * alpha
     inliers = (

@@ -18,6 +18,7 @@ from .model import (
     FieldTag,
     MeasurementEnsemble,
     NoiseSpec,
+    _is_int,
     field_of,
     synthesize_instance,
     write_csv,
@@ -77,8 +78,8 @@ class ExperimentSpec:
     success_threshold: float = 5e-3
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise ValueError("trials must be a positive integer")
         n_grid = list(self.n_grid)
         if not n_grid or any(a >= b for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly ascending")

@@ -279,14 +279,15 @@ def decode_matrix(data, field: FieldTag, n: int, p: int) -> np.ndarray:
     return np.frombuffer(raw, wire).astype(field.dtype).reshape(n, p)
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool: the test every count passes."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:
     """A JSON integer (not a bool) at least ``minimum``, else ParseError."""
     value = doc[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or (minimum is not None and value < minimum)
-    ):
+    if not _is_int(value) or (minimum is not None and value < minimum):
         raise ParseError(f"malformed field: {key}")
     return value
 

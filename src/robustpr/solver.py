@@ -44,13 +44,14 @@ import numpy as np
 
 from .gradient import _adjoint
 from .gradient import g as gradient_map
-from .model import MeasurementEnsemble, write_csv
+from .model import MeasurementEnsemble, _is_int, write_csv
 from .objective import _evaluate
 from .objective import objective  # unused here; benchmarks/tracing.py binds it
 from .prox import _half_threshold, threshold_point
 from .prox import half_threshold  # unused here; benchmarks/tracing.py binds it
 
 TAU_MIN = 1e-8  # floor of the Barzilai-Borwein trial step
+MAX_BACKTRACKS = 60  # Armijo trials past the first before LineSearchFailed
 
 
 class Termination(Enum):
@@ -68,7 +69,6 @@ class SolverConfig:
     delta: float = 1e-4  # sufficient-decrease constant
     eps: float = 1e-6  # stopping tolerance on the relative step
     max_iter: int = 5000
-    max_backtracks: int = 60
 
     def __post_init__(self):
         # chained comparisons reject NaN and inf as well as nonpositive values
@@ -80,8 +80,8 @@ class SolverConfig:
             raise ValueError("beta must lie in (0, 1)")
         if not (0.0 < self.delta < np.inf and 0.0 < self.eps < np.inf):
             raise ValueError("delta and eps must be positive")
-        if self.max_iter < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration limits must be positive")
+        if not (_is_int(self.max_iter) and self.max_iter >= 1):
+            raise ValueError("max_iter must be a positive integer")
 
 
 TRACE_DTYPE = np.dtype([
@@ -202,7 +202,7 @@ def solve(
     tau0 = cfg.gamma
     for k in range(1, cfg.max_iter + 1):
         accepted = False
-        for j in range(cfg.max_backtracks + 1):
+        for j in range(MAX_BACKTRACKS + 1):
             tau = tau0 * cfg.beta**j
             mu = 2.0 * cfg.lam * tau
             tbar = threshold_point(mu)

@@ -7,11 +7,12 @@ m_j = (1/n) sum_i b_i |a_ij|^2 exceeds (1 + sqrt(log(np)/n)) * mean(b)
 2018).  Its direction is the leading eigenvector of
 Y_S = (1/n) sum_i b_i a_i,S a_i,S^H over the selected columns S only, zero
 off S.  The matrix is never formed; power iteration uses matrix-free
-products Y v = (1/n) sum_i b_i a_i (a_i^H v).  The direction is scaled by
-sqrt(mean b), which estimates ||x|| for standardized sampling vectors.  An
-optional truncation keeps only the largest-modulus entries of the direction
-(renormalized) before scaling.  No step reads the ground truth or its
-sparsity.
+products Y v = (1/n) sum_i b_i a_i (a_i^H v) and stops once successive
+iterates v, v' have 1 - |<v', v>| < POWER_TOL, or after POWER_ITERATIONS
+products.  The direction is scaled by sqrt(mean b), which estimates ||x||
+for standardized sampling vectors.  An optional truncation keeps only the
+largest-modulus entries of the direction (renormalized) before scaling.  No
+step reads the ground truth or its sparsity.
 """
 
 from __future__ import annotations
@@ -21,23 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FieldTag, MeasurementEnsemble, correlate
+from .model import FieldTag, MeasurementEnsemble, _is_int, correlate
 from .rng import TAG_SPECTRAL, stream
+
+POWER_ITERATIONS = 200  # cap on the power iteration's products
+POWER_TOL = 1e-8  # its stopping tolerance on 1 - |<v_next, v>|
 
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    power_iterations: int = 200
-    power_tol: float = 1e-8
     truncation: int | None = None  # keep-count; None disables truncation
 
     def __post_init__(self):
-        if self.power_iterations < 1:
-            raise ValueError("power_iterations must be at least 1")
-        if not 0.0 < self.power_tol < np.inf:
-            raise ValueError("power_tol must be positive")
-        if self.truncation is not None and self.truncation < 1:
-            raise ValueError("truncation must be a positive keep-count")
+        if self.truncation is not None and not (
+            _is_int(self.truncation) and self.truncation >= 1
+        ):
+            raise ValueError("truncation must be a positive integer keep-count")
 
 
 def _apply_y(e: MeasurementEnsemble, v: np.ndarray) -> np.ndarray:
@@ -46,7 +46,7 @@ def _apply_y(e: MeasurementEnsemble, v: np.ndarray) -> np.ndarray:
 
 
 def power_iteration(
-    e: MeasurementEnsemble, cfg: SpectralConfig, seed: int
+    e: MeasurementEnsemble, seed: int
 ) -> tuple[np.ndarray, list[float]]:
     """Leading eigenvector of Y and the per-step Rayleigh quotients."""
     rng = stream(seed, TAG_SPECTRAL)
@@ -56,7 +56,7 @@ def power_iteration(
         v = rng.standard_normal(e.p)
     v = v / np.linalg.norm(v)
     rayleigh: list[float] = []
-    for _ in range(cfg.power_iterations):
+    for _ in range(POWER_ITERATIONS):
         yv = _apply_y(e, v)
         rayleigh.append(float(np.real(np.vdot(v, yv))))
         norm = np.linalg.norm(yv)
@@ -65,7 +65,7 @@ def power_iteration(
         v_next = yv / norm
         drift = 1.0 - abs(np.vdot(v_next, v))
         v = v_next
-        if drift < cfg.power_tol:
+        if drift < POWER_TOL:
             break
     return v, rayleigh
 
@@ -105,7 +105,7 @@ def spectral_init(
     # the column copy a[:, S] lives only as long as the power iteration
     screened, _ = power_iteration(
         MeasurementEnsemble(e.field, e.sampling_vectors[:, support],
-                            e.observations, seed=e.seed), cfg, seed)
+                            e.observations, seed=e.seed), seed)
     direction = np.zeros(e.p, dtype=e.field.dtype)
     direction[support] = screened
     if cfg.truncation is not None and cfg.truncation < e.p:

@@ -83,11 +83,14 @@ def test_gen_rejects_bad_p(tmp_path):
 
 
 def test_solve_requires_lambda(tmp_path, capsys):
-    inst = tmp_path / "inst.json"
+    inst, cfg = tmp_path / "inst.json", tmp_path / "conf.txt"
     assert run(*GEN, "--out", str(inst)) == 0
     code = run("solve", "--instance", str(inst))
     assert code == 2
-    assert "lambda required (see bench lambda-grid)" in capsys.readouterr().err
+    assert ("the following arguments are required: --lambda"
+            in capsys.readouterr().err)
+    cfg.write_text("lambda = 1e-4\n")  # a config-file line meets the requirement
+    assert run("solve", "--instance", str(inst), "--config", str(cfg)) == 0
 
 
 def test_solve_rejects_nan_eps(tmp_path, capsys):
@@ -117,12 +120,12 @@ def test_solve_end_to_end(tmp_path, capsys):
 
 
 def test_solve_with_no_accepted_step(tmp_path):
-    # delta = 1e12 rejects every trial at k = 1, so the trace has no rows and
-    # the result's residual is evaluated at the start point with tau = gamma.
+    # delta = 1e20 rejects every trial at k = 1 (see the solver's
+    # test_line_search_failure_is_reported_not_raised), so the trace has no rows
+    # and the result's residual is evaluated at the start point with tau = gamma.
     inst, res, trace = (tmp_path / name for name in ("inst.json", "res.json", "trace.csv"))
     assert run(*GEN, "--out", str(inst)) == 0
-    assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
-               "--delta", "1e12", "--max-backtracks", "3",
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-4", "--delta", "1e20",
                "--out-result", str(res), "--out-trace", str(trace)) == 0
     doc = json.loads(res.read_text())
     assert doc["termination"] == "LineSearchFailed"
@@ -173,12 +176,10 @@ def test_solve_echoes_every_solver_flag(tmp_path):
     assert run("solve", "--instance", str(inst), "--lambda", "2e-4",
                "--alpha", "0.9", "--gamma", "0.8", "--beta", "0.6",
                "--delta", "2e-4", "--eps", "1e-5", "--max-iter", "400",
-               "--max-backtracks", "30", "--power-iterations", "150",
-               "--power-tol", "1e-7", "--truncation", "5", "--seed", "11",
-               "--out-result", str(res)) == 0
+               "--truncation", "5", "--seed", "11", "--out-result", str(res)) == 0
     config = json.loads(res.read_text())["config"]
     assert list(config) == ["lambda", "alpha", "gamma", "beta", "delta", "eps",
-                            "max_iter", "max_backtracks", "seed", "truncation"]
+                            "max_iter", "seed", "truncation"]
     assert config["lambda"] == 2e-4
     assert config["alpha"] == 0.9
     assert config["gamma"] == 0.8
@@ -186,7 +187,6 @@ def test_solve_echoes_every_solver_flag(tmp_path):
     assert config["delta"] == 2e-4
     assert config["eps"] == 1e-5
     assert config["max_iter"] == 400
-    assert config["max_backtracks"] == 30
     assert config["seed"] == 11
     assert config["truncation"] == 5
 
@@ -441,13 +441,19 @@ def sparse_image(tmp_path, width=8, height=8):
     return path
 
 
-def test_image_passthrough_pixel_identical(tmp_path):
+def test_image_passthrough_pixel_identical(tmp_path, capsys):
     src = sparse_image(tmp_path)
     out = tmp_path / "copy.pgm"
+    # a passthrough solves nothing, so it needs no --lambda; a reconstruction does
     assert run("image", "--input", str(src), "--out-image", str(out),
                "--passthrough") == 0
     a, b = read_pgm(src), read_pgm(out)
     np.testing.assert_array_equal(a.pixels, b.pixels)
+    capsys.readouterr()
+    assert run("image", "--input", str(src), "--out-image",
+               str(tmp_path / "recon.pgm"), "--passthrough", "false") == 2
+    assert "lambda required unless --passthrough" in capsys.readouterr().err
+    assert not (tmp_path / "recon.pgm").exists()
 
 
 def test_image_reconstruction_small(tmp_path):
@@ -657,7 +663,7 @@ DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
     (["remark5", "--use-truth", "--alpha", "-2"], "alpha must be positive"),
     (["remark5", "--use-truth", "--rho0", "1.5"], "rho0 must lie in (0, 1)"),
     (["remark5", "--use-truth", "--rho0", "-1"], "rho0 must lie in (0, 1)"),
-    (["certificate", "--use-truth"], "lambda required"),
+    (["certificate", "--use-truth"], "required: --lambda"),
     (["certificate", "--solution", "sol.json", "--use-truth", "--lambda", "1e-3"],
      "argument --use-truth: not allowed with argument --solution"),
     (["remark5", "--use-truth", "--solution", "sol.json"],
@@ -876,6 +882,16 @@ def test_help_lists_defaults(capsys):
     assert help_defaults(capsys, "diag", "stability")["--samples"] == "200"
 
 
+def test_readme_lists_the_generated_solver_and_spectral_flags():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    listed = re.search(r"solver flags \((.*?)\) and spectral flags \((.*?)\)", text)
+    for group, config in zip(listed.groups(), (SolverConfig, SpectralConfig)):
+        generated = [action.option_strings[0]
+                     for action in cli._field_flags(*fields(config))._actions]
+        assert re.findall(r"`(--[a-z-]+)`", group) == generated
+
+
 def test_unknown_command_usage_error():
     assert run("frobnicate") == 2
 
@@ -935,7 +951,16 @@ def test_every_flag_is_read_by_its_command(tmp_path, capsys):
      "unrecognized arguments: --lambda 1e-3"),
     (["consistency", "--p-grid", "8", "--p", "8", "--s", "2", "--trials", "1",
       "--lambda", "1e-3"], "unrecognized arguments: --p 8"),
-], ids=["lambda-grid-lambda", "consistency-p"])
+    # constants of the solver and the spectral start, not flags
+    (["error-iter", "--p", "8", "--s", "2", "--lambda", "1e-3",
+      "--max-backtracks", "3"], "unrecognized arguments: --max-backtracks 3"),
+    (["success-rate", "--p", "8", "--s", "2", "--grid", "4", "--trials", "1",
+      "--lambda", "1e-3", "--power-iterations", "5"],
+     "unrecognized arguments: --power-iterations 5"),
+    (["lambda-grid", "--instance", "inst.json", "--grid", "1e-3",
+      "--power-tol", "1e-7"], "unrecognized arguments: --power-tol 1e-7"),
+], ids=["lambda-grid-lambda", "consistency-p", "error-iter-max-backtracks",
+        "success-rate-power-iterations", "lambda-grid-power-tol"])
 def test_bench_rejects_a_flag_it_would_not_read(tmp_path, capsys, argv, message):
     assert run("bench", *argv, "--out-prefix", str(tmp_path / "x")) == 2
     assert message in capsys.readouterr().err

@@ -104,6 +104,13 @@ def test_stability_validation():
         estimate_stability(ec, samples=10, rho0=0.5, alpha=ALPHA, seed=0)
 
 
+@pytest.mark.parametrize("samples", [2.5, 3.0, np.nan, True, "3"])
+def test_stability_rejects_a_non_integer_sample_count(samples):
+    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 1)
+    with pytest.raises(ValueError, match="samples must be a positive integer"):
+        estimate_stability(e, samples=samples, rho0=0.5, alpha=ALPHA, seed=0)
+
+
 def converged_real_solution(seed=21):
     e = synthesize_instance(16, 2, 320, FieldTag.REAL, NoiseSpec("none"), seed)
     x0 = spectral_init(e, SpectralConfig(), seed)

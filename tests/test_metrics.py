@@ -176,6 +176,12 @@ def test_experiment_spec_rejects_bad_success_threshold(threshold):
         desk_spec(success_threshold=threshold)
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, np.nan, True, "3"])
+def test_experiment_spec_rejects_a_non_integer_trial_count(trials):
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
+        desk_spec(trials=trials)
+
+
 def test_run_experiment_easy_instance_succeeds():
     report = run_experiment(desk_spec())
     assert report.success_rate[160] == 1.0

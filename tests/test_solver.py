@@ -74,14 +74,24 @@ def test_converged_step_criterion():
     assert result.trace[-1].fixed_point_residual <= 10 * cfg.eps
 
 
-def test_line_search_failure_is_reported_not_raised():
+def test_line_search_failure_is_reported_not_raised(monkeypatch):
     e = easy_instance(7)
-    # enormous delta rejects every candidate within the backtrack budget
-    cfg = SolverConfig(lam=1e-4, delta=1e12, max_backtracks=3)
+    # A trial passes only when F(x) - F(x+) >= delta ||x+ - x||^2, which for a
+    # gradient step of length tau needs delta <~ 1/(2 tau).  The last trial has
+    # tau = beta^MAX_BACKTRACKS = 2^-60, so delta = 1e20 rejects all of them
+    # (delta = 1e12 accepts j = 40 here).  A start whose last trial rounds to
+    # x itself passes with a zero step, so the start is dense and random.
+    cfg = SolverConfig(lam=1e-4, delta=1e20)
+    proxes = []
+    inner = solver._half_threshold
+    monkeypatch.setattr(solver, "_half_threshold",
+                        lambda xi, mu, tbar: proxes.append(mu) or inner(xi, mu, tbar))
     rng = np.random.default_rng(2)
     result = solve(e, rng.standard_normal(16), cfg)
     assert result.termination is Termination.LINE_SEARCH_FAILED
     assert result.estimate.shape == (16,)
+    assert result.iterations == 0
+    assert len(proxes) == solver.MAX_BACKTRACKS + 1
 
 
 def test_fixed_point_residual_cases():
@@ -330,7 +340,8 @@ def test_trace_csv_export(tmp_path):
         solve(cplx, spectral_init(cplx, SpectralConfig(truncation=6), 27),
               SolverConfig(lam=1e-3)),
         # every trial is rejected at k = 1: no rows, the header alone
-        solve(real, np.ones(16), SolverConfig(lam=1e-4, delta=1e12, max_backtracks=3)),
+        solve(real, np.random.default_rng(2).standard_normal(16),
+              SolverConfig(lam=1e-4, delta=1e20)),
     ]
     assert [r.iterations > 0 for r in results] == [True, True, False]
     for i, result in enumerate(results):
@@ -352,9 +363,15 @@ def test_solver_config_validation():
         for name in ("lam", "alpha", "delta", "eps"):
             with pytest.raises(ValueError):
                 SolverConfig(**{"lam": 1.0, name: bad})
-    for name in ("max_iter", "max_backtracks"):
-        with pytest.raises(ValueError, match="iteration limits must be positive"):
-            SolverConfig(**{"lam": 1.0, name: 0})
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        SolverConfig(lam=1.0, max_iter=0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, float("nan"), True, "3"])
+def test_solver_config_rejects_a_non_integer_max_iter(max_iter):
+    # a count is an int that is not a bool; a float would fail in range() mid-solve
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        SolverConfig(lam=1.0, max_iter=max_iter)
 
 
 def test_solve_rejects_bad_start():

@@ -11,6 +11,7 @@ from robustpr import (
     spectral_init,
     synthesize_instance,
 )
+from robustpr import spectral
 from robustpr.model import MeasurementEnsemble, correlate, generate_sampling
 
 
@@ -75,7 +76,7 @@ def test_norm_matches_mean_observation():
 def test_rayleigh_quotient_nondecreasing_psd():
     # noiseless observations are nonnegative, so Y is positive semidefinite
     e = synthesize_instance(10, 2, 80, FieldTag.REAL, NoiseSpec("none"), 5)
-    _, rayleigh = power_iteration(e, SpectralConfig(), 5)
+    _, rayleigh = power_iteration(e, 5)
     for r1, r2 in zip(rayleigh, rayleigh[1:]):
         assert r2 >= r1 - 1e-10 * abs(r1)
 
@@ -100,16 +101,38 @@ def test_phase_indifference():
 
 def test_spectral_config_validation():
     with pytest.raises(ValueError):
-        SpectralConfig(power_iterations=0)
-    for bad in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            SpectralConfig(power_tol=bad)
-    with pytest.raises(ValueError):
         SpectralConfig(truncation=0)
 
 
+@pytest.mark.parametrize("truncation", [2.5, 3.0, float("nan"), True, "3"])
+def test_spectral_config_rejects_a_non_integer_truncation(truncation):
+    # a count is an int that is not a bool; a float would fail as a slice index
+    with pytest.raises(ValueError, match="truncation must be a positive integer"):
+        SpectralConfig(truncation=truncation)
+
+
 QUICK = (128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1))
+T3 = (64, 6, 512, FieldTag.REAL, NoiseSpec("type3", 0.1))
 CPLX = (128, 8, 768, FieldTag.COMPLEX, NoiseSpec("type3", 0.05))
+
+
+@pytest.mark.parametrize("shape", [QUICK, T3, CPLX], ids=["quick", "t3", "cplx"])
+def test_screened_power_iteration_stops_on_its_tolerance(shape, monkeypatch):
+    # POWER_ITERATIONS is a safeguard: on the benchmark shapes the screened
+    # iteration stops on POWER_TOL well before the cap
+    steps = []
+    inner = spectral.power_iteration
+
+    def record(e, seed):
+        v, rayleigh = inner(e, seed)
+        steps.append(len(rayleigh))
+        return v, rayleigh
+
+    monkeypatch.setattr(spectral, "power_iteration", record)
+    for seed in range(1, 21):
+        spectral_init(synthesize_instance(*shape, seed), SpectralConfig(), seed)
+    assert len(steps) == 20
+    assert max(steps) < spectral.POWER_ITERATIONS
 
 
 def _screen(e):
