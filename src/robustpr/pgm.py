@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
+from .model import _is_int
 
 
 @dataclass
@@ -20,6 +21,9 @@ class GrayImage:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
+        # the range read_pgm accepts, so every image writes a readable file
+        if not (_is_int(self.maxval) and 1 <= self.maxval <= 65535):
+            raise ValueError("maxval must be an integer in 1..65535")
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.shape != (self.height, self.width):
             raise ValueError("pixel array shape must be (height, width)")

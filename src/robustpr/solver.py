@@ -24,11 +24,11 @@ point.  Terminates when the step norm drops below eps * max(1, ||x||).
 Work per iteration: each Armijo trial costs one prox and one forward product
 A^H x, which yields F and the residuals together; the accepted trial's
 products give g(x+) with one adjoint product.  The trace's fixed-point
-residual reuses that g, but is not computed per iteration: accepted rows
-wait in a pending list and go through one block prox once they hold
-_BLOCK_ENTRIES entries, and once more after the loop.  The values are those
-of the one-row fixed_point_residual, bit for bit.  x0 is validated once per
-solve, and each trial validates its prox weight once.
+residual of x_k is that of the step the run took from it: x_{k+1} is the map
+applied to x_k at tau_{k+1}, so the residual is step_norm_{k+1} / max(1,
+||x_k||) and costs nothing.  Only the last row's residual, at its own tau,
+takes one more prox per solve.  x0 is validated once per solve, and each
+trial validates its prox weight once.
 
 The trace is one NumPy record array with a row per accepted step, built once
 after the loop: trace.F_value is a column, trace[-1] a row.
@@ -117,10 +117,14 @@ def fixed_point_residual(
     if not 0.0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
     x = e.check_signal(x)
-    gx = gradient_map(x, e, alpha)
+    return _residual(x, gradient_map(x, e, alpha), lam, tau, _norm(x))
+
+
+def _residual(x, gx, lam, tau, x_norm) -> float:
+    """fixed_point_residual of x, given gx = g(x) and x_norm = ||x||."""
     mu = 2.0 * lam * tau
-    residuals, _ = _residuals([x], [gx], [tau], [mu], [threshold_point(mu)], [_norm(x)])
-    return residuals[0]
+    step = _half_threshold(x - 2.0 * tau * gx, mu, threshold_point(mu)) - x
+    return _norm(step) / max(1.0, x_norm)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -129,45 +133,6 @@ def _norm(v: np.ndarray) -> float:
         re, im = v.real, v.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     return math.sqrt(v.dot(v))
-
-
-def _residuals(x, gx, tau, mu, tbar, x_norm):
-    """Fixed-point residuals and support sizes of the iterates x with gradients gx.
-
-    Each argument holds one entry per iterate, with mu = 2 lam tau and
-    tbar = threshold_point(mu); the iterates go through one prox as a block.
-    """
-    x, xi = np.array(x), np.array(gx)
-    tau, mu, tbar = (np.array(v)[:, None] for v in (tau, mu, tbar))
-    # xi = x - 2 tau g(x) and diff = x - prox(xi), in place to bound the block's memory
-    np.subtract(x, np.multiply(2.0 * tau, xi, out=xi), out=xi)
-    diff = _half_threshold(xi, mu, tbar)
-    np.subtract(x, diff, out=diff)
-    residuals = np.sqrt(_row_squares(diff)) / np.maximum(1.0, x_norm)
-    return residuals.tolist(), np.count_nonzero(x, axis=1)
-
-
-def _row_squares(d: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of d, from the dot products of ``_norm``."""
-    if d.dtype.kind == "c":
-        re, im = d.real, d.imag
-        return np.vecdot(re, re) + np.vecdot(im, im)
-    return np.vecdot(d, d)
-
-
-# Pending trace rows are flushed through one block prox once they hold this
-# many entries, which bounds the iterates they keep alive for any p.  A long
-# real p = 512 solve peaks at about 7.5 arrays of the block's size under
-# tracemalloc (the pending rows, their stacks and the prox's scratch), so the
-# block stays small.
-_BLOCK_ENTRIES = 2**13
-
-
-def _records(pending) -> list[tuple]:
-    """Trace rows from pending (k, F, tau, j, step_norm, x, g(x), mu, tbar, ||x||)."""
-    k, F, tau, j, step_norm, x, gx, mu, tbar, x_norm = zip(*pending)
-    residuals, support = _residuals(x, gx, tau, mu, tbar, x_norm)
-    return list(zip(k, F, tau, j, step_norm, support.tolist(), residuals))
 
 
 def solve(
@@ -179,9 +144,7 @@ def solve(
     """Run the MM iteration from x0.
 
     ``callback(k, x)`` is invoked on the initial point (k=0) and on every
-    accepted iterate; it must not mutate x.  The trace rows of iterates not
-    yet flushed hold references to them, so a mutated x would change their
-    recorded support size and fixed-point residual.
+    accepted iterate; it must not mutate x, which the next step starts from.
 
     The result's trace has one row per accepted step, possibly none.
     """
@@ -193,8 +156,6 @@ def solve(
     g_x = _adjoint(e, c, r, cfg.alpha)
     x_norm = _norm(x)
     rows = []
-    pending = []
-    block_rows = -(-_BLOCK_ENTRIES // e.p)
     termination = Termination.MAX_ITERATIONS
     if callback is not None:
         callback(0, x)
@@ -218,6 +179,8 @@ def solve(
             break
 
         step_norm = _norm(step)
+        if rows:  # the residual of x at tau, the step just taken from it
+            rows[-1] += (step_norm / max(1.0, x_norm),)
         converged = step_norm <= cfg.eps * max(1.0, x_norm)
         g_new = _adjoint(e, c, r, cfg.alpha)
         y = g_new - g_x
@@ -233,17 +196,14 @@ def solve(
                 tau0 = curvature / (2.0 * y_sq) if y_sq > 0.0 else cfg.gamma
             tau0 = min(max(tau0, TAU_MIN), cfg.gamma)
         x, F_x, g_x, x_norm = cand, F_cand, g_new, _norm(cand)
-        pending.append((k, F_x, tau, j, step_norm, x, g_x, mu, tbar, x_norm))
-        if len(pending) == block_rows:
-            rows += _records(pending)
-            pending = []
+        rows.append((k, F_x, tau, j, step_norm, np.count_nonzero(x)))
         if callback is not None:
             callback(k, x)
         if converged:
             termination = Termination.CONVERGED
             break
-    if pending:
-        rows += _records(pending)
+    if rows:
+        rows[-1] += (_residual(x, g_x, cfg.lam, rows[-1][2], x_norm),)
 
     return SolverResult(
         estimate=x,

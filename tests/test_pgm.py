@@ -35,6 +35,25 @@ def test_p5_sixteen_bit_roundtrip(tmp_path):
     )
 
 
+@pytest.mark.parametrize("maxval, valid", [
+    (1, True), (65535, True), (70000, False), (0, False), (-3, False),
+    (2.5, False), (True, False),
+])
+def test_maxval_is_one_that_read_pgm_accepts(maxval, valid, tmp_path):
+    # write_pgm would put a bad value in a header read_pgm rejects, and
+    # wrap the pixels of maxval = 70000 mod 2**16
+    px = np.array([[0.0, 1.0]])
+    if not valid:
+        with pytest.raises(ValueError, match="maxval"):
+            GrayImage(2, 1, px, maxval=maxval)
+        return
+    path = tmp_path / "img.pgm"
+    write_pgm(path, GrayImage(2, 1, px, maxval=maxval))
+    back = read_pgm(path)
+    assert back.maxval == maxval
+    np.testing.assert_array_equal(back.pixels, px)
+
+
 def test_p2_ascii_with_comments(tmp_path):
     path = tmp_path / "ascii.pgm"
     path.write_bytes(b"P2\n# a comment\n3 2\n255\n0 128 255\n64 32 16\n")

@@ -142,31 +142,38 @@ def _assert_rows_equal_public_maps(e, x0, cfg):
     iterates = []
     result = solve(e, x0, cfg, callback=lambda k, x: iterates.append(x.copy()))
     assert result.initial_objective == objective(iterates[0], e, cfg.lam, cfg.alpha)
-    for row, x in zip(result.trace, iterates[1:], strict=True):
+    # row k's residual is taken at the step the run took from x_k, the last
+    # row's at its own tau
+    taus = np.append(result.trace.tau[1:], result.trace.tau[-1:])
+    for row, x, tau in zip(result.trace, iterates[1:], taus, strict=True):
         assert row.F_value == objective(x, e, cfg.lam, cfg.alpha)
         assert row.fixed_point_residual == fixed_point_residual(
-            x, e, cfg.lam, cfg.alpha, row.tau
+            x, e, cfg.lam, cfg.alpha, tau
         )
         assert row.support_size == np.count_nonzero(x)
+    if result.termination is Termination.CONVERGED and result.iterations >= 2:
+        # the run stops at the first step with step_norm <= eps max(1, ||x||),
+        # and that step gives the second-to-last row its residual
+        residuals = result.trace.fixed_point_residual
+        assert np.all(residuals[:-2] > cfg.eps)
+        assert residuals[-2] <= cfg.eps
     return result
 
 
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
 def test_trace_rows_equal_the_public_maps_at_each_iterate(field):
-    # The loop evaluates F and g through the shared core and the residuals
-    # a block of rows at a time; every recorded value must be exactly what
-    # objective and fixed_point_residual give.
+    # The loop evaluates F and g through the shared core and takes each
+    # residual from the next accepted step; every recorded value must be
+    # exactly what objective and fixed_point_residual give.
     e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
     cfg = SolverConfig(lam=1e-3)
     x0 = spectral_init(e, SpectralConfig(truncation=6), 27)
     result = _assert_rows_equal_public_maps(e, x0, cfg)
     assert result.termination is Termination.CONVERGED
-    # n = p: 5000 rows of 16 entries, so the pending rows are flushed at
-    # the block bound several times and once more after the loop.
+    # n = p: a long run of thousands of rows
     e = synthesize_instance(16, 2, 16, field, NoiseSpec("none"), 4)
     x0 = spectral_init(e, SpectralConfig(), 4)
-    result = _assert_rows_equal_public_maps(e, x0, cfg)
-    assert result.iterations > 2 * solver._BLOCK_ENTRIES // e.p
+    _assert_rows_equal_public_maps(e, x0, cfg)
 
 
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
@@ -239,7 +246,7 @@ def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatc
     assert len(checks) == 1
 
 
-def test_solve_makes_one_prox_per_trial_and_one_block_prox_per_flush(monkeypatch):
+def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(monkeypatch):
     e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
     x0 = spectral_init(e, SpectralConfig(), 4)
     shapes, weights = [], []
@@ -254,27 +261,21 @@ def test_solve_makes_one_prox_per_trial_and_one_block_prox_per_flush(monkeypatch
         monkeypatch.setattr(module, name, lambda *a, **k: public.append(1))
     result = solve(e, x0, SolverConfig(lam=1e-3))
     trials = sum(r.j + 1 for r in result.trace)
-    block_rows = -(-solver._BLOCK_ENTRIES // e.p)
-    flushes = -(-result.iterations // block_rows)
-    assert flushes >= 2
-    assert len(shapes) == trials + flushes
-    # every trial validates its weight; the residuals reuse the accepted ones
-    assert len(weights) == trials
-    blocks = [shape for shape in shapes if len(shape) == 2]
-    assert [rows for rows, _ in blocks] == [block_rows] * (flushes - 1) + [
-        result.iterations - block_rows * (flushes - 1)]
+    # every trial validates its weight and takes one prox; the last row's
+    # residual takes one more of each, and the other rows' none
+    assert len(shapes) == len(weights) == trials + 1
+    assert shapes == [(e.p,)] * (trials + 1)
     assert not public
 
 
-def test_trace_block_bounds_the_memory_of_a_long_solve(monkeypatch):
-    # p = 512: the pending rows are flushed every 2**13 / 512 = 16 iterations.
-    # Holding all 200 iterates and gradients until the end would take 200 *
-    # 2 * 512 * 8 B = 1.6 MB before the block is even stacked.
+def test_trace_keeps_no_iterate_alive_in_a_long_solve():
+    # p = 512, 200 iterations: holding every iterate and gradient until the
+    # end would take 200 * 2 * 512 * 8 B = 1.6 MB.
     e = synthesize_instance(512, 8, 1024, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
     x0 = spectral_init(e, SpectralConfig(), 3)
     cfg = SolverConfig(lam=1e-3, eps=1e-300, max_iter=200)
-    block = solver._BLOCK_ENTRIES * 8
-    # measured 7.5 blocks; the prox's gather and scatter body took 14.3
+    block = 2**16  # 64 KiB, 2**13 float64 entries
+    # measured 2.0 blocks
     bound = 10 * block
 
     def peak(f, *args):
@@ -288,15 +289,14 @@ def test_trace_block_bounds_the_memory_of_a_long_solve(monkeypatch):
     bytes_used, result = peak(solve, e, x0, cfg)
     assert result.iterations == 200
     assert bytes_used <= bound
-    # one flush's block prox: measured 2.3 times the block's bytes for a real
-    # block and 2.6 for a complex one, 9.1 and 7.6 with gather and scatter
+    # the prox's scratch on a block of rows: measured 2.3 times the block's
+    # bytes for a real block and 2.6 for a complex one, 9.1 and 7.6 with
+    # gather and scatter
     xi = np.random.default_rng(3).standard_normal((block // 8 // e.p, e.p))
     mu = np.full((len(xi), 1), 1e-3)
     tbar = np.full((len(xi), 1), prox.threshold_point(1e-3))
     for xi in (xi, xi + 1j * xi[::-1]):
         assert peak(prox._half_threshold, xi, mu, tbar)[0] <= 3 * xi.nbytes
-    monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 2**40)  # one block at the end
-    assert peak(solve, e, x0, cfg)[0] > 4 * bound
 
 
 def test_objective_cached_value_matches_recomputation():
