@@ -48,6 +48,7 @@ from .model import (
     encode_vector,
     measure,
     parse_document,
+    read_text,
     serialize_instance,
     synthesize_instance,
     write_csv,
@@ -166,8 +167,7 @@ def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
 
 
 def _load_instance(path):
-    with open(path) as fh:
-        return deserialize_instance(fh.read())
+    return deserialize_instance(read_text(path, "instance"))
 
 
 def _write_plot(csv_path, header, rows, gp_path, x, y, xlabel, ylabel, logscale=""):
@@ -385,8 +385,7 @@ def _diag_solution(args, e):
         if e.ground_truth is None:
             raise DomainError("instance has no ground truth; pass --solution")
         return e.ground_truth
-    with open(args.solution) as fh:
-        doc = parse_document(fh.read(), "solution", ("estimate",))
+    doc = parse_document(read_text(args.solution, "solution"), "solution", ("estimate",))
     return decode_vector(doc["estimate"], e.field, "estimate", e.p)
 
 
@@ -598,15 +597,14 @@ def _inject_config(argv: list, path) -> list:
     rest = list(argv)
     while rest and not rest[0].startswith("-") and len(head) < 2:
         head.append(rest.pop(0))
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise ParseError(f"config line {lineno}: expected 'key = value'")
-            head.extend(["--" + key.replace("_", "-"), value])
+    for lineno, raw in enumerate(read_text(path, "config").split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ParseError(f"config line {lineno}: expected 'key = value'")
+        head.extend(["--" + key.replace("_", "-"), value])
     return head + rest
 
 

@@ -355,9 +355,19 @@ def deserialize_instance(text: str) -> MeasurementEnsemble:
         raise ParseError(str(exc)) from exc
 
 
+def read_text(path, kind: str) -> str:
+    """The UTF-8 text of a ``kind`` file (instance, solution, config), with
+    universal newlines; ParseError naming the kind if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{kind} file is not UTF-8 text") from exc
+
+
 def write_text(path, text: str) -> None:
-    """Write ``text`` as it is: no newline translation on any platform."""
-    with open(path, "w", newline="") as fh:
+    """Write ``text`` as UTF-8, as it is: no newline translation on any platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -367,12 +377,12 @@ def write_json(path, doc) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header row and then ``rows``, each line ending in LF.
+    """Write a header row and then ``rows`` as UTF-8, each line ending in LF.
 
     csv writes a float, a NumPy float64 too, as ``repr(float(x))``, so a
     cell reads back to the same bits.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

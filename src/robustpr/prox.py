@@ -34,21 +34,17 @@ def threshold_point(mu: float) -> float:
 
 def half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     """Componentwise chi(., mu); global minimizer of ||v-xi||^2 + mu||v||_{1/2}^{1/2}."""
-    tbar = threshold_point(mu)
     xi = np.asarray(xi)
     if not np.iscomplexobj(xi):
         xi = xi.astype(np.float64, copy=False)
     # np.abs of a 0-d array is a scalar the body cannot write into, so a
     # 0-d xi runs as a 1-element view and gets its shape back
-    return _half_threshold(np.atleast_1d(xi), mu, tbar).reshape(xi.shape)
+    return _half_threshold(np.atleast_1d(xi), mu).reshape(xi.shape)
 
 
-def _half_threshold(xi: np.ndarray, mu, tbar) -> np.ndarray:
-    """chi(xi, mu) for a float64 or complex128 xi, with tbar = threshold_point(mu).
-
-    mu and tbar are scalars, or (k, 1) columns for a (k, p) block of k rows
-    with one weight each; every entry goes through the same float operations
-    either way, so a block row equals the 1-D call on that row bit for bit.
+def _half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
+    """chi(xi, mu) for a float64 or complex128 xi; ValueError unless mu is a
+    positive finite scalar (threshold_point validates it).
 
     The shrinkage runs on every entry of max(|xi|, tbar), which is |xi| on
     the kept set and tbar on the other non-NaN entries; copyto then writes
@@ -62,6 +58,7 @@ def _half_threshold(xi: np.ndarray, mu, tbar) -> np.ndarray:
     infinite part into NaN.  On finite entries the two agree bit for bit,
     except that a zero part keeps its sign here, as under a real scaling.
     """
+    tbar = threshold_point(mu)
     mag = np.abs(xi)
     keep = mag > tbar
     s = np.maximum(mag, tbar, out=mag)

@@ -47,7 +47,7 @@ from .gradient import g as gradient_map
 from .model import MeasurementEnsemble, _is_int, write_csv
 from .objective import _evaluate
 from .objective import objective  # unused here; benchmarks/tracing.py binds it
-from .prox import _half_threshold, threshold_point
+from .prox import _half_threshold
 from .prox import half_threshold  # unused here; benchmarks/tracing.py binds it
 
 TAU_MIN = 1e-8  # floor of the Barzilai-Borwein trial step
@@ -122,8 +122,7 @@ def fixed_point_residual(
 
 def _residual(x, gx, lam, tau, x_norm) -> float:
     """fixed_point_residual of x, given gx = g(x) and x_norm = ||x||."""
-    mu = 2.0 * lam * tau
-    step = _half_threshold(x - 2.0 * tau * gx, mu, threshold_point(mu)) - x
+    step = _half_threshold(x - 2.0 * tau * gx, 2.0 * lam * tau) - x
     return _norm(step) / max(1.0, x_norm)
 
 
@@ -165,9 +164,7 @@ def solve(
         accepted = False
         for j in range(MAX_BACKTRACKS + 1):
             tau = tau0 * cfg.beta**j
-            mu = 2.0 * cfg.lam * tau
-            tbar = threshold_point(mu)
-            cand = _half_threshold(x - 2.0 * tau * g_x, mu, tbar)
+            cand = _half_threshold(x - 2.0 * tau * g_x, 2.0 * cfg.lam * tau)
             F_cand, c, r = _evaluate(cand, e, cfg.lam, cfg.alpha)
             step = cand - x
             step_sq = float(np.vdot(step, step).real)

@@ -741,6 +741,24 @@ def test_config_flag_errors(tmp_path, capsys):
     assert "config line 2: expected 'key = value'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["instance", "solution", "config"])
+def test_a_file_that_is_not_utf8_text_exits_4_naming_its_kind(tmp_path, capsys, kind):
+    inst, bad, out = tmp_path / "inst.json", tmp_path / "bad", tmp_path / "out.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    bad.write_bytes(b"\xff")
+    argv = {
+        "instance": ["solve", "--instance", str(bad), "--out-result", str(out)],
+        "solution": ["diag", "certificate", "--instance", str(inst),
+                     "--solution", str(bad), "--out", str(out)],
+        "config": ["solve", "--config", str(bad), "--instance", str(inst),
+                   "--out-result", str(out)],
+    }[kind]
+    capsys.readouterr()
+    assert run(*argv, "--lambda", "1e-4") == 4
+    assert capsys.readouterr().err == f"error: {kind} file is not UTF-8 text\n"
+    assert not out.exists()
+
+
 def test_a_prefix_of_a_flag_is_not_that_flag(tmp_path, capsys):
     # --eps (the solver's tolerance) is a prefix of diag certificate's --eps1;
     # on the command line or as a config key it must not set --eps1

@@ -72,7 +72,6 @@ def test_half_threshold_is_bitwise_the_reference_body(complex_field):
     # that close to tbar, and the dense body evaluates every dropped entry
     # at tbar, so its guard must keep it silent
     mus = np.append(np.logspace(-12, 1, 27), [1e-310, 5e-324])
-    rows = []
     for mu in mus:
         tbar = threshold_point(mu)
         xi = rng.standard_normal(64) * rng.choice([tbar, 1.0, 10.0], 64)
@@ -86,30 +85,23 @@ def test_half_threshold_is_bitwise_the_reference_body(complex_field):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert new <= old
-        rows.append(xi)
     # rows with nothing kept: zeros, and entries at or below the threshold
     for mu in (1e-3, 10.0, 1e-310):
         tbar = threshold_point(mu)
-        rows.append(np.zeros(64, dtype=rows[0].dtype))
-        rows.append(rng.uniform(-tbar, tbar, 64).astype(rows[0].dtype))
-        rows[-1][:2] = [tbar, -tbar]
-        rows[-1][2:5] = [-0.0, 5e-324, np.nan]
-        mus = np.append(mus, [mu, mu])
-    block = np.stack(rows)
-    tbars = np.array([threshold_point(mu) for mu in mus])
-    # the block body with one weight per row is the reference on each row
-    for k in (len(rows), 1):
-        out, new = _caught(_half_threshold, block[:k], mus[:k, None], tbars[:k, None])
-        assert out.dtype == block.dtype
-        old = set()
-        for row, mu, got in zip(block[:k], mus[:k], out, strict=True):
-            want, caught = _caught(_half_threshold_reference, row, mu)
+        below = rng.uniform(-tbar, tbar, 64).astype(xi.dtype)
+        below[:2] = [tbar, -tbar]
+        below[2:5] = [-0.0, 5e-324, np.nan]
+        for row in (np.zeros(64, dtype=xi.dtype), below):
+            (got, new), (want, old) = (
+                _caught(f, row, mu) for f in (half_threshold, _half_threshold_reference))
             assert got.tobytes() == want.tobytes()
-            old |= caught
-        assert new <= old
-    assert not _half_threshold(block[-6:], mus[-6:, None], tbars[-6:, None]).any()
+            assert new <= old
+            assert not got.any()
     # the dense body's zeros are +0.0, never the -0.0 a 0/1 mask would write
     assert not np.signbit(half_threshold(np.array([-0.0, -1e-9]), 1.0)).any()
+    # the body takes one scalar weight: a column of weights is refused
+    with pytest.raises(ValueError):
+        _half_threshold(np.ones((2, 3)), np.full((2, 1), 1e-3))
 
 
 def test_complex_infinities_keep_their_other_part():

@@ -4,7 +4,8 @@ A name in ``robustpr.__all__`` that no package module (other than the
 re-exporting ``__init__``) and no benchmark script uses is test-only code;
 it belongs in ``tests/oracles.py``.  Likewise an optional parameter of a
 public function that no call in the package or the benchmark passes is a
-knob only tests turn.
+knob only tests turn.  And every file the package opens as text is
+opened in ``model``, as UTF-8; ``pgm`` opens its files in binary mode.
 """
 
 import ast
@@ -88,3 +89,31 @@ def test_every_optional_parameter_has_a_caller():
         if not {(fn, None), (fn, param), (fn, position)} & passed
     ]
     assert uncalled == []
+
+
+def _opens(path: Path):
+    """(line, mode, encoding) of each ``open(...)`` call in a module; a mode
+    or encoding that is not a string literal reads as None."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) != "open":
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r"))
+        encoding = node.args[3] if len(node.args) > 3 else keywords.get("encoding")
+        yield node.lineno, *(arg.value if isinstance(arg, ast.Constant) else None
+                             for arg in (mode, encoding))
+
+
+def test_every_text_file_is_opened_as_utf8_in_model():
+    seen, stray = set(), []
+    for path in sorted((ROOT / "src" / "robustpr").glob("*.py")):
+        for line, mode, encoding in _opens(path):
+            seen.add(path.name)
+            allowed = {"model.py": encoding == "utf-8",
+                       "pgm.py": isinstance(mode, str) and "b" in mode}
+            if not allowed.get(path.name):
+                stray.append(f"{path.name}:{line} mode={mode!r} encoding={encoding!r}")
+    assert stray == []
+    assert seen == {"model.py", "pgm.py"}

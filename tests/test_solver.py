@@ -85,7 +85,7 @@ def test_line_search_failure_is_reported_not_raised(monkeypatch):
     proxes = []
     inner = solver._half_threshold
     monkeypatch.setattr(solver, "_half_threshold",
-                        lambda xi, mu, tbar: proxes.append(mu) or inner(xi, mu, tbar))
+                        lambda xi, mu: proxes.append(mu) or inner(xi, mu))
     rng = np.random.default_rng(2)
     result = solve(e, rng.standard_normal(16), cfg)
     assert result.termination is Termination.LINE_SEARCH_FAILED
@@ -250,10 +250,10 @@ def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(monkeypatch):
     e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
     x0 = spectral_init(e, SpectralConfig(), 4)
     shapes, weights = [], []
-    inner, check = solver._half_threshold, solver.threshold_point
+    inner, check = solver._half_threshold, prox.threshold_point
     monkeypatch.setattr(solver, "_half_threshold",
-                        lambda xi, mu, tbar: shapes.append(xi.shape) or inner(xi, mu, tbar))
-    monkeypatch.setattr(solver, "threshold_point",
+                        lambda xi, mu: shapes.append(xi.shape) or inner(xi, mu))
+    monkeypatch.setattr(prox, "threshold_point",
                         lambda mu: weights.append(mu) or check(mu))
     public = []
     for module, name in ((prox, "half_threshold"), (solver, "half_threshold"),
@@ -289,14 +289,11 @@ def test_trace_keeps_no_iterate_alive_in_a_long_solve():
     bytes_used, result = peak(solve, e, x0, cfg)
     assert result.iterations == 200
     assert bytes_used <= bound
-    # the prox's scratch on a block of rows: measured 2.3 times the block's
-    # bytes for a real block and 2.6 for a complex one, 9.1 and 7.6 with
-    # gather and scatter
-    xi = np.random.default_rng(3).standard_normal((block // 8 // e.p, e.p))
-    mu = np.full((len(xi), 1), 1e-3)
-    tbar = np.full((len(xi), 1), prox.threshold_point(1e-3))
+    # the prox's scratch on a vector of a block's bytes: measured 2.3 times
+    # its bytes for a real vector and 1.6 for a complex one
+    xi = np.random.default_rng(3).standard_normal(block // 8)
     for xi in (xi, xi + 1j * xi[::-1]):
-        assert peak(prox._half_threshold, xi, mu, tbar)[0] <= 3 * xi.nbytes
+        assert peak(prox._half_threshold, xi, 1e-3)[0] <= 3 * xi.nbytes
 
 
 def test_objective_cached_value_matches_recomputation():
