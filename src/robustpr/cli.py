@@ -7,12 +7,12 @@ Exit codes: 0 success, 2 usage or validation error, 3 domain error
 (unsupported field, missing data), 4 I/O or file-format error.
 
 Each flag is declared once and read by its command: shared groups are
-argparse parent parsers, and the solver and spectral flags are generated from
-the ``SolverConfig`` and ``SpectralConfig`` fields (``bench lambda-grid`` has
-no ``--lambda``: it searches a grid).  A flat ``key = value`` config file
-(``--config``, '#' comments) supplies ``--key value`` for any long flag of the
-invoked command, ``true`` or ``false`` for a switch; explicit flags win over
-the config file, which wins over built-in defaults.
+argparse parent parsers, and the solver flags are generated from the
+``SolverConfig`` fields (``bench lambda-grid`` has no ``--lambda``: it
+searches a grid).  The spectral start has no flag.  A flat ``key = value``
+config file (``--config``, '#' comments) supplies ``--key value`` for any long
+flag of the invoked command, ``true`` or ``false`` for a switch; explicit
+flags win over the config file, which wins over built-in defaults.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def _noise(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-# One flag per SolverConfig and SpectralConfig field; the field's annotation
-# gives the flag's type and its default the flag's default.
+# One flag per SolverConfig field; the field's annotation gives the flag's
+# type and its default the flag's default.
 _FIELD_HELP = {
     "lam": "regularization weight (required)",
     "alpha": "Huber transition threshold",
@@ -120,10 +120,9 @@ _FIELD_HELP = {
     "delta": "sufficient-decrease constant",
     "eps": "stopping tolerance",
     "max_iter": "iteration cap",
-    "truncation": "keep-count for the initializer's direction",
 }
 # the fields' annotations are strings (postponed evaluation)
-_FIELD_TYPES = {"float": float, "int": int, "int | None": int}
+_FIELD_TYPES = {"float": float, "int": int}
 
 
 def _field_flags(*config_fields, require=True) -> argparse.ArgumentParser:
@@ -146,11 +145,6 @@ def _solver_config(args, lam=None) -> SolverConfig:
                            for f in fields(SolverConfig)})
 
 
-def _spectral_config(args) -> SpectralConfig:
-    return SpectralConfig(**{f.name: getattr(args, f.name)
-                             for f in fields(SpectralConfig)})
-
-
 def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
     return ExperimentSpec(
         p=p,
@@ -159,7 +153,7 @@ def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
         noise=args.noise,
         trials=args.trials,
         solver=_solver_config(args),
-        spectral=_spectral_config(args),
+        spectral=SpectralConfig(),
         master_seed=args.seed,
         field=args.field,
         success_threshold=args.threshold,
@@ -206,9 +200,8 @@ def cmd_gen(args):
 def cmd_solve(args):
     e = _load_instance(args.instance)
     cfg = _solver_config(args)
-    spectral_cfg = _spectral_config(args)
     seed = e.seed if args.seed is None else args.seed
-    x0 = spectral_init(e, spectral_cfg, seed)
+    x0 = spectral_init(e, SpectralConfig(), seed)
     result = solve(e, x0, cfg)
     last = result.trace[-1] if result.iterations else None
     fp_res = (
@@ -229,7 +222,6 @@ def cmd_solve(args):
             "lambda": echo.pop("lam"),
             **echo,
             "seed": seed,
-            "truncation": spectral_cfg.truncation,
         },
     }
     message = (
@@ -267,9 +259,7 @@ def _bench_success_rate(args):
 def _bench_error_iter(args):
     n = args.ratio * args.p
     e = synthesize_instance(args.p, args.s, n, args.field, args.noise, args.seed)
-    curve, result = error_vs_iteration(
-        e, _solver_config(args), _spectral_config(args)
-    )
+    curve, result = error_vs_iteration(e, _solver_config(args))
     prefix = args.out_prefix
     _write_plot(prefix + ".csv", ("k", "relative_error"), curve,
                 prefix + ".gp", 1, 2, "iteration", "relative error", logscale="y")
@@ -284,9 +274,7 @@ def _bench_lambda_grid(args):
     e = _load_instance(args.instance)
     # lambda_grid_search sets lam per grid point; the base lam is a placeholder.
     base = _solver_config(args, lam=1.0)
-    chosen, table = lambda_grid_search(
-        e, base, args.grid, args.rule, spectral=_spectral_config(args), seed=args.seed
-    )
+    chosen, table = lambda_grid_search(e, base, args.grid, args.rule, seed=args.seed)
     if args.out_prefix:
         _write_plot(args.out_prefix + ".csv", ("lambda", "score"), table,
                     args.out_prefix + ".gp", 1, 2, "lambda", "validation score",
@@ -334,13 +322,12 @@ def cmd_image(args):
     n = args.ratio * p
     e = measure(x_true, n, args.noise, args.seed)
     cfg = _solver_config(args)
-    x0 = spectral_init(e, _spectral_config(args), args.seed)
+    x0 = spectral_init(e, SpectralConfig(), args.seed)
     result = solve(e, x0, cfg)
     estimate = align(result.estimate, x_true)
     rel = relative_error(result.estimate, x_true)
-    recon = GrayImage.from_signal(
-        np.clip(estimate, 0.0, 1.0), img.width, img.height, maxval=img.maxval
-    )
+    # from_signal clips the estimate to [0, 1]
+    recon = GrayImage.from_signal(estimate, img.width, img.height, maxval=img.maxval)
     write_pgm(args.out_image, recon)
     metrics = {
         "input": os.path.basename(args.input),
@@ -461,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     lam_field = solver_field.pop("lam")
     lam = _field_flags(lam_field)
     # every solver flag but --lambda, for bench lambda-grid's grid search
-    search = _field_flags(*solver_field.values(), *fields(SpectralConfig))
+    search = _field_flags(*solver_field.values())
     solver = shared(parents=[lam, search])
 
     parser = argparse.ArgumentParser(

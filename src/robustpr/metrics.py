@@ -176,18 +176,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def error_vs_iteration(
-    e: MeasurementEnsemble, cfg: SolverConfig, spectral: SpectralConfig
+    e: MeasurementEnsemble, cfg: SolverConfig
 ) -> tuple[list, SolverResult]:
     """Relative-error curve along the iterates, starting at the spectral point
     drawn with the ensemble's seed."""
-    if e.ground_truth is None:
-        raise MissingDataError("error-vs-iteration needs a ground truth")
+    if e.ground_truth is None or not np.any(e.ground_truth):
+        raise MissingDataError("error-vs-iteration needs a nonzero ground truth")
     curve = []
 
     def record(k, x):
         curve.append((k, relative_error(x, e.ground_truth)))
 
-    result = solve(e, spectral_init(e, spectral, e.seed), cfg, callback=record)
+    result = solve(e, spectral_init(e, SpectralConfig(), e.seed), cfg, callback=record)
     return curve, result
 
 
@@ -215,7 +215,6 @@ def lambda_grid_search(
     cfg_base: SolverConfig,
     lambda_grid,
     validation_rule: str,
-    spectral: SpectralConfig | None = None,
     seed: int | None = None,
 ):
     """Pick lambda from a grid by oracle error or held-out Huber loss.
@@ -248,8 +247,6 @@ def lambda_grid_search(
         e.ground_truth is None or not np.any(e.ground_truth)
     ):
         raise MissingDataError("oracle rule needs a nonzero ground truth")
-    if spectral is None:
-        spectral = SpectralConfig()
     if seed is None:
         seed = e.seed
 
@@ -266,7 +263,7 @@ def lambda_grid_search(
         def score(x):
             return relative_error(x, e.ground_truth)
 
-    x_spectral = spectral_init(train, spectral, seed)
+    x_spectral = spectral_init(train, SpectralConfig(), seed)
     spectral_score = score(x_spectral)
     x0 = x_spectral
     table = []

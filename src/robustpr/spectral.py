@@ -10,9 +10,13 @@ off S.  The matrix is never formed; power iteration uses matrix-free
 products Y v = (1/n) sum_i b_i a_i (a_i^H v) and stops once successive
 iterates v, v' have 1 - |<v', v>| < POWER_TOL, or after POWER_ITERATIONS
 products.  The direction is scaled by sqrt(mean b), which estimates ||x||
-for standardized sampling vectors.  An optional truncation keeps only the
-largest-modulus entries of the direction (renormalized) before scaling.  No
-step reads the ground truth or its sparsity.
+for standardized sampling vectors.  No step reads the ground truth or its
+sparsity.
+
+``SpectralConfig.truncation`` keeps only the largest-modulus entries of the
+direction (renormalized) before scaling.  It is a library option that only the
+benchmark still sets: the screen already does its work, so no command has a
+flag for it and the package's own calls pass ``SpectralConfig()``.
 """
 
 from __future__ import annotations

@@ -176,10 +176,10 @@ def test_solve_echoes_every_solver_flag(tmp_path):
     assert run("solve", "--instance", str(inst), "--lambda", "2e-4",
                "--alpha", "0.9", "--gamma", "0.8", "--beta", "0.6",
                "--delta", "2e-4", "--eps", "1e-5", "--max-iter", "400",
-               "--truncation", "5", "--seed", "11", "--out-result", str(res)) == 0
+               "--seed", "11", "--out-result", str(res)) == 0
     config = json.loads(res.read_text())["config"]
     assert list(config) == ["lambda", "alpha", "gamma", "beta", "delta", "eps",
-                            "max_iter", "seed", "truncation"]
+                            "max_iter", "seed"]
     assert config["lambda"] == 2e-4
     assert config["alpha"] == 0.9
     assert config["gamma"] == 0.8
@@ -188,7 +188,6 @@ def test_solve_echoes_every_solver_flag(tmp_path):
     assert config["eps"] == 1e-5
     assert config["max_iter"] == 400
     assert config["seed"] == 11
-    assert config["truncation"] == 5
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -241,7 +240,6 @@ def test_solve_with_zero_ground_truth(tmp_path, field):
                "--out-result", str(res)) == 0
     out = json.loads(res.read_text())
     assert "relative_error" not in out
-    assert out["config"]["truncation"] is None
     assert run("bench", "lambda-grid", "--instance", str(zero), "--grid", "1e-4,1e-3",
                "--rule", "holdout") == 0
 
@@ -384,11 +382,11 @@ def _lines(rows) -> bytes:
 def test_bench_tables_match_a_repr_oracle(tmp_path):
     """Each bench table is its header and then one row per record, every
     float by repr(), as computed by the library calls behind the mode."""
-    cfg, spectral = SolverConfig(lam=1e-4), SpectralConfig()
+    cfg = SolverConfig(lam=1e-4)
 
     def spec(p, n_grid):
         return ExperimentSpec(p=p, s=2, n_grid=n_grid, noise=NoiseSpec(), trials=2,
-                              solver=cfg, spectral=spectral, master_seed=3)
+                              solver=cfg, spectral=SpectralConfig(), master_seed=3)
 
     assert run("bench", "success-rate", "--p", "8", "--s", "2", "--grid", "4,6",
                "--trials", "2", "--noise", "none", "--lambda", "1e-4", "--seed", "3",
@@ -403,7 +401,7 @@ def test_bench_tables_match_a_repr_oracle(tmp_path):
                "--noise", "none", "--lambda", "1e-4", "--seed", "3",
                "--out-prefix", str(tmp_path / "curve")) == 0
     e = synthesize_instance(8, 2, 48, FieldTag.REAL, NoiseSpec(), 3)
-    curve, _ = error_vs_iteration(e, cfg, spectral)
+    curve, _ = error_vs_iteration(e, cfg)
     assert (tmp_path / "curve.csv").read_bytes() == _lines(
         ["k,relative_error"] + [f"{k},{err!r}" for k, err in curve])
 
@@ -414,7 +412,7 @@ def test_bench_tables_match_a_repr_oracle(tmp_path):
                "--out-prefix", str(tmp_path / "tab")) == 0
     _, table = lambda_grid_search(deserialize_instance(inst.read_text()),
                                   SolverConfig(lam=1.0), [1e-5, 1e-4, 1e-3],
-                                  "holdout", spectral=spectral, seed=None)
+                                  "holdout", seed=None)
     assert (tmp_path / "tab.csv").read_bytes() == _lines(
         ["lambda,score"] + [f"{lam!r},{score!r}" for lam, score in table])
 
@@ -581,7 +579,7 @@ def test_diag_remark5_missing_record(tmp_path):
 
 def test_solve_start_reads_no_ground_truth(tmp_path):
     # the start comes from the measurements alone: the same complex file
-    # without x_true and eps gives the same estimate, and no truncation
+    # without x_true and eps gives the same estimate
     inst, blind = tmp_path / "inst.json", tmp_path / "blind.json"
     assert run("gen", "--p", "16", "--s", "3", "--n", "96", "--field", "complex",
                "--out", str(inst)) == 0
@@ -595,7 +593,6 @@ def test_solve_start_reads_no_ground_truth(tmp_path):
                    "--max-iter", "5", "--out-result", str(res)) == 0
         outs.append(json.loads(res.read_text()))
     assert outs[0]["estimate"] == outs[1]["estimate"]
-    assert outs[0]["config"]["truncation"] is outs[1]["config"]["truncation"] is None
 
 
 def test_diag_use_truth_needs_a_ground_truth(tmp_path, capsys):
@@ -887,7 +884,7 @@ def test_help_lists_defaults(capsys):
             assert "--lambda" not in shown
         else:
             assert shown["--lambda"] == "None", command
-        for f in fields(SolverConfig) + fields(SpectralConfig):
+        for f in fields(SolverConfig):
             if f.name == "lam":
                 continue
             flag = "--" + f.name.replace("_", "-")
@@ -900,14 +897,13 @@ def test_help_lists_defaults(capsys):
     assert help_defaults(capsys, "diag", "stability")["--samples"] == "200"
 
 
-def test_readme_lists_the_generated_solver_and_spectral_flags():
+def test_readme_lists_the_generated_solver_flags():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = " ".join(readme.read_text().split())
-    listed = re.search(r"solver flags \((.*?)\) and spectral flags \((.*?)\)", text)
-    for group, config in zip(listed.groups(), (SolverConfig, SpectralConfig)):
-        generated = [action.option_strings[0]
-                     for action in cli._field_flags(*fields(config))._actions]
-        assert re.findall(r"`(--[a-z-]+)`", group) == generated
+    listed = re.search(r"solver flags \((.*?)\)", text)
+    generated = [action.option_strings[0]
+                 for action in cli._field_flags(*fields(SolverConfig))._actions]
+    assert re.findall(r"`(--[a-z-]+)`", listed.group(1)) == generated
 
 
 def test_unknown_command_usage_error():
@@ -983,6 +979,27 @@ def test_bench_rejects_a_flag_it_would_not_read(tmp_path, capsys, argv, message)
     assert run("bench", *argv, "--out-prefix", str(tmp_path / "x")) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "inst.json", "--lambda", "1e-3"],
+    ["image", "--input", "in.pgm", "--out-image", "out.pgm", "--lambda", "1e-3"],
+    ["bench", "success-rate", "--p", "8", "--s", "2", "--grid", "4", "--trials", "1",
+     "--lambda", "1e-3", "--out-prefix", "x"],
+    ["bench", "error-iter", "--p", "8", "--s", "2", "--lambda", "1e-3",
+     "--out-prefix", "x"],
+    ["bench", "lambda-grid", "--instance", "inst.json", "--grid", "1e-3"],
+    ["bench", "consistency", "--p-grid", "8", "--s", "2", "--trials", "1",
+     "--lambda", "1e-3", "--out-prefix", "x"],
+], ids=lambda argv: "-".join(argv[:2] if argv[0] == "bench" else argv[:1]))
+def test_no_command_takes_a_truncation(tmp_path, capsys, monkeypatch, argv):
+    # the spectral start has no knob: its flag and its config key are usage errors
+    monkeypatch.chdir(tmp_path)
+    Path("conf.txt").write_text("truncation = 5\n")
+    for extra in (["--truncation", "5"], ["--config", "conf.txt"]):
+        assert run(*argv, *extra) == 2, extra
+        assert "unrecognized arguments: --truncation 5" in capsys.readouterr().err
+    assert os.listdir() == ["conf.txt"]
 
 
 def test_switches_take_true_or_false(tmp_path, capsys):

@@ -224,7 +224,7 @@ def test_experiment_spec_validation():
 
 def test_error_vs_iteration_curve():
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 11)
-    curve, result = error_vs_iteration(e, SolverConfig(lam=1e-4), SpectralConfig())
+    curve, result = error_vs_iteration(e, SolverConfig(lam=1e-4))
     assert len(curve) == result.iterations + 1
     assert curve[-1][1] < 5e-3
 
@@ -239,7 +239,19 @@ def test_error_vs_iteration_needs_truth():
         observations=e.observations,
     )
     with pytest.raises(MissingDataError):
-        error_vs_iteration(bare, SolverConfig(lam=1e-4), SpectralConfig())
+        error_vs_iteration(bare, SolverConfig(lam=1e-4))
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_error_vs_iteration_rejects_a_zero_truth_before_any_solve(field, monkeypatch):
+    e = synthesize_instance(16, 2, 160, field, NoiseSpec("none"), 3)
+    zero = replace(e, ground_truth=np.zeros_like(e.ground_truth), noise_record=None)
+    calls, spectral_calls = _captured_solves(monkeypatch), []
+    monkeypatch.setattr(robustpr.metrics, "spectral_init",
+                        lambda *args: spectral_calls.append(args))
+    with pytest.raises(MissingDataError, match="nonzero ground truth"):
+        error_vs_iteration(zero, SolverConfig(lam=1e-4))
+    assert calls == [] and spectral_calls == []
 
 
 def test_lambda_grid_search_single_element():
@@ -358,14 +370,14 @@ def _score(e, rule, x, alpha):
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
 def test_grid_search_warm_starts_along_the_ascending_grid(field, rule, monkeypatch):
     e = synthesize_instance(16, 2, 160, field, NoiseSpec("type1", 0.1), 21)
-    spectral, cfg = SpectralConfig(truncation=4), SolverConfig(lam=1.0)
+    cfg = SolverConfig(lam=1.0)
     calls = _captured_solves(monkeypatch)
     grid = [1e-2, 1e-6, 1e-3, 1e-4]
-    _, table = lambda_grid_search(e, cfg, grid, rule, spectral=spectral, seed=8)
+    _, table = lambda_grid_search(e, cfg, grid, rule, seed=8)
     # one solve per grid point, in ascending lambda, as the table lists them
     assert [lam for _, lam, _ in calls] == sorted(grid)
     assert [lam for lam, _ in table] == sorted(grid)
-    x_spectral = spectral_init(_training_set(e, rule), spectral, 8)
+    x_spectral = spectral_init(_training_set(e, rule), SpectralConfig(), 8)
     assert calls[0][0].tobytes() == x_spectral.tobytes()
     spectral_score = _score(e, rule, x_spectral, cfg.alpha)
     for (_, _, previous), (start, _, _), (_, score) in zip(calls, calls[1:], table):
