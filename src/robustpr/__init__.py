@@ -31,7 +31,6 @@ from .model import (
 )
 from .objective import (
     half_norm,
-    huber,
     huber_deriv,
     loss,
     objective,
@@ -73,7 +72,6 @@ __all__ = [
     "generate_signal",
     "half_norm",
     "half_threshold",
-    "huber",
     "huber_deriv",
     "lambda_grid_search",
     "linear_rate_certificate",

@@ -6,28 +6,28 @@ With the inner product <a, x> = a^H x used throughout, the map
 
 satisfies grad f(x) = 2 g(x) in the real field, and is the Wirtinger
 gradient of f in the complex field, so f(x) - f(y) ~ 2 Re<g(y), x-y>.
+g, like the solver, runs ``objective._evaluate`` and then ``_adjoint``,
+which weights the rows by the core's clamp h'_alpha instead of clamping again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import MeasurementEnsemble, correlate
-from .objective import huber_deriv
+from .model import MeasurementEnsemble
+from .model import correlate  # unused here; benchmarks/tracing.py binds it
+from .objective import _evaluate
 
 
 def g(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> np.ndarray:
     """Unified gradient map; see module docstring for conventions."""
     if not 0.0 < alpha < np.inf:
         raise ValueError("alpha must be positive")
-    x = e.check_signal(x)
-    c = correlate(e.sampling_vectors, x)
-    return _adjoint(e, c, np.abs(c) ** 2 - e.observations, alpha)
+    _, c, d = _evaluate(e.check_signal(x), e, 0.0, alpha)
+    return _adjoint(e, c, d)
 
 
-def _adjoint(
-    e: MeasurementEnsemble, c: np.ndarray, r: np.ndarray, alpha: float
-) -> np.ndarray:
-    """g from c = <a_i, x> and r = |c|^2 - b: one adjoint product, no forward one."""
-    return e.sampling_vectors.T @ (huber_deriv(r, alpha) * c) / e.n
-
+def _adjoint(e: MeasurementEnsemble, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """g from c = <a_i, x> and the clamp d = h'_alpha(|c|^2 - b) that
+    ``objective._evaluate`` returns: one adjoint product, no forward one."""
+    return e.sampling_vectors.T @ (d * c) / e.n

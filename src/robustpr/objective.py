@@ -1,4 +1,4 @@
-"""Huber loss, l_1/2 regularizer and the full objective.
+"""The evaluation core: Huber loss, l_1/2 regularizer and the full objective.
 
 The objective being minimized is
 
@@ -6,7 +6,8 @@ The objective being minimized is
 
 where h_alpha is quadratic on [-alpha, alpha] and linear outside, and the
 modulus in the regularizer is the complex modulus (|Re|^(1/2) + |Im|^(1/2)
-would define a different, non-equivalent problem).
+would define a different, non-equivalent problem).  F, g and each Armijo
+trial of the solver go through one evaluation core, ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -14,18 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .model import MeasurementEnsemble, correlate
-
-
-def huber(u, alpha: float):
-    """Huber function: u^2/2 for |u| <= alpha, alpha*|u| - alpha^2/2 beyond."""
-    u = np.asarray(u, dtype=np.float64)
-    # one clamp d: beyond alpha, d = +-alpha gives alpha|u| - alpha^2/2; within
-    # it, d = u and u^2 - u^2/2 is exact (Sterbenz), so both branches give the
-    # two-branch values bit for bit, except by one ulp where u^2 is subnormal
-    d = huber_deriv(u, alpha)
-    h = d * u
-    h -= (0.5 * d) * d
-    return h
 
 
 def huber_deriv(u, alpha: float):
@@ -39,18 +28,25 @@ def half_norm(x: np.ndarray) -> float:
 
 
 def _evaluate(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float):
-    """(F(x), c, r) at an already validated x, from one forward product.
+    """(F(x), c, d) at an already validated x, from one forward product.
 
-    c = <a_i, x> and r = |c|^2 - b feed ``gradient._adjoint``, so g at the
-    same point costs one adjoint product more.  With lam = 0 the value is the
-    loss alone.
+    c = <a_i, x> and the clamp d = h'_alpha(|c|^2 - b) feed
+    ``gradient._adjoint``, so g at the same point costs one adjoint product
+    more.  The Huber sum is (d.r - d.d/2)/n with r = |c|^2 - b: d = r within
+    alpha and d = +-alpha beyond it give the two branches.  With lam = 0
+    the value is the loss alone.
     """
     c = correlate(e.sampling_vectors, x)
-    r = np.abs(c) ** 2 - e.observations
-    value = float(huber(r, alpha).sum() / e.n)
+    # c*c is np.abs(c)**2 bit for bit on reals; a complex c keeps the form
+    # model.measure builds b with, so r is exactly 0 at a noiseless truth
+    m = np.abs(c) if c.dtype.kind == "c" else c
+    r = m * m
+    r -= e.observations
+    d = huber_deriv(r, alpha)
+    value = float((d.dot(r) - 0.5 * d.dot(d)) / e.n)
     if lam:
         value += lam * half_norm(x)
-    return value, c, r
+    return value, c, d
 
 
 def loss(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> float:

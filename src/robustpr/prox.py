@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 _TBAR_COEF = 54.0 ** (1.0 / 3.0) / 4.0
+_ARG_COEF = 3.0**1.5 / 8.0  # (mu/8)(t/3)^(-3/2) = _ARG_COEF * mu * t^(-3/2)
 
 
 def threshold_point(mu: float) -> float:
@@ -49,10 +50,11 @@ def _half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     The shrinkage runs on every entry of max(|xi|, tbar), which is |xi| on
     the kept set and tbar on the other non-NaN entries; copyto then writes
     +0.0 over the entries with |xi| <= tbar and the NaN ones (a 0/1 mask
-    would give -0.0).
-    For mu near the subnormal range, (tbar / 3) ** -1.5 overflows to inf,
-    which the cap turns into 1 as it does for a kept entry that close to
-    tbar; errstate keeps that overflow silent.
+    would give -0.0).  The scale (2/3)(1 + cos(2pi/3 - (2/3) arccos(z))),
+    z = (mu/8)(|t|/3)^(-3/2), is computed as (2/3)(1 + cos((2/3)
+    arccos(-z))), with -z = -(3^(3/2)/8) mu |t|^(-3/2) from one multiply.
+    For mu near the subnormal range, |t| ** -1.5 overflows to inf near
+    tbar, which the cap turns into -1; errstate keeps that overflow silent.
     A complex xi is scaled by its real and imaginary parts apart: a complex
     product would meet inf * 0 in its cross terms and turn an entry with an
     infinite part into NaN.  On finite entries the two agree bit for bit,
@@ -62,25 +64,21 @@ def _half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     mag = np.abs(xi)
     keep = mag > tbar
     s = np.maximum(mag, tbar, out=mag)
-    s /= 3.0
     with np.errstate(over="ignore"):
         s **= -1.5
-    s *= mu / 8.0
-    # arccos argument in (0, 1/sqrt(2)) on the kept set; the cap guards
-    # rounding for |t| within machine epsilon of tbar.
-    np.minimum(s, 1.0, out=s)
+    s *= -_ARG_COEF * mu
+    # -z lies in [-1/sqrt(2), 0] up to rounding; only an overflow meets the cap
+    np.maximum(s, -1.0, out=s)
     np.arccos(s, out=s)
     s *= 2.0 / 3.0
-    np.subtract(2.0 * np.pi / 3.0, s, out=s)
     np.cos(s, out=s)
     s += 1.0
+    s *= 2.0 / 3.0
     if xi.dtype.kind == "c":
         out = np.empty_like(xi)
-        for part, src in ((out.real, xi.real), (out.imag, xi.imag)):
-            np.multiply(src, 2.0 / 3.0, out=part)
-            part *= s
+        np.multiply(xi.real, s, out=out.real)
+        np.multiply(xi.imag, s, out=out.imag)
     else:
-        out = (2.0 / 3.0) * xi
-        out *= s
+        out = xi * s
     np.copyto(out, 0.0, where=~keep)
     return out

@@ -20,14 +20,17 @@ passes the same sufficient-decrease test, which is all the convergence
 argument needs.  The accepted objective value is cached
 and carried forward, so the recorded descent inequality is exact in floating
 point.  Terminates when the step norm drops below eps * max(1, ||x||).
+A zero step (0 >= delta * 0) ends the run Converged only if x's fixed-point
+residual at tau = gamma, one more prox, is at most eps; otherwise the run
+ends LineSearchFailed and the zero step gets no row.
 
 Work per iteration: each Armijo trial costs one prox and one forward product
-A^H x, which yields F and the residuals together; the accepted trial's
-products give g(x+) with one adjoint product.  The trace's fixed-point
-residual of x_k is that of the step the run took from it: x_{k+1} is the map
-applied to x_k at tau_{k+1}, so the residual is step_norm_{k+1} / max(1,
-||x_k||) and costs nothing.  Only the last row's residual, at its own tau,
-takes one more prox per solve.  x0 is validated once per solve, and each
+A^H x, which yields F and the clamped residuals together; the accepted
+trial's products and clamp give g(x+) with one adjoint product.  The trace's
+fixed-point residual of x_k is that of the step the run took from it:
+x_{k+1} is the map applied to x_k at tau_{k+1}, so the residual is
+step_norm_{k+1} / max(1, ||x_k||) and costs nothing.  Only the last row's
+residual, at its own tau, takes one more prox per solve.  x0 is validated once per solve, and each
 trial validates its prox weight once.
 
 The trace is one NumPy record array with a row per accepted step, built once
@@ -150,9 +153,9 @@ def solve(
     x = e.check_signal(x0).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial point contains non-finite entries")
-    F_x, c, r = _evaluate(x, e, cfg.lam, cfg.alpha)
+    F_x, c, d = _evaluate(x, e, cfg.lam, cfg.alpha)
     F_initial = F_x
-    g_x = _adjoint(e, c, r, cfg.alpha)
+    g_x = _adjoint(e, c, d)
     x_norm = _norm(x)
     rows = []
     termination = Termination.MAX_ITERATIONS
@@ -165,13 +168,15 @@ def solve(
         for j in range(MAX_BACKTRACKS + 1):
             tau = tau0 * cfg.beta**j
             cand = _half_threshold(x - 2.0 * tau * g_x, 2.0 * cfg.lam * tau)
-            F_cand, c, r = _evaluate(cand, e, cfg.lam, cfg.alpha)
+            F_cand, c, d = _evaluate(cand, e, cfg.lam, cfg.alpha)
             step = cand - x
             step_sq = float(np.vdot(step, step).real)
             if F_x - F_cand >= cfg.delta * step_sq:
                 accepted = True
                 break
-        if not accepted:
+        # a zero step passes as 0 >= delta * 0: converged only at a fixed point
+        if not accepted or not step_sq and (
+                _residual(x, g_x, cfg.lam, cfg.gamma, x_norm) > cfg.eps):
             termination = Termination.LINE_SEARCH_FAILED
             break
 
@@ -179,7 +184,7 @@ def solve(
         if rows:  # the residual of x at tau, the step just taken from it
             rows[-1] += (step_norm / max(1.0, x_norm),)
         converged = step_norm <= cfg.eps * max(1.0, x_norm)
-        g_new = _adjoint(e, c, r, cfg.alpha)
+        g_new = _adjoint(e, c, d)
         y = g_new - g_x
         curvature = float(np.vdot(step, y).real)
         tau0 = cfg.gamma

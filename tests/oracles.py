@@ -4,7 +4,8 @@ None of these run when solving: they are the brute-force prox, the
 finite-difference gradient, the realified forms, the MM surrogate and the
 realified rate-certificate curvature that the acceptance criteria and unit
 tests compare ``half_threshold``, ``g``, ``objective`` and
-``diagnostics._complex_terms`` with.
+``diagnostics._complex_terms`` with, and the elementwise Huber function
+whose sum the evaluation core forms from two dot products.
 
 Complex problems can be rewritten over R^(2p) via xt = [Re x; Im x]:
 |<a_i, x>|^2 = xt^T A_i xt with A_i = phi phi^T + psi psi^T, where
@@ -16,9 +17,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from robustpr import FieldTag, MeasurementEnsemble, g, half_threshold, loss
+from robustpr import (
+    FieldTag,
+    MeasurementEnsemble,
+    g,
+    half_threshold,
+    huber_deriv,
+    loss,
+)
 from robustpr.gradient import _adjoint
 from robustpr.objective import _evaluate, half_norm
+
+
+def huber(u, alpha: float):
+    """Huber function: u^2/2 for |u| <= alpha, alpha*|u| - alpha^2/2 beyond."""
+    u = np.asarray(u, dtype=np.float64)
+    # one clamp d: beyond alpha, d = +-alpha gives alpha|u| - alpha^2/2; within
+    # it, d = u and u^2 - u^2/2 is exact (Sterbenz), so both branches give the
+    # two-branch values bit for bit, except by one ulp where u^2 is subnormal
+    d = huber_deriv(u, alpha)
+    h = d * u
+    h -= (0.5 * d) * d
+    return h
 
 
 def chi(t, mu: float):
@@ -142,8 +162,8 @@ def surrogate(
     x = e.check_signal(x)
     y = e.check_signal(y)
     d = x - y
-    f_y, c, r = _evaluate(y, e, 0.0, alpha)
-    lin = 2.0 * float(np.real(np.vdot(_adjoint(e, c, r, alpha), d)))
+    f_y, c, clamp = _evaluate(y, e, 0.0, alpha)
+    lin = 2.0 * float(np.real(np.vdot(_adjoint(e, c, clamp), d)))
     return (
         f_y
         + lin

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from robustpr import FieldTag, NoiseSpec, g, synthesize_instance
+from robustpr import FieldTag, NoiseSpec, g, huber_deriv, synthesize_instance
 from robustpr.gradient import _adjoint
+from robustpr.model import correlate
 from robustpr.objective import _evaluate, loss
 
 from oracles import (
     fd_loss_gradient,
+    huber,
     realify,
     realify_gradient,
     realify_quadratic,
@@ -42,8 +44,25 @@ def test_adjoint_of_the_evaluation_core_is_bitwise_g(field):
         x = rng.standard_normal(24).astype(field.dtype)
         if field is FieldTag.COMPLEX:
             x += 1j * rng.standard_normal(24)
-        _, c, r = _evaluate(x, e, 0.0, ALPHA)
-        assert _adjoint(e, c, r, ALPHA).tobytes() == g(x, e, ALPHA).tobytes()
+        _, c, d = _evaluate(x, e, 0.0, ALPHA)
+        assert _adjoint(e, c, d).tobytes() == g(x, e, ALPHA).tobytes()
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+@pytest.mark.parametrize("noise", [NoiseSpec("none"), NoiseSpec("type3", 0.1)])
+def test_g_is_bitwise_the_clamped_adjoint_formula(field, noise):
+    # A^T (h'(|c|^2 - b) c) / n with |c|^2 as np.abs(c) ** 2, whatever form
+    # the evaluation core squares c in
+    e = synthesize_instance(24, 3, 96, field, noise, 28)
+    rng = np.random.default_rng(28)
+    for scale in (0.0, 0.1, 1.0, 10.0):
+        x = e.ground_truth + scale * rng.standard_normal(24)
+        if field is FieldTag.COMPLEX:
+            x += 1j * scale * rng.standard_normal(24)
+        c = correlate(e.sampling_vectors, x)
+        d = huber_deriv(np.abs(c) ** 2 - e.observations, ALPHA)
+        want = e.sampling_vectors.T @ (d * c) / e.n
+        assert g(x, e, ALPHA).tobytes() == want.tobytes()
 
 
 def test_real_gradient_matches_finite_differences():
@@ -136,8 +155,6 @@ def test_realified_loss_consistency():
         via_complex = loss(x, e, ALPHA)
         xt = realify(x)
         mats = [realify_quadratic(a) for a in e.sampling_vectors]
-        from robustpr.objective import huber
-
         via_real = float(
             np.mean(
                 [

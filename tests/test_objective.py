@@ -8,15 +8,14 @@ from robustpr import (
     fixed_point_residual,
     g,
     half_norm,
-    huber,
     huber_deriv,
     loss,
     objective,
     synthesize_instance,
 )
-from robustpr.model import MeasurementEnsemble
+from robustpr.model import MeasurementEnsemble, correlate
 
-from oracles import surrogate
+from oracles import huber, surrogate
 
 ALPHA = 1.345
 
@@ -99,8 +98,10 @@ def test_half_norm_modulus_not_parts():
 
 
 def test_loss_zero_at_truth_noiseless():
-    e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("none"), 1)
-    assert loss(e.ground_truth, e, ALPHA) == 0.0
+    # exactly 0 in both fields: r squares c as model.measure squared it
+    for field in (FieldTag.REAL, FieldTag.COMPLEX):
+        e = synthesize_instance(8, 2, 32, field, NoiseSpec("none"), 1)
+        assert loss(e.ground_truth, e, ALPHA) == 0.0
 
 
 def test_loss_constant_observations():
@@ -124,6 +125,26 @@ def test_loss_matches_direct_summation():
         / e.n
     )
     assert abs(loss(x, e, ALPHA) - direct) <= 1e-14 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+@pytest.mark.parametrize("noise", [NoiseSpec("none"), NoiseSpec("type3", 0.1)])
+def test_loss_is_the_huber_sum_within_a_few_ulp_per_term(field, noise):
+    # the core forms sum h(r) as d.r - d.d/2 from two dot products; both dots
+    # sum nonnegative terms, each at most 2 sum h, so the gap is O(n eps sum h)
+    e = synthesize_instance(24, 3, 192, field, noise, 27)
+    rng = np.random.default_rng(27)
+    eps = np.finfo(np.float64).eps
+    for _ in range(5):
+        x = e.ground_truth + 0.3 * rng.standard_normal(24)
+        if field is FieldTag.COMPLEX:
+            x += 0.3j * rng.standard_normal(24)
+        r = np.abs(correlate(e.sampling_vectors, x)) ** 2 - e.observations
+        # alpha equal to a residual of either sign puts r = +alpha and
+        # r = -alpha exactly on the seam of the two branches
+        for alpha in (ALPHA, 0.1 * ALPHA, r[r > 0][0], -r[r < 0][0]):
+            want = float(huber(r, alpha).sum() / e.n)
+            assert abs(loss(x, e, alpha) - want) <= 4 * e.n * eps * want
 
 
 def test_loss_field_mismatch():

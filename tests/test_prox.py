@@ -28,8 +28,30 @@ def test_nonpositive_or_nonfinite_weight_is_rejected(mu):
 
 
 def _half_threshold_reference(xi, mu):
-    """The half_threshold body before np.clip and np.abs(t) were dropped, with
-    a complex t scaled by its real and imaginary parts apart."""
+    """A gather and scatter body of the kept set with the scale
+    (2/3)(1 + cos((2/3) arccos(max(-(3^(3/2)/8) mu |t|^(-3/2), -1)))), a complex
+    t scaled by its real and imaginary parts apart."""
+    tbar = threshold_point(mu)
+    xi = np.asarray(xi)
+    if not np.iscomplexobj(xi):
+        xi = xi.astype(np.float64, copy=False)
+    keep = np.abs(xi) > tbar
+    out = np.zeros_like(xi)
+    if np.any(keep):
+        t = xi[keep]
+        arg = np.maximum(-(3.0**1.5 / 8.0) * mu * np.abs(t) ** -1.5, -1.0)
+        scale = (2.0 / 3.0) * (1.0 + np.cos((2.0 / 3.0) * np.arccos(arg)))
+        if np.iscomplexobj(t):
+            out.real[keep] = t.real * scale
+            out.imag[keep] = t.imag * scale
+        else:
+            out[keep] = t * scale
+    return out
+
+
+def _half_threshold_cosine_reference(xi, mu):
+    """The gather body of the cosine form 2pi/3 - (2/3) arccos(z) with
+    z = (mu/8)(|t|/3)^(-3/2), before the scale was rewritten with arccos(-z)."""
     tbar = threshold_point(mu)
     xi = np.asarray(xi)
     if not np.iscomplexobj(xi):
@@ -64,15 +86,15 @@ def _caught(fn, *args):
 EDGES = [0.0, -0.0, 5e-324, 1e-250, np.nan, np.inf, -np.inf]
 
 
-@pytest.mark.parametrize("complex_field", [False, True])
-def test_half_threshold_is_bitwise_the_reference_body(complex_field):
-    rng = np.random.default_rng(25)
-    # mu = 1e-310 and 5e-324 give tbar ~ 2e-207 and ~ 3e-216, where
-    # (tbar / 3) ** -1.5 overflows: the gather body warns for a kept entry
-    # that close to tbar, and the dense body evaluates every dropped entry
-    # at tbar, so its guard must keep it silent
-    mus = np.append(np.logspace(-12, 1, 27), [1e-310, 5e-324])
-    for mu in mus:
+def _grid(complex_field, rng):
+    """(mu, xi) rows: mu from 1e-12 to 10 and two subnormal-range weights;
+    each xi has zeros, +-tbar and its neighbours, and EDGES.
+
+    mu = 1e-310 and 5e-324 give tbar ~ 2e-207 and ~ 3e-216, where
+    tbar ** -1.5 overflows: the gather body warns for a kept entry that
+    close to tbar, and the dense body evaluates every dropped entry at tbar,
+    so its guard must keep it silent."""
+    for mu in np.append(np.logspace(-12, 1, 27), [1e-310, 5e-324]):
         tbar = threshold_point(mu)
         xi = rng.standard_normal(64) * rng.choice([tbar, 1.0, 10.0], 64)
         if complex_field:
@@ -80,6 +102,13 @@ def test_half_threshold_is_bitwise_the_reference_body(complex_field):
         xi[:4] = 0.0
         xi[4:8] = [tbar, -tbar, np.nextafter(tbar, np.inf), -np.nextafter(tbar, 0)]
         xi[8:8 + len(EDGES)] = EDGES
+        yield mu, xi
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_half_threshold_is_bitwise_the_reference_body(complex_field):
+    rng = np.random.default_rng(25)
+    for mu, xi in _grid(complex_field, rng):
         (got, new), (want, old) = (
             _caught(f, xi, mu) for f in (half_threshold, _half_threshold_reference))
         assert got.dtype == want.dtype
@@ -104,12 +133,34 @@ def test_half_threshold_is_bitwise_the_reference_body(complex_field):
         _half_threshold(np.ones((2, 3)), np.full((2, 1), 1e-3))
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_half_threshold_stays_within_ulps_of_the_cosine_form(complex_field):
+    # the arccos(-z) form moves kept entries by a few ulp (measured at most
+    # 2.9 eps relative on this grid); zeros and infinities agree exactly
+    eps = np.finfo(np.float64).eps
+    for mu, xi in _grid(complex_field, np.random.default_rng(25)):
+        got, want = (_caught(f, xi, mu)[0]
+                     for f in (half_threshold, _half_threshold_cosine_reference))
+        for part in ("real", "imag") if complex_field else ("real",):
+            g, w, x = (getattr(v, part) for v in (got, want, xi))
+            # at mu = 5e-324, mu / 8 rounds to 0 and the cosine form meets
+            # 0 * inf near tbar, which made a kept entry NaN
+            lost = np.isnan(w) & ~np.isnan(x)
+            assert not lost.any() or mu == 5e-324
+            assert np.isfinite(g[lost & np.isfinite(x)]).all()
+            exact = (w == 0) | np.isinf(w)
+            assert np.array_equal(g[exact], w[exact])
+            near = ~(exact | np.isnan(w))
+            assert np.all(np.abs(g[near] - w[near]) <= 4 * eps * np.abs(w[near]))
+
+
 def test_complex_infinities_keep_their_other_part():
     # a complex product (2/3) * xi would meet inf * 0 and give nan+nanj, and
     # would turn the -0.0 part into +0.0
     xi = np.array([np.inf + 0j, -np.inf + 2j, complex(-0.0, -np.inf), 3.0 + 0j])
     want = np.array([np.inf + 0j, -np.inf + 2j, complex(-0.0, -np.inf), 0j])
-    for body in (half_threshold, _half_threshold_reference):
+    for body in (half_threshold, _half_threshold_reference,
+                 _half_threshold_cosine_reference):
         got, caught = _caught(body, xi, 10.0)
         assert not caught
         assert got.tobytes() == want.tobytes()

@@ -79,8 +79,10 @@ def test_line_search_failure_is_reported_not_raised(monkeypatch):
     # A trial passes only when F(x) - F(x+) >= delta ||x+ - x||^2, which for a
     # gradient step of length tau needs delta <~ 1/(2 tau).  The last trial has
     # tau = beta^MAX_BACKTRACKS = 2^-60, so delta = 1e20 rejects all of them
-    # (delta = 1e12 accepts j = 40 here).  A start whose last trial rounds to
-    # x itself passes with a zero step, so the start is dense and random.
+    # (delta = 1e12 accepts j = 40 here).  From this dense random start the
+    # trial j = 56 rounds to x itself and passes as 0 >= delta * 0; x is no
+    # fixed point, so that zero step ends the search after 57 trials and one
+    # more prox, the residual's at tau = gamma.
     cfg = SolverConfig(lam=1e-4, delta=1e20)
     proxes = []
     inner = solver._half_threshold
@@ -91,7 +93,39 @@ def test_line_search_failure_is_reported_not_raised(monkeypatch):
     assert result.termination is Termination.LINE_SEARCH_FAILED
     assert result.estimate.shape == (16,)
     assert result.iterations == 0
-    assert len(proxes) == solver.MAX_BACKTRACKS + 1
+    assert len(proxes) == 57 + 1
+    assert proxes[-1] == 2.0 * cfg.lam * cfg.gamma
+
+
+def test_a_zero_step_from_a_non_fixed_point_fails_the_line_search():
+    # trial j = 57 rounds to the start itself; the start's residual at
+    # gamma is 2.84, so the zero step is no evidence of a fixed point
+    e = easy_instance(15)
+    x0 = np.ones(16)
+    result = solve(e, x0, SolverConfig(lam=1e-4, delta=1e20))
+    assert result.termination is Termination.LINE_SEARCH_FAILED
+    assert result.iterations == 0
+    assert result.estimate.tobytes() == x0.tobytes()
+    assert result.final_objective == result.initial_objective
+    assert fixed_point_residual(x0, e, 1e-4, 1.345, 1.0) > 1.0
+
+
+@pytest.mark.parametrize("field, n, seed", [
+    (FieldTag.REAL, 160, 7), (FieldTag.REAL, 160, 22),
+    (FieldTag.COMPLEX, 16, 22), (FieldTag.COMPLEX, 160, 36)])
+def test_runs_that_ended_on_a_zero_step_stay_converged(field, n, seed):
+    # lam = 0.1 from the spectral start: these runs took a zero step before
+    # the prox lost two passes; now they end on steps of at most 3e-11, two
+    # of them exactly zero, at estimates whose residual at gamma is <= 9e-9
+    e = synthesize_instance(16, 2, n, field, NoiseSpec("none"), seed)
+    cfg = SolverConfig(lam=0.1)
+    result = solve(e, spectral_init(e, SpectralConfig(), seed), cfg)
+    assert result.termination is Termination.CONVERGED
+    assert result.trace[-1].step_norm <= 1e-10
+    assert fixed_point_residual(
+        result.estimate, e, cfg.lam, cfg.alpha, cfg.gamma) <= cfg.eps
+    if field is FieldTag.REAL and seed == 7:  # the zero step keeps its row
+        assert result.trace[-1].step_norm == 0.0 and result.trace[-1].j == 22
 
 
 def test_fixed_point_residual_cases():
@@ -266,6 +300,27 @@ def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(monkeypatch):
     assert len(shapes) == len(weights) == trials + 1
     assert shapes == [(e.p,)] * (trials + 1)
     assert not public
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_solve_makes_one_clamp_per_trial_and_none_in_the_adjoint(field, monkeypatch):
+    e = synthesize_instance(16, 2, 96, field, NoiseSpec("type3", 0.1), 4)
+    x0 = spectral_init(e, SpectralConfig(), 4)
+    # the package re-exports a function named objective, so import by path
+    objective_module = importlib.import_module("robustpr.objective")
+    gradient_module = importlib.import_module("robustpr.gradient")
+    clamps = []
+    inner = objective_module.huber_deriv
+    monkeypatch.setattr(objective_module, "huber_deriv",
+                        lambda u, alpha: clamps.append(1) or inner(u, alpha))
+    result = solve(e, x0, SolverConfig(lam=1e-3, alpha=0.1345))
+    assert result.iterations > 0
+    # F(x0), then one clamp per trial; g(x+) reuses the accepted trial's
+    assert len(clamps) == 1 + sum(r.j + 1 for r in result.trace)
+    _, c, d = objective_module._evaluate(x0, e, 0.0, 0.1345)
+    clamps.clear()
+    gradient_module._adjoint(e, c, d)
+    assert not clamps
 
 
 def test_trace_keeps_no_iterate_alive_in_a_long_solve():
