@@ -57,7 +57,7 @@ from .model import (
 )
 from .pgm import GrayImage, read_pgm, write_pgm
 from .solver import SolverConfig, fixed_point_residual, solve, write_trace_csv
-from .spectral import SpectralConfig, spectral_init
+from .spectral import spectral_init
 
 
 def _positive_int(text):
@@ -153,7 +153,6 @@ def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
         noise=args.noise,
         trials=args.trials,
         solver=_solver_config(args),
-        spectral=SpectralConfig(),
         master_seed=args.seed,
         field=args.field,
         success_threshold=args.threshold,
@@ -201,7 +200,7 @@ def cmd_solve(args):
     e = _load_instance(args.instance)
     cfg = _solver_config(args)
     seed = e.seed if args.seed is None else args.seed
-    x0 = spectral_init(e, SpectralConfig(), seed)
+    x0 = spectral_init(e, seed=seed)
     result = solve(e, x0, cfg)
     last = result.trace[-1] if result.iterations else None
     fp_res = (
@@ -322,7 +321,7 @@ def cmd_image(args):
     n = args.ratio * p
     e = measure(x_true, n, args.noise, args.seed)
     cfg = _solver_config(args)
-    x0 = spectral_init(e, SpectralConfig(), args.seed)
+    x0 = spectral_init(e)
     result = solve(e, x0, cfg)
     estimate = align(result.estimate, x_true)
     rel = relative_error(result.estimate, x_true)

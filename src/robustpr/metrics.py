@@ -72,10 +72,10 @@ class ExperimentSpec:
     noise: NoiseSpec
     trials: int
     solver: SolverConfig
-    spectral: SpectralConfig
     master_seed: int
     field: FieldTag = FieldTag.REAL
     success_threshold: float = 5e-3
+    spectral: SpectralConfig | None = None  # None: the untruncated start
 
     def __post_init__(self):
         if not (_is_int(self.trials) and self.trials >= 1):
@@ -141,7 +141,7 @@ def run_trial(spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
     seed = trial_seed(spec.master_seed, n, trial)
     instance = synthesize_instance(spec.p, spec.s, n, spec.field, spec.noise, seed)
     start = time.perf_counter()
-    x0 = spectral_init(instance, spec.spectral, seed)
+    x0 = spectral_init(instance, spec.spectral)
     result = solve(instance, x0, spec.solver)
     elapsed = time.perf_counter() - start
     rel = relative_error(result.estimate, instance.ground_truth)
@@ -187,7 +187,7 @@ def error_vs_iteration(
     def record(k, x):
         curve.append((k, relative_error(x, e.ground_truth)))
 
-    result = solve(e, spectral_init(e, SpectralConfig(), e.seed), cfg, callback=record)
+    result = solve(e, spectral_init(e), cfg, callback=record)
     return curve, result
 
 
@@ -233,6 +233,7 @@ def lambda_grid_search(
     path is trapped at a poor stationary point); then it starts from the
     spectral point again.  So a score after the smallest lambda's usually
     comes from a warm start.  Every grid value must be finite and positive.
+    The spectral point is drawn with ``seed``, by default ``e.seed``.
     """
     grid = [float(v) for v in lambda_grid]
     for lam in grid:
@@ -247,8 +248,6 @@ def lambda_grid_search(
         e.ground_truth is None or not np.any(e.ground_truth)
     ):
         raise MissingDataError("oracle rule needs a nonzero ground truth")
-    if seed is None:
-        seed = e.seed
 
     if validation_rule == "holdout":
         train_idx, val_idx = holdout_split(e)
@@ -263,7 +262,7 @@ def lambda_grid_search(
         def score(x):
             return relative_error(x, e.ground_truth)
 
-    x_spectral = spectral_init(train, SpectralConfig(), seed)
+    x_spectral = spectral_init(train, seed=seed)
     spectral_score = score(x_spectral)
     x0 = x_spectral
     table = []

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 _TBAR_COEF = 54.0 ** (1.0 / 3.0) / 4.0
-_ARG_COEF = 3.0**1.5 / 8.0  # (mu/8)(t/3)^(-3/2) = _ARG_COEF * mu * t^(-3/2)
 
 
 def threshold_point(mu: float) -> float:
@@ -52,10 +51,10 @@ def _half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     +0.0 over the entries with |xi| <= tbar and the NaN ones (a 0/1 mask
     would give -0.0).  The scale (2/3)(1 + cos(2pi/3 - (2/3) arccos(z))),
     z = (mu/8)(|t|/3)^(-3/2), is computed as (2/3)(1 + cos((2/3)
-    arccos(-z))), with -z = -(3^(3/2)/8) mu |t|^(-3/2) from one multiply.
-    For mu near the subnormal range, |t| ** -1.5 overflows to inf near
-    tbar, which the cap turns into -1; errstate keeps that overflow silent.
-    A complex xi is scaled by its real and imaginary parts apart: a complex
+    arccos(-z))) with z = (w / max(|t|, tbar))^(3/2), w = (3/4) cbrt(mu)^2
+    = 2^(-1/3) tbar: z <= 1/sqrt(2), so nothing overflows at subnormal mu,
+    and w avoids tbar's mu ** (2/3), whose error grows with |log mu|.  A
+    complex xi is scaled by its real and imaginary parts apart: a complex
     product would meet inf * 0 in its cross terms and turn an entry with an
     infinite part into NaN.  On finite entries the two agree bit for bit,
     except that a zero part keeps its sign here, as under a real scaling.
@@ -64,11 +63,9 @@ def _half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     mag = np.abs(xi)
     keep = mag > tbar
     s = np.maximum(mag, tbar, out=mag)
-    with np.errstate(over="ignore"):
-        s **= -1.5
-    s *= -_ARG_COEF * mu
-    # -z lies in [-1/sqrt(2), 0] up to rounding; only an overflow meets the cap
-    np.maximum(s, -1.0, out=s)
+    np.divide(0.75 * np.cbrt(mu) ** 2, s, out=s)  # w / max(|t|, tbar)
+    s **= 1.5
+    np.negative(s, out=s)
     np.arccos(s, out=s)
     s *= 2.0 / 3.0
     np.cos(s, out=s)

@@ -15,7 +15,6 @@ from robustpr import (
     FieldTag,
     NoiseSpec,
     SolverConfig,
-    SpectralConfig,
     Termination,
     half_threshold,
     relative_error,
@@ -56,7 +55,7 @@ def tuned_trials(arm, field, p, s, n, noise, alpha, trials, master_seed, runs):
         for trial in range(trials):
             seed = mix(master_seed, n, trial)
             e = synthesize_instance(p, s, n, field, noise, seed)
-            x0 = spectral_init(e, SpectralConfig(), seed)
+            x0 = spectral_init(e, seed=seed)
             best = None
             for lam in LAMBDA_GRID:
                 cfg = SolverConfig(lam=lam, alpha=alpha)
@@ -286,7 +285,7 @@ def test_criterion_8_certificate_sanity():
     e = synthesize_instance(16, 2, 320, FieldTag.REAL, NoiseSpec("none"), 21)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        x0 = spectral_init(e, SpectralConfig(), 21)
+        x0 = spectral_init(e, seed=21)
         result = solve(e, x0, SolverConfig(lam=1e-4))
     from robustpr import linear_rate_certificate
 
@@ -296,7 +295,7 @@ def test_criterion_8_certificate_sanity():
     ec = synthesize_instance(64, 4, 640, FieldTag.COMPLEX, NoiseSpec("none"), 7)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        x0c = spectral_init(ec, SpectralConfig(truncation=8), 7)
+        x0c = spectral_init(ec)
         result_c = solve(ec, x0c, SolverConfig(lam=1e-4))
     good_c = linear_rate_certificate(result_c.estimate, ec, lam=1e-4, alpha=1.345)
     flipped_c = linear_rate_certificate(

@@ -20,7 +20,6 @@ from robustpr import (
     GrayImage,
     NoiseSpec,
     SolverConfig,
-    SpectralConfig,
     deserialize_instance,
     error_vs_iteration,
     fixed_point_residual,
@@ -386,7 +385,7 @@ def test_bench_tables_match_a_repr_oracle(tmp_path):
 
     def spec(p, n_grid):
         return ExperimentSpec(p=p, s=2, n_grid=n_grid, noise=NoiseSpec(), trials=2,
-                              solver=cfg, spectral=SpectralConfig(), master_seed=3)
+                              solver=cfg, master_seed=3)
 
     assert run("bench", "success-rate", "--p", "8", "--s", "2", "--grid", "4,6",
                "--trials", "2", "--noise", "none", "--lambda", "1e-4", "--seed", "3",

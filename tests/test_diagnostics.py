@@ -8,7 +8,6 @@ from robustpr import (
     FieldTag,
     NoiseSpec,
     SolverConfig,
-    SpectralConfig,
     estimate_stability,
     linear_rate_certificate,
     remark5_quantities,
@@ -113,7 +112,7 @@ def test_stability_rejects_a_non_integer_sample_count(samples):
 
 def converged_real_solution(seed=21):
     e = synthesize_instance(16, 2, 320, FieldTag.REAL, NoiseSpec("none"), seed)
-    x0 = spectral_init(e, SpectralConfig(), seed)
+    x0 = spectral_init(e, seed=seed)
     result = solve(e, x0, SolverConfig(lam=1e-4))
     return e, result
 
@@ -154,7 +153,7 @@ def test_certificate_scalar_cross_check():
 
 def test_certificate_complex_realified_support():
     e = synthesize_instance(12, 3, 240, FieldTag.COMPLEX, NoiseSpec("none"), 31)
-    x0 = spectral_init(e, SpectralConfig(truncation=6), 31)
+    x0 = spectral_init(e)
     result = solve(e, x0, SolverConfig(lam=1e-4))
     report = linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA)
     assert report.field == "complex"
@@ -167,7 +166,7 @@ def test_certificate_complex_realified_support():
 def converged_complex_solution(p=64, s=4, n=640, spec=NoiseSpec("none"),
                                lam=1e-4, seed=7):
     e = synthesize_instance(p, s, n, FieldTag.COMPLEX, spec, seed)
-    x0 = spectral_init(e, SpectralConfig(truncation=2 * s), seed)
+    x0 = spectral_init(e)
     result = solve(e, x0, SolverConfig(lam=lam))
     return e, result
 

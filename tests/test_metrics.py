@@ -162,7 +162,6 @@ def desk_spec(**overrides):
         noise=NoiseSpec("none"),
         trials=1,
         solver=SolverConfig(lam=1e-4),
-        spectral=SpectralConfig(),
         master_seed=42,
         field=FieldTag.REAL,
     )
@@ -203,6 +202,20 @@ def test_run_experiment_deterministic():
         replace(r, wall_time=0.0) for r in r2.records
     ]
     assert r1.success_rate == r2.success_rate
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_a_spec_without_a_spectral_config_runs_the_untruncated_start(field):
+    spec = desk_spec(trials=2, n_grid=(64, 160), noise=NoiseSpec("type2", 0.1),
+                     field=field)
+    assert spec.spectral is None
+    default, explicit = (run_experiment(s)
+                         for s in (spec, replace(spec, spectral=SpectralConfig())))
+    # every record field but the informational wall time
+    assert [replace(r, wall_time=0.0) for r in default.records] == [
+        replace(r, wall_time=0.0) for r in explicit.records
+    ]
+    assert default.median_relative_error == explicit.median_relative_error
 
 
 def test_trial_seed_stable_under_grid_extension():
@@ -287,13 +300,22 @@ def test_lambda_grid_search_holdout():
     assert all(score >= 0.0 for _, score in table)
 
 
+@pytest.mark.parametrize("rule", ["oracle", "holdout"])
+def test_grid_search_draws_its_start_with_the_instance_seed(rule):
+    e = synthesize_instance(16, 2, 160, FieldTag.COMPLEX, NoiseSpec("type1", 0.1), 13)
+    grid = [1e-4, 1e-3, 1e-2]
+    base = SolverConfig(lam=1.0)
+    assert (lambda_grid_search(e, base, grid, rule)
+            == lambda_grid_search(e, base, grid, rule, seed=e.seed))
+
+
 def test_holdout_score_is_the_validation_loss_bitwise():
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("type1", 0.1), 13)
     cfg = SolverConfig(lam=1.0)
     _, table = lambda_grid_search(e, cfg, [1e-4, 1e-2], "holdout")
     train_idx, val_idx = holdout_split(e)
     train, val = _sub_ensemble(e, train_idx), _sub_ensemble(e, val_idx)
-    x_spectral = spectral_init(train, SpectralConfig(), e.seed)
+    x_spectral = spectral_init(train, seed=e.seed)
     spectral_score = loss(x_spectral, val, cfg.alpha)
     x0 = x_spectral
     for lam, score in table:  # the continuation path
@@ -377,7 +399,7 @@ def test_grid_search_warm_starts_along_the_ascending_grid(field, rule, monkeypat
     # one solve per grid point, in ascending lambda, as the table lists them
     assert [lam for _, lam, _ in calls] == sorted(grid)
     assert [lam for lam, _ in table] == sorted(grid)
-    x_spectral = spectral_init(_training_set(e, rule), SpectralConfig(), 8)
+    x_spectral = spectral_init(_training_set(e, rule), seed=8)
     assert calls[0][0].tobytes() == x_spectral.tobytes()
     spectral_score = _score(e, rule, x_spectral, cfg.alpha)
     for (_, _, previous), (start, _, _), (_, score) in zip(calls, calls[1:], table):
@@ -390,11 +412,12 @@ def test_grid_search_warm_starts_along_the_ascending_grid(field, rule, monkeypat
 def test_a_spoiled_estimate_restarts_from_the_spectral_point(rule, spoil, monkeypatch):
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("type1", 0.1), 22)
     cfg = SolverConfig(lam=1.0)
-    x_spectral = spectral_init(_training_set(e, rule), SpectralConfig(), e.seed)
+    x_spectral = spectral_init(_training_set(e, rule), seed=e.seed)
     if spoil == "zero":
         # a start so poor that zero outscores it: only the zero guard restarts
         x_spectral = 10.0 * x_spectral
-        monkeypatch.setattr(robustpr.metrics, "spectral_init", lambda *args: x_spectral)
+        monkeypatch.setattr(robustpr.metrics, "spectral_init",
+                            lambda *args, **kwargs: x_spectral)
     scale = 0.0 if spoil == "zero" else 1e3
 
     def alter(i, estimate):

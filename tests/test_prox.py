@@ -27,10 +27,10 @@ def test_nonpositive_or_nonfinite_weight_is_rejected(mu):
         chi(1.0, mu)
 
 
-def _half_threshold_reference(xi, mu):
+def _gather_body(xi, mu, neg_z):
     """A gather and scatter body of the kept set with the scale
-    (2/3)(1 + cos((2/3) arccos(max(-(3^(3/2)/8) mu |t|^(-3/2), -1)))), a complex
-    t scaled by its real and imaginary parts apart."""
+    (2/3)(1 + cos((2/3) arccos(neg_z(|t|)))), a complex t scaled by its real
+    and imaginary parts apart."""
     tbar = threshold_point(mu)
     xi = np.asarray(xi)
     if not np.iscomplexobj(xi):
@@ -39,14 +39,26 @@ def _half_threshold_reference(xi, mu):
     out = np.zeros_like(xi)
     if np.any(keep):
         t = xi[keep]
-        arg = np.maximum(-(3.0**1.5 / 8.0) * mu * np.abs(t) ** -1.5, -1.0)
-        scale = (2.0 / 3.0) * (1.0 + np.cos((2.0 / 3.0) * np.arccos(arg)))
+        scale = (2.0 / 3.0) * (1.0 + np.cos((2.0 / 3.0) * np.arccos(neg_z(np.abs(t)))))
         if np.iscomplexobj(t):
             out.real[keep] = t.real * scale
             out.imag[keep] = t.imag * scale
         else:
             out[keep] = t * scale
     return out
+
+
+def _half_threshold_reference(xi, mu):
+    """The gather body with -z = -((3/4) cbrt(mu)^2 / |t|)^(3/2)."""
+    return _gather_body(xi, mu, lambda m: -((0.75 * np.cbrt(mu) ** 2 / m) ** 1.5))
+
+
+def _half_threshold_power_reference(xi, mu):
+    """The gather body of the form before the ratio: -z as
+    -(3^(3/2)/8) mu |t|^(-3/2), capped at -1, which |t|^(-3/2) overflowing
+    near tbar reaches at subnormal mu."""
+    return _gather_body(
+        xi, mu, lambda m: np.maximum(-(3.0**1.5 / 8.0) * mu * m ** -1.5, -1.0))
 
 
 def _half_threshold_cosine_reference(xi, mu):
@@ -91,9 +103,9 @@ def _grid(complex_field, rng):
     each xi has zeros, +-tbar and its neighbours, and EDGES.
 
     mu = 1e-310 and 5e-324 give tbar ~ 2e-207 and ~ 3e-216, where
-    tbar ** -1.5 overflows: the gather body warns for a kept entry that
-    close to tbar, and the dense body evaluates every dropped entry at tbar,
-    so its guard must keep it silent."""
+    tbar ** -1.5 overflows: the older forms lost the scale of a kept entry
+    that close to tbar, and the dense body evaluates every dropped entry at
+    tbar, so it must not overflow there."""
     for mu in np.append(np.logspace(-12, 1, 27), [1e-310, 5e-324]):
         tbar = threshold_point(mu)
         xi = rng.standard_normal(64) * rng.choice([tbar, 1.0, 10.0], 64)
@@ -133,25 +145,54 @@ def test_half_threshold_is_bitwise_the_reference_body(complex_field):
         _half_threshold(np.ones((2, 3)), np.full((2, 1), 1e-3))
 
 
-@pytest.mark.parametrize("complex_field", [False, True])
-def test_half_threshold_stays_within_ulps_of_the_cosine_form(complex_field):
-    # the arccos(-z) form moves kept entries by a few ulp (measured at most
-    # 2.9 eps relative on this grid); zeros and infinities agree exactly
+def _assert_within_ulps_of(older, complex_field):
+    """The body against an older gather body on the grid: kept entries move
+    by at most 4 eps relative, zeros and infinities agree exactly.  Where
+    (|t|/3)^(-3/2) overflows (subnormal mu, |t| near tbar) the older forms
+    lost the scale, and the body need only stay finite there."""
     eps = np.finfo(np.float64).eps
     for mu, xi in _grid(complex_field, np.random.default_rng(25)):
-        got, want = (_caught(f, xi, mu)[0]
-                     for f in (half_threshold, _half_threshold_cosine_reference))
+        got, want = (_caught(f, xi, mu)[0] for f in (half_threshold, older))
+        with np.errstate(over="ignore", divide="ignore"):
+            lost = (np.abs(xi) > threshold_point(mu)) & np.isinf(
+                (np.abs(xi) / 3.0) ** -1.5)
+        assert not lost.any() or mu < 1e-300
         for part in ("real", "imag") if complex_field else ("real",):
             g, w, x = (getattr(v, part) for v in (got, want, xi))
-            # at mu = 5e-324, mu / 8 rounds to 0 and the cosine form meets
-            # 0 * inf near tbar, which made a kept entry NaN
-            lost = np.isnan(w) & ~np.isnan(x)
-            assert not lost.any() or mu == 5e-324
             assert np.isfinite(g[lost & np.isfinite(x)]).all()
-            exact = (w == 0) | np.isinf(w)
+            exact = ((w == 0) | np.isinf(w)) & ~lost
             assert np.array_equal(g[exact], w[exact])
-            near = ~(exact | np.isnan(w))
+            near = ~(exact | np.isnan(w) | lost)
             assert np.all(np.abs(g[near] - w[near]) <= 4 * eps * np.abs(w[near]))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_half_threshold_stays_within_ulps_of_the_cosine_form(complex_field):
+    # measured at most 2.9 eps relative on this grid
+    _assert_within_ulps_of(_half_threshold_cosine_reference, complex_field)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_half_threshold_stays_within_ulps_of_the_power_form(complex_field):
+    # the ratio form moves kept entries by at most 3.8 eps relative on this
+    # grid; against 200-bit values on the real grid the ratio form is within
+    # 2.0 eps and the power form within 1.8 eps
+    _assert_within_ulps_of(_half_threshold_power_reference, complex_field)
+
+
+@pytest.mark.parametrize("mu", [1e-310, 5e-324])
+def test_half_threshold_keeps_its_scale_at_subnormal_weights(mu):
+    # chi(t, mu) / t depends on t / tbar alone.  The power form's |t| ** -1.5
+    # overflowed near tbar at these weights, and its cap read 1/3 for the
+    # scale 0.8382 at t = 1.5 tbar
+    ratios = np.array([1.0 + 1e-12, 1.5, 3.0, 1e3])
+    t = ratios * threshold_point(1e-3)
+    want = half_threshold(t, 1e-3) / t
+    t = ratios * threshold_point(mu)
+    got, caught = _caught(half_threshold, t, mu)
+    assert not caught
+    assert np.allclose(got / t, want, rtol=1e-12, atol=0.0)
+    assert abs(got[1] / t[1] - 0.8381819) <= 1e-7
 
 
 def test_complex_infinities_keep_their_other_part():
@@ -160,7 +201,7 @@ def test_complex_infinities_keep_their_other_part():
     xi = np.array([np.inf + 0j, -np.inf + 2j, complex(-0.0, -np.inf), 3.0 + 0j])
     want = np.array([np.inf + 0j, -np.inf + 2j, complex(-0.0, -np.inf), 0j])
     for body in (half_threshold, _half_threshold_reference,
-                 _half_threshold_cosine_reference):
+                 _half_threshold_power_reference, _half_threshold_cosine_reference):
         got, caught = _caught(body, xi, 10.0)
         assert not caught
         assert got.tobytes() == want.tobytes()

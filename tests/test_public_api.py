@@ -6,6 +6,9 @@ it belongs in ``tests/oracles.py``.  Likewise an optional parameter of a
 public function that no call in the package or the benchmark passes is a
 knob only tests turn.  And every file the package opens as text is
 opened in ``model``, as UTF-8; ``pgm`` opens its files in binary mode.
+Only ``spectral`` builds a ``SpectralConfig``, and only ``test_spectral``
+passes ``truncation=``: the rest of the package and its tests run the
+untruncated start.
 """
 
 import ast
@@ -117,3 +120,23 @@ def test_every_text_file_is_opened_as_utf8_in_model():
                 stray.append(f"{path.name}:{line} mode={mode!r} encoding={encoding!r}")
     assert stray == []
     assert seen == {"model.py", "pgm.py"}
+
+
+def _calls(path: Path):
+    """(line, callee name, keyword names) of each call in a module."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            yield node.lineno, name, {k.arg for k in node.keywords}
+
+
+def test_only_spectral_builds_a_config_and_only_its_tests_truncate():
+    built = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))
+             for line, name, _ in _calls(path)
+             if name == "SpectralConfig" and path.name != "spectral.py"]
+    truncating = [f"{path.name}:{line}"
+                  for path in sorted((ROOT / "tests").glob("*.py"))
+                  for line, _, keywords in _calls(path)
+                  if "truncation" in keywords and path.name != "test_spectral.py"]
+    assert (built, truncating) == ([], [])

@@ -19,7 +19,7 @@ from robustpr.gradient import g
 from robustpr.model import MeasurementEnsemble
 from robustpr.objective import objective
 from robustpr.solver import write_trace_csv
-from robustpr.spectral import SpectralConfig, spectral_init
+from robustpr.spectral import spectral_init
 
 
 def easy_instance(seed=11):
@@ -63,9 +63,7 @@ def test_trace_descent_and_square_summability():
 def test_converged_step_criterion():
     e = easy_instance(5)
     cfg = SolverConfig(lam=1e-4)
-    from robustpr.spectral import SpectralConfig, spectral_init
-
-    x0 = spectral_init(e, SpectralConfig(), 5)
+    x0 = spectral_init(e, seed=5)
     result = solve(e, x0, cfg)
     assert result.termination is Termination.CONVERGED
     assert result.trace[-1].step_norm <= cfg.eps * max(
@@ -119,7 +117,7 @@ def test_runs_that_ended_on_a_zero_step_stay_converged(field, n, seed):
     # of them exactly zero, at estimates whose residual at gamma is <= 9e-9
     e = synthesize_instance(16, 2, n, field, NoiseSpec("none"), seed)
     cfg = SolverConfig(lam=0.1)
-    result = solve(e, spectral_init(e, SpectralConfig(), seed), cfg)
+    result = solve(e, spectral_init(e, seed=seed), cfg)
     assert result.termination is Termination.CONVERGED
     assert result.trace[-1].step_norm <= 1e-10
     assert fixed_point_residual(
@@ -201,12 +199,12 @@ def test_trace_rows_equal_the_public_maps_at_each_iterate(field):
     # exactly what objective and fixed_point_residual give.
     e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
     cfg = SolverConfig(lam=1e-3)
-    x0 = spectral_init(e, SpectralConfig(truncation=6), 27)
+    x0 = spectral_init(e)
     result = _assert_rows_equal_public_maps(e, x0, cfg)
     assert result.termination is Termination.CONVERGED
     # n = p: a long run of thousands of rows
     e = synthesize_instance(16, 2, 16, field, NoiseSpec("none"), 4)
-    x0 = spectral_init(e, SpectralConfig(), 4)
+    x0 = spectral_init(e, seed=4)
     _assert_rows_equal_public_maps(e, x0, cfg)
 
 
@@ -219,7 +217,7 @@ def test_trial_step_alternates_the_long_and_short_bb_steps(field):
     e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
     cfg = SolverConfig(lam=1e-3)
     iterates = []
-    x0 = spectral_init(e, SpectralConfig(truncation=6), 27)
+    x0 = spectral_init(e)
     result = solve(e, x0, cfg, callback=lambda k, x: iterates.append(x.copy()))
     assert result.termination is Termination.CONVERGED
     grads = [g(x, e, cfg.alpha) for x in iterates]
@@ -250,14 +248,14 @@ def test_degenerate_n_equals_p_instances_converge(seed):
     # alone seed 4 ran to MaxIterations at F = 8.976e-3; alternating it with
     # the short step converges every seed (seed 4 in 4745 iterations).
     e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), seed)
-    x0 = spectral_init(e, SpectralConfig(), seed)
+    x0 = spectral_init(e, seed=seed)
     result = solve(e, x0, SolverConfig(lam=1e-3))
     assert result.termination is Termination.CONVERGED
 
 
 def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatch):
     e = easy_instance(5)
-    x0 = spectral_init(e, SpectralConfig(), 5)
+    x0 = spectral_init(e, seed=5)
     forward = []
     checks = []
     for name in ("model", "objective", "gradient"):
@@ -282,7 +280,7 @@ def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatc
 
 def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(monkeypatch):
     e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
-    x0 = spectral_init(e, SpectralConfig(), 4)
+    x0 = spectral_init(e, seed=4)
     shapes, weights = [], []
     inner, check = solver._half_threshold, prox.threshold_point
     monkeypatch.setattr(solver, "_half_threshold",
@@ -305,7 +303,7 @@ def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(monkeypatch):
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
 def test_solve_makes_one_clamp_per_trial_and_none_in_the_adjoint(field, monkeypatch):
     e = synthesize_instance(16, 2, 96, field, NoiseSpec("type3", 0.1), 4)
-    x0 = spectral_init(e, SpectralConfig(), 4)
+    x0 = spectral_init(e, seed=4)
     # the package re-exports a function named objective, so import by path
     objective_module = importlib.import_module("robustpr.objective")
     gradient_module = importlib.import_module("robustpr.gradient")
@@ -327,7 +325,7 @@ def test_trace_keeps_no_iterate_alive_in_a_long_solve():
     # p = 512, 200 iterations: holding every iterate and gradient until the
     # end would take 200 * 2 * 512 * 8 B = 1.6 MB.
     e = synthesize_instance(512, 8, 1024, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
-    x0 = spectral_init(e, SpectralConfig(), 3)
+    x0 = spectral_init(e, seed=3)
     cfg = SolverConfig(lam=1e-3, eps=1e-300, max_iter=200)
     block = 2**16  # 64 KiB, 2**13 float64 entries
     # measured 2.0 blocks
@@ -354,9 +352,7 @@ def test_trace_keeps_no_iterate_alive_in_a_long_solve():
 def test_objective_cached_value_matches_recomputation():
     e = synthesize_instance(12, 2, 96, FieldTag.COMPLEX, NoiseSpec("type1", 0.1), 4)
     cfg = SolverConfig(lam=1e-3)
-    from robustpr.spectral import SpectralConfig, spectral_init
-
-    x0 = spectral_init(e, SpectralConfig(truncation=4), 4)
+    x0 = spectral_init(e)
     result = solve(e, x0, cfg)
     recomputed = objective(result.estimate, e, cfg.lam, cfg.alpha)
     assert np.isclose(result.final_objective, recomputed, rtol=1e-12)
@@ -389,7 +385,7 @@ def test_trace_csv_export(tmp_path):
     cplx = synthesize_instance(24, 3, 144, FieldTag.COMPLEX, NoiseSpec("type2", 0.1), 27)
     results = [
         solve(real, real.ground_truth, SolverConfig(lam=1e-4)),
-        solve(cplx, spectral_init(cplx, SpectralConfig(truncation=6), 27),
+        solve(cplx, spectral_init(cplx),
               SolverConfig(lam=1e-3)),
         # every trial is rejected at k = 1: no rows, the header alone
         solve(real, np.random.default_rng(2).standard_normal(16),
@@ -447,12 +443,10 @@ def test_type3_estimate_is_the_minimizer_not_a_stall(trial):
     # Started from x_true and from the spectral init, it must reach the same
     # point, and that point must beat x_true on F.
     from robustpr.rng import mix
-    from robustpr.spectral import SpectralConfig, spectral_init
-
     seed = mix(300, 512, trial)
     e = synthesize_instance(64, 6, 512, FieldTag.REAL, NoiseSpec("type3", 0.1), seed)
     cfg = SolverConfig(lam=1e-3, alpha=0.1345)
-    from_spectral = solve(e, spectral_init(e, SpectralConfig(), seed), cfg)
+    from_spectral = solve(e, spectral_init(e, seed=seed), cfg)
     from_truth = solve(e, e.ground_truth, cfg)
     assert from_spectral.termination is Termination.CONVERGED
     assert from_truth.termination is Termination.CONVERGED
@@ -468,11 +462,9 @@ def test_bb_step_escapes_the_barely_stable_fixed_step():
     # The restricted Jacobian of g at the solution has eigenvalues 0.459 and
     # 1.998, so tau = 1 is rejected and the fixed grid's tau = 0.5 contracts
     # by only 0.998 per iteration: 2106 iterations to F = 1.2481309366e-4.
-    from robustpr.spectral import SpectralConfig, spectral_init
-
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 3)
     cfg = SolverConfig(lam=1e-4)
-    result = solve(e, spectral_init(e, SpectralConfig(), 3), cfg)
+    result = solve(e, spectral_init(e, seed=3), cfg)
     assert result.termination is Termination.CONVERGED
     assert result.iterations <= 60
     assert result.final_objective == pytest.approx(1.2481309366e-4, rel=1e-6)
@@ -489,6 +481,6 @@ def test_quick_shape_traps_end_at_or_below_the_truth(seed, lam):
     # F <= F(x_true), and the screened start reaches such a point.
     e = synthesize_instance(128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1), seed)
     cfg = SolverConfig(lam=lam)
-    result = solve(e, spectral_init(e, SpectralConfig(), seed), cfg)
+    result = solve(e, spectral_init(e, seed=seed), cfg)
     assert result.termination is Termination.CONVERGED
     assert result.final_objective <= objective(e.ground_truth, e, cfg.lam, cfg.alpha)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def test_zero_observations_gives_zero_signal():
         field=FieldTag.REAL, sampling_vectors=a, observations=np.zeros(8)
     )
     with pytest.warns(RuntimeWarning):
-        x0 = spectral_init(e, SpectralConfig(), 0)
+        x0 = spectral_init(e, seed=0)
     assert not x0.any()
 
 
@@ -31,8 +32,31 @@ def test_nonpositive_mean_observation_gives_zero_signal():
     b[0] = -1.0
     e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a, observations=b)
     with pytest.warns(RuntimeWarning, match="mean observation is nonpositive"):
-        x0 = spectral_init(e, SpectralConfig(), 0)
+        x0 = spectral_init(e, seed=0)
     assert not x0.any()
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "zero observations"])
+def test_defaults_are_the_untruncated_start_drawn_with_the_instance_seed(case):
+    if case == "zero observations":
+        a = generate_sampling(4, 8, FieldTag.REAL, 0)
+        e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a,
+                                observations=np.zeros(8), seed=3)
+    else:
+        field = FieldTag.REAL if case == "real" else FieldTag.COMPLEX
+        e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
+    outs = []
+    for call in (lambda: spectral_init(e, SpectralConfig(), e.seed),
+                 lambda: spectral_init(e),
+                 lambda: spectral_init(e, seed=e.seed)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x0 = call()
+        outs.append((x0.dtype, x0.tobytes(), [str(w.message) for w in caught]))
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    if case != "zero observations":
+        # the seed is read: another one draws another power-iteration start
+        assert spectral_init(e, seed=e.seed + 1).tobytes() != outs[0][1]
 
 
 def test_alignment_spiked_instance():
@@ -51,7 +75,7 @@ def test_alignment_spiked_instance():
             noise_record=np.zeros(50 * p),
             seed=seed,
         )
-        x0 = spectral_init(e, SpectralConfig(), seed)
+        x0 = spectral_init(e, seed=seed)
         cosine = abs(np.dot(x0, x_true)) / (np.linalg.norm(x0) * np.linalg.norm(x_true))
         good += cosine >= 0.9
     assert good >= 9
@@ -66,7 +90,7 @@ def test_truncation_support_bound():
 def test_norm_matches_mean_observation():
     for field, seed in ((FieldTag.REAL, 1), (FieldTag.COMPLEX, 2)):
         e = synthesize_instance(12, 3, 96, field, NoiseSpec("type1", 0.1), seed)
-        x0 = spectral_init(e, SpectralConfig(), seed)
+        x0 = spectral_init(e, seed=seed)
         want = np.sqrt(np.mean(e.observations))
         assert abs(np.linalg.norm(x0) - want) <= 1e-12 * want
         x0t = spectral_init(e, SpectralConfig(truncation=6), seed)
@@ -93,7 +117,7 @@ def test_phase_indifference():
         e = MeasurementEnsemble(
             field=FieldTag.COMPLEX, sampling_vectors=a, observations=b, seed=seed
         )
-        outs.append(spectral_init(e, SpectralConfig(), seed))
+        outs.append(spectral_init(e, seed=seed))
     # the observations agree up to rounding, so the initializations do too;
     # bitwise-equal observations give bitwise-equal output
     np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-9)
@@ -130,7 +154,7 @@ def test_screened_power_iteration_stops_on_its_tolerance(shape, monkeypatch):
 
     monkeypatch.setattr(spectral, "power_iteration", record)
     for seed in range(1, 21):
-        spectral_init(synthesize_instance(*shape, seed), SpectralConfig(), seed)
+        spectral_init(synthesize_instance(*shape, seed), seed=seed)
     assert len(steps) == 20
     assert max(steps) < spectral.POWER_ITERATIONS
 
@@ -148,7 +172,7 @@ def test_start_is_supported_on_the_screened_coordinates(shape):
         e = synthesize_instance(*shape, seed)
         support = _screen(e)
         assert 0 < support.size < e.p
-        x0 = spectral_init(e, SpectralConfig(), seed)
+        x0 = spectral_init(e, seed=seed)
         np.testing.assert_array_equal(np.flatnonzero(x0), support)
 
 
@@ -161,7 +185,7 @@ def test_empty_screen_falls_back_to_the_largest_marginal():
     b = rng.uniform(1.0, 2.0, 8)
     e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a, observations=b)
     assert _screen(e).size == 0
-    x0 = spectral_init(e, SpectralConfig(), 0)
+    x0 = spectral_init(e, seed=0)
     np.testing.assert_array_equal(np.flatnonzero(x0), [1])
     assert abs(abs(x0[1]) - np.sqrt(np.mean(b))) <= 1e-15
 
@@ -173,7 +197,7 @@ def test_start_makes_no_n_by_p_temporary(shape):
     e = synthesize_instance(*shape, 5)
     tracemalloc.start()
     try:
-        spectral_init(e, SpectralConfig(), 5)
+        spectral_init(e, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
