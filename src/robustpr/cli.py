@@ -56,7 +56,8 @@ from .model import (
     write_text,
 )
 from .pgm import GrayImage, read_pgm, write_pgm
-from .solver import SolverConfig, fixed_point_residual, solve, write_trace_csv
+from .solver import SolverConfig, solve, write_trace_csv
+from .solver import fixed_point_residual  # unused here; benchmarks/tracing.py binds it
 from .spectral import spectral_init
 
 
@@ -200,14 +201,7 @@ def cmd_solve(args):
     e = _load_instance(args.instance)
     cfg = _solver_config(args)
     seed = e.seed if args.seed is None else args.seed
-    x0 = spectral_init(e, seed=seed)
-    result = solve(e, x0, cfg)
-    last = result.trace[-1] if result.iterations else None
-    fp_res = (
-        last.fixed_point_residual
-        if last is not None
-        else fixed_point_residual(result.estimate, e, cfg.lam, cfg.alpha, cfg.gamma)
-    )
+    result = solve(e, spectral_init(e, seed=seed), cfg)
     echo = asdict(cfg)
     doc = {
         "estimate": encode_vector(result.estimate),
@@ -216,7 +210,7 @@ def cmd_solve(args):
         "iterations": result.iterations,
         "initial_objective": result.initial_objective,
         "final_objective": result.final_objective,
-        "fixed_point_residual": fp_res,
+        "fixed_point_residual": result.fixed_point_residual,
         "config": {
             "lambda": echo.pop("lam"),
             **echo,

@@ -29,7 +29,7 @@ def threshold_point(mu: float) -> float:
     # chained comparison rejects NaN and inf as well as nonpositive values
     if not 0.0 < mu < np.inf:
         raise ValueError("prox weight mu must be positive and finite")
-    return _TBAR_COEF * mu ** (2.0 / 3.0)
+    return _TBAR_COEF * float(np.cbrt(mu)) ** 2
 
 
 def half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
@@ -53,7 +53,7 @@ def _half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
     z = (mu/8)(|t|/3)^(-3/2), is computed as (2/3)(1 + cos((2/3)
     arccos(-z))) with z = (w / max(|t|, tbar))^(3/2), w = (3/4) cbrt(mu)^2
     = 2^(-1/3) tbar: z <= 1/sqrt(2), so nothing overflows at subnormal mu,
-    and w avoids tbar's mu ** (2/3), whose error grows with |log mu|.  A
+    and tbar and w share cbrt(mu)^2, whose error is flat in |log mu|.  A
     complex xi is scaled by its real and imaginary parts apart: a complex
     product would meet inf * 0 in its cross terms and turn an entry with an
     infinite part into NaN.  On finite entries the two agree bit for bit,

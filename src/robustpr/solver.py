@@ -29,9 +29,10 @@ A^H x, which yields F and the clamped residuals together; the accepted
 trial's products and clamp give g(x+) with one adjoint product.  The trace's
 fixed-point residual of x_k is that of the step the run took from it:
 x_{k+1} is the map applied to x_k at tau_{k+1}, so the residual is
-step_norm_{k+1} / max(1, ||x_k||) and costs nothing.  Only the last row's
-residual, at its own tau, takes one more prox per solve.  x0 is validated once per solve, and each
-trial validates its prox weight once.
+step_norm_{k+1} / max(1, ||x_k||) and costs nothing.  The result's residual
+costs one more prox per solve: the last row's at its own tau, or with no
+rows the start's at gamma, which a zero step's test may have taken already.
+x0 is validated once per solve, and each trial validates its prox weight once.
 
 The trace is one NumPy record array with a row per accepted step, built once
 after the loop: trace.F_value is a column, trace[-1] a row.
@@ -100,6 +101,7 @@ class SolverResult:
     termination: Termination
     final_objective: float
     initial_objective: float
+    fixed_point_residual: float  # the last row's, else the start's at tau = gamma
 
     @property
     def iterations(self) -> int:
@@ -157,7 +159,7 @@ def solve(
     F_initial = F_x
     g_x = _adjoint(e, c, d)
     x_norm = _norm(x)
-    rows = []
+    rows, residual = [], None
     termination = Termination.MAX_ITERATIONS
     if callback is not None:
         callback(0, x)
@@ -175,8 +177,8 @@ def solve(
                 accepted = True
                 break
         # a zero step passes as 0 >= delta * 0: converged only at a fixed point
-        if not accepted or not step_sq and (
-                _residual(x, g_x, cfg.lam, cfg.gamma, x_norm) > cfg.eps):
+        if not accepted or not step_sq and (residual := _residual(
+                x, g_x, cfg.lam, cfg.gamma, x_norm)) > cfg.eps:
             termination = Termination.LINE_SEARCH_FAILED
             break
 
@@ -205,7 +207,10 @@ def solve(
             termination = Termination.CONVERGED
             break
     if rows:
-        rows[-1] += (_residual(x, g_x, cfg.lam, rows[-1][2], x_norm),)
+        residual = _residual(x, g_x, cfg.lam, rows[-1][2], x_norm)
+        rows[-1] += (residual,)
+    elif residual is None:
+        residual = _residual(x, g_x, cfg.lam, cfg.gamma, x_norm)
 
     return SolverResult(
         estimate=x,
@@ -213,6 +218,7 @@ def solve(
         termination=termination,
         final_objective=F_x,
         initial_objective=F_initial,
+        fixed_point_residual=residual,
     )
 
 

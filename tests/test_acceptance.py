@@ -25,14 +25,10 @@ from robustpr import (
 )
 from robustpr.cli import main as cli_main
 from robustpr.gradient import g
-from robustpr.rng import mix
 
+from acceptance_runs import runs
 from oracles import chi, chi_oracle, fd_loss_gradient, realify_gradient
 
-LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
-# A Huber threshold above every residual makes h_alpha(u) = u^2/2 everywhere:
-# the squared loss that criterion 6 compares the Huber loss against.
-SQUARED_LOSS_ALPHA = 1e6
 # (arm, trial, lambda) of the fixture runs known not to converge; any other
 # non-converged run is a new stall.  Empty: every fixture run converges.
 KNOWN_STALLS: set[tuple[str, int, float]] = set()
@@ -44,63 +40,13 @@ def report(num, ok, detail):
     assert ok, line
 
 
-def tuned_trials(arm, field, p, s, n, noise, alpha, trials, master_seed, runs):
-    """Oracle lambda tuning per trial over LAMBDA_GRID.
-
-    Every run lands in ``runs`` as ((arm, trial, lam), cfg, result).
-    """
-    best_errors = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for trial in range(trials):
-            seed = mix(master_seed, n, trial)
-            e = synthesize_instance(p, s, n, field, noise, seed)
-            x0 = spectral_init(e, seed=seed)
-            best = None
-            for lam in LAMBDA_GRID:
-                cfg = SolverConfig(lam=lam, alpha=alpha)
-                result = solve(e, x0, cfg)
-                runs.append(((arm, trial, lam), cfg, result))
-                rel = relative_error(result.estimate, e.ground_truth)
-                if best is None or rel <= best:
-                    best = rel
-            best_errors.append(best)
-    return np.array(best_errors)
-
-
 @pytest.fixture(scope="module")
 def experiments():
-    """All benchmark runs used by criteria 3, 4, 5 and 6.
-
-    The Type-III instances (master seed 300) are solved twice from the same
-    spectral inits over the same lambda grid: with the Huber loss at
-    alpha = 0.1345 and with the squared loss (alpha = SQUARED_LOSS_ALPHA).
-    Every run of every arm, the squared-loss one included, lands in
-    ``runs`` for criteria 3 and 4.
+    """All benchmark runs used by criteria 3, 4, 5 and 6: the arms of
+    ``acceptance_runs`` at offset 0.  Every run of every arm, the
+    squared-loss one included, lands in ``runs`` for criteria 3 and 4.
     """
-    runs = []
-    data = {}
-
-    def arm(name, *setup):
-        data[name] = tuned_trials(name, *setup, runs)
-
-    t0 = time.perf_counter()
-    arm("real_noiseless",
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 1.345, 20, 100)
-    arm("complex_noiseless",
-        FieldTag.COMPLEX, 32, 4, 320, NoiseSpec("none"), 1.345, 20, 200)
-    data["noiseless_time"] = time.perf_counter() - t0
-    arm("real_noiseless_outlier_alpha",
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 0.1345, 20, 300)
-    arm("type3",
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), 0.1345, 20, 300)
-    arm("type3_squared",
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), SQUARED_LOSS_ALPHA,
-        20, 300)
-    arm("gaussian",
-        FieldTag.REAL, 64, 6, 512, NoiseSpec("gaussian", 0.01), 1.345, 20, 400)
-    data["runs"] = runs
-    return data
+    return runs(0)
 
 
 def test_criterion_1_prox_oracle_equivalence():
@@ -160,7 +106,7 @@ def test_criterion_2_gradient_matches_finite_differences():
 
 def test_criterion_3_descent_and_square_summability(experiments):
     checked = iterations = trials = 0
-    for _, cfg, result in experiments["runs"]:
+    for _, _, cfg, result in experiments["runs"]:
         values = np.append(result.initial_objective, result.trace.F_value)
         steps = result.trace.step_norm
         assert np.all(values[:-1] - values[1:] >= cfg.delta * steps**2 - 1e-15)
@@ -180,7 +126,7 @@ def test_criterion_3_descent_and_square_summability(experiments):
 def test_criterion_4_fixed_point_inclusion(experiments):
     converged = []
     excluded = []
-    for tag, cfg, result in experiments["runs"]:
+    for tag, _, cfg, result in experiments["runs"]:
         if result.termination is Termination.CONVERGED:
             converged.append((cfg, result))
         else:

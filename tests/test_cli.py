@@ -29,7 +29,7 @@ from robustpr import (
     synthesize_instance,
     write_pgm,
 )
-from robustpr import cli
+from robustpr import cli, solver
 from robustpr.cli import main
 from robustpr.diagnostics import RHO0
 from robustpr.model import decode_vector
@@ -118,12 +118,17 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert "relative error" in capsys.readouterr().out
 
 
-def test_solve_with_no_accepted_step(tmp_path):
-    # delta = 1e20 rejects every trial at k = 1 (see the solver's
+def test_solve_with_no_accepted_step(tmp_path, monkeypatch):
+    # delta = 1e20 rejects every trial at k = 1 until one rounds to the start,
+    # a zero step that the start's residual fails (see the solver's
     # test_line_search_failure_is_reported_not_raised), so the trace has no rows
-    # and the result's residual is evaluated at the start point with tau = gamma.
+    # and the result's residual is the start's at tau = gamma, which the solver
+    # took; the command evaluates no residual of its own.
     inst, res, trace = (tmp_path / name for name in ("inst.json", "res.json", "trace.csv"))
     assert run(*GEN, "--out", str(inst)) == 0
+    calls = []
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "fixed_point_residual", lambda *a: calls.append(a))
     assert run("solve", "--instance", str(inst), "--lambda", "1e-4", "--delta", "1e20",
                "--out-result", str(res), "--out-trace", str(trace)) == 0
     doc = json.loads(res.read_text())
@@ -133,6 +138,7 @@ def test_solve_with_no_accepted_step(tmp_path):
     e = deserialize_instance(inst.read_text())
     x = decode_vector(doc["estimate"], e.field, "estimate", e.p)
     cfg = SolverConfig(lam=1e-4)
+    assert not calls
     assert doc["fixed_point_residual"] == fixed_point_residual(
         x, e, cfg.lam, cfg.alpha, cfg.gamma)
 

@@ -1,3 +1,5 @@
+import decimal
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +17,24 @@ def test_threshold_point_constant():
     assert np.isclose(threshold_point(1.0), 0.9449412, atol=1e-6)
     with pytest.raises(ValueError):
         threshold_point(0.0)
+
+
+def test_threshold_point_error_does_not_grow_with_log_mu():
+    # tbar = (54^(1/3)/4) cbrt(mu)^2 against 60-digit values: cbrt's error
+    # counts twice through the square, plus the roundings of the square, the
+    # constant and the product, whatever mu is (at most 3.56 ulp over 30000
+    # log-uniform weights).  mu ** (2/3) carries fl(2/3)'s error times
+    # |ln mu|: 5.4 ulp at 1e-12, 234 at the least subnormal.
+    context = decimal.Context(prec=60)
+    worst = 0.0
+    for mu in [5e-324, 1e-320, 2.2250738585072014e-308, *np.logspace(-300, 300, 61),
+               2e-3, 1.7976931348623157e308]:
+        exact = context.divide(context.power(
+            context.multiply(54, decimal.Decimal(mu) ** 2), context.divide(1, 3)), 4)
+        tbar = threshold_point(float(mu))
+        worst = max(worst, abs(float((decimal.Decimal(tbar) - exact)
+                                     / decimal.Decimal(math.ulp(tbar)))))
+    assert worst <= 4.0
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])

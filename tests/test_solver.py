@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,7 @@ def _assert_rows_equal_public_maps(e, x0, cfg):
             x, e, cfg.lam, cfg.alpha, tau
         )
         assert row.support_size == np.count_nonzero(x)
+    assert result.fixed_point_residual == result.trace[-1].fixed_point_residual
     if result.termination is Termination.CONVERGED and result.iterations >= 2:
         # the run stops at the first step with step_norm <= eps max(1, ||x||),
         # and that step gives the second-to-last row its residual
@@ -278,26 +280,58 @@ def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatc
     assert len(checks) == 1
 
 
-def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(monkeypatch):
-    e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
-    x0 = spectral_init(e, seed=4)
-    shapes, weights = [], []
-    inner, check = solver._half_threshold, prox.threshold_point
-    monkeypatch.setattr(solver, "_half_threshold",
-                        lambda xi, mu: shapes.append(xi.shape) or inner(xi, mu))
+def _prox_count_run(case):
+    """(e, x0, cfg, trials) of a converged run, whose trials the trace
+    counts, and of two runs with no rows."""
+    if case == "converged":
+        e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
+        return e, spectral_init(e, seed=4), SolverConfig(lam=1e-3), None
+    cfg = SolverConfig(lam=1e-4, delta=1e20)
+    if case == "exhausted":  # no trial rounds to x0, so all of them are rejected
+        e = easy_instance(11)
+        return e, spectral_init(e, seed=11), cfg, solver.MAX_BACKTRACKS + 1
+    # test_line_search_failure_is_reported_not_raised: trial 57 is a zero step
+    e = easy_instance(7)
+    return e, np.random.default_rng(2).standard_normal(16), cfg, 57
+
+
+@pytest.mark.parametrize("case", ["converged", "exhausted", "zero-step"])
+def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(case, monkeypatch):
+    e, x0, cfg, trials = _prox_count_run(case)
+    shapes, weights, outputs, evaluations = [], [], [], []
+    inner, check, evaluate = solver._half_threshold, prox.threshold_point, solver._evaluate
+    monkeypatch.setattr(solver, "_half_threshold", lambda xi, mu: shapes.append(
+        xi.shape) or outputs.append(inner(xi, mu)) or outputs[-1])
     monkeypatch.setattr(prox, "threshold_point",
                         lambda mu: weights.append(mu) or check(mu))
+    monkeypatch.setattr(solver, "_evaluate",
+                        lambda *a: evaluations.append(1) or evaluate(*a))
     public = []
     for module, name in ((prox, "half_threshold"), (solver, "half_threshold"),
                          (solver, "fixed_point_residual")):
         monkeypatch.setattr(module, name, lambda *a, **k: public.append(1))
-    result = solve(e, x0, SolverConfig(lam=1e-3))
-    trials = sum(r.j + 1 for r in result.trace)
-    # every trial validates its weight and takes one prox; the last row's
+    result = solve(e, x0, cfg)
+    monkeypatch.undo()
+    # F(x0), then one forward product per trial
+    assert len(evaluations) - 1 == (trials or sum(r.j + 1 for r in result.trace))
+    trials = len(evaluations) - 1
+    # every trial validates its weight and takes one prox; the result's
     # residual takes one more of each, and the other rows' none
     assert len(shapes) == len(weights) == trials + 1
     assert shapes == [(e.p,)] * (trials + 1)
     assert not public
+    if case == "converged":
+        assert result.termination is Termination.CONVERGED
+        tau = result.trace[-1].tau
+        assert result.fixed_point_residual == result.trace[-1].fixed_point_residual
+    else:
+        assert result.termination is Termination.LINE_SEARCH_FAILED
+        assert result.iterations == 0
+        tau = cfg.gamma
+        zero_steps = [not np.any(c != x0) for c in outputs[:trials]]
+        assert zero_steps == [False] * (trials - 1) + [case == "zero-step"]
+    assert result.fixed_point_residual == fixed_point_residual(
+        result.estimate, e, cfg.lam, cfg.alpha, tau)
 
 
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
@@ -484,3 +518,28 @@ def test_quick_shape_traps_end_at_or_below_the_truth(seed, lam):
     result = solve(e, spectral_init(e, seed=seed), cfg)
     assert result.termination is Termination.CONVERGED
     assert result.final_objective <= objective(e.ground_truth, e, cfg.lam, cfg.alpha)
+
+
+def test_readme_quick_start_numbers():
+    # runs the README's library quick start and checks the numbers its prose
+    # gives for it, so a change that moves them cannot leave the README stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library quick start")[1].split("```python\n")[1]
+    namespace = {}
+    exec(code.split("```")[0], namespace)
+    e, x0 = namespace["e"], namespace["x0"]
+    true = e.ground_truth != 0
+    assert (np.count_nonzero(x0), np.count_nonzero(x0[true])) == (14, 5)
+    cases = {1e-3: namespace["result"],
+             0.1: solve(e, x0, SolverConfig(lam=0.1, alpha=1.345))}
+    found = {}
+    for lam, result in cases.items():
+        kept = result.estimate != 0
+        rel = relative_error(result.estimate, e.ground_truth)
+        found[lam] = (int(kept.sum()), int(np.sum(kept & ~true)), f"{rel:.1e}")
+    assert found == {1e-3: (121, 109, "4.6e-02"), 0.1: (14, 2, "1.1e-02")}
+    prose = " ".join(readme.split())
+    assert ("keeps 121 of the 128 entries, 109 of them outside the true support, "
+            "at relative error 4.6e-2; λ = 0.1 keeps the 12 true entries and 2 "
+            "others, at 1.1e-2. The start `x0` is nonzero on 14 coordinates, 5 of "
+            "them true ones") in prose
