@@ -3,8 +3,8 @@
 Commands: gen | solve | bench {success-rate,error-iter,lambda-grid,consistency}
 | image | diag {stability,certificate,remark5}.
 
-Exit codes: 0 success, 2 usage or validation error, 3 domain error
-(unsupported field, missing data), 4 I/O or file-format error.
+Exit codes: 0 success, 2 usage, validation or out-of-memory error, 3 domain
+error (unsupported field, missing data), 4 I/O or file-format error.
 
 Each flag is declared once and read by its command: shared groups are
 argparse parent parsers, and the solver flags are generated from the
@@ -360,19 +360,20 @@ def _diag_stability(args):
     return 0
 
 
-def _diag_solution(args, e):
+def _diag_point(args):
+    """The instance and the point to evaluate: --solution's estimate or the truth."""
+    e = _load_instance(args.instance)
     if args.use_truth:
         if e.ground_truth is None:
             raise DomainError("instance has no ground truth; pass --solution")
-        return e.ground_truth
+        return e, e.ground_truth
     doc = parse_document(read_text(args.solution, "solution"), "solution", ("estimate",))
-    return decode_vector(doc["estimate"], e.field, "estimate", e.p)
+    return e, decode_vector(doc["estimate"], e.field, "estimate", e.p)
 
 
 def _diag_certificate(args):
-    e = _load_instance(args.instance)
-    x = _diag_solution(args, e)
-    report = linear_rate_certificate(x, e, args.lam, args.alpha, args.eps1)
+    e, x = _diag_point(args)
+    report = linear_rate_certificate(x, e, args.lam, args.alpha, args.rho0)
     if args.out:
         write_text(args.out, report.to_json() + "\n")
     print(
@@ -383,8 +384,7 @@ def _diag_certificate(args):
 
 
 def _diag_remark5(args):
-    e = _load_instance(args.instance)
-    x = _diag_solution(args, e)
+    e, x = _diag_point(args)
     report = remark5_quantities(x, e, args.alpha, args.rho0)
     if args.out:
         write_text(args.out, report.to_json() + "\n")
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     # shared(): a flag group that commands attach with parents=[...];
     # command(): a command parser whose help shows each flag's default
     # abbreviations are off everywhere, so a flag or config key that is a
-    # prefix of another flag (--eps of --eps1, say) is an error, not that flag
+    # prefix of another flag (--s of --solution, say) is an error, not that flag
     shared = functools.partial(argparse.ArgumentParser, add_help=False,
                                allow_abbrev=False)
     command = functools.partial(argparse.ArgumentParser, allow_abbrev=False,
@@ -529,14 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("--threshold", type=_nonnegative_float, default=0.0,
                        help="zero out pixels below this value at ingestion")
     p_img.add_argument("--cap", type=_positive_int, default=16384,
-                       help="largest accepted pixel count")
+                       help="largest pixel count p (memory: 8*ratio*p^2 bytes)")
     p_img.set_defaults(func=cmd_image)
 
     report = shared(parents=[instance, _field_flags(solver_field["alpha"])])
     report.add_argument("--out", default=None, help="report JSON path")
-    rho0 = shared()
-    rho0.add_argument("--rho0", type=float, default=RHO0,
-                      help="inliers have |eps_i| <= rho0 * alpha")
+    report.add_argument("--rho0", type=float, default=RHO0,
+                        help="inliers |v| <= rho0*alpha, boundary width (1-rho0)*alpha")
     solution = shared()
     point = solution.add_mutually_exclusive_group(required=True)
     point.add_argument("--solution", default=None, help="result JSON from 'solve'")
@@ -547,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag = p_diag.add_subparsers(dest="diag_mode", required=True,
                                  parser_class=command)
 
-    d_stab = diag.add_parser("stability", parents=[report, rho0, seed],
+    d_stab = diag.add_parser("stability", parents=[report, seed],
                              help="sampled stability constants")
     d_stab.add_argument("--samples", type=_positive_int, default=200,
                         help="random direction pairs before refinement")
@@ -555,11 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     d_cert = diag.add_parser("certificate", parents=[report, solution, lam],
                              help="linear-rate spectral-gap certificate")
-    d_cert.add_argument("--eps1", type=float, default=None,
-                        help="boundary width (default alpha/2)")
     d_cert.set_defaults(func=_diag_certificate)
 
-    d_rem = diag.add_parser("remark5", parents=[report, solution, rho0],
+    d_rem = diag.add_parser("remark5", parents=[report, solution],
                             help="noise-weighted certificate terms")
     d_rem.set_defaults(func=_diag_remark5)
 
@@ -595,8 +592,8 @@ def main(argv=None) -> int:
             argv = _inject_config(argv, known.config)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, DomainError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, (ParseError, OSError)):  # a ParseError is a ValueError
             return 4
         return 3 if isinstance(exc, DomainError) else 2

@@ -23,7 +23,8 @@ Three groups of checks:
   when the certificate is expected to hold.
 
 Each smallest eigenvalue comes from ``eigvalsh`` and is checked by an inertia
-bracket of two Cholesky factorizations (see ``_min_eig``).
+bracket of two Cholesky factorizations (see ``_min_eig``).  All three split the
+measurements into inliers and a boundary band by ``_masks`` at one rho0.
 
 Stability and Remark-5 checks follow the equal-energy convention of the
 consistency theory: rows are rescaled internally to a common norm with
@@ -41,9 +42,9 @@ from .errors import MissingDataError, UnsupportedFieldError
 from .model import FieldTag, MeasurementEnsemble, _is_int, correlate
 from .rng import TAG_STABILITY, stream
 
-# Inlier fraction of the Huber threshold: measurements with |eps_i| <= rho0 *
-# alpha count as inliers, and the certificate's boundary width is
-# eps1 = (1 - rho0) * alpha.
+# Inlier fraction of the Huber threshold, the default of every check's rho0:
+# measurements with |v_i| <= rho0 * alpha count as inliers, and the boundary
+# band around the Huber kink has half-width eps1 = (1 - rho0) * alpha.
 RHO0 = 0.5
 
 
@@ -75,11 +76,17 @@ def _min_eig(m: np.ndarray) -> float:
     return lmin
 
 
-def _masks(r: np.ndarray, alpha: float, eps1: float):
-    """Inliers |r_i| <= alpha - eps1 and the boundary band ||r_i| - alpha| < eps1."""
-    inliers = np.abs(r) <= alpha - eps1
-    boundary = np.abs(np.abs(r) - alpha) < eps1
-    return inliers, boundary
+def _boundary_width(alpha: float, rho0: float) -> float:
+    """eps1 = (1 - rho0) * alpha; ValueError unless 0 < rho0 < 1 (NaN included)."""
+    if not 0.0 < rho0 < 1.0:
+        raise ValueError("rho0 must lie in (0, 1)")
+    return (1.0 - rho0) * alpha
+
+
+def _masks(v: np.ndarray, alpha: float, rho0: float):
+    """Inliers |v_i| <= rho0 * alpha and the boundary band ||v_i| - alpha| < eps1."""
+    mag = np.abs(v)
+    return mag <= rho0 * alpha, np.abs(mag - alpha) < _boundary_width(alpha, rho0)
 
 
 class _Report:
@@ -101,8 +108,7 @@ def _normalized(e: MeasurementEnsemble, alpha: float, rho0: float, what: str):
     # chained comparisons reject NaN and inf as well as out-of-range values
     if not 0.0 < alpha < np.inf:
         raise ValueError("alpha must be positive")
-    if not 0.0 < rho0 < 1.0:
-        raise ValueError("rho0 must lie in (0, 1)")
+    _boundary_width(alpha, rho0)  # checks rho0
     norms = np.linalg.norm(e.sampling_vectors, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("sampling ensemble contains a zero row")
@@ -178,10 +184,7 @@ def estimate_stability(
     if not (_is_int(samples) and samples >= 1):
         raise ValueError("samples must be a positive integer")
     used_record = eps_hat is not None
-    threshold = rho0 * alpha
-    inliers = (
-        np.abs(eps_hat) <= threshold if used_record else np.ones(e.n, dtype=bool)
-    )
+    inliers = _masks(eps_hat, alpha, rho0)[0] if used_record else np.ones(e.n, bool)
     rng = stream(seed, TAG_STABILITY)
     mu_best, c2_best = np.inf, np.inf
     mu_pair = c2_pair = None
@@ -201,7 +204,7 @@ def estimate_stability(
         mu_hat=mu_best,
         c2_hat=c2_best,
         samples=samples,
-        inlier_threshold=threshold,
+        inlier_threshold=rho0 * alpha,
         used_noise_record=used_record,
         consistency=_consistency(e, eps_hat, alpha, rho0, mu_best, c2_best),
     )
@@ -215,7 +218,10 @@ def _consistency(e, eps_hat, alpha, rho0, c1, c2) -> dict | None:
     normalized ensemble and the empirical mean |eps| as a stand-in for the
     noise's first absolute moment.  None without a noise record or a
     nonzero ground truth; the alpha floor is None when 2 (1 - rho0) C1 <= 1,
-    where no alpha meets the condition.  Nothing in the solver depends on this.
+    where no alpha meets the condition.  At rho0 = 1/2 that is C1 <= 1, true
+    of the real C1: rows at norm sqrt(p) give trace(A^T A / n) = p, so (u = v)
+    C1 <= lambda_min(A^T A / n) <= 1, and the floor is None unless mu_hat
+    overestimates C1 past 1.  Nothing in the solver depends on this.
     """
     x = e.ground_truth
     if eps_hat is None or x is None or not np.any(x):
@@ -359,20 +365,17 @@ def linear_rate_certificate(
     e: MeasurementEnsemble,
     lam: float,
     alpha: float,
-    eps1: float | None = None,
+    rho0: float = RHO0,
 ) -> CertificateReport:
     """Evaluate the linear-rate spectral-gap condition at x_star.
 
-    eps1 defaults to (1 - RHO0) * alpha, which is alpha/2.  For a complex
-    x_star the smallest eigenvalue is taken modulo the global phase (see
-    ``_phase_projected``).
+    The residuals |<a_i, x_star>|^2 - y_i are split by ``_masks`` at rho0.
+    For a complex x_star the smallest eigenvalue is taken modulo the global
+    phase (see ``_phase_projected``).
     """
     if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
         raise ValueError("lam and alpha must be positive")
-    if eps1 is None:
-        eps1 = (1.0 - RHO0) * alpha
-    if not 0.0 < eps1 < alpha:
-        raise ValueError("eps1 must lie strictly between 0 and alpha")
+    eps1 = _boundary_width(alpha, rho0)
     x, support = _solution(x_star, e)
     real = e.field is FieldTag.REAL
     reg_coef = 0.75 if real else 1.5
@@ -388,7 +391,7 @@ def linear_rate_certificate(
     with np.errstate(over="ignore", invalid="ignore"):
         c = correlate(e.sampling_vectors, x)
         r = np.abs(c) ** 2 - e.observations
-        inliers, boundary = _masks(r, alpha, eps1)
+        inliers, boundary = _masks(r, alpha, rho0)
         if real:
             m, norms = _real_terms(e.sampling_vectors[:, support], c, r, inliers, e)
         else:
@@ -446,8 +449,7 @@ def remark5_quantities(
     if eps_hat is None:
         raise MissingDataError("Remark-5 quantities require a noise record")
     x, support = _solution(x, e)
-    eps1 = (1.0 - rho0) * alpha
-    inliers, boundary = _masks(eps_hat, alpha, eps1)
+    inliers, boundary = _masks(eps_hat, alpha, rho0)
     a_g = a_hat[:, support]
 
     def weighted_norm(mask, w):
@@ -462,7 +464,7 @@ def remark5_quantities(
     if not np.all(np.isfinite(quad_m)):
         raise ValueError("solution overflows the inlier quadratic term")
     return Remark5Report(
-        eps1=eps1,
+        eps1=_boundary_width(alpha, rho0),
         support=[int(j) for j in support],
         n_inliers=int(np.count_nonzero(inliers)),
         n_boundary=int(np.count_nonzero(boundary)),

@@ -24,6 +24,7 @@ from robustpr import (
     error_vs_iteration,
     fixed_point_residual,
     lambda_grid_search,
+    linear_rate_certificate,
     read_pgm,
     run_experiment,
     synthesize_instance,
@@ -670,6 +671,12 @@ DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
      "argument --use-truth: not allowed with argument --solution"),
     (["remark5", "--use-truth", "--solution", "sol.json"],
      "argument --solution: not allowed with argument --use-truth"),
+    (["certificate", "--use-truth", "--lambda", "1e-3", "--rho0", "1"],
+     "rho0 must lie in (0, 1)"),
+    (["stability", "--rho0", "nan"], "rho0 must lie in (0, 1)"),
+    # the boundary width is (1 - rho0) * alpha, not a flag of its own
+    (["certificate", "--use-truth", "--lambda", "1e-3", "--eps1", "0.5"],
+     "unrecognized arguments: --eps1 0.5"),
 ])
 def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
     inst = tmp_path / "inst.json"
@@ -762,18 +769,56 @@ def test_a_file_that_is_not_utf8_text_exits_4_naming_its_kind(tmp_path, capsys, 
 
 
 def test_a_prefix_of_a_flag_is_not_that_flag(tmp_path, capsys):
-    # --eps (the solver's tolerance) is a prefix of diag certificate's --eps1;
-    # on the command line or as a config key it must not set --eps1
+    # --s (the sparsity of gen and bench) is a prefix of diag certificate's
+    # --solution; on the command line or as a config key it must not set
+    # --solution (which --use-truth would then reject as not allowed with it)
     inst, cfg = tmp_path / "inst.json", tmp_path / "conf.txt"
     assert run(*GEN, "--out", str(inst)) == 0
     argv = ["diag", "certificate", "--instance", str(inst), "--use-truth",
             "--lambda", "1e-4"]
     capsys.readouterr()
-    assert run(*argv, "--eps", "0.3") == 2
-    assert "unrecognized arguments: --eps 0.3" in capsys.readouterr().err
-    cfg.write_text("eps = 0.3\n")
+    assert run(*argv, "--s", "2") == 2
+    assert "unrecognized arguments: --s 2" in capsys.readouterr().err
+    cfg.write_text("s = 2\n")
     assert run(*argv, "--config", str(cfg)) == 2
-    assert "unrecognized arguments: --eps 0.3" in capsys.readouterr().err
+    assert "unrecognized arguments: --s 2" in capsys.readouterr().err
+
+
+def test_config_rho0_reaches_the_certificate(tmp_path):
+    inst, cfg, out = (tmp_path / f for f in ("inst.json", "conf.txt", "cert.json"))
+    assert run(*DIAG_INSTANCE, "--out", str(inst)) == 0
+    cfg.write_text("rho0 = 0.3\n")
+    assert run("diag", "certificate", "--config", str(cfg), "--instance", str(inst),
+               "--use-truth", "--lambda", "1e-3", "--out", str(out)) == 0
+    e = deserialize_instance(inst.read_text())
+    report = linear_rate_certificate(e.ground_truth, e, 1e-3, SolverConfig.alpha,
+                                     rho0=0.3)
+    assert out.read_text() == report.to_json() + "\n"
+    assert report.to_json() != linear_rate_certificate(
+        e.ground_truth, e, 1e-3, SolverConfig.alpha).to_json()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 12.0 GiB"), "Unable to allocate 12.0 GiB"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("argv, out, target", [
+    (GEN, "--out", "synthesize_instance"),
+    (["image", "--input", "{src}", "--lambda", "1e-4"], "--out-image", "measure"),
+], ids=["gen", "image"])
+def test_an_allocation_beyond_memory_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                      argv, out, target, exc, message):
+    # a request whose arrays do not fit (image at its default --cap, say)
+    # exits 2 with one message line, as the --cap refusal does
+    def too_large(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, too_large)
+    src, dest = sparse_image(tmp_path), tmp_path / "out"
+    capsys.readouterr()
+    assert run(*(word.format(src=src) for word in argv), out, str(dest)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not dest.exists()
 
 
 def test_config_file_sets_switches(tmp_path, capsys):
@@ -894,11 +939,10 @@ def test_help_lists_defaults(capsys):
                 continue
             flag = "--" + f.name.replace("_", "-")
             assert shown[flag] == str(f.default), (command, f.name)
-    for mode in ("stability", "remark5"):
-        assert help_defaults(capsys, "diag", mode)["--rho0"] == str(RHO0), mode
     for mode in ("stability", "certificate", "remark5"):
         shown = help_defaults(capsys, "diag", mode)
         assert shown["--alpha"] == str(SolverConfig.alpha), mode
+        assert shown["--rho0"] == str(RHO0), mode
     assert help_defaults(capsys, "diag", "stability")["--samples"] == "200"
 
 

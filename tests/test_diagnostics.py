@@ -237,7 +237,7 @@ def certificate_inputs(e, x, alpha=ALPHA):
     support = np.flatnonzero(x)
     c = correlate(e.sampling_vectors, x)
     r = np.abs(c) ** 2 - e.observations
-    inliers, _ = _masks(r, alpha, (1.0 - RHO0) * alpha)
+    inliers, _ = _masks(r, alpha, RHO0)
     return e.sampling_vectors[:, support], c, r, inliers, e
 
 
@@ -413,10 +413,6 @@ def test_certificate_validation():
     e, result = converged_real_solution()
     with pytest.raises(ValueError):
         linear_rate_certificate(np.zeros(16), e, lam=1e-4, alpha=ALPHA)
-    with pytest.raises(ValueError):
-        linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA, eps1=2.0)
-    with pytest.raises(ValueError):
-        linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA, eps1=0.0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lam and alpha must be positive"):
             linear_rate_certificate(result.estimate, e, lam=bad, alpha=ALPHA)
@@ -444,6 +440,33 @@ def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):
         estimate_stability(e, samples=5, rho0=rho0, alpha=alpha, seed=0)
     with pytest.raises(ValueError, match=message):
         remark5_quantities(e.ground_truth, e, alpha, rho0=rho0)
+    # the certificate's alpha message is "lam and alpha must be positive"
+    for ens in (e, real_as_complex(e)):
+        with pytest.raises(ValueError, match=message):
+            linear_rate_certificate(ens.ground_truth, ens, 1e-4, alpha, rho0=rho0)
+
+
+@pytest.mark.parametrize("rho0", [0.05, 0.3, RHO0])
+def test_every_check_counts_inliers_at_rho0_alpha(rho0):
+    # one inlier rule, |v_i| <= rho0 * alpha, for the noise record (Remark 5)
+    # and for the residual at the solution (certificate)
+    e = synthesize_instance(8, 2, 200, FieldTag.REAL, NoiseSpec("type2", 0.5), 7)
+    x = e.ground_truth
+    bound = rho0 * ALPHA
+    scale_sq = e.p / np.sum(e.sampling_vectors**2, axis=1)
+    eps_hat = e.noise_record * scale_sq
+    remark5 = remark5_quantities(x, e, ALPHA, rho0=rho0)
+    assert remark5.n_inliers == np.count_nonzero(np.abs(eps_hat) <= bound)
+    residual = (e.sampling_vectors @ x) ** 2 - e.observations
+    cert = linear_rate_certificate(x, e, 1e-4, ALPHA, rho0=rho0)
+    assert cert.n_inliers == np.count_nonzero(np.abs(residual) <= bound)
+    assert remark5.eps1 == cert.eps1 == (1.0 - rho0) * ALPHA
+    # the split moves with rho0: some measurements lie in each set
+    assert 0 < cert.n_inliers < e.n and 0 < cert.n_boundary < e.n
+    # the inlier set ends at rho0 * alpha itself, to the last bit
+    edge = rho0 * ALPHA
+    inliers, _ = _masks(np.array([edge, np.nextafter(edge, np.inf)]), ALPHA, rho0)
+    assert inliers.tolist() == [True, False]
 
 
 def test_remark5_zero_noise():
