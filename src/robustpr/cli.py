@@ -37,9 +37,10 @@ from .metrics import (
     align,
     error_vs_iteration,
     lambda_grid_search,
-    relative_error,
     run_experiment,
+    summarize,
 )
+from .metrics import relative_error  # unused here; benchmarks/tracing.py binds it
 from .model import (
     FieldTag,
     NoiseSpec,
@@ -202,15 +203,12 @@ def cmd_solve(args):
     cfg = _solver_config(args)
     seed = e.seed if args.seed is None else args.seed
     result = solve(e, spectral_init(e, seed=seed), cfg)
+    summary = summarize(result, e, cfg)
     echo = asdict(cfg)
     doc = {
         "estimate": encode_vector(result.estimate),
         "field": e.field.value,
-        "termination": result.termination.value,
-        "iterations": result.iterations,
-        "initial_objective": result.initial_objective,
-        "final_objective": result.final_objective,
-        "fixed_point_residual": result.fixed_point_residual,
+        **summary,
         "config": {
             "lambda": echo.pop("lam"),
             **echo,
@@ -221,10 +219,8 @@ def cmd_solve(args):
         f"solve {args.instance}: {result.termination.value} after "
         f"{result.iterations} iterations, F={result.final_objective:.6g}"
     )
-    if e.ground_truth is not None and np.any(e.ground_truth):
-        rel = relative_error(result.estimate, e.ground_truth)
-        doc["relative_error"] = rel
-        message += f", relative error {rel:.3e}"
+    if "relative_error" in summary:
+        message += f", relative error {summary['relative_error']:.3e}"
     if args.out_result:
         write_json(args.out_result, doc)
     if args.out_trace:
@@ -318,7 +314,7 @@ def cmd_image(args):
     x0 = spectral_init(e)
     result = solve(e, x0, cfg)
     estimate = align(result.estimate, x_true)
-    rel = relative_error(result.estimate, x_true)
+    summary = summarize(result, e, cfg)
     # from_signal clips the estimate to [0, 1]
     recon = GrayImage.from_signal(estimate, img.width, img.height, maxval=img.maxval)
     write_pgm(args.out_image, recon)
@@ -333,15 +329,13 @@ def cmd_image(args):
         "lambda": cfg.lam,
         "alpha": cfg.alpha,
         "seed": args.seed,
-        "termination": result.termination.value,
-        "iterations": result.iterations,
-        "final_objective": result.final_objective,
-        "relative_error": rel,
+        **summary,
     }
     if args.out_metrics:
         write_json(args.out_metrics, metrics)
     print(
-        f"image {args.input} ({img.width}x{img.height}): relative error {rel:.3e} "
+        f"image {args.input} ({img.width}x{img.height}): "
+        f"relative error {summary['relative_error']:.3e} "
         f"after {result.iterations} iterations -> {args.out_image}"
     )
     return 0
@@ -528,8 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=False, help="read and rewrite the image without solving")
     p_img.add_argument("--threshold", type=_nonnegative_float, default=0.0,
                        help="zero out pixels below this value at ingestion")
-    p_img.add_argument("--cap", type=_positive_int, default=16384,
-                       help="largest pixel count p (memory: 8*ratio*p^2 bytes)")
+    p_img.add_argument("--cap", type=_positive_int, default=4096,
+                       help="largest pixel count p; the sampling matrix takes "
+                            "8*ratio*p^2 bytes (805 MB at the defaults)")
     p_img.set_defaults(func=cmd_image)
 
     report = shared(parents=[instance, _field_flags(solver_field["alpha"])])

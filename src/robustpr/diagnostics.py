@@ -77,7 +77,9 @@ def _min_eig(m: np.ndarray) -> float:
 
 
 def _boundary_width(alpha: float, rho0: float) -> float:
-    """eps1 = (1 - rho0) * alpha; ValueError unless 0 < rho0 < 1 (NaN included)."""
+    """eps1 = (1 - rho0) * alpha; ValueError unless 0 < alpha < inf and 0 < rho0 < 1."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive")
     if not 0.0 < rho0 < 1.0:
         raise ValueError("rho0 must lie in (0, 1)")
     return (1.0 - rho0) * alpha
@@ -105,10 +107,7 @@ def _normalized(e: MeasurementEnsemble, alpha: float, rho0: float, what: str):
     """
     if e.field is not FieldTag.REAL:
         raise UnsupportedFieldError(f"{what} is defined for real ensembles only")
-    # chained comparisons reject NaN and inf as well as out-of-range values
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive")
-    _boundary_width(alpha, rho0)  # checks rho0
+    _boundary_width(alpha, rho0)  # checks alpha and rho0
     norms = np.linalg.norm(e.sampling_vectors, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("sampling ensemble contains a zero row")
@@ -373,8 +372,8 @@ def linear_rate_certificate(
     For a complex x_star the smallest eigenvalue is taken modulo the global
     phase (see ``_phase_projected``).
     """
-    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
-        raise ValueError("lam and alpha must be positive")
+    if not 0.0 < lam < np.inf:  # also rejects NaN
+        raise ValueError("lam must be positive")
     eps1 = _boundary_width(alpha, rho0)
     x, support = _solution(x_star, e)
     real = e.field is FieldTag.REAL

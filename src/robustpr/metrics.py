@@ -25,7 +25,7 @@ from .model import (
     write_json,
 )
 from .model import correlate  # unused here; benchmarks/tracing.py binds it
-from .objective import loss
+from .objective import loss, objective
 from .rng import TAG_HOLDOUT, mix, stream
 from .solver import SolverConfig, SolverResult, Termination, solve
 from .spectral import SpectralConfig, spectral_init
@@ -64,6 +64,32 @@ def align(x_hat: np.ndarray, x_true: np.ndarray) -> np.ndarray:
     return x_hat * np.conj(_phase(x_hat, np.asarray(x_true)))
 
 
+def summarize(result: SolverResult, e: MeasurementEnsemble, cfg: SolverConfig) -> dict:
+    """A run's reported fields, in the order every writer exports them; the
+    truth's fields only with a nonzero truth, where
+    truth_gap = (F(x_hat) - F(x_true)) / max(1, |F(x_true)|)."""
+    x, truth = result.estimate, e.ground_truth
+    doc = {
+        "termination": result.termination.value,
+        "iterations": result.iterations,
+        "initial_objective": result.initial_objective,
+        "final_objective": result.final_objective,
+        "fixed_point_residual": result.fixed_point_residual,
+        "trials": result.trials,
+        "prox_calls": result.prox_calls,
+        "forward_products": result.trials + 1,
+        "adjoint_products": result.iterations + 1,
+        "support_size": int(np.count_nonzero(x)),
+    }
+    if truth is not None and np.any(truth):
+        F_true = objective(truth, e, cfg.lam, cfg.alpha)
+        doc["relative_error"] = relative_error(x, truth)
+        doc["truth_gap"] = (result.final_objective - F_true) / max(1.0, abs(F_true))
+        doc["support_missed"] = int(np.count_nonzero((truth != 0) & (x == 0)))
+        doc["support_extra"] = int(np.count_nonzero((x != 0) & (truth == 0)))
+    return doc
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     p: int
@@ -92,10 +118,11 @@ class TrialRecord:
     n: int
     trial: int
     seed: int
-    relative_error: float
-    iterations: int
-    termination: str
+    summary: dict  # summarize() of the trial's run: the exported columns
     wall_time: float  # informational only; excluded from exported files
+
+    relative_error = property(lambda self: self.summary["relative_error"])
+    iterations = property(lambda self: self.summary["iterations"])
 
 
 @dataclass
@@ -106,12 +133,8 @@ class ExperimentReport:
     median_relative_error: dict
 
     def write_csv(self, path) -> None:
-        write_csv(
-            path,
-            ("n", "trial", "seed", "relative_error", "iterations", "termination"),
-            [(r.n, r.trial, r.seed, r.relative_error, r.iterations, r.termination)
-             for r in self.records],
-        )
+        write_csv(path, ("n", "trial", "seed", *self.records[0].summary),
+                  [(r.n, r.trial, r.seed, *r.summary.values()) for r in self.records])
 
     def write_json(self, path) -> None:
         doc = {
@@ -144,16 +167,7 @@ def run_trial(spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
     x0 = spectral_init(instance, spec.spectral)
     result = solve(instance, x0, spec.solver)
     elapsed = time.perf_counter() - start
-    rel = relative_error(result.estimate, instance.ground_truth)
-    return TrialRecord(
-        n=n,
-        trial=trial,
-        seed=seed,
-        relative_error=rel,
-        iterations=result.iterations,
-        termination=result.termination.value,
-        wall_time=elapsed,
-    )
+    return TrialRecord(n, trial, seed, summarize(result, instance, spec.solver), elapsed)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -166,7 +180,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             1
             for r in group
             if r.relative_error < spec.success_threshold
-            and r.termination != Termination.LINE_SEARCH_FAILED.value
+            and r.summary["termination"] != Termination.LINE_SEARCH_FAILED.value
         )
         rates[n] = wins / len(group)
         medians[n] = float(np.median([r.relative_error for r in group]))

@@ -102,6 +102,8 @@ class SolverResult:
     final_objective: float
     initial_objective: float
     fixed_point_residual: float  # the last row's, else the start's at tau = gamma
+    trials: int  # Armijo trials, one forward product each
+    prox_calls: int  # one per trial and per residual taken (see the module doc)
 
     @property
     def iterations(self) -> int:
@@ -159,7 +161,7 @@ def solve(
     F_initial = F_x
     g_x = _adjoint(e, c, d)
     x_norm = _norm(x)
-    rows, residual = [], None
+    rows, residual, trials = [], None, 0
     termination = Termination.MAX_ITERATIONS
     if callback is not None:
         callback(0, x)
@@ -176,6 +178,7 @@ def solve(
             if F_x - F_cand >= cfg.delta * step_sq:
                 accepted = True
                 break
+        trials += j + 1
         # a zero step passes as 0 >= delta * 0: converged only at a fixed point
         if not accepted or not step_sq and (residual := _residual(
                 x, g_x, cfg.lam, cfg.gamma, x_norm)) > cfg.eps:
@@ -206,6 +209,7 @@ def solve(
         if converged:
             termination = Termination.CONVERGED
             break
+    prox_calls = trials + 1 + (residual is not None and bool(rows))
     if rows:
         residual = _residual(x, g_x, cfg.lam, rows[-1][2], x_norm)
         rows[-1] += (residual,)
@@ -219,6 +223,8 @@ def solve(
         final_objective=F_x,
         initial_objective=F_initial,
         fixed_point_residual=residual,
+        trials=trials,
+        prox_calls=prox_calls,
     )
 
 

@@ -27,12 +27,15 @@ from robustpr import (
     linear_rate_certificate,
     read_pgm,
     run_experiment,
+    solve,
+    spectral_init,
     synthesize_instance,
     write_pgm,
 )
 from robustpr import cli, solver
 from robustpr.cli import main
 from robustpr.diagnostics import RHO0
+from robustpr.metrics import summarize
 from robustpr.model import decode_vector
 
 
@@ -294,7 +297,10 @@ def test_bench_success_rate_outputs(tmp_path, capsys):
                "--lambda", "1e-4", "--seed", "1", "--out-prefix", str(prefix))
     assert code == 0
     rows = (tmp_path / "bench.csv").read_text().splitlines()
-    assert rows[0] == "n,trial,seed,relative_error,iterations,termination"
+    assert rows[0] == ("n,trial,seed,termination,iterations,initial_objective,"
+                       "final_objective,fixed_point_residual,trials,prox_calls,"
+                       "forward_products,adjoint_products,support_size,"
+                       "relative_error,truth_gap,support_missed,support_extra")
     assert len(rows) == 1 + 2 * 3
     rates = (tmp_path / "bench_rates.csv").read_text().splitlines()
     assert len(rates) == 3
@@ -305,6 +311,31 @@ def test_bench_success_rate_outputs(tmp_path, capsys):
     assert set(agg["success_rate"]) == {"64", "160"}
     for name in ("bench.csv", "bench_rates.csv"):
         assert b"\r" not in (tmp_path / name).read_bytes(), name
+
+
+def test_every_run_writer_carries_the_summary_fields_in_order(tmp_path):
+    # solve's result JSON, image's metrics JSON and success-rate's per-trial
+    # CSV take a run's fields from metrics.summarize, so a field added there
+    # reaches all three, in the summary's order and, for solve, with its values
+    inst, res, metrics = (tmp_path / name for name in ("inst.json", "res.json", "m.json"))
+    assert run(*GEN, "--out", str(inst)) == 0
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
+               "--out-result", str(res)) == 0
+    e = deserialize_instance(inst.read_text())
+    cfg = SolverConfig(lam=1e-4)
+    summary = json.loads(json.dumps(summarize(solve(e, spectral_init(e), cfg), e, cfg)))
+    assert len(summary) == 14
+    doc = json.loads(res.read_text())
+    assert [(k, v) for k, v in doc.items() if k in summary] == list(summary.items())
+    assert run("image", "--input", str(sparse_image(tmp_path)), "--out-image",
+               str(tmp_path / "o.pgm"), "--out-metrics", str(metrics),
+               "--ratio", "8", "--lambda", "1e-4") == 0
+    assert [k for k in json.loads(metrics.read_text()) if k in summary] == list(summary)
+    assert run("bench", "success-rate", "--p", "8", "--s", "2", "--grid", "4",
+               "--trials", "1", "--lambda", "1e-4",
+               "--out-prefix", str(tmp_path / "rate")) == 0
+    header = (tmp_path / "rate.csv").read_text().splitlines()[0].split(",")
+    assert header == ["n", "trial", "seed", *summary]
 
 
 def test_bench_empty_grid_usage_error(tmp_path):
@@ -483,6 +514,23 @@ def test_image_cap_refusal(tmp_path):
     assert code == 2
 
 
+def test_image_default_cap_refuses_before_measuring(tmp_path, capsys, monkeypatch):
+    # 65 x 64 = 4160 pixels, above the default cap of 4096: at --ratio 6 its
+    # sampling matrix would take 8 * 6 * 4160^2 bytes = 831 MB
+    def measure(*args):
+        raise AssertionError("measure called")
+
+    monkeypatch.setattr(cli, "measure", measure)
+    src, out = sparse_image(tmp_path, width=65, height=64), tmp_path / "o.pgm"
+    capsys.readouterr()
+    assert run("image", "--input", str(src), "--out-image", str(out),
+               "--lambda", "1e-4") == 2
+    assert capsys.readouterr().err == (
+        "error: image has 4160 pixels, above the cap 4096; "
+        "downscale it or raise --cap\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--threshold", "nan"), ("--threshold", "-1"), ("--threshold", "inf"),
     ("--cap", "-5"), ("--cap", "0"),
@@ -658,15 +706,15 @@ DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["certificate", "--use-truth", "--lambda", "-1"], "lam and alpha"),
-    (["certificate", "--use-truth", "--lambda", "nan"], "lam and alpha"),
+    (["certificate", "--use-truth", "--lambda", "-1"], "lam must be positive"),
+    (["certificate", "--use-truth", "--lambda", "nan"], "lam must be positive"),
     (["stability", "--alpha", "nan"], "alpha must be positive"),
     (["stability", "--alpha", "-1"], "alpha must be positive"),
     (["remark5", "--use-truth", "--alpha", "nan"], "alpha must be positive"),
     (["remark5", "--use-truth", "--alpha", "-2"], "alpha must be positive"),
     (["remark5", "--use-truth", "--rho0", "1.5"], "rho0 must lie in (0, 1)"),
     (["remark5", "--use-truth", "--rho0", "-1"], "rho0 must lie in (0, 1)"),
-    (["certificate", "--use-truth"], "required: --lambda"),
+    (["certificate", "--use-truth"], "the following arguments are required: --lambda"),
     (["certificate", "--solution", "sol.json", "--use-truth", "--lambda", "1e-3"],
      "argument --use-truth: not allowed with argument --solution"),
     (["remark5", "--use-truth", "--solution", "sol.json"],
@@ -677,13 +725,18 @@ DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
     # the boundary width is (1 - rho0) * alpha, not a flag of its own
     (["certificate", "--use-truth", "--lambda", "1e-3", "--eps1", "0.5"],
      "unrecognized arguments: --eps1 0.5"),
+    # one alpha message for the three modes
+    (["certificate", "--use-truth", "--lambda", "1e-3", "--alpha", "0"],
+     "alpha must be positive"),
 ])
 def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
     inst = tmp_path / "inst.json"
     assert run(*DIAG_INSTANCE, "--out", str(inst)) == 0
     capsys.readouterr()
     assert run("diag", argv[0], "--instance", str(inst), *argv[1:]) == 2
-    assert message in capsys.readouterr().err
+    # the whole message, after the "error: " that ends the last line's prefix
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.partition("error: ")[2] == message
 
 
 NON_FINITE = "solution has a non-finite entry"

@@ -1,3 +1,4 @@
+import importlib
 import re
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from robustpr import (
     error_vs_iteration,
     lambda_grid_search,
     loss,
+    objective,
     relative_error,
     run_experiment,
     solve,
@@ -21,7 +23,7 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr.errors import MissingDataError
-from robustpr.metrics import _sub_ensemble, align, holdout_split, trial_seed
+from robustpr.metrics import _sub_ensemble, align, holdout_split, summarize, trial_seed
 
 
 def random_complex(rng, p):
@@ -216,6 +218,61 @@ def test_a_spec_without_a_spectral_config_runs_the_untruncated_start(field):
         replace(r, wall_time=0.0) for r in explicit.records
     ]
     assert default.median_relative_error == explicit.median_relative_error
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_summarize_reports_the_run_and_its_distance_to_the_truth(field):
+    e = synthesize_instance(16, 2, 96, field, NoiseSpec("type2", 0.1), 5)
+    cfg = SolverConfig(lam=1e-2)
+    result = solve(e, spectral_init(e), cfg)
+    F_true = objective(e.ground_truth, e, cfg.lam, cfg.alpha)
+    found = set(np.flatnonzero(result.estimate))
+    true = set(np.flatnonzero(e.ground_truth))
+    expected = {
+        "termination": result.termination.value,
+        "iterations": result.iterations,
+        "initial_objective": result.initial_objective,
+        "final_objective": result.final_objective,
+        "fixed_point_residual": result.fixed_point_residual,
+        "trials": result.trials,
+        "prox_calls": result.prox_calls,
+        "forward_products": result.trials + 1,
+        "adjoint_products": result.iterations + 1,
+        "support_size": len(found),
+        "relative_error": relative_error(result.estimate, e.ground_truth),
+        "truth_gap": (result.final_objective - F_true) / max(1.0, abs(F_true)),
+        "support_missed": len(true - found),
+        "support_extra": len(found - true),
+    }
+    summary = summarize(result, e, cfg)
+    assert list(summary.items()) == list(expected.items())
+    # without a nonzero truth the summary stops at the run's own fields
+    for truth in (None, np.zeros_like(e.ground_truth)):
+        summary = summarize(result, replace(e, ground_truth=truth, noise_record=None),
+                            cfg)
+        assert list(summary.items()) == list(expected.items())[:10]
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e20], ids=["converged", "no-row"])
+def test_summary_counts_the_products_the_run_made(delta, monkeypatch):
+    # delta = 1e20 ends the run LineSearchFailed after a zero step, with no rows
+    e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 3)
+    cfg = SolverConfig(lam=1e-4, delta=delta)
+    x0 = spectral_init(e)
+    solver_module = importlib.import_module("robustpr.solver")
+    objective_module = importlib.import_module("robustpr.objective")
+    forward, adjoint = [], []
+    correlate, adjoint_product = objective_module.correlate, solver_module._adjoint
+    monkeypatch.setattr(objective_module, "correlate",
+                        lambda a, x: forward.append(1) or correlate(a, x))
+    monkeypatch.setattr(solver_module, "_adjoint",
+                        lambda *a: adjoint.append(1) or adjoint_product(*a))
+    result = solve(e, x0, cfg)
+    monkeypatch.undo()
+    assert (result.iterations == 0) == (delta == 1e20)
+    summary = summarize(result, e, cfg)
+    assert summary["forward_products"] == len(forward)
+    assert summary["adjoint_products"] == len(adjoint)
 
 
 def test_trial_seed_stable_under_grid_extension():

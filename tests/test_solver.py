@@ -281,11 +281,14 @@ def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatc
 
 
 def _prox_count_run(case):
-    """(e, x0, cfg, trials) of a converged run, whose trials the trace
+    """(e, x0, cfg, trials) of two converged runs, whose trials the trace
     counts, and of two runs with no rows."""
     if case == "converged":
         e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
         return e, spectral_init(e, seed=4), SolverConfig(lam=1e-3), None
+    if case == "converged-zero-step":  # the last row is a zero step at a fixed point
+        e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 7)
+        return e, spectral_init(e, seed=7), SolverConfig(lam=0.1), None
     cfg = SolverConfig(lam=1e-4, delta=1e20)
     if case == "exhausted":  # no trial rounds to x0, so all of them are rejected
         e = easy_instance(11)
@@ -295,9 +298,14 @@ def _prox_count_run(case):
     return e, np.random.default_rng(2).standard_normal(16), cfg, 57
 
 
-@pytest.mark.parametrize("case", ["converged", "exhausted", "zero-step"])
+# (trials, proxes) of each _prox_count_run case
+PROX_COUNTS = {"converged": (1322, 1323), "exhausted": (61, 62),
+               "zero-step": (57, 58), "converged-zero-step": (37, 39)}
+
+
+@pytest.mark.parametrize("case", list(PROX_COUNTS))
 def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(case, monkeypatch):
-    e, x0, cfg, trials = _prox_count_run(case)
+    e, x0, cfg, row_free_trials = _prox_count_run(case)
     shapes, weights, outputs, evaluations = [], [], [], []
     inner, check, evaluate = solver._half_threshold, prox.threshold_point, solver._evaluate
     monkeypatch.setattr(solver, "_half_threshold", lambda xi, mu: shapes.append(
@@ -313,17 +321,26 @@ def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(case, monkeypatch
     result = solve(e, x0, cfg)
     monkeypatch.undo()
     # F(x0), then one forward product per trial
-    assert len(evaluations) - 1 == (trials or sum(r.j + 1 for r in result.trace))
-    trials = len(evaluations) - 1
+    assert len(evaluations) - 1 == (row_free_trials
+                                    or sum(r.j + 1 for r in result.trace))
+    # the result counts the trials and the proxes the run made
+    assert (result.trials, result.prox_calls) == (len(evaluations) - 1, len(shapes))
+    assert (result.trials, result.prox_calls) == PROX_COUNTS[case]
+    trials = result.trials
     # every trial validates its weight and takes one prox; the result's
-    # residual takes one more of each, and the other rows' none
-    assert len(shapes) == len(weights) == trials + 1
-    assert shapes == [(e.p,)] * (trials + 1)
+    # residual takes one more of each, and the other rows' none; a zero step
+    # after which a row is written takes one more, its test's at gamma
+    zero_step_test = case == "converged-zero-step"
+    assert len(shapes) == len(weights) == trials + 1 + zero_step_test
+    assert shapes == [(e.p,)] * len(shapes)
     assert not public
-    if case == "converged":
+    if case.startswith("converged"):
         assert result.termination is Termination.CONVERGED
         tau = result.trace[-1].tau
         assert result.fixed_point_residual == result.trace[-1].fixed_point_residual
+        assert (result.trace[-1].step_norm == 0.0) == zero_step_test
+        if zero_step_test:
+            assert weights[-2] == 2.0 * cfg.lam * cfg.gamma
     else:
         assert result.termination is Termination.LINE_SEARCH_FAILED
         assert result.iterations == 0
