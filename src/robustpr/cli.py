@@ -38,6 +38,7 @@ from .metrics import (
     error_vs_iteration,
     lambda_grid_search,
     run_experiment,
+    settings,
     summarize,
 )
 from .metrics import relative_error  # unused here; benchmarks/tracing.py binds it
@@ -127,15 +128,15 @@ _FIELD_HELP = {
 _FIELD_TYPES = {"float": float, "int": int}
 
 
-def _field_flags(*config_fields, require=True) -> argparse.ArgumentParser:
+def _field_flags(*config_fields) -> argparse.ArgumentParser:
     """Parent parser with one flag per dataclass field (``lam`` is ``--lambda``);
-    with ``require``, a field without a default gives a required flag."""
+    a field without a default gives a required flag."""
     parent = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     for f in config_fields:
         flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
         missing = f.default is MISSING
         parent.add_argument(flag, dest=f.name, type=_FIELD_TYPES[f.type],
-                            required=require and missing,
+                            required=missing,
                             default=None if missing else f.default,
                             help=_FIELD_HELP[f.name])
     return parent
@@ -204,16 +205,11 @@ def cmd_solve(args):
     seed = e.seed if args.seed is None else args.seed
     result = solve(e, spectral_init(e, seed=seed), cfg)
     summary = summarize(result, e, cfg)
-    echo = asdict(cfg)
     doc = {
         "estimate": encode_vector(result.estimate),
         "field": e.field.value,
         **summary,
-        "config": {
-            "lambda": echo.pop("lam"),
-            **echo,
-            "seed": seed,
-        },
+        "config": {**settings(cfg), "seed": seed},
     }
     message = (
         f"solve {args.instance}: {result.termination.value} after "
@@ -292,12 +288,6 @@ def _bench_consistency(args):
 
 def cmd_image(args):
     img = read_pgm(args.input)
-    if args.passthrough:
-        write_pgm(args.out_image, img)
-        print(f"image passthrough {args.input} -> {args.out_image}")
-        return 0
-    if args.lam is None:
-        raise ValueError("lambda required unless --passthrough")
     p = img.width * img.height
     if p > args.cap:
         raise ValueError(
@@ -326,8 +316,8 @@ def cmd_image(args):
         "p": p,
         "n": n,
         "noise": str(args.noise),
-        "lambda": cfg.lam,
-        "alpha": cfg.alpha,
+        "threshold": args.threshold,
+        **settings(cfg),
         "seed": args.seed,
         **summary,
     }
@@ -510,16 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of signal dimensions")
     b_con.set_defaults(func=_bench_consistency)
 
-    # --passthrough solves nothing, so cmd_image checks --lambda itself
-    p_img = sub.add_parser("image", parents=[ratio, noise, seed,
-                                             _field_flags(lam_field, require=False),
-                                             search],
+    p_img = sub.add_parser("image", parents=[ratio, noise, seed, solver],
                            help="reconstruct a PGM image")
     p_img.add_argument("--input", required=True, help="input PGM path")
     p_img.add_argument("--out-image", required=True, help="output PGM path")
     p_img.add_argument("--out-metrics", default=None, help="metrics JSON path")
-    p_img.add_argument("--passthrough", type=_switch, nargs="?", const=True,
-                       default=False, help="read and rewrite the image without solving")
     p_img.add_argument("--threshold", type=_nonnegative_float, default=0.0,
                        help="zero out pixels below this value at ingestion")
     p_img.add_argument("--cap", type=_positive_int, default=4096,

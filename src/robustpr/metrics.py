@@ -9,11 +9,11 @@ error is below the success threshold (default 5e-3).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import MissingDataError
+from .errors import DomainError, MissingDataError
 from .model import (
     FieldTag,
     MeasurementEnsemble,
@@ -62,6 +62,13 @@ def align(x_hat: np.ndarray, x_true: np.ndarray) -> np.ndarray:
     """Rotate/flip x_hat onto x_true's global phase."""
     x_hat = np.asarray(x_hat)
     return x_hat * np.conj(_phase(x_hat, np.asarray(x_true)))
+
+
+def settings(cfg: SolverConfig) -> dict:
+    """A run's solver settings, in the order every writer echoes them:
+    ``lambda``, then the other SolverConfig fields."""
+    echo = asdict(cfg)
+    return {"lambda": echo.pop("lam"), **echo}
 
 
 def summarize(result: SolverResult, e: MeasurementEnsemble, cfg: SolverConfig) -> dict:
@@ -145,8 +152,7 @@ class ExperimentReport:
             "trials": self.spec.trials,
             "master_seed": self.spec.master_seed,
             "success_threshold": self.spec.success_threshold,
-            "lambda": self.spec.solver.lam,
-            "alpha": self.spec.solver.alpha,
+            **settings(self.spec.solver),
             "success_rate": {str(n): rate for n, rate in self.success_rate.items()},
             "median_relative_error": {
                 str(n): err for n, err in self.median_relative_error.items()
@@ -235,7 +241,7 @@ def lambda_grid_search(
 
     rule 'oracle': smallest relative error against the ground truth.
     rule 'holdout': fit on 80% of the measurements, score by the Huber loss
-    on the held-out 20%.  Ties go to the larger lambda (sparser solutions).
+    on the held-out 20% (so it needs at least 2 measurements).  Ties go to the larger lambda (sparser solutions).
     Returns (chosen_lambda, table) with one (lambda, score) row per grid
     point, in ascending lambda.
 
@@ -262,6 +268,8 @@ def lambda_grid_search(
         e.ground_truth is None or not np.any(e.ground_truth)
     ):
         raise MissingDataError("oracle rule needs a nonzero ground truth")
+    if validation_rule == "holdout" and e.n < 2:
+        raise DomainError("holdout rule needs at least 2 measurements")
 
     if validation_rule == "holdout":
         train_idx, val_idx = holdout_split(e)

@@ -178,25 +178,47 @@ def test_diag_rejects_wrong_length_estimate(tmp_path, capsys):
     assert "malformed field: estimate" in capsys.readouterr().err
 
 
-def test_solve_echoes_every_solver_flag(tmp_path):
-    inst = tmp_path / "inst.json"
-    res = tmp_path / "res.json"
+SOLVER_FLAGS = ["--lambda", "2e-4", "--alpha", "0.9", "--gamma", "0.8", "--beta", "0.6",
+                "--delta", "2e-4", "--eps", "1e-5", "--max-iter", "400"]
+SOLVER_SETTINGS = {"lambda": 2e-4, "alpha": 0.9, "gamma": 0.8, "beta": 0.6,
+                   "delta": 2e-4, "eps": 1e-5, "max_iter": 400}
+
+
+def solve_echo(tmp_path):
+    inst, res = tmp_path / "inst.json", tmp_path / "res.json"
     assert run(*GEN, "--out", str(inst)) == 0
-    assert run("solve", "--instance", str(inst), "--lambda", "2e-4",
-               "--alpha", "0.9", "--gamma", "0.8", "--beta", "0.6",
-               "--delta", "2e-4", "--eps", "1e-5", "--max-iter", "400",
-               "--seed", "11", "--out-result", str(res)) == 0
-    config = json.loads(res.read_text())["config"]
-    assert list(config) == ["lambda", "alpha", "gamma", "beta", "delta", "eps",
-                            "max_iter", "seed"]
-    assert config["lambda"] == 2e-4
-    assert config["alpha"] == 0.9
-    assert config["gamma"] == 0.8
-    assert config["beta"] == 0.6
-    assert config["delta"] == 2e-4
-    assert config["eps"] == 1e-5
-    assert config["max_iter"] == 400
-    assert config["seed"] == 11
+    assert run("solve", "--instance", str(inst), *SOLVER_FLAGS, "--seed", "11",
+               "--out-result", str(res)) == 0
+    return json.loads(res.read_text())["config"], {**SOLVER_SETTINGS, "seed": 11}
+
+
+def image_echo(tmp_path):
+    # the threshold defines the truth the image's error fields measure against
+    metrics = tmp_path / "metrics.json"
+    assert run("image", "--input", str(sparse_image(tmp_path)), "--out-image",
+               str(tmp_path / "o.pgm"), "--out-metrics", str(metrics),
+               "--threshold", "0.3", *SOLVER_FLAGS, "--seed", "4") == 0
+    return json.loads(metrics.read_text()), {"noise": "none", "threshold": 0.3,
+                                              **SOLVER_SETTINGS, "seed": 4}
+
+
+def success_rate_echo(tmp_path):
+    prefix = tmp_path / "bench"
+    assert run("bench", "success-rate", "--p", "8", "--s", "2", "--grid", "4",
+               "--trials", "1", *SOLVER_FLAGS, "--out-prefix", str(prefix)) == 0
+    return (json.loads((tmp_path / "bench.json").read_text()),
+            {"success_threshold": 5e-3, **SOLVER_SETTINGS})
+
+
+@pytest.mark.parametrize("writer", [solve_echo, image_echo, success_rate_echo],
+                         ids=["solve", "image", "success-rate"])
+def test_solve_echoes_every_solver_flag(tmp_path, writer):
+    # each writer echoes every SolverConfig field, in order, amid its own keys
+    doc, expected = writer(tmp_path)
+    keys = list(doc)
+    first = keys.index(next(iter(expected)))
+    assert keys[first:first + len(expected)] == list(expected)
+    assert {key: doc[key] for key in expected} == expected
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -276,6 +298,20 @@ def test_lambda_grid_oracle_on_a_zero_truth_exits_3_before_solving(
     assert run("bench", "lambda-grid", "--instance", str(zero), "--grid", "1e-4,1e-3",
                "--rule", "oracle") == 3
     assert "nonzero ground truth" in capsys.readouterr().err
+
+
+def test_lambda_grid_holdout_on_one_measurement_exits_3_before_solving(
+    tmp_path, monkeypatch, capsys
+):
+    inst = tmp_path / "inst.json"
+    assert run("gen", "--p", "4", "--s", "1", "--n", "1", "--noise", "none",
+               "--seed", "1", "--out", str(inst)) == 0
+    _no_solve(monkeypatch)
+    capsys.readouterr()
+    assert run("bench", "lambda-grid", "--instance", str(inst), "--grid", "1e-3",
+               "--rule", "holdout") == 3
+    assert capsys.readouterr().err == (
+        "error: holdout rule needs at least 2 measurements\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1e-3"])
@@ -476,25 +512,14 @@ def sparse_image(tmp_path, width=8, height=8):
     return path
 
 
-def test_image_passthrough_pixel_identical(tmp_path, capsys):
-    src = sparse_image(tmp_path)
-    out = tmp_path / "copy.pgm"
-    # a passthrough solves nothing, so it needs no --lambda; a reconstruction does
-    assert run("image", "--input", str(src), "--out-image", str(out),
-               "--passthrough") == 0
-    a, b = read_pgm(src), read_pgm(out)
-    np.testing.assert_array_equal(a.pixels, b.pixels)
-    capsys.readouterr()
-    assert run("image", "--input", str(src), "--out-image",
-               str(tmp_path / "recon.pgm"), "--passthrough", "false") == 2
-    assert "lambda required unless --passthrough" in capsys.readouterr().err
-    assert not (tmp_path / "recon.pgm").exists()
-
-
-def test_image_reconstruction_small(tmp_path):
+def test_image_reconstruction_small(tmp_path, capsys):
     src = sparse_image(tmp_path)
     out = tmp_path / "recon.pgm"
     metrics = tmp_path / "metrics.json"
+    assert run("image", "--input", str(src), "--out-image", str(out)) == 2
+    assert ("the following arguments are required: --lambda"
+            in capsys.readouterr().err)
+    assert not out.exists()
     code = run("image", "--input", str(src), "--out-image", str(out),
                "--out-metrics", str(metrics), "--ratio", "8",
                "--lambda", "1e-4", "--seed", "4")
@@ -531,6 +556,21 @@ def test_image_default_cap_refuses_before_measuring(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_image_at_the_default_cap_reaches_measure(tmp_path, monkeypatch):
+    # 64 x 64 = 4096 pixels, exactly the default cap: the image is accepted
+    class Measured(Exception):
+        pass
+
+    def measure(*args):
+        raise Measured  # before the 805 MB sampling matrix is built
+
+    monkeypatch.setattr(cli, "measure", measure)
+    src = sparse_image(tmp_path, width=64, height=64)
+    with pytest.raises(Measured):
+        run("image", "--input", str(src), "--out-image", str(tmp_path / "o.pgm"),
+            "--lambda", "1e-4")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--threshold", "nan"), ("--threshold", "-1"), ("--threshold", "inf"),
     ("--cap", "-5"), ("--cap", "0"),
@@ -550,17 +590,6 @@ def test_image_threshold_above_every_pixel(tmp_path, capsys):
                "--lambda", "1e-4", "--threshold", "1.5") == 2
     assert "entirely black after thresholding" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_image_72x60_accepted(tmp_path):
-    pixels = np.zeros((60, 72))
-    pixels[10:20, 30:40] = 1.0
-    path = tmp_path / "hi.pgm"
-    write_pgm(path, GrayImage(width=72, height=60, pixels=pixels))
-    out = tmp_path / "hi_out.pgm"
-    assert run("image", "--input", str(path), "--out-image", str(out),
-               "--passthrough") == 0
-    assert read_pgm(out).width == 72
 
 
 def test_image_rejects_non_pgm(tmp_path):
@@ -889,10 +918,11 @@ def test_config_file_sets_switches(tmp_path, capsys):
     assert ("argument --use-truth: expected true or false, got 'yes'"
             in capsys.readouterr().err)
     src, out = sparse_image(tmp_path), tmp_path / "copy.pgm"
-    cfg.write_text("passthrough = true\n")
+    cfg.write_text("passthrough = true\n")  # image has no switch left
     assert run("--config", str(cfg), "image", "--input", str(src),
-               "--out-image", str(out)) == 0
-    assert out.read_bytes() == src.read_bytes()
+               "--out-image", str(out), "--lambda", "1e-4") == 2
+    assert "unrecognized arguments: --passthrough true" in capsys.readouterr().err
+    assert not out.exists()
     assert run("--config", str(cfg), *GEN, "--out", str(inst)) == 2  # not a gen flag
 
 
@@ -1044,7 +1074,6 @@ def test_every_flag_is_read_by_its_command(tmp_path, capsys):
          "5", "--out-prefix", out],
         ["bench", "consistency", *synthetic, "--p-grid", "8", "--trials", "1"],
         [*images, *quick],
-        [*images, "--passthrough"],
         ["diag", "stability", *diag, "--samples", "5"],
         *[["diag", mode, *diag, *point, *extra]
           for mode, extra in [("certificate", ["--lambda", "1e-3"]), ("remark5", [])]
@@ -1119,12 +1148,13 @@ def test_switches_take_true_or_false(tmp_path, capsys):
     text = {name: path.read_text() for name, path in reports.items()}
     assert text["false"] == text["solution"] != text["true"] == text["bare"]
     image = ["image", "--input", str(sparse_image(tmp_path)),
-             "--out-image", str(tmp_path / "copy.pgm")]
+             "--out-image", str(tmp_path / "copy.pgm"), "--lambda", "1e-4"]
     capsys.readouterr()
-    assert run(*image, "--passthrough", "true") == 0
-    assert capsys.readouterr().out.startswith("image passthrough ")
-    assert run(*image, "--passthrough", "false", "--ratio", "8", "--lambda", "1e-4") == 0
-    assert "relative error" in capsys.readouterr().out
+    for value in ([], ["true"], ["false"]):  # --use-truth is the only switch
+        assert run(*image, "--passthrough", *value) == 2
+        assert ("unrecognized arguments: --passthrough"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "copy.pgm").exists()
 
 
 def reject_constant(name):

@@ -22,7 +22,7 @@ from robustpr import (
     spectral_init,
     synthesize_instance,
 )
-from robustpr.errors import MissingDataError
+from robustpr.errors import DomainError, MissingDataError
 from robustpr.metrics import _sub_ensemble, align, holdout_split, summarize, trial_seed
 
 
@@ -433,6 +433,18 @@ def test_oracle_rule_rejects_a_zero_truth_before_any_solve(field, monkeypatch):
     with pytest.raises(MissingDataError, match="nonzero ground truth"):
         lambda_grid_search(zero, SolverConfig(lam=1.0), [1e-4, 1e-3], "oracle")
     assert calls == [] and spectral_calls == []
+
+
+def test_holdout_rule_needs_two_measurements_before_any_solve(monkeypatch):
+    # one measurement leaves the validation side of the split empty
+    calls = _captured_solves(monkeypatch)
+    one = synthesize_instance(4, 1, 1, FieldTag.REAL, NoiseSpec("none"), 1)
+    with pytest.raises(DomainError, match="holdout rule needs at least 2 measurements"):
+        lambda_grid_search(one, SolverConfig(lam=1.0), [1e-3], "holdout")
+    assert calls == []
+    two = synthesize_instance(4, 1, 2, FieldTag.REAL, NoiseSpec("none"), 1)
+    chosen, table = lambda_grid_search(two, SolverConfig(lam=1.0), [1e-3], "holdout")
+    assert chosen == 1e-3 and len(table) == 1 and len(calls) == 1
 
 
 def _training_set(e, rule):
