@@ -21,7 +21,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -335,7 +335,7 @@ def _diag_stability(args):
     e = _load_instance(args.instance)
     est = estimate_stability(e, args.samples, args.rho0, args.alpha, args.seed)
     doc = {
-        **asdict(est),
+        **vars(est),
         "note": "sampled infima; heuristic upper bounds on the true constants",
     }
     if args.out:

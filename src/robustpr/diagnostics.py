@@ -34,7 +34,7 @@ eps_i rescaled to match (see ``_normalized``).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,7 @@ def _masks(v: np.ndarray, alpha: float, rho0: float):
 
 class _Report:
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(vars(self))
 
 
 def _normalized(e: MeasurementEnsemble, alpha: float, rho0: float, what: str):

@@ -134,10 +134,27 @@ class TrialRecord:
 
 @dataclass
 class ExperimentReport:
+    """The trials of an experiment; its per-n summaries are read from them."""
+
     spec: ExperimentSpec
     records: list
-    success_rate: dict
-    median_relative_error: dict
+
+    def _groups(self):
+        return {n: [r for r in self.records if r.n == n] for n in self.spec.n_grid}
+
+    @property
+    def success_rate(self) -> dict:
+        """Per n, the share of trials below the success threshold that did
+        not end LineSearchFailed."""
+        failed = Termination.LINE_SEARCH_FAILED.value
+        return {n: sum(r.relative_error < self.spec.success_threshold
+                       and r.summary["termination"] != failed for r in group)
+                / len(group) for n, group in self._groups().items()}
+
+    @property
+    def median_relative_error(self) -> dict:
+        return {n: float(np.median([r.relative_error for r in group]))
+                for n, group in self._groups().items()}
 
     def write_csv(self, path) -> None:
         write_csv(path, ("n", "trial", "seed", *self.records[0].summary),
@@ -178,21 +195,8 @@ def run_trial(spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run trials over the measurement grid; deterministic given the seed."""
-    records = [run_trial(spec, n, t) for n in spec.n_grid for t in range(spec.trials)]
-    rates, medians = {}, {}
-    for n in spec.n_grid:
-        group = [r for r in records if r.n == n]
-        wins = sum(
-            1
-            for r in group
-            if r.relative_error < spec.success_threshold
-            and r.summary["termination"] != Termination.LINE_SEARCH_FAILED.value
-        )
-        rates[n] = wins / len(group)
-        medians[n] = float(np.median([r.relative_error for r in group]))
-    return ExperimentReport(
-        spec=spec, records=records, success_rate=rates, median_relative_error=medians
-    )
+    return ExperimentReport(spec, [run_trial(spec, n, t) for n in spec.n_grid
+                                   for t in range(spec.trials)])
 
 
 def error_vs_iteration(
@@ -220,14 +224,9 @@ def holdout_split(e: MeasurementEnsemble):
 
 
 def _sub_ensemble(e: MeasurementEnsemble, idx: np.ndarray) -> MeasurementEnsemble:
-    return MeasurementEnsemble(
-        field=e.field,
-        sampling_vectors=e.sampling_vectors[idx],
-        observations=e.observations[idx],
-        ground_truth=e.ground_truth,
-        noise_record=None if e.noise_record is None else e.noise_record[idx],
-        seed=e.seed,
-    )
+    eps = None if e.noise_record is None else e.noise_record[idx]
+    return MeasurementEnsemble(e.sampling_vectors[idx], e.observations[idx],
+                               e.ground_truth, eps, e.seed)
 
 
 def lambda_grid_search(

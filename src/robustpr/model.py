@@ -81,11 +81,14 @@ class NoiseSpec:
         return self.kind if self.kind == "none" else f"{self.kind}:{self.eta:g}"
 
 
-@dataclass
+@dataclass(eq=False)
 class MeasurementEnsemble:
-    """Sampling vectors, observations and optional ground truth of one instance."""
+    """Sampling vectors, observations and optional ground truth of one instance.
 
-    field: FieldTag
+    A complex matrix makes a complex ensemble, any other a real (float64)
+    one; the truth must be a signal of that field and size (``check_signal``).
+    """
+
     sampling_vectors: np.ndarray  # (n, p), rows a_i
     observations: np.ndarray  # (n,), b_i
     ground_truth: np.ndarray | None = None
@@ -93,26 +96,27 @@ class MeasurementEnsemble:
     seed: int = 0
 
     def __post_init__(self):
-        a = np.asarray(self.sampling_vectors, dtype=self.field.dtype)
+        a = np.asarray(self.sampling_vectors)
+        a = a.astype(field_of(a).dtype, copy=False)
         b = np.asarray(self.observations, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("sampling_vectors must be a nonempty (n, p) array")
         if b.shape != (a.shape[0],):
             raise ValueError("observations must have one entry per sampling vector")
-        if not np.all(np.isfinite(b)) or not np.all(np.isfinite(a)):
-            raise ValueError("ensemble contains non-finite entries")
         self.sampling_vectors = a
         self.observations = b
+        arrays = [b, a]
         if self.ground_truth is not None:
-            x = np.asarray(self.ground_truth, dtype=self.field.dtype)
-            if x.shape != (a.shape[1],):
-                raise ValueError("ground_truth length must match signal dimension")
-            self.ground_truth = x
+            self.ground_truth = self.check_signal(self.ground_truth)
+            arrays.append(self.ground_truth)
         if self.noise_record is not None:
             eps = np.asarray(self.noise_record, dtype=np.float64)
             if eps.shape != b.shape:
                 raise ValueError("noise_record length must match observations")
             self.noise_record = eps
+            arrays.append(eps)
+        if not all(np.all(np.isfinite(v)) for v in arrays):
+            raise ValueError("ensemble contains non-finite entries")
         if self.ground_truth is not None and self.noise_record is not None:
             clean = np.abs(correlate(a, self.ground_truth)) ** 2
             gap = np.max(np.abs(b - clean - self.noise_record))
@@ -120,6 +124,10 @@ class MeasurementEnsemble:
                 raise ValueError(
                     "observations inconsistent with ground truth and noise record"
                 )
+
+    @property
+    def field(self) -> FieldTag:
+        return field_of(self.sampling_vectors)
 
     @property
     def n(self) -> int:
@@ -204,18 +212,10 @@ def measure(
     x_true: np.ndarray, n: int, spec: NoiseSpec, seed: int
 ) -> MeasurementEnsemble:
     """Sample n measurements of a known signal and corrupt them per ``spec``."""
-    field = field_of(x_true)
-    a = generate_sampling(x_true.shape[0], n, field, seed)
+    a = generate_sampling(x_true.shape[0], n, field_of(x_true), seed)
     clean_b = np.abs(correlate(a, x_true)) ** 2
     b, eps = apply_noise(clean_b, x_true, spec, seed)
-    return MeasurementEnsemble(
-        field=field,
-        sampling_vectors=a,
-        observations=b,
-        ground_truth=x_true,
-        noise_record=eps,
-        seed=seed,
-    )
+    return MeasurementEnsemble(a, b, ground_truth=x_true, noise_record=eps, seed=seed)
 
 
 def synthesize_instance(
@@ -343,14 +343,7 @@ def deserialize_instance(text: str) -> MeasurementEnsemble:
     )
     eps = decode_vector(doc["eps"], FieldTag.REAL, "eps", n) if "eps" in doc else None
     try:
-        return MeasurementEnsemble(
-            field=field,
-            sampling_vectors=a,
-            observations=b,
-            ground_truth=x_true,
-            noise_record=eps,
-            seed=seed,
-        )
+        return MeasurementEnsemble(a, b, x_true, eps, seed)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -11,23 +11,27 @@ from .errors import ParseError
 from .model import _is_int
 
 
-@dataclass
+@dataclass(eq=False)
 class GrayImage:
-    width: int
-    height: int
     pixels: np.ndarray  # (height, width) floats in [0, 1]
     maxval: int = 255
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
         # the range read_pgm accepts, so every image writes a readable file
         if not (_is_int(self.maxval) and 1 <= self.maxval <= 65535):
             raise ValueError("maxval must be an integer in 1..65535")
         px = np.asarray(self.pixels, dtype=np.float64)
-        if px.shape != (self.height, self.width):
-            raise ValueError("pixel array shape must be (height, width)")
+        if px.ndim != 2 or px.size == 0:
+            raise ValueError("pixels must be a nonempty (height, width) array")
         self.pixels = np.clip(px, 0.0, 1.0)
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
 
     def as_signal(self) -> np.ndarray:
         """Row-major flattening to a real signal of length width*height."""
@@ -36,9 +40,9 @@ class GrayImage:
     @classmethod
     def from_signal(cls, x: np.ndarray, width: int, height: int,
                     maxval: int = 255) -> "GrayImage":
-        return cls(width=width, height=height,
-                   pixels=np.asarray(x, dtype=np.float64).reshape(height, width),
-                   maxval=maxval)
+        if width < 1 or height < 1:
+            raise ValueError("image dimensions must be positive")
+        return cls(np.asarray(x, dtype=np.float64).reshape(height, width), maxval)
 
 
 def _tokens(data: bytes):
@@ -91,8 +95,7 @@ def read_pgm(path) -> GrayImage:
             raise ParseError("truncated PGM raster") from None
     if np.any(raster < 0) or np.any(raster > maxval):
         raise ParseError("pixel value outside [0, maxval]")
-    pixels = raster.reshape(height, width) / maxval
-    return GrayImage(width=width, height=height, pixels=pixels, maxval=maxval)
+    return GrayImage(raster.reshape(height, width) / maxval, maxval)
 
 
 def write_pgm(path, img: GrayImage) -> None:

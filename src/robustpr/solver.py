@@ -94,12 +94,11 @@ TRACE_DTYPE = np.dtype([
 ])
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverResult:
     estimate: np.ndarray
     trace: np.recarray  # TRACE_DTYPE, one row per accepted step
     termination: Termination
-    final_objective: float
     initial_objective: float
     fixed_point_residual: float  # the last row's, else the start's at tau = gamma
     trials: int  # Armijo trials, one forward product each
@@ -108,6 +107,12 @@ class SolverResult:
     @property
     def iterations(self) -> int:
         return len(self.trace)
+
+    @property
+    def final_objective(self) -> float:
+        """F at the estimate: the last row's accepted value, else the start's."""
+        rows = self.trace.F_value
+        return float(rows[-1]) if len(rows) else self.initial_objective
 
 
 def fixed_point_residual(
@@ -220,7 +225,6 @@ def solve(
         estimate=x,
         trace=np.rec.fromrecords(rows, dtype=TRACE_DTYPE),
         termination=termination,
-        final_objective=F_x,
         initial_objective=F_initial,
         fixed_point_residual=residual,
         trials=trials,

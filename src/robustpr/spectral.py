@@ -114,8 +114,8 @@ def spectral_init(e: MeasurementEnsemble, cfg: SpectralConfig | None = None,
     support = _screened_support(e, mean_b)
     # the column copy a[:, S] lives only as long as the power iteration
     screened, _ = power_iteration(
-        MeasurementEnsemble(e.field, e.sampling_vectors[:, support],
-                            e.observations, seed=e.seed),
+        MeasurementEnsemble(e.sampling_vectors[:, support], e.observations,
+                            seed=e.seed),
         e.seed if seed is None else seed)
     direction = np.zeros(e.p, dtype=e.field.dtype)
     direction[support] = screened

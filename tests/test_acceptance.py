@@ -329,7 +329,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
         pixels = np.zeros((6, 6))
         pixels[1, 2] = 1.0
         pixels[4, 4] = 0.5
-        write_pgm(d / "img.pgm", GrayImage(width=6, height=6, pixels=pixels))
+        write_pgm(d / "img.pgm", GrayImage(pixels=pixels))
         assert run_cli("image", "--input", str(d / "img.pgm"),
                        "--out-image", str(d / "recon.pgm"),
                        "--out-metrics", str(d / "img.json"),

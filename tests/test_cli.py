@@ -169,6 +169,24 @@ def test_solve_malformed_instance_is_parse_error(tmp_path, capsys, fields, key):
     assert f"malformed field: {key}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, index, value", [
+    ("x_true", 0, "NaN"), ("eps", 1, "NaN"), ("x_true", 0, "Infinity")])
+def test_solve_refuses_a_non_finite_truth_or_noise_record(tmp_path, capsys,
+                                                          key, index, value):
+    inst, out = tmp_path / "inst.json", tmp_path / "r.json"
+    assert run("gen", "--p", "16", "--s", "2", "--n", "96", "--noise", "type2:0.1",
+               "--seed", "3", "--out", str(inst)) == 0
+    doc = json.loads(inst.read_text())
+    doc[key][index] = float(value)
+    inst.write_text(json.dumps(doc))
+    assert value in inst.read_text()
+    capsys.readouterr()
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-3",
+               "--out-result", str(out)) == 4
+    assert capsys.readouterr().err == "error: ensemble contains non-finite entries\n"
+    assert not out.exists()
+
+
 def test_diag_rejects_wrong_length_estimate(tmp_path, capsys):
     inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
     assert run(*GEN, "--out", str(inst)) == 0
@@ -506,7 +524,7 @@ def sparse_image(tmp_path, width=8, height=8):
     pixels[2, 3] = 1.0
     pixels[5, 1] = 0.75
     pixels[6, 6] = 0.5
-    img = GrayImage(width=width, height=height, pixels=pixels)
+    img = GrayImage(pixels=pixels)
     path = tmp_path / "input.pgm"
     write_pgm(path, img)
     return path

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -67,7 +68,7 @@ def test_stability_rank_one_ensemble_hits_zero():
     a = np.zeros((1, 3))
     a[0, 0] = 2.0  # normalized internally to e_1
     e = MeasurementEnsemble(
-        field=FieldTag.REAL, sampling_vectors=a, observations=np.array([1.0])
+        sampling_vectors=a, observations=np.array([1.0])
     )
     est = estimate_stability(e, samples=50, rho0=0.5, alpha=ALPHA, seed=1)
     assert est.mu_hat <= 1e-12  # coordinate-zeroing refinement reaches the null pair
@@ -142,7 +143,7 @@ def test_certificate_scalar_cross_check():
     a = np.array([[1.5, 0.0]])
     x = np.array([2.0, 0.0])
     b = np.array([(1.5 * 2.0) ** 2])  # residual 0, inlier
-    e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a, observations=b)
+    e = MeasurementEnsemble(sampling_vectors=a, observations=b)
     report = linear_rate_certificate(x, e, lam=1e-3, alpha=ALPHA)
     c = 1.5 * 2.0
     want = (3.0 * c**2 - b[0]) * 1.5**2 / 1.0
@@ -243,7 +244,6 @@ def certificate_inputs(e, x, alpha=ALPHA):
 
 def real_as_complex(e):
     return MeasurementEnsemble(
-        field=FieldTag.COMPLEX,
         sampling_vectors=e.sampling_vectors.astype(np.complex128),
         observations=e.observations,
         ground_truth=e.ground_truth.astype(np.complex128),
@@ -269,7 +269,7 @@ def single_row_inputs():
     a = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
     x = np.array([1.0 - 0.5j, 0.0, 0.3j, 0.0])
     b = np.abs(correlate(a, x)) ** 2 + 0.1
-    e = MeasurementEnsemble(field=FieldTag.COMPLEX, sampling_vectors=a, observations=b)
+    e = MeasurementEnsemble(sampling_vectors=a, observations=b)
     return certificate_inputs(e, x)
 
 
@@ -484,7 +484,6 @@ def test_remark5_single_measurement_scalar():
     eps = np.array([0.3])
     clean = (a @ x) ** 2
     e = MeasurementEnsemble(
-        field=FieldTag.REAL,
         sampling_vectors=a,
         observations=clean + eps,
         ground_truth=x,
@@ -512,7 +511,6 @@ def test_remark5_requires_real_and_noise_record():
         remark5_quantities(ec.ground_truth, ec, ALPHA)
     e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 1)
     bare = MeasurementEnsemble(
-        field=FieldTag.REAL,
         sampling_vectors=e.sampling_vectors,
         observations=e.observations,
     )
@@ -547,13 +545,11 @@ def test_consistency_conditions_report():
 def test_consistency_is_none_without_noise_record_or_nonzero_truth():
     e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
     bare = MeasurementEnsemble(
-        field=FieldTag.REAL,
         sampling_vectors=e.sampling_vectors,
         observations=e.observations,
         ground_truth=e.ground_truth,
     )
     zero_truth = MeasurementEnsemble(
-        field=FieldTag.REAL,
         sampling_vectors=e.sampling_vectors,
         observations=e.noise_record,  # b = |<a_i, 0>|^2 + eps_i
         ground_truth=np.zeros(8),
@@ -583,3 +579,18 @@ def test_alpha_floor_is_none_exactly_without_a_margin(rho0):
 
 def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_reports_dump_their_fields_as_asdict_would():
+    e, result = converged_real_solution()
+    c, cresult = converged_complex_solution(p=16, s=2, n=160)
+    noisy = synthesize_instance(8, 2, 400, FieldTag.REAL, NoiseSpec("type1", 0.05), 6)
+    reports = [
+        linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA),
+        linear_rate_certificate(cresult.estimate, c, lam=1e-4, alpha=ALPHA),
+        remark5_quantities(noisy.ground_truth, noisy, alpha=ALPHA),
+        estimate_stability(noisy, samples=20, rho0=0.5, alpha=ALPHA, seed=1),
+    ]
+    assert reports[3].consistency is not None  # a nested dict to dump
+    for report in reports:
+        assert report.to_json() == json.dumps(dataclasses.asdict(report))

@@ -7,6 +7,7 @@ import pytest
 
 import robustpr.metrics
 from robustpr import (
+    ExperimentReport,
     ExperimentSpec,
     FieldTag,
     NoiseSpec,
@@ -23,7 +24,8 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr.errors import DomainError, MissingDataError
-from robustpr.metrics import _sub_ensemble, align, holdout_split, summarize, trial_seed
+from robustpr.metrics import (
+    TrialRecord, _sub_ensemble, align, holdout_split, summarize, trial_seed)
 
 
 def random_complex(rng, p):
@@ -206,6 +208,21 @@ def test_run_experiment_deterministic():
     assert r1.success_rate == r2.success_rate
 
 
+def test_report_reads_its_summaries_from_its_records():
+    spec = desk_spec(n_grid=(16, 160), trials=2, success_threshold=1e-3)
+    records = [TrialRecord(n, t, 0, {"termination": term, "relative_error": err}, 0.0)
+               for n, t, term, err in [
+                   (16, 0, "Converged", 5e-4), (16, 1, "LineSearchFailed", 1e-4),
+                   (160, 0, "MaxIterations", 2e-4), (160, 1, "Converged", 3e-3)]]
+    report = ExperimentReport(spec, records)
+    assert report.success_rate == {16: 0.5, 160: 0.5}
+    assert report.median_relative_error == {16: np.median([5e-4, 1e-4]),
+                                            160: np.median([2e-4, 3e-3])}
+    with pytest.raises(TypeError):
+        ExperimentReport(spec, records, report.success_rate,
+                         report.median_relative_error)
+
+
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
 def test_a_spec_without_a_spectral_config_runs_the_untruncated_start(field):
     spec = desk_spec(trials=2, n_grid=(64, 160), noise=NoiseSpec("type2", 0.1),
@@ -304,7 +321,6 @@ def test_error_vs_iteration_needs_truth():
     from robustpr.model import MeasurementEnsemble
 
     bare = MeasurementEnsemble(
-        field=FieldTag.REAL,
         sampling_vectors=e.sampling_vectors,
         observations=e.observations,
     )
@@ -415,7 +431,6 @@ def test_lambda_grid_search_validation(monkeypatch):
     from robustpr.model import MeasurementEnsemble
 
     bare = MeasurementEnsemble(
-        field=FieldTag.REAL,
         sampling_vectors=e.sampling_vectors,
         observations=e.observations,
     )

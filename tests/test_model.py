@@ -2,18 +2,24 @@ import base64
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from robustpr import (
     FieldTag,
+    GrayImage,
+    MeasurementEnsemble,
     NoiseSpec,
+    SolverConfig,
     apply_noise,
     deserialize_instance,
     generate_sampling,
     generate_signal,
     serialize_instance,
+    solve,
+    spectral_init,
     synthesize_instance,
 )
 from robustpr.errors import ParseError
@@ -360,6 +366,54 @@ def test_field_mismatch_rejected():
         e.check_signal(np.zeros(4, dtype=np.complex128))
     with pytest.raises(ValueError, match="length"):
         e.check_signal(np.zeros(5))
+
+
+def test_the_matrix_gives_the_field():
+    e = synthesize_instance(4, 2, 8, FieldTag.COMPLEX, NoiseSpec("none"), 3)
+    with pytest.raises(TypeError):
+        MeasurementEnsemble(FieldTag.COMPLEX, e.sampling_vectors, e.observations)
+    assert MeasurementEnsemble(e.sampling_vectors, e.observations).field \
+        is FieldTag.COMPLEX
+    integer = MeasurementEnsemble(np.ones((3, 2), dtype=np.int64), np.ones(3))
+    assert integer.field is FieldTag.REAL
+    assert integer.sampling_vectors.dtype == np.float64
+
+
+def test_a_complex_truth_on_a_real_matrix_is_refused_uncast():
+    e = synthesize_instance(4, 2, 8, FieldTag.REAL, NoiseSpec("none"), 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="field"):
+            MeasurementEnsemble(e.sampling_vectors, e.observations,
+                                e.ground_truth.astype(np.complex128))
+    assert caught == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x_true", np.nan), ("x_true", np.inf), ("eps", np.nan), ("eps", -np.inf)])
+@pytest.mark.parametrize("alone", [False, True], ids=["both", "alone"])
+def test_non_finite_truth_or_noise_record_is_refused(key, value, alone):
+    e = synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    doc = json.loads(serialize_instance(e))
+    doc[key][1] = value
+    if alone:  # the other array absent: no consistency check to trip
+        del doc["eps" if key == "x_true" else "x_true"]
+    message = "^ensemble contains non-finite entries$"
+    with pytest.raises(ValueError, match=message):
+        MeasurementEnsemble(e.sampling_vectors, e.observations,
+                            doc.get("x_true"), doc.get("eps"))
+    with pytest.raises(ParseError, match=message):
+        deserialize_instance(json.dumps(doc))
+
+
+def test_array_holding_types_compare_by_identity():
+    pair = [synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+            for _ in range(2)]
+    results = [solve(e, spectral_init(e), SolverConfig(lam=1e-3)) for e in pair]
+    images = [GrayImage(np.eye(3)) for _ in range(2)]
+    for a, b in (pair, results, images):
+        assert (a == b) is False and (a != b) is True
+        assert a == a and len({a, b, a}) == 2
 
 
 @pytest.mark.parametrize("n, p", [(1, 5), (320, 32), (768, 128)])

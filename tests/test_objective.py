@@ -107,7 +107,7 @@ def test_loss_zero_at_truth_noiseless():
 def test_loss_constant_observations():
     a = np.eye(3)
     e = MeasurementEnsemble(
-        field=FieldTag.REAL, sampling_vectors=a, observations=np.ones(3)
+        sampling_vectors=a, observations=np.ones(3)
     )
     # every residual is -1, inside the quadratic branch
     assert loss(np.zeros(3), e, ALPHA) == 0.5

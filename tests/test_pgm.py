@@ -10,7 +10,7 @@ def checker(width=6, height=4, maxval=255):
     raster = np.zeros((height, width))
     raster[::2, ::2] = 1.0
     raster[1::2, 1::2] = 0.5
-    return GrayImage(width=width, height=height, pixels=raster, maxval=maxval)
+    return GrayImage(pixels=raster, maxval=maxval)
 
 
 def test_p5_roundtrip_pixel_identical(tmp_path):
@@ -45,10 +45,10 @@ def test_maxval_is_one_that_read_pgm_accepts(maxval, valid, tmp_path):
     px = np.array([[0.0, 1.0]])
     if not valid:
         with pytest.raises(ValueError, match="maxval"):
-            GrayImage(2, 1, px, maxval=maxval)
+            GrayImage(px, maxval=maxval)
         return
     path = tmp_path / "img.pgm"
-    write_pgm(path, GrayImage(2, 1, px, maxval=maxval))
+    write_pgm(path, GrayImage(px, maxval=maxval))
     back = read_pgm(path)
     assert back.maxval == maxval
     np.testing.assert_array_equal(back.pixels, px)
@@ -143,7 +143,7 @@ def test_rejects_out_of_range_pixels(tmp_path):
 
 
 def test_gray_image_clamps_and_flattens():
-    img = GrayImage(width=2, height=2, pixels=np.array([[2.0, -1.0], [0.5, 0.25]]))
+    img = GrayImage(pixels=np.array([[2.0, -1.0], [0.5, 0.25]]))
     assert img.pixels.max() <= 1.0 and img.pixels.min() >= 0.0
     signal = img.as_signal()
     assert signal.shape == (4,)
@@ -153,6 +153,16 @@ def test_gray_image_clamps_and_flattens():
 
 def test_gray_image_validation():
     with pytest.raises(ValueError):
-        GrayImage(width=0, height=2, pixels=np.zeros((2, 0)))
-    with pytest.raises(ValueError):
-        GrayImage(width=3, height=2, pixels=np.zeros((2, 2)))
+        GrayImage(pixels=np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="nonempty"):  # a raster is 2-D
+        GrayImage(pixels=np.zeros(4))
+
+
+def test_gray_image_size_is_its_raster():
+    img = GrayImage(np.zeros((2, 3)))
+    assert (img.width, img.height) == (3, 2)
+    assert GrayImage.from_signal(np.zeros(6), 3, 2).pixels.shape == (2, 3)
+    with pytest.raises(TypeError):
+        GrayImage(width=3, height=2, pixels=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="dimensions"):
+        GrayImage.from_signal(np.zeros(6), -1, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import tracemalloc
 from pathlib import Path
@@ -40,7 +41,7 @@ def test_solve_from_truth_noiseless():
 def test_solve_zero_observations_collapse():
     a = np.random.default_rng(0).standard_normal((12, 6))
     e = MeasurementEnsemble(
-        field=FieldTag.REAL, sampling_vectors=a, observations=np.zeros(12)
+        sampling_vectors=a, observations=np.zeros(12)
     )
     x0 = np.random.default_rng(1).standard_normal(6)
     result = solve(e, x0, SolverConfig(lam=50.0))
@@ -560,3 +561,15 @@ def test_readme_quick_start_numbers():
             "at relative error 4.6e-2; λ = 0.1 keeps the 12 true entries and 2 "
             "others, at 1.1e-2. The start `x0` is nonzero on 14 coordinates, 5 of "
             "them true ones") in prose
+
+
+def test_final_objective_is_read_from_the_trace():
+    e = easy_instance()
+    result = solve(e, spectral_init(e), SolverConfig(lam=1e-4))
+    assert result.iterations > 0
+    assert type(result.final_objective) is float
+    assert result.final_objective == result.trace.F_value[-1]
+    no_rows = dataclasses.replace(result, trace=result.trace[:0])
+    assert no_rows.final_objective == result.initial_objective
+    with pytest.raises(TypeError):
+        dataclasses.replace(result, final_objective=0.0)

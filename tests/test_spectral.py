@@ -19,7 +19,7 @@ from robustpr.model import MeasurementEnsemble, correlate, generate_sampling
 def test_zero_observations_gives_zero_signal():
     a = generate_sampling(4, 8, FieldTag.REAL, 0)
     e = MeasurementEnsemble(
-        field=FieldTag.REAL, sampling_vectors=a, observations=np.zeros(8)
+        sampling_vectors=a, observations=np.zeros(8)
     )
     with pytest.warns(RuntimeWarning):
         x0 = spectral_init(e, seed=0)
@@ -30,7 +30,7 @@ def test_nonpositive_mean_observation_gives_zero_signal():
     a = generate_sampling(4, 8, FieldTag.REAL, 0)
     b = np.zeros(8)
     b[0] = -1.0
-    e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a, observations=b)
+    e = MeasurementEnsemble(sampling_vectors=a, observations=b)
     with pytest.warns(RuntimeWarning, match="mean observation is nonpositive"):
         x0 = spectral_init(e, seed=0)
     assert not x0.any()
@@ -40,7 +40,7 @@ def test_nonpositive_mean_observation_gives_zero_signal():
 def test_defaults_are_the_untruncated_start_drawn_with_the_instance_seed(case):
     if case == "zero observations":
         a = generate_sampling(4, 8, FieldTag.REAL, 0)
-        e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a,
+        e = MeasurementEnsemble(sampling_vectors=a,
                                 observations=np.zeros(8), seed=3)
     else:
         field = FieldTag.REAL if case == "real" else FieldTag.COMPLEX
@@ -68,7 +68,6 @@ def test_alignment_spiked_instance():
         a = generate_sampling(p, 50 * p, FieldTag.REAL, seed)
         b = (a @ x_true) ** 2
         e = MeasurementEnsemble(
-            field=FieldTag.REAL,
             sampling_vectors=a,
             observations=b,
             ground_truth=x_true,
@@ -115,7 +114,7 @@ def test_phase_indifference():
     for signal in (x, np.exp(1j * theta) * x):
         b = np.abs(correlate(a, signal)) ** 2
         e = MeasurementEnsemble(
-            field=FieldTag.COMPLEX, sampling_vectors=a, observations=b, seed=seed
+            sampling_vectors=a, observations=b, seed=seed
         )
         outs.append(spectral_init(e, seed=seed))
     # the observations agree up to rounding, so the initializations do too;
@@ -183,7 +182,7 @@ def test_empty_screen_falls_back_to_the_largest_marginal():
     signs = rng.choice([-1.0, 1.0], size=(8, 3))
     a = signs * np.array([0.9, 1.0, 0.5])
     b = rng.uniform(1.0, 2.0, 8)
-    e = MeasurementEnsemble(field=FieldTag.REAL, sampling_vectors=a, observations=b)
+    e = MeasurementEnsemble(sampling_vectors=a, observations=b)
     assert _screen(e).size == 0
     x0 = spectral_init(e, seed=0)
     np.testing.assert_array_equal(np.flatnonzero(x0), [1])

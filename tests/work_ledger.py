@@ -1,0 +1,97 @@
+"""The work ledger: what a fixed list of runs did, pinned in a committed file.
+
+Each entry is one run through the public API: ``spectral_init`` then
+``solve`` on the quick, t3 and cplx shapes at seeds 1-3 with lambda = 1e-3,
+and one oracle ``lambda_grid_search`` on t3 seed 1.  A solve records the
+integer and string fields of ``metrics.summarize``, the start's support
+size and a 16-hex sha256 of its estimate and trace bytes; the grid search
+records the chosen lambda and a hash of its table.  A change that moves only
+bits shows up in the hashes even when no count moves.
+
+``tests/test_work_ledger.py`` recomputes the ledger and names each entry
+that moved.  A change that moves a ledger value regenerates the file, from
+the repository root, with
+
+    PYTHONPATH=src python tests/work_ledger.py --write
+
+and lists each value's before -> after in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from robustpr import (
+    FieldTag,
+    NoiseSpec,
+    SolverConfig,
+    lambda_grid_search,
+    solve,
+    spectral_init,
+    synthesize_instance,
+)
+from robustpr.metrics import summarize
+
+LEDGER = Path(__file__).with_name("work_ledger.json")
+LAM = 1e-3
+# name: (p, s, n, field, noise, alpha)
+SHAPES = {
+    "quick": (128, 12, 768, FieldTag.REAL, "type2:0.1", 1.345),
+    "t3": (64, 6, 512, FieldTag.REAL, "type3:0.1", 0.1345),
+    "cplx": (128, 8, 768, FieldTag.COMPLEX, "type3:0.05", 1.345),
+}
+SEEDS = (1, 2, 3)
+GRID = (1e-6, 1e-5, 1e-4, 1e-3)
+
+
+def _hash(*buffers: bytes) -> str:
+    return hashlib.sha256(b"".join(buffers)).hexdigest()[:16]
+
+
+def _instance(shape: str, seed: int):
+    p, s, n, field, noise, alpha = SHAPES[shape]
+    e = synthesize_instance(p, s, n, field, NoiseSpec.parse(noise), seed)
+    return e, alpha
+
+
+def _solve_entry(shape: str, seed: int) -> dict:
+    e, alpha = _instance(shape, seed)
+    cfg = SolverConfig(lam=LAM, alpha=alpha)
+    x0 = spectral_init(e)
+    result = solve(e, x0, cfg)
+    entry = {k: v for k, v in summarize(result, e, cfg).items()
+             if isinstance(v, (int, str))}
+    entry["start_support_size"] = int(np.count_nonzero(x0))
+    entry["hash"] = _hash(result.estimate.tobytes(), result.trace.tobytes())
+    return entry
+
+
+def _grid_entry(shape: str, seed: int) -> dict:
+    e, alpha = _instance(shape, seed)
+    best, table = lambda_grid_search(
+        e, SolverConfig(lam=LAM, alpha=alpha), GRID, "oracle")
+    return {"lambda": best,
+            "table_hash": _hash(np.asarray(table, dtype=np.float64).tobytes())}
+
+
+def ledger() -> dict:
+    """Every entry, keyed 'solve/<shape>/<seed>' or 'grid/<shape>/<seed>'."""
+    entries = {f"solve/{shape}/{seed}": _solve_entry(shape, seed)
+               for shape in SHAPES for seed in SEEDS}
+    entries["grid/t3/1"] = _grid_entry("t3", 1)
+    return entries
+
+
+def render(entries: dict) -> str:
+    return json.dumps(entries, indent=1, sort_keys=True) + "\n"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/work_ledger.py --write")
+    LEDGER.write_text(render(ledger()), encoding="utf-8")
