@@ -7,12 +7,13 @@ Exit codes: 0 success, 2 usage, validation or out-of-memory error, 3 domain
 error (unsupported field, missing data), 4 I/O or file-format error.
 
 Each flag is declared once and read by its command: shared groups are
-argparse parent parsers, and the solver flags are generated from the
-``SolverConfig`` fields (``bench lambda-grid`` has no ``--lambda``: it
-searches a grid).  The spectral start has no flag.  A flat ``key = value``
-config file (``--config``, '#' comments) supplies ``--key value`` for any long
-flag of the invoked command, ``true`` or ``false`` for a switch; explicit
-flags win over the config file, which wins over built-in defaults.
+argparse parent parsers.  The solver flags are ``--lambda`` and ``--alpha``,
+the two ``SolverConfig`` fields (``bench lambda-grid`` has no ``--lambda``:
+it searches a grid); the MM constants and the spectral start have no flag.
+A flat ``key = value`` config file (``--config``, '#' comments) supplies
+``--key value`` for any long flag of the invoked command, ``true`` or
+``false`` for a switch; explicit flags win over the config file, which wins
+over built-in defaults.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -113,39 +113,8 @@ def _noise(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-# One flag per SolverConfig field; the field's annotation gives the flag's
-# type and its default the flag's default.
-_FIELD_HELP = {
-    "lam": "regularization weight (required)",
-    "alpha": "Huber transition threshold",
-    "gamma": "largest trial step",
-    "beta": "backtracking ratio",
-    "delta": "sufficient-decrease constant",
-    "eps": "stopping tolerance",
-    "max_iter": "iteration cap",
-}
-# the fields' annotations are strings (postponed evaluation)
-_FIELD_TYPES = {"float": float, "int": int}
-
-
-def _field_flags(*config_fields) -> argparse.ArgumentParser:
-    """Parent parser with one flag per dataclass field (``lam`` is ``--lambda``);
-    a field without a default gives a required flag."""
-    parent = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    for f in config_fields:
-        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
-        missing = f.default is MISSING
-        parent.add_argument(flag, dest=f.name, type=_FIELD_TYPES[f.type],
-                            required=missing,
-                            default=None if missing else f.default,
-                            help=_FIELD_HELP[f.name])
-    return parent
-
-
-def _solver_config(args, lam=None) -> SolverConfig:
-    """SolverConfig from the solver flags; ``lam`` stands in for no ``--lambda``."""
-    return SolverConfig(**{f.name: getattr(args, f.name, lam)
-                           for f in fields(SolverConfig)})
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(args.lam, args.alpha)
 
 
 def _experiment_spec(args, p: int, n_grid: tuple) -> ExperimentSpec:
@@ -258,7 +227,7 @@ def _bench_error_iter(args):
 def _bench_lambda_grid(args):
     e = _load_instance(args.instance)
     # lambda_grid_search sets lam per grid point; the base lam is a placeholder.
-    base = _solver_config(args, lam=1.0)
+    base = SolverConfig(1.0, args.alpha)
     chosen, table = lambda_grid_search(e, base, args.grid, args.rule, seed=args.seed)
     if args.out_prefix:
         _write_plot(args.out_prefix + ".csv", ("lambda", "score"), table,
@@ -421,12 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     ratio = shared()
     ratio.add_argument("--ratio", type=_positive_int, default=6,
                        help="n/p ratio of the synthesized measurements")
-    solver_field = {f.name: f for f in fields(SolverConfig)}
-    lam_field = solver_field.pop("lam")
-    lam = _field_flags(lam_field)
-    # every solver flag but --lambda, for bench lambda-grid's grid search
-    search = _field_flags(*solver_field.values())
-    solver = shared(parents=[lam, search])
+    lam = shared()
+    lam.add_argument("--lambda", dest="lam", type=float, required=True,
+                     help="regularization weight (required)")
+    alpha = shared()
+    alpha.add_argument("--alpha", type=float, default=SolverConfig.alpha,
+                       help="Huber transition threshold")
+    solver = shared(parents=[lam, alpha])
 
     parser = argparse.ArgumentParser(
         prog="robustpr",
@@ -484,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="relative error along iterations")
     b_iter.set_defaults(func=_bench_error_iter)
 
-    b_lam = bench.add_parser("lambda-grid", parents=[instance, search, init_seed],
+    b_lam = bench.add_parser("lambda-grid", parents=[instance, alpha, init_seed],
                              help="grid search for lambda on an instance")
     b_lam.add_argument("--grid", type=_comma_list(float), required=True,
                        help="comma list of lambda values")
@@ -512,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "8*ratio*p^2 bytes (805 MB at the defaults)")
     p_img.set_defaults(func=cmd_image)
 
-    report = shared(parents=[instance, _field_flags(solver_field["alpha"])])
+    report = shared(parents=[instance, alpha])
     report.add_argument("--out", default=None, help="report JSON path")
     report.add_argument("--rho0", type=float, default=RHO0,
                         help="inliers |v| <= rho0*alpha, boundary width (1-rho0)*alpha")

@@ -9,7 +9,7 @@ error is below the success threshold (default 5e-3).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,10 +65,9 @@ def align(x_hat: np.ndarray, x_true: np.ndarray) -> np.ndarray:
 
 
 def settings(cfg: SolverConfig) -> dict:
-    """A run's solver settings, in the order every writer echoes them:
-    ``lambda``, then the other SolverConfig fields."""
-    echo = asdict(cfg)
-    return {"lambda": echo.pop("lam"), **echo}
+    """A run's solver settings, the two SolverConfig fields, in the order
+    every writer echoes them; the MM constants are the class's, not the run's."""
+    return {"lambda": cfg.lam, "alpha": cfg.alpha}
 
 
 def summarize(result: SolverResult, e: MeasurementEnsemble, cfg: SolverConfig) -> dict:

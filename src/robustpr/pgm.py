@@ -23,6 +23,8 @@ class GrayImage:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.size == 0:
             raise ValueError("pixels must be a nonempty (height, width) array")
+        if not np.all(np.isfinite(px)):  # the clip keeps NaN, which no byte encodes
+            raise ValueError("pixels contain non-finite entries")
         self.pixels = np.clip(px, 0.0, 1.0)
 
     @property

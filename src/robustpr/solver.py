@@ -48,7 +48,7 @@ import numpy as np
 
 from .gradient import _adjoint
 from .gradient import g as gradient_map
-from .model import MeasurementEnsemble, _is_int, write_csv
+from .model import MeasurementEnsemble, write_csv
 from .objective import _evaluate
 from .objective import objective  # unused here; benchmarks/tracing.py binds it
 from .prox import _half_threshold
@@ -68,24 +68,17 @@ class Termination(Enum):
 class SolverConfig:
     lam: float
     alpha: float = 1.345
-    gamma: float = 1.0  # largest trial step, tau_k in (0, gamma]
-    beta: float = 0.5  # backtracking ratio
-    delta: float = 1e-4  # sufficient-decrease constant
-    eps: float = 1e-6  # stopping tolerance on the relative step
-    max_iter: int = 5000
+    # The MM constants: class attributes without annotations, so not fields.
+    gamma = 1.0  # largest trial step, tau_k in (0, gamma]
+    beta = 0.5  # backtracking ratio
+    delta = 1e-4  # sufficient-decrease constant
+    eps = 1e-6  # stopping tolerance on the relative step
+    max_iter = 5000
 
     def __post_init__(self):
         # chained comparisons reject NaN and inf as well as nonpositive values
         if not (0.0 < self.lam < np.inf and 0.0 < self.alpha < np.inf):
             raise ValueError("lam and alpha must be positive")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not (0.0 < self.delta < np.inf and 0.0 < self.eps < np.inf):
-            raise ValueError("delta and eps must be positive")
-        if not (_is_int(self.max_iter) and self.max_iter >= 1):
-            raise ValueError("max_iter must be a positive integer")
 
 
 TRACE_DTYPE = np.dtype([

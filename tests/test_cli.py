@@ -96,14 +96,6 @@ def test_solve_requires_lambda(tmp_path, capsys):
     assert run("solve", "--instance", str(inst), "--config", str(cfg)) == 0
 
 
-def test_solve_rejects_nan_eps(tmp_path, capsys):
-    inst = tmp_path / "inst.json"
-    assert run(*GEN, "--out", str(inst)) == 0
-    code = run("solve", "--instance", str(inst), "--lambda", "1e-3", "--eps", "nan")
-    assert code == 2
-    assert "delta and eps must be positive" in capsys.readouterr().err
-
-
 def test_solve_end_to_end(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     res = tmp_path / "res.json"
@@ -133,7 +125,8 @@ def test_solve_with_no_accepted_step(tmp_path, monkeypatch):
     calls = []
     for module in (cli, solver):
         monkeypatch.setattr(module, "fixed_point_residual", lambda *a: calls.append(a))
-    assert run("solve", "--instance", str(inst), "--lambda", "1e-4", "--delta", "1e20",
+    monkeypatch.setattr(SolverConfig, "delta", 1e20)
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
                "--out-result", str(res), "--out-trace", str(trace)) == 0
     doc = json.loads(res.read_text())
     assert doc["termination"] == "LineSearchFailed"
@@ -196,10 +189,8 @@ def test_diag_rejects_wrong_length_estimate(tmp_path, capsys):
     assert "malformed field: estimate" in capsys.readouterr().err
 
 
-SOLVER_FLAGS = ["--lambda", "2e-4", "--alpha", "0.9", "--gamma", "0.8", "--beta", "0.6",
-                "--delta", "2e-4", "--eps", "1e-5", "--max-iter", "400"]
-SOLVER_SETTINGS = {"lambda": 2e-4, "alpha": 0.9, "gamma": 0.8, "beta": 0.6,
-                   "delta": 2e-4, "eps": 1e-5, "max_iter": 400}
+SOLVER_FLAGS = ["--lambda", "2e-4", "--alpha", "0.9"]
+SOLVER_SETTINGS = {"lambda": 2e-4, "alpha": 0.9}
 
 
 def solve_echo(tmp_path):
@@ -678,7 +669,7 @@ def test_diag_remark5_missing_record(tmp_path):
                "--use-truth") == 3
 
 
-def test_solve_start_reads_no_ground_truth(tmp_path):
+def test_solve_start_reads_no_ground_truth(tmp_path, monkeypatch):
     # the start comes from the measurements alone: the same complex file
     # without x_true and eps gives the same estimate
     inst, blind = tmp_path / "inst.json", tmp_path / "blind.json"
@@ -688,10 +679,11 @@ def test_solve_start_reads_no_ground_truth(tmp_path):
     del doc["x_true"], doc["eps"]
     blind.write_text(json.dumps(doc))
     outs = []
+    monkeypatch.setattr(SolverConfig, "max_iter", 5)
     for path in (inst, blind):
         res = tmp_path / f"{path.stem}_result.json"
         assert run("solve", "--instance", str(path), "--lambda", "1e-3",
-                   "--max-iter", "5", "--out-result", str(res)) == 0
+                   "--out-result", str(res)) == 0
         outs.append(json.loads(res.read_text()))
     assert outs[0]["estimate"] == outs[1]["estimate"]
 
@@ -1048,12 +1040,16 @@ def test_help_lists_defaults(capsys):
 
 
 def test_readme_lists_the_generated_solver_flags():
+    # the solver flags are solve's flags for the SolverConfig fields, in order
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = " ".join(readme.read_text().split())
     listed = re.search(r"solver flags \((.*?)\)", text)
-    generated = [action.option_strings[0]
-                 for action in cli._field_flags(*fields(SolverConfig))._actions]
-    assert re.findall(r"`(--[a-z-]+)`", listed.group(1)) == generated
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    names = [f.name for f in fields(SolverConfig)]
+    flags = [action.option_strings[0] for action in commands["solve"]._actions
+             if action.dest in names]
+    assert flags == ["--lambda", "--alpha"]
+    assert re.findall(r"`(--[a-z-]+)`", listed.group(1)) == flags
 
 
 def test_unknown_command_usage_error():
@@ -1071,12 +1067,13 @@ class Recorder(argparse.Namespace):
         return super().__getattribute__(name)
 
 
-def test_every_flag_is_read_by_its_command(tmp_path, capsys):
+def test_every_flag_is_read_by_its_command(tmp_path, capsys, monkeypatch):
     inst, res = str(tmp_path / "inst.json"), str(tmp_path / "res.json")
     assert run(*GEN, "--out", inst) == 0
     assert run("solve", "--instance", inst, "--lambda", "1e-3", "--out-result", res) == 0
     out, image = str(tmp_path / "out"), str(sparse_image(tmp_path))
-    quick = ["--lambda", "1e-3", "--max-iter", "5"]
+    monkeypatch.setattr(SolverConfig, "max_iter", 5)
+    quick = ["--lambda", "1e-3"]
     synthetic = ["--s", "2", *quick, "--out-prefix", out]
     images = ["image", "--input", image, "--out-image", out + ".pgm",
               "--out-metrics", out]
@@ -1088,8 +1085,8 @@ def test_every_flag_is_read_by_its_command(tmp_path, capsys):
         ["bench", "success-rate", *synthetic, "--p", "8", "--grid", "4",
          "--trials", "1"],
         ["bench", "error-iter", *synthetic, "--p", "8"],
-        ["bench", "lambda-grid", "--instance", inst, "--grid", "1e-3", "--max-iter",
-         "5", "--out-prefix", out],
+        ["bench", "lambda-grid", "--instance", inst, "--grid", "1e-3",
+         "--out-prefix", out],
         ["bench", "consistency", *synthetic, "--p-grid", "8", "--trials", "1"],
         [*images, *quick],
         ["diag", "stability", *diag, "--samples", "5"],
@@ -1130,7 +1127,8 @@ def test_bench_rejects_a_flag_it_would_not_read(tmp_path, capsys, argv, message)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
+# every command that solves, with its required flags
+SOLVING_COMMANDS = [
     ["solve", "--instance", "inst.json", "--lambda", "1e-3"],
     ["image", "--input", "in.pgm", "--out-image", "out.pgm", "--lambda", "1e-3"],
     ["bench", "success-rate", "--p", "8", "--s", "2", "--grid", "4", "--trials", "1",
@@ -1140,15 +1138,49 @@ def test_bench_rejects_a_flag_it_would_not_read(tmp_path, capsys, argv, message)
     ["bench", "lambda-grid", "--instance", "inst.json", "--grid", "1e-3"],
     ["bench", "consistency", "--p-grid", "8", "--s", "2", "--trials", "1",
      "--lambda", "1e-3", "--out-prefix", "x"],
-], ids=lambda argv: "-".join(argv[:2] if argv[0] == "bench" else argv[:1]))
+]
+
+
+def refuses_as_unrecognized(capsys, argv, key, value):
+    """Each solving command exits 2 on ``--key value`` and on the config
+    line ``key = value``, before it writes a file."""
+    flag = "--" + key.replace("_", "-")
+    Path("conf.txt").write_text(f"{key} = {value}\n")
+    for extra in ([flag, value], ["--config", "conf.txt"]):
+        assert run(*argv, *extra) == 2, (argv, extra)
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert os.listdir() == ["conf.txt"]
+
+
+@pytest.mark.parametrize("argv", SOLVING_COMMANDS,
+                         ids=lambda argv: "-".join(argv[:2] if argv[0] == "bench"
+                                                   else argv[:1]))
 def test_no_command_takes_a_truncation(tmp_path, capsys, monkeypatch, argv):
     # the spectral start has no knob: its flag and its config key are usage errors
     monkeypatch.chdir(tmp_path)
-    Path("conf.txt").write_text("truncation = 5\n")
-    for extra in (["--truncation", "5"], ["--config", "conf.txt"]):
-        assert run(*argv, *extra) == 2, extra
-        assert "unrecognized arguments: --truncation 5" in capsys.readouterr().err
-    assert os.listdir() == ["conf.txt"]
+    refuses_as_unrecognized(capsys, argv, "truncation", "5")
+
+
+@pytest.fixture(scope="module")
+def echoes(tmp_path_factory):
+    """writer name -> (document, expected echo) of the three echoing writers."""
+    return {writer.__name__: writer(tmp_path_factory.mktemp(writer.__name__))
+            for writer in (solve_echo, image_echo, success_rate_echo)}
+
+
+@pytest.mark.parametrize("name", ["gamma", "beta", "delta", "eps", "max_iter"])
+def test_the_mm_constants_are_not_options(tmp_path, capsys, monkeypatch, echoes, name):
+    # a class constant of SolverConfig, not a field: no constructor argument,
+    # flag or config key sets it, and no writer echoes it
+    with pytest.raises(TypeError):
+        SolverConfig(1e-3, **{name: getattr(SolverConfig, name)})
+    assert [f.name for f in fields(SolverConfig)] == ["lam", "alpha"]
+    monkeypatch.chdir(tmp_path)
+    for argv in SOLVING_COMMANDS:
+        refuses_as_unrecognized(capsys, argv, name, "1")
+    assert [name in doc for doc, _ in echoes.values()] == [False] * 3
+    config, expected = echoes["solve_echo"]
+    assert config == expected == {"lambda": 2e-4, "alpha": 0.9, "seed": 11}
 
 
 def test_switches_take_true_or_false(tmp_path, capsys):

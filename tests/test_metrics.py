@@ -274,7 +274,8 @@ def test_summarize_reports_the_run_and_its_distance_to_the_truth(field):
 def test_summary_counts_the_products_the_run_made(delta, monkeypatch):
     # delta = 1e20 ends the run LineSearchFailed after a zero step, with no rows
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 3)
-    cfg = SolverConfig(lam=1e-4, delta=delta)
+    monkeypatch.setattr(SolverConfig, "delta", delta)
+    cfg = SolverConfig(lam=1e-4)
     x0 = spectral_init(e)
     solver_module = importlib.import_module("robustpr.solver")
     objective_module = importlib.import_module("robustpr.objective")

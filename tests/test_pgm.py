@@ -158,6 +158,14 @@ def test_gray_image_validation():
         GrayImage(pixels=np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gray_image_refuses_non_finite_pixels(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        GrayImage(np.array([[bad, 0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        GrayImage.from_signal(np.array([0.5, bad]), 2, 1)
+
+
 def test_gray_image_size_is_its_raster():
     img = GrayImage(np.zeros((2, 3)))
     assert (img.width, img.height) == (3, 2)

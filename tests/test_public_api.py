@@ -3,9 +3,11 @@
 A name in ``robustpr.__all__`` that no package module (other than the
 re-exporting ``__init__``) and no benchmark script uses is test-only code;
 it belongs in ``tests/oracles.py``.  Likewise an optional parameter of a
-public function that no call in the package or the benchmark passes is a
-knob only tests turn.  And every file the package opens as text is
-opened in ``model``, as UTF-8; ``pgm`` opens its files in binary mode.
+public function, or a defaulted field of a dataclass, that no call in the
+package or the benchmark passes is a knob only tests turn; a value that one
+setting serves is a constant, not a field.  And every file the package
+opens as text is opened in ``model``, as UTF-8; ``pgm`` opens its files in
+binary mode.
 Only ``spectral`` builds a ``SpectralConfig``, and only ``test_spectral``
 passes ``truncation=``: the rest of the package and its tests run the
 untruncated start.
@@ -40,16 +42,27 @@ def test_every_exported_name_is_used_outside_the_tests():
     assert sorted(set(robustpr.__all__) - used) == []
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
 def _optional_parameters(path: Path):
     """(function, parameter, position) for each optional parameter of a
-    public function or method; the position is None for a keyword-only one
-    and does not count ``self`` or ``cls``."""
+    public function or method, and (class, field, position) for each
+    defaulted field of a dataclass; the position is None for a keyword-only
+    parameter and does not count ``self`` or ``cls``."""
     tree = ast.parse(path.read_text(), str(path))
     functions = [(node, 0) for node in tree.body
                  if isinstance(node, ast.FunctionDef)]
     for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
         functions += [(node, 1) for node in cls.body
                       if isinstance(node, ast.FunctionDef)]
+        if _is_dataclass(cls):  # an annotated assignment is a field
+            fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)]
+            for i, field in enumerate(fields):
+                if field.value is not None:
+                    yield cls.name, field.target.id, i
     for fn, skip in functions:
         if fn.name.startswith("_"):
             continue

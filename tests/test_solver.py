@@ -83,7 +83,8 @@ def test_line_search_failure_is_reported_not_raised(monkeypatch):
     # trial j = 56 rounds to x itself and passes as 0 >= delta * 0; x is no
     # fixed point, so that zero step ends the search after 57 trials and one
     # more prox, the residual's at tau = gamma.
-    cfg = SolverConfig(lam=1e-4, delta=1e20)
+    monkeypatch.setattr(SolverConfig, "delta", 1e20)
+    cfg = SolverConfig(lam=1e-4)
     proxes = []
     inner = solver._half_threshold
     monkeypatch.setattr(solver, "_half_threshold",
@@ -97,12 +98,13 @@ def test_line_search_failure_is_reported_not_raised(monkeypatch):
     assert proxes[-1] == 2.0 * cfg.lam * cfg.gamma
 
 
-def test_a_zero_step_from_a_non_fixed_point_fails_the_line_search():
+def test_a_zero_step_from_a_non_fixed_point_fails_the_line_search(monkeypatch):
     # trial j = 57 rounds to the start itself; the start's residual at
     # gamma is 2.84, so the zero step is no evidence of a fixed point
     e = easy_instance(15)
     x0 = np.ones(16)
-    result = solve(e, x0, SolverConfig(lam=1e-4, delta=1e20))
+    monkeypatch.setattr(SolverConfig, "delta", 1e20)
+    result = solve(e, x0, SolverConfig(lam=1e-4))
     assert result.termination is Termination.LINE_SEARCH_FAILED
     assert result.iterations == 0
     assert result.estimate.tobytes() == x0.tobytes()
@@ -281,16 +283,17 @@ def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatc
     assert len(checks) == 1
 
 
-def _prox_count_run(case):
+def _prox_count_run(case, monkeypatch):
     """(e, x0, cfg, trials) of two converged runs, whose trials the trace
-    counts, and of two runs with no rows."""
+    counts, and of two runs with no rows, which set delta = 1e20."""
     if case == "converged":
         e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
         return e, spectral_init(e, seed=4), SolverConfig(lam=1e-3), None
     if case == "converged-zero-step":  # the last row is a zero step at a fixed point
         e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 7)
         return e, spectral_init(e, seed=7), SolverConfig(lam=0.1), None
-    cfg = SolverConfig(lam=1e-4, delta=1e20)
+    monkeypatch.setattr(SolverConfig, "delta", 1e20)
+    cfg = SolverConfig(lam=1e-4)
     if case == "exhausted":  # no trial rounds to x0, so all of them are rejected
         e = easy_instance(11)
         return e, spectral_init(e, seed=11), cfg, solver.MAX_BACKTRACKS + 1
@@ -306,7 +309,7 @@ PROX_COUNTS = {"converged": (1322, 1323), "exhausted": (61, 62),
 
 @pytest.mark.parametrize("case", list(PROX_COUNTS))
 def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(case, monkeypatch):
-    e, x0, cfg, row_free_trials = _prox_count_run(case)
+    e, x0, cfg, row_free_trials = _prox_count_run(case, monkeypatch)
     shapes, weights, outputs, evaluations = [], [], [], []
     inner, check, evaluate = solver._half_threshold, prox.threshold_point, solver._evaluate
     monkeypatch.setattr(solver, "_half_threshold", lambda xi, mu: shapes.append(
@@ -373,12 +376,14 @@ def test_solve_makes_one_clamp_per_trial_and_none_in_the_adjoint(field, monkeypa
     assert not clamps
 
 
-def test_trace_keeps_no_iterate_alive_in_a_long_solve():
+def test_trace_keeps_no_iterate_alive_in_a_long_solve(monkeypatch):
     # p = 512, 200 iterations: holding every iterate and gradient until the
     # end would take 200 * 2 * 512 * 8 B = 1.6 MB.
     e = synthesize_instance(512, 8, 1024, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
     x0 = spectral_init(e, seed=3)
-    cfg = SolverConfig(lam=1e-3, eps=1e-300, max_iter=200)
+    monkeypatch.setattr(SolverConfig, "eps", 1e-300)
+    monkeypatch.setattr(SolverConfig, "max_iter", 200)
+    cfg = SolverConfig(lam=1e-3)
     block = 2**16  # 64 KiB, 2**13 float64 entries
     # measured 2.0 blocks
     bound = 10 * block
@@ -432,17 +437,18 @@ def _trace_csv_oracle(trace) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-def test_trace_csv_export(tmp_path):
+def test_trace_csv_export(tmp_path, monkeypatch):
     real = easy_instance(15)
     cplx = synthesize_instance(24, 3, 144, FieldTag.COMPLEX, NoiseSpec("type2", 0.1), 27)
     results = [
         solve(real, real.ground_truth, SolverConfig(lam=1e-4)),
         solve(cplx, spectral_init(cplx),
               SolverConfig(lam=1e-3)),
-        # every trial is rejected at k = 1: no rows, the header alone
-        solve(real, np.random.default_rng(2).standard_normal(16),
-              SolverConfig(lam=1e-4, delta=1e20)),
     ]
+    # every trial is rejected at k = 1: no rows, the header alone
+    monkeypatch.setattr(SolverConfig, "delta", 1e20)
+    results.append(solve(real, np.random.default_rng(2).standard_normal(16),
+                         SolverConfig(lam=1e-4)))
     assert [r.iterations > 0 for r in results] == [True, True, False]
     for i, result in enumerate(results):
         path = tmp_path / f"trace{i}.csv"
@@ -453,25 +459,10 @@ def test_trace_csv_export(tmp_path):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, gamma=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, beta=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, eps=0.0)
     for bad in (float("nan"), float("inf")):
-        for name in ("lam", "alpha", "delta", "eps"):
+        for name in ("lam", "alpha"):
             with pytest.raises(ValueError):
                 SolverConfig(**{"lam": 1.0, name: bad})
-    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
-        SolverConfig(lam=1.0, max_iter=0)
-
-
-@pytest.mark.parametrize("max_iter", [2.5, 3.0, float("nan"), True, "3"])
-def test_solver_config_rejects_a_non_integer_max_iter(max_iter):
-    # a count is an int that is not a bool; a float would fail in range() mid-solve
-    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
-        SolverConfig(lam=1.0, max_iter=max_iter)
 
 
 def test_solve_rejects_bad_start():
@@ -480,10 +471,11 @@ def test_solve_rejects_bad_start():
         solve(e, np.full(16, np.nan), SolverConfig(lam=1e-4))
 
 
-def test_solve_hits_iteration_cap():
+def test_solve_hits_iteration_cap(monkeypatch):
     e = synthesize_instance(24, 3, 96, FieldTag.REAL, NoiseSpec("type2", 0.2), 19)
     rng = np.random.default_rng(5)
-    result = solve(e, rng.standard_normal(24), SolverConfig(lam=1e-3, max_iter=3))
+    monkeypatch.setattr(SolverConfig, "max_iter", 3)
+    result = solve(e, rng.standard_normal(24), SolverConfig(lam=1e-3))
     assert result.termination is Termination.MAX_ITERATIONS
     assert result.iterations == 3
 

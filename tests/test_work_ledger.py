@@ -7,7 +7,8 @@ before -> after of each moved value in CHANGES.md.
 
 import json
 
-from work_ledger import LEDGER, ledger, render
+from robustpr import solver
+from work_ledger import LEDGER, SEEDS, SHAPES, _solve_entry, ledger, render
 
 
 def test_work_ledger_is_current():
@@ -23,3 +24,21 @@ def test_work_ledger_is_current():
 def test_ledger_file_is_in_its_written_form():
     text = LEDGER.read_text(encoding="utf-8")
     assert text == render(json.loads(text))
+
+
+def test_recorded_solves_count_the_calls_they_made(monkeypatch):
+    # a solve's F(x0) and each trial evaluate F once; each prox is one call
+    recorded = json.loads(LEDGER.read_text(encoding="utf-8"))
+    calls = {}
+    for name in ("_evaluate", "_half_threshold"):
+        def counted(*args, name=name, inner=getattr(solver, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(solver, name, counted)
+    for shape in SHAPES:
+        for seed in SEEDS:
+            calls.update(_evaluate=0, _half_threshold=0)
+            _solve_entry(shape, seed)
+            entry = recorded[f"solve/{shape}/{seed}"]
+            assert (entry["trials"], entry["prox_calls"]) == (
+                calls["_evaluate"] - 1, calls["_half_threshold"]), (shape, seed)

@@ -2,10 +2,14 @@
 
 Each entry is one run through the public API: ``spectral_init`` then
 ``solve`` on the quick, t3 and cplx shapes at seeds 1-3 with lambda = 1e-3,
-and one oracle ``lambda_grid_search`` on t3 seed 1.  A solve records the
+one oracle ``lambda_grid_search`` on t3 seed 1, and one ``run_experiment``
+shaped like the benchmark's success-rate-small (p = 32, s = 4, n from 2p to
+8p, 4 trials each, noiseless, lambda = 1e-3).  A solve records the
 integer and string fields of ``metrics.summarize``, the start's support
 size and a 16-hex sha256 of its estimate and trace bytes; the grid search
-records the chosen lambda and a hash of its table.  A change that moves only
+records the chosen lambda and a hash of its table; the experiment records
+its trials' termination counts, their iterations, trials and prox-call
+totals, and a hash of their summaries.  A change that moves only
 bits shows up in the hashes even when no count moves.
 
 ``tests/test_work_ledger.py`` recomputes the ledger and names each entry
@@ -27,10 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from robustpr import (
+    ExperimentSpec,
     FieldTag,
     NoiseSpec,
     SolverConfig,
     lambda_grid_search,
+    run_experiment,
     solve,
     spectral_init,
     synthesize_instance,
@@ -47,6 +53,9 @@ SHAPES = {
 }
 SEEDS = (1, 2, 3)
 GRID = (1e-6, 1e-5, 1e-4, 1e-3)
+EXPERIMENT = ExperimentSpec(p=32, s=4, n_grid=(64, 128, 192, 256),
+                            noise=NoiseSpec("none"), trials=4,
+                            solver=SolverConfig(lam=LAM), master_seed=1)
 
 
 def _hash(*buffers: bytes) -> str:
@@ -79,11 +88,23 @@ def _grid_entry(shape: str, seed: int) -> dict:
             "table_hash": _hash(np.asarray(table, dtype=np.float64).tobytes())}
 
 
+def _experiment_entry() -> dict:
+    summaries = [r.summary for r in run_experiment(EXPERIMENT).records]
+    terminations = [s["termination"] for s in summaries]
+    entry = {"termination": {t: terminations.count(t) for t in set(terminations)}}
+    for key in ("iterations", "trials", "prox_calls"):
+        entry[key] = sum(s[key] for s in summaries)
+    entry["hash"] = _hash(json.dumps(summaries).encode())
+    return entry
+
+
 def ledger() -> dict:
-    """Every entry, keyed 'solve/<shape>/<seed>' or 'grid/<shape>/<seed>'."""
+    """Every entry, keyed 'solve/<shape>/<seed>', 'grid/<shape>/<seed>' or
+    'experiment/<master seed>'."""
     entries = {f"solve/{shape}/{seed}": _solve_entry(shape, seed)
                for shape in SHAPES for seed in SEEDS}
     entries["grid/t3/1"] = _grid_entry("t3", 1)
+    entries[f"experiment/{EXPERIMENT.master_seed}"] = _experiment_entry()
     return entries
 
 
