@@ -155,7 +155,10 @@ def solve(
     x = e.check_signal(x0).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial point contains non-finite entries")
-    F_x, c, d = _evaluate(x, e, cfg.lam, cfg.alpha)
+    # locals: a read of a class constant through cfg is the slow attribute path
+    lam, alpha = cfg.lam, cfg.alpha
+    gamma, beta, delta, eps = cfg.gamma, cfg.beta, cfg.delta, cfg.eps
+    F_x, c, d = _evaluate(x, e, lam, alpha)
     F_initial = F_x
     g_x = _adjoint(e, c, d)
     x_norm = _norm(x)
@@ -164,33 +167,33 @@ def solve(
     if callback is not None:
         callback(0, x)
 
-    tau0 = cfg.gamma
+    tau0 = gamma
     for k in range(1, cfg.max_iter + 1):
         accepted = False
         for j in range(MAX_BACKTRACKS + 1):
-            tau = tau0 * cfg.beta**j
-            cand = _half_threshold(x - 2.0 * tau * g_x, 2.0 * cfg.lam * tau)
-            F_cand, c, d = _evaluate(cand, e, cfg.lam, cfg.alpha)
+            tau = tau0 * beta**j
+            cand = _half_threshold(x - 2.0 * tau * g_x, 2.0 * lam * tau)
+            F_cand, c, d = _evaluate(cand, e, lam, alpha)
             step = cand - x
             step_sq = float(np.vdot(step, step).real)
-            if F_x - F_cand >= cfg.delta * step_sq:
+            if F_x - F_cand >= delta * step_sq:
                 accepted = True
                 break
         trials += j + 1
         # a zero step passes as 0 >= delta * 0: converged only at a fixed point
         if not accepted or not step_sq and (residual := _residual(
-                x, g_x, cfg.lam, cfg.gamma, x_norm)) > cfg.eps:
+                x, g_x, lam, gamma, x_norm)) > eps:
             termination = Termination.LINE_SEARCH_FAILED
             break
 
         step_norm = _norm(step)
         if rows:  # the residual of x at tau, the step just taken from it
             rows[-1] += (step_norm / max(1.0, x_norm),)
-        converged = step_norm <= cfg.eps * max(1.0, x_norm)
+        converged = step_norm <= eps * max(1.0, x_norm)
         g_new = _adjoint(e, c, d)
         y = g_new - g_x
         curvature = float(np.vdot(step, y).real)
-        tau0 = cfg.gamma
+        tau0 = gamma
         if curvature > 0.0:
             if k % 2:
                 tau0 = step_sq / (2.0 * curvature)
@@ -198,8 +201,8 @@ def solve(
                 # ||y||^2 may underflow to 0 while Re<s, y> > 0: an infinite
                 # short step, which the clip takes to gamma
                 y_sq = float(np.vdot(y, y).real)
-                tau0 = curvature / (2.0 * y_sq) if y_sq > 0.0 else cfg.gamma
-            tau0 = min(max(tau0, TAU_MIN), cfg.gamma)
+                tau0 = curvature / (2.0 * y_sq) if y_sq > 0.0 else gamma
+            tau0 = min(max(tau0, TAU_MIN), gamma)
         x, F_x, g_x, x_norm = cand, F_cand, g_new, _norm(cand)
         rows.append((k, F_x, tau, j, step_norm, np.count_nonzero(x)))
         if callback is not None:
@@ -209,10 +212,10 @@ def solve(
             break
     prox_calls = trials + 1 + (residual is not None and bool(rows))
     if rows:
-        residual = _residual(x, g_x, cfg.lam, rows[-1][2], x_norm)
+        residual = _residual(x, g_x, lam, rows[-1][2], x_norm)
         rows[-1] += (residual,)
     elif residual is None:
-        residual = _residual(x, g_x, cfg.lam, cfg.gamma, x_norm)
+        residual = _residual(x, g_x, lam, gamma, x_norm)
 
     return SolverResult(
         estimate=x,
