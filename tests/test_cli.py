@@ -1142,8 +1142,8 @@ SOLVING_COMMANDS = [
 
 
 def refuses_as_unrecognized(capsys, argv, key, value):
-    """Each solving command exits 2 on ``--key value`` and on the config
-    line ``key = value``, before it writes a file."""
+    """The command ``argv`` exits 2 on ``--key value`` and on the config
+    line ``key = value``, in the working directory, before it writes a file."""
     flag = "--" + key.replace("_", "-")
     Path("conf.txt").write_text(f"{key} = {value}\n")
     for extra in ([flag, value], ["--config", "conf.txt"]):
