@@ -1,9 +1,11 @@
 """The acceptance experiment's runs as a function of the master seed.
 
-``runs(offset)`` solves the six arms that criteria 3-6 of
+``runs(offset)`` solves the six arms that criteria 3-6 and 13 of
 ``tests/test_acceptance.py`` read, each from its master seed (100, 200,
-300 or 400) plus ``offset``; the suite's fixture is ``runs(0)``.  Run as a
-script, from the repository root,
+300 or 400) plus ``offset``; the suite's fixture is ``runs(0)``.  Every
+run is stored once, with its ``metrics.summarize`` record, and every reader
+takes its numbers from that record.  Run as a script, from the repository
+root,
 
     PYTHONPATH=src python tests/acceptance_runs.py
 
@@ -16,7 +18,6 @@ the master seed is set from.  No test runs the sweep.
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -25,12 +26,11 @@ from robustpr import (
     NoiseSpec,
     SolverConfig,
     Termination,
-    objective,
-    relative_error,
     solve,
     spectral_init,
     synthesize_instance,
 )
+from robustpr.metrics import summarize
 from robustpr.rng import mix
 
 LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
@@ -55,26 +55,23 @@ ARMS = (
 
 
 def tuned_trials(arm, field, p, s, n, noise, alpha, trials, master_seed, runs):
-    """Oracle lambda tuning per trial over LAMBDA_GRID.
+    """Oracle lambda tuning per trial over LAMBDA_GRID: each trial's best
+    relative error.
 
-    Every run lands in ``runs`` as ((arm, trial, lam), e, cfg, result).
+    Every run lands in ``runs`` as ((arm, trial, lam), result, summary).
     """
     best_errors = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for trial in range(trials):
-            seed = mix(master_seed, n, trial)
-            e = synthesize_instance(p, s, n, field, noise, seed)
-            x0 = spectral_init(e, seed=seed)
-            best = None
-            for lam in LAMBDA_GRID:
-                cfg = SolverConfig(lam=lam, alpha=alpha)
-                result = solve(e, x0, cfg)
-                runs.append(((arm, trial, lam), e, cfg, result))
-                rel = relative_error(result.estimate, e.ground_truth)
-                if best is None or rel <= best:
-                    best = rel
-            best_errors.append(best)
+    for trial in range(trials):
+        seed = mix(master_seed, n, trial)
+        e = synthesize_instance(p, s, n, field, noise, seed)
+        x0 = spectral_init(e, seed=seed)
+        summaries = []
+        for lam in LAMBDA_GRID:
+            cfg = SolverConfig(lam=lam, alpha=alpha)
+            result = solve(e, x0, cfg)
+            summaries.append(summarize(result, e, cfg))
+            runs.append(((arm, trial, lam), result, summaries[-1]))
+        best_errors.append(min(summary["relative_error"] for summary in summaries))
     return np.array(best_errors)
 
 
@@ -90,24 +87,17 @@ def runs(offset=0):
     return data
 
 
-def truth_gap(e, cfg, result):
-    """(F(x_hat) - F(x_true)) / max(1, |F(x_true)|): above 0, the run ended
-    higher than a global minimizer can."""
-    at_truth = objective(e.ground_truth, e, cfg.lam, cfg.alpha)
-    gap = objective(result.estimate, e, cfg.lam, cfg.alpha) - at_truth
-    return gap / max(1.0, abs(at_truth))
-
-
 def main():
     print(f"{'offset':>6}  {'arm':<28} {'median best error':>17} "
           f"{'max truth gap':>13} {'not converged':>13}")
     for offset in range(1, 11):
         data = runs(offset)
         for name, *_ in ARMS:
-            arm_runs = [run for run in data["runs"] if run[0][0] == name]
-            gap = max(truth_gap(e, cfg, result) for _, e, cfg, result in arm_runs)
-            stalled = sum(result.termination is not Termination.CONVERGED
-                          for *_, result in arm_runs)
+            summaries = [summary for (arm, *_), _, summary in data["runs"]
+                         if arm == name]
+            gap = max(summary["truth_gap"] for summary in summaries)
+            stalled = sum(summary["termination"] != Termination.CONVERGED.value
+                          for summary in summaries)
             print(f"{offset:>6}  {name:<28} {np.median(data[name]):>17.3e} "
                   f"{gap:>13.3e} {stalled:>13}")
 

@@ -14,6 +14,7 @@ untruncated start.
 """
 
 import ast
+from itertools import takewhile
 from pathlib import Path
 
 import robustpr
@@ -77,21 +78,25 @@ def _optional_parameters(path: Path):
 
 
 def _passed_arguments(path: Path) -> set:
-    """(callee name, position or keyword) for each argument a call passes;
-    (callee name, None) for a call that unpacks ``*args`` or ``**kwargs``."""
+    """(callee name, position or keyword) for each argument a call passes.
+    An unpacked ``*args`` or ``**kwargs`` names no parameter, so only the
+    positions before the first ``*`` and the explicit keywords count."""
     passed = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = getattr(func, "id", None) or getattr(func, "attr", None)
-        if any(isinstance(a, ast.Starred) for a in node.args) or any(
-                k.arg is None for k in node.keywords):
-            passed.add((name, None))
-            continue
-        passed.update((name, i) for i in range(len(node.args)))
-        passed.update((name, k.arg) for k in node.keywords)
+        positional = takewhile(lambda a: not isinstance(a, ast.Starred), node.args)
+        passed.update((name, i) for i, _ in enumerate(positional))
+        passed.update((name, k.arg) for k in node.keywords if k.arg is not None)
     return passed
+
+
+def test_an_unpacked_argument_passes_no_named_parameter(tmp_path):
+    snippet = tmp_path / "calls.py"
+    snippet.write_text("f(*a)\ng(**kw)\nh(1, *a)\nk(x=1, **kw)\n")
+    assert _passed_arguments(snippet) == {("h", 0), ("k", "x")}
 
 
 def test_every_optional_parameter_has_a_caller():
@@ -102,7 +107,7 @@ def test_every_optional_parameter_has_a_caller():
         f"{fn}({param})"
         for path in package
         for fn, param, position in _optional_parameters(path)
-        if not {(fn, None), (fn, param), (fn, position)} & passed
+        if not {(fn, param), (fn, position)} & passed
     ]
     assert uncalled == []
 
