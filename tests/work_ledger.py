@@ -2,15 +2,19 @@
 
 Each entry is one run through the public API: ``spectral_init`` then
 ``solve`` on the quick, t3 and cplx shapes at seeds 1-3 with lambda = 1e-3,
-one oracle ``lambda_grid_search`` on t3 seed 1, and one ``run_experiment``
-shaped like the benchmark's success-rate-small (p = 32, s = 4, n from 2p to
-8p, 4 trials each, noiseless, lambda = 1e-3).  A solve records the
-integer and string fields of ``metrics.summarize``, the start's support
-size and a 16-hex sha256 of its estimate and trace bytes; the grid search
-records the chosen lambda and a hash of its table; the experiment records
-its trials' termination counts, their iterations, trials and prox-call
-totals, and a hash of their summaries.  A change that moves only
-bits shows up in the hashes even when no count moves.
+an oracle and a holdout ``lambda_grid_search`` on t3 seed 1, and one
+``run_experiment`` shaped like the benchmark's success-rate-small (p = 32,
+s = 4, n from 2p to 8p, 4 trials each, noiseless, lambda = 1e-3).  A solve
+records the integer and string fields of ``metrics.summarize``, the start's
+support size and a 16-hex sha256 of its estimate and trace bytes; a grid
+search records the chosen lambda and a hash of its table; the experiment
+records its trials' termination counts, their iterations, trials and
+prox-call totals, and a hash of their summaries.  The diagnostics record a
+hash of their report's JSON, its floats at 12 significant digits: the rate
+certificate at the quick and cplx seed-1 solve estimates, the Remark-5
+quantities at the quick one, and the stability estimate of t3 seed 1 from 50
+samples.  A change that moves only bits shows up in the solve, grid and
+experiment hashes even when no count moves.
 
 ``tests/test_work_ledger.py`` recomputes the ledger and names each entry
 that moved.  A change that moves a ledger value regenerates the file, from
@@ -35,12 +39,16 @@ from robustpr import (
     FieldTag,
     NoiseSpec,
     SolverConfig,
+    estimate_stability,
     lambda_grid_search,
+    linear_rate_certificate,
+    remark5_quantities,
     run_experiment,
     solve,
     spectral_init,
     synthesize_instance,
 )
+from robustpr.diagnostics import RHO0
 from robustpr.metrics import summarize
 
 LEDGER = Path(__file__).with_name("work_ledger.json")
@@ -68,11 +76,15 @@ def _instance(shape: str, seed: int):
     return e, alpha
 
 
-def _solve_entry(shape: str, seed: int) -> dict:
+def _solve(shape: str, seed: int):
     e, alpha = _instance(shape, seed)
     cfg = SolverConfig(lam=LAM, alpha=alpha)
     x0 = spectral_init(e)
-    result = solve(e, x0, cfg)
+    return e, cfg, x0, solve(e, x0, cfg)
+
+
+def _solve_entry(shape: str, seed: int) -> dict:
+    e, cfg, x0, result = _solve(shape, seed)
     entry = {k: v for k, v in summarize(result, e, cfg).items()
              if isinstance(v, (int, str))}
     entry["start_support_size"] = int(np.count_nonzero(x0))
@@ -80,12 +92,34 @@ def _solve_entry(shape: str, seed: int) -> dict:
     return entry
 
 
-def _grid_entry(shape: str, seed: int) -> dict:
+def _grid_entry(shape: str, seed: int, rule: str) -> dict:
     e, alpha = _instance(shape, seed)
     best, table = lambda_grid_search(
-        e, SolverConfig(lam=LAM, alpha=alpha), GRID, "oracle")
+        e, SolverConfig(lam=LAM, alpha=alpha), GRID, rule)
     return {"lambda": best,
             "table_hash": _hash(np.asarray(table, dtype=np.float64).tobytes())}
+
+
+def _report_entry(report) -> dict:
+    """A hash of the report's JSON with each float read at 12 significant
+    digits: a Gram product's summation order follows the BLAS thread count,
+    which moves the last digits of the certificate and Remark-5 numbers."""
+    doc = json.loads(report.to_json(), parse_float=lambda t: f"{float(t):.12g}")
+    return {"hash": _hash(json.dumps(doc).encode())}
+
+
+def _diagnostic_entries() -> dict:
+    solved = {shape: _solve(shape, 1) for shape in ("quick", "cplx")}
+    entries = {f"certificate/{shape}/1": _report_entry(
+        linear_rate_certificate(result.estimate, e, cfg.lam, cfg.alpha))
+        for shape, (e, cfg, _, result) in solved.items()}
+    e, cfg, _, result = solved["quick"]
+    entries["remark5/quick/1"] = _report_entry(
+        remark5_quantities(result.estimate, e, cfg.alpha))
+    e, alpha = _instance("t3", 1)
+    entries["stability/t3/1"] = _report_entry(
+        estimate_stability(e, 50, RHO0, alpha, 1))
+    return entries
 
 
 def _experiment_entry() -> dict:
@@ -99,11 +133,14 @@ def _experiment_entry() -> dict:
 
 
 def ledger() -> dict:
-    """Every entry, keyed 'solve/<shape>/<seed>', 'grid/<shape>/<seed>' or
-    'experiment/<master seed>'."""
+    """Every entry, keyed 'solve/<shape>/<seed>', 'grid/<shape>/<seed>'
+    (oracle rule), 'grid-holdout/<shape>/<seed>', '<diagnostic>/<shape>/<seed>'
+    or 'experiment/<master seed>'."""
     entries = {f"solve/{shape}/{seed}": _solve_entry(shape, seed)
                for shape in SHAPES for seed in SEEDS}
-    entries["grid/t3/1"] = _grid_entry("t3", 1)
+    entries["grid/t3/1"] = _grid_entry("t3", 1, "oracle")
+    entries["grid-holdout/t3/1"] = _grid_entry("t3", 1, "holdout")
+    entries.update(_diagnostic_entries())
     entries[f"experiment/{EXPERIMENT.master_seed}"] = _experiment_entry()
     return entries
 
