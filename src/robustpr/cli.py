@@ -200,13 +200,13 @@ def _bench_success_rate(args):
     prefix = args.out_prefix
     report.write_csv(prefix + ".csv")
     report.write_json(prefix + ".json")
-    rows = [(n // args.p, n, report.success_rate[n], report.median_relative_error[n])
-            for n in n_grid]
+    rates, medians = report.success_rate, report.median_relative_error
+    rows = [(n // args.p, n, rates[n], medians[n]) for n in n_grid]
     _write_plot(prefix + "_rates.csv",
                 ("n_over_p", "n", "success_rate", "median_relative_error"), rows,
                 prefix + ".gp", 1, 3, "n/p", "success rate")
     for n in n_grid:
-        print(f"n={n} (n/p={n // args.p}): success rate {report.success_rate[n]:.2f}")
+        print(f"n={n} (n/p={n // args.p}): success rate {rates[n]:.2f}")
     return 0
 
 

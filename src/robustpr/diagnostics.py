@@ -127,30 +127,34 @@ class StabilityEstimate(_Report):
     consistency: dict | None  # at C1 = mu_hat, C2 = c2_hat; see _consistency
 
 
-def _bilinear_means(a_hat: np.ndarray, u: np.ndarray, v: np.ndarray,
-                    inliers: np.ndarray):
-    prod = (a_hat @ u) * (a_hat @ v)
+def _bilinear_means(au: np.ndarray, av: np.ndarray, inliers: np.ndarray):
+    prod = au * av
     mu = float(np.mean(np.abs(prod)))
     sub = prod[inliers]
     c2 = float(np.mean(sub**2)) if sub.size else 0.0
     return mu, c2
 
 
-def _refine_pair(a_hat, u, v, inliers, pick, rounds=6, step0=0.25):
+_REFINE_ROUNDS = 6  # passes of the pair refinement, the step halving after each
+_REFINE_STEP0 = 0.25  # its first coordinate nudge
+
+
+def _refine_pair(a_hat, u, v, inliers, pick):
     """Coordinate descent on the sphere from the worst sampled pair.
 
     Moves are coordinate nudges of shrinking size plus coordinate zeroing,
-    which reaches degenerate directions (null coordinates) exactly.
+    which reaches degenerate directions (null coordinates) exactly.  Each
+    candidate makes one product, that of the vector it moves.
     """
-    best = pick(*_bilinear_means(a_hat, u, v, inliers))
-    step = step0
-    p = u.shape[0]
-    for _ in range(rounds):
+    pair, prods = [u, v], [a_hat @ u, a_hat @ v]
+    best = pick(*_bilinear_means(*prods, inliers))
+    step = _REFINE_STEP0
+    for _ in range(_REFINE_ROUNDS):
         for which in (0, 1):
-            for j in range(p):
+            for j in range(u.shape[0]):
                 for delta in (step, -step, None):
                     # perturb the current pair, so accepted moves compound
-                    trial = (u if which == 0 else v).copy()
+                    trial = pair[which].copy()
                     if delta is None:
                         trial[j] = 0.0
                     else:
@@ -159,14 +163,12 @@ def _refine_pair(a_hat, u, v, inliers, pick, rounds=6, step0=0.25):
                     if norm == 0.0:
                         continue
                     trial /= norm
-                    cand_u, cand_v = (trial, v) if which == 0 else (u, trial)
-                    val = pick(*_bilinear_means(a_hat, cand_u, cand_v, inliers))
+                    cand = prods.copy()
+                    cand[which] = a_hat @ trial
+                    val = pick(*_bilinear_means(*cand, inliers))
                     if val < best:
                         best = val
-                        if which == 0:
-                            u = trial
-                        else:
-                            v = trial
+                        pair[which], prods = trial, cand
         step *= 0.5
     return best
 
@@ -192,7 +194,7 @@ def estimate_stability(
         v = rng.standard_normal(e.p)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        mu, c2 = _bilinear_means(a_hat, u, v, inliers)
+        mu, c2 = _bilinear_means(a_hat @ u, a_hat @ v, inliers)
         if mu < mu_best:
             mu_best, mu_pair = mu, (u, v)
         if c2 < c2_best:
@@ -277,11 +279,16 @@ def _solution(x: np.ndarray, e: MeasurementEnsemble):
     return x, support
 
 
+def _gram(a: np.ndarray, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sum_i w_i a_i a_i^T over the rows i in mask (real field), gathered once."""
+    rows = a[mask]
+    return (rows.T * w[mask]) @ rows
+
+
 def _real_terms(a_s, c, r, inliers, e):
     """Restricted curvature M over the inliers and per-row norms, real field."""
     weights = (3.0 * c**2 - e.observations) / e.n
-    a_in = a_s[inliers]
-    m = (a_in.T * weights[inliers]) @ a_in
+    m = _gram(a_s, weights, inliers)
     norms = np.abs(weights) * np.sum(a_s**2, axis=1)
     return m, norms
 
@@ -454,12 +461,11 @@ def remark5_quantities(
     def weighted_norm(mask, w):
         if not np.any(mask):
             return 0.0
-        m = (a_g[mask].T * w[mask]) @ a_g[mask] / e.n
-        return float(np.linalg.norm(m, 2))
+        return float(np.linalg.norm(_gram(a_g, w, mask) / e.n, 2))
 
     with np.errstate(over="ignore", invalid="ignore"):
         c = a_hat @ x
-        quad_m = (a_g[inliers].T * (2.0 * c[inliers] ** 2)) @ a_g[inliers] / e.n
+        quad_m = _gram(a_g, 2.0 * c**2, inliers) / e.n
     if not np.all(np.isfinite(quad_m)):
         raise ValueError("solution overflows the inlier quadratic term")
     return Remark5Report(

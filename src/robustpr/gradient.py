@@ -28,6 +28,6 @@ def g(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> np.ndarray:
 
 
 def _adjoint(e: MeasurementEnsemble, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """g from c = <a_i, x> and the clamp d = h'_alpha(|c|^2 - b) that
-    ``objective._evaluate`` returns: one adjoint product, no forward one."""
+    """(1/n) sum_i d_i c_i a_i: g at c = <a_i, x>, d = h'_alpha(|c|^2 - b) from
+    ``objective._evaluate``, and the spectral Y v at c = <a_i, v>, d = b."""
     return e.sampling_vectors.T @ (d * c) / e.n

@@ -223,9 +223,9 @@ def holdout_split(e: MeasurementEnsemble):
 
 
 def _sub_ensemble(e: MeasurementEnsemble, idx: np.ndarray) -> MeasurementEnsemble:
-    eps = None if e.noise_record is None else e.noise_record[idx]
+    """Rows idx of e, without the truth and noise record no holdout step reads."""
     return MeasurementEnsemble(e.sampling_vectors[idx], e.observations[idx],
-                               e.ground_truth, eps, e.seed)
+                               seed=e.seed)
 
 
 def lambda_grid_search(

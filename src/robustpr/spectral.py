@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gradient import _adjoint
 from .model import FieldTag, MeasurementEnsemble, _is_int, correlate
 from .rng import TAG_SPECTRAL, stream
 
@@ -49,11 +50,6 @@ class SpectralConfig:
             raise ValueError("truncation must be a positive integer keep-count")
 
 
-def _apply_y(e: MeasurementEnsemble, v: np.ndarray) -> np.ndarray:
-    a = e.sampling_vectors
-    return a.T @ (e.observations * correlate(a, v)) / e.n
-
-
 def power_iteration(
     e: MeasurementEnsemble, seed: int
 ) -> tuple[np.ndarray, list[float]]:
@@ -66,7 +62,7 @@ def power_iteration(
     v = v / np.linalg.norm(v)
     rayleigh: list[float] = []
     for _ in range(POWER_ITERATIONS):
-        yv = _apply_y(e, v)
+        yv = _adjoint(e, correlate(e.sampling_vectors, v), e.observations)
         rayleigh.append(float(np.real(np.vdot(v, yv))))
         norm = np.linalg.norm(yv)
         if norm == 0.0:
@@ -120,11 +116,7 @@ def spectral_init(e: MeasurementEnsemble, cfg: SpectralConfig | None = None,
     direction = np.zeros(e.p, dtype=e.field.dtype)
     direction[support] = screened
     if cfg is not None and cfg.truncation is not None and cfg.truncation < e.p:
+        # the direction has unit norm, so its largest entry is nonzero and kept
         direction[np.argsort(-np.abs(direction), kind="stable")[cfg.truncation:]] = 0
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            warnings.warn("truncation removed every entry; returning the zero "
-                          "signal", RuntimeWarning, stacklevel=2)
-            return np.zeros(e.p, dtype=e.field.dtype)
-        direction = direction / norm
+        direction = direction / np.linalg.norm(direction)
     return np.sqrt(mean_b) * direction

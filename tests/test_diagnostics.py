@@ -9,6 +9,7 @@ from robustpr import (
     FieldTag,
     NoiseSpec,
     SolverConfig,
+    diagnostics,
     estimate_stability,
     linear_rate_certificate,
     remark5_quantities,
@@ -84,14 +85,15 @@ def test_stability_gaussian_ensemble_positive():
     assert est.inlier_threshold == pytest.approx(0.5 * ALPHA)
 
 
-def test_refine_pair_compounds_accepted_moves():
+def test_refine_pair_compounds_accepted_moves(monkeypatch):
     # Rows sqrt(p) e_i give mu(u, v) = sum_i |u_i v_i|, which is 0 for pairs
     # with disjoint supports.  From u = v uniform, one round reaches 0 only if
     # each zeroing acts on the vector left by the previous accepted move.
+    monkeypatch.setattr(diagnostics, "_REFINE_ROUNDS", 1)
     p = 8
     u = np.full(p, 1.0 / np.sqrt(p))
     mu = _refine_pair(np.sqrt(p) * np.eye(p), u, u.copy(), np.ones(p, dtype=bool),
-                      pick=lambda m, c: m, rounds=1)
+                      pick=lambda m, c: m)
     assert mu == 0.0
 
 

@@ -11,6 +11,10 @@ binary mode.
 Only ``spectral`` builds a ``SpectralConfig``, and only ``test_spectral``
 passes ``truncation=``: the rest of the package and its tests run the
 untruncated start.
+Outside ``diagnostics``, whose checks multiply their own restricted and
+rescaled copies, the package's one ``@`` forward product is
+``model.correlate`` and its one ``@`` adjoint product is
+``gradient._adjoint``.
 """
 
 import ast
@@ -158,3 +162,28 @@ def test_only_spectral_builds_a_config_and_only_its_tests_truncate():
                   for line, _, keywords in _calls(path)
                   if "truncation" in keywords and path.name != "test_spectral.py"]
     assert (built, truncating) == ([], [])
+
+
+def _matmul_owners(path: Path) -> list:
+    """The innermost enclosing function (None at module level) of each
+    ``@`` or ``@=`` in a module."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    child.op, ast.MatMult):
+                owners.append(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else owner)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return owners
+
+
+def test_correlate_and_adjoint_make_every_product_outside_diagnostics():
+    products = {path.name: _matmul_owners(path)
+                for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))
+                if path.name != "diagnostics.py"}
+    assert {name: owners for name, owners in products.items() if owners} == {
+        "model.py": ["correlate"], "gradient.py": ["_adjoint"]}
