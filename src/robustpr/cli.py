@@ -31,7 +31,7 @@ from .diagnostics import (
     linear_rate_certificate,
     remark5_quantities,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, MissingDataError, ParseError
 from .metrics import (
     ExperimentSpec,
     align,
@@ -263,8 +263,8 @@ def cmd_image(args):
             f"image has {p} pixels, above the cap {args.cap}; "
             "downscale it or raise --cap"
         )
-    x_true = img.as_signal()
-    x_true = np.where(np.abs(x_true) < args.threshold, 0.0, x_true)
+    pixels = img.pixels.reshape(-1)  # row-major, in [0, 1]
+    x_true = np.where(pixels < args.threshold, 0.0, pixels)
     if not np.any(x_true):
         raise ValueError("image is entirely black after thresholding")
     n = args.ratio * p
@@ -274,8 +274,8 @@ def cmd_image(args):
     result = solve(e, x0, cfg)
     estimate = align(result.estimate, x_true)
     summary = summarize(result, e, cfg)
-    # from_signal clips the estimate to [0, 1]
-    recon = GrayImage.from_signal(estimate, img.width, img.height, maxval=img.maxval)
+    # GrayImage clips the estimate to [0, 1]
+    recon = GrayImage(estimate.reshape(img.height, img.width), img.maxval)
     write_pgm(args.out_image, recon)
     metrics = {
         "input": os.path.basename(args.input),
@@ -317,8 +317,9 @@ def _diag_point(args):
     """The instance and the point to evaluate: --solution's estimate or the truth."""
     e = _load_instance(args.instance)
     if args.use_truth:
-        if e.ground_truth is None:
-            raise DomainError("instance has no ground truth; pass --solution")
+        if e.ground_truth is None or not np.any(e.ground_truth):
+            raise MissingDataError("--use-truth needs a nonzero ground truth; "
+                                   "pass --solution")
         return e, e.ground_truth
     doc = parse_document(read_text(args.solution, "solution"), "solution", ("estimate",))
     return e, decode_vector(doc["estimate"], e.field, "estimate", e.p)

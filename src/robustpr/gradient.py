@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MeasurementEnsemble
+from .model import MeasurementEnsemble, _check_positive
 from .model import correlate  # unused here; benchmarks/tracing.py binds it
 from .objective import _evaluate
 
 
 def g(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> np.ndarray:
     """Unified gradient map; see module docstring for conventions."""
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha=alpha)
     _, c, d = _evaluate(e.check_signal(x), e, 0.0, alpha)
     return _adjoint(e, c, d)
 

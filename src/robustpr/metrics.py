@@ -18,6 +18,7 @@ from .model import (
     FieldTag,
     MeasurementEnsemble,
     NoiseSpec,
+    _check_positive,
     _is_int,
     field_of,
     synthesize_instance,
@@ -115,8 +116,7 @@ class ExperimentSpec:
         n_grid = list(self.n_grid)
         if not n_grid or any(a >= b for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly ascending")
-        if not 0.0 < self.success_threshold < np.inf:  # also rejects NaN
-            raise ValueError("success_threshold must be finite and positive")
+        _check_positive(success_threshold=self.success_threshold)
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,8 @@ def lambda_grid_search(
     The spectral point is drawn with ``seed``, by default ``e.seed``.
     """
     grid = [float(v) for v in lambda_grid]
-    for lam in grid:
-        if not 0.0 < lam < np.inf:  # also rejects NaN, before sort() meets it
-            raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+    for lam in grid:  # before sort() meets a NaN
+        _check_positive(lam=lam)
     grid.sort()
     if not grid or len(set(grid)) < len(grid):
         raise ValueError("lambda grid must be nonempty and free of repeats")

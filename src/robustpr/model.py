@@ -108,7 +108,6 @@ class MeasurementEnsemble:
         arrays = [b, a]
         if self.ground_truth is not None:
             self.ground_truth = self.check_signal(self.ground_truth)
-            arrays.append(self.ground_truth)
         if self.noise_record is not None:
             eps = np.asarray(self.noise_record, dtype=np.float64)
             if eps.shape != b.shape:
@@ -138,7 +137,7 @@ class MeasurementEnsemble:
         return self.sampling_vectors.shape[1]
 
     def check_signal(self, x: np.ndarray) -> np.ndarray:
-        """Validate a candidate signal against this ensemble's field and size."""
+        """Validate a candidate signal: this ensemble's field and size, finite."""
         x = np.asarray(x)
         if field_of(x) is not self.field:
             raise ValueError(
@@ -147,7 +146,10 @@ class MeasurementEnsemble:
             )
         if x.shape != (self.p,):
             raise ValueError(f"signal length {x.shape} does not match p={self.p}")
-        return x.astype(self.field.dtype, copy=False)
+        x = x.astype(self.field.dtype, copy=False)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("signal contains non-finite entries")
+        return x
 
 
 def generate_signal(p: int, s: int, field: FieldTag, seed: int) -> np.ndarray:
@@ -282,6 +284,13 @@ def decode_matrix(data, field: FieldTag, n: int, p: int) -> np.ndarray:
 def _is_int(value) -> bool:
     """Whether value is an int and not a bool: the test every count passes."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_positive(**values: float) -> None:
+    """ValueError naming the first of ``values`` that is not finite and positive."""
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:

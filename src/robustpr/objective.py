@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MeasurementEnsemble, correlate
+from .model import MeasurementEnsemble, _check_positive, correlate
 
 
 def huber_deriv(u, alpha: float):
@@ -51,15 +51,12 @@ def _evaluate(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float):
 
 def loss(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> float:
     """Averaged Huber loss (1/n) sum_i h_alpha(|<a_i,x>|^2 - b_i)."""
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha=alpha)
     return _evaluate(e.check_signal(x), e, 0.0, alpha)[0]
 
 
 def objective(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float) -> float:
     """F(x) = loss + lam * half_norm."""
-    # chained comparisons reject NaN and inf as well as nonpositive values
-    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
-        raise ValueError("lam and alpha must be positive")
+    _check_positive(lam=lam, alpha=alpha)
     return _evaluate(e.check_signal(x), e, lam, alpha)[0]
 

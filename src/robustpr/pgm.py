@@ -1,4 +1,4 @@
-"""Grayscale PGM images (P2 ASCII and P5 binary) as unit-interval signals."""
+"""Grayscale PGM images (P2 ASCII and P5 binary) as unit-interval rasters."""
 
 from __future__ import annotations
 
@@ -34,17 +34,6 @@ class GrayImage:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-    def as_signal(self) -> np.ndarray:
-        """Row-major flattening to a real signal of length width*height."""
-        return self.pixels.reshape(-1).copy()
-
-    @classmethod
-    def from_signal(cls, x: np.ndarray, width: int, height: int,
-                    maxval: int = 255) -> "GrayImage":
-        if width < 1 or height < 1:
-            raise ValueError("image dimensions must be positive")
-        return cls(np.asarray(x, dtype=np.float64).reshape(height, width), maxval)
 
 
 def _tokens(data: bytes):

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _check_positive
+
 _TBAR_COEF = 54.0 ** (1.0 / 3.0) / 4.0
 
 
 def threshold_point(mu: float) -> float:
     """The hard-thresholding radius tbar(mu) = (54^(1/3)/4) mu^(2/3)."""
-    # chained comparison rejects NaN and inf as well as nonpositive values
-    if not 0.0 < mu < np.inf:
-        raise ValueError("prox weight mu must be positive and finite")
+    _check_positive(mu=mu)
     return _TBAR_COEF * float(np.cbrt(mu)) ** 2
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .gradient import _adjoint
 from .gradient import g as gradient_map
-from .model import MeasurementEnsemble, write_csv
+from .model import MeasurementEnsemble, _check_positive, write_csv
 from .objective import _evaluate
 from .objective import objective  # unused here; benchmarks/tracing.py binds it
 from .prox import _half_threshold
@@ -76,9 +76,7 @@ class SolverConfig:
     max_iter = 5000
 
     def __post_init__(self):
-        # chained comparisons reject NaN and inf as well as nonpositive values
-        if not (0.0 < self.lam < np.inf and 0.0 < self.alpha < np.inf):
-            raise ValueError("lam and alpha must be positive")
+        _check_positive(lam=self.lam, alpha=self.alpha)
 
 
 TRACE_DTYPE = np.dtype([
@@ -116,11 +114,7 @@ def fixed_point_residual(
     tau: float,
 ) -> float:
     """||x - H_{2 lam tau}(x - 2 tau g(x))|| / max(1, ||x||)."""
-    # chained comparisons reject NaN and inf as well as nonpositive values
-    if not (0.0 < lam < np.inf and 0.0 < alpha < np.inf):
-        raise ValueError("lam and alpha must be positive")
-    if not 0.0 < tau < np.inf:
-        raise ValueError("tau must be positive and finite")
+    _check_positive(lam=lam, alpha=alpha, tau=tau)
     x = e.check_signal(x)
     return _residual(x, gradient_map(x, e, alpha), lam, tau, _norm(x))
 
@@ -153,8 +147,6 @@ def solve(
     The result's trace has one row per accepted step, possibly none.
     """
     x = e.check_signal(x0).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial point contains non-finite entries")
     # locals: a read of a class constant through cfg is the slow attribute path
     lam, alpha = cfg.lam, cfg.alpha
     gamma, beta, delta, eps = cfg.gamma, cfg.beta, cfg.delta, cfg.eps

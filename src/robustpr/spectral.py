@@ -100,12 +100,8 @@ def spectral_init(e: MeasurementEnsemble, cfg: SpectralConfig | None = None,
     mean b <= 0."""
     mean_b = float(np.mean(e.observations))
     if mean_b <= 0.0:
-        if np.all(e.observations == 0.0):
-            warnings.warn("all observations are zero; returning the zero signal",
-                          RuntimeWarning, stacklevel=2)
-        else:
-            warnings.warn("mean observation is nonpositive; returning the zero "
-                          "signal", RuntimeWarning, stacklevel=2)
+        warnings.warn("mean observation is nonpositive; returning the zero "
+                      "signal", RuntimeWarning, stacklevel=2)
         return np.zeros(e.p, dtype=e.field.dtype)
     support = _screened_support(e, mean_b)
     # the column copy a[:, S] lives only as long as the power iteration

@@ -18,6 +18,7 @@ from robustpr import (
     ExperimentSpec,
     FieldTag,
     GrayImage,
+    MeasurementEnsemble,
     NoiseSpec,
     SolverConfig,
     deserialize_instance,
@@ -27,6 +28,7 @@ from robustpr import (
     linear_rate_certificate,
     read_pgm,
     run_experiment,
+    serialize_instance,
     solve,
     spectral_init,
     synthesize_instance,
@@ -176,7 +178,8 @@ def test_solve_refuses_a_non_finite_truth_or_noise_record(tmp_path, capsys,
     capsys.readouterr()
     assert run("solve", "--instance", str(inst), "--lambda", "1e-3",
                "--out-result", str(out)) == 4
-    assert capsys.readouterr().err == "error: ensemble contains non-finite entries\n"
+    kind = "signal" if key == "x_true" else "ensemble"
+    assert capsys.readouterr().err == f"error: {kind} contains non-finite entries\n"
     assert not out.exists()
 
 
@@ -332,7 +335,8 @@ def test_lambda_grid_rejects_a_bad_grid_value_before_solving(
     _no_solve(monkeypatch)
     assert run("bench", "lambda-grid", "--instance", str(inst),
                f"--grid=1e-3,{bad}", "--rule", "oracle") == 2
-    assert f"got {float(bad)!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: lam must be finite and positive, got {float(bad)}\n")
 
 
 def test_bench_success_rate_outputs(tmp_path, capsys):
@@ -688,6 +692,14 @@ def test_solve_start_reads_no_ground_truth(tmp_path, monkeypatch):
     assert outs[0]["estimate"] == outs[1]["estimate"]
 
 
+def test_unknown_field_is_a_usage_error(tmp_path, capsys):
+    assert run("gen", "--p", "4", "--s", "1", "--n", "8", "--field", "quaternion",
+               "--out", str(tmp_path / "inst.json")) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "argument --field: field must be 'real' or 'complex', got 'quaternion'")
+    assert not (tmp_path / "inst.json").exists()
+
+
 def test_diag_use_truth_needs_a_ground_truth(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert run(*GEN, "--out", str(inst)) == 0
@@ -697,7 +709,29 @@ def test_diag_use_truth_needs_a_ground_truth(tmp_path, capsys):
     capsys.readouterr()
     assert run("diag", "certificate", "--instance", str(inst), "--use-truth",
                "--lambda", "1e-4") == 3
-    assert "instance has no ground truth" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --use-truth needs a nonzero ground truth; pass --solution\n")
+
+
+@pytest.mark.parametrize("mode", ["certificate", "remark5"])
+def test_diag_use_truth_needs_a_nonzero_ground_truth(tmp_path, capsys, mode):
+    # a hand-built instance whose stored truth is all zero, as lambda-grid's
+    # oracle rule refuses it: missing data, exit 3
+    a = np.eye(4)
+    e = MeasurementEnsemble(a, np.ones(4), ground_truth=np.zeros(4),
+                            noise_record=np.ones(4))
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    inst.write_text(serialize_instance(e))
+    extra = ["--lambda", "1e-3"] if mode == "certificate" else []
+    capsys.readouterr()
+    assert run("diag", mode, "--instance", str(inst), "--use-truth", *extra,
+               "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "error: --use-truth needs a nonzero ground truth; pass --solution\n")
+    assert run("bench", "lambda-grid", "--instance", str(inst), "--grid", "1e-3",
+               "--rule", "oracle") == 3
+    assert "oracle rule needs a nonzero ground truth" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diag_remark5_ok(tmp_path):
@@ -744,13 +778,19 @@ DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
                  "--noise", "type2:0.1", "--seed", "3"]
 
 
+def positive(index, argv, name, value):
+    """Case ``argv<index>`` of the positive-parameter rule, its id naming the rule."""
+    return pytest.param(argv, f"{name} must be finite and positive, got {value}",
+                        id=f"argv{index}-{name} must be positive")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["certificate", "--use-truth", "--lambda", "-1"], "lam must be positive"),
-    (["certificate", "--use-truth", "--lambda", "nan"], "lam must be positive"),
-    (["stability", "--alpha", "nan"], "alpha must be positive"),
-    (["stability", "--alpha", "-1"], "alpha must be positive"),
-    (["remark5", "--use-truth", "--alpha", "nan"], "alpha must be positive"),
-    (["remark5", "--use-truth", "--alpha", "-2"], "alpha must be positive"),
+    positive(0, ["certificate", "--use-truth", "--lambda", "-1"], "lam", "-1.0"),
+    positive(1, ["certificate", "--use-truth", "--lambda", "nan"], "lam", "nan"),
+    positive(2, ["stability", "--alpha", "nan"], "alpha", "nan"),
+    positive(3, ["stability", "--alpha", "-1"], "alpha", "-1.0"),
+    positive(4, ["remark5", "--use-truth", "--alpha", "nan"], "alpha", "nan"),
+    positive(5, ["remark5", "--use-truth", "--alpha", "-2"], "alpha", "-2.0"),
     (["remark5", "--use-truth", "--rho0", "1.5"], "rho0 must lie in (0, 1)"),
     (["remark5", "--use-truth", "--rho0", "-1"], "rho0 must lie in (0, 1)"),
     (["certificate", "--use-truth"], "the following arguments are required: --lambda"),
@@ -765,8 +805,8 @@ DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
     (["certificate", "--use-truth", "--lambda", "1e-3", "--eps1", "0.5"],
      "unrecognized arguments: --eps1 0.5"),
     # one alpha message for the three modes
-    (["certificate", "--use-truth", "--lambda", "1e-3", "--alpha", "0"],
-     "alpha must be positive"),
+    positive(14, ["certificate", "--use-truth", "--lambda", "1e-3", "--alpha", "0"],
+             "alpha", "0.0"),
 ])
 def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
     inst = tmp_path / "inst.json"
@@ -778,18 +818,25 @@ def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
     assert last.partition("error: ")[2] == message
 
 
-NON_FINITE = "solution has a non-finite entry"
 TOO_SMALL = "smallest nonzero entry is too small"
 OVERFLOWS = "solution overflows the certificate's curvature terms"
 
 
+def non_finite(*case):
+    """A solution with a non-finite entry, which ``check_signal`` refuses whole;
+    the id names the case."""
+    return pytest.param(*case, "error: signal contains non-finite entries\n",
+                        id="-".join(case) + "-solution has a non-finite entry")
+
+
 @pytest.mark.parametrize("field, mode, entry, message", [
-    *[(field, "certificate", entry, message)
-      for field in ("real", "complex")
-      for entry, message in [("Infinity", NON_FINITE), ("NaN", NON_FINITE),
-                             ("1e-300", TOO_SMALL), ("1e200", OVERFLOWS)]],
-    ("real", "remark5", "Infinity", NON_FINITE),
-    ("real", "remark5", "NaN", NON_FINITE),
+    *[case for field in ("real", "complex") for case in [
+        non_finite(field, "certificate", "Infinity"),
+        non_finite(field, "certificate", "NaN"),
+        (field, "certificate", "1e-300", TOO_SMALL),
+        (field, "certificate", "1e200", OVERFLOWS)]],
+    non_finite("real", "remark5", "Infinity"),
+    non_finite("real", "remark5", "NaN"),
 ])
 def test_diag_rejects_non_finite_or_degenerate_solution(tmp_path, capsys, field,
                                                         mode, entry, message):

@@ -106,6 +106,15 @@ def test_stability_validation():
         estimate_stability(ec, samples=10, rho0=0.5, alpha=ALPHA, seed=0)
 
 
+def test_row_normalized_checks_refuse_a_zero_row():
+    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("type2", 0.1), 1)
+    a = e.sampling_vectors.copy()
+    a[2] = 0.0
+    zero_row = MeasurementEnsemble(a, e.observations)
+    with pytest.raises(ValueError, match="^sampling ensemble contains a zero row$"):
+        estimate_stability(zero_row, samples=5, rho0=0.5, alpha=ALPHA, seed=0)
+
+
 @pytest.mark.parametrize("samples", [2.5, 3.0, np.nan, True, "3"])
 def test_stability_rejects_a_non_integer_sample_count(samples):
     e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 1)
@@ -324,8 +333,8 @@ def test_complex_terms_select_the_support_block_by_block():
 
 def test_real_terms_match_the_gram_over_inliers():
     e = synthesize_instance(128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1), 7)
-    a_s, c, r, inliers, _ = certificate_inputs(e, e.ground_truth)
-    m, _ = _real_terms(a_s, c, r, inliers, e)
+    a_s, c, _, inliers, _ = certificate_inputs(e, e.ground_truth)
+    m, _ = _real_terms(a_s, c, inliers, e)
     weights = (3.0 * c**2 - e.observations) / e.n
     assert np.array_equal(m, (a_s[inliers].T * weights[inliers]) @ a_s[inliers])
 
@@ -360,11 +369,18 @@ def one_entry(field, value, p=16):
     return x
 
 
+def non_finite(value, case):
+    """A solution with a non-finite entry, which ``check_signal`` refuses whole;
+    the id names the case."""
+    return pytest.param(value, "^signal contains non-finite entries$",
+                        id=f"{case}-solution has a non-finite entry")
+
+
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
 @pytest.mark.parametrize("value, message", [
-    (np.inf, "solution has a non-finite entry"),
-    (-np.inf, "solution has a non-finite entry"),
-    (np.nan, "solution has a non-finite entry"),
+    non_finite(np.inf, "inf"),
+    non_finite(-np.inf, "-inf"),
+    non_finite(np.nan, "nan"),
     (1e-300, "solution's smallest nonzero entry is too small"),
     (1e200, "solution overflows the certificate's curvature terms"),
 ])
@@ -381,8 +397,8 @@ def test_certificate_rejects_an_overflowing_regularizer_term():
 
 
 @pytest.mark.parametrize("value, message", [
-    (np.inf, "solution has a non-finite entry"),
-    (np.nan, "solution has a non-finite entry"),
+    non_finite(np.inf, "inf"),
+    non_finite(np.nan, "nan"),
     (1e200, "solution overflows the inlier quadratic term"),
 ])
 def test_remark5_rejects_non_finite_or_degenerate_solution(value, message):
@@ -416,19 +432,20 @@ def test_certificate_validation():
     with pytest.raises(ValueError):
         linear_rate_certificate(np.zeros(16), e, lam=1e-4, alpha=ALPHA)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^lam must be positive$"):
+        with pytest.raises(ValueError,
+                           match=f"^lam must be finite and positive, got {bad}$"):
             linear_rate_certificate(result.estimate, e, lam=bad, alpha=ALPHA)
-        with pytest.raises(ValueError, match="^alpha must be positive$"):
+        with pytest.raises(ValueError,
+                           match=f"^alpha must be finite and positive, got {bad}$"):
             linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=bad)
 
 
 @pytest.mark.parametrize(
     "alpha, rho0, message",
     [
-        (0.0, RHO0, "alpha must be positive"),
-        (-1.0, RHO0, "alpha must be positive"),
-        (float("nan"), RHO0, "alpha must be positive"),
-        (float("inf"), RHO0, "alpha must be positive"),
+        *[pytest.param(bad, RHO0, f"alpha must be finite and positive, got {bad}",
+                       id=f"{bad}-{RHO0}-alpha must be positive")
+          for bad in (0.0, -1.0, float("nan"), float("inf"))],
         (ALPHA, 0.0, r"rho0 must lie in \(0, 1\)"),
         (ALPHA, 1.0, r"rho0 must lie in \(0, 1\)"),
         (ALPHA, -1.0, r"rho0 must lie in \(0, 1\)"),

@@ -1,5 +1,4 @@
 import importlib
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -175,7 +174,8 @@ def desk_spec(**overrides):
 
 @pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, np.inf])
 def test_experiment_spec_rejects_bad_success_threshold(threshold):
-    with pytest.raises(ValueError, match="success_threshold"):
+    with pytest.raises(ValueError, match="^success_threshold must be finite and "
+                                         f"positive, got {threshold}$"):
         desk_spec(success_threshold=threshold)
 
 
@@ -426,7 +426,8 @@ def test_lambda_grid_search_validation(monkeypatch):
         lambda_grid_search(e, SolverConfig(lam=1.0), [1e-3, 1e-4, 0.001], "oracle")
     for bad in (np.nan, np.inf, -np.inf, 0.0, -1e-3):
         for rule in ("oracle", "holdout"):
-            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            with pytest.raises(ValueError,
+                               match=f"^lam must be finite and positive, got {bad}$"):
                 lambda_grid_search(e, SolverConfig(lam=1.0), [1e-3, bad], rule)
     assert calls == []
     from robustpr.model import MeasurementEnsemble

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -61,6 +62,12 @@ def test_generate_sampling_real_variance():
 def test_generate_sampling_smallest_instance():
     a = generate_sampling(p=1, n=1, field=FieldTag.REAL, seed=0)
     assert a.shape == (1, 1) and np.isfinite(a[0, 0])
+
+
+@pytest.mark.parametrize("p, n", [(0, 4), (4, 0)])
+def test_generate_sampling_refuses_an_empty_shape(p, n):
+    with pytest.raises(ValueError, match="^sampling sizes n, p must be positive$"):
+        generate_sampling(p=p, n=n, field=FieldTag.REAL, seed=0)
 
 
 def test_generate_sampling_complex_second_moment():
@@ -360,6 +367,21 @@ def test_ensemble_rejects_inconsistent_observations():
         deserialize_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("a, b, eps, message", [
+    (np.zeros(3), np.zeros(3), None,
+     "sampling_vectors must be a nonempty (n, p) array"),
+    (np.zeros((0, 3)), np.zeros(0), None,
+     "sampling_vectors must be a nonempty (n, p) array"),
+    (np.zeros((3, 2)), np.zeros(2), None,
+     "observations must have one entry per sampling vector"),
+    (np.zeros((3, 2)), np.zeros(3), np.zeros(2),
+     "noise_record length must match observations"),
+], ids=["one-dimensional", "no-rows", "short-observations", "short-noise-record"])
+def test_ensemble_refuses_mismatched_shapes(a, b, eps, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MeasurementEnsemble(a, b, noise_record=eps)
+
+
 def test_field_mismatch_rejected():
     e = synthesize_instance(4, 2, 8, FieldTag.REAL, NoiseSpec("none"), 3)
     with pytest.raises(ValueError, match="field"):
@@ -398,7 +420,8 @@ def test_non_finite_truth_or_noise_record_is_refused(key, value, alone):
     doc[key][1] = value
     if alone:  # the other array absent: no consistency check to trip
         del doc["eps" if key == "x_true" else "x_true"]
-    message = "^ensemble contains non-finite entries$"
+    message = ("^signal contains non-finite entries$" if key == "x_true"
+               else "^ensemble contains non-finite entries$")
     with pytest.raises(ValueError, match=message):
         MeasurementEnsemble(e.sampling_vectors, e.observations,
                             doc.get("x_true"), doc.get("eps"))

@@ -240,9 +240,11 @@ def test_params_validation():
     e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
     x = e.ground_truth
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="lam and alpha must be positive"):
+        with pytest.raises(ValueError,
+                           match=f"^alpha must be finite and positive, got {bad}$"):
             objective(x, e, 1e-3, bad)
-        with pytest.raises(ValueError, match="lam and alpha must be positive"):
+        with pytest.raises(ValueError,
+                           match=f"^lam must be finite and positive, got {bad}$"):
             objective(x, e, bad, ALPHA)
         with pytest.raises(ValueError, match="lam and alpha must be positive"):
             surrogate(x, x, e, 1e-3, bad, tau=1.0)
@@ -250,13 +252,26 @@ def test_params_validation():
             surrogate(x, x, e, bad, ALPHA, tau=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluations_refuse_a_non_finite_signal(bad):
+    e = synthesize_instance(8, 2, 40, FieldTag.REAL, NoiseSpec("none"), 1)
+    x = e.ground_truth.copy()
+    x[0] = bad
+    for evaluate in (lambda: objective(x, e, 1e-3, ALPHA), lambda: loss(x, e, ALPHA),
+                     lambda: g(x, e, ALPHA),
+                     lambda: fixed_point_residual(x, e, 1e-3, ALPHA, tau=1.0)):
+        with pytest.raises(ValueError, match="^signal contains non-finite entries$"):
+            evaluate()
+
+
 @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
 def test_loss_and_g_reject_bad_alpha(alpha):
     e = synthesize_instance(8, 2, 40, FieldTag.REAL, NoiseSpec("none"), 1)
     x = e.ground_truth
-    with pytest.raises(ValueError, match="alpha must be positive"):
+    message = f"^alpha must be finite and positive, got {alpha}$"
+    with pytest.raises(ValueError, match=message):
         loss(x, e, alpha)
-    with pytest.raises(ValueError, match="alpha must be positive"):
+    with pytest.raises(ValueError, match=message):
         g(x, e, alpha)
-    with pytest.raises(ValueError, match="alpha must be positive"):
+    with pytest.raises(ValueError, match=message):
         fixed_point_residual(x, e, 1e-3, alpha, tau=1.0)

@@ -144,10 +144,9 @@ def test_rejects_out_of_range_pixels(tmp_path):
 
 def test_gray_image_clamps_and_flattens():
     img = GrayImage(pixels=np.array([[2.0, -1.0], [0.5, 0.25]]))
-    assert img.pixels.max() <= 1.0 and img.pixels.min() >= 0.0
-    signal = img.as_signal()
-    assert signal.shape == (4,)
-    back = GrayImage.from_signal(signal, 2, 2)
+    np.testing.assert_array_equal(img.pixels, [[1.0, 0.0], [0.5, 0.25]])
+    # the row-major signal of `image` and back, as cmd_image does
+    back = GrayImage(img.pixels.reshape(-1).reshape(img.height, img.width))
     np.testing.assert_array_equal(back.pixels, img.pixels)
 
 
@@ -160,17 +159,12 @@ def test_gray_image_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gray_image_refuses_non_finite_pixels(bad):
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="^pixels contain non-finite entries$"):
         GrayImage(np.array([[bad, 0.5]]))
-    with pytest.raises(ValueError, match="non-finite"):
-        GrayImage.from_signal(np.array([0.5, bad]), 2, 1)
 
 
 def test_gray_image_size_is_its_raster():
     img = GrayImage(np.zeros((2, 3)))
     assert (img.width, img.height) == (3, 2)
-    assert GrayImage.from_signal(np.zeros(6), 3, 2).pixels.shape == (2, 3)
     with pytest.raises(TypeError):
         GrayImage(width=3, height=2, pixels=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="dimensions"):
-        GrayImage.from_signal(np.zeros(6), -1, 2)

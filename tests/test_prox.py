@@ -39,9 +39,10 @@ def test_threshold_point_error_does_not_grow_with_log_mu():
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
 def test_nonpositive_or_nonfinite_weight_is_rejected(mu):
-    with pytest.raises(ValueError):
+    message = f"^mu must be finite and positive, got {mu}$"
+    with pytest.raises(ValueError, match=message):
         threshold_point(mu)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         half_threshold(np.ones(3), mu)
     with pytest.raises(ValueError):
         chi(1.0, mu)

@@ -14,7 +14,9 @@ untruncated start.
 Outside ``diagnostics``, whose checks multiply their own restricted and
 rescaled copies, the package's one ``@`` forward product is
 ``model.correlate`` and its one ``@`` adjoint product is
-``gradient._adjoint``.
+``gradient._adjoint``.  And the rule that a parameter is finite and
+positive, ``0.0 < v < np.inf``, is written once, in
+``model._check_positive``.
 """
 
 import ast
@@ -164,15 +166,14 @@ def test_only_spectral_builds_a_config_and_only_its_tests_truncate():
     assert (built, truncating) == ([], [])
 
 
-def _matmul_owners(path: Path) -> list:
-    """The innermost enclosing function (None at module level) of each
-    ``@`` or ``@=`` in a module."""
+def _owners(path: Path, match) -> list:
+    """The innermost enclosing function (None at module level) of each node
+    of a module for which ``match(node)`` holds."""
     owners = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
-                    child.op, ast.MatMult):
+            if match(child):
                 owners.append(owner)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if named else owner)
@@ -181,9 +182,42 @@ def _matmul_owners(path: Path) -> list:
     return owners
 
 
+def _is_matmul(node) -> bool:
+    """An ``@`` or ``@=``."""
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+        node.op, ast.MatMult)
+
+
+def _is_positive_rule(node) -> bool:
+    """A chained ``0 < v < inf`` (``0.0 < v < np.inf``, say): the finite and
+    positive rule.  ``0 <= v < inf``, the nonnegative rule, is another."""
+    if not (isinstance(node, ast.Compare)
+            and [type(op) for op in node.ops] == [ast.Lt, ast.Lt]):
+        return False
+    low, high = node.left, node.comparators[-1]
+    return (isinstance(low, ast.Constant) and low.value == 0
+            and getattr(high, "attr", getattr(high, "id", None)) == "inf")
+
+
+def _package_owners(match) -> dict:
+    """Per package module that has any, the owners of its matching nodes."""
+    owners = {path.name: _owners(path, match)
+              for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))}
+    return {name: found for name, found in owners.items() if found}
+
+
 def test_correlate_and_adjoint_make_every_product_outside_diagnostics():
-    products = {path.name: _matmul_owners(path)
-                for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))
-                if path.name != "diagnostics.py"}
-    assert {name: owners for name, owners in products.items() if owners} == {
-        "model.py": ["correlate"], "gradient.py": ["_adjoint"]}
+    products = _package_owners(_is_matmul)
+    del products["diagnostics.py"]
+    assert products == {"model.py": ["correlate"], "gradient.py": ["_adjoint"]}
+
+
+def test_one_helper_holds_the_positive_parameter_rule():
+    assert _package_owners(_is_positive_rule) == {"model.py": ["_check_positive"]}
+
+
+def test_the_positive_rule_guard_sees_each_spelling():
+    rules = ["0.0 < lam < np.inf", "0 < mu < inf", "not 0.0 < a < math.inf"]
+    others = ["0.0 <= eta < np.inf", "0.0 < rho0 < 1.0", "lo < v < np.inf"]
+    assert [any(map(_is_positive_rule, ast.walk(ast.parse(text))))
+            for text in rules + others] == [True] * 3 + [False] * 3

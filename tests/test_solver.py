@@ -150,7 +150,7 @@ def test_fixed_point_residual_cases():
 @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
 def test_fixed_point_residual_rejects_nonpositive_or_nonfinite_tau(tau):
     e = easy_instance(9)
-    with pytest.raises(ValueError, match="tau"):
+    with pytest.raises(ValueError, match=f"^tau must be finite and positive, got {tau}$"):
         fixed_point_residual(e.ground_truth, e, 1e-3, 1.345, tau)
 
 
@@ -162,7 +162,7 @@ def test_fixed_point_residual_rejects_a_bad_lam_before_any_gradient(lam, monkeyp
         raise AssertionError("a gradient was computed")
 
     monkeypatch.setattr(solver, "gradient_map", refuse)
-    with pytest.raises(ValueError, match="lam and alpha must be positive"):
+    with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam}$"):
         fixed_point_residual(e.ground_truth, e, lam, 1.345, 0.5)
 
 
@@ -461,13 +461,14 @@ def test_solver_config_validation():
         SolverConfig(lam=0.0)
     for bad in (float("nan"), float("inf")):
         for name in ("lam", "alpha"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be finite and positive, got {bad}$"):
                 SolverConfig(**{"lam": 1.0, name: bad})
 
 
 def test_solve_rejects_bad_start():
     e = easy_instance(17)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^signal contains non-finite entries$"):
         solve(e, np.full(16, np.nan), SolverConfig(lam=1e-4))
 
 

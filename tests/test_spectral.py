@@ -21,9 +21,19 @@ def test_zero_observations_gives_zero_signal():
     e = MeasurementEnsemble(
         sampling_vectors=a, observations=np.zeros(8)
     )
-    with pytest.warns(RuntimeWarning):
+    # one warning for mean b <= 0, all-zero observations included
+    with pytest.warns(RuntimeWarning, match="^mean observation is nonpositive; "
+                                            "returning the zero signal$"):
         x0 = spectral_init(e, seed=0)
     assert not x0.any()
+
+
+def test_power_iteration_stops_on_a_zero_product():
+    # Y = 0 when every b_i is 0: the first product is zero and the start is kept
+    e = MeasurementEnsemble(generate_sampling(4, 8, FieldTag.REAL, 0), np.zeros(8))
+    v, rayleigh = power_iteration(e, seed=0)
+    assert rayleigh == [0.0]
+    assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 def test_nonpositive_mean_observation_gives_zero_signal():
