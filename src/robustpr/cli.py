@@ -4,7 +4,8 @@ Commands: gen | solve | bench {success-rate,error-iter,lambda-grid,consistency}
 | image | diag {stability,certificate,remark5}.
 
 Exit codes: 0 success, 2 usage, validation or out-of-memory error, 3 domain
-error (unsupported field, missing data), 4 I/O or file-format error.
+error (``DomainError``: a real-only check on complex data, no nonzero truth, no
+noise record, n < 2 to hold out, an empty support), 4 I/O or file-format error.
 
 Each flag is declared once and read by its command: shared groups are
 argparse parent parsers.  The solver flags are ``--lambda`` and ``--alpha``,
@@ -31,7 +32,7 @@ from .diagnostics import (
     linear_rate_certificate,
     remark5_quantities,
 )
-from .errors import DomainError, MissingDataError, ParseError
+from .errors import DomainError, ParseError
 from .metrics import (
     ExperimentSpec,
     align,
@@ -317,10 +318,10 @@ def _diag_point(args):
     """The instance and the point to evaluate: --solution's estimate or the truth."""
     e = _load_instance(args.instance)
     if args.use_truth:
-        if e.ground_truth is None or not np.any(e.ground_truth):
-            raise MissingDataError("--use-truth needs a nonzero ground truth; "
-                                   "pass --solution")
-        return e, e.ground_truth
+        if (truth := e.nonzero_truth) is None:
+            raise DomainError("--use-truth needs a nonzero ground truth; "
+                              "pass --solution")
+        return e, truth
     doc = parse_document(read_text(args.solution, "solution"), "solution", ("estimate",))
     return e, decode_vector(doc["estimate"], e.field, "estimate", e.p)
 

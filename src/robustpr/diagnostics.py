@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingDataError, UnsupportedFieldError
-from .model import FieldTag, MeasurementEnsemble, _check_positive, _is_int, correlate
+from .errors import DomainError
+from .model import FieldTag, MeasurementEnsemble, _check_count, _check_positive, correlate
 from .objective import half_norm
 from .rng import TAG_STABILITY, stream
 
@@ -57,8 +57,6 @@ def _min_eig(m: np.ndarray) -> float:
     m - (lambda - tol) I exists, so no eigenvalue lies below lambda - tol, and
     that of m - (lambda + tol) I does not, so one lies below lambda + tol.
     """
-    if m.size == 0:
-        return 0.0
     vals = np.linalg.eigvalsh(m)
     lmin = float(vals[0])
     tol = 1e-8 * max(float(np.max(np.abs(vals))), 1e-300)
@@ -106,7 +104,7 @@ def _normalized(e: MeasurementEnsemble, alpha: float, rho0: float, what: str):
     the rescaled quantities match the raw ones in expectation.
     """
     if e.field is not FieldTag.REAL:
-        raise UnsupportedFieldError(f"{what} is defined for real ensembles only")
+        raise DomainError(f"{what} is defined for real ensembles only")
     _boundary_width(alpha, rho0)  # checks alpha and rho0
     norms = np.linalg.norm(e.sampling_vectors, axis=1)
     if np.any(norms == 0.0):
@@ -127,27 +125,30 @@ class StabilityEstimate(_Report):
     consistency: dict | None  # at C1 = mu_hat, C2 = c2_hat; see _consistency
 
 
-def _bilinear_means(au: np.ndarray, av: np.ndarray, inliers: np.ndarray):
-    prod = au * av
-    mu = float(np.mean(np.abs(prod)))
+def _mu_mean(prod: np.ndarray) -> float:
+    """Sampled mu of a pair from its row products <a_i,u><a_i,v>: their mean modulus."""
+    return float(np.mean(np.abs(prod)))
+
+
+def _c2_mean(prod: np.ndarray, inliers: np.ndarray) -> float:
+    """Sampled c2 of a pair: its mean squared row product over the inliers, or 0."""
     sub = prod[inliers]
-    c2 = float(np.mean(sub**2)) if sub.size else 0.0
-    return mu, c2
+    return float(np.mean(sub**2)) if sub.size else 0.0
 
 
 _REFINE_ROUNDS = 6  # passes of the pair refinement, the step halving after each
 _REFINE_STEP0 = 0.25  # its first coordinate nudge
 
 
-def _refine_pair(a_hat, u, v, inliers, pick):
-    """Coordinate descent on the sphere from the worst sampled pair.
+def _refine_pair(a_hat, u, v, stat):
+    """Coordinate descent on the sphere of stat(row products), from the worst pair.
 
     Moves are coordinate nudges of shrinking size plus coordinate zeroing,
     which reaches degenerate directions (null coordinates) exactly.  Each
     candidate makes one product, that of the vector it moves.
     """
     pair, prods = [u, v], [a_hat @ u, a_hat @ v]
-    best = pick(*_bilinear_means(*prods, inliers))
+    best = stat(prods[0] * prods[1])
     step = _REFINE_STEP0
     for _ in range(_REFINE_ROUNDS):
         for which in (0, 1):
@@ -165,7 +166,7 @@ def _refine_pair(a_hat, u, v, inliers, pick):
                     trial /= norm
                     cand = prods.copy()
                     cand[which] = a_hat @ trial
-                    val = pick(*_bilinear_means(*cand, inliers))
+                    val = stat(cand[0] * cand[1])
                     if val < best:
                         best = val
                         pair[which], prods = trial, cand
@@ -182,8 +183,7 @@ def estimate_stability(
 ) -> StabilityEstimate:
     """Sampled estimates of the stability constants; heuristic upper bounds."""
     a_hat, eps_hat = _normalized(e, alpha, rho0, "stability estimation")
-    if not (_is_int(samples) and samples >= 1):
-        raise ValueError("samples must be a positive integer")
+    _check_count(samples=samples)
     used_record = eps_hat is not None
     inliers = _masks(eps_hat, alpha, rho0)[0] if used_record else np.ones(e.n, bool)
     rng = stream(seed, TAG_STABILITY)
@@ -194,17 +194,18 @@ def estimate_stability(
         v = rng.standard_normal(e.p)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        mu, c2 = _bilinear_means(a_hat @ u, a_hat @ v, inliers)
+        prod = (a_hat @ u) * (a_hat @ v)
+        mu, c2 = _mu_mean(prod), _c2_mean(prod, inliers)
         if mu < mu_best:
             mu_best, mu_pair = mu, (u, v)
         if c2 < c2_best:
             c2_best, c2_pair = c2, (u, v)
-    mu_best = _refine_pair(a_hat, *mu_pair, inliers, pick=lambda m, c: m)
-    c2_best = _refine_pair(a_hat, *c2_pair, inliers, pick=lambda m, c: c)
+    mu_best = _refine_pair(a_hat, *mu_pair, _mu_mean)
+    c2_best = _refine_pair(a_hat, *c2_pair, lambda prod: _c2_mean(prod, inliers))
     return StabilityEstimate(
         mu_hat=mu_best,
         c2_hat=c2_best,
-        samples=samples,
+        samples=int(samples),  # a NumPy count too, as a JSON number
         inlier_threshold=rho0 * alpha,
         used_noise_record=used_record,
         consistency=_consistency(e, eps_hat, alpha, rho0, mu_best, c2_best),
@@ -224,8 +225,8 @@ def _consistency(e, eps_hat, alpha, rho0, c1, c2) -> dict | None:
     C1 <= lambda_min(A^T A / n) <= 1, and the floor is None unless mu_hat
     overestimates C1 past 1.  Nothing in the solver depends on this.
     """
-    x = e.ground_truth
-    if eps_hat is None or x is None or not np.any(x):
+    x = e.nonzero_truth
+    if eps_hat is None or x is None:
         return None
     n, p = e.n, e.p
     t_n = float(np.sqrt(2.0 * (2 * p + 1) * np.log(1.0 + 2 * n) / n))
@@ -269,11 +270,11 @@ class CertificateReport(_Report):
 
 
 def _solution(x: np.ndarray, e: MeasurementEnsemble):
-    """Checked solution and its support; ValueError unless finite and nonzero."""
+    """Checked solution and its support; DomainError if the support is empty."""
     x = e.check_signal(x)
     support = np.flatnonzero(x)
     if support.size == 0:
-        raise ValueError("solution has empty support")
+        raise DomainError("solution has empty support")
     return x, support
 
 
@@ -450,7 +451,7 @@ def remark5_quantities(
     """
     a_hat, eps_hat = _normalized(e, alpha, rho0, "the Remark-5 check")
     if eps_hat is None:
-        raise MissingDataError("Remark-5 quantities require a noise record")
+        raise DomainError("Remark-5 quantities require a noise record")
     x, support = _solution(x, e)
     inliers, boundary = _masks(eps_hat, alpha, rho0)
     a_g = a_hat[:, support]

@@ -1,4 +1,4 @@
-"""Exception types shared across the library and mapped to CLI exit codes."""
+"""Exception types mapped to CLI exit codes: ParseError 4, DomainError 3 (see ``cli``)."""
 
 
 class ParseError(ValueError):
@@ -7,11 +7,3 @@ class ParseError(ValueError):
 
 class DomainError(Exception):
     """A request is well-formed but outside the operation's domain."""
-
-
-class UnsupportedFieldError(DomainError):
-    """Operation defined for one scalar field only (e.g. real-only theory)."""
-
-
-class MissingDataError(DomainError):
-    """Required optional data (ground truth, noise record) is absent."""

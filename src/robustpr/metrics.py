@@ -13,13 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, MissingDataError
+from .errors import DomainError
 from .model import (
     FieldTag,
     MeasurementEnsemble,
     NoiseSpec,
+    _check_count,
     _check_positive,
-    _is_int,
     field_of,
     synthesize_instance,
     write_csv,
@@ -75,7 +75,7 @@ def summarize(result: SolverResult, e: MeasurementEnsemble, cfg: SolverConfig) -
     """A run's reported fields, in the order every writer exports them; the
     truth's fields only with a nonzero truth, where
     truth_gap = (F(x_hat) - F(x_true)) / max(1, |F(x_true)|)."""
-    x, truth = result.estimate, e.ground_truth
+    x, truth = result.estimate, e.nonzero_truth
     doc = {
         "termination": result.termination.value,
         "iterations": result.iterations,
@@ -88,7 +88,7 @@ def summarize(result: SolverResult, e: MeasurementEnsemble, cfg: SolverConfig) -
         "adjoint_products": result.iterations + 1,
         "support_size": int(np.count_nonzero(x)),
     }
-    if truth is not None and np.any(truth):
+    if truth is not None:
         F_true = objective(truth, e, cfg.lam, cfg.alpha)
         doc["relative_error"] = relative_error(x, truth)
         doc["truth_gap"] = (result.final_objective - F_true) / max(1.0, abs(F_true))
@@ -111,8 +111,7 @@ class ExperimentSpec:
     spectral: SpectralConfig | None = None  # None: the untruncated start
 
     def __post_init__(self):
-        if not (_is_int(self.trials) and self.trials >= 1):
-            raise ValueError("trials must be a positive integer")
+        _check_count(trials=self.trials)
         n_grid = list(self.n_grid)
         if not n_grid or any(a >= b for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly ascending")
@@ -203,12 +202,12 @@ def error_vs_iteration(
 ) -> tuple[list, SolverResult]:
     """Relative-error curve along the iterates, starting at the spectral point
     drawn with the ensemble's seed."""
-    if e.ground_truth is None or not np.any(e.ground_truth):
-        raise MissingDataError("error-vs-iteration needs a nonzero ground truth")
+    if (truth := e.nonzero_truth) is None:
+        raise DomainError("error-vs-iteration needs a nonzero ground truth")
     curve = []
 
     def record(k, x):
-        curve.append((k, relative_error(x, e.ground_truth)))
+        curve.append((k, relative_error(x, truth)))
 
     result = solve(e, spectral_init(e), cfg, callback=record)
     return curve, result
@@ -261,14 +260,9 @@ def lambda_grid_search(
         raise ValueError("lambda grid must be nonempty and free of repeats")
     if validation_rule not in ("oracle", "holdout"):
         raise ValueError(f"unknown validation rule: {validation_rule!r}")
-    if validation_rule == "oracle" and (
-        e.ground_truth is None or not np.any(e.ground_truth)
-    ):
-        raise MissingDataError("oracle rule needs a nonzero ground truth")
-    if validation_rule == "holdout" and e.n < 2:
-        raise DomainError("holdout rule needs at least 2 measurements")
-
     if validation_rule == "holdout":
+        if e.n < 2:
+            raise DomainError("holdout rule needs at least 2 measurements")
         train_idx, val_idx = holdout_split(e)
         train = _sub_ensemble(e, train_idx)
         val = _sub_ensemble(e, val_idx)
@@ -276,10 +270,12 @@ def lambda_grid_search(
         def score(x):
             return loss(x, val, cfg_base.alpha)
     else:
+        if (truth := e.nonzero_truth) is None:
+            raise DomainError("oracle rule needs a nonzero ground truth")
         train = e
 
         def score(x):
-            return relative_error(x, e.ground_truth)
+            return relative_error(x, truth)
 
     x_spectral = spectral_init(train, seed=seed)
     spectral_score = score(x_spectral)

@@ -99,7 +99,7 @@ class MeasurementEnsemble:
         a = np.asarray(self.sampling_vectors)
         a = a.astype(field_of(a).dtype, copy=False)
         b = np.asarray(self.observations, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        if a.ndim != 2 or a.size == 0:
             raise ValueError("sampling_vectors must be a nonempty (n, p) array")
         if b.shape != (a.shape[0],):
             raise ValueError("observations must have one entry per sampling vector")
@@ -123,6 +123,12 @@ class MeasurementEnsemble:
                 raise ValueError(
                     "observations inconsistent with ground truth and noise record"
                 )
+
+    @property
+    def nonzero_truth(self) -> np.ndarray | None:
+        """The ground truth, or None when it is absent or all zero."""
+        x = self.ground_truth
+        return x if x is not None and np.any(x) else None
 
     @property
     def field(self) -> FieldTag:
@@ -154,8 +160,7 @@ class MeasurementEnsemble:
 
 def generate_signal(p: int, s: int, field: FieldTag, seed: int) -> np.ndarray:
     """Draw an s-sparse signal with standard normal nonzeros on a uniform support."""
-    if p < 1:
-        raise ValueError("signal dimension p must be positive")
+    _check_count(p=p)
     if not 1 <= s <= p:
         raise ValueError(f"sparsity s={s} must satisfy 1 <= s <= p={p}")
     rng = stream(seed, TAG_SIGNAL)
@@ -171,8 +176,7 @@ def generate_signal(p: int, s: int, field: FieldTag, seed: int) -> np.ndarray:
 
 def generate_sampling(p: int, n: int, field: FieldTag, seed: int) -> np.ndarray:
     """Draw n sampling vectors with i.i.d. standard (complex) normal entries."""
-    if p < 1 or n < 1:
-        raise ValueError("sampling sizes n, p must be positive")
+    _check_count(p=p, n=n)
     rng = stream(seed, TAG_SAMPLING)
     if field is FieldTag.REAL:
         return rng.standard_normal((n, p))
@@ -282,8 +286,8 @@ def decode_matrix(data, field: FieldTag, n: int, p: int) -> np.ndarray:
 
 
 def _is_int(value) -> bool:
-    """Whether value is an int and not a bool: the test every count passes."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether value is an integer (NumPy's too) and not a bool: every count's test."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_positive(**values: float) -> None:
@@ -291,6 +295,13 @@ def _check_positive(**values: float) -> None:
     for name, value in values.items():
         if not 0.0 < value < np.inf:  # also rejects NaN
             raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_count(**values: int) -> None:
+    """ValueError naming the first of ``values`` that is not a positive integer."""
+    for name, value in values.items():
+        if not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:

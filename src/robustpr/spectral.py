@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient import _adjoint
-from .model import FieldTag, MeasurementEnsemble, _is_int, correlate
+from .model import FieldTag, MeasurementEnsemble, _check_count, correlate
 from .rng import TAG_SPECTRAL, stream
 
 POWER_ITERATIONS = 200  # cap on the power iteration's products
@@ -44,10 +44,8 @@ class SpectralConfig:
     truncation: int | None = None  # keep-count; None disables truncation
 
     def __post_init__(self):
-        if self.truncation is not None and not (
-            _is_int(self.truncation) and self.truncation >= 1
-        ):
-            raise ValueError("truncation must be a positive integer keep-count")
+        if self.truncation is not None:
+            _check_count(truncation=self.truncation)
 
 
 def power_iteration(

@@ -734,6 +734,23 @@ def test_diag_use_truth_needs_a_nonzero_ground_truth(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["certificate", "remark5"])
+def test_diag_on_an_all_zero_solution_exits_3(tmp_path, capsys, mode):
+    # a lambda this large zeroes the estimate: a point with no support is
+    # outside the checks' domain, as an all-zero truth is
+    inst, res, out = (tmp_path / f for f in ("inst.json", "res.json", "out.json"))
+    assert run("gen", "--p", "8", "--s", "1", "--n", "48", "--out", str(inst)) == 0
+    assert run("solve", "--instance", str(inst), "--lambda", "1e3",
+               "--out-result", str(res)) == 0
+    assert not np.any(json.loads(res.read_text())["estimate"])
+    extra = ["--lambda", "1e-3"] if mode == "certificate" else []
+    capsys.readouterr()
+    assert run("diag", mode, "--instance", str(inst), "--solution", str(res),
+               *extra, "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: solution has empty support\n"
+    assert not out.exists()
+
+
 def test_diag_remark5_ok(tmp_path):
     inst = tmp_path / "inst.json"
     assert run(*GEN, "--out", str(inst)) == 0

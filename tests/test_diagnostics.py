@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,11 +24,12 @@ from robustpr.diagnostics import (
     _complex_terms,
     _masks,
     _min_eig,
+    _mu_mean,
     _phase_projected,
     _real_terms,
     _refine_pair,
 )
-from robustpr.errors import MissingDataError, UnsupportedFieldError
+from robustpr.errors import DomainError
 from robustpr.model import MeasurementEnsemble, correlate
 
 from oracles import realified_curvature, realify, realify_quadratic
@@ -62,7 +64,6 @@ def test_min_eig_of_a_scalar_and_of_zero():
     m, _ = _complex_terms(*restricted(no_inlier_inputs()))
     assert not np.any(m)
     assert _min_eig(m) == 0.0
-    assert _min_eig(np.zeros((0, 0))) == 0.0
 
 
 def test_stability_rank_one_ensemble_hits_zero():
@@ -92,17 +93,17 @@ def test_refine_pair_compounds_accepted_moves(monkeypatch):
     monkeypatch.setattr(diagnostics, "_REFINE_ROUNDS", 1)
     p = 8
     u = np.full(p, 1.0 / np.sqrt(p))
-    mu = _refine_pair(np.sqrt(p) * np.eye(p), u, u.copy(), np.ones(p, dtype=bool),
-                      pick=lambda m, c: m)
+    mu = _refine_pair(np.sqrt(p) * np.eye(p), u, u.copy(), _mu_mean)
     assert mu == 0.0
 
 
 def test_stability_validation():
     e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^samples must be a positive integer, got 0$"):
         estimate_stability(e, samples=0, rho0=0.5, alpha=ALPHA, seed=0)
     ec = synthesize_instance(4, 1, 8, FieldTag.COMPLEX, NoiseSpec("none"), 1)
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(DomainError,
+                       match="^stability estimation is defined for real ensembles only$"):
         estimate_stability(ec, samples=10, rho0=0.5, alpha=ALPHA, seed=0)
 
 
@@ -118,8 +119,16 @@ def test_row_normalized_checks_refuse_a_zero_row():
 @pytest.mark.parametrize("samples", [2.5, 3.0, np.nan, True, "3"])
 def test_stability_rejects_a_non_integer_sample_count(samples):
     e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 1)
-    with pytest.raises(ValueError, match="samples must be a positive integer"):
+    message = f"^samples must be a positive integer, got {re.escape(str(samples))}$"
+    with pytest.raises(ValueError, match=message):
         estimate_stability(e, samples=samples, rho0=0.5, alpha=ALPHA, seed=0)
+
+
+def test_a_numpy_integer_sample_count_gives_the_same_report():
+    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("type2", 0.1), 1)
+    ours = estimate_stability(e, samples=np.int64(5), rho0=0.5, alpha=ALPHA, seed=0)
+    theirs = estimate_stability(e, samples=5, rho0=0.5, alpha=ALPHA, seed=0)
+    assert ours.to_json() == theirs.to_json()
 
 
 def converged_real_solution(seed=21):
@@ -429,7 +438,7 @@ def test_certificate_real_embedded_as_complex():
 
 def test_certificate_validation():
     e, result = converged_real_solution()
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^solution has empty support$"):
         linear_rate_certificate(np.zeros(16), e, lam=1e-4, alpha=ALPHA)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError,
@@ -526,14 +535,15 @@ def test_remark5_gaussian_noise_magnitudes():
 
 def test_remark5_requires_real_and_noise_record():
     ec = synthesize_instance(4, 1, 8, FieldTag.COMPLEX, NoiseSpec("none"), 1)
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(DomainError,
+                       match="^the Remark-5 check is defined for real ensembles only$"):
         remark5_quantities(ec.ground_truth, ec, ALPHA)
     e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 1)
     bare = MeasurementEnsemble(
         sampling_vectors=e.sampling_vectors,
         observations=e.observations,
     )
-    with pytest.raises(MissingDataError):
+    with pytest.raises(DomainError, match="^Remark-5 quantities require a noise record$"):
         remark5_quantities(e.ground_truth, bare, ALPHA)
 
 

@@ -1,4 +1,5 @@
 import importlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from robustpr import (
     spectral_init,
     synthesize_instance,
 )
-from robustpr.errors import DomainError, MissingDataError
+from robustpr.errors import DomainError
 from robustpr.metrics import (
     TrialRecord, _sub_ensemble, align, holdout_split, summarize, trial_seed)
 
@@ -181,8 +182,14 @@ def test_experiment_spec_rejects_bad_success_threshold(threshold):
 
 @pytest.mark.parametrize("trials", [2.5, 3.0, np.nan, True, "3"])
 def test_experiment_spec_rejects_a_non_integer_trial_count(trials):
-    with pytest.raises(ValueError, match="trials must be a positive integer"):
+    message = f"^trials must be a positive integer, got {re.escape(str(trials))}$"
+    with pytest.raises(ValueError, match=message):
         desk_spec(trials=trials)
+
+
+def test_a_numpy_integer_trial_count_runs_the_same_trials():
+    ours = run_experiment(desk_spec(trials=np.int64(1))).records
+    assert [r.summary for r in ours] == [r.summary for r in run_experiment(desk_spec()).records]
 
 
 def test_run_experiment_easy_instance_succeeds():
@@ -325,7 +332,8 @@ def test_error_vs_iteration_needs_truth():
         sampling_vectors=e.sampling_vectors,
         observations=e.observations,
     )
-    with pytest.raises(MissingDataError):
+    with pytest.raises(DomainError,
+                       match="^error-vs-iteration needs a nonzero ground truth$"):
         error_vs_iteration(bare, SolverConfig(lam=1e-4))
 
 
@@ -336,7 +344,8 @@ def test_error_vs_iteration_rejects_a_zero_truth_before_any_solve(field, monkeyp
     calls, spectral_calls = _captured_solves(monkeypatch), []
     monkeypatch.setattr(robustpr.metrics, "spectral_init",
                         lambda *args: spectral_calls.append(args))
-    with pytest.raises(MissingDataError, match="nonzero ground truth"):
+    with pytest.raises(DomainError,
+                       match="^error-vs-iteration needs a nonzero ground truth$"):
         error_vs_iteration(zero, SolverConfig(lam=1e-4))
     assert calls == [] and spectral_calls == []
 
@@ -436,7 +445,7 @@ def test_lambda_grid_search_validation(monkeypatch):
         sampling_vectors=e.sampling_vectors,
         observations=e.observations,
     )
-    with pytest.raises(MissingDataError):
+    with pytest.raises(DomainError, match="^oracle rule needs a nonzero ground truth$"):
         lambda_grid_search(bare, SolverConfig(lam=1.0), [1e-3], "oracle")
 
 
@@ -447,7 +456,7 @@ def test_oracle_rule_rejects_a_zero_truth_before_any_solve(field, monkeypatch):
     calls, spectral_calls = _captured_solves(monkeypatch), []
     monkeypatch.setattr(robustpr.metrics, "spectral_init",
                         lambda *args: spectral_calls.append(args))
-    with pytest.raises(MissingDataError, match="nonzero ground truth"):
+    with pytest.raises(DomainError, match="^oracle rule needs a nonzero ground truth$"):
         lambda_grid_search(zero, SolverConfig(lam=1.0), [1e-4, 1e-3], "oracle")
     assert calls == [] and spectral_calls == []
 

@@ -24,7 +24,7 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr.errors import ParseError
-from robustpr.model import NOISE_KINDS, correlate, decode_vector
+from robustpr.model import NOISE_KINDS, _check_count, correlate, decode_vector
 
 
 def test_generate_signal_sparsity_large_instance():
@@ -49,7 +49,7 @@ def test_generate_signal_complex_deterministic():
 def test_generate_signal_invalid_arguments():
     with pytest.raises(ValueError):
         generate_signal(p=4, s=5, field=FieldTag.REAL, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be a positive integer, got 0$"):
         generate_signal(p=0, s=0, field=FieldTag.REAL, seed=0)
 
 
@@ -66,8 +66,24 @@ def test_generate_sampling_smallest_instance():
 
 @pytest.mark.parametrize("p, n", [(0, 4), (4, 0)])
 def test_generate_sampling_refuses_an_empty_shape(p, n):
-    with pytest.raises(ValueError, match="^sampling sizes n, p must be positive$"):
+    name = "p" if p == 0 else "n"
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got 0$"):
         generate_sampling(p=p, n=n, field=FieldTag.REAL, seed=0)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.0, 2.5, np.nan, True, np.True_, "2", None])
+def test_check_count_names_the_first_bad_count_and_its_value(value):
+    with pytest.raises(ValueError,
+                       match=f"^n must be a positive integer, got {re.escape(str(value))}$"):
+        _check_count(p=3, n=value, s=0)
+
+
+def test_generators_take_numpy_integer_counts():
+    # any non-bool integer is a count: a NumPy one gives the same draws
+    x = generate_signal(np.int64(8), np.int32(2), FieldTag.REAL, 1)
+    np.testing.assert_array_equal(x, generate_signal(8, 2, FieldTag.REAL, 1))
+    a = generate_sampling(np.int64(8), np.uint16(16), FieldTag.COMPLEX, 1)
+    np.testing.assert_array_equal(a, generate_sampling(8, 16, FieldTag.COMPLEX, 1))
 
 
 def test_generate_sampling_complex_second_moment():
@@ -372,14 +388,29 @@ def test_ensemble_rejects_inconsistent_observations():
      "sampling_vectors must be a nonempty (n, p) array"),
     (np.zeros((0, 3)), np.zeros(0), None,
      "sampling_vectors must be a nonempty (n, p) array"),
+    (np.zeros((3, 0)), np.zeros(3), None,
+     "sampling_vectors must be a nonempty (n, p) array"),
     (np.zeros((3, 2)), np.zeros(2), None,
      "observations must have one entry per sampling vector"),
     (np.zeros((3, 2)), np.zeros(3), np.zeros(2),
      "noise_record length must match observations"),
-], ids=["one-dimensional", "no-rows", "short-observations", "short-noise-record"])
+], ids=["one-dimensional", "no-rows", "no-columns", "short-observations",
+        "short-noise-record"])
 def test_ensemble_refuses_mismatched_shapes(a, b, eps, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MeasurementEnsemble(a, b, noise_record=eps)
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_nonzero_truth_is_the_truth_unless_absent_or_all_zero(field):
+    e = synthesize_instance(4, 2, 8, field, NoiseSpec("none"), 3)
+    assert e.nonzero_truth is e.ground_truth
+    assert dataclasses.replace(e, ground_truth=None).nonzero_truth is None
+    zero = dataclasses.replace(e, ground_truth=np.zeros_like(e.ground_truth),
+                               noise_record=None)
+    assert zero.nonzero_truth is None
+    with pytest.raises(AttributeError):
+        e.nonzero_truth = e.ground_truth
 
 
 def test_field_mismatch_rejected():

@@ -16,14 +16,20 @@ rescaled copies, the package's one ``@`` forward product is
 ``model.correlate`` and its one ``@`` adjoint product is
 ``gradient._adjoint``.  And the rule that a parameter is finite and
 positive, ``0.0 < v < np.inf``, is written once, in
-``model._check_positive``.
+``model._check_positive``; the rule that a count is a positive integer once,
+in ``model._check_count``; and the test that the ground truth is all zero
+once, in ``MeasurementEnsemble.nonzero_truth``.  Every exception the package
+raises is one that ``cli.main`` maps to an exit code, but for argparse's
+own and ``_min_eig``'s self-check.
 """
 
 import ast
+import builtins
 from itertools import takewhile
 from pathlib import Path
 
 import robustpr
+import robustpr.errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -221,3 +227,137 @@ def test_the_positive_rule_guard_sees_each_spelling():
     others = ["0.0 <= eta < np.inf", "0.0 < rho0 < 1.0", "lo < v < np.inf"]
     assert [any(map(_is_positive_rule, ast.walk(ast.parse(text))))
             for text in rules + others] == [True] * 3 + [False] * 3
+
+
+def _is_count_rule(node) -> bool:
+    """A single ``v < 1`` or ``v >= 1`` (or ``1 > v``, ``1 <= v``): the
+    positive-count rule.  A chained range such as ``1 <= s <= p`` is another."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
+        return False
+
+    def one(side):
+        return (isinstance(side, ast.Constant) and side.value == 1
+                and not isinstance(side.value, bool))
+
+    op = type(node.ops[0])
+    return ((one(node.comparators[0]) and op in (ast.Lt, ast.GtE))
+            or (one(node.left) and op in (ast.Gt, ast.LtE)))
+
+
+def test_one_helper_holds_the_positive_count_rule():
+    # cli._positive_int refuses a flag at parse time and pgm.read_pgm a PGM
+    # header: the usage and file-format refusals of outside input (exit 2, 4)
+    assert _package_owners(_is_count_rule) == {
+        "cli.py": ["_positive_int"],
+        "model.py": ["_check_count"],
+        "pgm.py": ["read_pgm", "read_pgm"],
+    }
+
+
+def test_the_count_rule_guard_sees_each_spelling():
+    rules = ["n < 1", "not (_is_int(v) and v >= 1)", "1 > k", "1 <= len(x)"]
+    others = ["1 <= s <= p", "v < 1.5", "x < True", "value < minimum"]
+    assert [any(map(_is_count_rule, ast.walk(ast.parse(text))))
+            for text in rules + others] == [True] * 4 + [False] * 4
+
+
+def _zero_truth_test(tree):
+    """For a module's tree, the node test of a call to ``any`` or
+    ``count_nonzero`` over a ``.ground_truth`` or a name the module binds to one."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.NamedExpr):
+            pairs = [(node.target, node.value)]
+        elif isinstance(node, ast.Assign):
+            pairs = []
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs += zip(target.elts, node.value.elts)
+                else:
+                    pairs.append((target, node.value))
+        else:
+            continue
+        names.update(t.id for t, v in pairs if isinstance(t, ast.Name)
+                     and getattr(v, "attr", None) == "ground_truth")
+
+    def is_truth(node):
+        return (getattr(node, "attr", None) == "ground_truth"
+                or isinstance(node, ast.Name) and node.id in names)
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name not in ("any", "count_nonzero"):
+            return False
+        operands = node.args or [getattr(func, "value", None)]  # x.any()
+        return any(is_truth(n) for arg in operands for n in ast.walk(arg))
+
+    return match
+
+
+def test_one_property_holds_the_zero_truth_test():
+    owners = {path.name: _owners(path, _zero_truth_test(ast.parse(path.read_text())))
+              for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))}
+    assert {name: found for name, found in owners.items() if found} == {
+        "model.py": ["nonzero_truth"]}
+
+
+def test_the_zero_truth_guard_sees_each_spelling():
+    def seen(text):
+        tree = ast.parse(text)
+        return any(map(_zero_truth_test(tree), ast.walk(tree)))
+
+    rules = ["not np.any(e.ground_truth)", "x = e.ground_truth\nnp.any(x)",
+             "x, t = r.estimate, e.ground_truth\nif not np.any(t): pass",
+             "if (t := e.ground_truth) is None or not t.any(): pass",
+             "np.count_nonzero(e.ground_truth) == 0"]
+    others = ["np.any(x_true)", "t = e.nonzero_truth\nnp.any(t)",
+              "np.all(np.isfinite(e.ground_truth))"]
+    assert [seen(text) for text in rules + others] == [True] * 5 + [False] * 3
+
+
+def test_the_package_has_one_domain_error():
+    tree = ast.parse((ROOT / "src" / "robustpr" / "errors.py").read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
+        "ParseError", "DomainError"]
+
+
+def _handled_by_main() -> tuple:
+    """The exception classes ``cli.main``'s handler catches."""
+    tree = ast.parse((ROOT / "src" / "robustpr" / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handler = next(node for node in ast.walk(main)
+                   if isinstance(node, ast.ExceptHandler))
+    return tuple(getattr(builtins, n.id, None) or getattr(robustpr.errors, n.id)
+                 for n in handler.type.elts)
+
+
+def _raised_class(node) -> str:
+    """The name of the class a ``raise`` statement raises."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None) or getattr(exc, "attr", None)
+
+
+def test_every_raised_exception_has_an_exit_code():
+    handled = _handled_by_main()
+    assert {c.__name__ for c in handled} == {
+        "ValueError", "DomainError", "OSError", "MemoryError"}
+
+    def unmapped(node):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            return False  # a bare raise re-raises what it caught
+        name = _raised_class(node)
+        cls = getattr(builtins, name, None) or getattr(robustpr.errors, name, None)
+        return not (isinstance(cls, type) and issubclass(cls, handled))
+
+    # a flag's type function raises ArgumentTypeError, which argparse turns
+    # into a usage error (exit 2); _min_eig's RuntimeError is a self-check
+    argparse_only = _package_owners(
+        lambda node: unmapped(node) and _raised_class(node) == "ArgumentTypeError")
+    assert list(argparse_only) == ["cli.py"]
+    assert _package_owners(
+        lambda node: unmapped(node) and _raised_class(node) != "ArgumentTypeError"
+    ) == {"diagnostics.py": ["_min_eig"]}

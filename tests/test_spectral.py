@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -133,15 +134,22 @@ def test_phase_indifference():
 
 
 def test_spectral_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^truncation must be a positive integer, got 0$"):
         SpectralConfig(truncation=0)
 
 
 @pytest.mark.parametrize("truncation", [2.5, 3.0, float("nan"), True, "3"])
 def test_spectral_config_rejects_a_non_integer_truncation(truncation):
-    # a count is an int that is not a bool; a float would fail as a slice index
-    with pytest.raises(ValueError, match="truncation must be a positive integer"):
+    # a count is an integer that is not a bool; a float would fail as a slice index
+    message = f"^truncation must be a positive integer, got {re.escape(str(truncation))}$"
+    with pytest.raises(ValueError, match=message):
         SpectralConfig(truncation=truncation)
+
+
+def test_a_numpy_integer_truncation_is_the_same_start():
+    e = synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("none"), 3)
+    np.testing.assert_array_equal(spectral_init(e, SpectralConfig(truncation=np.int64(3))),
+                                  spectral_init(e, SpectralConfig(truncation=3)))
 
 
 QUICK = (128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1))
