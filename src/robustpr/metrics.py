@@ -159,13 +159,13 @@ class ExperimentReport:
                   [(r.n, r.trial, r.seed, *r.summary.values()) for r in self.records])
 
     def write_json(self, path) -> None:
-        doc = {
-            "p": self.spec.p,
-            "s": self.spec.s,
+        doc = {  # int(): a NumPy integer count or seed is not JSON
+            "p": int(self.spec.p),
+            "s": int(self.spec.s),
             "field": self.spec.field.value,
             "noise": str(self.spec.noise),
-            "trials": self.spec.trials,
-            "master_seed": self.spec.master_seed,
+            "trials": int(self.spec.trials),
+            "master_seed": int(self.spec.master_seed),
             "success_threshold": self.spec.success_threshold,
             **settings(self.spec.solver),
             "success_rate": {str(n): rate for n, rate in self.success_rate.items()},

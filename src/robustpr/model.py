@@ -264,14 +264,41 @@ def encode_matrix(a: np.ndarray, field: FieldTag) -> str:
     return binascii.b2a_base64(wire, newline=False).decode("ascii")
 
 
-def decode_matrix(data, field: FieldTag, n: int, p: int) -> np.ndarray:
-    """Inverse of ``encode_matrix``; ParseError naming ``a`` unless ``data`` is
-    the base64 text of exactly n*p entries.
+def _drawn_matrix(p: int, n: int, field: FieldTag, seed: int) -> np.ndarray:
+    """The seed's sampling draw in wire layout (no copy on a little-endian host)."""
+    return np.ascontiguousarray(generate_sampling(p, n, field, seed),
+                                dtype=_wire_dtype(field))
+
+
+def _draw_checksum(e: MeasurementEnsemble) -> int | None:
+    """CRC-32 of the wire bytes of ``e``'s matrix if it is, bit for bit, the
+    draw of its seed; None for any other matrix."""
+    drawn = _drawn_matrix(e.p, e.n, e.field, e.seed)
+    a = np.ascontiguousarray(e.sampling_vectors, dtype=drawn.dtype)
+    # compared as 64-bit words: bit for bit, and a mask 1/8 of the matrix
+    if not np.array_equal(a.view(np.uint64), drawn.view(np.uint64)):
+        return None
+    return binascii.crc32(drawn)
+
+
+def decode_matrix(data, field: FieldTag, n: int, p: int, seed: int) -> np.ndarray:
+    """Inverse of ``serialize_instance``'s ``a``; ParseError naming ``a``
+    unless ``data`` is the base64 text of exactly n*p entries, or exactly
+    ``{"crc32": c}`` with c the CRC-32 of the wire bytes of the seed's draw.
 
     The base64 text is decoded with ``b64decode(validate=True)``'s strictness
     but without its ASCII copy, and dropped before the native copy is made:
     a caller that hands over its only reference holds one payload at a time.
     """
+    if isinstance(data, dict):
+        crc = data["crc32"] if data.keys() == {"crc32"} else None
+        if not _is_int(crc):
+            raise ParseError("malformed field: a")
+        drawn = _drawn_matrix(p, n, field, seed)
+        # a CRC-32 is in [0, 2^32): a value outside it never matches
+        if binascii.crc32(drawn) != crc:
+            raise ParseError("malformed field: a")
+        return drawn.astype(field.dtype, copy=False)
     if not isinstance(data, str):
         raise ParseError("malformed field: a")
     wire = _wire_dtype(field)
@@ -316,10 +343,13 @@ def serialize_instance(e: MeasurementEnsemble) -> str:
     """Render an ensemble as a JSON document (lossless round-trip).
 
     The text is ``json.dumps`` of the document with the keys ``field, p, n,
-    seed, a, b`` and then ``x_true`` and ``eps`` when present.  It is joined
-    from the dumped fields before and after ``a`` around the base64 matrix,
-    which has no character JSON escapes: the same bytes, without an escape
-    scan or a second copy of the payload.
+    seed, a, b`` and then ``x_true`` and ``eps`` when present.  When the
+    matrix is bit for bit ``generate_sampling(p, n, field, seed)``, ``a`` is
+    ``{"crc32": c}``, c the CRC-32 of its little-endian bytes, and the
+    reader draws it again; any other matrix is written as the base64 text of
+    those bytes.  The text is joined from the dumped fields before and after
+    ``a`` around the base64 matrix, which has no character JSON escapes: the
+    same bytes, without an escape scan or a second copy of the payload.
     """
     rest = {"b": encode_vector(e.observations)}
     if e.ground_truth is not None:
@@ -328,8 +358,12 @@ def serialize_instance(e: MeasurementEnsemble) -> str:
         rest["eps"] = encode_vector(e.noise_record)
     head = json.dumps({"field": e.field.value, "p": e.p, "n": e.n, "seed": e.seed})
     tail = json.dumps(rest)
-    a = encode_matrix(e.sampling_vectors, e.field)
-    return "".join((head[:-1], ', "a": "', a, '", ', tail[1:]))
+    crc = _draw_checksum(e)
+    if crc is None:
+        a = ('"', encode_matrix(e.sampling_vectors, e.field), '"')
+    else:
+        a = (json.dumps({"crc32": crc}),)
+    return "".join((head[:-1], ', "a": ', *a, ", ", tail[1:]))
 
 
 def parse_document(text: str, kind: str, keys: tuple[str, ...]) -> dict:
@@ -348,7 +382,13 @@ def parse_document(text: str, kind: str, keys: tuple[str, ...]) -> dict:
 
 
 def deserialize_instance(text: str) -> MeasurementEnsemble:
-    """Parse a JSON instance document; raises ParseError naming the bad key."""
+    """Parse a JSON instance document; raises ParseError naming the bad key.
+
+    A drawn ``a`` (``{"crc32": c}``) is drawn from the header's ``(seed, p,
+    n, field)`` and checked against c, so a NumPy whose normal stream differs
+    from the writer's refuses the file (``malformed field: a``) instead of
+    reading another matrix.
+    """
     doc = parse_document(text, "instance", ("p", "n", "field", "seed", "a", "b"))
     try:
         field = FieldTag(doc["field"])
@@ -356,7 +396,7 @@ def deserialize_instance(text: str) -> MeasurementEnsemble:
         raise ParseError("malformed field: field") from exc
     p, n = _json_int(doc, "p", 1), _json_int(doc, "n", 1)
     seed = _json_int(doc, "seed")
-    a = decode_matrix(doc.pop("a"), field, n, p)
+    a = decode_matrix(doc.pop("a"), field, n, p, seed)
     b = decode_vector(doc["b"], FieldTag.REAL, "b", n)
     x_true = (
         decode_vector(doc["x_true"], field, "x_true", p) if "x_true" in doc else None

@@ -13,6 +13,8 @@ perturbs the streams of existing ones.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -35,14 +37,15 @@ def splitmix64(value: int) -> int:
 
 
 def mix(seed: int, *parts: int) -> int:
-    """Hash ``seed`` with integer ``parts`` into a new 64-bit seed."""
-    h = seed & _MASK64
+    """Hash ``seed`` with integer ``parts`` (NumPy's too) into a new 64-bit seed."""
+    h = operator.index(seed) & _MASK64
     for p in parts:
-        h = splitmix64(h ^ splitmix64(p & _MASK64))
+        h = splitmix64(h ^ splitmix64(operator.index(p) & _MASK64))
     return h
 
 
 def stream(seed: int, tag: int) -> np.random.Generator:
-    """Independent Generator for (seed, tag), backed by Philox4x64."""
-    key = np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
+    """Independent Generator for (seed, tag), backed by Philox4x64; ``seed``
+    is any integer, NumPy's too."""
+    key = np.array([operator.index(seed) & _MASK64, tag & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -1,5 +1,6 @@
 import _pyio
 import argparse
+import base64
 import builtins
 import json
 import os
@@ -70,8 +71,9 @@ def test_gen_full_scale_roundtrip(tmp_path):
     e = deserialize_instance(out.read_text())
     assert e.p == 128 and e.n == 768
     assert np.count_nonzero(e.ground_truth) == 12
-    # 2.06 MB with the matrix as decimal floats; base64 bytes take 1.08 MB
-    assert out.stat().st_size < 1.2e6
+    # 2.06 MB with the matrix as decimal floats, 1.08 MB as base64 bytes;
+    # named by its seed's draw and a checksum, 32 KB
+    assert out.stat().st_size < 64e3
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -162,6 +164,54 @@ def test_solve_malformed_instance_is_parse_error(tmp_path, capsys, fields, key):
     capsys.readouterr()
     assert run("solve", "--instance", str(inst), "--lambda", "1e-4") == 4
     assert f"malformed field: {key}\n" in capsys.readouterr().err
+
+
+DRAWN_TAMPERED = {
+    "crc": lambda doc: {"a": {"crc32": doc["a"]["crc32"] ^ 1}},
+    "seed": lambda doc: {"seed": doc["seed"] + 1},
+    "n": lambda doc: {"n": doc["n"] + 1, "b": doc["b"] + [0.0]},
+    "p": lambda doc: {"p": doc["p"] + 1},
+    "extra-key": lambda doc: {"a": {**doc["a"], "seed": doc["seed"]}},
+    "bool": lambda doc: {"a": {"crc32": True}},
+    "negative": lambda doc: {"a": {"crc32": -1}},
+    "2^32": lambda doc: {"a": {"crc32": 1 << 32}},
+}
+
+
+@pytest.mark.parametrize("change", DRAWN_TAMPERED)
+def test_solve_tampered_drawn_matrix_exits_4(tmp_path, capsys, change):
+    inst, out = tmp_path / "inst.json", tmp_path / "r.json"
+    assert run(*GEN, "--out", str(inst)) == 0
+    doc = json.loads(inst.read_text())
+    assert set(doc["a"]) == {"crc32"}
+    inst.write_text(json.dumps({**doc, **DRAWN_TAMPERED[change](doc)}))
+    capsys.readouterr()
+    assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
+               "--out-result", str(out)) == 4
+    assert capsys.readouterr().err == "error: malformed field: a\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_both_forms_of_the_matrix_give_the_same_output_bytes(tmp_path, field):
+    drawn, written = tmp_path / "drawn.json", tmp_path / "base64.json"
+    assert run("gen", "--p", "16", "--s", "2", "--n", "160", "--field", field,
+               "--noise", "type2:0.1", "--seed", "3", "--out", str(drawn)) == 0
+    doc = json.loads(drawn.read_text())
+    assert set(doc["a"]) == {"crc32"}
+    a = deserialize_instance(drawn.read_text()).sampling_vectors
+    doc["a"] = base64.b64encode(a.astype(a.dtype.newbyteorder("<")).tobytes()).decode()
+    written.write_text(json.dumps(doc) + "\n")
+    outputs = []
+    for inst in (drawn, written):
+        res, trace, cert = (tmp_path / f"{inst.stem}-{name}"
+                            for name in ("res.json", "trace.csv", "cert.json"))
+        assert run("solve", "--instance", str(inst), "--lambda", "1e-3",
+                   "--out-result", str(res), "--out-trace", str(trace)) == 0
+        assert run("diag", "certificate", "--instance", str(inst),
+                   "--solution", str(res), "--lambda", "1e-3", "--out", str(cert)) == 0
+        outputs.append([path.read_bytes() for path in (res, trace, cert)])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("key, index, value", [

@@ -192,6 +192,16 @@ def test_a_numpy_integer_trial_count_runs_the_same_trials():
     assert [r.summary for r in ours] == [r.summary for r in run_experiment(desk_spec()).records]
 
 
+def test_a_report_of_numpy_integer_counts_writes_the_same_json(tmp_path):
+    paths = tmp_path / "numpy.json", tmp_path / "int.json"
+    ints = dict(p=16, s=2, trials=1, master_seed=42)
+    numpy_ints = dict(p=np.int64(16), s=np.int32(2), trials=np.uint8(1),
+                      master_seed=np.uint64(42))
+    for path, counts in zip(paths, (numpy_ints, ints)):
+        run_experiment(desk_spec(**counts)).write_json(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_run_experiment_easy_instance_succeeds():
     report = run_experiment(desk_spec())
     assert report.success_rate[160] == 1.0

@@ -13,8 +13,11 @@ prox-call totals, and a hash of their summaries.  The diagnostics record a
 hash of their report's JSON, its floats at 12 significant digits: the rate
 certificate at the quick and cplx seed-1 solve estimates, the Remark-5
 quantities at the quick one, and the stability estimate of t3 seed 1 from 50
-samples.  A change that moves only bits shows up in the solve, grid and
-experiment hashes even when no count moves.
+samples.  The instance entries record a hash of ``serialize_instance``'s text,
+the file ``gen`` writes less its final newline, for the quick and cplx shapes
+at seed 1, so a change to the instance format or to the random streams shows
+up by name.  A change that moves only bits shows up
+in the solve, grid and experiment hashes even when no count moves.
 
 ``tests/test_work_ledger.py`` recomputes the ledger and names each entry
 that moved.  A change that moves a ledger value regenerates the file, from
@@ -44,6 +47,7 @@ from robustpr import (
     linear_rate_certificate,
     remark5_quantities,
     run_experiment,
+    serialize_instance,
     solve,
     spectral_init,
     synthesize_instance,
@@ -122,6 +126,11 @@ def _diagnostic_entries() -> dict:
     return entries
 
 
+def _instance_entry(shape: str, seed: int) -> dict:
+    e, _ = _instance(shape, seed)
+    return {"hash": _hash(serialize_instance(e).encode())}
+
+
 def _experiment_entry() -> dict:
     summaries = [r.summary for r in run_experiment(EXPERIMENT).records]
     terminations = [s["termination"] for s in summaries]
@@ -134,13 +143,15 @@ def _experiment_entry() -> dict:
 
 def ledger() -> dict:
     """Every entry, keyed 'solve/<shape>/<seed>', 'grid/<shape>/<seed>'
-    (oracle rule), 'grid-holdout/<shape>/<seed>', '<diagnostic>/<shape>/<seed>'
-    or 'experiment/<master seed>'."""
+    (oracle rule), 'grid-holdout/<shape>/<seed>', '<diagnostic>/<shape>/<seed>',
+    'instance/<shape>/<seed>' or 'experiment/<master seed>'."""
     entries = {f"solve/{shape}/{seed}": _solve_entry(shape, seed)
                for shape in SHAPES for seed in SEEDS}
     entries["grid/t3/1"] = _grid_entry("t3", 1, "oracle")
     entries["grid-holdout/t3/1"] = _grid_entry("t3", 1, "holdout")
     entries.update(_diagnostic_entries())
+    entries.update({f"instance/{shape}/1": _instance_entry(shape, 1)
+                    for shape in ("quick", "cplx")})
     entries[f"experiment/{EXPERIMENT.master_seed}"] = _experiment_entry()
     return entries
 
