@@ -34,6 +34,7 @@ from .diagnostics import (
 )
 from .errors import DomainError, ParseError
 from .metrics import (
+    VALIDATION_RULES,
     ExperimentSpec,
     align,
     error_vs_iteration,
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="grid search for lambda on an instance")
     b_lam.add_argument("--grid", type=_comma_list(float), required=True,
                        help="comma list of lambda values")
-    b_lam.add_argument("--rule", choices=("oracle", "holdout"), default="holdout",
+    b_lam.add_argument("--rule", choices=VALIDATION_RULES, default="holdout",
                        help="validation rule")
     b_lam.add_argument("--out-prefix", default=None,
                        help="prefix for the score table CSV and plot script")

@@ -33,13 +33,19 @@ eps_i rescaled to match (see ``_normalized``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import FieldTag, MeasurementEnsemble, _check_count, _check_positive, correlate
+from .model import (
+    FieldTag,
+    MeasurementEnsemble,
+    _check_count,
+    _check_positive,
+    correlate,
+    render_json,
+)
 from .objective import half_norm
 from .rng import TAG_STABILITY, stream
 
@@ -91,7 +97,7 @@ def _masks(v: np.ndarray, alpha: float, rho0: float):
 
 class _Report:
     def to_json(self) -> str:
-        return json.dumps(vars(self))
+        return render_json(vars(self))
 
 
 def _normalized(e: MeasurementEnsemble, alpha: float, rho0: float, what: str):
@@ -383,10 +389,8 @@ def linear_rate_certificate(
     x, support = _solution(x_star, e)
     real = e.field is FieldTag.REAL
     reg_coef = 0.75 if real else 1.5
-    try:
-        rhs_reg = reg_coef * lam * float(np.min(np.abs(x[support]))) ** (-1.5)
-    except OverflowError:  # min |x_S| ** -1.5 beyond the float range
-        rhs_reg = np.inf
+    with np.errstate(over="ignore"):  # an overflow is the inf refused below
+        rhs_reg = float(reg_coef * lam * np.min(np.abs(x[support])) ** -1.5)
     if not np.isfinite(rhs_reg):
         raise ValueError(
             "regularizer term overflows: the solution's smallest nonzero entry "

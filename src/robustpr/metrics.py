@@ -227,6 +227,9 @@ def _sub_ensemble(e: MeasurementEnsemble, idx: np.ndarray) -> MeasurementEnsembl
                                seed=e.seed)
 
 
+VALIDATION_RULES = ("oracle", "holdout")  # lambda_grid_search's rules
+
+
 def lambda_grid_search(
     e: MeasurementEnsemble,
     cfg_base: SolverConfig,
@@ -258,7 +261,7 @@ def lambda_grid_search(
     grid.sort()
     if not grid or len(set(grid)) < len(grid):
         raise ValueError("lambda grid must be nonempty and free of repeats")
-    if validation_rule not in ("oracle", "holdout"):
+    if validation_rule not in VALIDATION_RULES:
         raise ValueError(f"unknown validation rule: {validation_rule!r}")
     if validation_rule == "holdout":
         if e.n < 2:

@@ -342,7 +342,7 @@ def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:
 def serialize_instance(e: MeasurementEnsemble) -> str:
     """Render an ensemble as a JSON document (lossless round-trip).
 
-    The text is ``json.dumps`` of the document with the keys ``field, p, n,
+    The text is ``render_json`` of the document with the keys ``field, p, n,
     seed, a, b`` and then ``x_true`` and ``eps`` when present.  When the
     matrix is bit for bit ``generate_sampling(p, n, field, seed)``, ``a`` is
     ``{"crc32": c}``, c the CRC-32 of its little-endian bytes, and the
@@ -356,13 +356,13 @@ def serialize_instance(e: MeasurementEnsemble) -> str:
         rest["x_true"] = encode_vector(e.ground_truth)
     if e.noise_record is not None:
         rest["eps"] = encode_vector(e.noise_record)
-    head = json.dumps({"field": e.field.value, "p": e.p, "n": e.n, "seed": e.seed})
-    tail = json.dumps(rest)
+    head = render_json({"field": e.field.value, "p": e.p, "n": e.n, "seed": e.seed})
+    tail = render_json(rest)
     crc = _draw_checksum(e)
     if crc is None:
         a = ('"', encode_matrix(e.sampling_vectors, e.field), '"')
     else:
-        a = (json.dumps({"crc32": crc}),)
+        a = (render_json({"crc32": crc}),)
     return "".join((head[:-1], ', "a": ', *a, ", ", tail[1:]))
 
 
@@ -424,9 +424,18 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def render_json(doc, indented: bool = False) -> str:
+    """``doc`` as strict JSON, the package's one ``json.dumps``: compact or
+    indented by two spaces; a ``NaN`` or an infinity in it raises ValueError."""
+    return json.dumps(doc, indent=2 if indented else None, allow_nan=False)
+
+
 def write_json(path, doc) -> None:
-    """Write ``doc`` as JSON indented by two spaces, ending in LF."""
-    write_text(path, json.dumps(doc, indent=2) + "\n")
+    """Write ``doc`` as strict JSON indented by two spaces, ending in LF.
+
+    ``doc`` is rendered before the file is opened, so a ``NaN`` or an
+    infinity raises ValueError and leaves no file."""
+    write_text(path, render_json(doc, indented=True) + "\n")
 
 
 def write_csv(path, header, rows) -> None:

@@ -10,6 +10,8 @@ import numpy as np
 from .errors import ParseError
 from .model import _is_int
 
+MAXVALS = range(1, 65536)  # the maxval a PGM header may give
+
 
 @dataclass(eq=False)
 class GrayImage:
@@ -18,8 +20,9 @@ class GrayImage:
 
     def __post_init__(self):
         # the range read_pgm accepts, so every image writes a readable file
-        if not (_is_int(self.maxval) and 1 <= self.maxval <= 65535):
-            raise ValueError("maxval must be an integer in 1..65535")
+        if not (_is_int(self.maxval) and int(self.maxval) in MAXVALS):
+            raise ValueError(
+                f"maxval must be an integer in {MAXVALS[0]}..{MAXVALS[-1]}")
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.size == 0:
             raise ValueError("pixels must be a nonempty (height, width) array")
@@ -65,7 +68,7 @@ def read_pgm(path) -> GrayImage:
         width, height, maxval = int(w), int(h), int(mv)
     except ValueError:
         raise ParseError("malformed PGM header") from None
-    if width < 1 or height < 1 or not 0 < maxval < 65536:
+    if width < 1 or height < 1 or maxval not in MAXVALS:
         raise ParseError("PGM header out of range")
     count = width * height
     if magic == b"P2":

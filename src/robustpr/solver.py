@@ -19,7 +19,8 @@ Re<s, y> <= 0, starts at gamma.  Every accepted tau lies in (0, gamma] and
 passes the same sufficient-decrease test, which is all the convergence
 argument needs.  The accepted objective value is cached
 and carried forward, so the recorded descent inequality is exact in floating
-point.  Terminates when the step norm drops below eps * max(1, ||x||).
+point.  Terminates when the relative step ||x+ - x|| / max(1, ||x||) is at
+most eps: the residual the trace records for x, as both read ``_relative_step``.
 A zero step (0 >= delta * 0) ends the run Converged only if x's fixed-point
 residual at tau = gamma, one more prox, is at most eps; otherwise the run
 ends LineSearchFailed and the zero step gets no row.
@@ -122,7 +123,13 @@ def fixed_point_residual(
 def _residual(x, gx, lam, tau, x_norm) -> float:
     """fixed_point_residual of x, given gx = g(x) and x_norm = ||x||."""
     step = _half_threshold(x - 2.0 * tau * gx, 2.0 * lam * tau) - x
-    return _norm(step) / max(1.0, x_norm)
+    return _relative_step(_norm(step), x_norm)
+
+
+def _relative_step(step_norm: float, x_norm: float) -> float:
+    """||step|| / max(1, ||x||): what the stop test compares with eps and
+    what every fixed-point residual records."""
+    return step_norm / max(1.0, x_norm)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -179,9 +186,10 @@ def solve(
             break
 
         step_norm = _norm(step)
+        relative = _relative_step(step_norm, x_norm)
         if rows:  # the residual of x at tau, the step just taken from it
-            rows[-1] += (step_norm / max(1.0, x_norm),)
-        converged = step_norm <= eps * max(1.0, x_norm)
+            rows[-1] += (relative,)
+        converged = relative <= eps
         g_new = _adjoint(e, c, d)
         y = g_new - g_x
         curvature = float(np.vdot(step, y).real)

@@ -8,7 +8,7 @@ import re
 import reprlib
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -712,6 +712,22 @@ def test_diag_certificate_pipeline(tmp_path):
     assert doc["passed"] is True
 
 
+def test_a_report_with_a_nan_exits_2_and_writes_no_file(tmp_path, monkeypatch,
+                                                        capsys):
+    def nan_certificate(*args):
+        report = linear_rate_certificate(*args)
+        return replace(report, rhs_boundary_norms=np.nan)
+
+    monkeypatch.setattr(cli, "linear_rate_certificate", nan_certificate)
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    assert run(*DIAG_INSTANCE, "--out", str(inst)) == 0
+    capsys.readouterr()
+    assert run("diag", "certificate", "--instance", str(inst), "--use-truth",
+               "--lambda", "1e-3", "--out", str(cert)) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not cert.exists()
+
+
 def test_diag_remark5_missing_record(tmp_path):
     inst = tmp_path / "inst.json"
     assert run(*GEN, "--out", str(inst)) == 0
@@ -1102,6 +1118,46 @@ def test_module_entry_point_reads_sys_argv(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "seed=4 -> inst.json" in proc.stdout
     assert deserialize_instance((tmp_path / "inst.json").read_text()).seed == 4
+
+
+# Each argument is one command line, run in order by one interpreter.
+CLI_SEQUENCE = """
+import sys
+from robustpr.cli import main
+for line in sys.argv[1:]:
+    if main(line.split()) != 0:
+        sys.exit(f"exit code not 0: {line}")
+"""
+
+
+def test_cli_round_trip_opens_no_text_in_the_locale_encoding(tmp_path):
+    # EncodingWarning marks a text open or decode that falls back to the
+    # locale's encoding; -W error makes each one fatal, wherever it runs
+    (tmp_path / "conf.txt").write_text("instance = inst.json\nlambda = 1e-3\n",
+                                       encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    lines = [
+        " ".join(DIAG_INSTANCE + ["--out", "inst.json"]),
+        "solve --instance inst.json --lambda 1e-3 --out-result res.json "
+        "--out-trace trace.csv",
+        "diag certificate --instance inst.json --solution res.json "
+        "--lambda 1e-3 --out cert.json",
+        "--config conf.txt solve --out-result config.json",
+        "bench lambda-grid --instance inst.json --grid 1e-3,1e-2 --rule oracle "
+        "--out-prefix grid",
+    ]
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-c", CLI_SEQUENCE,
+                           *lines], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outputs = ("inst.json", "res.json", "trace.csv", "cert.json", "grid.csv",
+               "grid.gp")
+    assert all((tmp_path / name).stat().st_size for name in outputs)
+    assert ((tmp_path / "config.json").read_bytes()
+            == (tmp_path / "res.json").read_bytes())
 
 
 @pytest.mark.parametrize("argv", [

@@ -610,6 +610,14 @@ def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_report_with_a_non_finite_number_is_not_json(value):
+    e, result = converged_real_solution()
+    report = linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dataclasses.replace(report, lhs_min_eig=value).to_json()
+
+
 def test_reports_dump_their_fields_as_asdict_would():
     e, result = converged_real_solution()
     c, cresult = converged_complex_solution(p=16, s=2, n=160)

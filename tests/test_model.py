@@ -25,7 +25,14 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr.errors import ParseError
-from robustpr.model import NOISE_KINDS, _check_count, correlate, decode_vector
+from robustpr.model import (
+    NOISE_KINDS,
+    _check_count,
+    correlate,
+    decode_vector,
+    render_json,
+    write_json,
+)
 
 
 def test_generate_signal_sparsity_large_instance():
@@ -284,6 +291,17 @@ def test_serialize_is_json_dumps_of_the_document(field, optional):
     assert serialize_instance(e) == _dumped(e, drawn=True)
     e = _nudged(e)  # not its seed's draw: the base64 form
     assert serialize_instance(e) == _dumped(e)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_json_refuses_a_non_finite_number_and_leaves_no_file(tmp_path, value):
+    path = tmp_path / "doc.json"
+    doc = {"ok": 1.5, "nested": {"bad": [0.0, np.float64(value)]}}
+    for render in (render_json, lambda d: render_json(d, indented=True),
+                   lambda d: write_json(path, d)):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render(doc)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _peak(f, arg):

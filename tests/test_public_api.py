@@ -20,7 +20,10 @@ positive, ``0.0 < v < np.inf``, is written once, in
 in ``model._check_count``; and the test that the ground truth is all zero
 once, in ``MeasurementEnsemble.nonzero_truth``.  Every exception the package
 raises is one that ``cli.main`` maps to an exit code, but for argparse's
-own and ``_min_eig``'s self-check.
+own and ``_min_eig``'s self-check.  Only ``model`` imports ``json``, so every
+JSON text is rendered, strict, by ``model.render_json``; and the solver's
+relative floor ``max(1, ||x||)`` is written once, in
+``solver._relative_step``, which the stop test and every residual read.
 """
 
 import ast
@@ -361,3 +364,46 @@ def test_every_raised_exception_has_an_exit_code():
     assert _package_owners(
         lambda node: unmapped(node) and _raised_class(node) != "ArgumentTypeError"
     ) == {"diagnostics.py": ["_min_eig"]}
+
+
+def _imports_json(tree) -> bool:
+    """Whether a module's tree imports ``json`` or a name from it."""
+    return any(
+        (isinstance(node, ast.Import)
+         and any(alias.name.split(".")[0] == "json" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "json")
+        for node in ast.walk(tree))
+
+
+def test_only_model_imports_json():
+    assert [path.name for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))
+            if _imports_json(ast.parse(path.read_text()))] == ["model.py"]
+
+
+def test_the_json_import_guard_sees_each_spelling():
+    imports = ["import json", "from json import dumps", "import json.decoder",
+               "def f():\n    import json as j"]
+    others = ["from .model import render_json", "import jsonschema",
+              "x = json.dumps({})"]
+    assert [_imports_json(ast.parse(text)) for text in imports + others] == [
+        True] * 4 + [False] * 3
+
+
+def _is_unit_floor(node) -> bool:
+    """A call ``max(1, v)`` or ``max(v, 1.0)``: the floor of a relative size."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max"
+            and any(isinstance(arg, ast.Constant) and type(arg.value) in (int, float)
+                    and arg.value == 1 for arg in node.args))
+
+
+def test_one_function_holds_the_solver_relative_floor():
+    solver = ROOT / "src" / "robustpr" / "solver.py"
+    assert _owners(solver, _is_unit_floor) == ["_relative_step"]
+
+
+def test_the_relative_floor_guard_sees_each_spelling():
+    floors = ["max(1.0, x_norm)", "max(x_norm, 1)", "s / max(1, _norm(x))"]
+    others = ["max(x, y)", "max(2.0, v)", "max(True, v)", "min(1.0, v)"]
+    assert [any(map(_is_unit_floor, ast.walk(ast.parse(text))))
+            for text in floors + others] == [True] * 3 + [False] * 4
