@@ -47,6 +47,8 @@ from .metrics import relative_error  # unused here; benchmarks/tracing.py binds 
 from .model import (
     FieldTag,
     NoiseSpec,
+    _check_count,
+    _check_nonnegative,
     decode_vector,
     deserialize_instance,
     encode_vector,
@@ -66,16 +68,22 @@ from .spectral import spectral_init
 
 
 def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    try:
+        value = int(text)
+        _check_count(value=value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}") from None
     return value
 
 
 def _nonnegative_float(text):
-    value = float(text)
-    if not 0.0 <= value < np.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    try:
+        value = float(text)
+        _check_nonnegative(value=value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite nonnegative number, got {text!r}") from None
     return value
 
 
@@ -84,7 +92,11 @@ def _comma_list(convert):
         items = [tok for tok in text.split(",") if tok.strip()]
         if not items:
             raise argparse.ArgumentTypeError("list flag must contain at least one value")
-        values = [convert(tok) for tok in items]
+        try:
+            values = [convert(tok) for tok in items]
+        except ValueError:  # float's own refusal; the others raise ArgumentTypeError
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of numbers, got {text!r}") from None
         if len(set(values)) < len(values):
             raise argparse.ArgumentTypeError("list flag repeats a value")
         return values
@@ -449,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b_rate = bench.add_parser("success-rate", parents=[synthetic, dimension, trials],
                               help="success rate versus n/p")
-    b_rate.add_argument("--grid", type=_comma_list(int), required=True,
+    b_rate.add_argument("--grid", type=_comma_list(_positive_int), required=True,
                         help="comma list of n/p multipliers, e.g. 2,4,6,8")
     b_rate.set_defaults(func=_bench_success_rate)
 
@@ -469,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b_con = bench.add_parser("consistency", parents=[synthetic, ratio, trials],
                              help="error versus n at fixed n/p")
-    b_con.add_argument("--p-grid", type=_comma_list(int), required=True,
+    b_con.add_argument("--p-grid", type=_comma_list(_positive_int), required=True,
                        help="comma list of signal dimensions")
     b_con.set_defaults(func=_bench_consistency)
 

@@ -22,6 +22,10 @@ Three groups of checks:
 * ``remark5_quantities`` -- the noise-weighted spectral norms that explain
   when the certificate is expected to hold.
 
+Every |<a_i, x>|^2 and |a_ij|^2 is ``model._squared_modulus``, the square
+``model.measure`` makes b with, so at a noiseless truth each residual is
+exactly 0 and the certificate's boundary band is empty.
+
 Each smallest eigenvalue comes from ``eigvalsh`` and is checked by an inertia
 bracket of two Cholesky factorizations (see ``_min_eig``).  All three split the
 measurements into inliers and a boundary band by ``_masks`` at one rho0.
@@ -43,6 +47,7 @@ from .model import (
     MeasurementEnsemble,
     _check_count,
     _check_positive,
+    _squared_modulus,
     correlate,
     render_json,
 )
@@ -292,9 +297,9 @@ def _gram(a: np.ndarray, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _real_terms(a_s, c, inliers, e):
     """Restricted curvature M over the inliers and per-row norms, real field."""
-    weights = (3.0 * c**2 - e.observations) / e.n
+    weights = (3.0 * _squared_modulus(c) - e.observations) / e.n
     m = _gram(a_s, weights, inliers)
-    norms = np.abs(weights) * np.sum(a_s**2, axis=1)
+    norms = np.abs(weights) * np.sum(_squared_modulus(a_s), axis=1)
     return m, norms
 
 
@@ -332,14 +337,14 @@ def _complex_terms(a, support, c, r, inliers, e):
         blk, c_b, r_b = a[rows][:, support], c[rows], r[rows]
         # Restricted H_i has rank <= 2 with eigenvalues (rho^2/n)*{2|c|^2 + r, r},
         # rho^2 = sum_{j in support} |a_ij|^2.
-        rho_sq = np.sum(np.abs(blk) ** 2, axis=1)
-        eig_a = np.abs(2.0 * np.abs(c_b) ** 2 + r_b)
-        eig_b = np.abs(r_b)
-        norms[rows] = rho_sq * np.maximum(eig_a, eig_b) / e.n
+        rho_sq = np.sum(_squared_modulus(blk), axis=1)
+        c_sq = _squared_modulus(c_b)
+        eig_a = np.abs(2.0 * c_sq + r_b)
+        norms[rows] = rho_sq * np.maximum(eig_a, np.abs(r_b)) / e.n
         keep = inliers[rows]
         blk_in, c_in = blk[keep], c_b[keep]
         weighted = np.conjugate(blk_in)
-        weighted *= (r_b[keep] + np.abs(c_in) ** 2)[:, None]
+        weighted *= (r_b[keep] + c_sq[keep])[:, None]
         herm += blk_in.T @ weighted
         np.multiply(blk_in, (c_in**2)[:, None], out=weighted)
         sym += blk_in.T @ weighted
@@ -398,7 +403,7 @@ def linear_rate_certificate(
         )
     with np.errstate(over="ignore", invalid="ignore"):
         c = correlate(e.sampling_vectors, x)
-        r = np.abs(c) ** 2 - e.observations
+        r = _squared_modulus(c) - e.observations
         inliers, boundary = _masks(r, alpha, rho0)
         if real:
             m, norms = _real_terms(e.sampling_vectors[:, support], c, inliers, e)
@@ -467,7 +472,7 @@ def remark5_quantities(
 
     with np.errstate(over="ignore", invalid="ignore"):
         c = a_hat @ x
-        quad_m = _gram(a_g, 2.0 * c**2, inliers) / e.n
+        quad_m = _gram(a_g, 2.0 * _squared_modulus(c), inliers) / e.n
     if not np.all(np.isfinite(quad_m)):
         raise ValueError("solution overflows the inlier quadratic term")
     return Remark5Report(

@@ -46,6 +46,13 @@ def correlate(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x.conj()).conj()
 
 
+def _squared_modulus(v: np.ndarray) -> np.ndarray:
+    """|v|^2 entrywise, bit for bit ``np.abs(v) ** 2``: the package's one square
+    of a correlation or a sampling-matrix entry, so F is 0 at a noiseless truth."""
+    m = np.abs(v) if v.dtype.kind == "c" else v
+    return m * m
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """One of the corruption models with its intensity eta.
@@ -64,18 +71,20 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if not 0.0 <= self.eta < np.inf:  # also rejects NaN
-            raise ValueError("noise intensity eta must be finite and nonnegative")
+        _check_nonnegative(eta=self.eta)
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
         """Parse 'none' or 'kind:eta' (e.g. 'type2:0.1')."""
         if text == "none":
             return cls("none", 0.0)
-        kind, sep, eta = text.partition(":")
-        if not sep:
-            raise ValueError(f"noise spec must look like 'kind:eta', got {text!r}")
-        return cls(kind, float(eta))
+        kind, _, eta = text.partition(":")
+        try:
+            value = float(eta)  # without a ':', eta is '', which float refuses
+        except ValueError:
+            raise ValueError(
+                f"noise spec must look like 'kind:eta', got {text!r}") from None
+        return cls(kind, value)
 
     def __str__(self):
         return self.kind if self.kind == "none" else f"{self.kind}:{self.eta:g}"
@@ -117,7 +126,7 @@ class MeasurementEnsemble:
         if not all(np.all(np.isfinite(v)) for v in arrays):
             raise ValueError("ensemble contains non-finite entries")
         if self.ground_truth is not None and self.noise_record is not None:
-            clean = np.abs(correlate(a, self.ground_truth)) ** 2
+            clean = _squared_modulus(correlate(a, self.ground_truth))
             gap = np.max(np.abs(b - clean - self.noise_record))
             if gap > 1e-12 * (1.0 + np.max(b, initial=0.0)):
                 raise ValueError(
@@ -219,7 +228,7 @@ def measure(
 ) -> MeasurementEnsemble:
     """Sample n measurements of a known signal and corrupt them per ``spec``."""
     a = generate_sampling(x_true.shape[0], n, field_of(x_true), seed)
-    clean_b = np.abs(correlate(a, x_true)) ** 2
+    clean_b = _squared_modulus(correlate(a, x_true))
     b, eps = apply_noise(clean_b, x_true, spec, seed)
     return MeasurementEnsemble(a, b, ground_truth=x_true, noise_record=eps, seed=seed)
 
@@ -322,6 +331,13 @@ def _check_positive(**values: float) -> None:
     for name, value in values.items():
         if not 0.0 < value < np.inf:  # also rejects NaN
             raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_nonnegative(**values: float) -> None:
+    """ValueError naming the first of ``values`` that is not finite and nonnegative."""
+    for name, value in values.items():
+        if not 0.0 <= value < np.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def _check_count(**values: int) -> None:

@@ -7,14 +7,16 @@ The objective being minimized is
 where h_alpha is quadratic on [-alpha, alpha] and linear outside, and the
 modulus in the regularizer is the complex modulus (|Re|^(1/2) + |Im|^(1/2)
 would define a different, non-equivalent problem).  F, g and each Armijo
-trial of the solver go through one evaluation core, ``_evaluate``.
+trial of the solver go through one evaluation core, ``_evaluate``.  It
+squares <a_i, x> with ``model._squared_modulus``, as ``model.measure`` does
+to make b, so F is exactly 0 at a noiseless truth.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import MeasurementEnsemble, _check_positive, correlate
+from .model import MeasurementEnsemble, _check_positive, _squared_modulus, correlate
 
 
 def huber_deriv(u, alpha: float):
@@ -37,10 +39,7 @@ def _evaluate(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float):
     the value is the loss alone.
     """
     c = correlate(e.sampling_vectors, x)
-    # c*c is np.abs(c)**2 bit for bit on reals; a complex c keeps the form
-    # model.measure builds b with, so r is exactly 0 at a noiseless truth
-    m = np.abs(c) if c.dtype.kind == "c" else c
-    r = m * m
+    r = _squared_modulus(c)
     r -= e.observations
     d = huber_deriv(r, alpha)
     value = float((d.dot(r) - 0.5 * d.dot(d)) / e.n)

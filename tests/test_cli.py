@@ -1,5 +1,6 @@
 import _pyio
 import argparse
+import ast
 import base64
 import builtins
 import json
@@ -764,6 +765,72 @@ def test_unknown_field_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "argument --field: field must be 'real' or 'complex', got 'quaternion'")
     assert not (tmp_path / "inst.json").exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["gen", "--p", "1.5"],
+     "robustpr gen: error: argument --p: must be a positive integer, got '1.5'"),
+    (["bench", "success-rate", "--grid", "2,x"],
+     "robustpr bench success-rate: error: argument --grid: "
+     "must be a positive integer, got 'x'"),
+    # an integer list item is refused by its flag, not later by the library
+    (["bench", "success-rate", "--grid", "0,2"],
+     "robustpr bench success-rate: error: argument --grid: "
+     "must be a positive integer, got '0'"),
+    (["bench", "consistency", "--p-grid", "0,2"],
+     "robustpr bench consistency: error: argument --p-grid: "
+     "must be a positive integer, got '0'"),
+    (["bench", "lambda-grid", "--grid", "1e-3,x"],
+     "robustpr bench lambda-grid: error: argument --grid: "
+     "expected a comma list of numbers, got '1e-3,x'"),
+    (["image", "--threshold", "abc"],
+     "robustpr image: error: argument --threshold: "
+     "must be a finite nonnegative number, got 'abc'"),
+    (["gen", "--noise", "type2:"],
+     "robustpr gen: error: argument --noise: "
+     "noise spec must look like 'kind:eta', got 'type2:'"),
+])
+def test_a_malformed_flag_value_says_what_was_expected(capsys, argv, line):
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
+def _command_parsers(parser, words=()):
+    """(command words, parser) for a parser and every command parser under it."""
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_parsers(sub, (*words, name))
+
+
+def test_every_typed_flag_refuses_a_malformed_token_naming_the_flag(capsys):
+    # a message names no function of cli (a converter such as _positive_int
+    # or comma_list) and carries no Python conversion error text
+    functions = {node.name for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                 if isinstance(node, ast.FunctionDef)}
+    typed, refused, leaks = set(), set(), []
+    for words, parser in _command_parsers(cli.build_parser()):
+        for action in parser._actions:
+            if action.type is None:
+                continue
+            flag = action.option_strings[0]
+            typed.add(flag)
+            for token in ("abc", "", "1.5", "2,x", "type2:", "0"):
+                try:
+                    action.type(token)
+                    continue  # a well-formed token for this flag
+                except (ValueError, argparse.ArgumentTypeError):
+                    pass
+                assert run(*words, f"{flag}={token}") == 2
+                last = capsys.readouterr().err.splitlines()[-1]
+                refused.add(flag)
+                prefix = f"robustpr {' '.join(words)}: error: argument {flag}: "
+                if (not last.startswith(prefix) or set(re.findall(r"\w+", last)) & functions
+                        or re.search("could not convert|invalid literal", last)):
+                    leaks.append(last)
+    assert leaks == []
+    assert refused == typed and {"--p", "--grid", "--noise", "--threshold"} <= typed
 
 
 def test_diag_use_truth_needs_a_ground_truth(tmp_path, capsys):

@@ -145,8 +145,15 @@ def test_apply_noise_gaussian_scale():
 
 
 def test_noise_spec_rejects_negative_eta():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^eta must be finite and nonnegative, got -0.5$"):
         NoiseSpec("type1", -0.5)
+
+
+@pytest.mark.parametrize("text", ["type2:", "type2", "type2:abc", "1.5"])
+def test_noise_spec_parse_names_a_malformed_spec(text):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"noise spec must look like 'kind:eta', got {text!r}") + "$"):
+        NoiseSpec.parse(text)
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])

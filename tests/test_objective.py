@@ -9,6 +9,7 @@ from robustpr import (
     g,
     half_norm,
     huber_deriv,
+    linear_rate_certificate,
     loss,
     objective,
     synthesize_instance,
@@ -97,11 +98,18 @@ def test_half_norm_modulus_not_parts():
         assert parts > np.sqrt(abs(v))
 
 
-def test_loss_zero_at_truth_noiseless():
-    # exactly 0 in both fields: r squares c as model.measure squared it
-    for field in (FieldTag.REAL, FieldTag.COMPLEX):
-        e = synthesize_instance(8, 2, 32, field, NoiseSpec("none"), 1)
-        assert loss(e.ground_truth, e, ALPHA) == 0.0
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("p, s, n", [(8, 2, 32), (16, 3, 96), (5, 5, 40)])
+@pytest.mark.parametrize("field", list(FieldTag), ids=lambda f: f.value)
+def test_loss_zero_at_truth_noiseless(field, p, s, n, seed):
+    # every residual is exactly 0: b and r square <a_i, x> in one function,
+    # model._squared_modulus, so the loss, g and the boundary band vanish
+    e = synthesize_instance(p, s, n, field, NoiseSpec("none"), seed)
+    x = e.ground_truth
+    assert loss(x, e, ALPHA) == 0.0
+    assert np.all(g(x, e, ALPHA) == 0.0)
+    cert = linear_rate_certificate(x, e, 1e-3, ALPHA)
+    assert (cert.rhs_boundary_norms, cert.n_boundary) == (0.0, 0)
 
 
 def test_loss_constant_observations():

@@ -14,11 +14,16 @@ untruncated start.
 Outside ``diagnostics``, whose checks multiply their own restricted and
 rescaled copies, the package's one ``@`` forward product is
 ``model.correlate`` and its one ``@`` adjoint product is
-``gradient._adjoint``.  And the rule that a parameter is finite and
-positive, ``0.0 < v < np.inf``, is written once, in
-``model._check_positive``; the rule that a count is a positive integer once,
-in ``model._check_count``; and the test that the ground truth is all zero
-once, in ``MeasurementEnsemble.nonzero_truth``.  Every exception the package
+``gradient._adjoint``.  Every square of a correlation or of a
+sampling-matrix entry in the forward model (``model.measure``, the
+ensemble's consistency check, ``objective._evaluate`` and the diagnostics'
+residual and curvature terms) is ``model._squared_modulus``.  And the rule
+that a parameter is finite and positive, ``0.0 < v < np.inf``, is written
+once, in ``model._check_positive``; that it is finite and nonnegative,
+``0.0 <= v < np.inf``, once, in ``model._check_nonnegative``; the rule that
+a count is a positive integer once, in ``model._check_count``; and the test
+that the ground truth is all zero once, in
+``MeasurementEnsemble.nonzero_truth``.  Every exception the package
 raises is one that ``cli.main`` maps to an exit code, but for argparse's
 own and ``_min_eig``'s self-check.  Only ``model`` imports ``json``, so every
 JSON text is rendered, strict, by ``model.render_json``; and the solver's
@@ -197,15 +202,23 @@ def _is_matmul(node) -> bool:
         node.op, ast.MatMult)
 
 
-def _is_positive_rule(node) -> bool:
-    """A chained ``0 < v < inf`` (``0.0 < v < np.inf``, say): the finite and
-    positive rule.  ``0 <= v < inf``, the nonnegative rule, is another."""
-    if not (isinstance(node, ast.Compare)
-            and [type(op) for op in node.ops] == [ast.Lt, ast.Lt]):
-        return False
-    low, high = node.left, node.comparators[-1]
-    return (isinstance(low, ast.Constant) and low.value == 0
-            and getattr(high, "attr", getattr(high, "id", None)) == "inf")
+def _finite_rule(low_op):
+    """The test of a chained ``0 <low_op> v < inf``: ``<`` matches the finite
+    and positive rule (``0.0 < v < np.inf``, say), ``<=`` the finite and
+    nonnegative one (``0.0 <= v < np.inf``)."""
+    def match(node) -> bool:
+        if not (isinstance(node, ast.Compare)
+                and [type(op) for op in node.ops] == [low_op, ast.Lt]):
+            return False
+        low, high = node.left, node.comparators[-1]
+        return (isinstance(low, ast.Constant) and low.value == 0
+                and getattr(high, "attr", getattr(high, "id", None)) == "inf")
+
+    return match
+
+
+_is_positive_rule = _finite_rule(ast.Lt)
+_is_nonnegative_rule = _finite_rule(ast.LtE)
 
 
 def _package_owners(match) -> dict:
@@ -232,6 +245,17 @@ def test_the_positive_rule_guard_sees_each_spelling():
             for text in rules + others] == [True] * 3 + [False] * 3
 
 
+def test_one_helper_holds_the_nonnegative_parameter_rule():
+    assert _package_owners(_is_nonnegative_rule) == {"model.py": ["_check_nonnegative"]}
+
+
+def test_the_nonnegative_rule_guard_sees_each_spelling():
+    rules = ["0.0 <= eta < np.inf", "0 <= t < inf", "not 0.0 <= v < math.inf"]
+    others = ["0.0 < lam < np.inf", "0.0 <= rho0 < 1.0", "lo <= v < np.inf"]
+    assert [any(map(_is_nonnegative_rule, ast.walk(ast.parse(text))))
+            for text in rules + others] == [True] * 3 + [False] * 3
+
+
 def _is_count_rule(node) -> bool:
     """A single ``v < 1`` or ``v >= 1`` (or ``1 > v``, ``1 <= v``): the
     positive-count rule.  A chained range such as ``1 <= s <= p`` is another."""
@@ -248,10 +272,8 @@ def _is_count_rule(node) -> bool:
 
 
 def test_one_helper_holds_the_positive_count_rule():
-    # cli._positive_int refuses a flag at parse time and pgm.read_pgm a PGM
-    # header: the usage and file-format refusals of outside input (exit 2, 4)
+    # pgm.read_pgm refuses a PGM header: a file-format refusal (exit 4)
     assert _package_owners(_is_count_rule) == {
-        "cli.py": ["_positive_int"],
         "model.py": ["_check_count"],
         "pgm.py": ["read_pgm", "read_pgm"],
     }
@@ -407,3 +429,64 @@ def test_the_relative_floor_guard_sees_each_spelling():
     others = ["max(x, y)", "max(2.0, v)", "max(True, v)", "min(1.0, v)"]
     assert [any(map(_is_unit_floor, ast.walk(ast.parse(text))))
             for text in floors + others] == [True] * 3 + [False] * 4
+
+
+# The functions that square a correlation <a_i, x> or a sampling-matrix
+# entry, by module and qualified name: each calls model._squared_modulus.
+FORWARD_MODEL = {
+    "model.py": ["measure", "MeasurementEnsemble.__post_init__"],
+    "objective.py": ["_evaluate"],
+    "diagnostics.py": ["_real_terms", "_complex_terms", "linear_rate_certificate",
+                       "remark5_quantities"],
+}
+
+
+def _is_inline_square(node) -> bool:
+    """``v ** 2``, ``v * v`` (``m * m`` with ``m = np.abs(c)``, say),
+    ``np.square(v)`` or ``np.power(v, 2)``; not ``c_in**2``, the complex
+    square c^2 of the certificate's ``sym`` weight, which is no modulus."""
+    def two(side):
+        return isinstance(side, ast.Constant) and side.value == 2
+
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return two(node.right) and getattr(node.left, "id", None) != "c_in"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return ast.dump(node.left) == ast.dump(node.right)
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name == "square" or (name == "power" and len(node.args) == 2
+                                        and two(node.args[1]))
+    return False
+
+
+def _function(tree, qualname: str):
+    """The definition of ``qualname`` (``Class.method``, say) in a module's tree."""
+    node = tree
+    for name in qualname.split("."):
+        node = next(child for child in node.body
+                    if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                    and child.name == name)
+    return node
+
+
+def test_one_function_squares_every_correlation():
+    squares, callers = [], []
+    for module, names in FORWARD_MODEL.items():
+        tree = ast.parse((ROOT / "src" / "robustpr" / module).read_text())
+        for qualname in names:
+            fn = _function(tree, qualname)
+            squares += [f"{module}:{node.lineno}" for node in ast.walk(fn)
+                        if _is_inline_square(node)]
+            if not any(getattr(node, "id", None) == "_squared_modulus"
+                       for node in ast.walk(fn)):
+                callers.append(qualname)
+    assert (squares, callers) == ([], [])
+
+
+def test_the_square_guard_sees_each_spelling():
+    squares = ["np.abs(c) ** 2", "c**2", "m = np.abs(c)\nr = m * m",
+               "np.abs(c) * np.abs(c)", "np.square(np.abs(c))", "np.power(c, 2)"]
+    others = ["c_in**2", "x ** -1.5", "2.0 * c", "a * b", "np.abs(c)",
+              "_squared_modulus(c)", "np.power(c, 3)"]
+    assert [any(map(_is_inline_square, ast.walk(ast.parse(text))))
+            for text in squares + others] == [True] * 6 + [False] * 7
