@@ -185,14 +185,13 @@ def cmd_gen(args):
 def cmd_solve(args):
     e = _load_instance(args.instance)
     cfg = _solver_config(args)
-    seed = e.seed if args.seed is None else args.seed
-    result = solve(e, spectral_init(e, seed=seed), cfg)
+    result = solve(e, spectral_init(e), cfg)
     summary = summarize(result, e, cfg)
     doc = {
         "estimate": encode_vector(result.estimate),
         "field": e.field.value,
         **summary,
-        "config": {**settings(cfg), "seed": seed},
+        "config": settings(cfg),
     }
     message = (
         f"solve {args.instance}: {result.termination.value} after "
@@ -242,7 +241,7 @@ def _bench_lambda_grid(args):
     e = _load_instance(args.instance)
     # lambda_grid_search sets lam per grid point; the base lam is a placeholder.
     base = SolverConfig(1.0, args.alpha)
-    chosen, table = lambda_grid_search(e, base, args.grid, args.rule, seed=args.seed)
+    chosen, table = lambda_grid_search(e, base, args.grid, args.rule)
     if args.out_prefix:
         _write_plot(args.out_prefix + ".csv", ("lambda", "score"), table,
                     args.out_prefix + ".gp", 1, 2, "lambda", "validation score",
@@ -393,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--instance", required=True, help="instance JSON path")
     seed = shared()
     seed.add_argument("--seed", type=int, default=0, help="master seed")
-    init_seed = shared()
-    init_seed.add_argument("--seed", type=int, default=None,
-                           help="spectral-init seed (default: instance seed)")
     noise = shared()
     noise.add_argument("--noise", type=_noise, default=NoiseSpec("none"),
                        help="noise spec, e.g. none, type1:0.1, gaussian:0.01")
@@ -432,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output instance JSON path")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", parents=[instance, solver, init_seed],
+    p_solve = sub.add_parser("solve", parents=[instance, solver],
                              help="solve an instance file")
     p_solve.add_argument("--out-result", default=None, help="result JSON path")
     p_solve.add_argument("--out-trace", default=None, help="trace CSV path")
@@ -469,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="relative error along iterations")
     b_iter.set_defaults(func=_bench_error_iter)
 
-    b_lam = bench.add_parser("lambda-grid", parents=[instance, alpha, init_seed],
+    b_lam = bench.add_parser("lambda-grid", parents=[instance, alpha],
                              help="grid search for lambda on an instance")
     b_lam.add_argument("--grid", type=_comma_list(float), required=True,
                        help="comma list of lambda values")

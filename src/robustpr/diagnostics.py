@@ -90,7 +90,7 @@ def _boundary_width(alpha: float, rho0: float) -> float:
     """eps1 = (1 - rho0) * alpha; ValueError unless 0 < alpha < inf and 0 < rho0 < 1."""
     _check_positive(alpha=alpha)
     if not 0.0 < rho0 < 1.0:
-        raise ValueError("rho0 must lie in (0, 1)")
+        raise ValueError(f"rho0 must lie in (0, 1), got {rho0}")
     return (1.0 - rho0) * alpha
 
 

@@ -235,7 +235,6 @@ def lambda_grid_search(
     cfg_base: SolverConfig,
     lambda_grid,
     validation_rule: str,
-    seed: int | None = None,
 ):
     """Pick lambda from a grid by oracle error or held-out Huber loss.
 
@@ -253,7 +252,6 @@ def lambda_grid_search(
     path is trapped at a poor stationary point); then it starts from the
     spectral point again.  So a score after the smallest lambda's usually
     comes from a warm start.  Every grid value must be finite and positive.
-    The spectral point is drawn with ``seed``, by default ``e.seed``.
     """
     grid = [float(v) for v in lambda_grid]
     for lam in grid:  # before sort() meets a NaN
@@ -280,7 +278,7 @@ def lambda_grid_search(
         def score(x):
             return relative_error(x, truth)
 
-    x_spectral = spectral_init(train, seed=seed)
+    x_spectral = spectral_init(train)
     spectral_score = score(x_spectral)
     x0 = x_spectral
     table = []

@@ -169,8 +169,8 @@ class MeasurementEnsemble:
 
 def generate_signal(p: int, s: int, field: FieldTag, seed: int) -> np.ndarray:
     """Draw an s-sparse signal with standard normal nonzeros on a uniform support."""
-    _check_count(p=p)
-    if not 1 <= s <= p:
+    _check_count(p=p, s=s)
+    if not s <= p:
         raise ValueError(f"sparsity s={s} must satisfy 1 <= s <= p={p}")
     rng = stream(seed, TAG_SIGNAL)
     support = rng.choice(p, size=s, replace=False)

@@ -14,9 +14,10 @@ for standardized sampling vectors.  No step reads the ground truth or its
 sparsity.
 
 POWER_TOL bounds the last step, not the distance to the eigenvector, so the
-seed that draws the first vector matters: on seeds 1-20 of the benchmark
-shapes at lam = 1e-3, a seed other than e.seed moved the start by up to
-1.1e-3 relative, the final error by up to 0.7% and the iterations by up to 50.
+seed that draws the first vector matters a little: on seeds 1-20 of the
+benchmark shapes at lam = 1e-3, a seed other than e.seed moved the start by up
+to 1.1e-3 relative, the final error by up to 0.7% and the iterations by up to
+50.  That is noise, not another start, so no command offers a start seed.
 
 ``SpectralConfig.truncation`` keeps only the largest-modulus entries of the
 direction (renormalized) before scaling.  It is a library option that only the
@@ -104,8 +105,7 @@ def spectral_init(e: MeasurementEnsemble, cfg: SpectralConfig | None = None,
     support = _screened_support(e, mean_b)
     # the column copy a[:, S] lives only as long as the power iteration
     screened, _ = power_iteration(
-        MeasurementEnsemble(e.sampling_vectors[:, support], e.observations,
-                            seed=e.seed),
+        MeasurementEnsemble(e.sampling_vectors[:, support], e.observations),
         e.seed if seed is None else seed)
     direction = np.zeros(e.p, dtype=e.field.dtype)
     direction[support] = screened

@@ -250,9 +250,9 @@ SOLVER_SETTINGS = {"lambda": 2e-4, "alpha": 0.9}
 def solve_echo(tmp_path):
     inst, res = tmp_path / "inst.json", tmp_path / "res.json"
     assert run(*GEN, "--out", str(inst)) == 0
-    assert run("solve", "--instance", str(inst), *SOLVER_FLAGS, "--seed", "11",
+    assert run("solve", "--instance", str(inst), *SOLVER_FLAGS,
                "--out-result", str(res)) == 0
-    return json.loads(res.read_text())["config"], {**SOLVER_SETTINGS, "seed": 11}
+    return json.loads(res.read_text())["config"], SOLVER_SETTINGS
 
 
 def image_echo(tmp_path):
@@ -486,11 +486,12 @@ def test_bench_lambda_grid(tmp_path, capsys):
     assert (tmp_path / "tab.gp").read_text().startswith("set logscale x")
 
 
-def test_lambda_grid_scores_the_point_solve_reaches(tmp_path):
-    # both commands start from the spectral point at the instance seed
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_lambda_grid_scores_the_point_solve_reaches(tmp_path, field):
+    # both commands start from the spectral point, a function of the instance
     inst, res = tmp_path / "inst.json", tmp_path / "res.json"
     assert run("gen", "--p", "16", "--s", "2", "--n", "160", "--noise", "type1:0.1",
-               "--seed", "5", "--out", str(inst)) == 0
+               "--field", field, "--seed", "5", "--out", str(inst)) == 0
     assert run("solve", "--instance", str(inst), "--lambda", "1e-4",
                "--out-result", str(res)) == 0
     assert run("bench", "lambda-grid", "--instance", str(inst), "--grid", "1e-4",
@@ -549,7 +550,7 @@ def test_bench_tables_match_a_repr_oracle(tmp_path):
                "--out-prefix", str(tmp_path / "tab")) == 0
     _, table = lambda_grid_search(deserialize_instance(inst.read_text()),
                                   SolverConfig(lam=1.0), [1e-5, 1e-4, 1e-3],
-                                  "holdout", seed=None)
+                                  "holdout")
     assert (tmp_path / "tab.csv").read_bytes() == _lines(
         ["lambda,score"] + [f"{lam!r},{score!r}" for lam, score in table])
 
@@ -934,6 +935,12 @@ def positive(index, argv, name, value):
                         id=f"argv{index}-{name} must be positive")
 
 
+def rho0_outside(index, argv, value):
+    """Case ``argv<index>`` of the rho0 rule, its id naming the rule."""
+    return pytest.param(argv, f"rho0 must lie in (0, 1), got {value}",
+                        id=f"argv{index}-rho0 must lie in (0, 1)")
+
+
 @pytest.mark.parametrize("argv, message", [
     positive(0, ["certificate", "--use-truth", "--lambda", "-1"], "lam", "-1.0"),
     positive(1, ["certificate", "--use-truth", "--lambda", "nan"], "lam", "nan"),
@@ -941,22 +948,24 @@ def positive(index, argv, name, value):
     positive(3, ["stability", "--alpha", "-1"], "alpha", "-1.0"),
     positive(4, ["remark5", "--use-truth", "--alpha", "nan"], "alpha", "nan"),
     positive(5, ["remark5", "--use-truth", "--alpha", "-2"], "alpha", "-2.0"),
-    (["remark5", "--use-truth", "--rho0", "1.5"], "rho0 must lie in (0, 1)"),
-    (["remark5", "--use-truth", "--rho0", "-1"], "rho0 must lie in (0, 1)"),
+    rho0_outside(6, ["remark5", "--use-truth", "--rho0", "1.5"], "1.5"),
+    rho0_outside(7, ["remark5", "--use-truth", "--rho0", "-1"], "-1.0"),
     (["certificate", "--use-truth"], "the following arguments are required: --lambda"),
     (["certificate", "--solution", "sol.json", "--use-truth", "--lambda", "1e-3"],
      "argument --use-truth: not allowed with argument --solution"),
     (["remark5", "--use-truth", "--solution", "sol.json"],
      "argument --solution: not allowed with argument --use-truth"),
-    (["certificate", "--use-truth", "--lambda", "1e-3", "--rho0", "1"],
-     "rho0 must lie in (0, 1)"),
-    (["stability", "--rho0", "nan"], "rho0 must lie in (0, 1)"),
+    rho0_outside(11, ["certificate", "--use-truth", "--lambda", "1e-3", "--rho0", "1"],
+                 "1.0"),
+    rho0_outside(12, ["stability", "--rho0", "nan"], "nan"),
     # the boundary width is (1 - rho0) * alpha, not a flag of its own
     (["certificate", "--use-truth", "--lambda", "1e-3", "--eps1", "0.5"],
      "unrecognized arguments: --eps1 0.5"),
     # one alpha message for the three modes
     positive(14, ["certificate", "--use-truth", "--lambda", "1e-3", "--alpha", "0"],
              "alpha", "0.0"),
+    rho0_outside(15, ["certificate", "--use-truth", "--lambda", "1e-3", "--rho0", "nan"],
+                 "nan"),
 ])
 def test_diag_rejects_bad_parameters(tmp_path, capsys, argv, message):
     inst = tmp_path / "inst.json"
@@ -1398,6 +1407,16 @@ def test_no_command_takes_a_truncation(tmp_path, capsys, monkeypatch, argv):
     refuses_as_unrecognized(capsys, argv, "truncation", "5")
 
 
+@pytest.mark.parametrize("argv", [argv for argv in SOLVING_COMMANDS
+                                  if "--instance" in argv],
+                         ids=["solve", "bench-lambda-grid"])
+def test_no_command_on_an_instance_takes_a_start_seed(tmp_path, capsys, monkeypatch,
+                                                       argv):
+    # the start is drawn with the instance's own seed: no flag or config key picks it
+    monkeypatch.chdir(tmp_path)
+    refuses_as_unrecognized(capsys, argv, "seed", "3")
+
+
 @pytest.fixture(scope="module")
 def echoes(tmp_path_factory):
     """writer name -> (document, expected echo) of the three echoing writers."""
@@ -1417,7 +1436,7 @@ def test_the_mm_constants_are_not_options(tmp_path, capsys, monkeypatch, echoes,
         refuses_as_unrecognized(capsys, argv, name, "1")
     assert [name in doc for doc, _ in echoes.values()] == [False] * 3
     config, expected = echoes["solve_echo"]
-    assert config == expected == {"lambda": 2e-4, "alpha": 0.9, "seed": 11}
+    assert config == expected == {"lambda": 2e-4, "alpha": 0.9}
 
 
 def test_switches_take_true_or_false(tmp_path, capsys):

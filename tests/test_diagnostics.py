@@ -455,11 +455,9 @@ def test_certificate_validation():
         *[pytest.param(bad, RHO0, f"alpha must be finite and positive, got {bad}",
                        id=f"{bad}-{RHO0}-alpha must be positive")
           for bad in (0.0, -1.0, float("nan"), float("inf"))],
-        (ALPHA, 0.0, r"rho0 must lie in \(0, 1\)"),
-        (ALPHA, 1.0, r"rho0 must lie in \(0, 1\)"),
-        (ALPHA, -1.0, r"rho0 must lie in \(0, 1\)"),
-        (ALPHA, 1.5, r"rho0 must lie in \(0, 1\)"),
-        (ALPHA, float("nan"), r"rho0 must lie in \(0, 1\)"),
+        *[pytest.param(ALPHA, bad, rf"rho0 must lie in \(0, 1\), got {bad}",
+                       id=rf"{ALPHA}-{bad}-rho0 must lie in \(0, 1\)")
+          for bad in (0.0, 1.0, -1.0, 1.5, float("nan"))],
     ],
 )
 def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):

@@ -393,22 +393,13 @@ def test_lambda_grid_search_holdout():
     assert all(score >= 0.0 for _, score in table)
 
 
-@pytest.mark.parametrize("rule", ["oracle", "holdout"])
-def test_grid_search_draws_its_start_with_the_instance_seed(rule):
-    e = synthesize_instance(16, 2, 160, FieldTag.COMPLEX, NoiseSpec("type1", 0.1), 13)
-    grid = [1e-4, 1e-3, 1e-2]
-    base = SolverConfig(lam=1.0)
-    assert (lambda_grid_search(e, base, grid, rule)
-            == lambda_grid_search(e, base, grid, rule, seed=e.seed))
-
-
 def test_holdout_score_is_the_validation_loss_bitwise():
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("type1", 0.1), 13)
     cfg = SolverConfig(lam=1.0)
     _, table = lambda_grid_search(e, cfg, [1e-4, 1e-2], "holdout")
     train_idx, val_idx = holdout_split(e)
     train, val = _sub_ensemble(e, train_idx), _sub_ensemble(e, val_idx)
-    x_spectral = spectral_init(train, seed=e.seed)
+    x_spectral = spectral_init(train)
     spectral_score = loss(x_spectral, val, cfg.alpha)
     x0 = x_spectral
     for lam, score in table:  # the continuation path
@@ -500,11 +491,11 @@ def test_grid_search_warm_starts_along_the_ascending_grid(field, rule, monkeypat
     cfg = SolverConfig(lam=1.0)
     calls = _captured_solves(monkeypatch)
     grid = [1e-2, 1e-6, 1e-3, 1e-4]
-    _, table = lambda_grid_search(e, cfg, grid, rule, seed=8)
+    _, table = lambda_grid_search(e, cfg, grid, rule)
     # one solve per grid point, in ascending lambda, as the table lists them
     assert [lam for _, lam, _ in calls] == sorted(grid)
     assert [lam for lam, _ in table] == sorted(grid)
-    x_spectral = spectral_init(_training_set(e, rule), seed=8)
+    x_spectral = spectral_init(_training_set(e, rule))
     assert calls[0][0].tobytes() == x_spectral.tobytes()
     spectral_score = _score(e, rule, x_spectral, cfg.alpha)
     for (_, _, previous), (start, _, _), (_, score) in zip(calls, calls[1:], table):
@@ -517,7 +508,7 @@ def test_grid_search_warm_starts_along_the_ascending_grid(field, rule, monkeypat
 def test_a_spoiled_estimate_restarts_from_the_spectral_point(rule, spoil, monkeypatch):
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("type1", 0.1), 22)
     cfg = SolverConfig(lam=1.0)
-    x_spectral = spectral_init(_training_set(e, rule), seed=e.seed)
+    x_spectral = spectral_init(_training_set(e, rule))
     if spoil == "zero":
         # a start so poor that zero outscores it: only the zero guard restarts
         x_spectral = 10.0 * x_spectral

@@ -59,6 +59,9 @@ def test_generate_signal_invalid_arguments():
         generate_signal(p=4, s=5, field=FieldTag.REAL, seed=0)
     with pytest.raises(ValueError, match="^p must be a positive integer, got 0$"):
         generate_signal(p=0, s=0, field=FieldTag.REAL, seed=0)
+    for s in (2.0, True):  # the count rule, not NumPy's TypeError
+        with pytest.raises(ValueError, match=f"^s must be a positive integer, got {s}$"):
+            generate_signal(16, s, FieldTag.REAL, 1)
 
 
 def test_generate_sampling_real_variance():

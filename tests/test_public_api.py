@@ -10,7 +10,8 @@ opens as text is opened in ``model``, as UTF-8; ``pgm`` opens its files in
 binary mode.
 Only ``spectral`` builds a ``SpectralConfig``, and only ``test_spectral``
 passes ``truncation=``: the rest of the package and its tests run the
-untruncated start.
+untruncated start.  No call in the package passes ``spectral_init`` a
+seed: every start the package makes is drawn with the instance's own.
 Outside ``diagnostics``, whose checks multiply their own restricted and
 rescaled copies, the package's one ``@`` forward product is
 ``model.correlate`` and its one ``@`` adjoint product is
@@ -178,6 +179,36 @@ def test_only_spectral_builds_a_config_and_only_its_tests_truncate():
                   for line, _, keywords in _calls(path)
                   if "truncation" in keywords and path.name != "test_spectral.py"]
     assert (built, truncating) == ([], [])
+
+
+def _passes_a_start_seed(node) -> bool:
+    """A call of ``spectral_init`` with ``seed=``, a third positional
+    argument, or an unpacked argument that may carry either."""
+    if not (isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) == "spectral_init"):
+        return False
+    return (len(node.args) >= 3 or any(isinstance(a, ast.Starred) for a in node.args)
+            or any(k.arg in ("seed", None) for k in node.keywords))
+
+
+def test_the_package_draws_every_start_with_the_instance_seed():
+    seeded = [f"{path.name}:{node.lineno}"
+              for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if _passes_a_start_seed(node)]
+    assert seeded == []
+
+
+def test_the_start_seed_guard_sees_each_spelling():
+    seeded = ["spectral_init(e, seed=seed)", "spectral_init(e, None, 3)",
+              "robustpr.spectral_init(e, cfg, e.seed)",
+              "spectral_init(e, cfg=None, seed=1)", "spectral_init(*args)",
+              "spectral_init(e, **kwargs)"]
+    others = ["spectral_init(e)", "spectral_init(train, cfg)",
+              "spectral_init(e, SpectralConfig(truncation=2))",
+              "power_iteration(e, seed)", "synthesize_instance(p, s, n, field, noise, seed)"]
+    assert [any(map(_passes_a_start_seed, ast.walk(ast.parse(text))))
+            for text in seeded + others] == [True] * 6 + [False] * 5
 
 
 def _owners(path: Path, match) -> list:
