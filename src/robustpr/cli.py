@@ -69,22 +69,18 @@ from .spectral import spectral_init
 
 def _positive_int(text):
     try:
-        value = int(text)
-        _check_count(value=value)
+        return _check_count(value=int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}") from None
-    return value
 
 
 def _nonnegative_float(text):
     try:
-        value = float(text)
-        _check_nonnegative(value=value)
+        return _check_nonnegative(value=float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be a finite nonnegative number, got {text!r}") from None
-    return value
 
 
 def _comma_list(convert):

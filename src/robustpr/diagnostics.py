@@ -47,6 +47,7 @@ from .model import (
     MeasurementEnsemble,
     _check_count,
     _check_positive,
+    _is_real,
     _squared_modulus,
     correlate,
     render_json,
@@ -86,18 +87,20 @@ def _min_eig(m: np.ndarray) -> float:
     return lmin
 
 
-def _boundary_width(alpha: float, rho0: float) -> float:
-    """eps1 = (1 - rho0) * alpha; ValueError unless 0 < alpha < inf and 0 < rho0 < 1."""
-    _check_positive(alpha=alpha)
-    if not 0.0 < rho0 < 1.0:
+def _boundary_width(alpha: float, rho0: float) -> tuple[float, float, float]:
+    """(alpha, rho0, eps1) as Python floats, eps1 = (1 - rho0) * alpha;
+    ValueError unless 0 < alpha < inf and 0 < rho0 < 1."""
+    alpha = _check_positive(alpha=alpha)
+    if not (_is_real(rho0) and 0.0 < (fraction := float(rho0)) < 1.0):
         raise ValueError(f"rho0 must lie in (0, 1), got {rho0}")
-    return (1.0 - rho0) * alpha
+    return alpha, fraction, (1.0 - fraction) * alpha
 
 
 def _masks(v: np.ndarray, alpha: float, rho0: float):
     """Inliers |v_i| <= rho0 * alpha and the boundary band ||v_i| - alpha| < eps1."""
     mag = np.abs(v)
-    return mag <= rho0 * alpha, np.abs(mag - alpha) < _boundary_width(alpha, rho0)
+    alpha, rho0, eps1 = _boundary_width(alpha, rho0)
+    return mag <= rho0 * alpha, np.abs(mag - alpha) < eps1
 
 
 class _Report:
@@ -105,7 +108,7 @@ class _Report:
         return render_json(vars(self))
 
 
-def _normalized(e: MeasurementEnsemble, alpha: float, rho0: float, what: str):
+def _normalized(e: MeasurementEnsemble, what: str):
     """Checked real ensemble as (a_hat, eps_hat): rows at norm sqrt(p), eps to match.
 
     Equalizing row norms is what makes the stability conditions comparable
@@ -116,7 +119,6 @@ def _normalized(e: MeasurementEnsemble, alpha: float, rho0: float, what: str):
     """
     if e.field is not FieldTag.REAL:
         raise DomainError(f"{what} is defined for real ensembles only")
-    _boundary_width(alpha, rho0)  # checks alpha and rho0
     norms = np.linalg.norm(e.sampling_vectors, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("sampling ensemble contains a zero row")
@@ -193,8 +195,9 @@ def estimate_stability(
     seed: int,
 ) -> StabilityEstimate:
     """Sampled estimates of the stability constants; heuristic upper bounds."""
-    a_hat, eps_hat = _normalized(e, alpha, rho0, "stability estimation")
-    _check_count(samples=samples)
+    alpha, rho0, _ = _boundary_width(alpha, rho0)
+    a_hat, eps_hat = _normalized(e, "stability estimation")
+    samples = _check_count(samples=samples)
     used_record = eps_hat is not None
     inliers = _masks(eps_hat, alpha, rho0)[0] if used_record else np.ones(e.n, bool)
     rng = stream(seed, TAG_STABILITY)
@@ -216,7 +219,7 @@ def estimate_stability(
     return StabilityEstimate(
         mu_hat=mu_best,
         c2_hat=c2_best,
-        samples=int(samples),  # a NumPy count too, as a JSON number
+        samples=samples,
         inlier_threshold=rho0 * alpha,
         used_noise_record=used_record,
         consistency=_consistency(e, eps_hat, alpha, rho0, mu_best, c2_best),
@@ -389,8 +392,8 @@ def linear_rate_certificate(
     For a complex x_star the smallest eigenvalue is taken modulo the global
     phase (see ``_phase_projected``).
     """
-    _check_positive(lam=lam)
-    eps1 = _boundary_width(alpha, rho0)
+    lam = _check_positive(lam=lam)
+    alpha, rho0, eps1 = _boundary_width(alpha, rho0)
     x, support = _solution(x_star, e)
     real = e.field is FieldTag.REAL
     reg_coef = 0.75 if real else 1.5
@@ -458,7 +461,8 @@ def remark5_quantities(
     and the smallest eigenvalue of the inlier quadratic term
     (2/n) sum <a_i,x>^2 a_G a_G^T.
     """
-    a_hat, eps_hat = _normalized(e, alpha, rho0, "the Remark-5 check")
+    alpha, rho0, eps1 = _boundary_width(alpha, rho0)
+    a_hat, eps_hat = _normalized(e, "the Remark-5 check")
     if eps_hat is None:
         raise DomainError("Remark-5 quantities require a noise record")
     x, support = _solution(x, e)
@@ -476,7 +480,7 @@ def remark5_quantities(
     if not np.all(np.isfinite(quad_m)):
         raise ValueError("solution overflows the inlier quadratic term")
     return Remark5Report(
-        eps1=_boundary_width(alpha, rho0),
+        eps1=eps1,
         support=[int(j) for j in support],
         n_inliers=int(np.count_nonzero(inliers)),
         n_boundary=int(np.count_nonzero(boundary)),

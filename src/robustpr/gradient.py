@@ -21,7 +21,7 @@ from .objective import _evaluate
 
 def g(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> np.ndarray:
     """Unified gradient map; see module docstring for conventions."""
-    _check_positive(alpha=alpha)
+    alpha = _check_positive(alpha=alpha)
     _, c, d = _evaluate(e.check_signal(x), e, 0.0, alpha)
     return _adjoint(e, c, d)
 

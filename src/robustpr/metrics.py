@@ -27,7 +27,7 @@ from .model import (
 )
 from .model import correlate  # unused here; benchmarks/tracing.py binds it
 from .objective import loss, objective
-from .rng import TAG_HOLDOUT, mix, stream
+from .rng import TAG_HOLDOUT, _check_seed, mix, stream
 from .solver import SolverConfig, SolverResult, Termination, solve
 from .spectral import SpectralConfig, spectral_init
 
@@ -111,11 +111,17 @@ class ExperimentSpec:
     spectral: SpectralConfig | None = None  # None: the untruncated start
 
     def __post_init__(self):
-        _check_count(trials=self.trials)
-        n_grid = list(self.n_grid)
+        p, s, trials = _check_count(p=self.p, s=self.s, trials=self.trials)
+        n_grid = tuple(_check_count(n=n) for n in self.n_grid)
         if not n_grid or any(a >= b for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly ascending")
-        _check_positive(success_threshold=self.success_threshold)
+        checked = dict(
+            p=p, s=s, n_grid=n_grid, trials=trials,
+            master_seed=_check_seed(master_seed=self.master_seed),
+            success_threshold=_check_positive(
+                success_threshold=self.success_threshold))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -159,13 +165,13 @@ class ExperimentReport:
                   [(r.n, r.trial, r.seed, *r.summary.values()) for r in self.records])
 
     def write_json(self, path) -> None:
-        doc = {  # int(): a NumPy integer count or seed is not JSON
-            "p": int(self.spec.p),
-            "s": int(self.spec.s),
+        doc = {
+            "p": self.spec.p,
+            "s": self.spec.s,
             "field": self.spec.field.value,
             "noise": str(self.spec.noise),
-            "trials": int(self.spec.trials),
-            "master_seed": int(self.spec.master_seed),
+            "trials": self.spec.trials,
+            "master_seed": self.spec.master_seed,
             "success_threshold": self.spec.success_threshold,
             **settings(self.spec.solver),
             "success_rate": {str(n): rate for n, rate in self.success_rate.items()},
@@ -253,10 +259,7 @@ def lambda_grid_search(
     spectral point again.  So a score after the smallest lambda's usually
     comes from a warm start.  Every grid value must be finite and positive.
     """
-    grid = [float(v) for v in lambda_grid]
-    for lam in grid:  # before sort() meets a NaN
-        _check_positive(lam=lam)
-    grid.sort()
+    grid = sorted(_check_positive(lam=lam) for lam in lambda_grid)
     if not grid or len(set(grid)) < len(grid):
         raise ValueError("lambda grid must be nonempty and free of repeats")
     if validation_rule not in VALIDATION_RULES:

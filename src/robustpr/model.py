@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParseError
-from .rng import TAG_NOISE, TAG_SAMPLING, TAG_SIGNAL, stream
+from .rng import TAG_NOISE, TAG_SAMPLING, TAG_SIGNAL, _check_seed, stream
 
 NOISE_KINDS = ("none", "type1", "type2", "type3", "gaussian")
 
@@ -71,7 +71,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
-        _check_nonnegative(eta=self.eta)
+        object.__setattr__(self, "eta", _check_nonnegative(eta=self.eta))
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
@@ -105,6 +105,7 @@ class MeasurementEnsemble:
     seed: int = 0
 
     def __post_init__(self):
+        self.seed = _check_seed(seed=self.seed)
         a = np.asarray(self.sampling_vectors)
         a = a.astype(field_of(a).dtype, copy=False)
         b = np.asarray(self.observations, dtype=np.float64)
@@ -169,7 +170,7 @@ class MeasurementEnsemble:
 
 def generate_signal(p: int, s: int, field: FieldTag, seed: int) -> np.ndarray:
     """Draw an s-sparse signal with standard normal nonzeros on a uniform support."""
-    _check_count(p=p, s=s)
+    p, s = _check_count(p=p, s=s)
     if not s <= p:
         raise ValueError(f"sparsity s={s} must satisfy 1 <= s <= p={p}")
     rng = stream(seed, TAG_SIGNAL)
@@ -185,7 +186,7 @@ def generate_signal(p: int, s: int, field: FieldTag, seed: int) -> np.ndarray:
 
 def generate_sampling(p: int, n: int, field: FieldTag, seed: int) -> np.ndarray:
     """Draw n sampling vectors with i.i.d. standard (complex) normal entries."""
-    _check_count(p=p, n=n)
+    p, n = _check_count(p=p, n=n)
     rng = stream(seed, TAG_SAMPLING)
     if field is FieldTag.REAL:
         return rng.standard_normal((n, p))
@@ -326,25 +327,45 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_positive(**values: float) -> None:
-    """ValueError naming the first of ``values`` that is not finite and positive."""
+def _is_real(value) -> bool:
+    """Whether value is a real number (NumPy's too) and not a bool: every
+    parameter's test."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _check_positive(**values: float):
+    """Each of ``values`` as a Python float, one alone and several as a tuple;
+    ValueError naming the first that is not finite and positive."""
+    checked = []
     for name, value in values.items():
-        if not 0.0 < value < np.inf:  # also rejects NaN
+        # the test reads the float, so a NumPy scalar meets the bound as stored
+        if not (_is_real(value) and 0.0 < (number := float(value)) < np.inf):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+        checked.append(number)
+    return checked[0] if len(checked) == 1 else tuple(checked)
 
 
-def _check_nonnegative(**values: float) -> None:
-    """ValueError naming the first of ``values`` that is not finite and nonnegative."""
+def _check_nonnegative(**values: float):
+    """Each of ``values`` as a Python float, one alone and several as a tuple;
+    ValueError naming the first that is not finite and nonnegative."""
+    checked = []
     for name, value in values.items():
-        if not 0.0 <= value < np.inf:  # also rejects NaN
+        if not (_is_real(value) and 0.0 <= (number := float(value)) < np.inf):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        checked.append(number)
+    return checked[0] if len(checked) == 1 else tuple(checked)
 
 
-def _check_count(**values: int) -> None:
-    """ValueError naming the first of ``values`` that is not a positive integer."""
+def _check_count(**values: int):
+    """Each of ``values`` as a Python int, one alone and several as a tuple;
+    ValueError naming the first that is not a positive integer."""
+    checked = []
     for name, value in values.items():
         if not (_is_int(value) and value >= 1):
             raise ValueError(f"{name} must be a positive integer, got {value}")
+        checked.append(int(value))
+    return checked[0] if len(checked) == 1 else tuple(checked)
 
 
 def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:

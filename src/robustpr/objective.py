@@ -50,12 +50,12 @@ def _evaluate(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float):
 
 def loss(x: np.ndarray, e: MeasurementEnsemble, alpha: float) -> float:
     """Averaged Huber loss (1/n) sum_i h_alpha(|<a_i,x>|^2 - b_i)."""
-    _check_positive(alpha=alpha)
+    alpha = _check_positive(alpha=alpha)
     return _evaluate(e.check_signal(x), e, 0.0, alpha)[0]
 
 
 def objective(x: np.ndarray, e: MeasurementEnsemble, lam: float, alpha: float) -> float:
     """F(x) = loss + lam * half_norm."""
-    _check_positive(lam=lam, alpha=alpha)
+    lam, alpha = _check_positive(lam=lam, alpha=alpha)
     return _evaluate(e.check_signal(x), e, lam, alpha)[0]
 

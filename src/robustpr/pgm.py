@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .model import _is_int
+from .model import _check_count
 
 MAXVALS = range(1, 65536)  # the maxval a PGM header may give
 
@@ -20,7 +20,8 @@ class GrayImage:
 
     def __post_init__(self):
         # the range read_pgm accepts, so every image writes a readable file
-        if not (_is_int(self.maxval) and int(self.maxval) in MAXVALS):
+        self.maxval = _check_count(maxval=self.maxval)
+        if self.maxval not in MAXVALS:
             raise ValueError(
                 f"maxval must be an integer in {MAXVALS[0]}..{MAXVALS[-1]}")
         px = np.asarray(self.pixels, dtype=np.float64)

@@ -28,7 +28,7 @@ _TBAR_COEF = 54.0 ** (1.0 / 3.0) / 4.0
 
 def threshold_point(mu: float) -> float:
     """The hard-thresholding radius tbar(mu) = (54^(1/3)/4) mu^(2/3)."""
-    _check_positive(mu=mu)
+    mu = _check_positive(mu=mu)
     return _TBAR_COEF * float(np.cbrt(mu)) ** 2
 
 
@@ -39,12 +39,12 @@ def half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
         xi = xi.astype(np.float64, copy=False)
     # np.abs of a 0-d array is a scalar the body cannot write into, so a
     # 0-d xi runs as a 1-element view and gets its shape back
-    return _half_threshold(np.atleast_1d(xi), mu).reshape(xi.shape)
+    return _half_threshold(np.atleast_1d(xi), _check_positive(mu=mu)).reshape(xi.shape)
 
 
 def _half_threshold(xi: np.ndarray, mu: float) -> np.ndarray:
-    """chi(xi, mu) for a float64 or complex128 xi; ValueError unless mu is a
-    positive finite scalar (threshold_point validates it).
+    """chi(xi, mu) for a float64 or complex128 xi and a Python float mu;
+    ValueError unless mu is finite and positive (threshold_point checks it).
 
     The shrinkage runs on every entry of max(|xi|, tbar), which is |xi| on
     the kept set and tbar on the other non-NaN entries; copyto then writes

@@ -36,9 +36,21 @@ def splitmix64(value: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _check_seed(**values: int):
+    """Each of ``values`` as a Python int, one alone and several as a tuple;
+    ValueError naming the first that is not an integer (NumPy's too, of any
+    sign) or is a bool: a seed's own test."""
+    checked = []
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value}")
+        checked.append(int(value))
+    return checked[0] if len(checked) == 1 else tuple(checked)
+
+
 def mix(seed: int, *parts: int) -> int:
     """Hash ``seed`` with integer ``parts`` (NumPy's too) into a new 64-bit seed."""
-    h = operator.index(seed) & _MASK64
+    h = _check_seed(seed=seed) & _MASK64
     for p in parts:
         h = splitmix64(h ^ splitmix64(operator.index(p) & _MASK64))
     return h
@@ -46,6 +58,6 @@ def mix(seed: int, *parts: int) -> int:
 
 def stream(seed: int, tag: int) -> np.random.Generator:
     """Independent Generator for (seed, tag), backed by Philox4x64; ``seed``
-    is any integer, NumPy's too."""
-    key = np.array([operator.index(seed) & _MASK64, tag & _MASK64], dtype=np.uint64)
+    is any integer, NumPy's too, and ValueError names anything else."""
+    key = np.array([_check_seed(seed=seed) & _MASK64, tag & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -77,7 +77,9 @@ class SolverConfig:
     max_iter = 5000
 
     def __post_init__(self):
-        _check_positive(lam=self.lam, alpha=self.alpha)
+        lam, alpha = _check_positive(lam=self.lam, alpha=self.alpha)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "alpha", alpha)
 
 
 TRACE_DTYPE = np.dtype([
@@ -115,15 +117,20 @@ def fixed_point_residual(
     tau: float,
 ) -> float:
     """||x - H_{2 lam tau}(x - 2 tau g(x))|| / max(1, ||x||)."""
-    _check_positive(lam=lam, alpha=alpha, tau=tau)
+    lam, alpha, tau = _check_positive(lam=lam, alpha=alpha, tau=tau)
     x = e.check_signal(x)
     return _residual(x, gradient_map(x, e, alpha), lam, tau, _norm(x))
 
 
+def _mm_map(x, gx, lam, tau) -> np.ndarray:
+    """H_{2 lam tau}(x - 2 tau gx) at gx = g(x): each trial's candidate, and
+    the point each fixed-point residual measures x against."""
+    return _half_threshold(x - 2.0 * tau * gx, 2.0 * lam * tau)
+
+
 def _residual(x, gx, lam, tau, x_norm) -> float:
     """fixed_point_residual of x, given gx = g(x) and x_norm = ||x||."""
-    step = _half_threshold(x - 2.0 * tau * gx, 2.0 * lam * tau) - x
-    return _relative_step(_norm(step), x_norm)
+    return _relative_step(_norm(_mm_map(x, gx, lam, tau) - x), x_norm)
 
 
 def _relative_step(step_norm: float, x_norm: float) -> float:
@@ -171,7 +178,7 @@ def solve(
         accepted = False
         for j in range(MAX_BACKTRACKS + 1):
             tau = tau0 * beta**j
-            cand = _half_threshold(x - 2.0 * tau * g_x, 2.0 * lam * tau)
+            cand = _mm_map(x, g_x, lam, tau)
             F_cand, c, d = _evaluate(cand, e, lam, alpha)
             step = cand - x
             step_sq = float(np.vdot(step, step).real)

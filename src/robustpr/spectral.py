@@ -46,7 +46,8 @@ class SpectralConfig:
 
     def __post_init__(self):
         if self.truncation is not None:
-            _check_count(truncation=self.truncation)
+            object.__setattr__(
+                self, "truncation", _check_count(truncation=self.truncation))
 
 
 def power_iteration(

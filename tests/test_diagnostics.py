@@ -473,6 +473,38 @@ def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):
             linear_rate_certificate(ens.ground_truth, ens, 1e-4, alpha, rho0=rho0)
 
 
+@pytest.mark.parametrize("name", ["alpha", "rho0"])
+def test_theory_checks_refuse_a_bool_alpha_or_rho0(name):
+    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    message = ("^alpha must be finite and positive, got True$" if name == "alpha"
+               else r"^rho0 must lie in \(0, 1\), got True$")
+    for bad in (True, np.True_):
+        params = {"alpha": ALPHA, "rho0": RHO0, name: bad}
+        with pytest.raises(ValueError, match=message):
+            estimate_stability(e, samples=5, seed=0, **params)
+        with pytest.raises(ValueError, match=message):
+            remark5_quantities(e.ground_truth, e, **params)
+        with pytest.raises(ValueError, match=message):
+            linear_rate_certificate(e.ground_truth, e, 1e-4, **params)
+
+
+def test_numpy_parameters_give_the_reports_of_their_python_floats():
+    # a float32 alpha or rho0 was kept raw, and to_json raised TypeError
+    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    lam, alpha, rho0 = np.float32(1e-4), np.float32(ALPHA), np.float32(0.3)
+    floats = float(lam), float(alpha), float(rho0)
+    for ens in (e, real_as_complex(e)):
+        ours, want = (linear_rate_certificate(ens.ground_truth, ens, *params)
+                      for params in ((lam, alpha, rho0), floats))
+        assert ours.to_json() == want.to_json()
+    ours, want = (remark5_quantities(e.ground_truth, e, *params[1:])
+                  for params in ((lam, alpha, rho0), floats))
+    assert ours.to_json() == want.to_json()
+    ours = estimate_stability(e, np.int32(5), rho0, alpha, seed=np.int64(4))
+    want = estimate_stability(e, 5, float(rho0), float(alpha), seed=4)
+    assert ours.to_json() == want.to_json()
+
+
 @pytest.mark.parametrize("rho0", [0.05, 0.3, RHO0])
 def test_every_check_counts_inliers_at_rho0_alpha(rho0):
     # one inlier rule, |v_i| <= rho0 * alpha, for the noise record (Remark 5)

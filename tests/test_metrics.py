@@ -25,7 +25,8 @@ from robustpr import (
 )
 from robustpr.errors import DomainError
 from robustpr.metrics import (
-    TrialRecord, _sub_ensemble, align, holdout_split, summarize, trial_seed)
+    TrialRecord, _sub_ensemble, align, holdout_split, settings, summarize, trial_seed)
+from robustpr.model import render_json
 
 
 def random_complex(rng, p):
@@ -202,6 +203,33 @@ def test_a_report_of_numpy_integer_counts_writes_the_same_json(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("p", 16.0, "p must be a positive integer, got 16.0"),
+    ("s", True, "s must be a positive integer, got True"),
+    ("n_grid", (16.0,), "n must be a positive integer, got 16.0"),
+    ("n_grid", (0, 160), "n must be a positive integer, got 0"),
+    ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+    ("master_seed", np.True_, "master_seed must be an integer, got True"),
+])
+def test_experiment_spec_refuses_a_bad_count_or_seed_when_built(field, value, message):
+    # each was accepted once, and run_experiment tripped on it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        desk_spec(**{field: value})
+
+
+def test_experiment_spec_stores_each_grid_entry_as_a_python_int():
+    spec = desk_spec(n_grid=[np.int64(64), np.uint16(160)])
+    assert spec.n_grid == (64, 160)
+    assert [type(n) for n in spec.n_grid] == [int, int]
+
+
+def test_settings_echo_the_python_floats_the_config_holds():
+    # a float32 lambda once made render_json raise TypeError; an int one is a float
+    assert render_json(settings(SolverConfig(np.float32(1e-3), np.float16(0.5)))) == \
+        render_json(settings(SolverConfig(float(np.float32(1e-3)), 0.5)))
+    assert render_json(settings(SolverConfig(1, 2))) == '{"lambda": 1.0, "alpha": 2.0}'
+
+
 def test_run_experiment_easy_instance_succeeds():
     report = run_experiment(desk_spec())
     assert report.success_rate[160] == 1.0
@@ -373,6 +401,24 @@ def test_lambda_grid_search_oracle_finds_recovery():
     best_score = min(score for _, score in table)
     assert best_score < 5e-3
     assert chosen in grid
+
+
+def test_a_numpy_lambda_grid_gives_the_table_of_its_python_floats():
+    e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
+    grid = np.array([1e-2, 1e-4], dtype=np.float32)
+    ours = lambda_grid_search(e, SolverConfig(lam=1.0), grid, "oracle")
+    want = lambda_grid_search(e, SolverConfig(lam=1.0), [float(v) for v in grid], "oracle")
+    assert ours == want
+    assert {type(v) for row in ours[1] for v in row} == {float}
+
+
+def test_lambda_grid_search_refuses_a_bool_before_any_solve(monkeypatch):
+    calls = _captured_solves(monkeypatch)
+    e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("none"), 14)
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="^lam must be finite and positive, got True$"):
+            lambda_grid_search(e, SolverConfig(lam=1.0), [1e-3, bad], "oracle")
+    assert calls == []
 
 
 def test_lambda_grid_search_tie_goes_to_larger():

@@ -28,11 +28,14 @@ from robustpr.errors import ParseError
 from robustpr.model import (
     NOISE_KINDS,
     _check_count,
+    _check_nonnegative,
+    _check_positive,
     correlate,
     decode_vector,
     render_json,
     write_json,
 )
+from robustpr.rng import _check_seed
 
 
 def test_generate_signal_sparsity_large_instance():
@@ -87,6 +90,29 @@ def test_check_count_names_the_first_bad_count_and_its_value(value):
     with pytest.raises(ValueError,
                        match=f"^n must be a positive integer, got {re.escape(str(value))}$"):
         _check_count(p=3, n=value, s=0)
+
+
+def test_each_rule_hands_back_the_python_scalar_it_accepts():
+    # one value alone, several as a tuple, each the Python number it equals
+    got = [_check_positive(lam=np.float32(1e-3)), _check_positive(a=2, b=np.float16(0.5)),
+           _check_nonnegative(eta=np.int64(0)), _check_count(p=np.uint16(16), n=3),
+           _check_seed(seed=np.int64(-3))]
+    want = [float(np.float32(1e-3)), (2.0, 0.5), 0.0, (16, 3), -3]
+    assert got == want
+    assert [type(v) for v in got] == [float, tuple, float, tuple, int]
+    assert [type(v) for pair in (got[1], got[3]) for v in pair] == [float] * 2 + [int] * 2
+
+
+@pytest.mark.parametrize("rule, message", [
+    (_check_positive, "v must be finite and positive"),
+    (_check_nonnegative, "v must be finite and nonnegative"),
+    (_check_count, "v must be a positive integer"),
+    (_check_seed, "v must be an integer"),
+])
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, 1j, np.array([1.0])])
+def test_every_rule_refuses_a_bool_and_a_non_number(rule, message, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{message}, got {value}')}$"):
+        rule(v=value)
 
 
 def test_generators_take_numpy_integer_counts():
@@ -150,6 +176,17 @@ def test_apply_noise_gaussian_scale():
 def test_noise_spec_rejects_negative_eta():
     with pytest.raises(ValueError, match="^eta must be finite and nonnegative, got -0.5$"):
         NoiseSpec("type1", -0.5)
+
+
+def test_noise_spec_refuses_a_bool_and_stores_a_python_float():
+    # a bool eta once printed as type1:1
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError,
+                           match="^eta must be finite and nonnegative, got True$"):
+            NoiseSpec("type1", bad)
+    spec = NoiseSpec("type1", np.float32(0.5))
+    assert type(spec.eta) is float and spec == NoiseSpec("type1", 0.5)
+    assert type(NoiseSpec("type3", 1).eta) is float
 
 
 @pytest.mark.parametrize("text", ["type2:", "type2", "type2:abc", "1.5"])
@@ -224,6 +261,23 @@ def test_serialize_roundtrip_bit_identical():
     np.testing.assert_array_equal(back.noise_record, e.noise_record)
     assert back.seed == e.seed and back.field == e.field
     assert serialize_instance(back) == doc
+
+
+def test_a_numpy_seed_serializes_as_the_python_seed_it_equals():
+    # a NumPy seed was kept raw, and json refused to write it
+    ours = synthesize_instance(16, 2, 64, FieldTag.REAL, NoiseSpec(), np.int64(3))
+    assert type(ours.seed) is int
+    assert serialize_instance(ours) == serialize_instance(
+        synthesize_instance(16, 2, 64, FieldTag.REAL, NoiseSpec(), 3))
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_a_seed_that_is_not_an_integer_is_refused_where_it_is_given(seed):
+    message = f"^seed must be an integer, got {re.escape(str(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        MeasurementEnsemble(np.ones((3, 2)), np.ones(3), seed=seed)
+    with pytest.raises(ValueError, match=message):
+        generate_signal(8, 2, FieldTag.REAL, seed)
 
 
 def test_serialize_roundtrip_minimal():

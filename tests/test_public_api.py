@@ -29,13 +29,21 @@ raises is one that ``cli.main`` maps to an exit code, but for argparse's
 own and ``_min_eig``'s self-check.  Only ``model`` imports ``json``, so every
 JSON text is rendered, strict, by ``model.render_json``; and the solver's
 relative floor ``max(1, ||x||)`` is written once, in
-``solver._relative_step``, which the stop test and every residual read.
+``solver._relative_step``, which the stop test and every residual read;
+the solver's one prox call is in ``solver._mm_map``, the map each trial and
+each residual apply.  And every ``int`` or ``float`` field of an exported
+dataclass holds a Python ``int`` or ``float``, whatever NumPy scalar it was
+built or computed from.
 """
 
 import ast
 import builtins
+import dataclasses
 from itertools import takewhile
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import robustpr
 import robustpr.errors
@@ -521,3 +529,94 @@ def test_the_square_guard_sees_each_spelling():
               "_squared_modulus(c)", "np.power(c, 3)"]
     assert [any(map(_is_inline_square, ast.walk(ast.parse(text))))
             for text in squares + others] == [True] * 6 + [False] * 7
+
+
+def _is_prox_call(node) -> bool:
+    """A call of ``_half_threshold`` or ``half_threshold``, by name or as an
+    attribute (``prox._half_threshold(...)``, say)."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    ) in ("_half_threshold", "half_threshold")
+
+
+def test_one_function_applies_the_mm_map():
+    solver = ROOT / "src" / "robustpr" / "solver.py"
+    assert _owners(solver, _is_prox_call) == ["_mm_map"]
+
+
+def test_the_mm_map_guard_sees_each_spelling():
+    calls = ["_half_threshold(x - 2.0 * tau * g, 2.0 * lam * tau)",
+             "prox._half_threshold(v, mu)", "half_threshold(v, mu)",
+             "y = _half_threshold(v, mu) - x"]
+    others = ["_mm_map(x, g, lam, tau)", "threshold_point(mu)",
+              "from .prox import _half_threshold", "f = _half_threshold"]
+    assert [any(map(_is_prox_call, ast.walk(ast.parse(text))))
+            for text in calls + others] == [True] * 4 + [False] * 4
+
+
+def _scalar_fields(cls) -> dict:
+    """The name and annotation of each field of ``cls`` annotated ``int`` or
+    ``float``, or either of them ``| None``."""
+    return {f.name: f.type for f in dataclasses.fields(cls)
+            if f.type.removesuffix(" | None") in ("int", "float")}
+
+
+def _built_from_numpy(name):
+    """The exported dataclass ``name`` built with a NumPy scalar in each of its
+    int and float fields: np.int32(2) and np.float32(0.5), which every such
+    field accepts."""
+    cls = getattr(robustpr, name)
+    others = {
+        "GrayImage": dict(pixels=np.zeros((2, 2))),
+        "MeasurementEnsemble": dict(sampling_vectors=np.ones((3, 2)),
+                                    observations=np.ones(3)),
+        "ExperimentSpec": dict(n_grid=(4,), noise=robustpr.NoiseSpec(),
+                               solver=robustpr.SolverConfig(1e-3)),
+        "NoiseSpec": dict(kind="type1"),
+    }.get(name, {})
+    return cls(**others, **{field: np.int32(2) if kind.startswith("int")
+                            else np.float32(0.5)
+                            for field, kind in _scalar_fields(cls).items()})
+
+
+def _made_from_numpy(name):
+    """The exported dataclass ``name`` as the package makes it from NumPy
+    scalar parameters."""
+    e = robustpr.synthesize_instance(8, 2, 80, robustpr.FieldTag.REAL,
+                                     robustpr.NoiseSpec("type2", 0.1), np.int64(3))
+    lam, alpha, rho0 = np.float32(1e-4), np.float32(1.345), np.float32(0.5)
+    x = e.ground_truth
+    made = {
+        "SolverResult": lambda: robustpr.solve(
+            e, x, robustpr.SolverConfig(lam, alpha)),
+        "CertificateReport": lambda: robustpr.linear_rate_certificate(
+            x, e, lam, alpha, rho0),
+        "Remark5Report": lambda: robustpr.remark5_quantities(x, e, alpha, rho0),
+        "StabilityEstimate": lambda: robustpr.estimate_stability(
+            e, np.int16(3), rho0, alpha, np.int64(1)),
+        "ExperimentReport": lambda: robustpr.ExperimentReport(
+            _built_from_numpy("ExperimentSpec"), []),
+    }
+    return made[name]()
+
+
+# The exported dataclasses a caller builds; the others the package makes.
+BUILT = ("ExperimentSpec", "GrayImage", "MeasurementEnsemble", "NoiseSpec",
+         "SolverConfig", "SpectralConfig")
+
+
+@pytest.mark.parametrize("name", [name for name in robustpr.__all__
+                                  if dataclasses.is_dataclass(getattr(robustpr, name))])
+def test_every_int_and_float_field_holds_a_python_number(name):
+    built = name in BUILT
+    obj = (_built_from_numpy if built else _made_from_numpy)(name)
+    wrong = []
+    for field, kind in _scalar_fields(type(obj)).items():
+        value = getattr(obj, field)
+        want = 2 if kind.startswith("int") else 0.5
+        if value is None and kind.endswith("| None") and not built:
+            continue
+        if type(value).__name__ != kind.removesuffix(" | None") or (
+                built and value != want):
+            wrong.append(f"{field}: {value!r}")
+    assert wrong == []

@@ -466,6 +466,37 @@ def test_solver_config_validation():
                 SolverConfig(**{"lam": 1.0, name: bad})
 
 
+@pytest.mark.parametrize("name", ["lam", "alpha"])
+def test_solver_config_refuses_a_bool(name):
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and positive, got True$"):
+            SolverConfig(**{"lam": 1.0, name: bad})
+
+
+def test_solver_config_stores_the_python_float_it_accepts():
+    # an int lambda is stored, and echoed, as the float it equals
+    assert (SolverConfig(1), SolverConfig(2, np.int64(3))) == (
+        SolverConfig(1.0), SolverConfig(2.0, 3.0))
+    cfg = SolverConfig(np.float32(1e-3), np.float16(0.5))
+    assert (type(cfg.lam), type(cfg.alpha)) == (float, float)
+    assert (cfg.lam, cfg.alpha) == (float(np.float32(1e-3)), 0.5)
+
+
+def test_a_numpy_lambda_solves_as_the_python_float_it_equals():
+    # under NEP 50 a float32 lambda, kept raw, made F float32: this solve
+    # then ended LineSearchFailed after 77 iterations
+    e = synthesize_instance(128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1), 1)
+    x0 = spectral_init(e)
+    ours = solve(e, x0, SolverConfig(np.float32(1e-3)))
+    want = solve(e, x0, SolverConfig(float(np.float32(1e-3))))
+    assert ours.termination is Termination.CONVERGED
+    assert ours.estimate.tobytes() == want.estimate.tobytes()
+    assert ours.trace.tobytes() == want.trace.tobytes()
+    assert (ours.initial_objective, ours.fixed_point_residual) == (
+        want.initial_objective, want.fixed_point_residual)
+
+
 def test_solve_rejects_bad_start():
     e = easy_instance(17)
     with pytest.raises(ValueError, match="^signal contains non-finite entries$"):

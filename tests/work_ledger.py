@@ -1,8 +1,9 @@
 """The work ledger: what a fixed list of runs did, pinned in a committed file.
 
 Each entry is one run through the public API: ``spectral_init`` then
-``solve`` on the quick, t3 and cplx shapes at seeds 1-3 with lambda = 1e-3,
-an oracle and a holdout ``lambda_grid_search`` on t3 seed 1, and one
+``solve`` on the quick, t3 and cplx shapes and on t3 at alpha = 0.00425, at
+seeds 1-3 with lambda = 1e-3, an oracle and a holdout ``lambda_grid_search``
+on t3 seed 1, and one
 ``run_experiment`` shaped like the benchmark's success-rate-small (p = 32,
 s = 4, n from 2p to 8p, 4 trials each, noiseless, lambda = 1e-3).  A solve
 records the integer and string fields of ``metrics.summarize``, the start's
@@ -62,6 +63,9 @@ SHAPES = {
     "quick": (128, 12, 768, FieldTag.REAL, "type2:0.1", 1.345),
     "t3": (64, 6, 512, FieldTag.REAL, "type3:0.1", 0.1345),
     "cplx": (128, 8, 768, FieldTag.COMPLEX, "type3:0.05", 1.345),
+    # t3 at a small alpha, where most accepted steps sit at the cap tau = gamma
+    # and a run can stop Converged short of the minimizer
+    "t3-small-alpha": (64, 6, 512, FieldTag.REAL, "type3:0.1", 0.00425),
 }
 SEEDS = (1, 2, 3)
 GRID = (1e-6, 1e-5, 1e-4, 1e-3)
