@@ -3,7 +3,7 @@
 Commands: gen | solve | bench {success-rate,error-iter,lambda-grid,consistency}
 | image | diag {stability,certificate,remark5}.
 
-Exit codes: 0 success, 2 usage, validation or out-of-memory error, 3 domain
+Exit codes: 0 success, 2 usage, validation, overflow or out-of-memory error, 3 domain
 error (``DomainError``: a real-only check on complex data, no nonzero truth, no
 noise record, n < 2 to hold out, an empty support), 4 I/O or file-format error.
 
@@ -309,17 +309,19 @@ def cmd_image(args):
     return 0
 
 
+def _diag_report(args, report, summary: str) -> int:
+    """Every diag mode's output: the report's to_json() at --out, the summary line."""
+    if args.out:
+        write_text(args.out, report.to_json() + "\n")
+    print(summary)
+    return 0
+
+
 def _diag_stability(args):
     e = _load_instance(args.instance)
     est = estimate_stability(e, args.samples, args.rho0, args.alpha, args.seed)
-    doc = {
-        **vars(est),
-        "note": "sampled infima; heuristic upper bounds on the true constants",
-    }
-    if args.out:
-        write_json(args.out, doc)
-    print(f"stability: mu_hat={est.mu_hat:.4g} c2_hat={est.c2_hat:.4g}")
-    return 0
+    return _diag_report(args, est,
+                        f"stability: mu_hat={est.mu_hat:.4g} c2_hat={est.c2_hat:.4g}")
 
 
 def _diag_point(args):
@@ -337,26 +339,20 @@ def _diag_point(args):
 def _diag_certificate(args):
     e, x = _diag_point(args)
     report = linear_rate_certificate(x, e, args.lam, args.alpha, args.rho0)
-    if args.out:
-        write_text(args.out, report.to_json() + "\n")
-    print(
+    return _diag_report(
+        args, report,
         f"certificate: passed={report.passed} lhs={report.lhs_min_eig:.4g} "
-        f"boundary={report.rhs_boundary_norms:.4g} reg={report.rhs_reg_term:.4g}"
-    )
-    return 0
+        f"boundary={report.rhs_boundary_norms:.4g} reg={report.rhs_reg_term:.4g}")
 
 
 def _diag_remark5(args):
     e, x = _diag_point(args)
     report = remark5_quantities(x, e, args.alpha, args.rho0)
-    if args.out:
-        write_text(args.out, report.to_json() + "\n")
-    print(
+    return _diag_report(
+        args, report,
         f"remark5: inlier_noise={report.inlier_noise_norm:.4g} "
         f"boundary_noise={report.boundary_noise_norm:.4g} "
-        f"quad_min_eig={report.inlier_quadratic_min_eig:.4g}"
-    )
-    return 0
+        f"quad_min_eig={report.inlier_quadratic_min_eig:.4g}")
 
 
 # ------------------------------------------------------------------ parser
@@ -504,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  parser_class=command)
 
     d_stab = diag.add_parser("stability", parents=[report, seed],
-                             help="sampled stability constants")
+                             help="sampled stability constants: sampled infima, "
+                                  "heuristic upper bounds on the true constants")
     d_stab.add_argument("--samples", type=_positive_int, default=200,
                         help="random direction pairs before refinement")
     d_stab.set_defaults(func=_diag_stability)
@@ -549,7 +546,7 @@ def main(argv=None) -> int:
             argv = _inject_config(argv, known.config)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, DomainError, OSError, MemoryError) as exc:
+    except (ValueError, OverflowError, DomainError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, (ParseError, OSError)):  # a ParseError is a ValueError
             return 4

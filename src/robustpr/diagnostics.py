@@ -45,9 +45,9 @@ from .errors import DomainError
 from .model import (
     FieldTag,
     MeasurementEnsemble,
+    _as_float,
     _check_count,
     _check_positive,
-    _is_real,
     _squared_modulus,
     correlate,
     render_json,
@@ -91,7 +91,7 @@ def _boundary_width(alpha: float, rho0: float) -> tuple[float, float, float]:
     """(alpha, rho0, eps1) as Python floats, eps1 = (1 - rho0) * alpha;
     ValueError unless 0 < alpha < inf and 0 < rho0 < 1."""
     alpha = _check_positive(alpha=alpha)
-    if not (_is_real(rho0) and 0.0 < (fraction := float(rho0)) < 1.0):
+    if not 0.0 < (fraction := _as_float(rho0)) < 1.0:
         raise ValueError(f"rho0 must lie in (0, 1), got {rho0}")
     return alpha, fraction, (1.0 - fraction) * alpha
 

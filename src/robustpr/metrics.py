@@ -34,24 +34,21 @@ from .spectral import SpectralConfig, spectral_init
 
 def _phase(x_hat: np.ndarray, x_true: np.ndarray):
     """Validate the pair and return ``relative_error``'s optimal global
-    phase; a real-field tie goes to +1."""
+    phase, conj(<x_hat, x_true>) / |.|: +-1 for real data, 1 on a tie."""
     if x_hat.shape != x_true.shape or field_of(x_hat) is not field_of(x_true):
         raise ValueError("estimate and truth must share field and length")
     if np.linalg.norm(x_true) == 0.0:
         raise ValueError("relative error is undefined for a zero ground truth")
-    if field_of(x_true) is FieldTag.REAL:
-        closer = np.linalg.norm(x_hat - x_true) <= np.linalg.norm(x_hat + x_true)
-        return 1.0 if closer else -1.0
-    inner = complex(np.vdot(x_hat, x_true))
+    inner = np.vdot(x_hat, x_true).item()  # a Python float for real data
     return np.conj(inner) / abs(inner) if inner else 1.0
 
 
 def relative_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     """Phase-invariant relative recovery error.
 
-    ||x_hat - phi x_true|| / ||x_true|| at the optimal global phase phi: the
-    better of +-1 (real), or conj(<x_hat, x_true>) / |.| (complex; 1 when
-    the inner product vanishes, any phase being optimal then).
+    ||x_hat - phi x_true|| / ||x_true|| at the optimal global phase
+    phi = conj(<x_hat, x_true>) / |.|, +-1 for real data (1 when the inner
+    product vanishes, any phase being optimal then).
     """
     x_hat = np.asarray(x_hat)
     x_true = np.asarray(x_true)

@@ -327,11 +327,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """Whether value is a real number (NumPy's too) and not a bool: every
-    parameter's test."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
+def _as_float(value) -> float:
+    """Every parameter's conversion: a real number (NumPy's too) as a Python
+    float; NaN, which every bound refuses, for a bool, a non-number or an int
+    past float's range."""
+    real = (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool))
+    try:
+        return float(value) if real else np.nan
+    except OverflowError:
+        return np.nan
 
 
 def _check_positive(**values: float):
@@ -340,7 +345,7 @@ def _check_positive(**values: float):
     checked = []
     for name, value in values.items():
         # the test reads the float, so a NumPy scalar meets the bound as stored
-        if not (_is_real(value) and 0.0 < (number := float(value)) < np.inf):
+        if not 0.0 < (number := _as_float(value)) < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
         checked.append(number)
     return checked[0] if len(checked) == 1 else tuple(checked)
@@ -351,7 +356,7 @@ def _check_nonnegative(**values: float):
     ValueError naming the first that is not finite and nonnegative."""
     checked = []
     for name, value in values.items():
-        if not (_is_real(value) and 0.0 <= (number := float(value)) < np.inf):
+        if not 0.0 <= (number := _as_float(value)) < np.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         checked.append(number)
     return checked[0] if len(checked) == 1 else tuple(checked)

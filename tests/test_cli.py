@@ -25,10 +25,12 @@ from robustpr import (
     SolverConfig,
     deserialize_instance,
     error_vs_iteration,
+    estimate_stability,
     fixed_point_residual,
     lambda_grid_search,
     linear_rate_certificate,
     read_pgm,
+    remark5_quantities,
     run_experiment,
     serialize_instance,
     solve,
@@ -689,7 +691,7 @@ def test_diag_stability_real(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["mu_hat"] >= 0.0
     assert list(doc) == ["mu_hat", "c2_hat", "samples", "inlier_threshold",
-                         "used_noise_record", "consistency", "note"]
+                         "used_noise_record", "consistency"]
     assert list(doc["consistency"]) == [
         "t_n", "mean_abs_eps", "alpha_floor", "alpha_ok", "lambda_upper",
         "lambda_lower", "x_min", "x_min_floor", "x_min_ok", "p_log_n_over_n",
@@ -1082,18 +1084,49 @@ def test_a_prefix_of_a_flag_is_not_that_flag(tmp_path, capsys):
     assert "unrecognized arguments: --s 2" in capsys.readouterr().err
 
 
-def test_config_rho0_reaches_the_certificate(tmp_path):
-    inst, cfg, out = (tmp_path / f for f in ("inst.json", "conf.txt", "cert.json"))
+@pytest.mark.parametrize("mode, flags", [
+    ("certificate", ["--use-truth", "--lambda", "1e-3"]),
+    ("stability", ["--samples", "20"]),
+    ("remark5", ["--use-truth"]),
+], ids=["certificate", "stability", "remark5"])
+def test_config_rho0_reaches_each_diag_report(tmp_path, mode, flags):
+    # each diag file is its library report's to_json(), made at the config's rho0
+    inst, cfg, out = (tmp_path / f for f in ("inst.json", "conf.txt", "report.json"))
     assert run(*DIAG_INSTANCE, "--out", str(inst)) == 0
     cfg.write_text("rho0 = 0.3\n")
-    assert run("diag", "certificate", "--config", str(cfg), "--instance", str(inst),
-               "--use-truth", "--lambda", "1e-3", "--out", str(out)) == 0
+    assert run("diag", mode, "--config", str(cfg), "--instance", str(inst), *flags,
+               "--out", str(out)) == 0
     e = deserialize_instance(inst.read_text())
-    report = linear_rate_certificate(e.ground_truth, e, 1e-3, SolverConfig.alpha,
-                                     rho0=0.3)
-    assert out.read_text() == report.to_json() + "\n"
-    assert report.to_json() != linear_rate_certificate(
-        e.ground_truth, e, 1e-3, SolverConfig.alpha).to_json()
+    alpha = SolverConfig.alpha
+    report = {
+        "certificate": lambda rho0: linear_rate_certificate(e.ground_truth, e, 1e-3,
+                                                            alpha, rho0=rho0),
+        "stability": lambda rho0: estimate_stability(e, 20, rho0, alpha, 0),
+        "remark5": lambda rho0: remark5_quantities(e.ground_truth, e, alpha, rho0),
+    }[mode]
+    assert out.read_text() == report(0.3).to_json() + "\n"
+    assert report(0.3).to_json() != report(RHO0).to_json()
+
+
+BEYOND_INT64 = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", BEYOND_INT64, "--s", "1", "--n", "4", "--out"],
+    ["bench", "success-rate", "--p", BEYOND_INT64, "--s", "1", "--grid", "2",
+     "--lambda", "1e-3", "--out-prefix"],
+    ["bench", "error-iter", "--p", BEYOND_INT64, "--s", "1", "--lambda", "1e-3",
+     "--out-prefix"],
+    ["bench", "consistency", "--p-grid", BEYOND_INT64, "--s", "1", "--lambda", "1e-3",
+     "--out-prefix"],
+], ids=["gen", "success-rate", "error-iter", "consistency"])
+def test_a_dimension_past_int64_is_a_usage_error(tmp_path, capsys, argv):
+    # NumPy refuses the size with OverflowError, exit 2 as a too large --n is
+    capsys.readouterr()
+    assert run(*argv, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -1220,6 +1253,7 @@ def test_cli_round_trip_opens_no_text_in_the_locale_encoding(tmp_path):
         "--out-trace trace.csv",
         "diag certificate --instance inst.json --solution res.json "
         "--lambda 1e-3 --out cert.json",
+        "diag stability --instance inst.json --samples 20 --out stab.json",
         "--config conf.txt solve --out-result config.json",
         "bench lambda-grid --instance inst.json --grid 1e-3,1e-2 --rule oracle "
         "--out-prefix grid",
@@ -1229,8 +1263,8 @@ def test_cli_round_trip_opens_no_text_in_the_locale_encoding(tmp_path):
                            *lines], cwd=tmp_path, env=env, capture_output=True,
                           text=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
-    outputs = ("inst.json", "res.json", "trace.csv", "cert.json", "grid.csv",
-               "grid.gp")
+    outputs = ("inst.json", "res.json", "trace.csv", "cert.json", "stab.json",
+               "grid.csv", "grid.gp")
     assert all((tmp_path / name).stat().st_size for name in outputs)
     assert ((tmp_path / "config.json").read_bytes()
             == (tmp_path / "res.json").read_bytes())

@@ -455,9 +455,13 @@ def test_certificate_validation():
         *[pytest.param(bad, RHO0, f"alpha must be finite and positive, got {bad}",
                        id=f"{bad}-{RHO0}-alpha must be positive")
           for bad in (0.0, -1.0, float("nan"), float("inf"))],
+        pytest.param(10**400, RHO0, f"alpha must be finite and positive, got {10**400}",
+                     id=f"10**400-{RHO0}-alpha must be positive"),
         *[pytest.param(ALPHA, bad, rf"rho0 must lie in \(0, 1\), got {bad}",
                        id=rf"{ALPHA}-{bad}-rho0 must lie in \(0, 1\)")
           for bad in (0.0, 1.0, -1.0, 1.5, float("nan"))],
+        pytest.param(ALPHA, 10**400, rf"rho0 must lie in \(0, 1\), got {10**400}",
+                     id=rf"{ALPHA}-10**400-rho0 must lie in \(0, 1\)"),
     ],
 )
 def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):

@@ -174,7 +174,8 @@ def desk_spec(**overrides):
     return ExperimentSpec(**base)
 
 
-@pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, np.inf,
+                                       pytest.param(10**400, id="10**400")])
 def test_experiment_spec_rejects_bad_success_threshold(threshold):
     with pytest.raises(ValueError, match="^success_threshold must be finite and "
                                          f"positive, got {threshold}$"):

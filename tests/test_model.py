@@ -196,7 +196,8 @@ def test_noise_spec_parse_names_a_malformed_spec(text):
         NoiseSpec.parse(text)
 
 
-@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf,
+                                 pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 def test_noise_spec_rejects_non_finite_eta(kind, eta):
     with pytest.raises(ValueError, match="eta must be finite"):

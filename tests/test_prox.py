@@ -37,7 +37,8 @@ def test_threshold_point_error_does_not_grow_with_log_mu():
     assert worst <= 4.0
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf"),
+                                pytest.param(10**400, id="10**400")])
 def test_nonpositive_or_nonfinite_weight_is_rejected(mu):
     message = f"^mu must be finite and positive, got {mu}$"
     with pytest.raises(ValueError, match=message):

@@ -408,7 +408,7 @@ def _raised_class(node) -> str:
 def test_every_raised_exception_has_an_exit_code():
     handled = _handled_by_main()
     assert {c.__name__ for c in handled} == {
-        "ValueError", "DomainError", "OSError", "MemoryError"}
+        "ValueError", "OverflowError", "DomainError", "OSError", "MemoryError"}
 
     def unmapped(node):
         if not (isinstance(node, ast.Raise) and node.exc is not None):

@@ -459,7 +459,7 @@ def test_trace_csv_export(tmp_path, monkeypatch):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=0.0)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), 10**400):
         for name in ("lam", "alpha"):
             with pytest.raises(ValueError,
                                match=f"^{name} must be finite and positive, got {bad}$"):
