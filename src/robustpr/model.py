@@ -72,6 +72,9 @@ class NoiseSpec:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
         object.__setattr__(self, "eta", _check_nonnegative(eta=self.eta))
+        if self.kind == "type3" and self.eta > 1.0:
+            raise ValueError(
+                f"type3 eta is a probability and must be at most 1, got {self.eta!r}")
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":

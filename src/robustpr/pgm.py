@@ -65,21 +65,19 @@ def read_pgm(path) -> GrayImage:
         pos, mv = next(toks)
     except StopIteration:
         raise ParseError("truncated PGM header") from None
-    try:
-        width, height, maxval = int(w), int(h), int(mv)
-    except ValueError:
-        raise ParseError("malformed PGM header") from None
+    if not (w.isdigit() and h.isdigit() and mv.isdigit()):  # decimal ASCII only
+        raise ParseError("malformed PGM header")
+    width, height, maxval = int(w), int(h), int(mv)
     if width < 1 or height < 1 or maxval not in MAXVALS:
         raise ParseError("PGM header out of range")
     count = width * height
     if magic == b"P2":
-        try:
-            values = [int(tok) for _, tok in toks]
-        except ValueError:
-            raise ParseError("malformed P2 raster value") from None
+        values = [tok for _, tok in toks]
+        if not all(map(bytes.isdigit, values)):
+            raise ParseError("malformed P2 raster value")
         if len(values) != count:
             raise ParseError(f"expected {count} pixels, found {len(values)}")
-        raster = np.array(values, dtype=np.int64)
+        raster = np.array(list(map(int, values)), dtype=np.int64)
     else:
         offset = pos + len(mv) + 1  # single whitespace byte after maxval
         dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")

@@ -666,7 +666,7 @@ def test_image_rejects_non_pgm(tmp_path):
                str(tmp_path / "o.pgm"), "--lambda", "1e-4") == 4
 
 
-@pytest.mark.parametrize("token", [b"x", b"2.5"])
+@pytest.mark.parametrize("token", [b"x", b"2.5", b"1_0", b"+1", b"-0"])
 def test_image_malformed_p2_raster_is_format_error(tmp_path, capsys, token):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P2\n2 2\n255\n0 1 " + token + b" 3\n")

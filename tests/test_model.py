@@ -176,6 +176,9 @@ def test_apply_noise_gaussian_scale():
 def test_noise_spec_rejects_negative_eta():
     with pytest.raises(ValueError, match="^eta must be finite and nonnegative, got -0.5$"):
         NoiseSpec("type1", -0.5)
+    with pytest.raises(ValueError,
+                       match="^type3 eta is a probability and must be at most 1, got 1.5$"):
+        NoiseSpec("type3", 1.5)
 
 
 def test_noise_spec_refuses_a_bool_and_stores_a_python_float():

@@ -97,7 +97,8 @@ def test_tokens_match_the_reference_scanner(data):
     (b"P2\n3 2\n", "truncated PGM header"),
     (b"P5\n3 two\n255\n", "malformed PGM header"),
     (b"P2\n3 2\n65536\n", "PGM header out of range"),
-], ids=["truncated", "malformed", "out-of-range"])
+    (b"P2\n1_0 1\n255\n" + b"0 " * 10, "malformed PGM header"),
+], ids=["truncated", "malformed", "out-of-range", "underscore"])
 def test_rejects_bad_header(tmp_path, data, message):
     path = tmp_path / "header.pgm"
     path.write_bytes(data)
@@ -127,7 +128,7 @@ def test_rejects_truncated_raster(tmp_path):
         read_pgm(ascii_short)
 
 
-@pytest.mark.parametrize("token", [b"x", b"2.5"])
+@pytest.mark.parametrize("token", [b"x", b"2.5", b"1_0", b"+1", b"-0"])
 def test_rejects_malformed_p2_raster_token(tmp_path, token):
     path = tmp_path / "token.pgm"
     path.write_bytes(b"P2\n2 1\n10\n5 " + token + b"\n")

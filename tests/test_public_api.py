@@ -1,44 +1,21 @@
-"""The public API exports only what the package and its benchmark run.
+"""The public API exports only what the package and its benchmark run, and
+each rule the package writes once has one home.
 
-A name in ``robustpr.__all__`` that no package module (other than the
-re-exporting ``__init__``) and no benchmark script uses is test-only code;
-it belongs in ``tests/oracles.py``.  Likewise an optional parameter of a
-public function, or a defaulted field of a dataclass, that no call in the
-package or the benchmark passes is a knob only tests turn; a value that one
-setting serves is a constant, not a field.  And every file the package
-opens as text is opened in ``model``, as UTF-8; ``pgm`` opens its files in
-binary mode.
-Only ``spectral`` builds a ``SpectralConfig``, and only ``test_spectral``
-passes ``truncation=``: the rest of the package and its tests run the
-untruncated start.  No call in the package passes ``spectral_init`` a
-seed: every start the package makes is drawn with the instance's own.
-Outside ``diagnostics``, whose checks multiply their own restricted and
-rescaled copies, the package's one ``@`` forward product is
-``model.correlate`` and its one ``@`` adjoint product is
-``gradient._adjoint``.  Every square of a correlation or of a
-sampling-matrix entry in the forward model (``model.measure``, the
-ensemble's consistency check, ``objective._evaluate`` and the diagnostics'
-residual and curvature terms) is ``model._squared_modulus``.  And the rule
-that a parameter is finite and positive, ``0.0 < v < np.inf``, is written
-once, in ``model._check_positive``; that it is finite and nonnegative,
-``0.0 <= v < np.inf``, once, in ``model._check_nonnegative``; the rule that
-a count is a positive integer once, in ``model._check_count``; and the test
-that the ground truth is all zero once, in
-``MeasurementEnsemble.nonzero_truth``.  Every exception the package
-raises is one that ``cli.main`` maps to an exit code, but for argparse's
-own and ``_min_eig``'s self-check.  Only ``model`` imports ``json``, so every
-JSON text is rendered, strict, by ``model.render_json``; and the solver's
-relative floor ``max(1, ||x||)`` is written once, in
-``solver._relative_step``, which the stop test and every residual read;
-the solver's one prox call is in ``solver._mm_map``, the map each trial and
-each residual apply.  And every ``int`` or ``float`` field of an exported
-dataclass holds a Python ``int`` or ``float``, whatever NumPy scalar it was
-built or computed from.
+A name in ``robustpr.__all__``, an optional parameter of a public function
+or a defaulted dataclass field that nothing outside the tests uses is
+test-only code.  Every text file the package opens is UTF-8 and opened in
+``model``; every exception it raises maps to an exit code; every ``int`` or
+``float`` field of an exported dataclass holds a Python number.
+``RULE_HOMES`` lists the rules written in one place, each with the
+functions that may hold it and the spellings its matcher must and must not
+see; ``FORWARD_MODEL`` lists the functions whose every square is
+``model._squared_modulus``.
 """
 
 import ast
 import builtins
 import dataclasses
+from collections.abc import Callable
 from itertools import takewhile
 from pathlib import Path
 
@@ -189,39 +166,32 @@ def test_only_spectral_builds_a_config_and_only_its_tests_truncate():
     assert (built, truncating) == ([], [])
 
 
-def _passes_a_start_seed(node) -> bool:
-    """A call of ``spectral_init`` with ``seed=``, a third positional
-    argument, or an unpacked argument that may carry either."""
-    if not (isinstance(node, ast.Call) and getattr(
-            node.func, "id", getattr(node.func, "attr", None)) == "spectral_init"):
-        return False
-    return (len(node.args) >= 3 or any(isinstance(a, ast.Starred) for a in node.args)
-            or any(k.arg in ("seed", None) for k in node.keywords))
+def test_the_package_has_one_domain_error():
+    tree = ast.parse((ROOT / "src" / "robustpr" / "errors.py").read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
+        "ParseError", "DomainError"]
 
 
-def test_the_package_draws_every_start_with_the_instance_seed():
-    seeded = [f"{path.name}:{node.lineno}"
-              for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))
-              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-              if _passes_a_start_seed(node)]
-    assert seeded == []
+def _handled_by_main() -> tuple:
+    """The exception classes ``cli.main``'s handler catches."""
+    tree = ast.parse((ROOT / "src" / "robustpr" / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handler = next(node for node in ast.walk(main)
+                   if isinstance(node, ast.ExceptHandler))
+    return tuple(getattr(builtins, n.id, None) or getattr(robustpr.errors, n.id)
+                 for n in handler.type.elts)
 
 
-def test_the_start_seed_guard_sees_each_spelling():
-    seeded = ["spectral_init(e, seed=seed)", "spectral_init(e, None, 3)",
-              "robustpr.spectral_init(e, cfg, e.seed)",
-              "spectral_init(e, cfg=None, seed=1)", "spectral_init(*args)",
-              "spectral_init(e, **kwargs)"]
-    others = ["spectral_init(e)", "spectral_init(train, cfg)",
-              "spectral_init(e, SpectralConfig(truncation=2))",
-              "power_iteration(e, seed)", "synthesize_instance(p, s, n, field, noise, seed)"]
-    assert [any(map(_passes_a_start_seed, ast.walk(ast.parse(text))))
-            for text in seeded + others] == [True] * 6 + [False] * 5
+def _raised_class(node) -> str:
+    """The name of the class a ``raise`` statement raises."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None) or getattr(exc, "attr", None)
 
 
-def _owners(path: Path, match) -> list:
+def _owners(tree, match) -> list:
     """The innermost enclosing function (None at module level) of each node
-    of a module for which ``match(node)`` holds."""
+    of a module's tree for which ``match(node)`` holds."""
     owners = []
 
     def visit(node, owner):
@@ -231,8 +201,62 @@ def _owners(path: Path, match) -> list:
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if named else owner)
 
-    visit(ast.parse(path.read_text(), str(path)), None)
+    visit(tree, None)
     return owners
+
+
+PACKAGE = "src/robustpr/*.py"
+
+
+def _homes(scope, match, per_module=False) -> dict:
+    """Per file of ``scope`` (globs from the repo root; a glob with a leading
+    ``!`` drops its files) that has any match, the owners of its matches.
+    ``match`` is a node test or, with ``per_module``, a function of the
+    module's tree that returns one."""
+    paths = set()
+    for glob in scope:
+        if glob.startswith("!"):
+            paths -= set(ROOT.glob(glob[1:]))
+        else:
+            paths |= set(ROOT.glob(glob))
+    homes = {}
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(), str(path))
+        if owners := _owners(tree, match(tree) if per_module else match):
+            homes[path.relative_to(ROOT).as_posix()] = owners
+    return homes
+
+
+def test_every_raised_exception_has_an_exit_code():
+    handled = _handled_by_main()
+    assert {c.__name__ for c in handled} == {
+        "ValueError", "OverflowError", "DomainError", "OSError", "MemoryError"}
+
+    def unmapped(node):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            return False  # a bare raise re-raises what it caught
+        name = _raised_class(node)
+        cls = getattr(builtins, name, None) or getattr(robustpr.errors, name, None)
+        return not (isinstance(cls, type) and issubclass(cls, handled))
+
+    # a flag's type function raises ArgumentTypeError, which argparse turns
+    # into a usage error (exit 2); _min_eig's RuntimeError is a self-check
+    argparse_only = _homes((PACKAGE,), lambda node: unmapped(node)
+                           and _raised_class(node) == "ArgumentTypeError")
+    assert list(argparse_only) == ["src/robustpr/cli.py"]
+    assert _homes((PACKAGE,), lambda node: unmapped(node)
+                  and _raised_class(node) != "ArgumentTypeError"
+                  ) == {"src/robustpr/diagnostics.py": ["_min_eig"]}
+
+
+def _passes_a_start_seed(node) -> bool:
+    """A call of ``spectral_init`` with ``seed=``, a third positional
+    argument, or an unpacked argument that may carry either."""
+    if not (isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) == "spectral_init"):
+        return False
+    return (len(node.args) >= 3 or any(isinstance(a, ast.Starred) for a in node.args)
+            or any(k.arg in ("seed", None) for k in node.keywords))
 
 
 def _is_matmul(node) -> bool:
@@ -256,45 +280,6 @@ def _finite_rule(low_op):
     return match
 
 
-_is_positive_rule = _finite_rule(ast.Lt)
-_is_nonnegative_rule = _finite_rule(ast.LtE)
-
-
-def _package_owners(match) -> dict:
-    """Per package module that has any, the owners of its matching nodes."""
-    owners = {path.name: _owners(path, match)
-              for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))}
-    return {name: found for name, found in owners.items() if found}
-
-
-def test_correlate_and_adjoint_make_every_product_outside_diagnostics():
-    products = _package_owners(_is_matmul)
-    del products["diagnostics.py"]
-    assert products == {"model.py": ["correlate"], "gradient.py": ["_adjoint"]}
-
-
-def test_one_helper_holds_the_positive_parameter_rule():
-    assert _package_owners(_is_positive_rule) == {"model.py": ["_check_positive"]}
-
-
-def test_the_positive_rule_guard_sees_each_spelling():
-    rules = ["0.0 < lam < np.inf", "0 < mu < inf", "not 0.0 < a < math.inf"]
-    others = ["0.0 <= eta < np.inf", "0.0 < rho0 < 1.0", "lo < v < np.inf"]
-    assert [any(map(_is_positive_rule, ast.walk(ast.parse(text))))
-            for text in rules + others] == [True] * 3 + [False] * 3
-
-
-def test_one_helper_holds_the_nonnegative_parameter_rule():
-    assert _package_owners(_is_nonnegative_rule) == {"model.py": ["_check_nonnegative"]}
-
-
-def test_the_nonnegative_rule_guard_sees_each_spelling():
-    rules = ["0.0 <= eta < np.inf", "0 <= t < inf", "not 0.0 <= v < math.inf"]
-    others = ["0.0 < lam < np.inf", "0.0 <= rho0 < 1.0", "lo <= v < np.inf"]
-    assert [any(map(_is_nonnegative_rule, ast.walk(ast.parse(text))))
-            for text in rules + others] == [True] * 3 + [False] * 3
-
-
 def _is_count_rule(node) -> bool:
     """A single ``v < 1`` or ``v >= 1`` (or ``1 > v``, ``1 <= v``): the
     positive-count rule.  A chained range such as ``1 <= s <= p`` is another."""
@@ -308,21 +293,6 @@ def _is_count_rule(node) -> bool:
     op = type(node.ops[0])
     return ((one(node.comparators[0]) and op in (ast.Lt, ast.GtE))
             or (one(node.left) and op in (ast.Gt, ast.LtE)))
-
-
-def test_one_helper_holds_the_positive_count_rule():
-    # pgm.read_pgm refuses a PGM header: a file-format refusal (exit 4)
-    assert _package_owners(_is_count_rule) == {
-        "model.py": ["_check_count"],
-        "pgm.py": ["read_pgm", "read_pgm"],
-    }
-
-
-def test_the_count_rule_guard_sees_each_spelling():
-    rules = ["n < 1", "not (_is_int(v) and v >= 1)", "1 > k", "1 <= len(x)"]
-    others = ["1 <= s <= p", "v < 1.5", "x < True", "value < minimum"]
-    assert [any(map(_is_count_rule, ast.walk(ast.parse(text))))
-            for text in rules + others] == [True] * 4 + [False] * 4
 
 
 def _zero_truth_test(tree):
@@ -361,94 +331,12 @@ def _zero_truth_test(tree):
     return match
 
 
-def test_one_property_holds_the_zero_truth_test():
-    owners = {path.name: _owners(path, _zero_truth_test(ast.parse(path.read_text())))
-              for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))}
-    assert {name: found for name, found in owners.items() if found} == {
-        "model.py": ["nonzero_truth"]}
-
-
-def test_the_zero_truth_guard_sees_each_spelling():
-    def seen(text):
-        tree = ast.parse(text)
-        return any(map(_zero_truth_test(tree), ast.walk(tree)))
-
-    rules = ["not np.any(e.ground_truth)", "x = e.ground_truth\nnp.any(x)",
-             "x, t = r.estimate, e.ground_truth\nif not np.any(t): pass",
-             "if (t := e.ground_truth) is None or not t.any(): pass",
-             "np.count_nonzero(e.ground_truth) == 0"]
-    others = ["np.any(x_true)", "t = e.nonzero_truth\nnp.any(t)",
-              "np.all(np.isfinite(e.ground_truth))"]
-    assert [seen(text) for text in rules + others] == [True] * 5 + [False] * 3
-
-
-def test_the_package_has_one_domain_error():
-    tree = ast.parse((ROOT / "src" / "robustpr" / "errors.py").read_text())
-    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
-        "ParseError", "DomainError"]
-
-
-def _handled_by_main() -> tuple:
-    """The exception classes ``cli.main``'s handler catches."""
-    tree = ast.parse((ROOT / "src" / "robustpr" / "cli.py").read_text())
-    main = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "main")
-    handler = next(node for node in ast.walk(main)
-                   if isinstance(node, ast.ExceptHandler))
-    return tuple(getattr(builtins, n.id, None) or getattr(robustpr.errors, n.id)
-                 for n in handler.type.elts)
-
-
-def _raised_class(node) -> str:
-    """The name of the class a ``raise`` statement raises."""
-    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return getattr(exc, "id", None) or getattr(exc, "attr", None)
-
-
-def test_every_raised_exception_has_an_exit_code():
-    handled = _handled_by_main()
-    assert {c.__name__ for c in handled} == {
-        "ValueError", "OverflowError", "DomainError", "OSError", "MemoryError"}
-
-    def unmapped(node):
-        if not (isinstance(node, ast.Raise) and node.exc is not None):
-            return False  # a bare raise re-raises what it caught
-        name = _raised_class(node)
-        cls = getattr(builtins, name, None) or getattr(robustpr.errors, name, None)
-        return not (isinstance(cls, type) and issubclass(cls, handled))
-
-    # a flag's type function raises ArgumentTypeError, which argparse turns
-    # into a usage error (exit 2); _min_eig's RuntimeError is a self-check
-    argparse_only = _package_owners(
-        lambda node: unmapped(node) and _raised_class(node) == "ArgumentTypeError")
-    assert list(argparse_only) == ["cli.py"]
-    assert _package_owners(
-        lambda node: unmapped(node) and _raised_class(node) != "ArgumentTypeError"
-    ) == {"diagnostics.py": ["_min_eig"]}
-
-
-def _imports_json(tree) -> bool:
-    """Whether a module's tree imports ``json`` or a name from it."""
-    return any(
-        (isinstance(node, ast.Import)
-         and any(alias.name.split(".")[0] == "json" for alias in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.level == 0
-            and node.module.split(".")[0] == "json")
-        for node in ast.walk(tree))
-
-
-def test_only_model_imports_json():
-    assert [path.name for path in sorted((ROOT / "src" / "robustpr").glob("*.py"))
-            if _imports_json(ast.parse(path.read_text()))] == ["model.py"]
-
-
-def test_the_json_import_guard_sees_each_spelling():
-    imports = ["import json", "from json import dumps", "import json.decoder",
-               "def f():\n    import json as j"]
-    others = ["from .model import render_json", "import jsonschema",
-              "x = json.dumps({})"]
-    assert [_imports_json(ast.parse(text)) for text in imports + others] == [
-        True] * 4 + [False] * 3
+def _imports_json(node) -> bool:
+    """An import of ``json``, of a submodule of it or of a name from it."""
+    return ((isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "json" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "json"))
 
 
 def _is_unit_floor(node) -> bool:
@@ -458,20 +346,137 @@ def _is_unit_floor(node) -> bool:
                     and arg.value == 1 for arg in node.args))
 
 
-def test_one_function_holds_the_solver_relative_floor():
-    solver = ROOT / "src" / "robustpr" / "solver.py"
-    assert _owners(solver, _is_unit_floor) == ["_relative_step"]
+def _is_prox_call(node) -> bool:
+    """A call of ``_half_threshold`` or ``half_threshold``, by name or as an
+    attribute (``prox._half_threshold(...)``, say)."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    ) in ("_half_threshold", "half_threshold")
 
 
-def test_the_relative_floor_guard_sees_each_spelling():
-    floors = ["max(1.0, x_norm)", "max(x_norm, 1)", "s / max(1, _norm(x))"]
-    others = ["max(x, y)", "max(2.0, v)", "max(True, v)", "min(1.0, v)"]
-    assert [any(map(_is_unit_floor, ast.walk(ast.parse(text))))
-            for text in floors + others] == [True] * 3 + [False] * 4
+def _is_ignore_filter(node) -> bool:
+    """A ``simplefilter`` or ``filterwarnings`` call (``pytest.mark``'s too)
+    whose action, the first argument or ``action=``, starts with "ignore".
+    pyproject's ``filterwarnings = ["error"]`` makes every warning a test
+    failure, which such a filter would hide; recording warnings, with
+    ``simplefilter("always")``, stays allowed."""
+    if not (isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    ) in ("simplefilter", "filterwarnings")):
+        return False
+    keywords = {k.arg: k.value for k in node.keywords}
+    action = node.args[0] if node.args else keywords.get("action")
+    return (isinstance(action, ast.Constant) and isinstance(action.value, str)
+            and action.value.startswith("ignore"))
+
+
+@dataclasses.dataclass(frozen=True)
+class Rule:
+    """A rule written in one place.  The nodes ``match`` finds in the files
+    of ``scope`` sit in ``homes``: per file (its path from the repo root),
+    the innermost enclosing function of each match, None at module level;
+    ``{}`` means nowhere.  ``match`` finds each of ``catches`` and none of
+    ``ignores``; with ``per_module`` it is a function of the module's tree
+    that returns the node test."""
+    name: str
+    match: Callable
+    homes: dict
+    catches: tuple
+    ignores: tuple
+    scope: tuple = (PACKAGE,)
+    per_module: bool = False
+
+
+SOLVER = "src/robustpr/solver.py"
+
+RULE_HOMES = [
+    # every start the package makes is drawn with the instance's own seed
+    Rule("start-seed", _passes_a_start_seed, {},
+         catches=("spectral_init(e, seed=seed)", "spectral_init(e, None, 3)",
+                  "robustpr.spectral_init(e, cfg, e.seed)",
+                  "spectral_init(e, cfg=None, seed=1)", "spectral_init(*args)",
+                  "spectral_init(e, **kwargs)"),
+         ignores=("spectral_init(e)", "spectral_init(train, cfg)",
+                  "spectral_init(e, SpectralConfig(truncation=2))",
+                  "power_iteration(e, seed)",
+                  "synthesize_instance(p, s, n, field, noise, seed)")),
+    # the one forward and the one adjoint product; diagnostics' checks
+    # multiply their own restricted and rescaled copies
+    Rule("matmul", _is_matmul,
+         {"src/robustpr/model.py": ["correlate"], "src/robustpr/gradient.py": ["_adjoint"]},
+         scope=(PACKAGE, "!src/robustpr/diagnostics.py"),
+         catches=("a @ x", "m @= u"), ignores=("a * x", "a.dot(x)")),
+    Rule("positive", _finite_rule(ast.Lt), {"src/robustpr/model.py": ["_check_positive"]},
+         catches=("0.0 < lam < np.inf", "0 < mu < inf", "not 0.0 < a < math.inf"),
+         ignores=("0.0 <= eta < np.inf", "0.0 < rho0 < 1.0", "lo < v < np.inf")),
+    Rule("nonnegative", _finite_rule(ast.LtE),
+         {"src/robustpr/model.py": ["_check_nonnegative"]},
+         catches=("0.0 <= eta < np.inf", "0 <= t < inf", "not 0.0 <= v < math.inf"),
+         ignores=("0.0 < lam < np.inf", "0.0 <= rho0 < 1.0", "lo <= v < np.inf")),
+    # pgm.read_pgm refuses a PGM header: a file-format refusal (exit 4)
+    Rule("count", _is_count_rule,
+         {"src/robustpr/model.py": ["_check_count"],
+          "src/robustpr/pgm.py": ["read_pgm", "read_pgm"]},
+         catches=("n < 1", "not (_is_int(v) and v >= 1)", "1 > k", "1 <= len(x)"),
+         ignores=("1 <= s <= p", "v < 1.5", "x < True", "value < minimum")),
+    Rule("zero-truth", _zero_truth_test, {"src/robustpr/model.py": ["nonzero_truth"]},
+         per_module=True,
+         catches=("not np.any(e.ground_truth)", "x = e.ground_truth\nnp.any(x)",
+                  "x, t = r.estimate, e.ground_truth\nif not np.any(t): pass",
+                  "if (t := e.ground_truth) is None or not t.any(): pass",
+                  "np.count_nonzero(e.ground_truth) == 0"),
+         ignores=("np.any(x_true)", "t = e.nonzero_truth\nnp.any(t)",
+                  "np.all(np.isfinite(e.ground_truth))")),
+    # every JSON text is rendered, strict, by model.render_json
+    Rule("json-import", _imports_json, {"src/robustpr/model.py": [None]},
+         catches=("import json", "from json import dumps", "import json.decoder",
+                  "def f():\n    import json as j"),
+         ignores=("from .model import render_json", "import jsonschema",
+                  "x = json.dumps({})")),
+    # max(1, ||x||), which the stop test and every residual read
+    Rule("relative-floor", _is_unit_floor, {SOLVER: ["_relative_step"]}, scope=(SOLVER,),
+         catches=("max(1.0, x_norm)", "max(x_norm, 1)", "s / max(1, _norm(x))"),
+         ignores=("max(x, y)", "max(2.0, v)", "max(True, v)", "min(1.0, v)")),
+    # the solver's one prox call, in the map each trial and each residual apply
+    Rule("mm-map", _is_prox_call, {SOLVER: ["_mm_map"]}, scope=(SOLVER,),
+         catches=("_half_threshold(x - 2.0 * tau * g, 2.0 * lam * tau)",
+                  "prox._half_threshold(v, mu)", "half_threshold(v, mu)",
+                  "y = _half_threshold(v, mu) - x"),
+         ignores=("_mm_map(x, g, lam, tau)", "threshold_point(mu)",
+                  "from .prox import _half_threshold", "f = _half_threshold")),
+    Rule("ignore-filter", _is_ignore_filter, {}, scope=("src/**/*.py", "tests/**/*.py"),
+         catches=("warnings.simplefilter('ignore', RuntimeWarning)",
+                  "warnings.filterwarnings(action='ignore')",
+                  "pytestmark = pytest.mark.filterwarnings('ignore::DeprecationWarning')"),
+         ignores=("simplefilter('always')", "warnings.filterwarnings('error')")),
+]
+
+
+def test_each_rule_has_a_unique_name_and_spellings_either_way():
+    names = [rule.name for rule in RULE_HOMES]
+    assert len(set(names)) == len(names)
+    assert [rule.name for rule in RULE_HOMES if not (rule.catches and rule.ignores)] == []
+
+
+@pytest.mark.parametrize("rule", RULE_HOMES, ids=lambda rule: rule.name)
+def test_rule_has_one_home(rule):
+    assert _homes(rule.scope, rule.match, rule.per_module) == rule.homes
+
+
+@pytest.mark.parametrize("rule", RULE_HOMES, ids=lambda rule: rule.name)
+def test_rule_guard_sees_each_spelling(rule):
+    def seen(text):
+        tree = ast.parse(text)
+        return any(map(rule.match(tree) if rule.per_module else rule.match,
+                       ast.walk(tree)))
+
+    assert [seen(text) for text in rule.catches + rule.ignores] == (
+        [True] * len(rule.catches) + [False] * len(rule.ignores))
 
 
 # The functions that square a correlation <a_i, x> or a sampling-matrix
 # entry, by module and qualified name: each calls model._squared_modulus.
+# A per-function scope, with a required call besides, is no row of RULE_HOMES.
 FORWARD_MODEL = {
     "model.py": ["measure", "MeasurementEnsemble.__post_init__"],
     "objective.py": ["_evaluate"],
@@ -529,29 +534,6 @@ def test_the_square_guard_sees_each_spelling():
               "_squared_modulus(c)", "np.power(c, 3)"]
     assert [any(map(_is_inline_square, ast.walk(ast.parse(text))))
             for text in squares + others] == [True] * 6 + [False] * 7
-
-
-def _is_prox_call(node) -> bool:
-    """A call of ``_half_threshold`` or ``half_threshold``, by name or as an
-    attribute (``prox._half_threshold(...)``, say)."""
-    return isinstance(node, ast.Call) and (
-        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-    ) in ("_half_threshold", "half_threshold")
-
-
-def test_one_function_applies_the_mm_map():
-    solver = ROOT / "src" / "robustpr" / "solver.py"
-    assert _owners(solver, _is_prox_call) == ["_mm_map"]
-
-
-def test_the_mm_map_guard_sees_each_spelling():
-    calls = ["_half_threshold(x - 2.0 * tau * g, 2.0 * lam * tau)",
-             "prox._half_threshold(v, mu)", "half_threshold(v, mu)",
-             "y = _half_threshold(v, mu) - x"]
-    others = ["_mm_map(x, g, lam, tau)", "threshold_point(mu)",
-              "from .prox import _half_threshold", "f = _half_threshold"]
-    assert [any(map(_is_prox_call, ast.walk(ast.parse(text))))
-            for text in calls + others] == [True] * 4 + [False] * 4
 
 
 def _scalar_fields(cls) -> dict:
