@@ -77,7 +77,10 @@ def read_pgm(path) -> GrayImage:
             raise ParseError("malformed P2 raster value")
         if len(values) != count:
             raise ParseError(f"expected {count} pixels, found {len(values)}")
-        raster = np.array(list(map(int, values)), dtype=np.int64)
+        pixels = list(map(int, values))
+        if max(pixels) > maxval:  # before int64, which a long token overflows
+            raise ParseError("pixel value outside [0, maxval]")
+        raster = np.array(pixels, dtype=np.int64)
     else:
         offset = pos + len(mv) + 1  # single whitespace byte after maxval
         dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")

@@ -3,21 +3,22 @@
 ``runs(offset)`` solves the six arms that criteria 3-6 and 13 of
 ``tests/test_acceptance.py`` read, each from its master seed (100, 200,
 300 or 400) plus ``offset``; the suite's fixture is ``runs(0)``.  Every
-run is stored once, with its ``metrics.summarize`` record, and every reader
-takes its numbers from that record.  Run as a script, from the repository
+run is stored once, with its ``metrics.summarize`` record.  ``COLUMNS``
+holds the statistics the criteria gate, each one function of an arm's runs,
+and the criteria read nothing else.  Run as a script, from the repository
 root,
 
     PYTHONPATH=src python tests/acceptance_runs.py
 
-it solves offsets 1-10 and prints, per offset and arm, the median best
-error, the largest truth gap (F(x_hat) - F(x_true)) / max(1, |F(x_true)|)
-and the count of runs that did not converge: the spread that a bound over
-the master seed is set from.  No test runs the sweep.
+it prints every column for offsets 1-10 and each arm: the spread that a
+bound over the master seed is set from.  A new arm is a row of ``ARMS``; a
+new statistic is an entry of ``COLUMNS``.
 """
 
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,76 +31,94 @@ from robustpr import (
     spectral_init,
     synthesize_instance,
 )
-from robustpr.metrics import summarize
-from robustpr.rng import mix
+from robustpr.metrics import summarize, trial_seed
 
 LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3)
+SUCCESS_ERROR = 5e-3
+CONVERGED = Termination.CONVERGED.value
 # A Huber threshold above every residual makes h_alpha(u) = u^2/2 everywhere:
 # the squared loss that criterion 6 compares the Huber loss against.
 SQUARED_LOSS_ALPHA = 1e6
-# (name, field, p, s, n, noise, alpha, trials, master seed).  The Type-III
-# instances (master seed 300) are solved twice from the same spectral inits:
-# with the Huber loss and with the squared loss.
+
+
+Arm = namedtuple("Arm", "name field p s n noise alpha trials master_seed")
+# The Type-III instances (master seed 300) are solved twice from the same
+# spectral inits: with the Huber loss and with the squared loss.
 ARMS = (
-    ("real_noiseless", FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 1.345, 20, 100),
-    ("complex_noiseless",
-     FieldTag.COMPLEX, 32, 4, 320, NoiseSpec("none"), 1.345, 20, 200),
-    ("real_noiseless_outlier_alpha",
-     FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 0.1345, 20, 300),
-    ("type3", FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), 0.1345, 20, 300),
-    ("type3_squared",
-     FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), SQUARED_LOSS_ALPHA, 20, 300),
-    ("gaussian",
-     FieldTag.REAL, 64, 6, 512, NoiseSpec("gaussian", 0.01), 1.345, 20, 400),
+    Arm("real_noiseless", FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 1.345, 20, 100),
+    Arm("complex_noiseless",
+        FieldTag.COMPLEX, 32, 4, 320, NoiseSpec("none"), 1.345, 20, 200),
+    Arm("real_noiseless_outlier_alpha",
+        FieldTag.REAL, 64, 6, 512, NoiseSpec("none"), 0.1345, 20, 300),
+    Arm("type3", FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), 0.1345, 20, 300),
+    Arm("type3_squared",
+        FieldTag.REAL, 64, 6, 512, NoiseSpec("type3", 0.1), SQUARED_LOSS_ALPHA, 20, 300),
+    Arm("gaussian",
+        FieldTag.REAL, 64, 6, 512, NoiseSpec("gaussian", 0.01), 1.345, 20, 400),
 )
 
 
-def tuned_trials(arm, field, p, s, n, noise, alpha, trials, master_seed, runs):
-    """Oracle lambda tuning per trial over LAMBDA_GRID: each trial's best
-    relative error.
-
-    Every run lands in ``runs`` as ((arm, trial, lam), result, summary).
-    """
-    best_errors = []
-    for trial in range(trials):
-        seed = mix(master_seed, n, trial)
-        e = synthesize_instance(p, s, n, field, noise, seed)
-        x0 = spectral_init(e, seed=seed)
-        summaries = []
-        for lam in LAMBDA_GRID:
-            cfg = SolverConfig(lam=lam, alpha=alpha)
-            result = solve(e, x0, cfg)
-            summaries.append(summarize(result, e, cfg))
-            runs.append(((arm, trial, lam), result, summaries[-1]))
-        best_errors.append(min(summary["relative_error"] for summary in summaries))
-    return np.array(best_errors)
+def runs(offset=0, arms=ARMS):
+    """Each arm's runs, as (trial, lam, result, summary) at every lambda of
+    LAMBDA_GRID, and each arm's wall seconds, both by arm name."""
+    by_arm, seconds = {}, {}
+    for arm in arms:
+        t0 = time.perf_counter()
+        arm_runs = by_arm[arm.name] = []
+        for trial in range(arm.trials):
+            seed = trial_seed(arm.master_seed + offset, arm.n, trial)
+            e = synthesize_instance(arm.p, arm.s, arm.n, arm.field, arm.noise, seed)
+            x0 = spectral_init(e)
+            for lam in LAMBDA_GRID:
+                cfg = SolverConfig(lam=lam, alpha=arm.alpha)
+                result = solve(e, x0, cfg)
+                arm_runs.append((trial, lam, result, summarize(result, e, cfg)))
+        seconds[arm.name] = time.perf_counter() - t0
+    return by_arm, seconds
 
 
-def runs(offset=0):
-    """Each arm's best errors by name, the noiseless arms' wall time as
-    ``noiseless_time``, and every run of every arm as ``runs``."""
-    data = {"runs": []}
-    t0 = time.perf_counter()
-    for name, *setup, master_seed in ARMS:
-        data[name] = tuned_trials(name, *setup, master_seed + offset, data["runs"])
-        if name == "complex_noiseless":  # the last noiseless arm
-            data["noiseless_time"] = time.perf_counter() - t0
-    return data
+def _best_errors(arm_runs):
+    """Each trial's best relative error over LAMBDA_GRID: oracle tuning."""
+    errors = [summary["relative_error"] for *_, summary in arm_runs]
+    return np.min(np.reshape(errors, (-1, len(LAMBDA_GRID))), axis=1)
 
 
-def main():
-    print(f"{'offset':>6}  {'arm':<28} {'median best error':>17} "
-          f"{'max truth gap':>13} {'not converged':>13}")
-    for offset in range(1, 11):
-        data = runs(offset)
-        for name, *_ in ARMS:
-            summaries = [summary for (arm, *_), _, summary in data["runs"]
-                         if arm == name]
-            gap = max(summary["truth_gap"] for summary in summaries)
-            stalled = sum(summary["termination"] != Termination.CONVERGED.value
-                          for summary in summaries)
-            print(f"{offset:>6}  {name:<28} {np.median(data[name]):>17.3e} "
-                  f"{gap:>13.3e} {stalled:>13}")
+def _converged(arm_runs, key):
+    """``key`` of each of an arm's converged runs."""
+    return [summary[key] for *_, summary in arm_runs
+            if summary["termination"] == CONVERGED]
+
+
+# The criterion each column gates; a max over no converged run is NaN.
+COLUMNS = {
+    # criterion 6
+    "median best error": lambda arm_runs: float(np.median(_best_errors(arm_runs))),
+    # criterion 13: (F(x_hat) - F(x_true)) / max(1, |F(x_true)|)
+    "max truth gap": lambda arm_runs: max(_converged(arm_runs, "truth_gap"),
+                                          default=np.nan),
+    # criterion 4
+    "not converged": lambda arm_runs: sum(
+        summary["termination"] != CONVERGED for *_, summary in arm_runs),
+    # criterion 5: the share of trials whose best error is below SUCCESS_ERROR
+    "success rate": lambda arm_runs: float(np.mean(_best_errors(arm_runs) < SUCCESS_ERROR)),
+    # criterion 4: the fixed-point residual at the accepted step
+    "max residual": lambda arm_runs: max(_converged(arm_runs, "fixed_point_residual"),
+                                         default=np.nan),
+}
+
+
+def main(offsets=range(1, 11), arms=ARMS):
+    """Print a header naming every column, then one row per offset and arm
+    with each value right-aligned under its column's name."""
+    print(f"{'offset':>6}  {'arm':<28} " + " ".join(COLUMNS))
+    for offset in offsets:
+        for name, arm_runs in runs(offset, arms)[0].items():
+            cells = []
+            for column, statistic in COLUMNS.items():
+                value = statistic(arm_runs)
+                kind = "d" if isinstance(value, int) else ".3e"
+                cells.append(format(value, f">{len(column)}{kind}"))
+            print(f"{offset:>6}  {name:<28} " + " ".join(cells))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 Criteria 3, 4 and 13 are universal post-conditions over every solver run of
-the shared experiment fixture; they read each run's ``summarize`` record.
+the shared experiment fixture.  Criteria 4, 5, 6 and 13 gate the values of
+``acceptance_runs.COLUMNS`` on its arms, the numbers its sweep prints.
 No criterion silences warnings: pyproject turns every one into an error.
 """
 
@@ -26,10 +27,8 @@ from robustpr import (
 from robustpr.cli import main as cli_main
 from robustpr.gradient import g
 
-from acceptance_runs import runs
+from acceptance_runs import ARMS, COLUMNS, CONVERGED, main as sweep, runs
 from oracles import chi, chi_oracle, fd_loss_gradient, realify_gradient
-
-CONVERGED = Termination.CONVERGED.value
 
 
 def report(num, ok, detail):
@@ -40,11 +39,9 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def experiments():
-    """All benchmark runs used by criteria 3, 4, 5, 6 and 13: the arms of
-    ``acceptance_runs`` at offset 0.  Every run of every arm, the
-    squared-loss one included, lands in ``runs`` as
-    ((arm, trial, lam), result, summary) for criteria 3, 4 and 13.
-    """
+    """The arms of ``acceptance_runs`` at offset 0: every run of every arm,
+    the squared-loss one included, by arm name as (trial, lam, result,
+    summary), and each arm's wall seconds."""
     return runs(0)
 
 
@@ -105,47 +102,47 @@ def test_criterion_2_gradient_matches_finite_differences():
 
 def test_criterion_3_descent_and_square_summability(experiments):
     delta = SolverConfig.delta
-    summaries = [summary for *_, summary in experiments["runs"]]
-    for _, result, summary in experiments["runs"]:
+    every_run = [run for arm_runs in experiments[0].values() for run in arm_runs]
+    for *_, result, summary in every_run:
         values = np.append(summary["initial_objective"], result.trace.F_value)
         steps = result.trace.step_norm
         assert np.all(values[:-1] - values[1:] >= delta * steps**2 - 1e-15)
         assert np.sum(steps**2) <= 2.0 * summary["initial_objective"] / delta + 1e-12
-    iterations = sum(summary["iterations"] for summary in summaries)
-    trials = sum(summary["trials"] for summary in summaries)
+    iterations = sum(summary["iterations"] for *_, summary in every_run)
+    trials = sum(summary["trials"] for *_, summary in every_run)
     report(
         3,
-        len(summaries) > 0,
+        len(every_run) > 0,
         f"descent inequality and sum ||dx||^2 <= 2 F(x0)/delta verified on "
-        f"all {len(summaries)} benchmark runs ({iterations} iterations, {trials} "
+        f"all {len(every_run)} benchmark runs ({iterations} iterations, {trials} "
         f"Armijo trials)",
     )
 
 
 def test_criterion_4_fixed_point_inclusion(experiments):
     bound = 10.0 * SolverConfig.eps
-    residuals = [summary["fixed_point_residual"]
-                 for *_, summary in experiments["runs"]
-                 if summary["termination"] == CONVERGED]
-    stalled = [f"{arm} trial {trial} lambda {lam:g} ({summary['termination']})"
-               for (arm, trial, lam), _, summary in experiments["runs"]
-               if summary["termination"] != CONVERGED]
-    worst = max(residuals)
+    by_arm = experiments[0]
+    stalled = sum(map(COLUMNS["not converged"], by_arm.values()))
+    worst = max(map(COLUMNS["max residual"], by_arm.values()))
+    converged = sum(map(len, by_arm.values())) - stalled
+    named = [f"{arm} trial {trial} lambda {lam:g} ({summary['termination']})"
+             for arm, arm_runs in by_arm.items()
+             for trial, lam, _, summary in arm_runs
+             if summary["termination"] != CONVERGED]
     report(
         4,
-        not stalled and worst <= bound,
+        stalled == 0 and worst <= bound,
         f"fixed-point residual at the accepted step <= 10*eps on all "
-        f"{len(residuals)} converged runs (worst {worst:.2e}, bound {bound:.0e}); "
-        f"excluded {len(stalled)} non-converged: {', '.join(stalled) or 'none'}",
+        f"{converged} converged runs (worst {worst:.2e}, bound {bound:.0e}); "
+        f"excluded {stalled} non-converged: {', '.join(named) or 'none'}",
     )
 
 
 def test_criterion_5_noiseless_recovery(experiments):
-    real = experiments["real_noiseless"]
-    cplx = experiments["complex_noiseless"]
-    rate_real = float(np.mean(real < 5e-3))
-    rate_cplx = float(np.mean(cplx < 5e-3))
-    elapsed = experiments["noiseless_time"]
+    by_arm, seconds = experiments
+    rate_real = COLUMNS["success rate"](by_arm["real_noiseless"])
+    rate_cplx = COLUMNS["success rate"](by_arm["complex_noiseless"])
+    elapsed = seconds["real_noiseless"] + seconds["complex_noiseless"]
     report(
         5,
         rate_real >= 0.9 and rate_cplx >= 0.8 and elapsed < 120.0,
@@ -162,11 +159,13 @@ def test_criterion_6_robustness_ordering(experiments):
     the criterion is the ordering noiseless <= Huber Type-III <= 0.2 x
     squared-loss Type-III, not exact recovery.
     """
-    type3_median = float(np.median(experiments["type3"]))
-    type3_success = float(np.mean(experiments["type3"] < 5e-3))
-    squared_median = float(np.median(experiments["type3_squared"]))
-    noiseless_median = float(np.median(experiments["real_noiseless_outlier_alpha"]))
-    gaussian_median = float(np.median(experiments["gaussian"]))
+    by_arm = experiments[0]
+    median = {arm: COLUMNS["median best error"](arm_runs)
+              for arm, arm_runs in by_arm.items()}
+    type3_median, squared_median = median["type3"], median["type3_squared"]
+    noiseless_median = median["real_noiseless_outlier_alpha"]
+    gaussian_median = median["gaussian"]
+    type3_success = COLUMNS["success rate"](by_arm["type3"])
     floor_ok = noiseless_median <= type3_median
     gain_ok = type3_median <= 0.2 * squared_median
     gaussian_ok = gaussian_median <= 0.05
@@ -216,7 +215,7 @@ def test_criterion_7_phase_alignment_metric():
 def test_criterion_8_certificate_sanity():
     t0 = time.perf_counter()
     e = synthesize_instance(16, 2, 320, FieldTag.REAL, NoiseSpec("none"), 21)
-    x0 = spectral_init(e, seed=21)
+    x0 = spectral_init(e)
     result = solve(e, x0, SolverConfig(lam=1e-4))
     from robustpr import linear_rate_certificate
 
@@ -343,17 +342,29 @@ def test_criterion_13_truth_gap(experiments):
     number.  The squared-loss arm is the non-robust baseline; its worst gap
     is printed, not gated.
     """
-    huber, squared = [], []
-    for (arm, trial, lam), _, summary in experiments["runs"]:
-        if summary["termination"] == CONVERGED:
-            (squared if arm == "type3_squared" else huber).append(
-                (summary["truth_gap"], arm, trial, lam))
-    gap, arm, trial, lam = max(huber)
+    by_arm = experiments[0]
+    gaps = {arm: COLUMNS["max truth gap"](arm_runs) for arm, arm_runs in by_arm.items()}
+    squared = gaps.pop("type3_squared")
+    arm = max(gaps, key=gaps.get)
+    gap = gaps[arm]
+    trial, lam = next((trial, lam) for trial, lam, _, summary in by_arm[arm]
+                      if summary["truth_gap"] == gap)
+    converged = sum(len(by_arm[huber]) - COLUMNS["not converged"](by_arm[huber])
+                    for huber in gaps)
     report(
         13,
         gap <= SolverConfig.eps,
-        f"truth gap <= eps ({SolverConfig.eps:.0e}) on all {len(huber)} "
+        f"truth gap <= eps ({SolverConfig.eps:.0e}) on all {converged} "
         f"converged Huber-arm runs (worst {gap:.2e}: {arm} trial {trial} "
-        f"lambda {lam:g}); squared-loss baseline worst {max(squared)[0]:.2e}, "
-        f"not gated",
+        f"lambda {lam:g}); squared-loss baseline worst {squared:.2e}, not gated",
     )
+
+
+def test_sweep_prints_every_column_for_every_arm(capsys):
+    # the sweep's table, on one trial of the smallest arm
+    smallest = min(ARMS, key=lambda arm: arm.p * arm.n)._replace(trials=1)
+    sweep([1], [smallest])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split(maxsplit=2)[2] == " ".join(COLUMNS)
+    assert [row.split()[:2] for row in rows] == [["1", smallest.name]]
+    assert [len(row.split()) for row in rows] == [2 + len(COLUMNS)]

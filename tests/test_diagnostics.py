@@ -133,7 +133,7 @@ def test_a_numpy_integer_sample_count_gives_the_same_report():
 
 def converged_real_solution(seed=21):
     e = synthesize_instance(16, 2, 320, FieldTag.REAL, NoiseSpec("none"), seed)
-    x0 = spectral_init(e, seed=seed)
+    x0 = spectral_init(e)
     result = solve(e, x0, SolverConfig(lam=1e-4))
     return e, result
 

@@ -138,9 +138,11 @@ def test_rejects_malformed_p2_raster_token(tmp_path, token):
 
 def test_rejects_out_of_range_pixels(tmp_path):
     path = tmp_path / "range.pgm"
-    path.write_bytes(b"P2\n2 1\n10\n5 11\n")
-    with pytest.raises(ParseError):
-        read_pgm(path)
+    # the second file's value does not fit an int64
+    for data in (b"P2\n2 1\n10\n5 11\n", b"P2\n1 1\n255\n99999999999999999999\n"):
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=r"^pixel value outside \[0, maxval\]$"):
+            read_pgm(path)
 
 
 def test_gray_image_clamps_and_flattens():

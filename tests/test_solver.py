@@ -65,7 +65,7 @@ def test_trace_descent_and_square_summability():
 def test_converged_step_criterion():
     e = easy_instance(5)
     cfg = SolverConfig(lam=1e-4)
-    x0 = spectral_init(e, seed=5)
+    x0 = spectral_init(e)
     result = solve(e, x0, cfg)
     assert result.termination is Termination.CONVERGED
     assert result.trace[-1].step_norm <= cfg.eps * max(
@@ -121,7 +121,7 @@ def test_runs_that_ended_on_a_zero_step_stay_converged(field, n, seed):
     # of them exactly zero, at estimates whose residual at gamma is <= 9e-9
     e = synthesize_instance(16, 2, n, field, NoiseSpec("none"), seed)
     cfg = SolverConfig(lam=0.1)
-    result = solve(e, spectral_init(e, seed=seed), cfg)
+    result = solve(e, spectral_init(e), cfg)
     assert result.termination is Termination.CONVERGED
     assert result.trace[-1].step_norm <= 1e-10
     assert fixed_point_residual(
@@ -209,7 +209,7 @@ def test_trace_rows_equal_the_public_maps_at_each_iterate(field):
     assert result.termination is Termination.CONVERGED
     # n = p: a long run of thousands of rows
     e = synthesize_instance(16, 2, 16, field, NoiseSpec("none"), 4)
-    x0 = spectral_init(e, seed=4)
+    x0 = spectral_init(e)
     _assert_rows_equal_public_maps(e, x0, cfg)
 
 
@@ -253,14 +253,14 @@ def test_degenerate_n_equals_p_instances_converge(seed):
     # alone seed 4 ran to MaxIterations at F = 8.976e-3; alternating it with
     # the short step converges every seed (seed 4 in 4745 iterations).
     e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), seed)
-    x0 = spectral_init(e, seed=seed)
+    x0 = spectral_init(e)
     result = solve(e, x0, SolverConfig(lam=1e-3))
     assert result.termination is Termination.CONVERGED
 
 
 def test_solve_makes_one_forward_product_per_trial_and_validates_once(monkeypatch):
     e = easy_instance(5)
-    x0 = spectral_init(e, seed=5)
+    x0 = spectral_init(e)
     forward = []
     checks = []
     for name in ("model", "objective", "gradient"):
@@ -288,15 +288,15 @@ def _prox_count_run(case, monkeypatch):
     counts, and of two runs with no rows, which set delta = 1e20."""
     if case == "converged":
         e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
-        return e, spectral_init(e, seed=4), SolverConfig(lam=1e-3), None
+        return e, spectral_init(e), SolverConfig(lam=1e-3), None
     if case == "converged-zero-step":  # the last row is a zero step at a fixed point
         e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 7)
-        return e, spectral_init(e, seed=7), SolverConfig(lam=0.1), None
+        return e, spectral_init(e), SolverConfig(lam=0.1), None
     monkeypatch.setattr(SolverConfig, "delta", 1e20)
     cfg = SolverConfig(lam=1e-4)
     if case == "exhausted":  # no trial rounds to x0, so all of them are rejected
         e = easy_instance(11)
-        return e, spectral_init(e, seed=11), cfg, solver.MAX_BACKTRACKS + 1
+        return e, spectral_init(e), cfg, solver.MAX_BACKTRACKS + 1
     # test_line_search_failure_is_reported_not_raised: trial 57 is a zero step
     e = easy_instance(7)
     return e, np.random.default_rng(2).standard_normal(16), cfg, 57
@@ -358,7 +358,7 @@ def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(case, monkeypatch
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
 def test_solve_makes_one_clamp_per_trial_and_none_in_the_adjoint(field, monkeypatch):
     e = synthesize_instance(16, 2, 96, field, NoiseSpec("type3", 0.1), 4)
-    x0 = spectral_init(e, seed=4)
+    x0 = spectral_init(e)
     # the package re-exports a function named objective, so import by path
     objective_module = importlib.import_module("robustpr.objective")
     gradient_module = importlib.import_module("robustpr.gradient")
@@ -380,7 +380,7 @@ def test_trace_keeps_no_iterate_alive_in_a_long_solve(monkeypatch):
     # p = 512, 200 iterations: holding every iterate and gradient until the
     # end would take 200 * 2 * 512 * 8 B = 1.6 MB.
     e = synthesize_instance(512, 8, 1024, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
-    x0 = spectral_init(e, seed=3)
+    x0 = spectral_init(e)
     monkeypatch.setattr(SolverConfig, "eps", 1e-300)
     monkeypatch.setattr(SolverConfig, "max_iter", 200)
     cfg = SolverConfig(lam=1e-3)
@@ -522,7 +522,7 @@ def test_type3_estimate_is_the_minimizer_not_a_stall(trial):
     seed = mix(300, 512, trial)
     e = synthesize_instance(64, 6, 512, FieldTag.REAL, NoiseSpec("type3", 0.1), seed)
     cfg = SolverConfig(lam=1e-3, alpha=0.1345)
-    from_spectral = solve(e, spectral_init(e, seed=seed), cfg)
+    from_spectral = solve(e, spectral_init(e), cfg)
     from_truth = solve(e, e.ground_truth, cfg)
     assert from_spectral.termination is Termination.CONVERGED
     assert from_truth.termination is Termination.CONVERGED
@@ -540,7 +540,7 @@ def test_bb_step_escapes_the_barely_stable_fixed_step():
     # by only 0.998 per iteration: 2106 iterations to F = 1.2481309366e-4.
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 3)
     cfg = SolverConfig(lam=1e-4)
-    result = solve(e, spectral_init(e, seed=3), cfg)
+    result = solve(e, spectral_init(e), cfg)
     assert result.termination is Termination.CONVERGED
     assert result.iterations <= 60
     assert result.final_objective == pytest.approx(1.2481309366e-4, rel=1e-6)
@@ -557,7 +557,7 @@ def test_quick_shape_traps_end_at_or_below_the_truth(seed, lam):
     # F <= F(x_true), and the screened start reaches such a point.
     e = synthesize_instance(128, 12, 768, FieldTag.REAL, NoiseSpec("type2", 0.1), seed)
     cfg = SolverConfig(lam=lam)
-    result = solve(e, spectral_init(e, seed=seed), cfg)
+    result = solve(e, spectral_init(e), cfg)
     assert result.termination is Termination.CONVERGED
     assert result.final_objective <= objective(e.ground_truth, e, cfg.lam, cfg.alpha)
 

@@ -25,7 +25,7 @@ def test_zero_observations_gives_zero_signal():
     # one warning for mean b <= 0, all-zero observations included
     with pytest.warns(RuntimeWarning, match="^mean observation is nonpositive; "
                                             "returning the zero signal$"):
-        x0 = spectral_init(e, seed=0)
+        x0 = spectral_init(e)
     assert not x0.any()
 
 
@@ -43,7 +43,7 @@ def test_nonpositive_mean_observation_gives_zero_signal():
     b[0] = -1.0
     e = MeasurementEnsemble(sampling_vectors=a, observations=b)
     with pytest.warns(RuntimeWarning, match="mean observation is nonpositive"):
-        x0 = spectral_init(e, seed=0)
+        x0 = spectral_init(e)
     assert not x0.any()
 
 
@@ -85,7 +85,7 @@ def test_alignment_spiked_instance():
             noise_record=np.zeros(50 * p),
             seed=seed,
         )
-        x0 = spectral_init(e, seed=seed)
+        x0 = spectral_init(e)
         cosine = abs(np.dot(x0, x_true)) / (np.linalg.norm(x0) * np.linalg.norm(x_true))
         good += cosine >= 0.9
     assert good >= 9
@@ -100,7 +100,7 @@ def test_truncation_support_bound():
 def test_norm_matches_mean_observation():
     for field, seed in ((FieldTag.REAL, 1), (FieldTag.COMPLEX, 2)):
         e = synthesize_instance(12, 3, 96, field, NoiseSpec("type1", 0.1), seed)
-        x0 = spectral_init(e, seed=seed)
+        x0 = spectral_init(e)
         want = np.sqrt(np.mean(e.observations))
         assert abs(np.linalg.norm(x0) - want) <= 1e-12 * want
         x0t = spectral_init(e, SpectralConfig(truncation=6), seed)
@@ -127,7 +127,7 @@ def test_phase_indifference():
         e = MeasurementEnsemble(
             sampling_vectors=a, observations=b, seed=seed
         )
-        outs.append(spectral_init(e, seed=seed))
+        outs.append(spectral_init(e))
     # the observations agree up to rounding, so the initializations do too;
     # bitwise-equal observations give bitwise-equal output
     np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-9)
@@ -171,7 +171,7 @@ def test_screened_power_iteration_stops_on_its_tolerance(shape, monkeypatch):
 
     monkeypatch.setattr(spectral, "power_iteration", record)
     for seed in range(1, 21):
-        spectral_init(synthesize_instance(*shape, seed), seed=seed)
+        spectral_init(synthesize_instance(*shape, seed))
     assert len(steps) == 20
     assert max(steps) < spectral.POWER_ITERATIONS
 
@@ -189,7 +189,7 @@ def test_start_is_supported_on_the_screened_coordinates(shape):
         e = synthesize_instance(*shape, seed)
         support = _screen(e)
         assert 0 < support.size < e.p
-        x0 = spectral_init(e, seed=seed)
+        x0 = spectral_init(e)
         np.testing.assert_array_equal(np.flatnonzero(x0), support)
 
 
@@ -202,7 +202,7 @@ def test_empty_screen_falls_back_to_the_largest_marginal():
     b = rng.uniform(1.0, 2.0, 8)
     e = MeasurementEnsemble(sampling_vectors=a, observations=b)
     assert _screen(e).size == 0
-    x0 = spectral_init(e, seed=0)
+    x0 = spectral_init(e)
     np.testing.assert_array_equal(np.flatnonzero(x0), [1])
     assert abs(abs(x0[1]) - np.sqrt(np.mean(b))) <= 1e-15
 
@@ -214,7 +214,7 @@ def test_start_makes_no_n_by_p_temporary(shape):
     e = synthesize_instance(*shape, 5)
     tracemalloc.start()
     try:
-        spectral_init(e, seed=5)
+        spectral_init(e)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ before -> after of each moved value in CHANGES.md.
 import json
 
 from robustpr import solver
-from work_ledger import LEDGER, SEEDS, SHAPES, _solve_entry, ledger, render
+from work_ledger import LEDGER, SEEDS, SHAPES, _solve, _solve_entry, ledger, render
 
 
 def test_work_ledger_is_current():
@@ -38,7 +38,7 @@ def test_recorded_solves_count_the_calls_they_made(monkeypatch):
     for shape in SHAPES:
         for seed in SEEDS:
             calls.update(_evaluate=0, _half_threshold=0)
-            _solve_entry(shape, seed)
+            _solve_entry(*_solve(shape, seed))
             entry = recorded[f"solve/{shape}/{seed}"]
             assert (entry["trials"], entry["prox_calls"]) == (
                 calls["_evaluate"] - 1, calls["_half_threshold"]), (shape, seed)

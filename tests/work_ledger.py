@@ -91,8 +91,7 @@ def _solve(shape: str, seed: int):
     return e, cfg, x0, solve(e, x0, cfg)
 
 
-def _solve_entry(shape: str, seed: int) -> dict:
-    e, cfg, x0, result = _solve(shape, seed)
+def _solve_entry(e, cfg, x0, result) -> dict:
     entry = {k: v for k, v in summarize(result, e, cfg).items()
              if isinstance(v, (int, str))}
     entry["start_support_size"] = int(np.count_nonzero(x0))
@@ -116,8 +115,8 @@ def _report_entry(report) -> dict:
     return {"hash": _hash(json.dumps(doc).encode())}
 
 
-def _diagnostic_entries() -> dict:
-    solved = {shape: _solve(shape, 1) for shape in ("quick", "cplx")}
+def _diagnostic_entries(solved: dict) -> dict:
+    """The diagnostics at the quick and cplx seed-1 solves, by shape."""
     entries = {f"certificate/{shape}/1": _report_entry(
         linear_rate_certificate(result.estimate, e, cfg.lam, cfg.alpha))
         for shape, (e, cfg, _, result) in solved.items()}
@@ -149,11 +148,13 @@ def ledger() -> dict:
     """Every entry, keyed 'solve/<shape>/<seed>', 'grid/<shape>/<seed>'
     (oracle rule), 'grid-holdout/<shape>/<seed>', '<diagnostic>/<shape>/<seed>',
     'instance/<shape>/<seed>' or 'experiment/<master seed>'."""
-    entries = {f"solve/{shape}/{seed}": _solve_entry(shape, seed)
-               for shape in SHAPES for seed in SEEDS}
+    solved = {(shape, seed): _solve(shape, seed) for shape in SHAPES for seed in SEEDS}
+    entries = {f"solve/{shape}/{seed}": _solve_entry(*run)
+               for (shape, seed), run in solved.items()}
     entries["grid/t3/1"] = _grid_entry("t3", 1, "oracle")
     entries["grid-holdout/t3/1"] = _grid_entry("t3", 1, "holdout")
-    entries.update(_diagnostic_entries())
+    entries.update(_diagnostic_entries(
+        {shape: solved[shape, 1] for shape in ("quick", "cplx")}))
     entries.update({f"instance/{shape}/1": _instance_entry(shape, 1)
                     for shape in ("quick", "cplx")})
     entries[f"experiment/{EXPERIMENT.master_seed}"] = _experiment_entry()
