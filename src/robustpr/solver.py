@@ -13,13 +13,14 @@ Dai and Fletcher):
     tau0 = ||s||^2 / (2 Re<s, y>)     after an odd k,
     tau0 = Re<s, y> / (2 ||y||^2)     after an even k,
 
-each clipped to [TAU_MIN, gamma].  By Cauchy-Schwarz the short step is never
-larger than the long one.  The first iteration, and any iteration with
-Re<s, y> <= 0, starts at gamma.  Every accepted tau lies in (0, gamma] and
-passes the same sufficient-decrease test, which is all the convergence
-argument needs.  The accepted objective value is cached
-and carried forward, so the recorded descent inequality is exact in floating
-point.  Terminates when the relative step ||x+ - x|| / max(1, ||x||) is at
+each clipped to [TAU_MIN, 1 / TAU_MIN].  By Cauchy-Schwarz the short step is
+never larger than the long one.  The first iteration, and any iteration with
+Re<s, y> <= 0, starts at gamma.  Every accepted tau lies in (0, 1 / TAU_MIN]
+and passes the same sufficient-decrease test, which is all the convergence
+argument needs; no bound sets the scale of the step, which follows the
+problem's (tau -> tau / c^2 when x -> c x).  The accepted objective value is
+cached and carried forward, so the recorded descent inequality is exact in
+floating point.  Terminates when the relative step ||x+ - x|| / ||x|| is at
 most eps: the residual the trace records for x, as both read ``_relative_step``.
 A zero step (0 >= delta * 0) ends the run Converged only if x's fixed-point
 residual at tau = gamma, one more prox, is at most eps; otherwise the run
@@ -30,7 +31,7 @@ A^H x, which yields F and the clamped residuals together; the accepted
 trial's products and clamp give g(x+) with one adjoint product.  The trace's
 fixed-point residual of x_k is that of the step the run took from it:
 x_{k+1} is the map applied to x_k at tau_{k+1}, so the residual is
-step_norm_{k+1} / max(1, ||x_k||) and costs nothing.  The result's residual
+step_norm_{k+1} / ||x_k|| and costs nothing.  The result's residual
 costs one more prox per solve: the last row's at its own tau, or with no
 rows the start's at gamma, which a zero step's test may have taken already.
 x0 is validated once per solve, and each trial validates its prox weight once.
@@ -55,7 +56,7 @@ from .objective import objective  # unused here; benchmarks/tracing.py binds it
 from .prox import _half_threshold
 from .prox import half_threshold  # unused here; benchmarks/tracing.py binds it
 
-TAU_MIN = 1e-8  # floor of the Barzilai-Borwein trial step
+TAU_MIN = 1e-8  # the Barzilai-Borwein trial step lies in [TAU_MIN, 1 / TAU_MIN]
 MAX_BACKTRACKS = 60  # Armijo trials past the first before LineSearchFailed
 
 
@@ -70,7 +71,7 @@ class SolverConfig:
     lam: float
     alpha: float = 1.345
     # The MM constants: class attributes without annotations, so not fields.
-    gamma = 1.0  # largest trial step, tau_k in (0, gamma]
+    gamma = 1.0  # first trial step, and the trial with no usable BB step
     beta = 0.5  # backtracking ratio
     delta = 1e-4  # sufficient-decrease constant
     eps = 1e-6  # stopping tolerance on the relative step
@@ -116,7 +117,7 @@ def fixed_point_residual(
     alpha: float,
     tau: float,
 ) -> float:
-    """||x - H_{2 lam tau}(x - 2 tau g(x))|| / max(1, ||x||)."""
+    """||x - H_{2 lam tau}(x - 2 tau g(x))|| / ||x||, the step itself at x = 0."""
     lam, alpha, tau = _check_positive(lam=lam, alpha=alpha, tau=tau)
     x = e.check_signal(x)
     return _residual(x, gradient_map(x, e, alpha), lam, tau, _norm(x))
@@ -134,9 +135,10 @@ def _residual(x, gx, lam, tau, x_norm) -> float:
 
 
 def _relative_step(step_norm: float, x_norm: float) -> float:
-    """||step|| / max(1, ||x||): what the stop test compares with eps and
-    what every fixed-point residual records."""
-    return step_norm / max(1.0, x_norm)
+    """||step|| / ||x||: what the stop test compares with eps and what every
+    fixed-point residual records.  At x = 0 it is ||step||, which is 0 there:
+    g(0) = 0, so the map's step from 0 is zero."""
+    return step_norm / x_norm if x_norm else step_norm
 
 
 def _norm(v: np.ndarray) -> float:
@@ -205,11 +207,11 @@ def solve(
             if k % 2:
                 tau0 = step_sq / (2.0 * curvature)
             else:
-                # ||y||^2 may underflow to 0 while Re<s, y> > 0: an infinite
-                # short step, which the clip takes to gamma
+                # ||y||^2 may underflow to 0 while Re<s, y> > 0: no finite
+                # short step, so the trial falls back to gamma
                 y_sq = float(np.vdot(y, y).real)
                 tau0 = curvature / (2.0 * y_sq) if y_sq > 0.0 else gamma
-            tau0 = min(max(tau0, TAU_MIN), gamma)
+            tau0 = min(max(tau0, TAU_MIN), 1.0 / TAU_MIN)
         x, F_x, g_x, x_norm = cand, F_cand, g_new, _norm(cand)
         rows.append((k, F_x, tau, j, step_norm, np.count_nonzero(x)))
         if callback is not None:

@@ -433,8 +433,9 @@ RULE_HOMES = [
                   "def f():\n    import json as j"),
          ignores=("from .model import render_json", "import jsonschema",
                   "x = json.dumps({})")),
-    # max(1, ||x||), which the stop test and every residual read
-    Rule("relative-floor", _is_unit_floor, {SOLVER: ["_relative_step"]}, scope=(SOLVER,),
+    # no max(1, ||x||): the stop test and every residual are purely relative,
+    # so the solver's rule has no absolute scale
+    Rule("relative-floor", _is_unit_floor, {}, scope=(SOLVER,),
          catches=("max(1.0, x_norm)", "max(x_norm, 1)", "s / max(1, _norm(x))"),
          ignores=("max(x, y)", "max(2.0, v)", "max(True, v)", "min(1.0, v)")),
     # the solver's one prox call, in the map each trial and each residual apply

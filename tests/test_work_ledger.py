@@ -42,3 +42,13 @@ def test_recorded_solves_count_the_calls_they_made(monkeypatch):
             entry = recorded[f"solve/{shape}/{seed}"]
             assert (entry["trials"], entry["prox_calls"]) == (
                 calls["_evaluate"] - 1, calls["_half_threshold"]), (shape, seed)
+
+
+def test_small_alpha_solves_end_on_the_true_support():
+    # at alpha = 0.00425 the natural step is far above 1; each recorded run
+    # must reach the minimizer's support, not stop Converged short of it
+    recorded = json.loads(LEDGER.read_text(encoding="utf-8"))
+    for seed in SEEDS:
+        entry = recorded[f"solve/t3-small-alpha/{seed}"]
+        assert (entry["support_missed"], entry["support_extra"],
+                entry["termination"]) == (0, 0, "Converged"), seed

@@ -63,8 +63,8 @@ SHAPES = {
     "quick": (128, 12, 768, FieldTag.REAL, "type2:0.1", 1.345),
     "t3": (64, 6, 512, FieldTag.REAL, "type3:0.1", 0.1345),
     "cplx": (128, 8, 768, FieldTag.COMPLEX, "type3:0.05", 1.345),
-    # t3 at a small alpha, where most accepted steps sit at the cap tau = gamma
-    # and a run can stop Converged short of the minimizer
+    # t3 at a small alpha, where the natural step is far above 1: under a
+    # step cap of 1 these runs stopped Converged short of the minimizer
     "t3-small-alpha": (64, 6, 512, FieldTag.REAL, "type3:0.1", 0.00425),
 }
 SEEDS = (1, 2, 3)
