@@ -80,7 +80,7 @@ def summarize(result: SolverResult, e: MeasurementEnsemble, cfg: SolverConfig) -
         "final_objective": result.final_objective,
         "fixed_point_residual": result.fixed_point_residual,
         "trials": result.trials,
-        "prox_calls": result.prox_calls,
+        "prox_calls": result.trials + (result.iterations > 0),
         "forward_products": result.trials + 1,
         "adjoint_products": result.iterations + 1,
         "support_size": int(np.count_nonzero(x)),

@@ -15,26 +15,34 @@ Dai and Fletcher):
 
 each clipped to [TAU_MIN, 1 / TAU_MIN].  By Cauchy-Schwarz the short step is
 never larger than the long one.  The first iteration, and any iteration with
-Re<s, y> <= 0, starts at gamma.  Every accepted tau lies in (0, 1 / TAU_MIN]
-and passes the same sufficient-decrease test, which is all the convergence
-argument needs; no bound sets the scale of the step, which follows the
+Re<s, y> <= 0 or an underflowed ||y||^2, starts at the inverse Rayleigh
+quotient 1 / rho(x) of Y = (1/n) sum_i b_i a_i a_i^H at the current point,
+
+    rho(x) = (1/n) sum_i b_i |<a_i, x>|^2 / ||x||^2,
+
+from the forward product the loop already holds, clipped the same way; rho <= 0
+(x = 0 among others) gives 1 / TAU_MIN.  At the spectral start rho is the power
+iteration's own quotient.  Every accepted tau lies in (0, 1 / TAU_MIN] and
+passes the same sufficient-decrease test, which is all the convergence
+argument needs; no constant sets the scale of a trial step, which follows the
 problem's (tau -> tau / c^2 when x -> c x).  The accepted objective value is
 cached and carried forward, so the recorded descent inequality is exact in
 floating point.  Terminates when the relative step ||x+ - x|| / ||x|| is at
 most eps: the residual the trace records for x, as both read ``_relative_step``.
-A zero step (0 >= delta * 0) ends the run Converged only if x's fixed-point
-residual at tau = gamma, one more prox, is at most eps; otherwise the run
-ends LineSearchFailed and the zero step gets no row.
+A zero step (0 >= delta * 0) ends the run Converged only if the relative step
+of the iteration's first trial, x's fixed-point residual at that trial's tau,
+is at most eps; otherwise the run ends LineSearchFailed and the zero step gets
+no row.
 
 Work per iteration: each Armijo trial costs one prox and one forward product
 A^H x, which yields F and the clamped residuals together; the accepted
 trial's products and clamp give g(x+) with one adjoint product.  The trace's
 fixed-point residual of x_k is that of the step the run took from it:
 x_{k+1} is the map applied to x_k at tau_{k+1}, so the residual is
-step_norm_{k+1} / ||x_k|| and costs nothing.  The result's residual
-costs one more prox per solve: the last row's at its own tau, or with no
-rows the start's at gamma, which a zero step's test may have taken already.
-x0 is validated once per solve, and each trial validates its prox weight once.
+step_norm_{k+1} / ||x_k|| and costs nothing.  The result's residual is the
+last row's at its own tau, one more prox per solve; with no rows it is the
+start's first trial, which costs nothing.  x0 is validated once per solve, and
+each trial validates its prox weight once.
 
 The trace is one NumPy record array with a row per accepted step, built once
 after the loop: trace.F_value is a column, trace[-1] a row.
@@ -50,13 +58,13 @@ import numpy as np
 
 from .gradient import _adjoint
 from .gradient import g as gradient_map
-from .model import MeasurementEnsemble, _check_positive, write_csv
+from .model import MeasurementEnsemble, _check_positive, _squared_modulus, write_csv
 from .objective import _evaluate
 from .objective import objective  # unused here; benchmarks/tracing.py binds it
 from .prox import _half_threshold
 from .prox import half_threshold  # unused here; benchmarks/tracing.py binds it
 
-TAU_MIN = 1e-8  # the Barzilai-Borwein trial step lies in [TAU_MIN, 1 / TAU_MIN]
+TAU_MIN = 1e-8  # every trial step tau0 lies in [TAU_MIN, 1 / TAU_MIN]
 MAX_BACKTRACKS = 60  # Armijo trials past the first before LineSearchFailed
 
 
@@ -71,7 +79,6 @@ class SolverConfig:
     lam: float
     alpha: float = 1.345
     # The MM constants: class attributes without annotations, so not fields.
-    gamma = 1.0  # first trial step, and the trial with no usable BB step
     beta = 0.5  # backtracking ratio
     delta = 1e-4  # sufficient-decrease constant
     eps = 1e-6  # stopping tolerance on the relative step
@@ -95,9 +102,8 @@ class SolverResult:
     trace: np.recarray  # TRACE_DTYPE, one row per accepted step
     termination: Termination
     initial_objective: float
-    fixed_point_residual: float  # the last row's, else the start's at tau = gamma
-    trials: int  # Armijo trials, one forward product each
-    prox_calls: int  # one per trial and per residual taken (see the module doc)
+    fixed_point_residual: float  # the last row's, else the start's first trial
+    trials: int  # Armijo trials, one forward product and one prox each
 
     @property
     def iterations(self) -> int:
@@ -134,6 +140,16 @@ def _residual(x, gx, lam, tau, x_norm) -> float:
     return _relative_step(_norm(_mm_map(x, gx, lam, tau) - x), x_norm)
 
 
+def _rayleigh_step(e: MeasurementEnsemble, c: np.ndarray, x_norm: float) -> float:
+    """The trial step 1 / rho(x) at x, clipped to [TAU_MIN, 1 / TAU_MIN], from
+    c = <a_i, x> and x_norm = ||x||; 1 / TAU_MIN when rho(x) <= 0.  Dividing
+    by ||x|| twice forms no ||x||^2 to overflow or underflow."""
+    if not x_norm:  # x = 0, or ||x||^2 below the smallest float
+        return 1.0 / TAU_MIN
+    rho = float(e.observations.dot(_squared_modulus(c))) / e.n / x_norm / x_norm
+    return min(max(1.0 / rho, TAU_MIN), 1.0 / TAU_MIN) if rho > 0.0 else 1.0 / TAU_MIN
+
+
 def _relative_step(step_norm: float, x_norm: float) -> float:
     """||step|| / ||x||: what the stop test compares with eps and what every
     fixed-point residual records.  At x = 0 it is ||step||, which is 0 there:
@@ -165,17 +181,17 @@ def solve(
     x = e.check_signal(x0).copy()
     # locals: a read of a class constant through cfg is the slow attribute path
     lam, alpha = cfg.lam, cfg.alpha
-    gamma, beta, delta, eps = cfg.gamma, cfg.beta, cfg.delta, cfg.eps
+    beta, delta, eps = cfg.beta, cfg.delta, cfg.eps
     F_x, c, d = _evaluate(x, e, lam, alpha)
     F_initial = F_x
     g_x = _adjoint(e, c, d)
     x_norm = _norm(x)
-    rows, residual, trials = [], None, 0
+    rows, trials = [], 0
     termination = Termination.MAX_ITERATIONS
     if callback is not None:
         callback(0, x)
 
-    tau0 = gamma
+    tau0 = _rayleigh_step(e, c, x_norm)
     for k in range(1, cfg.max_iter + 1):
         accepted = False
         for j in range(MAX_BACKTRACKS + 1):
@@ -183,14 +199,15 @@ def solve(
             cand = _mm_map(x, g_x, lam, tau)
             F_cand, c, d = _evaluate(cand, e, lam, alpha)
             step = cand - x
+            if not j:  # the map's step from x at tau0: x's fixed-point residual
+                first = step
             step_sq = float(np.vdot(step, step).real)
             if F_x - F_cand >= delta * step_sq:
                 accepted = True
                 break
         trials += j + 1
         # a zero step passes as 0 >= delta * 0: converged only at a fixed point
-        if not accepted or not step_sq and (residual := _residual(
-                x, g_x, lam, gamma, x_norm)) > eps:
+        if not accepted or not step_sq and _relative_step(_norm(first), x_norm) > eps:
             termination = Termination.LINE_SEARCH_FAILED
             break
 
@@ -202,29 +219,25 @@ def solve(
         g_new = _adjoint(e, c, d)
         y = g_new - g_x
         curvature = float(np.vdot(step, y).real)
-        tau0 = gamma
-        if curvature > 0.0:
-            if k % 2:
-                tau0 = step_sq / (2.0 * curvature)
-            else:
-                # ||y||^2 may underflow to 0 while Re<s, y> > 0: no finite
-                # short step, so the trial falls back to gamma
-                y_sq = float(np.vdot(y, y).real)
-                tau0 = curvature / (2.0 * y_sq) if y_sq > 0.0 else gamma
-            tau0 = min(max(tau0, TAU_MIN), 1.0 / TAU_MIN)
         x, F_x, g_x, x_norm = cand, F_cand, g_new, _norm(cand)
+        # the long step after an odd k, the short one after an even k; with
+        # Re<s, y> <= 0, or an ||y||^2 that underflowed to 0, the Rayleigh step
+        if curvature > 0.0 and (k % 2 or (y_sq := float(np.vdot(y, y).real)) > 0.0):
+            tau0 = step_sq / (2.0 * curvature) if k % 2 else curvature / (2.0 * y_sq)
+            tau0 = min(max(tau0, TAU_MIN), 1.0 / TAU_MIN)
+        else:
+            tau0 = _rayleigh_step(e, c, x_norm)
         rows.append((k, F_x, tau, j, step_norm, np.count_nonzero(x)))
         if callback is not None:
             callback(k, x)
         if converged:
             termination = Termination.CONVERGED
             break
-    prox_calls = trials + 1 + (residual is not None and bool(rows))
     if rows:
         residual = _residual(x, g_x, lam, rows[-1][2], x_norm)
         rows[-1] += (residual,)
-    elif residual is None:
-        residual = _residual(x, g_x, lam, gamma, x_norm)
+    else:  # the loop ended at k = 1
+        residual = _relative_step(_norm(first), x_norm)
 
     return SolverResult(
         estimate=x,
@@ -233,7 +246,6 @@ def solve(
         initial_objective=F_initial,
         fixed_point_residual=residual,
         trials=trials,
-        prox_calls=prox_calls,
     )
 
 

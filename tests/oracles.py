@@ -4,8 +4,9 @@ None of these run when solving: they are the brute-force prox, the
 finite-difference gradient, the realified forms, the MM surrogate and the
 realified rate-certificate curvature that the acceptance criteria and unit
 tests compare ``half_threshold``, ``g``, ``objective`` and
-``diagnostics._complex_terms`` with, and the elementwise Huber function
-whose sum the evaluation core forms from two dot products.
+``diagnostics._complex_terms`` with, the elementwise Huber function
+whose sum the evaluation core forms from two dot products, and the solver's
+Rayleigh trial step from the public forward product.
 
 Complex problems can be rewritten over R^(2p) via xt = [Re x; Im x]:
 |<a_i, x>|^2 = xt^T A_i xt with A_i = phi phi^T + psi psi^T, where
@@ -26,7 +27,9 @@ from robustpr import (
     loss,
 )
 from robustpr.gradient import _adjoint
+from robustpr.model import correlate
 from robustpr.objective import _evaluate, half_norm
+from robustpr.solver import TAU_MIN
 
 
 def huber(u, alpha: float):
@@ -86,6 +89,17 @@ def chi_oracle(t, mu: float, grid_step: float):
         windows = [(r - step, r + step) for _, r in candidates[:8]]
         step = next_step
     return best_r * (t / mag)
+
+
+def rayleigh_step(x: np.ndarray, e: MeasurementEnsemble) -> float:
+    """The solver's trial step at x when no Barzilai-Borwein step applies:
+    1 / rho(x), with rho(x) = (1/n) sum_i b_i |<a_i, x>|^2 / ||x||^2 the
+    Rayleigh quotient of Y = (1/n) sum_i b_i a_i a_i^H at x, clipped to
+    [TAU_MIN, 1 / TAU_MIN]; 1 / TAU_MIN when rho(x) <= 0 or x = 0."""
+    norm = float(np.linalg.norm(x))
+    energy = float(np.dot(e.observations, np.abs(correlate(e.sampling_vectors, x)) ** 2))
+    rho = energy / e.n / norm / norm if norm else 0.0
+    return min(max(1.0 / rho, TAU_MIN), 1.0 / TAU_MIN) if rho > 0.0 else 1.0 / TAU_MIN
 
 
 def realify(x: np.ndarray) -> np.ndarray:

@@ -44,6 +44,8 @@ from robustpr.diagnostics import RHO0
 from robustpr.metrics import summarize
 from robustpr.model import decode_vector
 
+from oracles import rayleigh_step
+
 
 def run(*argv):
     """Invoke the CLI in-process; returns the exit code."""
@@ -125,8 +127,8 @@ def test_solve_with_no_accepted_step(tmp_path, monkeypatch):
     # delta = 1e20 rejects every trial at k = 1 until one rounds to the start,
     # a zero step that the start's residual fails (see the solver's
     # test_line_search_failure_is_reported_not_raised), so the trace has no rows
-    # and the result's residual is the start's at tau = gamma, which the solver
-    # took; the command evaluates no residual of its own.
+    # and the result's residual is the start's first trial, at the start's
+    # Rayleigh step 1 / rho(x0); the command evaluates no residual of its own.
     inst, res, trace = (tmp_path / name for name in ("inst.json", "res.json", "trace.csv"))
     assert run(*GEN, "--out", str(inst)) == 0
     calls = []
@@ -144,7 +146,7 @@ def test_solve_with_no_accepted_step(tmp_path, monkeypatch):
     cfg = SolverConfig(lam=1e-4)
     assert not calls
     assert doc["fixed_point_residual"] == fixed_point_residual(
-        x, e, cfg.lam, cfg.alpha, cfg.gamma)
+        x, e, cfg.lam, cfg.alpha, rayleigh_step(x, e))
 
 
 MALFORMED = [
@@ -1458,7 +1460,7 @@ def echoes(tmp_path_factory):
             for writer in (solve_echo, image_echo, success_rate_echo)}
 
 
-@pytest.mark.parametrize("name", ["gamma", "beta", "delta", "eps", "max_iter"])
+@pytest.mark.parametrize("name", ["beta", "delta", "eps", "max_iter"])
 def test_the_mm_constants_are_not_options(tmp_path, capsys, monkeypatch, echoes, name):
     # a class constant of SolverConfig, not a field: no constructor argument,
     # flag or config key sets it, and no writer echoes it

@@ -298,7 +298,7 @@ def test_summarize_reports_the_run_and_its_distance_to_the_truth(field):
         "final_objective": result.final_objective,
         "fixed_point_residual": result.fixed_point_residual,
         "trials": result.trials,
-        "prox_calls": result.prox_calls,
+        "prox_calls": result.trials + (result.iterations > 0),
         "forward_products": result.trials + 1,
         "adjoint_products": result.iterations + 1,
         "support_size": len(found),

@@ -481,6 +481,7 @@ def test_rule_guard_sees_each_spelling(rule):
 FORWARD_MODEL = {
     "model.py": ["measure", "MeasurementEnsemble.__post_init__"],
     "objective.py": ["_evaluate"],
+    "solver.py": ["_rayleigh_step"],
     "diagnostics.py": ["_real_terms", "_complex_terms", "linear_rate_certificate",
                        "remark5_quantities"],
 }

@@ -18,10 +18,14 @@ from robustpr import (
 )
 from robustpr import prox, solver
 from robustpr.gradient import g
+from robustpr.metrics import summarize
 from robustpr.model import MeasurementEnsemble
 from robustpr.objective import objective
 from robustpr.solver import write_trace_csv
 from robustpr.spectral import spectral_init
+
+from acceptance_runs import ARMS, scaled
+from oracles import rayleigh_step
 
 
 def easy_instance(seed=11):
@@ -53,13 +57,15 @@ def test_solve_zero_observations_collapse():
 def test_trace_descent_and_square_summability():
     e = synthesize_instance(24, 3, 192, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
     cfg = SolverConfig(lam=1e-3)
-    result = solve(e, np.zeros(24) + 0.5, cfg)
+    x0 = np.zeros(24) + 0.5
+    result = solve(e, x0, cfg)
     values = np.append(result.initial_objective, result.trace.F_value)
     steps = result.trace.step_norm
     assert np.all(values[:-1] - values[1:] >= cfg.delta * steps**2 - 1e-15)
     assert np.all(values[1:] <= values[:-1])
     assert np.sum(steps**2) <= 2.0 * result.initial_objective / cfg.delta
-    assert np.all((0.0 < result.trace.tau) & (result.trace.tau <= cfg.gamma))
+    assert np.all((0.0 < result.trace.tau) & (result.trace.tau <= 1.0 / solver.TAU_MIN))
+    assert result.trace[0].tau == rayleigh_step(x0, e) * cfg.beta**result.trace[0].j
 
 
 def test_converged_step_criterion():
@@ -81,9 +87,10 @@ def test_line_search_failure_is_reported_not_raised(monkeypatch):
     # gradient step of length tau needs delta <~ 1/(2 tau).  The last trial has
     # tau = beta^MAX_BACKTRACKS = 2^-60, so delta = 1e20 rejects all of them
     # (delta = 1e12 accepts j = 40 here).  From this dense random start the
-    # trial j = 56 rounds to x itself and passes as 0 >= delta * 0; x is no
-    # fixed point, so that zero step ends the search after 57 trials and one
-    # more prox, the residual's at tau = gamma.
+    # trial j = 55 rounds to x itself and passes as 0 >= delta * 0; x is no
+    # fixed point (the first trial's step is 1.14 ||x||), so that zero step
+    # ends the search after 56 trials, one prox each.  The result's residual
+    # is the first trial's, which takes no prox of its own.
     monkeypatch.setattr(SolverConfig, "delta", 1e20)
     cfg = SolverConfig(lam=1e-4)
     proxes = []
@@ -91,17 +98,18 @@ def test_line_search_failure_is_reported_not_raised(monkeypatch):
     monkeypatch.setattr(solver, "_half_threshold",
                         lambda xi, mu: proxes.append(mu) or inner(xi, mu))
     rng = np.random.default_rng(2)
-    result = solve(e, rng.standard_normal(16), cfg)
+    x0 = rng.standard_normal(16)
+    result = solve(e, x0, cfg)
     assert result.termination is Termination.LINE_SEARCH_FAILED
     assert result.estimate.shape == (16,)
     assert result.iterations == 0
-    assert len(proxes) == 57 + 1
-    assert proxes[-1] == 2.0 * cfg.lam * cfg.gamma
+    assert len(proxes) == 56
+    assert proxes[0] == 2.0 * cfg.lam * rayleigh_step(x0, e)
 
 
 def test_a_zero_step_from_a_non_fixed_point_fails_the_line_search(monkeypatch):
-    # trial j = 57 rounds to the start itself; the start's residual at
-    # gamma is 2.84, so the zero step is no evidence of a fixed point
+    # trial j = 58 rounds to the start itself; the start's residual at the
+    # first trial's tau is 7.27, so the zero step is no evidence of a fixed point
     e = easy_instance(15)
     x0 = np.ones(16)
     monkeypatch.setattr(SolverConfig, "delta", 1e20)
@@ -110,25 +118,29 @@ def test_a_zero_step_from_a_non_fixed_point_fails_the_line_search(monkeypatch):
     assert result.iterations == 0
     assert result.estimate.tobytes() == x0.tobytes()
     assert result.final_objective == result.initial_objective
-    assert fixed_point_residual(x0, e, 1e-4, 1.345, 1.0) > 1.0
+    assert fixed_point_residual(x0, e, 1e-4, 1.345, rayleigh_step(x0, e)) > 1.0
+    assert result.fixed_point_residual == fixed_point_residual(
+        x0, e, 1e-4, 1.345, rayleigh_step(x0, e))
 
 
 @pytest.mark.parametrize("field, n, seed", [
-    (FieldTag.REAL, 160, 7), (FieldTag.REAL, 160, 23),
-    (FieldTag.COMPLEX, 16, 22), (FieldTag.COMPLEX, 160, 36)])
+    (FieldTag.REAL, 160, 5), (FieldTag.REAL, 160, 90),
+    (FieldTag.COMPLEX, 16, 33), (FieldTag.COMPLEX, 160, 137)])
 def test_runs_that_ended_on_a_zero_step_stay_converged(field, n, seed):
-    # lam = 0.1 from the spectral start: these runs end on steps of at most
-    # 2e-11, two of them exactly zero, at estimates whose residual at gamma
-    # is <= 9e-9 (REAL-160-23 ended on a 7.3e-7 step under the gamma clip)
+    # lam = 0.1 from the spectral start: these runs end on an exactly zero
+    # step after 17 to 22 backtracks, at nonzero estimates whose residual at
+    # the iteration's first trial is <= 2e-10, the test that decides the stop
+    # (a scan of n in {16, 160}, both fields, seeds 1-200 found 101 runs that
+    # end on a zero step, all Converged)
     e = synthesize_instance(16, 2, n, field, NoiseSpec("none"), seed)
     cfg = SolverConfig(lam=0.1)
     result = solve(e, spectral_init(e), cfg)
+    last = result.trace[-1]
     assert result.termination is Termination.CONVERGED
-    assert result.trace[-1].step_norm <= 1e-10
-    assert fixed_point_residual(
-        result.estimate, e, cfg.lam, cfg.alpha, cfg.gamma) <= cfg.eps
-    if field is FieldTag.REAL and seed == 7:  # the zero step keeps its row
-        assert result.trace[-1].step_norm == 0.0 and result.trace[-1].j == 22
+    assert last.step_norm == 0.0 and last.j > 0 and result.estimate.any()
+    # the zero step keeps its row; x's residual at the first trial stopped it
+    tau0 = last.tau / cfg.beta**last.j
+    assert fixed_point_residual(result.estimate, e, cfg.lam, cfg.alpha, tau0) <= cfg.eps
 
 
 def test_fixed_point_residual_cases():
@@ -219,7 +231,9 @@ def test_trial_step_alternates_the_long_and_short_bb_steps(field):
     # After an accepted iteration k with Re<s, y> > 0 the next backtracking
     # starts at the long step ||s||^2 / (2 Re<s, y>) for odd k and at the
     # short step Re<s, y> / (2 ||y||^2) for even k, clipped to [TAU_MIN,
-    # 1 / TAU_MIN]; the public g gives the solver's gradients bit for bit.
+    # 1 / TAU_MIN]; the first iteration, and any with Re<s, y> <= 0, starts
+    # at the Rayleigh step of its iterate.  The public g gives the solver's
+    # gradients bit for bit.
     e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
     cfg = SolverConfig(lam=1e-3)
     iterates = []
@@ -227,13 +241,13 @@ def test_trial_step_alternates_the_long_and_short_bb_steps(field):
     result = solve(e, x0, cfg, callback=lambda k, x: iterates.append(x.copy()))
     assert result.termination is Termination.CONVERGED
     grads = [g(x, e, cfg.alpha) for x in iterates]
-    want = [cfg.gamma]
+    want = [rayleigh_step(x0, e)]
     shorter = 0
     for k in range(1, result.iterations):
         s, y = iterates[k] - iterates[k - 1], grads[k] - grads[k - 1]
         curvature = float(np.vdot(s, y).real)
         if curvature <= 0.0:
-            want.append(cfg.gamma)
+            want.append(rayleigh_step(iterates[k], e))
             continue
         long_step = float(np.vdot(s, s).real) / (2.0 * curvature)
         short_step = curvature / (2.0 * float(np.vdot(y, y).real))
@@ -245,7 +259,7 @@ def test_trial_step_alternates_the_long_and_short_bb_steps(field):
     assert shorter > 0
     tau0 = result.trace.tau / cfg.beta**result.trace.j
     assert tau0.tolist() == want
-    assert np.all(result.trace.tau <= cfg.gamma)
+    assert np.all(result.trace.tau <= 1.0 / solver.TAU_MIN)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -291,21 +305,21 @@ def _prox_count_run(case, monkeypatch):
         e = synthesize_instance(16, 2, 16, FieldTag.REAL, NoiseSpec("none"), 4)
         return e, spectral_init(e), SolverConfig(lam=1e-3), None
     if case == "converged-zero-step":  # the last row is a zero step at a fixed point
-        e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 7)
+        e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 90)
         return e, spectral_init(e), SolverConfig(lam=0.1), None
     monkeypatch.setattr(SolverConfig, "delta", 1e20)
     cfg = SolverConfig(lam=1e-4)
     if case == "exhausted":  # no trial rounds to x0, so all of them are rejected
         e = easy_instance(11)
         return e, spectral_init(e), cfg, solver.MAX_BACKTRACKS + 1
-    # test_line_search_failure_is_reported_not_raised: trial 57 is a zero step
+    # test_line_search_failure_is_reported_not_raised: trial 56 is a zero step
     e = easy_instance(7)
-    return e, np.random.default_rng(2).standard_normal(16), cfg, 57
+    return e, np.random.default_rng(2).standard_normal(16), cfg, 56
 
 
 # (trials, proxes) of each _prox_count_run case
-PROX_COUNTS = {"converged": (876, 877), "exhausted": (61, 62),
-               "zero-step": (57, 58), "converged-zero-step": (37, 39)}
+PROX_COUNTS = {"converged": (1806, 1807), "exhausted": (61, 61),
+               "zero-step": (56, 56), "converged-zero-step": (32, 33)}
 
 
 @pytest.mark.parametrize("case", list(PROX_COUNTS))
@@ -328,28 +342,35 @@ def test_solve_makes_one_prox_per_trial_and_one_more_per_solve(case, monkeypatch
     # F(x0), then one forward product per trial
     assert len(evaluations) - 1 == (row_free_trials
                                     or sum(r.j + 1 for r in result.trace))
-    # the result counts the trials and the proxes the run made
-    assert (result.trials, result.prox_calls) == (len(evaluations) - 1, len(shapes))
-    assert (result.trials, result.prox_calls) == PROX_COUNTS[case]
+    # the result counts the trials, and summarize the proxes, the run made
+    prox_calls = summarize(result, e, cfg)["prox_calls"]
+    assert (result.trials, prox_calls) == (len(evaluations) - 1, len(shapes))
+    assert (result.trials, prox_calls) == PROX_COUNTS[case]
     trials = result.trials
-    # every trial validates its weight and takes one prox; the result's
-    # residual takes one more of each, and the other rows' none; a zero step
-    # after which a row is written takes one more, its test's at gamma
+    # every trial validates its weight and takes one prox; a run with rows
+    # takes one more of each for the result's residual, and the other rows'
+    # residuals and a zero step's test take none
     zero_step_test = case == "converged-zero-step"
-    assert len(shapes) == len(weights) == trials + 1 + zero_step_test
+    assert len(shapes) == len(weights) == trials + (result.iterations > 0)
     assert shapes == [(e.p,)] * len(shapes)
     assert not public
     if case.startswith("converged"):
         assert result.termination is Termination.CONVERGED
-        tau = result.trace[-1].tau
-        assert result.fixed_point_residual == result.trace[-1].fixed_point_residual
-        assert (result.trace[-1].step_norm == 0.0) == zero_step_test
-        if zero_step_test:
-            assert weights[-2] == 2.0 * cfg.lam * cfg.gamma
+        last = result.trace[-1]
+        tau = last.tau
+        assert result.fixed_point_residual == last.fixed_point_residual
+        assert (last.step_norm == 0.0) == zero_step_test
+        if zero_step_test:  # the last iteration's trials, then the residual's
+            tau0 = tau / cfg.beta**last.j
+            assert last.j > 0 and weights[-last.j - 2:] == [
+                2.0 * cfg.lam * (tau0 * cfg.beta**j) for j in range(last.j + 1)
+            ] + [2.0 * cfg.lam * tau]
     else:
         assert result.termination is Termination.LINE_SEARCH_FAILED
         assert result.iterations == 0
-        tau = cfg.gamma
+        # no rows: the residual is the first trial's, at the start's Rayleigh step
+        tau = rayleigh_step(x0, e)
+        assert weights[0] == 2.0 * cfg.lam * tau
         zero_steps = [not np.any(c != x0) for c in outputs[:trials]]
         assert zero_steps == [False] * (trials - 1) + [case == "zero-step"]
     assert result.fixed_point_residual == fixed_point_residual(
@@ -546,8 +567,63 @@ def test_bb_step_escapes_the_barely_stable_fixed_step():
     assert result.iterations <= 60
     assert result.final_objective == pytest.approx(1.2481309366e-4, rel=1e-6)
     first = result.trace[0]
-    assert first.tau == cfg.gamma * cfg.beta**first.j
+    assert first.tau == rayleigh_step(spectral_init(e), e) * cfg.beta**first.j
     assert all(r.tau <= 1.0 / solver.TAU_MIN for r in result.trace)
+
+
+def _scaled_run(name, seed, c):
+    """The solve of a scaled acceptance arm's instance scaled by c, at its
+    lambda times c^3.5 and alpha times c^2, from its own spectral start."""
+    arm = next(arm for arm in ARMS if arm.name == name)
+    e = scaled(synthesize_instance(arm.p, arm.s, arm.n, arm.field, arm.noise, seed), c)
+    (lam,) = arm.lams
+    return solve(e, spectral_init(e), SolverConfig(lam=lam * c**3.5, alpha=arm.alpha * c**2))
+
+
+def test_the_first_trial_step_follows_the_scale_of_the_problem():
+    # Scaled by c, F scales as c^4 and the natural step as 1 / c^2.  The
+    # first trial 1 / rho(x0) scales the same way, so the first row keeps
+    # its backtracks and tau c^2 its value; under a constant first trial
+    # tau = 1 the first row's j moved by 6-9 at c = 10 and 19-22 at c = 1000.
+    for name in ("t3_scaled", "cplx_scaled"):
+        twin = _scaled_run(name, 1, 1.0).trace[0]
+        for c in (10.0, 1000.0):
+            first = _scaled_run(name, 1, c).trace[0]
+            assert first.j == twin.j, (name, c)
+            assert first.tau * c * c == pytest.approx(twin.tau, rel=1e-12), (name, c)
+    # at c = 0.001 a first trial of 1 moved the t3 start by 1.7e-7 of its
+    # norm, below eps, so these runs stopped Converged after one iteration;
+    # they now take 497 and 305 (31 and 24 at c = 1: delta's scale is left)
+    for seed in (1, 2):
+        result = _scaled_run("t3_scaled", seed, 1e-3)
+        assert result.termination is Termination.CONVERGED
+        assert result.iterations > 1, seed
+
+
+@pytest.mark.parametrize("case", ["zero observations", "zero start", "start x 1e-200",
+                                  "start x 1e150"])
+def test_the_rayleigh_step_guards_end_with_a_termination(case):
+    # rho(x) <= 0 (no observations, or x = 0) and a start whose ||x||^2
+    # underflows take the first trial 1 / TAU_MIN; rho is scale-free in x,
+    # so a start scaled by 1e150 takes its unscaled start's trial.  Each run
+    # ends with a termination, and raises and warns of nothing.
+    e = easy_instance(11)
+    x0 = spectral_init(e)
+    start = {"zero observations": x0, "zero start": np.zeros(16),
+             "start x 1e-200": 1e-200 * x0, "start x 1e150": 1e150 * x0}[case]
+    if case == "zero observations":
+        e = MeasurementEnsemble(e.sampling_vectors, np.zeros(e.n))
+    cfg = SolverConfig(lam=1e-4)
+    result = solve(e, start, cfg)
+    assert result.termination is Termination.CONVERGED
+    assert np.all(np.isfinite(result.estimate))
+    first = result.trace[0]
+    tau0 = rayleigh_step(start, e)
+    assert first.tau == tau0 * cfg.beta**first.j
+    if case == "start x 1e150":
+        assert tau0 == pytest.approx(rayleigh_step(x0, e), rel=1e-12)
+    else:
+        assert tau0 == 1.0 / solver.TAU_MIN
 
 
 @pytest.mark.parametrize("seed, lam", [(7016, 0.1), (7025, 1e-5)])
@@ -580,11 +656,11 @@ def test_readme_quick_start_numbers():
         kept = result.estimate != 0
         rel = relative_error(result.estimate, e.ground_truth)
         found[lam] = (int(kept.sum()), int(np.sum(kept & ~true)), f"{rel:.1e}")
-    assert found == {1e-3: (121, 109, "4.6e-02"), 0.1: (14, 2, "1.1e-02")}
+    assert found == {1e-3: (121, 109, "4.6e-02"), 0.1: (13, 1, "1.0e-02")}
     prose = " ".join(readme.split())
     assert ("keeps 121 of the 128 entries, 109 of them outside the true support, "
-            "at relative error 4.6e-2; λ = 0.1 keeps the 12 true entries and 2 "
-            "others, at 1.1e-2. The start `x0` is nonzero on 14 coordinates, 5 of "
+            "at relative error 4.6e-2; λ = 0.1 keeps the 12 true entries and 1 "
+            "other, at 1.0e-2. The start `x0` is nonzero on 14 coordinates, 5 of "
             "them true ones") in prose
 
 
