@@ -97,21 +97,26 @@ def spectral_init(e: MeasurementEnsemble, cfg: SpectralConfig | None = None,
     """Spectral starting point on the screened support (see the module
     docstring), untruncated when ``cfg`` is None, its power iteration drawn
     with ``seed`` (by default ``e.seed``); zero signal (with a warning) when
-    mean b <= 0."""
-    mean_b = float(np.mean(e.observations))
-    if mean_b <= 0.0:
-        warnings.warn("mean observation is nonpositive; returning the zero "
-                      "signal", RuntimeWarning, stacklevel=2)
-        return np.zeros(e.p, dtype=e.field.dtype)
-    support = _screened_support(e, mean_b)
-    # the column copy a[:, S] lives only as long as the power iteration
-    screened, _ = power_iteration(
-        MeasurementEnsemble(e.sampling_vectors[:, support], e.observations),
-        e.seed if seed is None else seed)
-    direction = np.zeros(e.p, dtype=e.field.dtype)
-    direction[support] = screened
-    if cfg is not None and cfg.truncation is not None and cfg.truncation < e.p:
-        # the direction has unit norm, so its largest entry is nonzero and kept
-        direction[np.argsort(-np.abs(direction), kind="stable")[cfg.truncation:]] = 0
-        direction = direction / np.linalg.norm(direction)
-    return np.sqrt(mean_b) * direction
+    mean b <= 0; ValueError when the observations overflow its arithmetic."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mean_b = float(np.mean(e.observations))
+            if mean_b <= 0.0:
+                warnings.warn("mean observation is nonpositive; returning the zero "
+                              "signal", RuntimeWarning, stacklevel=2)
+                return np.zeros(e.p, dtype=e.field.dtype)
+            support = _screened_support(e, mean_b)
+            # the column copy a[:, S] lives only as long as the power iteration
+            screened, _ = power_iteration(
+                MeasurementEnsemble(e.sampling_vectors[:, support], e.observations),
+                e.seed if seed is None else seed)
+            direction = np.zeros(e.p, dtype=e.field.dtype)
+            direction[support] = screened
+            if cfg is not None and cfg.truncation is not None and cfg.truncation < e.p:
+                # the direction has unit norm, so its largest entry is nonzero and kept
+                order = np.argsort(-np.abs(direction), kind="stable")
+                direction[order[cfg.truncation:]] = 0
+                direction = direction / np.linalg.norm(direction)
+            return np.sqrt(mean_b) * direction
+    except FloatingPointError:
+        raise ValueError("observations overflow the spectral start") from None

@@ -3,17 +3,20 @@ import argparse
 import ast
 import base64
 import builtins
+import functools
 import json
 import os
 import re
 import reprlib
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import robustpr.metrics
 from robustpr import (
@@ -45,6 +48,7 @@ from robustpr.metrics import summarize
 from robustpr.model import decode_vector
 
 from oracles import rayleigh_step
+from test_pgm import PGM_BYTES
 
 
 def run(*argv):
@@ -1558,3 +1562,162 @@ def test_text_outputs_end_lines_with_lf_under_a_crlf_platform(tmp_path, monkeypa
     written = sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".pgm")
     assert len(written) == 17
     assert [name for name in written if b"\r" in (tmp_path / name).read_bytes()] == []
+
+
+# ------------------------------------------- instance values out of range
+#
+# Edits of a small instance file (p = 8, n = 32) that overflow the package's
+# arithmetic, one row each: (name, command line, field, changes, exit code,
+# message).  A row's run prints only its one error line and writes no file.
+
+class Drop:
+    """The change that deletes its key."""
+
+    def __repr__(self):
+        return "DROP"
+
+
+DROP = Drop()
+
+
+def mutate(doc, changes):
+    """Apply ``changes`` to the JSON document ``doc`` in place and return it:
+    ``key: value`` sets a top-level key (``DROP`` deletes it) and ``(key, i):
+    value`` sets entry i of a list."""
+    for where, value in changes.items():
+        key, index = where if isinstance(where, tuple) else (where, None)
+        holder, slot = (doc, key) if index is None else (doc[key], index)
+        if value is DROP:
+            del holder[slot]
+        else:
+            holder[slot] = value
+    return doc
+
+
+@functools.cache
+def small_instance(field):
+    """The ``gen`` text of a noiseless p = 8, n = 32 instance of ``field``."""
+    return serialize_instance(synthesize_instance(8, 2, 32, FieldTag(field), NoiseSpec(), 1))
+
+
+def entry(field, value):
+    """A signal entry of ``field`` whose real part is ``value``."""
+    return value if field == "real" else [value, 0.0]
+
+
+FIELDS = ["real", "complex"]
+SOLVE = "solve --instance inst.json --lambda 1e-4 --out-result out.json"
+GRID = "bench lambda-grid --instance inst.json --grid 1e-3 --out-prefix out"
+REFUSALS = [
+    # a truth past the forward model's range is inconsistent, not a NaN gap
+    *[(f"{field}-truth-{name}", SOLVE, field, changes, 4,
+       "observations inconsistent with ground truth and noise record")
+      for field in FIELDS for name, changes in [
+          ("all-1e308", {"x_true": [entry(field, 1e308)] * 8}),
+          ("one-1e200", {("x_true", 0): entry(field, 1e200)})]],
+    # truth-free observations past the spectral start's range
+    *[(f"{command}-{field}-observations-{value:g}", argv, field,
+       {"x_true": DROP, "eps": DROP, "b": [value] * 32}, 2,
+       "observations overflow the spectral start")
+      for field in FIELDS for value in (1e300, 1e308)
+      for command, argv in [("solve", SOLVE), ("lambda-grid", GRID)]],
+]
+
+
+@pytest.mark.parametrize("argv, field, changes, code, message",
+                         [pytest.param(*row, id=name) for name, *row in REFUSALS])
+def test_refusal(tmp_path, monkeypatch, capsys, argv, field, changes, code, message):
+    monkeypatch.chdir(tmp_path)
+    Path("inst.json").write_text(json.dumps(mutate(json.loads(small_instance(field)),
+                                                   changes)))
+    capsys.readouterr()
+    assert run(*argv.split()) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir() == ["inst.json"]
+
+
+# ---------------------------------------------------------------- the fuzz
+#
+# Mutated small instance files and arbitrary PGM bytes through the commands
+# that read them: each run exits 0, 2, 3 or 4, raises nothing (a warning is an
+# error in this suite), and a run that exits nonzero writes no file.  The base
+# file keeps its truth and noise record, so most edits of a, b, x_true or eps
+# end at the reader's consistency check with exit 4.
+
+# what a mutation puts in a key or a list entry
+FUZZ_VALUES = [None, True, 0, -1, 0.5, 2**64, 1e300, 1e308, -1e308, 5e-324,
+               float("nan"), float("inf"), float("-inf"), "", "x", [], {}, [0.0, 0.0]]
+FUZZ_COMMANDS = {
+    "solve": SOLVE,
+    "certificate": "diag certificate --instance inst.json --use-truth --lambda 1e-3 "
+                   "--out out.json",
+    "stability": "diag stability --instance inst.json --samples 3 --out out.json",
+    "remark5": "diag remark5 --instance inst.json --use-truth --out out.json",
+    "lambda-grid": GRID,
+}
+
+
+class Wire(str):
+    """The base64 ``a`` of a 32 x 8 matrix of ``value`` in ``dtype``'s layout,
+    shown by what it holds."""
+
+    def __new__(cls, dtype, value):
+        text = base64.b64encode(np.full((32, 8), value, dtype).tobytes()).decode()
+        wire = super().__new__(cls, text)
+        wire.label = f"Wire({dtype!r}, {value!r})"
+        return wire
+
+    def __repr__(self):
+        return self.label
+
+
+INSTANCE_KEYS = ["field", "p", "n", "seed", "a", "b", "x_true", "eps"]
+FUZZ_KEYS = st.sampled_from(INSTANCE_KEYS)
+FUZZ_VALUE = st.sampled_from(FUZZ_VALUES)
+MUTATIONS = st.one_of(
+    FUZZ_KEYS.map(lambda key: {key: DROP}),
+    st.tuples(FUZZ_KEYS, FUZZ_VALUE).map(lambda change: dict([change])),
+    st.tuples(st.sampled_from(["b", "x_true", "eps"]), st.integers(0, 7), FUZZ_VALUE)
+    .map(lambda change: {change[:2]: change[2]}),
+    st.one_of(FUZZ_VALUE.map(lambda crc: {"crc32": crc}),
+              st.sampled_from(["", "!", *[Wire(dtype, value) for dtype in ("<f8", "<c16")
+                                         for value in (0.0, 1e300, np.nan)]]))
+    .map(lambda a: {"a": a}),
+    st.sampled_from(["real", "complex", "Real", "quaternion"]).map(lambda f: {"field": f}),
+)
+
+
+def exits_cleanly(files, argv):
+    """Run ``argv`` in a directory of ``files``; check the fuzz's property."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        for name, content in files.items():
+            Path(name).write_bytes(content)
+        code = run(*argv.split())
+        assert code in (0, 2, 3, 4)
+        assert code == 0 or sorted(os.listdir()) == sorted(files)
+
+
+def each_deletion(test):
+    """``test`` with one explicit example per top-level key deleted, in each
+    field, so that every missing-data path runs whatever the draw."""
+    for field in FIELDS:
+        for key in INSTANCE_KEYS:
+            test = example(field=field, changes={key: DROP})(test)
+    return test
+
+
+@pytest.mark.parametrize("argv", FUZZ_COMMANDS.values(), ids=FUZZ_COMMANDS)
+@settings(max_examples=100, deadline=None)
+@each_deletion
+@given(field=st.sampled_from(FIELDS), changes=MUTATIONS)
+def test_a_mutated_instance_exits_cleanly(argv, field, changes):
+    doc = mutate(json.loads(small_instance(field)), changes)
+    exits_cleanly({"inst.json": json.dumps(doc).encode()}, argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PGM_BYTES)
+def test_any_pgm_bytes_exit_image_cleanly(data):
+    exits_cleanly({"input.pgm": data}, "image --input input.pgm --out-image out.pgm "
+                  "--lambda 1e-4 --out-metrics out.json")

@@ -85,10 +85,12 @@ def _tokens_reference(data: bytes):
 HEADER_BYTES = st.lists(st.sampled_from(
     [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"\x00", b"\x1c",
      b"\x85", b"\xa0", b"P", b"5"]), max_size=40).map(b"".join)
+# file contents: any short bytes, or a header made of the bytes above
+PGM_BYTES = st.one_of(st.binary(max_size=64), HEADER_BYTES)
 
 
 @settings(max_examples=500)
-@given(st.one_of(st.binary(max_size=64), HEADER_BYTES))
+@given(PGM_BYTES)
 def test_tokens_match_the_reference_scanner(data):
     assert list(pgm._tokens(data)) == list(_tokens_reference(data))
 
