@@ -119,9 +119,12 @@ def _normalized(e: MeasurementEnsemble, what: str):
     """
     if e.field is not FieldTag.REAL:
         raise DomainError(f"{what} is defined for real ensembles only")
-    norms = np.linalg.norm(e.sampling_vectors, axis=1)
+    with np.errstate(over="ignore"):  # an overflow is the inf refused below
+        norms = np.linalg.norm(e.sampling_vectors, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("sampling ensemble contains a zero row")
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("sampling ensemble row norms overflow")
     scale = np.sqrt(e.p) / norms
     a_hat = e.sampling_vectors * scale[:, None]
     eps_hat = None if e.noise_record is None else e.noise_record * scale**2

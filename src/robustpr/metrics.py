@@ -70,8 +70,8 @@ def settings(cfg: SolverConfig) -> dict:
 
 def summarize(result: SolverResult, e: MeasurementEnsemble, cfg: SolverConfig) -> dict:
     """A run's reported fields, in the order every writer exports them; the
-    truth's fields only with a nonzero truth, where
-    truth_gap = (F(x_hat) - F(x_true)) / max(1, |F(x_true)|)."""
+    truth's fields only with a nonzero truth, where truth_gap = (F(x_hat) -
+    F(x_true)) / F(x0), or 0 at F(x0) = 0: x0 = x_hat is a global minimizer."""
     x, truth = result.estimate, e.nonzero_truth
     doc = {
         "termination": result.termination.value,
@@ -88,7 +88,8 @@ def summarize(result: SolverResult, e: MeasurementEnsemble, cfg: SolverConfig) -
     if truth is not None:
         F_true = objective(truth, e, cfg.lam, cfg.alpha)
         doc["relative_error"] = relative_error(x, truth)
-        doc["truth_gap"] = (result.final_objective - F_true) / max(1.0, abs(F_true))
+        F0 = result.initial_objective
+        doc["truth_gap"] = (result.final_objective - F_true) / F0 if F0 else 0.0
         doc["support_missed"] = int(np.count_nonzero((truth != 0) & (x == 0)))
         doc["support_extra"] = int(np.count_nonzero((x != 0) & (truth == 0)))
     return doc

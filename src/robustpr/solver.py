@@ -5,34 +5,39 @@ Each iteration applies the thresholded gradient map
     x+ = H_{2 lam tau}(x - 2 tau g(x)),    tau = tau0 * beta^j,
 
 with j the smallest nonnegative integer achieving the sufficient decrease
-F(x) - F(x+) >= delta ||x+ - x||^2.  The trial step tau0 alternates the
-long and short Barzilai-Borwein steps of the last accepted move
+F(x) - F(x+) >= delta ||x+ - x||^2 / tau (SpaRSA scales its acceptance term
+by its BB parameter 1 / tau the same way).  The trial step tau0 alternates
+the long and short Barzilai-Borwein steps of the last accepted move
 s = x_k - x_{k-1}, y = g(x_k) - g(x_{k-1}) (the alternate BB method of
 Dai and Fletcher):
 
     tau0 = ||s||^2 / (2 Re<s, y>)     after an odd k,
     tau0 = Re<s, y> / (2 ||y||^2)     after an even k,
 
-each clipped to [TAU_MIN, 1 / TAU_MIN].  By Cauchy-Schwarz the short step is
-never larger than the long one.  The first iteration, and any iteration with
-Re<s, y> <= 0 or an underflowed ||y||^2, starts at the inverse Rayleigh
-quotient 1 / rho(x) of Y = (1/n) sum_i b_i a_i a_i^H at the current point,
+each clipped to [TAU_MIN tau_R, tau_R / TAU_MIN].  By Cauchy-Schwarz the
+short step is never larger than the long one.  The first iteration, and any
+iteration with Re<s, y> <= 0 or an underflowed ||y||^2, starts at the inverse
+Rayleigh quotient 1 / rho(x) of Y = (1/n) sum_i b_i a_i a_i^H at the current
+point,
 
     rho(x) = (1/n) sum_i b_i |<a_i, x>|^2 / ||x||^2,
 
-from the forward product the loop already holds, clipped the same way; rho <= 0
-(x = 0 among others) gives 1 / TAU_MIN.  At the spectral start rho is the power
-iteration's own quotient.  Every accepted tau lies in (0, 1 / TAU_MIN] and
-passes the same sufficient-decrease test, which is all the convergence
-argument needs; no constant sets the scale of a trial step, which follows the
-problem's (tau -> tau / c^2 when x -> c x).  The accepted objective value is
-cached and carried forward, so the recorded descent inequality is exact in
-floating point.  Terminates when the relative step ||x+ - x|| / ||x|| is at
-most eps: the residual the trace records for x, as both read ``_relative_step``.
-A zero step (0 >= delta * 0) ends the run Converged only if the relative step
-of the iteration's first trial, x's fixed-point residual at that trial's tau,
-is at most eps; otherwise the run ends LineSearchFailed and the zero step gets
-no row.
+from the forward product the loop already holds: tau_R at x0, clipped the
+same way after it; rho <= 0 (x = 0 among others), or a rho so small that
+1 / rho / TAU_MIN is not finite, gives 1 / TAU_MIN.  At the spectral start rho
+is the power iteration's own quotient.  Every accepted tau lies in
+(0, tau_R / TAU_MIN] and passes the same sufficient-decrease test, which is
+all the convergence argument needs.  No constant sets a scale: under x -> c x,
+b -> c^2 b, lam -> c^3.5 lam and alpha -> c^2 alpha, F and both sides of the
+Armijo test scale as c^4, every trial step as 1 / c^2 and the stop test not
+at all, so the run is the original's times c to round-off.  The accepted
+objective value is cached and carried forward, so the recorded descent
+inequality is exact in floating point.  Terminates when the relative step
+||x+ - x|| / ||x|| is at most eps: the residual the trace records for x, as
+both read ``_relative_step``.  A zero step (0 >= delta * 0 / tau) ends the
+run Converged only if the relative step of the iteration's first trial, x's
+fixed-point residual at that trial's tau, is at most eps; otherwise the run
+ends LineSearchFailed and the zero step gets no row.
 
 Work per iteration: each Armijo trial costs one prox and one forward product
 A^H x, which yields F and the clamped residuals together; the accepted
@@ -64,7 +69,7 @@ from .objective import objective  # unused here; benchmarks/tracing.py binds it
 from .prox import _half_threshold
 from .prox import half_threshold  # unused here; benchmarks/tracing.py binds it
 
-TAU_MIN = 1e-8  # every trial step tau0 lies in [TAU_MIN, 1 / TAU_MIN]
+TAU_MIN = 1e-8  # every trial step tau0 lies within a factor 1 / TAU_MIN of the first
 MAX_BACKTRACKS = 60  # Armijo trials past the first before LineSearchFailed
 
 
@@ -141,13 +146,14 @@ def _residual(x, gx, lam, tau, x_norm) -> float:
 
 
 def _rayleigh_step(e: MeasurementEnsemble, c: np.ndarray, x_norm: float) -> float:
-    """The trial step 1 / rho(x) at x, clipped to [TAU_MIN, 1 / TAU_MIN], from
-    c = <a_i, x> and x_norm = ||x||; 1 / TAU_MIN when rho(x) <= 0.  Dividing
-    by ||x|| twice forms no ||x||^2 to overflow or underflow."""
+    """The trial step 1 / rho(x) at x, from c = <a_i, x> and x_norm = ||x||;
+    1 / TAU_MIN when rho(x) <= 0 or when 1 / rho / TAU_MIN, the top of the
+    clip around it, is not finite (a subnormal rho).  Dividing by ||x|| twice
+    forms no ||x||^2 to overflow or underflow."""
     if not x_norm:  # x = 0, or ||x||^2 below the smallest float
         return 1.0 / TAU_MIN
     rho = float(e.observations.dot(_squared_modulus(c))) / e.n / x_norm / x_norm
-    return min(max(1.0 / rho, TAU_MIN), 1.0 / TAU_MIN) if rho > 0.0 else 1.0 / TAU_MIN
+    return 1.0 / rho if rho > 0.0 and math.isfinite(1.0 / rho / TAU_MIN) else 1.0 / TAU_MIN
 
 
 def _relative_step(step_norm: float, x_norm: float) -> float:
@@ -191,7 +197,7 @@ def solve(
     if callback is not None:
         callback(0, x)
 
-    tau0 = _rayleigh_step(e, c, x_norm)
+    tau0 = tau_r = _rayleigh_step(e, c, x_norm)
     for k in range(1, cfg.max_iter + 1):
         accepted = False
         for j in range(MAX_BACKTRACKS + 1):
@@ -202,11 +208,11 @@ def solve(
             if not j:  # the map's step from x at tau0: x's fixed-point residual
                 first = step
             step_sq = float(np.vdot(step, step).real)
-            if F_x - F_cand >= delta * step_sq:
+            if F_x - F_cand >= delta * step_sq / tau:
                 accepted = True
                 break
         trials += j + 1
-        # a zero step passes as 0 >= delta * 0: converged only at a fixed point
+        # a zero step passes as 0 >= delta * 0 / tau: converged only at a fixed point
         if not accepted or not step_sq and _relative_step(_norm(first), x_norm) > eps:
             termination = Termination.LINE_SEARCH_FAILED
             break
@@ -224,9 +230,9 @@ def solve(
         # Re<s, y> <= 0, or an ||y||^2 that underflowed to 0, the Rayleigh step
         if curvature > 0.0 and (k % 2 or (y_sq := float(np.vdot(y, y).real)) > 0.0):
             tau0 = step_sq / (2.0 * curvature) if k % 2 else curvature / (2.0 * y_sq)
-            tau0 = min(max(tau0, TAU_MIN), 1.0 / TAU_MIN)
         else:
             tau0 = _rayleigh_step(e, c, x_norm)
+        tau0 = min(max(tau0, TAU_MIN * tau_r), tau_r / TAU_MIN)
         rows.append((k, F_x, tau, j, step_norm, np.count_nonzero(x)))
         if callback is not None:
             callback(k, x)

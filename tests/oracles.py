@@ -94,12 +94,12 @@ def chi_oracle(t, mu: float, grid_step: float):
 def rayleigh_step(x: np.ndarray, e: MeasurementEnsemble) -> float:
     """The solver's trial step at x when no Barzilai-Borwein step applies:
     1 / rho(x), with rho(x) = (1/n) sum_i b_i |<a_i, x>|^2 / ||x||^2 the
-    Rayleigh quotient of Y = (1/n) sum_i b_i a_i a_i^H at x, clipped to
-    [TAU_MIN, 1 / TAU_MIN]; 1 / TAU_MIN when rho(x) <= 0 or x = 0."""
+    Rayleigh quotient of Y = (1/n) sum_i b_i a_i a_i^H at x; 1 / TAU_MIN when
+    rho(x) <= 0, x = 0 or 1 / rho / TAU_MIN is not finite."""
     norm = float(np.linalg.norm(x))
     energy = float(np.dot(e.observations, np.abs(correlate(e.sampling_vectors, x)) ** 2))
     rho = energy / e.n / norm / norm if norm else 0.0
-    return min(max(1.0 / rho, TAU_MIN), 1.0 / TAU_MIN) if rho > 0.0 else 1.0 / TAU_MIN
+    return 1.0 / rho if rho > 0.0 and np.isfinite(1.0 / rho / TAU_MIN) else 1.0 / TAU_MIN
 
 
 def realify(x: np.ndarray) -> np.ndarray:

@@ -1605,9 +1605,25 @@ def entry(field, value):
     return value if field == "real" else [value, 0.0]
 
 
+class Wire(str):
+    """The base64 ``a`` of a 32 x 8 matrix of ``value`` in ``dtype``'s layout,
+    shown by what it holds."""
+
+    def __new__(cls, dtype, value):
+        text = base64.b64encode(np.full((32, 8), value, dtype).tobytes()).decode()
+        wire = super().__new__(cls, text)
+        wire.label = f"Wire({dtype!r}, {value!r})"
+        return wire
+
+    def __repr__(self):
+        return self.label
+
+
 FIELDS = ["real", "complex"]
 SOLVE = "solve --instance inst.json --lambda 1e-4 --out-result out.json"
 GRID = "bench lambda-grid --instance inst.json --grid 1e-3 --out-prefix out"
+STABILITY = "diag stability --instance inst.json --samples 3 --out out.json"
+REMARK5 = "diag remark5 --instance inst.json --use-truth --out out.json"
 REFUSALS = [
     # a truth past the forward model's range is inconsistent, not a NaN gap
     *[(f"{field}-truth-{name}", SOLVE, field, changes, 4,
@@ -1621,6 +1637,10 @@ REFUSALS = [
        "observations overflow the spectral start")
       for field in FIELDS for value in (1e300, 1e308)
       for command, argv in [("solve", SOLVE), ("lambda-grid", GRID)]],
+    # sampling vectors whose row norms overflow the rows' normalization
+    *[(f"{command}-a-1e300", argv, "real", {"eps": DROP, "a": Wire("<f8", 1e300)}, 2,
+       "sampling ensemble row norms overflow")
+      for command, argv in [("stability", STABILITY), ("remark5", REMARK5)]],
 ]
 
 
@@ -1651,24 +1671,10 @@ FUZZ_COMMANDS = {
     "solve": SOLVE,
     "certificate": "diag certificate --instance inst.json --use-truth --lambda 1e-3 "
                    "--out out.json",
-    "stability": "diag stability --instance inst.json --samples 3 --out out.json",
-    "remark5": "diag remark5 --instance inst.json --use-truth --out out.json",
+    "stability": STABILITY,
+    "remark5": REMARK5,
     "lambda-grid": GRID,
 }
-
-
-class Wire(str):
-    """The base64 ``a`` of a 32 x 8 matrix of ``value`` in ``dtype``'s layout,
-    shown by what it holds."""
-
-    def __new__(cls, dtype, value):
-        text = base64.b64encode(np.full((32, 8), value, dtype).tobytes()).decode()
-        wire = super().__new__(cls, text)
-        wire.label = f"Wire({dtype!r}, {value!r})"
-        return wire
-
-    def __repr__(self):
-        return self.label
 
 
 INSTANCE_KEYS = ["field", "p", "n", "seed", "a", "b", "x_true", "eps"]

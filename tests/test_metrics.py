@@ -303,7 +303,7 @@ def test_summarize_reports_the_run_and_its_distance_to_the_truth(field):
         "adjoint_products": result.iterations + 1,
         "support_size": len(found),
         "relative_error": relative_error(result.estimate, e.ground_truth),
-        "truth_gap": (result.final_objective - F_true) / max(1.0, abs(F_true)),
+        "truth_gap": (result.final_objective - F_true) / result.initial_objective,
         "support_missed": len(true - found),
         "support_extra": len(found - true),
     }
@@ -314,6 +314,18 @@ def test_summarize_reports_the_run_and_its_distance_to_the_truth(field):
         summary = summarize(result, replace(e, ground_truth=truth, noise_record=None),
                             cfg)
         assert list(summary.items()) == list(expected.items())[:10]
+
+
+def test_truth_gap_is_zero_from_a_start_at_zero_objective():
+    # zero observations and a zero start give F(x0) = 0: the start is a
+    # global minimizer (F >= 0) and the run stays there, below the truth
+    e = synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("none"), 5)
+    e = replace(e, observations=np.zeros(e.n), noise_record=None)
+    cfg = SolverConfig(lam=1e-2)
+    summary = summarize(solve(e, np.zeros(e.p), cfg), e, cfg)
+    assert summary["initial_objective"] == summary["final_objective"] == 0.0
+    assert objective(e.ground_truth, e, cfg.lam, cfg.alpha) > 0.0
+    assert summary["truth_gap"] == 0.0
 
 
 @pytest.mark.parametrize("delta", [1e-4, 1e20], ids=["converged", "no-row"])

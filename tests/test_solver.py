@@ -60,12 +60,15 @@ def test_trace_descent_and_square_summability():
     x0 = np.zeros(24) + 0.5
     result = solve(e, x0, cfg)
     values = np.append(result.initial_objective, result.trace.F_value)
-    steps = result.trace.step_norm
-    assert np.all(values[:-1] - values[1:] >= cfg.delta * steps**2 - 1e-15)
+    trace = result.trace
+    weighted = trace.step_norm**2 / trace.tau
+    assert np.all(values[:-1] - values[1:]
+                  >= cfg.delta * weighted - 4.0 * np.finfo(float).eps * values[:-1])
     assert np.all(values[1:] <= values[:-1])
-    assert np.sum(steps**2) <= 2.0 * result.initial_objective / cfg.delta
-    assert np.all((0.0 < result.trace.tau) & (result.trace.tau <= 1.0 / solver.TAU_MIN))
-    assert result.trace[0].tau == rayleigh_step(x0, e) * cfg.beta**result.trace[0].j
+    assert cfg.delta * np.sum(weighted) <= result.initial_objective
+    tau_r = rayleigh_step(x0, e)
+    assert np.all((0.0 < trace.tau) & (trace.tau <= tau_r / solver.TAU_MIN))
+    assert trace[0].tau == tau_r * cfg.beta**trace[0].j
 
 
 def test_converged_step_criterion():
@@ -83,13 +86,13 @@ def test_converged_step_criterion():
 
 def test_line_search_failure_is_reported_not_raised(monkeypatch):
     e = easy_instance(7)
-    # A trial passes only when F(x) - F(x+) >= delta ||x+ - x||^2, which for a
-    # gradient step of length tau needs delta <~ 1/(2 tau).  The last trial has
-    # tau = beta^MAX_BACKTRACKS = 2^-60, so delta = 1e20 rejects all of them
-    # (delta = 1e12 accepts j = 40 here).  From this dense random start the
-    # trial j = 55 rounds to x itself and passes as 0 >= delta * 0; x is no
-    # fixed point (the first trial's step is 1.14 ||x||), so that zero step
-    # ends the search after 56 trials, one prox each.  The result's residual
+    # A trial passes only when F(x) - F(x+) >= delta ||x+ - x||^2 / tau, which
+    # for a short gradient step needs delta <~ 1 whatever tau (delta = 1
+    # accepts j = 28 here), so delta = 1e20 rejects every nonzero step.  From
+    # this dense random start the trial j = 55 rounds to x itself and passes
+    # as 0 >= delta * 0 / tau; x is no fixed point (the first trial's step is
+    # 1.14 ||x||), so that zero step ends the search after 56 trials, one
+    # prox each.  The result's residual
     # is the first trial's, which takes no prox of its own.
     monkeypatch.setattr(SolverConfig, "delta", 1e20)
     cfg = SolverConfig(lam=1e-4)
@@ -230,10 +233,10 @@ def test_trace_rows_equal_the_public_maps_at_each_iterate(field):
 def test_trial_step_alternates_the_long_and_short_bb_steps(field):
     # After an accepted iteration k with Re<s, y> > 0 the next backtracking
     # starts at the long step ||s||^2 / (2 Re<s, y>) for odd k and at the
-    # short step Re<s, y> / (2 ||y||^2) for even k, clipped to [TAU_MIN,
-    # 1 / TAU_MIN]; the first iteration, and any with Re<s, y> <= 0, starts
-    # at the Rayleigh step of its iterate.  The public g gives the solver's
-    # gradients bit for bit.
+    # short step Re<s, y> / (2 ||y||^2) for even k; the first iteration, and
+    # any with Re<s, y> <= 0, starts at the Rayleigh step of its iterate.
+    # Each after the first is clipped to [TAU_MIN tau_R, tau_R / TAU_MIN],
+    # tau_R the first.  The public g gives the solver's gradients bit for bit.
     e = synthesize_instance(24, 3, 144, field, NoiseSpec("type2", 0.1), 27)
     cfg = SolverConfig(lam=1e-3)
     iterates = []
@@ -241,25 +244,27 @@ def test_trial_step_alternates_the_long_and_short_bb_steps(field):
     result = solve(e, x0, cfg, callback=lambda k, x: iterates.append(x.copy()))
     assert result.termination is Termination.CONVERGED
     grads = [g(x, e, cfg.alpha) for x in iterates]
-    want = [rayleigh_step(x0, e)]
+    tau_r = rayleigh_step(x0, e)
+    lo, hi = solver.TAU_MIN * tau_r, tau_r / solver.TAU_MIN
+    want = [tau_r]
     shorter = 0
     for k in range(1, result.iterations):
         s, y = iterates[k] - iterates[k - 1], grads[k] - grads[k - 1]
         curvature = float(np.vdot(s, y).real)
         if curvature <= 0.0:
-            want.append(rayleigh_step(iterates[k], e))
+            want.append(min(max(rayleigh_step(iterates[k], e), lo), hi))
             continue
         long_step = float(np.vdot(s, s).real) / (2.0 * curvature)
         short_step = curvature / (2.0 * float(np.vdot(y, y).real))
         assert short_step <= long_step
         step = long_step if k % 2 else short_step
-        want.append(min(max(step, solver.TAU_MIN), 1.0 / solver.TAU_MIN))
-        shorter += k % 2 == 0 and want[-1] < min(long_step, 1.0 / solver.TAU_MIN)
+        want.append(min(max(step, lo), hi))
+        shorter += k % 2 == 0 and want[-1] < min(long_step, hi)
     # the step the parent rule would have taken differs on these rows
     assert shorter > 0
     tau0 = result.trace.tau / cfg.beta**result.trace.j
     assert tau0.tolist() == want
-    assert np.all(result.trace.tau <= 1.0 / solver.TAU_MIN)
+    assert np.all(result.trace.tau <= hi)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -567,8 +572,9 @@ def test_bb_step_escapes_the_barely_stable_fixed_step():
     assert result.iterations <= 60
     assert result.final_objective == pytest.approx(1.2481309366e-4, rel=1e-6)
     first = result.trace[0]
-    assert first.tau == rayleigh_step(spectral_init(e), e) * cfg.beta**first.j
-    assert all(r.tau <= 1.0 / solver.TAU_MIN for r in result.trace)
+    tau_r = rayleigh_step(spectral_init(e), e)
+    assert first.tau == tau_r * cfg.beta**first.j
+    assert all(r.tau <= tau_r / solver.TAU_MIN for r in result.trace)
 
 
 def _scaled_run(name, seed, c):
@@ -580,39 +586,41 @@ def _scaled_run(name, seed, c):
     return solve(e, spectral_init(e), SolverConfig(lam=lam * c**3.5, alpha=arm.alpha * c**2))
 
 
-def test_the_first_trial_step_follows_the_scale_of_the_problem():
-    # Scaled by c, F scales as c^4 and the natural step as 1 / c^2.  The
-    # first trial 1 / rho(x0) scales the same way, so the first row keeps
-    # its backtracks and tau c^2 its value; under a constant first trial
-    # tau = 1 the first row's j moved by 6-9 at c = 10 and 19-22 at c = 1000.
-    for name in ("t3_scaled", "cplx_scaled"):
-        twin = _scaled_run(name, 1, 1.0).trace[0]
-        for c in (10.0, 1000.0):
-            first = _scaled_run(name, 1, c).trace[0]
-            assert first.j == twin.j, (name, c)
-            assert first.tau * c * c == pytest.approx(twin.tau, rel=1e-12), (name, c)
-    # at c = 0.001 a first trial of 1 moved the t3 start by 1.7e-7 of its
-    # norm, below eps, so these runs stopped Converged after one iteration;
-    # they now take 497 and 305 (31 and 24 at c = 1: delta's scale is left)
-    for seed in (1, 2):
-        result = _scaled_run("t3_scaled", seed, 1e-3)
-        assert result.termination is Termination.CONVERGED
-        assert result.iterations > 1, seed
+def test_a_scaled_run_is_its_twin_times_c():
+    # Criterion 15's identity at scales far outside its fixture: scaled by c,
+    # F scales as c^4, every trial step as 1 / c^2 and both sides of the
+    # Armijo test as c^4, so each row keeps its backtracks and the first
+    # row's tau c^2 its value.
+    for name in ("t3_scaled", "quick_scaled", "cplx_scaled"):
+        twin = _scaled_run(name, 1, 1.0)
+        for c in (1e-5, 1e5):
+            run = _scaled_run(name, 1, c)
+            assert run.termination is twin.termination is Termination.CONVERGED
+            assert run.trace.j.tolist() == twin.trace.j.tolist(), (name, c)
+            assert np.array_equal(run.estimate != 0, twin.estimate != 0), (name, c)
+            assert relative_error(run.estimate / c, twin.estimate) <= 1e-12, (name, c)
+            assert run.trace[0].tau * c * c == pytest.approx(twin.trace[0].tau, rel=1e-12), (
+                name, c)
 
 
 @pytest.mark.parametrize("case", ["zero observations", "zero start", "start x 1e-200",
-                                  "start x 1e150"])
+                                  "start x 1e150", "observations x 1e-322",
+                                  "observations x 1e-302"])
 def test_the_rayleigh_step_guards_end_with_a_termination(case):
     # rho(x) <= 0 (no observations, or x = 0) and a start whose ||x||^2
     # underflows take the first trial 1 / TAU_MIN; rho is scale-free in x,
-    # so a start scaled by 1e150 takes its unscaled start's trial.  Each run
-    # ends with a termination, and raises and warns of nothing.
+    # so a start scaled by 1e150 takes its unscaled start's trial.  A
+    # subnormal rho has 1 / rho = inf, and at observations x 1e-302 the
+    # clip's top 1 / rho / TAU_MIN overflows: both take 1 / TAU_MIN too.
+    # Each run ends with a termination, and raises and warns of nothing.
     e = easy_instance(11)
     x0 = spectral_init(e)
-    start = {"zero observations": x0, "zero start": np.zeros(16),
-             "start x 1e-200": 1e-200 * x0, "start x 1e150": 1e150 * x0}[case]
-    if case == "zero observations":
-        e = MeasurementEnsemble(e.sampling_vectors, np.zeros(e.n))
+    start = {"start x 1e-200": 1e-200 * x0, "start x 1e150": 1e150 * x0,
+             "zero start": np.zeros(16)}.get(case, x0)
+    factor = {"zero observations": 0.0, "observations x 1e-322": 1e-322,
+              "observations x 1e-302": 1e-302}.get(case)
+    if factor is not None:
+        e = MeasurementEnsemble(e.sampling_vectors, factor * e.observations)
     cfg = SolverConfig(lam=1e-4)
     result = solve(e, start, cfg)
     assert result.termination is Termination.CONVERGED
