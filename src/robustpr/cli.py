@@ -5,7 +5,8 @@ Commands: gen | solve | bench {success-rate,error-iter,lambda-grid,consistency}
 
 Exit codes: 0 success, 2 usage, validation, overflow or out-of-memory error, 3 domain
 error (``DomainError``: a real-only check on complex data, no nonzero truth, no
-noise record, n < 2 to hold out, an empty support), 4 I/O or file-format error.
+noise record, n < 2 to hold out, an empty support, an instance file's
+nonpositive mean observation), 4 I/O or file-format error.
 
 Each flag is declared once and read by its command: shared groups are
 argparse parent parsers.  The solver flags are ``--lambda`` and ``--alpha``,
@@ -37,6 +38,7 @@ from .metrics import (
     VALIDATION_RULES,
     ExperimentSpec,
     align,
+    drawn_start,
     error_vs_iteration,
     lambda_grid_search,
     run_experiment,
@@ -279,7 +281,7 @@ def cmd_image(args):
     n = args.ratio * p
     e = measure(x_true, n, args.noise, args.seed)
     cfg = _solver_config(args)
-    x0 = spectral_init(e)
+    x0 = drawn_start(e)
     result = solve(e, x0, cfg)
     estimate = align(result.estimate, x_true)
     summary = summarize(result, e, cfg)

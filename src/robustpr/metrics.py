@@ -185,11 +185,22 @@ def trial_seed(master_seed: int, n: int, trial: int) -> int:
     return mix(master_seed, n, trial)
 
 
+def drawn_start(e: MeasurementEnsemble, cfg: SpectralConfig | None = None) -> np.ndarray:
+    """The spectral start of an instance the program drew, or the zero signal
+    when its noise leaves mean b <= 0, spectral_init's one DomainError: the
+    run from zero stays there, with relative error 1, so a sweep counts the
+    draw as a failure and finishes.  An instance read from a file is refused."""
+    try:
+        return spectral_init(e, cfg)
+    except DomainError:
+        return np.zeros(e.p, e.field.dtype)
+
+
 def run_trial(spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
     seed = trial_seed(spec.master_seed, n, trial)
     instance = synthesize_instance(spec.p, spec.s, n, spec.field, spec.noise, seed)
     start = time.perf_counter()
-    x0 = spectral_init(instance, spec.spectral)
+    x0 = drawn_start(instance, spec.spectral)
     result = solve(instance, x0, spec.solver)
     elapsed = time.perf_counter() - start
     return TrialRecord(n, trial, seed, summarize(result, instance, spec.solver), elapsed)
@@ -205,7 +216,7 @@ def error_vs_iteration(
     e: MeasurementEnsemble, cfg: SolverConfig
 ) -> tuple[list, SolverResult]:
     """Relative-error curve along the iterates, starting at the spectral point
-    drawn with the ensemble's seed."""
+    drawn with the ensemble's seed (``drawn_start``: zero when mean b <= 0)."""
     if (truth := e.nonzero_truth) is None:
         raise DomainError("error-vs-iteration needs a nonzero ground truth")
     curve = []
@@ -213,7 +224,7 @@ def error_vs_iteration(
     def record(k, x):
         curve.append((k, relative_error(x, truth)))
 
-    result = solve(e, spectral_init(e), cfg, callback=record)
+    result = solve(e, drawn_start(e), cfg, callback=record)
     return curve, result
 
 

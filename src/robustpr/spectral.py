@@ -27,11 +27,11 @@ flag for it and the package's own calls pass no config.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .gradient import _adjoint
 from .model import FieldTag, MeasurementEnsemble, _check_count, correlate
 from .rng import TAG_SPECTRAL, stream
@@ -96,15 +96,14 @@ def spectral_init(e: MeasurementEnsemble, cfg: SpectralConfig | None = None,
                   seed: int | None = None) -> np.ndarray:
     """Spectral starting point on the screened support (see the module
     docstring), untruncated when ``cfg`` is None, its power iteration drawn
-    with ``seed`` (by default ``e.seed``); zero signal (with a warning) when
-    mean b <= 0; ValueError when the observations overflow its arithmetic."""
+    with ``seed`` (by default ``e.seed``); DomainError when mean b <= 0, which
+    leaves no scale sqrt(mean b); ValueError when the observations overflow
+    its arithmetic."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             mean_b = float(np.mean(e.observations))
             if mean_b <= 0.0:
-                warnings.warn("mean observation is nonpositive; returning the zero "
-                              "signal", RuntimeWarning, stacklevel=2)
-                return np.zeros(e.p, dtype=e.field.dtype)
+                raise DomainError("mean observation is nonpositive; no spectral start")
             support = _screened_support(e, mean_b)
             # the column copy a[:, S] lives only as long as the power iteration
             screened, _ = power_iteration(

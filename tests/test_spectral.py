@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -14,19 +13,19 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr import spectral
+from robustpr.errors import DomainError
 from robustpr.model import MeasurementEnsemble, correlate, generate_sampling
 
 
-def test_zero_observations_gives_zero_signal():
+def test_zero_observations_have_no_spectral_start():
     a = generate_sampling(4, 8, FieldTag.REAL, 0)
     e = MeasurementEnsemble(
         sampling_vectors=a, observations=np.zeros(8)
     )
-    # one warning for mean b <= 0, all-zero observations included
-    with pytest.warns(RuntimeWarning, match="^mean observation is nonpositive; "
-                                            "returning the zero signal$"):
-        x0 = spectral_init(e)
-    assert not x0.any()
+    # mean b <= 0 leaves no scale sqrt(mean b): all-zero observations included
+    with pytest.raises(DomainError, match="^mean observation is nonpositive; "
+                                          "no spectral start$"):
+        spectral_init(e)
 
 
 def test_power_iteration_stops_on_a_zero_product():
@@ -37,14 +36,14 @@ def test_power_iteration_stops_on_a_zero_product():
     assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
-def test_nonpositive_mean_observation_gives_zero_signal():
+def test_nonpositive_mean_observation_has_no_spectral_start():
     a = generate_sampling(4, 8, FieldTag.REAL, 0)
     b = np.zeros(8)
     b[0] = -1.0
     e = MeasurementEnsemble(sampling_vectors=a, observations=b)
-    with pytest.warns(RuntimeWarning, match="mean observation is nonpositive"):
-        x0 = spectral_init(e)
-    assert not x0.any()
+    with pytest.raises(DomainError, match="^mean observation is nonpositive; "
+                                          "no spectral start$"):
+        spectral_init(e)
 
 
 @pytest.mark.parametrize("case", ["real", "complex", "zero observations"])
@@ -60,10 +59,11 @@ def test_defaults_are_the_untruncated_start_drawn_with_the_instance_seed(case):
     for call in (lambda: spectral_init(e, SpectralConfig(), e.seed),
                  lambda: spectral_init(e),
                  lambda: spectral_init(e, seed=e.seed)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        try:
             x0 = call()
-        outs.append((x0.dtype, x0.tobytes(), [str(w.message) for w in caught]))
+            outs.append((x0.dtype, x0.tobytes()))
+        except DomainError as exc:  # each call refuses zero observations alike
+            outs.append(str(exc))
     assert outs[1] == outs[0] and outs[2] == outs[0]
     if case != "zero observations":
         # the seed is read: another one draws another power-iteration start
