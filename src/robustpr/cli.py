@@ -490,7 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     report = shared(parents=[instance, alpha])
     report.add_argument("--out", default=None, help="report JSON path")
     report.add_argument("--rho0", type=float, default=RHO0,
-                        help="inliers |v| <= rho0*alpha, boundary width (1-rho0)*alpha")
+                        help="inliers |v| <= rho0*alpha, boundary width "
+                             "(1-rho0)*alpha; an alpha floor needs mu_hat > "
+                             "1/(2(1-rho0)), so it can exist only below rho0 = 1/2")
     solution = shared()
     point = solution.add_mutually_exclusive_group(required=True)
     point.add_argument("--solution", default=None, help="result JSON from 'solve'")

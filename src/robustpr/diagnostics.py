@@ -6,9 +6,9 @@ Three groups of checks:
   stability constants of the sampling ensemble (real field only).  The
   sampled infimum can only overestimate the true constant, so the numbers
   are heuristic upper bounds on the true C1/C2.  The estimate also carries
-  the parameter conditions behind estimator consistency, evaluated at
-  C1 = mu_hat and C2 = c2_hat; since those overestimate the constants, a
-  condition that holds there is optimistic.
+  the parameter conditions behind estimator consistency: the numbers to
+  compare with the call's n, alpha and lambda, and the sample sizes at
+  which the lambda window opens and the x_min floor holds.
 * ``linear_rate_certificate`` -- evaluates the spectral-gap condition that
   certifies a linear convergence rate at a solution x*: the smallest
   eigenvalue of the inlier generalized-Jacobian sum on the support must
@@ -37,6 +37,7 @@ eps_i rescaled to match (see ``_normalized``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +98,10 @@ def _boundary_width(alpha: float, rho0: float) -> tuple[float, float, float]:
 
 
 def _masks(v: np.ndarray, alpha: float, rho0: float):
-    """Inliers |v_i| <= rho0 * alpha and the boundary band ||v_i| - alpha| < eps1."""
+    """Inliers |v_i| <= rho0 * alpha and the boundary band ||v_i| - alpha| < eps1,
+    at the alpha and rho0 its caller checked with _boundary_width."""
     mag = np.abs(v)
-    alpha, rho0, eps1 = _boundary_width(alpha, rho0)
-    return mag <= rho0 * alpha, np.abs(mag - alpha) < eps1
+    return mag <= rho0 * alpha, np.abs(mag - alpha) < (1.0 - rho0) * alpha
 
 
 class _Report:
@@ -225,48 +226,53 @@ def estimate_stability(
         samples=samples,
         inlier_threshold=rho0 * alpha,
         used_noise_record=used_record,
-        consistency=_consistency(e, eps_hat, alpha, rho0, mu_best, c2_best),
+        consistency=_consistency(e, eps_hat, rho0, mu_best, c2_best),
     )
 
 
-def _consistency(e, eps_hat, alpha, rho0, c1, c2) -> dict | None:
+def _sample_size(p: int, bound: float) -> int | None:
+    """Smallest n >= 1 with t_n <= bound, None past float range.  t_n falls in
+    n, so n <- ceil(2 (2p+1) log(1+2n) / bound^2) climbs from n = 1 to the
+    smallest solution and stops there."""
+    n, scale = 1, 2.0 * (2 * p + 1) / bound / bound if bound else math.inf
+    while (need := scale * math.log(1 + 2 * n)) > n:
+        if math.isinf(need):
+            return None
+        n = math.ceil(need)
+    return n
+
+
+def _consistency(e, eps_hat, rho0, c1, c2) -> dict | None:
     """Parameter conditions behind estimator consistency at constants C1, C2.
 
-    Evaluates the sample-size quantity t_n, the floor on alpha, the window
-    on lambda and the floor on the smallest nonzero signal entry, using the
-    normalized ensemble and the empirical mean |eps| as a stand-in for the
-    noise's first absolute moment.  None without a noise record or a
-    nonzero ground truth; the alpha floor is None when 2 (1 - rho0) C1 <= 1,
-    where no alpha meets the condition.  At rho0 = 1/2 that is C1 <= 1, true
-    of the real C1: rows at norm sqrt(p) give trace(A^T A / n) = p, so (u = v)
-    C1 <= lambda_min(A^T A / n) <= 1, and the floor is None unless mu_hat
-    overestimates C1 past 1.  Nothing in the solver depends on this.
+    Numbers to compare with this n, alpha and lambda (t_n, the alpha floor at
+    the mean |eps| of the normalized ensemble, the lambda window), and the
+    smallest n at which a condition holds at this p and truth: the window
+    opens at t_n <= t_w, where C2 cancels, and 2 t_n^(1/6) <= x_min at
+    t_n <= (x_min/2)^6.  None without a noise record or a nonzero truth.
+    The floor is None unless 2 (1 - rho0) C1 > 1.  Rows at norm sqrt(p) give
+    trace(A^T A / n) = p, so (u = v) C1 <= lambda_min(A^T A / n) <= 1: a
+    floor needs rho0 < 1/2, or mu_hat overestimating C1.
     """
     x = e.nonzero_truth
     if eps_hat is None or x is None:
         return None
     n, p = e.n, e.p
     t_n = float(np.sqrt(2.0 * (2 * p + 1) * np.log(1.0 + 2 * n) / n))
-    mean_abs_eps = float(np.mean(np.abs(eps_hat)))
-    nnz = np.abs(x) > 0
-    s = int(np.count_nonzero(nnz))
-    x_min = float(np.min(np.abs(x[nnz])))
-    half = half_norm(x)
-    norm_sq = float(np.linalg.norm(x) ** 2)
+    s, x_min = np.count_nonzero(x), np.min(np.abs(x[x != 0]))
     margin = 2.0 * (1.0 - rho0) * c1 - 1.0
-    alpha_floor = float(6.0 * mean_abs_eps / margin) if margin > 0.0 else None
-    lam_upper = 0.25 * c2 * t_n ** (2.0 / 3.0) / (np.sqrt(s) + half)
-    lam_lower = (np.sqrt(2.0) / 2.0) * c2 * np.sqrt(x_min) * norm_sq * t_n / np.sqrt(s)
+    alpha_floor = float(6.0 * np.mean(np.abs(eps_hat)) / margin) if margin > 0.0 else None
+    upper = 0.25 / (np.sqrt(s) + half_norm(x))  # lambda_upper / (C2 t_n^(2/3))
+    lower = np.sqrt(0.5 * x_min / s) * np.linalg.norm(x) ** 2  # lambda_lower / (C2 t_n)
+    with np.errstate(over="ignore", divide="ignore"):  # inf: holds from n = 1
+        t_w, t_x = float((upper / lower) ** 3), float((x_min / 2.0) ** 6)
     return {
         "t_n": t_n,
-        "mean_abs_eps": mean_abs_eps,
         "alpha_floor": alpha_floor,
-        "alpha_ok": alpha_floor is not None and bool(alpha >= alpha_floor),
-        "lambda_upper": float(lam_upper),
-        "lambda_lower": float(lam_lower),
-        "x_min": x_min,
-        "x_min_floor": float(2.0 * t_n ** (1.0 / 6.0)),
-        "x_min_ok": bool(x_min >= 2.0 * t_n ** (1.0 / 6.0)),
+        "lambda_upper": float(c2 * t_n ** (2.0 / 3.0) * upper),
+        "lambda_lower": float(c2 * t_n * lower),
+        "n_lambda_window": _sample_size(p, t_w),
+        "n_x_min": _sample_size(p, t_x),
         "p_log_n_over_n": float(p * np.log(n) / n),
     }
 

@@ -45,7 +45,7 @@ from robustpr import cli, solver
 from robustpr.cli import main
 from robustpr.diagnostics import RHO0
 from robustpr.metrics import summarize
-from robustpr.model import decode_vector
+from robustpr.model import decode_vector, measure
 
 from oracles import rayleigh_step
 from test_pgm import PGM_BYTES
@@ -509,12 +509,32 @@ def test_diag_stability_real(tmp_path):
     assert list(doc) == ["mu_hat", "c2_hat", "samples", "inlier_threshold",
                          "used_noise_record", "consistency"]
     assert list(doc["consistency"]) == [
-        "t_n", "mean_abs_eps", "alpha_floor", "alpha_ok", "lambda_upper",
-        "lambda_lower", "x_min", "x_min_floor", "x_min_ok", "p_log_n_over_n",
+        "t_n", "alpha_floor", "lambda_upper", "lambda_lower", "n_lambda_window",
+        "n_x_min", "p_log_n_over_n",
     ]
     # mu_hat = 0.25 gives 2 (1 - rho0) mu_hat <= 1: no alpha meets the floor
     assert doc["consistency"]["alpha_floor"] is None
-    assert doc["consistency"]["alpha_ok"] is False
+    # the window opens and x_min meets its floor only past this n = 160
+    assert doc["consistency"]["n_lambda_window"] > 160
+    assert doc["consistency"]["n_x_min"] > 160
+
+
+@pytest.mark.parametrize("second, noise", [(-3e-60, "none"), (-3.0, "type2:0.1")])
+def test_diag_stability_on_a_tiny_truth_exits_0(tmp_path, capsys, second, noise):
+    # lambda_upper / lambda_lower exceeds 1e148 at the first truth, past a
+    # float cube: the window is open from n = 1, and x_min = 1e-60 meets its
+    # floor at no n a float holds
+    x = np.zeros(16)
+    x[[2, 9]] = 1e-60, second
+    inst = tmp_path / "tiny.json"
+    inst.write_text(serialize_instance(measure(x, 96, NoiseSpec.parse(noise), 3)))
+    out = tmp_path / "stab.json"
+    assert run("diag", "stability", "--instance", str(inst), "--samples", "20",
+               "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())["consistency"]
+    assert doc["n_lambda_window"] == 1
+    assert doc["n_x_min"] is None
 
 
 def test_diag_certificate_pipeline(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 
@@ -22,17 +23,20 @@ from robustpr.diagnostics import (
     _BLOCK_ENTRIES,
     RHO0,
     _complex_terms,
+    _consistency,
     _masks,
     _min_eig,
     _mu_mean,
     _phase_projected,
     _real_terms,
     _refine_pair,
+    _sample_size,
 )
 from robustpr.errors import DomainError
-from robustpr.model import MeasurementEnsemble, correlate
+from robustpr.model import MeasurementEnsemble, correlate, measure
 
 from oracles import realified_curvature, realify, realify_quadratic
+from work_ledger import SEEDS, _instance
 
 ALPHA = 1.345
 
@@ -582,9 +586,13 @@ def test_remark5_requires_real_and_noise_record():
 
 
 CONSISTENCY_KEYS = [
-    "t_n", "mean_abs_eps", "alpha_floor", "alpha_ok", "lambda_upper",
-    "lambda_lower", "x_min", "x_min_floor", "x_min_ok", "p_log_n_over_n",
+    "t_n", "alpha_floor", "lambda_upper", "lambda_lower", "n_lambda_window",
+    "n_x_min", "p_log_n_over_n",
 ]
+
+
+def t_n(n, p):
+    return math.sqrt(2 * (2 * p + 1) * math.log(1 + 2 * n) / n)
 
 
 def test_consistency_conditions_report():
@@ -592,17 +600,64 @@ def test_consistency_conditions_report():
     est = estimate_stability(e, samples=50, rho0=0.5, alpha=ALPHA, seed=1)
     report = est.consistency
     assert list(report) == CONSISTENCY_KEYS
+    assert not any(isinstance(value, bool) for value in report.values())
     n, p = 400, 8
-    t_n = np.sqrt(2 * (2 * p + 1) * np.log(1 + 2 * n) / n)
-    assert np.isclose(report["t_n"], t_n)
+    assert np.isclose(report["t_n"], t_n(n, p))
     # the lambda window scales with C2 = c2_hat
     x = e.ground_truth
     half = np.sum(np.sqrt(np.abs(x)))
     assert np.isclose(report["lambda_upper"],
-                      0.25 * est.c2_hat * t_n ** (2 / 3) / (np.sqrt(2) + half))
-    assert report["x_min"] == np.min(np.abs(x[x != 0]))
-    assert report["x_min_ok"] == (report["x_min"] >= report["x_min_floor"])
+                      0.25 * est.c2_hat * t_n(n, p) ** (2 / 3) / (np.sqrt(2) + half))
+    # 2 t_n^(1/6) <= x_min first holds at n_x_min; neither condition holds here
+    x_min = np.min(np.abs(x[x != 0]))
+    assert report["n_x_min"] == _sample_size(p, (x_min / 2) ** 6)
+    assert report["lambda_lower"] > report["lambda_upper"]
+    assert report["n_lambda_window"] > n and report["n_x_min"] > n
     assert json.loads(est.to_json())["consistency"] == report
+
+
+@pytest.mark.parametrize("p, bound", [(1, 1.0), (8, 0.5), (64, 0.05), (128, 1e-3),
+                                      (8, t_n(1, 8)), (8, 10.0), (8, math.inf)])
+def test_sample_size_is_the_smallest_n_with_t_n_at_most_the_bound(p, bound):
+    n = _sample_size(p, bound)
+    assert t_n(n, p) <= bound
+    assert n == 1 or t_n(n - 1, p) > bound
+    assert (n == 1) == (bound >= t_n(1, p))
+
+
+@pytest.mark.parametrize("bound", [0.0, 1e-160])
+def test_sample_size_past_float_range_is_none(bound):
+    # bound^2 underflows, or 2 (2p+1) / bound^2 overflows: no n is a float
+    assert _sample_size(1, bound) is None
+
+
+@pytest.mark.parametrize("c2", [1e-9, 0.3, 1.0, 1e6])
+def test_the_lambda_window_opens_at_n_lambda_window_whatever_c2(c2):
+    # C2 scales both ends of the window, so it cancels from lower <= upper
+    x = np.zeros(8)
+    x[[1, 6]] = 0.5, -0.5
+    e = measure(x, 40, NoiseSpec("none"), 1)
+    opens = _consistency(e, e.noise_record, RHO0, 0.3, c2)["n_lambda_window"]
+    assert 40 < opens < 10**5
+    for n, is_open in ((opens, True), (opens - 1, False)):
+        e = measure(x, n, NoiseSpec("none"), 1)
+        report = _consistency(e, e.noise_record, RHO0, 0.3, c2)
+        assert (report["lambda_lower"] <= report["lambda_upper"]) == is_open
+        assert report["n_lambda_window"] == opens
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", ["t3", "quick"])
+def test_no_rho0_gives_an_alpha_floor_on_the_ledger_instances(shape, seed):
+    # rows at norm sqrt(p) give trace(A^T A / n) = p, so (u = v) C1 is at most
+    # lambda_min(A^T A / n) <= 1; a floor needs 2 (1 - rho0) mu_hat > 1,
+    # which mu_hat < 1/2 rules out at every rho0 in (0, 1)
+    e, alpha = _instance(shape, seed)
+    a_hat, _ = diagnostics._normalized(e, "the test")
+    assert np.linalg.eigvalsh(a_hat.T @ a_hat / e.n)[0] <= 1.0
+    est = estimate_stability(e, samples=50, rho0=0.01, alpha=alpha, seed=seed)
+    assert est.mu_hat < 0.5
+    assert est.consistency["alpha_floor"] is None
 
 
 def test_consistency_is_none_without_noise_record_or_nonzero_truth():
@@ -630,13 +685,13 @@ def test_alpha_floor_is_none_exactly_without_a_margin(rho0):
     e = synthesize_instance(4, 1, 400, FieldTag.REAL, NoiseSpec("type1", 0.05), 1)
     est = estimate_stability(e, samples=50, rho0=rho0, alpha=ALPHA, seed=1)
     report = est.consistency
-    has_margin = 2.0 * (1.0 - rho0) * est.mu_hat > 1.0
-    assert (report["alpha_floor"] is None) == (not has_margin)
-    assert has_margin == (rho0 == 0.05)
-    if has_margin:
-        assert report["alpha_ok"] == (ALPHA >= report["alpha_floor"])
-    else:
-        assert report["alpha_ok"] is False
+    margin = 2.0 * (1.0 - rho0) * est.mu_hat - 1.0
+    assert (report["alpha_floor"] is None) == (margin <= 0.0)
+    assert (margin > 0.0) == (rho0 == 0.05)
+    if margin > 0.0:
+        # 6 E|eps| / margin, at the mean |eps| of the rows rescaled to norm sqrt(p)
+        eps_hat = e.noise_record * e.p / np.sum(e.sampling_vectors**2, axis=1)
+        assert np.isclose(report["alpha_floor"], 6.0 * np.mean(np.abs(eps_hat)) / margin)
     json.loads(est.to_json(), parse_constant=reject_constant)
 
 
