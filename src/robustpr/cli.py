@@ -321,7 +321,7 @@ def _diag_report(args, report, summary: str) -> int:
 
 def _diag_stability(args):
     e = _load_instance(args.instance)
-    est = estimate_stability(e, args.samples, args.rho0, args.alpha, args.seed)
+    est = estimate_stability(e, args.rho0, args.alpha, args.seed)
     return _diag_report(args, est,
                         f"stability: mu_hat={est.mu_hat:.4g} c2_hat={est.c2_hat:.4g}")
 
@@ -504,10 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  parser_class=command)
 
     d_stab = diag.add_parser("stability", parents=[report, seed],
-                             help="sampled stability constants: sampled infima, "
-                                  "heuristic upper bounds on the true constants")
-    d_stab.add_argument("--samples", type=_positive_int, default=200,
-                        help="random direction pairs before refinement")
+                             help="stability constants: one seeded pair refined "
+                                  "towards their infima, heuristic upper bounds "
+                                  "on the true constants")
     d_stab.set_defaults(func=_diag_stability)
 
     d_cert = diag.add_parser("certificate", parents=[report, solution, lam],

@@ -2,9 +2,10 @@
 
 Three groups of checks:
 
-* ``estimate_stability`` -- sampled lower-bound estimates of the bilinear
-  stability constants of the sampling ensemble (real field only).  The
-  sampled infimum can only overestimate the true constant, so the numbers
+* ``estimate_stability`` -- estimates of the bilinear stability constants
+  of the sampling ensemble (real field only): one seeded pair of directions,
+  refined by coordinate descent towards each constant's infimum.  A value
+  reached at some pair can only overestimate the infimum, so the numbers
   are heuristic upper bounds on the true C1/C2.  The estimate also carries
   the parameter conditions behind estimator consistency: the numbers to
   compare with the call's n, alpha and lambda, and the sample sizes at
@@ -47,7 +48,6 @@ from .model import (
     FieldTag,
     MeasurementEnsemble,
     _as_float,
-    _check_count,
     _check_positive,
     _squared_modulus,
     correlate,
@@ -136,7 +136,6 @@ def _normalized(e: MeasurementEnsemble, what: str):
 class StabilityEstimate(_Report):
     mu_hat: float
     c2_hat: float
-    samples: int
     inlier_threshold: float
     used_noise_record: bool
     consistency: dict | None  # at C1 = mu_hat, C2 = c2_hat; see _consistency
@@ -158,7 +157,7 @@ _REFINE_STEP0 = 0.25  # its first coordinate nudge
 
 
 def _refine_pair(a_hat, u, v, stat):
-    """Coordinate descent on the sphere of stat(row products), from the worst pair.
+    """Coordinate descent on the sphere of stat(row products), from the pair (u, v).
 
     Moves are coordinate nudges of shrinking size plus coordinate zeroing,
     which reaches degenerate directions (null coordinates) exactly.  Each
@@ -193,53 +192,46 @@ def _refine_pair(a_hat, u, v, stat):
 
 def estimate_stability(
     e: MeasurementEnsemble,
-    samples: int,
     rho0: float,
     alpha: float,
     seed: int,
 ) -> StabilityEstimate:
-    """Sampled estimates of the stability constants; heuristic upper bounds."""
+    """Refined estimates of the stability constants; heuristic upper bounds.
+
+    One pair (u, v) of normalized Gaussian directions is drawn from the seed's
+    stream and refined by ``_refine_pair`` once per constant.
+    """
     alpha, rho0, _ = _boundary_width(alpha, rho0)
     a_hat, eps_hat = _normalized(e, "stability estimation")
-    samples = _check_count(samples=samples)
     used_record = eps_hat is not None
     inliers = _masks(eps_hat, alpha, rho0)[0] if used_record else np.ones(e.n, bool)
     rng = stream(seed, TAG_STABILITY)
-    mu_best, c2_best = np.inf, np.inf
-    mu_pair = c2_pair = None
-    for _ in range(samples):
-        u = rng.standard_normal(e.p)
-        v = rng.standard_normal(e.p)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        prod = (a_hat @ u) * (a_hat @ v)
-        mu, c2 = _mu_mean(prod), _c2_mean(prod, inliers)
-        if mu < mu_best:
-            mu_best, mu_pair = mu, (u, v)
-        if c2 < c2_best:
-            c2_best, c2_pair = c2, (u, v)
-    mu_best = _refine_pair(a_hat, *mu_pair, _mu_mean)
-    c2_best = _refine_pair(a_hat, *c2_pair, lambda prod: _c2_mean(prod, inliers))
+    u = rng.standard_normal(e.p)
+    v = rng.standard_normal(e.p)
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    mu = _refine_pair(a_hat, u, v, _mu_mean)
+    c2 = _refine_pair(a_hat, u, v, lambda prod: _c2_mean(prod, inliers))
     return StabilityEstimate(
-        mu_hat=mu_best,
-        c2_hat=c2_best,
-        samples=samples,
+        mu_hat=mu,
+        c2_hat=c2,
         inlier_threshold=rho0 * alpha,
         used_noise_record=used_record,
-        consistency=_consistency(e, eps_hat, rho0, mu_best, c2_best),
+        consistency=_consistency(e, eps_hat, rho0, mu, c2),
     )
 
 
-def _sample_size(p: int, bound: float) -> int | None:
+def _sample_size(p: int, bound: float) -> int | float | None:
     """Smallest n >= 1 with t_n <= bound, None past float range.  t_n falls in
     n, so n <- ceil(2 (2p+1) log(1+2n) / bound^2) climbs from n = 1 to the
-    smallest solution and stops there."""
+    smallest solution and stops there.  Past 2^53 the iteration's n is a
+    float, and is returned as one: an int would carry digits it never held."""
     n, scale = 1, 2.0 * (2 * p + 1) / bound / bound if bound else math.inf
     while (need := scale * math.log(1 + 2 * n)) > n:
         if math.isinf(need):
             return None
         n = math.ceil(need)
-    return n
+    return n if n <= 2**53 else float(n)
 
 
 def _consistency(e, eps_hat, rho0, c1, c2) -> dict | None:
@@ -281,7 +273,6 @@ def _consistency(e, eps_hat, rho0, c1, c2) -> dict | None:
 class CertificateReport(_Report):
     field: str
     support: list
-    support_realified: list | None
     eps1: float
     lhs_min_eig: float  # complex field: on the complement of the phase tangent
     phase_direction_curvature: float | None  # v^T M v / ||v||^2, v = realify(i x*_S)
@@ -424,17 +415,14 @@ def linear_rate_certificate(
     # an overflowing residual is dropped from the inliers but not from norms
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(norms))):
         raise ValueError("solution overflows the certificate's curvature terms")
-    if real:
-        phase, support_realified = None, None
-    else:
+    phase = None
+    if not real:
         m, phase = _phase_projected(m, x[support])
-        support_realified = [int(j) for j in np.concatenate([support, support + e.p])]
     lhs = _min_eig(m)
     rhs_boundary = 3.0 * float(np.sum(norms[boundary]))
     return CertificateReport(
         field=e.field.value,
         support=[int(j) for j in support],
-        support_realified=support_realified,
         eps1=eps1,
         lhs_min_eig=lhs,
         phase_direction_curvature=phase,

@@ -326,7 +326,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
                        "--solution", str(d / "res.json"), "--lambda", "1e-4",
                        "--out", str(d / "cert.json")) == 0
         assert run_cli("diag", "stability", "--instance", str(inst),
-                       "--samples", "40", "--out", str(d / "stab.json")) == 0
+                       "--out", str(d / "stab.json")) == 0
         from robustpr import GrayImage, write_pgm
 
         pixels = np.zeros((6, 6))

@@ -502,17 +502,16 @@ def test_diag_stability_real(tmp_path):
     inst = tmp_path / "r.json"
     assert run(*GEN, "--out", str(inst)) == 0
     out = tmp_path / "stab.json"
-    assert run("diag", "stability", "--instance", str(inst), "--samples", "30",
-               "--out", str(out)) == 0
+    assert run("diag", "stability", "--instance", str(inst), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["mu_hat"] >= 0.0
-    assert list(doc) == ["mu_hat", "c2_hat", "samples", "inlier_threshold",
+    assert list(doc) == ["mu_hat", "c2_hat", "inlier_threshold",
                          "used_noise_record", "consistency"]
     assert list(doc["consistency"]) == [
         "t_n", "alpha_floor", "lambda_upper", "lambda_lower", "n_lambda_window",
         "n_x_min", "p_log_n_over_n",
     ]
-    # mu_hat = 0.25 gives 2 (1 - rho0) mu_hat <= 1: no alpha meets the floor
+    # mu_hat = 0.27 gives 2 (1 - rho0) mu_hat <= 1: no alpha meets the floor
     assert doc["consistency"]["alpha_floor"] is None
     # the window opens and x_min meets its floor only past this n = 160
     assert doc["consistency"]["n_lambda_window"] > 160
@@ -529,8 +528,7 @@ def test_diag_stability_on_a_tiny_truth_exits_0(tmp_path, capsys, second, noise)
     inst = tmp_path / "tiny.json"
     inst.write_text(serialize_instance(measure(x, 96, NoiseSpec.parse(noise), 3)))
     out = tmp_path / "stab.json"
-    assert run("diag", "stability", "--instance", str(inst), "--samples", "20",
-               "--out", str(out)) == 0
+    assert run("diag", "stability", "--instance", str(inst), "--out", str(out)) == 0
     assert capsys.readouterr().err == ""
     doc = json.loads(out.read_text())["consistency"]
     assert doc["n_lambda_window"] == 1
@@ -550,6 +548,9 @@ def test_diag_certificate_pipeline(tmp_path):
                "--out", str(cert)) == 0
     doc = json.loads(cert.read_text())
     assert doc["passed"] is True
+    assert list(doc) == ["field", "support", "eps1", "lhs_min_eig",
+                         "phase_direction_curvature", "rhs_boundary_norms",
+                         "rhs_reg_term", "n_inliers", "n_boundary", "passed"]
 
 
 def test_a_report_with_a_nan_exits_2_and_writes_no_file(tmp_path, monkeypatch,
@@ -650,6 +651,9 @@ def test_diag_remark5_ok(tmp_path):
                "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["inlier_noise_norm"] == 0.0
+    assert list(doc) == ["eps1", "support", "n_inliers", "n_boundary",
+                         "inlier_noise_norm", "boundary_noise_norm",
+                         "inlier_quadratic_min_eig"]
 
 
 DIAG_INSTANCE = ["gen", "--p", "16", "--s", "2", "--n", "96",
@@ -682,7 +686,7 @@ def test_config_file_before_the_command_or_joined(tmp_path, head):
 
 @pytest.mark.parametrize("mode, flags", [
     ("certificate", ["--use-truth", "--lambda", "1e-3"]),
-    ("stability", ["--samples", "20"]),
+    ("stability", []),
     ("remark5", ["--use-truth"]),
 ], ids=["certificate", "stability", "remark5"])
 def test_config_rho0_reaches_each_diag_report(tmp_path, mode, flags):
@@ -697,7 +701,7 @@ def test_config_rho0_reaches_each_diag_report(tmp_path, mode, flags):
     report = {
         "certificate": lambda rho0: linear_rate_certificate(e.ground_truth, e, 1e-3,
                                                             alpha, rho0=rho0),
-        "stability": lambda rho0: estimate_stability(e, 20, rho0, alpha, 0),
+        "stability": lambda rho0: estimate_stability(e, rho0, alpha, 0),
         "remark5": lambda rho0: remark5_quantities(e.ground_truth, e, alpha, rho0),
     }[mode]
     assert out.read_text() == report(0.3).to_json() + "\n"
@@ -828,7 +832,7 @@ def test_cli_round_trip_opens_no_text_in_the_locale_encoding(tmp_path):
         "--out-trace trace.csv",
         "diag certificate --instance inst.json --solution res.json "
         "--lambda 1e-3 --out cert.json",
-        "diag stability --instance inst.json --samples 20 --out stab.json",
+        "diag stability --instance inst.json --out stab.json",
         "--config conf.txt solve --out-result config.json",
         "bench lambda-grid --instance inst.json --grid 1e-3,1e-2 --rule oracle "
         "--out-prefix grid",
@@ -877,7 +881,6 @@ def test_help_lists_defaults(capsys):
         shown = help_defaults(capsys, "diag", mode)
         assert shown["--alpha"] == str(SolverConfig.alpha), mode
         assert shown["--rho0"] == str(RHO0), mode
-    assert help_defaults(capsys, "diag", "stability")["--samples"] == "200"
 
 
 def test_readme_lists_the_generated_solver_flags():
@@ -926,7 +929,7 @@ def test_every_flag_is_read_by_its_command(tmp_path, capsys, monkeypatch):
          "--out-prefix", out],
         ["bench", "consistency", *synthetic, "--p-grid", "8", "--trials", "1"],
         [*images, *quick],
-        ["diag", "stability", *diag, "--samples", "5"],
+        ["diag", "stability", *diag],
         *[["diag", mode, *diag, *point, *extra]
           for mode, extra in [("certificate", ["--lambda", "1e-3"]), ("remark5", [])]
           for point in (["--solution", res], ["--use-truth"])],
@@ -1008,7 +1011,7 @@ def test_json_outputs_are_strict_json(tmp_path):
                str(tmp_path / "o.pgm"), "--out-metrics", str(metrics),
                "--ratio", "8", "--lambda", "1e-4") == 0
     written.append(metrics)
-    for mode, extra in [("stability", ["--samples", "20"]),
+    for mode, extra in [("stability", []),
                         ("certificate", ["--solution", str(res), "--lambda", "1e-3"]),
                         ("remark5", ["--use-truth"])]:
         out = tmp_path / f"{mode}.json"
@@ -1037,7 +1040,7 @@ def test_text_outputs_end_lines_with_lf_under_a_crlf_platform(tmp_path, monkeypa
     assert run("bench", "consistency", *synthetic, "--p-grid", "8",
                "--out-prefix", str(tmp_path / "cons")) == 0
     for mode, extra in [("certificate", ["--solution", str(res), "--lambda", "1e-3"]),
-                        ("stability", ["--samples", "20"]),
+                        ("stability", []),
                         ("remark5", ["--use-truth"])]:
         assert run("diag", mode, "--instance", str(inst), *extra,
                    "--out", str(tmp_path / f"{mode}.json")) == 0
@@ -1166,7 +1169,7 @@ def diag_usage(argv, message):
 FIELDS = ["real", "complex"]
 SOLVE = "solve --instance inst.json --lambda 1e-4 --out-result out.json"
 GRID = "bench lambda-grid --instance inst.json --grid 1e-3 --out-prefix out"
-STABILITY = "diag stability --instance inst.json --samples 3 --out out.json"
+STABILITY = "diag stability --instance inst.json --out out.json"
 REMARK5 = "diag remark5 --instance inst.json --use-truth --out out.json"
 CERTIFICATE = ("diag certificate --instance inst.json --use-truth --lambda 1e-3 "
                "--out out.json")
@@ -1372,6 +1375,9 @@ REFUSALS = [
     # diag
     ("test_diag_stability_complex_unsupported", STABILITY, inst(field="complex"), 3,
      "error: stability estimation is defined for real ensembles only"),
+    # one seeded pair, refined: the estimate has no sample count to set
+    *[("test_diag_stability_takes_no_sample_count", *row)
+      for row in unrecognized(STABILITY, "samples", "5")],
     ("test_diag_remark5_missing_record", REMARK5, inst({"eps": DROP}), 3,
      "error: Remark-5 quantities require a noise record"),
     ("test_diag_use_truth_needs_a_ground_truth", CERTIFICATE, inst({"x_true": DROP}), 3,

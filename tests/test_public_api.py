@@ -577,7 +577,7 @@ def _made_from_numpy(name):
             x, e, lam, alpha, rho0),
         "Remark5Report": lambda: robustpr.remark5_quantities(x, e, alpha, rho0),
         "StabilityEstimate": lambda: robustpr.estimate_stability(
-            e, np.int16(3), rho0, alpha, np.int64(1)),
+            e, rho0, alpha, np.int64(1)),
         "ExperimentReport": lambda: robustpr.ExperimentReport(
             _built_from_numpy("ExperimentSpec"), []),
     }

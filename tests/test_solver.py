@@ -603,6 +603,48 @@ def test_a_scaled_run_is_its_twin_times_c():
                 name, c)
 
 
+def _symmetries(e, x0, seed):
+    """(name, ensemble, start, map back) of each map F commutes with: a global
+    sign or phase w, a seeded row permutation of (a_i, b_i, eps_i) and a
+    seeded column permutation of A, the truth and the start."""
+    w = -1.0 if e.field is FieldTag.REAL else np.exp(0.7j)
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.permutation(e.n), rng.permutation(e.p)
+
+    def unpermute(x):
+        back = np.empty_like(x)
+        back[cols] = x
+        return back
+
+    a, b, x, eps = e.sampling_vectors, e.observations, e.ground_truth, e.noise_record
+    return [
+        ("sign or phase", e, w * x0, lambda x: x / w),
+        ("row permutation", MeasurementEnsemble(a[rows], b[rows], x, eps[rows], e.seed),
+         x0, lambda x: x),
+        ("column permutation", MeasurementEnsemble(a[:, cols], b, x[cols], eps, e.seed),
+         x0[cols], unpermute),
+    ]
+
+
+@pytest.mark.parametrize("name", ["t3_scaled", "quick_scaled", "cplx_scaled"])
+def test_solve_commutes_with_the_symmetries_of_f(name):
+    # from the mapped start the loop returns the mapped estimate: no index
+    # order, phase-dependent branch or absolute constant enters a step
+    arm = next(arm for arm in ARMS if arm.name == name)
+    e = synthesize_instance(arm.p, arm.s, arm.n, arm.field, arm.noise, 1)
+    (lam,) = arm.lams
+    cfg = SolverConfig(lam=lam, alpha=arm.alpha)
+    x0 = spectral_init(e)
+    twin = solve(e, x0, cfg)
+    for symmetry, mapped, start, back in _symmetries(e, x0, 1):
+        run = solve(mapped, start, cfg)
+        assert (run.termination, run.iterations) == (twin.termination, twin.iterations), (
+            symmetry)
+        # a plain norm: relative_error would forgive a wrong sign or phase
+        gap = np.linalg.norm(back(run.estimate) - twin.estimate)
+        assert gap <= 1e-12 * np.linalg.norm(twin.estimate), symmetry
+
+
 @pytest.mark.parametrize("case", ["zero observations", "zero start", "start x 1e-200",
                                   "start x 1e150", "observations x 1e-322",
                                   "observations x 1e-302"])

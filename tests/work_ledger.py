@@ -13,8 +13,8 @@ records its trials' termination counts, their iterations, trials and
 prox-call totals, and a hash of their summaries.  The diagnostics record a
 hash of their report's JSON, its floats at 12 significant digits: the rate
 certificate at the quick and cplx seed-1 solve estimates, the Remark-5
-quantities at the quick one, and the stability estimate of t3 seed 1 from 50
-samples.  The instance entries record a hash of ``serialize_instance``'s text,
+quantities at the quick one, and the stability estimate of t3 seed 1 at
+stability seed 1.  The instance entries record a hash of ``serialize_instance``'s text,
 the file ``gen`` writes less its final newline, for the quick and cplx shapes
 at seed 1, so a change to the instance format or to the random streams shows
 up by name.  A change that moves only bits shows up
@@ -125,7 +125,7 @@ def _diagnostic_entries(solved: dict) -> dict:
         remark5_quantities(result.estimate, e, cfg.alpha))
     e, alpha = _instance("t3", 1)
     entries["stability/t3/1"] = _report_entry(
-        estimate_stability(e, 50, RHO0, alpha, 1))
+        estimate_stability(e, RHO0, alpha, 1))
     return entries
 
 
