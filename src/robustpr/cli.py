@@ -320,10 +320,10 @@ def _diag_report(args, report, summary: str) -> int:
 
 
 def _diag_stability(args):
-    e = _load_instance(args.instance)
-    est = estimate_stability(e, args.rho0, args.alpha, args.seed)
+    est = estimate_stability(_load_instance(args.instance))
     return _diag_report(args, est,
-                        f"stability: mu_hat={est.mu_hat:.4g} c2_hat={est.c2_hat:.4g}")
+                        f"stability: t_n={est.t_n:.4g} n_lambda_window="
+                        f"{est.n_lambda_window} n_x_min={est.n_x_min}")
 
 
 def _diag_point(args):
@@ -487,12 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "8*ratio*p^2 bytes (805 MB at the defaults)")
     p_img.set_defaults(func=cmd_image)
 
-    report = shared(parents=[instance, alpha])
-    report.add_argument("--out", default=None, help="report JSON path")
+    diag_out = shared(parents=[instance])
+    diag_out.add_argument("--out", default=None, help="report JSON path")
+    report = shared(parents=[diag_out, alpha])
     report.add_argument("--rho0", type=float, default=RHO0,
                         help="inliers |v| <= rho0*alpha, boundary width "
-                             "(1-rho0)*alpha; an alpha floor needs mu_hat > "
-                             "1/(2(1-rho0)), so it can exist only below rho0 = 1/2")
+                             "(1-rho0)*alpha")
     solution = shared()
     point = solution.add_mutually_exclusive_group(required=True)
     point.add_argument("--solution", default=None, help="result JSON from 'solve'")
@@ -503,10 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     diag = p_diag.add_subparsers(dest="diag_mode", required=True,
                                  parser_class=command)
 
-    d_stab = diag.add_parser("stability", parents=[report, seed],
-                             help="stability constants: one seeded pair refined "
-                                  "towards their infima, heuristic upper bounds "
-                                  "on the true constants")
+    d_stab = diag.add_parser("stability", parents=[diag_out],
+                             help="consistency conditions free of the stability "
+                                  "constants: t_n, p log(n)/n and the sample "
+                                  "sizes at which the lambda window opens and "
+                                  "x_min meets its floor")
     d_stab.set_defaults(func=_diag_stability)
 
     d_cert = diag.add_parser("certificate", parents=[report, solution, lam],

@@ -2,14 +2,11 @@
 
 Three groups of checks:
 
-* ``estimate_stability`` -- estimates of the bilinear stability constants
-  of the sampling ensemble (real field only): one seeded pair of directions,
-  refined by coordinate descent towards each constant's infimum.  A value
-  reached at some pair can only overestimate the infimum, so the numbers
-  are heuristic upper bounds on the true C1/C2.  The estimate also carries
-  the parameter conditions behind estimator consistency: the numbers to
-  compare with the call's n, alpha and lambda, and the sample sizes at
-  which the lambda window opens and the x_min floor holds.
+* ``estimate_stability`` -- the parameter conditions behind estimator
+  consistency that do not depend on the stability constants C1 and C2
+  (real field only), in closed form from n, p and the truth: t_n and
+  p log(n)/n to compare with the call's n, and the sample sizes at which
+  the lambda window opens and the x_min floor holds.
 * ``linear_rate_certificate`` -- evaluates the spectral-gap condition that
   certifies a linear convergence rate at a solution x*: the smallest
   eigenvalue of the inlier generalized-Jacobian sum on the support must
@@ -28,12 +25,13 @@ Every |<a_i, x>|^2 and |a_ij|^2 is ``model._squared_modulus``, the square
 exactly 0 and the certificate's boundary band is empty.
 
 Each smallest eigenvalue comes from ``eigvalsh`` and is checked by an inertia
-bracket of two Cholesky factorizations (see ``_min_eig``).  All three split the
-measurements into inliers and a boundary band by ``_masks`` at one rho0.
+bracket of two Cholesky factorizations (see ``_min_eig``).  The certificate and
+the Remark-5 check split the measurements into inliers and a boundary band by
+``_masks`` at one rho0.
 
-Stability and Remark-5 checks follow the equal-energy convention of the
-consistency theory: rows are rescaled internally to a common norm with
-eps_i rescaled to match (see ``_normalized``).
+The Remark-5 check follows the equal-energy convention of the consistency
+theory: rows are rescaled internally to a common norm with eps_i rescaled
+to match (see ``_normalized``).
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from .model import (
     render_json,
 )
 from .objective import half_norm
-from .rng import TAG_STABILITY, stream
 
 # Inlier fraction of the Huber threshold, the default of every check's rho0:
 # measurements with |v_i| <= rho0 * alpha count as inliers, and the boundary
@@ -109,17 +106,21 @@ class _Report:
         return render_json(vars(self))
 
 
+def _check_real(e: MeasurementEnsemble, what: str) -> None:
+    """DomainError naming ``what`` unless e is a real ensemble."""
+    if e.field is not FieldTag.REAL:
+        raise DomainError(f"{what} is defined for real ensembles only")
+
+
 def _normalized(e: MeasurementEnsemble, what: str):
     """Checked real ensemble as (a_hat, eps_hat): rows at norm sqrt(p), eps to match.
 
-    Equalizing row norms is what makes the stability conditions comparable
-    across measurements; the sqrt(p) scale keeps the ensemble isotropic
-    (E <a,u>^2 = ||u||^2 for Gaussian rows), which is the scale on which
-    thresholds like C1 > 1/2 are meaningful.  For standard Gaussian rows
-    the rescaled quantities match the raw ones in expectation.
+    Equalizing row norms makes the measurements comparable; the sqrt(p)
+    scale keeps the ensemble isotropic (E <a,u>^2 = ||u||^2 for Gaussian
+    rows).  For standard Gaussian rows the rescaled quantities match the raw
+    ones in expectation.
     """
-    if e.field is not FieldTag.REAL:
-        raise DomainError(f"{what} is defined for real ensembles only")
+    _check_real(e, what)
     with np.errstate(over="ignore"):  # an overflow is the inf refused below
         norms = np.linalg.norm(e.sampling_vectors, axis=1)
     if np.any(norms == 0.0):
@@ -134,139 +135,65 @@ def _normalized(e: MeasurementEnsemble, what: str):
 
 @dataclass(frozen=True)
 class StabilityEstimate(_Report):
-    mu_hat: float
-    c2_hat: float
-    inlier_threshold: float
-    used_noise_record: bool
-    consistency: dict | None  # at C1 = mu_hat, C2 = c2_hat; see _consistency
+    t_n: float
+    n_lambda_window: int | float | None  # None without a nonzero truth
+    n_x_min: int | float | None
+    p_log_n_over_n: float
 
 
-def _mu_mean(prod: np.ndarray) -> float:
-    """Sampled mu of a pair from its row products <a_i,u><a_i,v>: their mean modulus."""
-    return float(np.mean(np.abs(prod)))
-
-
-def _c2_mean(prod: np.ndarray, inliers: np.ndarray) -> float:
-    """Sampled c2 of a pair: its mean squared row product over the inliers, or 0."""
-    sub = prod[inliers]
-    return float(np.mean(sub**2)) if sub.size else 0.0
-
-
-_REFINE_ROUNDS = 6  # passes of the pair refinement, the step halving after each
-_REFINE_STEP0 = 0.25  # its first coordinate nudge
-
-
-def _refine_pair(a_hat, u, v, stat):
-    """Coordinate descent on the sphere of stat(row products), from the pair (u, v).
-
-    Moves are coordinate nudges of shrinking size plus coordinate zeroing,
-    which reaches degenerate directions (null coordinates) exactly.  Each
-    candidate makes one product, that of the vector it moves.
-    """
-    pair, prods = [u, v], [a_hat @ u, a_hat @ v]
-    best = stat(prods[0] * prods[1])
-    step = _REFINE_STEP0
-    for _ in range(_REFINE_ROUNDS):
-        for which in (0, 1):
-            for j in range(u.shape[0]):
-                for delta in (step, -step, None):
-                    # perturb the current pair, so accepted moves compound
-                    trial = pair[which].copy()
-                    if delta is None:
-                        trial[j] = 0.0
-                    else:
-                        trial[j] += delta
-                    norm = np.linalg.norm(trial)
-                    if norm == 0.0:
-                        continue
-                    trial /= norm
-                    cand = prods.copy()
-                    cand[which] = a_hat @ trial
-                    val = stat(cand[0] * cand[1])
-                    if val < best:
-                        best = val
-                        pair[which], prods = trial, cand
-        step *= 0.5
-    return best
-
-
-def estimate_stability(
-    e: MeasurementEnsemble,
-    rho0: float,
-    alpha: float,
-    seed: int,
-) -> StabilityEstimate:
-    """Refined estimates of the stability constants; heuristic upper bounds.
-
-    One pair (u, v) of normalized Gaussian directions is drawn from the seed's
-    stream and refined by ``_refine_pair`` once per constant.
-    """
-    alpha, rho0, _ = _boundary_width(alpha, rho0)
-    a_hat, eps_hat = _normalized(e, "stability estimation")
-    used_record = eps_hat is not None
-    inliers = _masks(eps_hat, alpha, rho0)[0] if used_record else np.ones(e.n, bool)
-    rng = stream(seed, TAG_STABILITY)
-    u = rng.standard_normal(e.p)
-    v = rng.standard_normal(e.p)
-    u /= np.linalg.norm(u)
-    v /= np.linalg.norm(v)
-    mu = _refine_pair(a_hat, u, v, _mu_mean)
-    c2 = _refine_pair(a_hat, u, v, lambda prod: _c2_mean(prod, inliers))
-    return StabilityEstimate(
-        mu_hat=mu,
-        c2_hat=c2,
-        inlier_threshold=rho0 * alpha,
-        used_noise_record=used_record,
-        consistency=_consistency(e, eps_hat, rho0, mu, c2),
-    )
+def _t_n(p: int, n) -> float:
+    """t_n = sqrt(2 (2p+1) log(1+2n) / n), the rate in the consistency conditions."""
+    return float(np.sqrt(2.0 * (2 * p + 1) * np.log(1.0 + 2 * n) / n))
 
 
 def _sample_size(p: int, bound: float) -> int | float | None:
     """Smallest n >= 1 with t_n <= bound, None past float range.  t_n falls in
     n, so n <- ceil(2 (2p+1) log(1+2n) / bound^2) climbs from n = 1 to the
-    smallest solution and stops there.  Past 2^53 the iteration's n is a
-    float, and is returned as one: an int would carry digits it never held."""
+    smallest solution and stops there; its stop test rounds apart from t_n,
+    so n then steps, by ones, to the smallest n at which ``_t_n`` meets the
+    bound.  Past 2^53 the iteration's n is a float, and is returned as one:
+    an int would carry digits it never held."""
     n, scale = 1, 2.0 * (2 * p + 1) / bound / bound if bound else math.inf
     while (need := scale * math.log(1 + 2 * n)) > n:
         if math.isinf(need):
             return None
         n = math.ceil(need)
+    if n > 2**53:
+        return float(n)
+    while _t_n(p, n) > bound:
+        n += 1
+    while n > 1 and _t_n(p, n - 1) <= bound:
+        n -= 1
     return n if n <= 2**53 else float(n)
 
 
-def _consistency(e, eps_hat, rho0, c1, c2) -> dict | None:
-    """Parameter conditions behind estimator consistency at constants C1, C2.
+def estimate_stability(e: MeasurementEnsemble) -> StabilityEstimate:
+    """The numbers of the consistency conditions that do not depend on C1 or
+    C2, in closed form from n, p and the nonzero truth.
 
-    Numbers to compare with this n, alpha and lambda (t_n, the alpha floor at
-    the mean |eps| of the normalized ensemble, the lambda window), and the
-    smallest n at which a condition holds at this p and truth: the window
-    opens at t_n <= t_w, where C2 cancels, and 2 t_n^(1/6) <= x_min at
-    t_n <= (x_min/2)^6.  None without a noise record or a nonzero truth.
-    The floor is None unless 2 (1 - rho0) C1 > 1.  Rows at norm sqrt(p) give
-    trace(A^T A / n) = p, so (u = v) C1 <= lambda_min(A^T A / n) <= 1: a
-    floor needs rho0 < 1/2, or mu_hat overestimating C1.
+    t_n and p log(n)/n at this n, and the smallest n at which a condition
+    holds at this p and truth.  The lambda window runs from
+    C2 t_n sqrt(x_min/(2s)) ||x||^2 up to
+    0.25 C2 t_n^(2/3) / (sqrt(s) + sum_j |x_j|^(1/2)), so it opens at
+    t_n <= t_w, where C2 cancels; 2 t_n^(1/6) <= x_min holds at
+    t_n <= (x_min/2)^6.  Both sample sizes are None without a nonzero truth.
     """
-    x = e.nonzero_truth
-    if eps_hat is None or x is None:
-        return None
-    n, p = e.n, e.p
-    t_n = float(np.sqrt(2.0 * (2 * p + 1) * np.log(1.0 + 2 * n) / n))
-    s, x_min = np.count_nonzero(x), np.min(np.abs(x[x != 0]))
-    margin = 2.0 * (1.0 - rho0) * c1 - 1.0
-    alpha_floor = float(6.0 * np.mean(np.abs(eps_hat)) / margin) if margin > 0.0 else None
-    upper = 0.25 / (np.sqrt(s) + half_norm(x))  # lambda_upper / (C2 t_n^(2/3))
-    lower = np.sqrt(0.5 * x_min / s) * np.linalg.norm(x) ** 2  # lambda_lower / (C2 t_n)
-    with np.errstate(over="ignore", divide="ignore"):  # inf: holds from n = 1
-        t_w, t_x = float((upper / lower) ** 3), float((x_min / 2.0) ** 6)
-    return {
-        "t_n": t_n,
-        "alpha_floor": alpha_floor,
-        "lambda_upper": float(c2 * t_n ** (2.0 / 3.0) * upper),
-        "lambda_lower": float(c2 * t_n * lower),
-        "n_lambda_window": _sample_size(p, t_w),
-        "n_x_min": _sample_size(p, t_x),
-        "p_log_n_over_n": float(p * np.log(n) / n),
-    }
+    _check_real(e, "stability estimation")
+    n, p, x = e.n, e.p, e.nonzero_truth
+    n_window = n_x_min = None
+    if x is not None:
+        s, x_min = np.count_nonzero(x), np.min(np.abs(x[x != 0]))
+        upper = 0.25 / (np.sqrt(s) + half_norm(x))  # window's upper end / (C2 t_n^(2/3))
+        lower = np.sqrt(0.5 * x_min / s) * np.linalg.norm(x) ** 2  # lower end / (C2 t_n)
+        with np.errstate(over="ignore", divide="ignore"):  # inf: holds from n = 1
+            t_w, t_x = float((upper / lower) ** 3), float((x_min / 2.0) ** 6)
+        n_window, n_x_min = _sample_size(p, t_w), _sample_size(p, t_x)
+    return StabilityEstimate(
+        t_n=_t_n(p, n),
+        n_lambda_window=n_window,
+        n_x_min=n_x_min,
+        p_log_n_over_n=float(p * np.log(n) / n),
+    )
 
 
 @dataclass(frozen=True)

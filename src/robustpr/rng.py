@@ -24,7 +24,6 @@ TAG_SIGNAL = 0x5349474E414C0001
 TAG_SAMPLING = 0x53414D504C450002
 TAG_NOISE = 0x4E4F4953450003
 TAG_SPECTRAL = 0x53504543540004
-TAG_STABILITY = 0x5354414230005
 TAG_HOLDOUT = 0x484F4C440006
 
 

@@ -28,7 +28,6 @@ from robustpr import (
     SolverConfig,
     deserialize_instance,
     error_vs_iteration,
-    estimate_stability,
     fixed_point_residual,
     lambda_grid_search,
     linear_rate_certificate,
@@ -504,25 +503,17 @@ def test_diag_stability_real(tmp_path):
     out = tmp_path / "stab.json"
     assert run("diag", "stability", "--instance", str(inst), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert doc["mu_hat"] >= 0.0
-    assert list(doc) == ["mu_hat", "c2_hat", "inlier_threshold",
-                         "used_noise_record", "consistency"]
-    assert list(doc["consistency"]) == [
-        "t_n", "alpha_floor", "lambda_upper", "lambda_lower", "n_lambda_window",
-        "n_x_min", "p_log_n_over_n",
-    ]
-    # mu_hat = 0.27 gives 2 (1 - rho0) mu_hat <= 1: no alpha meets the floor
-    assert doc["consistency"]["alpha_floor"] is None
+    assert list(doc) == ["t_n", "n_lambda_window", "n_x_min", "p_log_n_over_n"]
     # the window opens and x_min meets its floor only past this n = 160
-    assert doc["consistency"]["n_lambda_window"] > 160
-    assert doc["consistency"]["n_x_min"] > 160
+    assert doc["n_lambda_window"] > 160
+    assert doc["n_x_min"] > 160
 
 
 @pytest.mark.parametrize("second, noise", [(-3e-60, "none"), (-3.0, "type2:0.1")])
 def test_diag_stability_on_a_tiny_truth_exits_0(tmp_path, capsys, second, noise):
-    # lambda_upper / lambda_lower exceeds 1e148 at the first truth, past a
-    # float cube: the window is open from n = 1, and x_min = 1e-60 meets its
-    # floor at no n a float holds
+    # the window's upper end over its lower end exceeds 1e148 at the first
+    # truth, past a float cube: the window is open from n = 1, and x_min =
+    # 1e-60 meets its floor at no n a float holds
     x = np.zeros(16)
     x[[2, 9]] = 1e-60, second
     inst = tmp_path / "tiny.json"
@@ -530,7 +521,7 @@ def test_diag_stability_on_a_tiny_truth_exits_0(tmp_path, capsys, second, noise)
     out = tmp_path / "stab.json"
     assert run("diag", "stability", "--instance", str(inst), "--out", str(out)) == 0
     assert capsys.readouterr().err == ""
-    doc = json.loads(out.read_text())["consistency"]
+    doc = json.loads(out.read_text())
     assert doc["n_lambda_window"] == 1
     assert doc["n_x_min"] is None
 
@@ -686,9 +677,8 @@ def test_config_file_before_the_command_or_joined(tmp_path, head):
 
 @pytest.mark.parametrize("mode, flags", [
     ("certificate", ["--use-truth", "--lambda", "1e-3"]),
-    ("stability", []),
     ("remark5", ["--use-truth"]),
-], ids=["certificate", "stability", "remark5"])
+], ids=["certificate", "remark5"])
 def test_config_rho0_reaches_each_diag_report(tmp_path, mode, flags):
     # each diag file is its library report's to_json(), made at the config's rho0
     inst, cfg, out = (tmp_path / f for f in ("inst.json", "conf.txt", "report.json"))
@@ -701,7 +691,6 @@ def test_config_rho0_reaches_each_diag_report(tmp_path, mode, flags):
     report = {
         "certificate": lambda rho0: linear_rate_certificate(e.ground_truth, e, 1e-3,
                                                             alpha, rho0=rho0),
-        "stability": lambda rho0: estimate_stability(e, rho0, alpha, 0),
         "remark5": lambda rho0: remark5_quantities(e.ground_truth, e, alpha, rho0),
     }[mode]
     assert out.read_text() == report(0.3).to_json() + "\n"
@@ -877,7 +866,7 @@ def test_help_lists_defaults(capsys):
                 continue
             flag = "--" + f.name.replace("_", "-")
             assert shown[flag] == str(f.default), (command, f.name)
-    for mode in ("stability", "certificate", "remark5"):
+    for mode in ("certificate", "remark5"):
         shown = help_defaults(capsys, "diag", mode)
         assert shown["--alpha"] == str(SolverConfig.alpha), mode
         assert shown["--rho0"] == str(RHO0), mode
@@ -1338,10 +1327,9 @@ REFUSALS = [
        "error: mean observation is nonpositive; no spectral start")
       for field in FIELDS for command, argv in [("solve", SOLVE), ("lambda-grid", GRID)]],
     # sampling vectors whose row norms overflow the rows' normalization
-    *[(f"test_refusal[{command}-a-1e300]", argv,
-       inst({"eps": DROP, "a": Wire("<f8", 1e300)}), 2,
-       "error: sampling ensemble row norms overflow")
-      for command, argv in [("stability", STABILITY), ("remark5", REMARK5)]],
+    ("test_refusal[remark5-a-1e300]", REMARK5,
+     inst({"eps": DROP, "a": Wire("<f8", 1e300)}), 2,
+     "error: sampling ensemble row norms overflow"),
     # bench lambda-grid
     *[(f"test_lambda_grid_oracle_on_a_zero_truth_exits_3_before_solving[{field}]",
        f"{GRID} --rule oracle", inst({"x_true": [entry(field, 0.0)] * 8, "eps": DROP},
@@ -1375,9 +1363,13 @@ REFUSALS = [
     # diag
     ("test_diag_stability_complex_unsupported", STABILITY, inst(field="complex"), 3,
      "error: stability estimation is defined for real ensembles only"),
-    # one seeded pair, refined: the estimate has no sample count to set
+    # the estimate is closed-form in n, p and the truth: nothing to sample,
+    # seed or split at rho0 * alpha
     *[("test_diag_stability_takes_no_sample_count", *row)
       for row in unrecognized(STABILITY, "samples", "5")],
+    *[(f"test_diag_stability_takes_no_seed_alpha_or_rho0[{key}]", *row)
+      for key, value in [("seed", "1"), ("alpha", "1"), ("rho0", "0.3")]
+      for row in unrecognized(STABILITY, key, value)],
     ("test_diag_remark5_missing_record", REMARK5, inst({"eps": DROP}), 3,
      "error: Remark-5 quantities require a noise record"),
     ("test_diag_use_truth_needs_a_ground_truth", CERTIFICATE, inst({"x_true": DROP}), 3,
@@ -1410,8 +1402,8 @@ REFUSALS = [
       for i, (argv, label, line) in enumerate([
           positive("certificate --use-truth --lambda -1", "lam", "-1.0"),
           positive("certificate --use-truth --lambda nan", "lam", "nan"),
-          positive("stability --alpha nan", "alpha", "nan"),
-          positive("stability --alpha -1", "alpha", "-1.0"),
+          positive("certificate --use-truth --lambda 1e-3 --alpha nan", "alpha", "nan"),
+          positive("certificate --use-truth --lambda 1e-3 --alpha -1", "alpha", "-1.0"),
           positive("remark5 --use-truth --alpha nan", "alpha", "nan"),
           positive("remark5 --use-truth --alpha -2", "alpha", "-2.0"),
           rho0_outside("remark5 --use-truth --rho0 1.5", "1.5"),
@@ -1423,12 +1415,12 @@ REFUSALS = [
           diag_usage("remark5 --use-truth --solution sol.json",
                      "argument --solution: not allowed with argument --use-truth"),
           rho0_outside("certificate --use-truth --lambda 1e-3 --rho0 1", "1.0"),
-          rho0_outside("stability --rho0 nan", "nan"),
+          rho0_outside("remark5 --use-truth --rho0 nan", "nan"),
           # the boundary width is (1 - rho0) * alpha, not a flag of its own
           ("certificate --use-truth --lambda 1e-3 --eps1 0.5",
            "unrecognized arguments: --eps1 0.5",
            "robustpr: error: unrecognized arguments: --eps1 0.5"),
-          # one alpha message for the three modes
+          # one alpha message for both modes
           positive("certificate --use-truth --lambda 1e-3 --alpha 0", "alpha", "0.0"),
           rho0_outside("certificate --use-truth --lambda 1e-3 --rho0 nan", "nan")])],
     *[("test_diag_rejects_non_finite_or_degenerate_solution"

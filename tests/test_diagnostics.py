@@ -10,7 +10,6 @@ from robustpr import (
     FieldTag,
     NoiseSpec,
     SolverConfig,
-    diagnostics,
     estimate_stability,
     linear_rate_certificate,
     remark5_quantities,
@@ -22,20 +21,16 @@ from robustpr.diagnostics import (
     _BLOCK_ENTRIES,
     RHO0,
     _complex_terms,
-    _consistency,
     _masks,
     _min_eig,
-    _mu_mean,
     _phase_projected,
     _real_terms,
-    _refine_pair,
     _sample_size,
 )
 from robustpr.errors import DomainError
 from robustpr.model import MeasurementEnsemble, correlate, measure
 
 from oracles import realified_curvature, realify, realify_quadratic
-from work_ledger import SEEDS, _instance
 
 ALPHA = 1.345
 
@@ -69,42 +64,11 @@ def test_min_eig_of_a_scalar_and_of_zero():
     assert _min_eig(m) == 0.0
 
 
-def test_stability_rank_one_ensemble_hits_zero():
-    a = np.zeros((1, 3))
-    a[0, 0] = 2.0  # normalized internally to e_1
-    e = MeasurementEnsemble(
-        sampling_vectors=a, observations=np.array([1.0])
-    )
-    est = estimate_stability(e, rho0=0.5, alpha=ALPHA, seed=1)
-    assert est.mu_hat <= 1e-12  # coordinate-zeroing refinement reaches the null pair
-    assert not est.used_noise_record
-
-
-def test_stability_gaussian_ensemble_positive():
-    e = synthesize_instance(8, 2, 200, FieldTag.REAL, NoiseSpec("none"), 2)
-    est = estimate_stability(e, rho0=0.5, alpha=ALPHA, seed=3)
-    assert est.mu_hat > 0.1
-    assert est.c2_hat > 0.0
-    assert est.used_noise_record
-    assert est.inlier_threshold == pytest.approx(0.5 * ALPHA)
-
-
-def test_refine_pair_compounds_accepted_moves(monkeypatch):
-    # Rows sqrt(p) e_i give mu(u, v) = sum_i |u_i v_i|, which is 0 for pairs
-    # with disjoint supports.  From u = v uniform, one round reaches 0 only if
-    # each zeroing acts on the vector left by the previous accepted move.
-    monkeypatch.setattr(diagnostics, "_REFINE_ROUNDS", 1)
-    p = 8
-    u = np.full(p, 1.0 / np.sqrt(p))
-    mu = _refine_pair(np.sqrt(p) * np.eye(p), u, u.copy(), _mu_mean)
-    assert mu == 0.0
-
-
 def test_stability_validation():
     ec = synthesize_instance(4, 1, 8, FieldTag.COMPLEX, NoiseSpec("none"), 1)
     with pytest.raises(DomainError,
                        match="^stability estimation is defined for real ensembles only$"):
-        estimate_stability(ec, rho0=0.5, alpha=ALPHA, seed=0)
+        estimate_stability(ec)
 
 
 def test_row_normalized_checks_refuse_a_zero_row():
@@ -113,7 +77,7 @@ def test_row_normalized_checks_refuse_a_zero_row():
     a[2] = 0.0
     zero_row = MeasurementEnsemble(a, e.observations)
     with pytest.raises(ValueError, match="^sampling ensemble contains a zero row$"):
-        estimate_stability(zero_row, rho0=0.5, alpha=ALPHA, seed=0)
+        remark5_quantities(e.ground_truth, zero_row, ALPHA)
 
 
 def converged_real_solution(seed=21):
@@ -448,11 +412,9 @@ def test_certificate_validation():
     ],
 )
 def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):
-    # one check and one whole message for each parameter in all three modes
+    # one check and one whole message for each parameter in both modes
     e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
     message = f"^{message}$"
-    with pytest.raises(ValueError, match=message):
-        estimate_stability(e, rho0=rho0, alpha=alpha, seed=0)
     with pytest.raises(ValueError, match=message):
         remark5_quantities(e.ground_truth, e, alpha, rho0=rho0)
     for ens in (e, real_as_complex(e)):
@@ -467,8 +429,6 @@ def test_theory_checks_refuse_a_bool_alpha_or_rho0(name):
                else r"^rho0 must lie in \(0, 1\), got True$")
     for bad in (True, np.True_):
         params = {"alpha": ALPHA, "rho0": RHO0, name: bad}
-        with pytest.raises(ValueError, match=message):
-            estimate_stability(e, seed=0, **params)
         with pytest.raises(ValueError, match=message):
             remark5_quantities(e.ground_truth, e, **params)
         with pytest.raises(ValueError, match=message):
@@ -486,9 +446,6 @@ def test_numpy_parameters_give_the_reports_of_their_python_floats():
         assert ours.to_json() == want.to_json()
     ours, want = (remark5_quantities(e.ground_truth, e, *params[1:])
                   for params in ((lam, alpha, rho0), floats))
-    assert ours.to_json() == want.to_json()
-    ours = estimate_stability(e, rho0, alpha, seed=np.int64(4))
-    want = estimate_stability(e, float(rho0), float(alpha), seed=4)
     assert ours.to_json() == want.to_json()
 
 
@@ -564,40 +521,50 @@ def test_remark5_requires_real_and_noise_record():
         remark5_quantities(e.ground_truth, bare, ALPHA)
 
 
-CONSISTENCY_KEYS = [
-    "t_n", "alpha_floor", "lambda_upper", "lambda_lower", "n_lambda_window",
-    "n_x_min", "p_log_n_over_n",
-]
+STABILITY_KEYS = ["t_n", "n_lambda_window", "n_x_min", "p_log_n_over_n"]
 
 
 def t_n(n, p):
     return math.sqrt(2 * (2 * p + 1) * math.log(1 + 2 * n) / n)
 
 
+def window_ends(e, c2):
+    """The lambda window's (lower, upper) ends at constant C2, each in its
+    closed form at e's truth x, sparsity s and n."""
+    x = e.ground_truth
+    s, x_min = np.count_nonzero(x), np.min(np.abs(x[x != 0]))
+    t = t_n(e.n, e.p)
+    upper = 0.25 * c2 * t ** (2 / 3) / (np.sqrt(s) + np.sum(np.sqrt(np.abs(x))))
+    lower = c2 * t * np.sqrt(x_min / (2 * s)) * np.linalg.norm(x) ** 2
+    return lower, upper
+
+
 def test_consistency_conditions_report():
     e = synthesize_instance(8, 2, 400, FieldTag.REAL, NoiseSpec("type1", 0.05), 6)
-    est = estimate_stability(e, rho0=0.5, alpha=ALPHA, seed=1)
-    report = est.consistency
-    assert list(report) == CONSISTENCY_KEYS
-    assert not any(isinstance(value, bool) for value in report.values())
+    report = estimate_stability(e)
+    assert list(vars(report)) == STABILITY_KEYS
+    assert not any(isinstance(value, bool) for value in vars(report).values())
     n, p = 400, 8
-    assert np.isclose(report["t_n"], t_n(n, p))
-    # the lambda window scales with C2 = c2_hat
-    x = e.ground_truth
-    half = np.sum(np.sqrt(np.abs(x)))
-    assert np.isclose(report["lambda_upper"],
-                      0.25 * est.c2_hat * t_n(n, p) ** (2 / 3) / (np.sqrt(2) + half))
+    assert np.isclose(report.t_n, t_n(n, p))
+    assert np.isclose(report.p_log_n_over_n, p * math.log(n) / n)
     # 2 t_n^(1/6) <= x_min first holds at n_x_min; neither condition holds here
+    x = e.ground_truth
     x_min = np.min(np.abs(x[x != 0]))
-    assert report["n_x_min"] == _sample_size(p, (x_min / 2) ** 6)
-    assert report["lambda_lower"] > report["lambda_upper"]
-    assert report["n_lambda_window"] > n and report["n_x_min"] > n
-    assert json.loads(est.to_json())["consistency"] == report
+    assert report.n_x_min == _sample_size(p, (x_min / 2) ** 6)
+    assert report.n_lambda_window > n and report.n_x_min > n
+    assert json.loads(report.to_json()) == vars(report)
+
+
+# (p, bound): n where the climb's own stop test, rounding apart from t_n,
+# stopped one above n (t_n meets this bound exactly at n) or one below it
+SAMPLE_SIZE_EXACT = {(128, 3.116982298041143e-05): 16466869573174,
+                     (71, 5.82769353331911e-06): 286157464257350}
 
 
 @pytest.mark.parametrize("p, bound", [(1, 1.0), (8, 0.5), (64, 0.05), (128, 1e-3),
                                       (8, t_n(1, 8)), (8, 10.0), (8, math.inf),
-                                      (8, 1e-6), (8, 3.7e-7), (8, 1e-8)])
+                                      (8, 1e-6), (8, 3.7e-7), (8, 1e-8),
+                                      *SAMPLE_SIZE_EXACT])
 def test_sample_size_is_the_smallest_n_with_t_n_at_most_the_bound(p, bound):
     # an int up to 2^53 (1.2e15 at 1e-6), the iteration's float past it (9.3e15
     # at 3.7e-7); t_n in doubles tells n from n - 1 only to about 1e-14 of n
@@ -606,6 +573,7 @@ def test_sample_size_is_the_smallest_n_with_t_n_at_most_the_bound(p, bound):
     assert t_n(n, p) <= bound
     assert n == 1 or t_n(n - max(1, 1e-14 * n), p) > bound
     assert (n == 1) == (bound >= t_n(1, p))
+    assert n == SAMPLE_SIZE_EXACT.get((p, bound), n)
 
 
 @pytest.mark.parametrize("bound", [0.0, 1e-160])
@@ -620,62 +588,40 @@ def test_the_lambda_window_opens_at_n_lambda_window_whatever_c2(c2):
     x = np.zeros(8)
     x[[1, 6]] = 0.5, -0.5
     e = measure(x, 40, NoiseSpec("none"), 1)
-    opens = _consistency(e, e.noise_record, RHO0, 0.3, c2)["n_lambda_window"]
+    opens = estimate_stability(e).n_lambda_window
     assert 40 < opens < 10**5
     for n, is_open in ((opens, True), (opens - 1, False)):
         e = measure(x, n, NoiseSpec("none"), 1)
-        report = _consistency(e, e.noise_record, RHO0, 0.3, c2)
-        assert (report["lambda_lower"] <= report["lambda_upper"]) == is_open
-        assert report["n_lambda_window"] == opens
+        lower, upper = window_ends(e, c2)
+        # s = 2 and sum |x_j|^(1/2) = sqrt(2): upper = C2 t_n^(2/3) / (8 sqrt(2))
+        assert np.isclose(upper, c2 * t_n(n, 8) ** (2 / 3) / (8 * np.sqrt(2)))
+        assert (lower <= upper) == is_open
+        assert estimate_stability(e).n_lambda_window == opens
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", ["t3", "quick"])
-def test_no_rho0_gives_an_alpha_floor_on_the_ledger_instances(shape, seed):
-    # rows at norm sqrt(p) give trace(A^T A / n) = p, so (u = v) C1 is at most
-    # lambda_min(A^T A / n) <= 1; a floor needs 2 (1 - rho0) mu_hat > 1,
-    # which mu_hat < 1/2 rules out at every rho0 in (0, 1)
-    e, alpha = _instance(shape, seed)
-    a_hat, _ = diagnostics._normalized(e, "the test")
-    assert np.linalg.eigvalsh(a_hat.T @ a_hat / e.n)[0] <= 1.0
-    est = estimate_stability(e, rho0=0.01, alpha=alpha, seed=seed)
-    assert est.mu_hat < 0.5
-    assert est.consistency["alpha_floor"] is None
-
-
-def test_consistency_is_none_without_noise_record_or_nonzero_truth():
+def test_stability_reads_only_n_p_and_the_truth():
+    # neither the sampling matrix nor the noise record enters: an instance
+    # without its record, with a zero row or with rows past float range gets
+    # the same numbers; without a nonzero truth the two sample sizes are None
     e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
-    bare = MeasurementEnsemble(
-        sampling_vectors=e.sampling_vectors,
-        observations=e.observations,
-        ground_truth=e.ground_truth,
-    )
+    full = estimate_stability(e)
+    a_zero_row = e.sampling_vectors.copy()
+    a_zero_row[2] = 0.0
+    for a in (e.sampling_vectors, a_zero_row, np.full_like(e.sampling_vectors, 1e300)):
+        bare = MeasurementEnsemble(sampling_vectors=a, observations=e.observations,
+                                   ground_truth=e.ground_truth)
+        assert estimate_stability(bare) == full
     zero_truth = MeasurementEnsemble(
         sampling_vectors=e.sampling_vectors,
         observations=e.noise_record,  # b = |<a_i, 0>|^2 + eps_i
         ground_truth=np.zeros(8),
         noise_record=e.noise_record,
     )
-    for ens in (bare, zero_truth):
-        est = estimate_stability(ens, rho0=0.5, alpha=ALPHA, seed=0)
-        assert est.consistency is None
-        assert json.loads(est.to_json())["consistency"] is None
-
-
-@pytest.mark.parametrize("rho0", [0.05, 0.3, 0.5])
-def test_alpha_floor_is_none_exactly_without_a_margin(rho0):
-    # mu_hat = 0.570 here, so 2 (1 - rho0) mu_hat exceeds 1 only at rho0 = 0.05
-    e = synthesize_instance(4, 1, 400, FieldTag.REAL, NoiseSpec("type1", 0.05), 1)
-    est = estimate_stability(e, rho0=rho0, alpha=ALPHA, seed=1)
-    report = est.consistency
-    margin = 2.0 * (1.0 - rho0) * est.mu_hat - 1.0
-    assert (report["alpha_floor"] is None) == (margin <= 0.0)
-    assert (margin > 0.0) == (rho0 == 0.05)
-    if margin > 0.0:
-        # 6 E|eps| / margin, at the mean |eps| of the rows rescaled to norm sqrt(p)
-        eps_hat = e.noise_record * e.p / np.sum(e.sampling_vectors**2, axis=1)
-        assert np.isclose(report["alpha_floor"], 6.0 * np.mean(np.abs(eps_hat)) / margin)
-    json.loads(est.to_json(), parse_constant=reject_constant)
+    no_truth = MeasurementEnsemble(e.sampling_vectors, e.observations)
+    for ens in (zero_truth, no_truth):
+        report = estimate_stability(ens)
+        assert report.n_lambda_window is None and report.n_x_min is None
+        assert (report.t_n, report.p_log_n_over_n) == (full.t_n, full.p_log_n_over_n)
 
 
 def reject_constant(name):
@@ -698,8 +644,7 @@ def test_reports_dump_their_fields_as_asdict_would():
         linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA),
         linear_rate_certificate(cresult.estimate, c, lam=1e-4, alpha=ALPHA),
         remark5_quantities(noisy.ground_truth, noisy, alpha=ALPHA),
-        estimate_stability(noisy, rho0=0.5, alpha=ALPHA, seed=1),
+        estimate_stability(noisy),
     ]
-    assert reports[3].consistency is not None  # a nested dict to dump
     for report in reports:
         assert report.to_json() == json.dumps(dataclasses.asdict(report))

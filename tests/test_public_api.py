@@ -227,6 +227,23 @@ def _homes(scope, match, per_module=False) -> dict:
     return homes
 
 
+def test_every_stream_tag_is_read_by_one_stream_call():
+    # one consumer per tag: a deleted consumer leaves no dead tag behind, and
+    # no two consumers draw the same stream
+    rng = ast.parse((ROOT / "src" / "robustpr" / "rng.py").read_text())
+    tags = [target.id for node in rng.body if isinstance(node, ast.Assign)
+            for target in node.targets if target.id.startswith("TAG_")]
+    read = []
+    for path in sorted(ROOT.glob(PACKAGE)):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                               or getattr(node.func, "attr", None)) == "stream":
+                read += [name for arg in node.args for sub in ast.walk(arg)
+                         if (name := getattr(sub, "id", None) or getattr(sub, "attr", None))
+                         and name.startswith("TAG_")]
+    assert tags and sorted(read) == sorted(tags)
+
+
 def test_every_raised_exception_has_an_exit_code():
     handled = _handled_by_main()
     assert {c.__name__ for c in handled} == {
@@ -576,8 +593,7 @@ def _made_from_numpy(name):
         "CertificateReport": lambda: robustpr.linear_rate_certificate(
             x, e, lam, alpha, rho0),
         "Remark5Report": lambda: robustpr.remark5_quantities(x, e, alpha, rho0),
-        "StabilityEstimate": lambda: robustpr.estimate_stability(
-            e, rho0, alpha, np.int64(1)),
+        "StabilityEstimate": lambda: robustpr.estimate_stability(e),
         "ExperimentReport": lambda: robustpr.ExperimentReport(
             _built_from_numpy("ExperimentSpec"), []),
     }

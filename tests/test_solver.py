@@ -19,12 +19,12 @@ from robustpr import (
 from robustpr import prox, solver
 from robustpr.gradient import g
 from robustpr.metrics import summarize
-from robustpr.model import MeasurementEnsemble
+from robustpr.model import MeasurementEnsemble, _squared_modulus, correlate
 from robustpr.objective import objective
 from robustpr.solver import write_trace_csv
 from robustpr.spectral import spectral_init
 
-from acceptance_runs import ARMS, scaled
+from acceptance_runs import ARMS, SQUARED_LOSS_ALPHA, scaled
 from oracles import rayleigh_step
 
 
@@ -643,6 +643,34 @@ def test_solve_commutes_with_the_symmetries_of_f(name):
         # a plain norm: relative_error would forgive a wrong sign or phase
         gap = np.linalg.norm(back(run.estimate) - twin.estimate)
         assert gap <= 1e-12 * np.linalg.norm(twin.estimate), symmetry
+
+
+@pytest.mark.parametrize("name", ["t3_scaled", "quick_scaled", "cplx_scaled"])
+def test_a_clamped_row_pushed_outward_moves_no_step_at_the_solution(name):
+    # bounded influence: a row with |r_i| > alpha at x has h'(r_i) = +-alpha,
+    # and b_i -> b_i - t sign(r_i) keeps it there, so g(x), the MM map and
+    # the residual at x do not move, and F(x) grows by alpha t k / n for k
+    # pushed rows; under the squared loss (alpha = 1e6) the same push moves g
+    arm = next(arm for arm in ARMS if arm.name == name)
+    e = synthesize_instance(arm.p, arm.s, arm.n, arm.field, arm.noise, 1)
+    (lam,) = arm.lams
+    alpha, squared = arm.alpha, SQUARED_LOSS_ALPHA
+    result = solve(e, spectral_init(e), SolverConfig(lam=lam, alpha=alpha))
+    x, tau = result.estimate, result.trace[-1].tau
+    r = _squared_modulus(correlate(e.sampling_vectors, x)) - e.observations
+    clamped = np.abs(r) > alpha
+    k = np.count_nonzero(clamped)
+    assert k > 0 and np.all(np.abs(r) < squared)
+    for t in (10 * alpha, 1e3 * alpha):
+        # without truth and noise record: the push breaks b = |<a, x>|^2 + eps
+        pushed = MeasurementEnsemble(e.sampling_vectors,
+                                     e.observations - t * np.sign(r) * clamped)
+        assert (fixed_point_residual(x, pushed, lam, alpha, tau)
+                == fixed_point_residual(x, e, lam, alpha, tau)), t
+        growth = objective(x, pushed, lam, alpha) - objective(x, e, lam, alpha)
+        assert growth == pytest.approx(alpha * t * k / e.n, rel=1e-12), t
+        assert (fixed_point_residual(x, pushed, lam, squared, tau)
+                != fixed_point_residual(x, e, lam, squared, tau)), t
 
 
 @pytest.mark.parametrize("case", ["zero observations", "zero start", "start x 1e-200",

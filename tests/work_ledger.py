@@ -13,12 +13,12 @@ records its trials' termination counts, their iterations, trials and
 prox-call totals, and a hash of their summaries.  The diagnostics record a
 hash of their report's JSON, its floats at 12 significant digits: the rate
 certificate at the quick and cplx seed-1 solve estimates, the Remark-5
-quantities at the quick one, and the stability estimate of t3 seed 1 at
-stability seed 1.  The instance entries record a hash of ``serialize_instance``'s text,
-the file ``gen`` writes less its final newline, for the quick and cplx shapes
-at seed 1, so a change to the instance format or to the random streams shows
-up by name.  A change that moves only bits shows up
-in the solve, grid and experiment hashes even when no count moves.
+quantities at the quick one, and the stability estimate of t3 seed 1.  The
+instance entries record a hash of ``serialize_instance``'s text, the file
+``gen`` writes less its final newline, for the quick and cplx shapes at
+seed 1, so a change to the instance format or to the random streams shows
+up by name.  A change that moves only bits shows up in the solve, grid and
+experiment hashes even when no count moves.
 
 ``tests/test_work_ledger.py`` recomputes the ledger and names each entry
 that moved.  A change that moves a ledger value regenerates the file, from
@@ -53,7 +53,6 @@ from robustpr import (
     spectral_init,
     synthesize_instance,
 )
-from robustpr.diagnostics import RHO0
 from robustpr.metrics import summarize
 
 LEDGER = Path(__file__).with_name("work_ledger.json")
@@ -123,9 +122,8 @@ def _diagnostic_entries(solved: dict) -> dict:
     e, cfg, _, result = solved["quick"]
     entries["remark5/quick/1"] = _report_entry(
         remark5_quantities(result.estimate, e, cfg.alpha))
-    e, alpha = _instance("t3", 1)
     entries["stability/t3/1"] = _report_entry(
-        estimate_stability(e, RHO0, alpha, 1))
+        estimate_stability(_instance("t3", 1)[0]))
     return entries
 
 
