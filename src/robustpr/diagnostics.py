@@ -135,6 +135,9 @@ def _normalized(e: MeasurementEnsemble, what: str):
 
 @dataclass(frozen=True)
 class StabilityEstimate(_Report):
+    """The consistency numbers that need neither C1 nor C2 (see
+    ``estimate_stability``), not estimates of the stability constants."""
+
     t_n: float
     n_lambda_window: int | float | None  # None without a nonzero truth
     n_x_min: int | float | None

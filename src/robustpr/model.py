@@ -345,38 +345,33 @@ def _as_float(value) -> float:
         return np.nan
 
 
-def _check_positive(**values: float):
-    """Each of ``values`` as a Python float, one alone and several as a tuple;
-    ValueError naming the first that is not finite and positive."""
+def _checked(values: dict, convert, holds, rule: str):
+    """Each of ``values`` converted, one alone and several as a tuple;
+    ValueError naming the first whose conversion fails ``holds``."""
     checked = []
     for name, value in values.items():
-        # the test reads the float, so a NumPy scalar meets the bound as stored
-        if not 0.0 < (number := _as_float(value)) < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not holds(number := convert(value)):
+            raise ValueError(f"{name} must be {rule}, got {value}")
         checked.append(number)
     return checked[0] if len(checked) == 1 else tuple(checked)
+
+
+def _check_positive(**values: float):
+    """``_checked`` as Python floats that are finite and positive."""
+    # the test reads the float, so a NumPy scalar meets the bound as stored
+    return _checked(values, _as_float, lambda v: 0.0 < v < np.inf, "finite and positive")
 
 
 def _check_nonnegative(**values: float):
-    """Each of ``values`` as a Python float, one alone and several as a tuple;
-    ValueError naming the first that is not finite and nonnegative."""
-    checked = []
-    for name, value in values.items():
-        if not 0.0 <= (number := _as_float(value)) < np.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        checked.append(number)
-    return checked[0] if len(checked) == 1 else tuple(checked)
+    """``_checked`` as Python floats that are finite and nonnegative."""
+    return _checked(values, _as_float, lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
 
 
 def _check_count(**values: int):
-    """Each of ``values`` as a Python int, one alone and several as a tuple;
-    ValueError naming the first that is not a positive integer."""
-    checked = []
-    for name, value in values.items():
-        if not (_is_int(value) and value >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {value}")
-        checked.append(int(value))
-    return checked[0] if len(checked) == 1 else tuple(checked)
+    """``_checked`` as Python ints that are positive; anything but an integer
+    (NumPy's too) becomes 0, which the rule refuses."""
+    return _checked(values, lambda v: int(v) if _is_int(v) else 0, lambda v: v >= 1,
+                    "a positive integer")
 
 
 def _json_int(doc: dict, key: str, minimum: int | None = None) -> int:

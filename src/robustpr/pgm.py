@@ -89,8 +89,8 @@ def read_pgm(path) -> GrayImage:
                                    offset=offset).astype(np.int64)
         except ValueError:
             raise ParseError("truncated PGM raster") from None
-    if np.any(raster < 0) or np.any(raster > maxval):
-        raise ParseError("pixel value outside [0, maxval]")
+        if raster.max() > maxval:  # unsigned, so never below 0
+            raise ParseError("pixel value outside [0, maxval]")
     return GrayImage(raster.reshape(height, width) / maxval, maxval)
 
 

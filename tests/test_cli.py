@@ -47,6 +47,7 @@ from robustpr.metrics import summarize
 from robustpr.model import decode_vector, measure
 
 from oracles import rayleigh_step
+from test_library_refusals import LIBRARY_REFUSALS, refusal_tests
 from test_pgm import PGM_BYTES
 
 
@@ -943,14 +944,14 @@ def echoes(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", ["beta", "delta", "eps", "max_iter"])
-def test_the_mm_constants_are_not_options(tmp_path, capsys, monkeypatch, echoes, name):
+def test_the_mm_constants_are_not_options(request, echoes, name):
     # a class constant of SolverConfig, not a field: no constructor argument,
     # flag or config key sets it, and no writer echoes it
     with pytest.raises(TypeError):
         SolverConfig(1e-3, **{name: getattr(SolverConfig, name)})
     assert [f.name for f in fields(SolverConfig)] == ["lam", "alpha"]
     refuse([row for argv in SOLVING_COMMANDS.values()
-            for row in unrecognized(argv, name, "1")], tmp_path, monkeypatch, capsys)
+            for row in unrecognized(argv, name, "1")], request)
     assert [name in doc for doc, _ in echoes.values()] == [False] * 3
     config, expected = echoes["solve_echo"]
     assert config == expected == {"lambda": 2e-4, "alpha": 0.9}
@@ -1441,12 +1442,15 @@ REFUSALS = [
 ]
 
 
-def refuse(rows, tmp_path, monkeypatch, capsys):
+def refuse(rows, request):
     """Run each (command line, input files, exit code, line) row of ``rows``
-    in a directory of its own under ``tmp_path``, then check every row at
-    once, so that one wrong row hides none after it: the exit code, the last
-    stderr line (after the usage for an argparse error, alone for a refusal
-    by ``cli.main``) and a directory that holds only the input files."""
+    in a directory of its own under the test's ``tmp_path``, then check every
+    row at once, so that one wrong row hides none after it: the exit code, the
+    last stderr line (after the usage for an argparse error, alone for a
+    refusal by ``cli.main``) and a directory that holds only the input files."""
+    tmp_path, monkeypatch, capsys = map(request.getfixturevalue,
+                                        ["tmp_path", "monkeypatch", "capsys"])
+
     def no_solve(*args, **kwargs):
         raise AssertionError("a refused command ran a solve")
 
@@ -1469,51 +1473,44 @@ def refuse(rows, tmp_path, monkeypatch, capsys):
     assert not wrong, "\n".join(wrong)
 
 
-def refusal_test(cases):
-    """The test that refuses the rows of each case: parametrized by the case
-    ids, or with no parameter when its one case has no id (None)."""
-    if list(cases) == [None]:
-        def test(tmp_path, monkeypatch, capsys, rows=cases[None]):
-            refuse(rows, tmp_path, monkeypatch, capsys)
-        return test
+globals().update(refusal_tests(REFUSALS, refuse))
 
-    @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
-    def test(tmp_path, monkeypatch, capsys, rows):
-        refuse(rows, tmp_path, monkeypatch, capsys)
-    return test
+# the class of each refusal in src/, and the exit code that class maps to
+EXIT_CODES = {"ValueError": 2, "ParseError": 4, "DomainError": 3}
 
 
-REFUSAL_CASES = {}  # test name -> case id (None for no parameter) -> rows
-for test_id, *row in REFUSALS:
-    test_name, _, case = test_id.partition("[")
-    REFUSAL_CASES.setdefault(test_name, {}).setdefault(case[:-1] or None, []).append(row)
-globals().update({name: refusal_test(cases) for name, cases in REFUSAL_CASES.items()})
-
-
-def test_every_domain_refusal_has_its_row():
-    # the constant text of each DomainError message built in src/ (a bare
-    # name or a module's attribute, raised there or not) is in an exit-3
-    # row's line, and a raise or build whose message is not one literal or
-    # f-string fails; bench error-iter draws its truth with s >= 1 nonzero
-    # entries, so no command line reaches error_vs_iteration's refusal
+def test_every_refusal_message_has_its_row():
+    # the constant text of each ValueError, ParseError and DomainError message
+    # built in src/ (a bare name or a module's attribute, raised there or
+    # not) is in the message of a LIBRARY_REFUSALS row of that class or in
+    # the line of a REFUSALS row with that class's exit code.  A raise or
+    # build whose message is not one literal or f-string fails, but for a
+    # re-raise of a caught error's text, str(exc): that error's own refusal.
     def named(node):
         return getattr(node, "id", None) or getattr(node, "attr", None)
 
-    lines = "\n".join(line for *_, code, line in REFUSALS if code == 3)
+    texts = {name: "\n".join(
+        [message for *_, cls, message in LIBRARY_REFUSALS if cls.__name__ == name]
+        + [line for *_, code, line in REFUSALS if code == exit_code])
+        for name, exit_code in EXIT_CODES.items()}
     missing = []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
-            bare = isinstance(node, ast.Raise) and named(node.exc) == "DomainError"
+            bare = isinstance(node, ast.Raise) and named(node.exc) in EXIT_CODES
             assert not bare, where
-            if isinstance(node, ast.Call) and named(node.func) == "DomainError":
-                one = len(node.args) == 1 and not node.keywords
-                message = node.args[0] if one else None
-                assert isinstance(message, (ast.Constant, ast.JoinedStr)), where
-                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
-                missing += [part.value for part in parts
-                            if isinstance(part, ast.Constant) and part.value not in lines]
-    assert missing == ["error-vs-iteration needs a nonzero ground truth"]
+            if not (isinstance(node, ast.Call) and named(node.func) in EXIT_CODES):
+                continue
+            one = len(node.args) == 1 and not node.keywords
+            message = node.args[0] if one else None
+            if isinstance(message, ast.Call) and named(message.func) == "str":
+                continue
+            assert isinstance(message, (ast.Constant, ast.JoinedStr)), where
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            missing += [f"{where}: {part.value}" for part in parts
+                        if isinstance(part, ast.Constant)
+                        and part.value not in texts[named(node.func)]]
+    assert missing == []
 
 
 # ---------------------------------------------------------------- the fuzz

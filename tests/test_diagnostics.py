@@ -27,10 +27,10 @@ from robustpr.diagnostics import (
     _real_terms,
     _sample_size,
 )
-from robustpr.errors import DomainError
 from robustpr.model import MeasurementEnsemble, correlate, measure
 
 from oracles import realified_curvature, realify, realify_quadratic
+from test_library_refusals import library_refusal_tests, real_as_complex
 
 ALPHA = 1.345
 
@@ -62,22 +62,6 @@ def test_min_eig_of_a_scalar_and_of_zero():
     m, _ = _complex_terms(*restricted(no_inlier_inputs()))
     assert not np.any(m)
     assert _min_eig(m) == 0.0
-
-
-def test_stability_validation():
-    ec = synthesize_instance(4, 1, 8, FieldTag.COMPLEX, NoiseSpec("none"), 1)
-    with pytest.raises(DomainError,
-                       match="^stability estimation is defined for real ensembles only$"):
-        estimate_stability(ec)
-
-
-def test_row_normalized_checks_refuse_a_zero_row():
-    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("type2", 0.1), 1)
-    a = e.sampling_vectors.copy()
-    a[2] = 0.0
-    zero_row = MeasurementEnsemble(a, e.observations)
-    with pytest.raises(ValueError, match="^sampling ensemble contains a zero row$"):
-        remark5_quantities(e.ground_truth, zero_row, ALPHA)
 
 
 def converged_real_solution(seed=21):
@@ -210,16 +194,6 @@ def certificate_inputs(e, x, alpha=ALPHA):
     return e.sampling_vectors[:, support], c, r, inliers, e
 
 
-def real_as_complex(e):
-    return MeasurementEnsemble(
-        sampling_vectors=e.sampling_vectors.astype(np.complex128),
-        observations=e.observations,
-        ground_truth=e.ground_truth.astype(np.complex128),
-        noise_record=e.noise_record,
-        seed=e.seed,
-    )
-
-
 def complex_outliers_inputs():
     e, result = converged_complex_solution(
         p=128, s=8, n=768, spec=NoiseSpec("type3", 0.05), lam=1e-3)
@@ -320,50 +294,6 @@ def test_real_certificate_has_no_phase_direction():
     assert json.loads(report.to_json())["phase_direction_curvature"] is None
 
 
-def one_entry(field, value, p=16):
-    x = np.zeros(p, dtype=field.dtype)
-    x[3] = value
-    return x
-
-
-def non_finite(value, case):
-    """A solution with a non-finite entry, which ``check_signal`` refuses whole;
-    the id names the case."""
-    return pytest.param(value, "^signal contains non-finite entries$",
-                        id=f"{case}-solution has a non-finite entry")
-
-
-@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
-@pytest.mark.parametrize("value, message", [
-    non_finite(np.inf, "inf"),
-    non_finite(-np.inf, "-inf"),
-    non_finite(np.nan, "nan"),
-    (1e-300, "solution's smallest nonzero entry is too small"),
-    (1e200, "solution overflows the certificate's curvature terms"),
-])
-def test_certificate_rejects_non_finite_or_degenerate_solution(field, value, message):
-    e = synthesize_instance(16, 2, 96, field, NoiseSpec("type2", 0.1), 3)
-    with pytest.raises(ValueError, match=message):
-        linear_rate_certificate(one_entry(field, value), e, lam=1e-3, alpha=ALPHA)
-
-
-def test_certificate_rejects_an_overflowing_regularizer_term():
-    e, result = converged_real_solution()
-    with pytest.raises(ValueError, match="regularizer term overflows"):
-        linear_rate_certificate(result.estimate, e, lam=1e308, alpha=ALPHA)
-
-
-@pytest.mark.parametrize("value, message", [
-    non_finite(np.inf, "inf"),
-    non_finite(np.nan, "nan"),
-    (1e200, "solution overflows the inlier quadratic term"),
-])
-def test_remark5_rejects_non_finite_or_degenerate_solution(value, message):
-    e = synthesize_instance(16, 2, 96, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
-    with pytest.raises(ValueError, match=message):
-        remark5_quantities(one_entry(FieldTag.REAL, value), e, ALPHA)
-
-
 def test_certificate_real_embedded_as_complex():
     # real signal with zero imaginary parts: realified quadratic identity holds
     e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("none"), 7)
@@ -381,58 +311,6 @@ def test_certificate_real_embedded_as_complex():
         quad = xt @ realify_quadratic(a_i) @ xt
         direct = (np.real(a_i) @ e.ground_truth) ** 2
         assert abs(quad - direct) <= 1e-12 * (1.0 + direct)
-
-
-def test_certificate_validation():
-    e, result = converged_real_solution()
-    with pytest.raises(DomainError, match="^solution has empty support$"):
-        linear_rate_certificate(np.zeros(16), e, lam=1e-4, alpha=ALPHA)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError,
-                           match=f"^lam must be finite and positive, got {bad}$"):
-            linear_rate_certificate(result.estimate, e, lam=bad, alpha=ALPHA)
-        with pytest.raises(ValueError,
-                           match=f"^alpha must be finite and positive, got {bad}$"):
-            linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=bad)
-
-
-@pytest.mark.parametrize(
-    "alpha, rho0, message",
-    [
-        *[pytest.param(bad, RHO0, f"alpha must be finite and positive, got {bad}",
-                       id=f"{bad}-{RHO0}-alpha must be positive")
-          for bad in (0.0, -1.0, float("nan"), float("inf"))],
-        pytest.param(10**400, RHO0, f"alpha must be finite and positive, got {10**400}",
-                     id=f"10**400-{RHO0}-alpha must be positive"),
-        *[pytest.param(ALPHA, bad, rf"rho0 must lie in \(0, 1\), got {bad}",
-                       id=rf"{ALPHA}-{bad}-rho0 must lie in \(0, 1\)")
-          for bad in (0.0, 1.0, -1.0, 1.5, float("nan"))],
-        pytest.param(ALPHA, 10**400, rf"rho0 must lie in \(0, 1\), got {10**400}",
-                     id=rf"{ALPHA}-10**400-rho0 must lie in \(0, 1\)"),
-    ],
-)
-def test_theory_checks_reject_bad_alpha_and_rho0(alpha, rho0, message):
-    # one check and one whole message for each parameter in both modes
-    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
-    message = f"^{message}$"
-    with pytest.raises(ValueError, match=message):
-        remark5_quantities(e.ground_truth, e, alpha, rho0=rho0)
-    for ens in (e, real_as_complex(e)):
-        with pytest.raises(ValueError, match=message):
-            linear_rate_certificate(ens.ground_truth, ens, 1e-4, alpha, rho0=rho0)
-
-
-@pytest.mark.parametrize("name", ["alpha", "rho0"])
-def test_theory_checks_refuse_a_bool_alpha_or_rho0(name):
-    e = synthesize_instance(8, 2, 80, FieldTag.REAL, NoiseSpec("type2", 0.1), 3)
-    message = ("^alpha must be finite and positive, got True$" if name == "alpha"
-               else r"^rho0 must lie in \(0, 1\), got True$")
-    for bad in (True, np.True_):
-        params = {"alpha": ALPHA, "rho0": RHO0, name: bad}
-        with pytest.raises(ValueError, match=message):
-            remark5_quantities(e.ground_truth, e, **params)
-        with pytest.raises(ValueError, match=message):
-            linear_rate_certificate(e.ground_truth, e, 1e-4, **params)
 
 
 def test_numpy_parameters_give_the_reports_of_their_python_floats():
@@ -505,20 +383,6 @@ def test_remark5_gaussian_noise_magnitudes():
     report = remark5_quantities(e.ground_truth, e, ALPHA, rho0=0.5)
     assert report.inlier_noise_norm < 0.1 * report.inlier_quadratic_min_eig
     assert report.boundary_noise_norm < 0.1 * report.inlier_quadratic_min_eig
-
-
-def test_remark5_requires_real_and_noise_record():
-    ec = synthesize_instance(4, 1, 8, FieldTag.COMPLEX, NoiseSpec("none"), 1)
-    with pytest.raises(DomainError,
-                       match="^the Remark-5 check is defined for real ensembles only$"):
-        remark5_quantities(ec.ground_truth, ec, ALPHA)
-    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 1)
-    bare = MeasurementEnsemble(
-        sampling_vectors=e.sampling_vectors,
-        observations=e.observations,
-    )
-    with pytest.raises(DomainError, match="^Remark-5 quantities require a noise record$"):
-        remark5_quantities(e.ground_truth, bare, ALPHA)
 
 
 STABILITY_KEYS = ["t_n", "n_lambda_window", "n_x_min", "p_log_n_over_n"]
@@ -628,14 +492,6 @@ def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_a_report_with_a_non_finite_number_is_not_json(value):
-    e, result = converged_real_solution()
-    report = linear_rate_certificate(result.estimate, e, lam=1e-4, alpha=ALPHA)
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        dataclasses.replace(report, lhs_min_eig=value).to_json()
-
-
 def test_reports_dump_their_fields_as_asdict_would():
     e, result = converged_real_solution()
     c, cresult = converged_complex_solution(p=16, s=2, n=160)
@@ -648,3 +504,6 @@ def test_reports_dump_their_fields_as_asdict_would():
     ]
     for report in reports:
         assert report.to_json() == json.dumps(dataclasses.asdict(report))
+
+
+globals().update(library_refusal_tests("test_diagnostics"))

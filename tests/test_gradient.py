@@ -14,6 +14,7 @@ from oracles import (
     realify_quadratic,
     unrealify,
 )
+from test_library_refusals import library_refusal_tests
 
 ALPHA = 1.345
 
@@ -85,12 +86,6 @@ def test_realified_gradient_matches_finite_differences():
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         want = fd_loss_gradient(x, e, ALPHA)
         assert _rel_err(realify_gradient(x, e, ALPHA), want) < 1e-6
-
-
-def test_realify_gradient_rejects_real():
-    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
-    with pytest.raises(ValueError):
-        realify_gradient(e.ground_truth, e, ALPHA)
 
 
 def test_realify_quadratic_real_vector_blocks():
@@ -166,7 +161,4 @@ def test_realified_loss_consistency():
         assert abs(via_complex - via_real) <= 1e-13 * (1.0 + abs(via_real))
 
 
-def test_g_field_mismatch():
-    e = synthesize_instance(4, 1, 8, FieldTag.COMPLEX, NoiseSpec("none"), 6)
-    with pytest.raises(ValueError):
-        g(np.zeros(4), e, ALPHA)
+globals().update(library_refusal_tests("test_gradient"))

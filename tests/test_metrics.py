@@ -1,5 +1,4 @@
 import importlib
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 import robustpr.metrics
 from robustpr import (
     ExperimentReport,
-    ExperimentSpec,
     FieldTag,
     NoiseSpec,
     SolverConfig,
@@ -27,6 +25,8 @@ from robustpr.errors import DomainError
 from robustpr.metrics import (
     TrialRecord, _sub_ensemble, align, holdout_split, settings, summarize, trial_seed)
 from robustpr.model import render_json
+
+from test_library_refusals import desk_spec, library_refusal_tests
 
 
 def random_complex(rng, p):
@@ -77,24 +77,6 @@ def test_relative_error_matches_theta_grid():
         ) / np.linalg.norm(x)
         assert closed <= grid + 1e-12
         assert abs(closed - grid) <= 1e-6  # grid resolution limits agreement
-
-
-def test_relative_error_validation():
-    with pytest.raises(ValueError):
-        relative_error(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        relative_error(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        relative_error(np.zeros(3, dtype=complex), np.zeros(3))
-
-
-def test_align_validation():
-    with pytest.raises(ValueError, match="zero ground truth"):
-        align(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError, match="share field and length"):
-        align(np.zeros(3), np.ones(4))
-    with pytest.raises(ValueError, match="share field and length"):
-        align(np.zeros(3, dtype=complex), np.ones(3))
 
 
 def _relative_error_reference(x_hat, x_true):
@@ -159,36 +141,6 @@ def test_align_real_and_complex():
     assert np.linalg.norm(aligned - z) <= 1e-12 * np.linalg.norm(z)
 
 
-def desk_spec(**overrides):
-    base = dict(
-        p=16,
-        s=2,
-        n_grid=(160,),
-        noise=NoiseSpec("none"),
-        trials=1,
-        solver=SolverConfig(lam=1e-4),
-        master_seed=42,
-        field=FieldTag.REAL,
-    )
-    base.update(overrides)
-    return ExperimentSpec(**base)
-
-
-@pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, np.inf,
-                                       pytest.param(10**400, id="10**400")])
-def test_experiment_spec_rejects_bad_success_threshold(threshold):
-    with pytest.raises(ValueError, match="^success_threshold must be finite and "
-                                         f"positive, got {threshold}$"):
-        desk_spec(success_threshold=threshold)
-
-
-@pytest.mark.parametrize("trials", [2.5, 3.0, np.nan, True, "3"])
-def test_experiment_spec_rejects_a_non_integer_trial_count(trials):
-    message = f"^trials must be a positive integer, got {re.escape(str(trials))}$"
-    with pytest.raises(ValueError, match=message):
-        desk_spec(trials=trials)
-
-
 def test_a_numpy_integer_trial_count_runs_the_same_trials():
     ours = run_experiment(desk_spec(trials=np.int64(1))).records
     assert [r.summary for r in ours] == [r.summary for r in run_experiment(desk_spec()).records]
@@ -202,20 +154,6 @@ def test_a_report_of_numpy_integer_counts_writes_the_same_json(tmp_path):
     for path, counts in zip(paths, (numpy_ints, ints)):
         run_experiment(desk_spec(**counts)).write_json(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-@pytest.mark.parametrize("field, value, message", [
-    ("p", 16.0, "p must be a positive integer, got 16.0"),
-    ("s", True, "s must be a positive integer, got True"),
-    ("n_grid", (16.0,), "n must be a positive integer, got 16.0"),
-    ("n_grid", (0, 160), "n must be a positive integer, got 0"),
-    ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
-    ("master_seed", np.True_, "master_seed must be an integer, got True"),
-])
-def test_experiment_spec_refuses_a_bad_count_or_seed_when_built(field, value, message):
-    # each was accepted once, and run_experiment tripped on it
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        desk_spec(**{field: value})
 
 
 def test_experiment_spec_stores_each_grid_entry_as_a_python_int():
@@ -357,35 +295,11 @@ def test_trial_seed_stable_under_grid_extension():
     assert trial_seed(1, 64, 0) != trial_seed(1, 128, 0)
 
 
-def test_experiment_spec_validation():
-    with pytest.raises(ValueError):
-        desk_spec(trials=0)
-    with pytest.raises(ValueError):
-        desk_spec(n_grid=())
-    with pytest.raises(ValueError):
-        desk_spec(n_grid=(160, 64))
-    with pytest.raises(ValueError, match="strictly ascending"):
-        desk_spec(n_grid=(32, 32))
-
-
 def test_error_vs_iteration_curve():
     e = synthesize_instance(16, 2, 160, FieldTag.REAL, NoiseSpec("none"), 11)
     curve, result = error_vs_iteration(e, SolverConfig(lam=1e-4))
     assert len(curve) == result.iterations + 1
     assert curve[-1][1] < 5e-3
-
-
-def test_error_vs_iteration_needs_truth():
-    e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("none"), 1)
-    from robustpr.model import MeasurementEnsemble
-
-    bare = MeasurementEnsemble(
-        sampling_vectors=e.sampling_vectors,
-        observations=e.observations,
-    )
-    with pytest.raises(DomainError,
-                       match="^error-vs-iteration needs a nonzero ground truth$"):
-        error_vs_iteration(bare, SolverConfig(lam=1e-4))
 
 
 @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
@@ -599,3 +513,6 @@ def test_holdout_split_deterministic_and_disjoint():
     np.testing.assert_array_equal(val1, val2)
     assert len(set(train1) & set(val1)) == 0
     assert len(train1) + len(val1) == e.n
+
+
+globals().update(library_refusal_tests("test_metrics"))

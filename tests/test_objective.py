@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from robustpr import (
     FieldTag,
     NoiseSpec,
-    fixed_point_residual,
     g,
     half_norm,
     huber_deriv,
@@ -17,6 +16,7 @@ from robustpr import (
 from robustpr.model import MeasurementEnsemble, correlate
 
 from oracles import huber, surrogate
+from test_library_refusals import library_refusal_tests
 
 ALPHA = 1.345
 
@@ -155,12 +155,6 @@ def test_loss_is_the_huber_sum_within_a_few_ulp_per_term(field, noise):
             assert abs(loss(x, e, alpha) - want) <= 4 * e.n * eps * want
 
 
-def test_loss_field_mismatch():
-    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
-    with pytest.raises(ValueError):
-        loss(np.zeros(4, dtype=complex), e, ALPHA)
-
-
 def test_objective_at_truth_is_regularizer():
     e = synthesize_instance(8, 2, 32, FieldTag.REAL, NoiseSpec("none"), 1)
     assert np.isclose(
@@ -231,55 +225,4 @@ def test_surrogate_collapse_when_gradient_vanishes():
     assert np.isclose(surrogate(x, y, e, lam, ALPHA, tau=1.0), expected)
 
 
-def test_surrogate_rejects_bad_tau():
-    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
-    with pytest.raises(ValueError):
-        surrogate(e.ground_truth, e.ground_truth, e, 1e-3, ALPHA, tau=0.0)
-
-
-@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
-def test_surrogate_rejects_nonpositive_or_nonfinite_tau(tau):
-    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
-    with pytest.raises(ValueError, match="tau"):
-        surrogate(e.ground_truth, e.ground_truth, e, 1e-3, ALPHA, tau=tau)
-
-
-def test_params_validation():
-    e = synthesize_instance(4, 1, 8, FieldTag.REAL, NoiseSpec("none"), 2)
-    x = e.ground_truth
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError,
-                           match=f"^alpha must be finite and positive, got {bad}$"):
-            objective(x, e, 1e-3, bad)
-        with pytest.raises(ValueError,
-                           match=f"^lam must be finite and positive, got {bad}$"):
-            objective(x, e, bad, ALPHA)
-        with pytest.raises(ValueError, match="lam and alpha must be positive"):
-            surrogate(x, x, e, 1e-3, bad, tau=1.0)
-        with pytest.raises(ValueError, match="lam and alpha must be positive"):
-            surrogate(x, x, e, bad, ALPHA, tau=1.0)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_evaluations_refuse_a_non_finite_signal(bad):
-    e = synthesize_instance(8, 2, 40, FieldTag.REAL, NoiseSpec("none"), 1)
-    x = e.ground_truth.copy()
-    x[0] = bad
-    for evaluate in (lambda: objective(x, e, 1e-3, ALPHA), lambda: loss(x, e, ALPHA),
-                     lambda: g(x, e, ALPHA),
-                     lambda: fixed_point_residual(x, e, 1e-3, ALPHA, tau=1.0)):
-        with pytest.raises(ValueError, match="^signal contains non-finite entries$"):
-            evaluate()
-
-
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
-def test_loss_and_g_reject_bad_alpha(alpha):
-    e = synthesize_instance(8, 2, 40, FieldTag.REAL, NoiseSpec("none"), 1)
-    x = e.ground_truth
-    message = f"^alpha must be finite and positive, got {alpha}$"
-    with pytest.raises(ValueError, match=message):
-        loss(x, e, alpha)
-    with pytest.raises(ValueError, match=message):
-        g(x, e, alpha)
-    with pytest.raises(ValueError, match=message):
-        fixed_point_residual(x, e, 1e-3, alpha, tau=1.0)
+globals().update(library_refusal_tests("test_objective"))

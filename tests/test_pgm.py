@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustpr import GrayImage, pgm, read_pgm, write_pgm
-from robustpr.errors import ParseError
+
+from test_library_refusals import library_refusal_tests
 
 
 def checker(width=6, height=4, maxval=255):
@@ -95,58 +96,6 @@ def test_tokens_match_the_reference_scanner(data):
     assert list(pgm._tokens(data)) == list(_tokens_reference(data))
 
 
-@pytest.mark.parametrize("data, message", [
-    (b"P2\n3 2\n", "truncated PGM header"),
-    (b"P5\n3 two\n255\n", "malformed PGM header"),
-    (b"P2\n3 2\n65536\n", "PGM header out of range"),
-    (b"P2\n1_0 1\n255\n" + b"0 " * 10, "malformed PGM header"),
-], ids=["truncated", "malformed", "out-of-range", "underscore"])
-def test_rejects_bad_header(tmp_path, data, message):
-    path = tmp_path / "header.pgm"
-    path.write_bytes(data)
-    with pytest.raises(ParseError, match=message):
-        read_pgm(path)
-
-
-def test_rejects_non_pgm(tmp_path):
-    path = tmp_path / "bad.ppm"
-    path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-    with pytest.raises(ParseError):
-        read_pgm(path)
-    empty = tmp_path / "empty.pgm"
-    empty.write_bytes(b"")
-    with pytest.raises(ParseError):
-        read_pgm(empty)
-
-
-def test_rejects_truncated_raster(tmp_path):
-    path = tmp_path / "short.pgm"
-    path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-    with pytest.raises(ParseError):
-        read_pgm(path)
-    ascii_short = tmp_path / "short2.pgm"
-    ascii_short.write_bytes(b"P2\n2 2\n255\n1 2 3\n")
-    with pytest.raises(ParseError):
-        read_pgm(ascii_short)
-
-
-@pytest.mark.parametrize("token", [b"x", b"2.5", b"1_0", b"+1", b"-0"])
-def test_rejects_malformed_p2_raster_token(tmp_path, token):
-    path = tmp_path / "token.pgm"
-    path.write_bytes(b"P2\n2 1\n10\n5 " + token + b"\n")
-    with pytest.raises(ParseError, match="malformed P2 raster value"):
-        read_pgm(path)
-
-
-def test_rejects_out_of_range_pixels(tmp_path):
-    path = tmp_path / "range.pgm"
-    # the second file's value does not fit an int64
-    for data in (b"P2\n2 1\n10\n5 11\n", b"P2\n1 1\n255\n99999999999999999999\n"):
-        path.write_bytes(data)
-        with pytest.raises(ParseError, match=r"^pixel value outside \[0, maxval\]$"):
-            read_pgm(path)
-
-
 def test_gray_image_clamps_and_flattens():
     img = GrayImage(pixels=np.array([[2.0, -1.0], [0.5, 0.25]]))
     np.testing.assert_array_equal(img.pixels, [[1.0, 0.0], [0.5, 0.25]])
@@ -155,21 +104,11 @@ def test_gray_image_clamps_and_flattens():
     np.testing.assert_array_equal(back.pixels, img.pixels)
 
 
-def test_gray_image_validation():
-    with pytest.raises(ValueError):
-        GrayImage(pixels=np.zeros((2, 0)))
-    with pytest.raises(ValueError, match="nonempty"):  # a raster is 2-D
-        GrayImage(pixels=np.zeros(4))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_gray_image_refuses_non_finite_pixels(bad):
-    with pytest.raises(ValueError, match="^pixels contain non-finite entries$"):
-        GrayImage(np.array([[bad, 0.5]]))
-
-
 def test_gray_image_size_is_its_raster():
     img = GrayImage(np.zeros((2, 3)))
     assert (img.width, img.height) == (3, 2)
     with pytest.raises(TypeError):
         GrayImage(width=3, height=2, pixels=np.zeros((2, 3)))
+
+
+globals().update(library_refusal_tests("test_pgm"))

@@ -11,6 +11,7 @@ from robustpr.objective import half_norm
 from robustpr.prox import _half_threshold
 
 from oracles import chi, chi_oracle
+from test_library_refusals import library_refusal_tests
 
 
 def test_threshold_point_constant():
@@ -35,18 +36,6 @@ def test_threshold_point_error_does_not_grow_with_log_mu():
         worst = max(worst, abs(float((decimal.Decimal(tbar) - exact)
                                      / decimal.Decimal(math.ulp(tbar)))))
     assert worst <= 4.0
-
-
-@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf"),
-                                pytest.param(10**400, id="10**400")])
-def test_nonpositive_or_nonfinite_weight_is_rejected(mu):
-    message = f"^mu must be finite and positive, got {mu}$"
-    with pytest.raises(ValueError, match=message):
-        threshold_point(mu)
-    with pytest.raises(ValueError, match=message):
-        half_threshold(np.ones(3), mu)
-    with pytest.raises(ValueError):
-        chi(1.0, mu)
 
 
 def _gather_body(xi, mu, neg_z):
@@ -346,3 +335,6 @@ def test_hard_threshold_region_exact():
         t = float(rng.uniform(-3, 3))
         tbar = threshold_point(mu)
         assert (chi(t, mu) == 0.0) == (abs(t) <= tbar)
+
+
+globals().update(library_refusal_tests("test_prox"))
