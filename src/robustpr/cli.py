@@ -269,11 +269,6 @@ def _bench_consistency(args):
 def cmd_image(args):
     img = read_pgm(args.input)
     p = img.width * img.height
-    if p > args.cap:
-        raise ValueError(
-            f"image has {p} pixels, above the cap {args.cap}; "
-            "downscale it or raise --cap"
-        )
     pixels = img.pixels.reshape(-1)  # row-major, in [0, 1]
     x_true = np.where(pixels < args.threshold, 0.0, pixels)
     if not np.any(x_true):
@@ -362,8 +357,8 @@ def _diag_remark5(args):
 
 @functools.cache
 def _config_flag() -> argparse.ArgumentParser:
-    # main pre-parses --config with abbreviations off, so no other flag
-    # (--cap, say) is ever taken for it
+    # main pre-parses --config with abbreviations off, so a prefix of it
+    # (--conf, say) is an unknown flag, never taken for it
     parent = argparse.ArgumentParser(prog="robustpr", add_help=False,
                                      allow_abbrev=False)
     parent.add_argument("--config", default=None,
@@ -482,9 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("--out-metrics", default=None, help="metrics JSON path")
     p_img.add_argument("--threshold", type=_nonnegative_float, default=0.0,
                        help="zero out pixels below this value at ingestion")
-    p_img.add_argument("--cap", type=_positive_int, default=4096,
-                       help="largest pixel count p; the sampling matrix takes "
-                            "8*ratio*p^2 bytes (805 MB at the defaults)")
     p_img.set_defaults(func=cmd_image)
 
     diag_out = shared(parents=[instance])

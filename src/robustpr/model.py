@@ -12,6 +12,7 @@ from __future__ import annotations
 import binascii
 import csv
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +22,7 @@ from .errors import ParseError
 from .rng import TAG_NOISE, TAG_SAMPLING, TAG_SIGNAL, _check_seed, stream
 
 NOISE_KINDS = ("none", "type1", "type2", "type3", "gaussian")
+PEAK = 2.6  # a drawing command's peak bytes over its matrix's; see _check_fits
 
 
 class FieldTag(Enum):
@@ -190,9 +192,47 @@ def generate_signal(p: int, s: int, field: FieldTag, seed: int) -> np.ndarray:
     return x
 
 
+def _check_fits(n: int, p: int, field: FieldTag) -> None:
+    """Refuse, before anything is allocated, an n x p sampling matrix of
+    ``field`` whose predicted peak, ``PEAK`` times its bytes, exceeds this
+    machine's physical memory.
+
+    Physical memory, not the memory free at the moment, keeps the verdict
+    fixed on a machine.  ``PEAK`` rounds up the largest tracemalloc peak of a
+    drawing command over its matrix's n*p*itemsize bytes, each run through
+    ``cli.main`` on a drawn instance with n = 6p (``image`` on a 16-row image
+    of p pixels):
+
+    ===================  ======  ======  =====  =====
+    command              real    real    cplx   cplx
+                         p=256   p=512   p=256  p=512
+    ===================  ======  ======  =====  =====
+    gen                  2.18    2.16    2.53   2.52
+    solve                1.18    1.15    1.53   1.51
+    diag certificate     1.62    1.28    1.53   1.51
+    image                1.15    1.13    --     --
+    ===================  ======  ======  =====  =====
+
+    ``bench`` and the other ``diag`` modes peak at most 2.10 times.  Below
+    p = 256 fixed costs weigh more (``gen`` real reads 3.50 at p = 128), but
+    such a matrix is far from any machine's memory.
+    """
+    size = n * p * np.dtype(field.dtype).itemsize
+    peak = PEAK * size
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if peak > limit:
+        gib = 2.0**30
+        raise ValueError(
+            f"a {n} x {p} {field.value} sampling matrix ({size / gib:.3g} GiB) "
+            f"would peak near {peak / gib:.3g} GiB, above the "
+            f"{limit / gib:.3g} GiB of physical memory")
+
+
 def generate_sampling(p: int, n: int, field: FieldTag, seed: int) -> np.ndarray:
-    """Draw n sampling vectors with i.i.d. standard (complex) normal entries."""
+    """Draw n sampling vectors with i.i.d. standard (complex) normal entries;
+    ValueError, before any allocation, if they cannot fit (``_check_fits``)."""
     p, n = _check_count(p=p, n=n)
+    _check_fits(n, p, field)
     rng = stream(seed, TAG_SAMPLING)
     if field is FieldTag.REAL:
         return rng.standard_normal((n, p))

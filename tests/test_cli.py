@@ -5,12 +5,14 @@ import base64
 import builtins
 import functools
 import json
+import math
 import os
 import re
 import reprlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -40,14 +42,14 @@ from robustpr import (
     synthesize_instance,
     write_pgm,
 )
-from robustpr import cli, solver
+from robustpr import cli, model, solver
 from robustpr.cli import main
 from robustpr.diagnostics import RHO0
 from robustpr.metrics import summarize
-from robustpr.model import decode_vector, measure
+from robustpr.model import PEAK, decode_vector, measure
 
 from oracles import rayleigh_step
-from test_library_refusals import LIBRARY_REFUSALS, refusal_tests
+from test_library_refusals import LIBRARY_REFUSALS, beyond_memory, refusal_tests
 from test_pgm import PGM_BYTES
 
 
@@ -466,34 +468,43 @@ def test_image_reconstruction_small(tmp_path, capsys):
     assert np.max(np.abs(recon.pixels - truth.pixels)) < 0.02
 
 
-def test_image_default_cap_refuses_before_measuring(tmp_path, capsys, monkeypatch):
-    # 65 x 64 = 4160 pixels, above the default cap of 4096: at --ratio 6 its
-    # sampling matrix would take 8 * 6 * 4160^2 bytes = 831 MB
-    def measure(*args):
-        raise AssertionError("measure called")
+# the 64 x 64 image the old default pixel cap admitted: at --ratio 6 its
+# sampling matrix takes 8 * 6 * 4096^2 bytes = 805 MB, which is never drawn
+CAP_IMAGE = 64 * 64
+CAP_PEAK = math.ceil(PEAK * (6 * CAP_IMAGE * CAP_IMAGE * 8))
 
-    monkeypatch.setattr(cli, "measure", measure)
-    src, out = sparse_image(tmp_path, width=65, height=64), tmp_path / "o.pgm"
+
+def test_image_default_cap_refuses_before_measuring(tmp_path, capsys, monkeypatch,
+                                                   physical_memory):
+    # one byte short of the memory its peak needs, the image is refused
+    # before its matrix is drawn
+    def stream(*args):
+        raise AssertionError("the sampling matrix was drawn")
+
+    physical_memory(CAP_PEAK - 1)
+    monkeypatch.setattr(model, "stream", stream)
+    src, out = sparse_image(tmp_path, width=64, height=64), tmp_path / "o.pgm"
     capsys.readouterr()
     assert run("image", "--input", str(src), "--out-image", str(out),
                "--lambda", "1e-4") == 2
     assert capsys.readouterr().err == (
-        "error: image has 4160 pixels, above the cap 4096; "
-        "downscale it or raise --cap\n")
+        f"error: {beyond_memory(6 * CAP_IMAGE, CAP_IMAGE, FieldTag.REAL, CAP_PEAK - 1)}\n")
     assert not out.exists()
 
 
-def test_image_at_the_default_cap_reaches_measure(tmp_path, monkeypatch):
-    # 64 x 64 = 4096 pixels, exactly the default cap: the image is accepted
-    class Measured(Exception):
+def test_image_at_the_default_cap_reaches_measure(tmp_path, monkeypatch, physical_memory):
+    # with exactly the memory its peak needs, the image passes the size rule
+    # and reaches the draw
+    class Drawn(Exception):
         pass
 
-    def measure(*args):
-        raise Measured  # before the 805 MB sampling matrix is built
+    def stream(*args):
+        raise Drawn  # before the 805 MB sampling matrix is drawn
 
-    monkeypatch.setattr(cli, "measure", measure)
+    physical_memory(CAP_PEAK)
+    monkeypatch.setattr(model, "stream", stream)
     src = sparse_image(tmp_path, width=64, height=64)
-    with pytest.raises(Measured):
+    with pytest.raises(Drawn):
         run("image", "--input", str(src), "--out-image", str(tmp_path / "o.pgm"),
             "--lambda", "1e-4")
 
@@ -708,8 +719,8 @@ def test_config_rho0_reaches_each_diag_report(tmp_path, mode, flags):
 ], ids=["gen", "image"])
 def test_an_allocation_beyond_memory_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                       argv, out, target, exc, message):
-    # a request whose arrays do not fit (image at its default --cap, say)
-    # exits 2 with one message line, as the --cap refusal does
+    # an allocation that fails past the size rule's prediction exits 2 with
+    # one message line, as the size rule's refusal does
     def too_large(*args, **kwargs):
         raise exc
 
@@ -719,6 +730,35 @@ def test_an_allocation_beyond_memory_is_a_usage_error(tmp_path, capsys, monkeypa
     assert run(*(word.format(src=src) for word in argv), out, str(dest)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not dest.exists()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_each_drawing_command_peaks_within_the_size_rule(tmp_path, monkeypatch, field):
+    # at p = 512, n = 6p each command's peak over its matrix's bytes has
+    # settled (model._check_fits' table): it is at most PEAK, the size
+    # rule's prediction
+    p, n = 512, 3072
+    size = n * p * np.dtype(FieldTag(field).dtype).itemsize
+    commands = {
+        "gen": f"gen --p {p} --s 4 --n {n} --field {field} --noise type3:0.05 "
+               "--seed 3 --out inst.json",
+        "solve": "solve --instance inst.json --lambda 1e-3 --out-result res.json",
+        "certificate": "diag certificate --instance inst.json --solution res.json "
+                       "--lambda 1e-3",
+    }
+    if field == "real":  # a 32 x 16 image has p pixels and n = 6p measurements
+        sparse_image(tmp_path, width=32, height=16)
+        commands["image"] = "image --input input.pgm --out-image o.pgm --lambda 1e-3"
+    monkeypatch.chdir(tmp_path)
+    peaks = {}
+    for name, argv in commands.items():
+        tracemalloc.start()
+        try:
+            assert run(*argv.split()) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1] / size
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= PEAK, peaks
 
 
 def test_config_file_sets_switches(tmp_path, capsys):
@@ -1187,6 +1227,18 @@ SOLVING_COMMANDS = {
     "bench-consistency": "bench consistency --p-grid 8 --s 2 --trials 1 --lambda 1e-3 "
                          "--out-prefix x",
 }
+# command lines whose draw no machine holds, each with its input files and
+# the drawn matrix's (n, p): the size rule refuses each before it allocates.
+# The instance file is a drawn header under 1 KB that asks for n = p = 2^31.
+OVERSIZED = {
+    "gen": ("gen --p 16 --s 2 --n 4611686018427387904 --out out.json", {}, (2**62, 16)),
+    "success-rate": ("bench success-rate --p 65536 --s 2 --grid 65536 --lambda 1e-3 "
+                     "--out-prefix x", {}, (2**32, 2**16)),
+    **{name: (argv, {"inst.json": json.dumps(
+        {"field": "real", "p": 2**31, "n": 2**31, "seed": 1, "a": {"crc32": 0},
+         "b": []})}, (2**31, 2**31)) for name, argv in [("solve", SOLVE),
+                                                       ("certificate", CERTIFICATE)]},
+}
 REFUSALS = [
     # gen, flags and config files
     ("test_gen_rejects_bad_p", "gen --p 0 --s 1 --n 4 --out x.json", {}, 2,
@@ -1236,6 +1288,9 @@ REFUSALS = [
            "--lambda 1e-3 --out-prefix out"),
           ("consistency", f"bench consistency --p-grid {BEYOND_INT64}",
            "--lambda 1e-3 --out-prefix out")]],
+    *[(f"test_refusal[{name}-beyond-memory]", argv, files, 2,
+       "error: " + beyond_memory(n, p, FieldTag.REAL))
+      for name, (argv, files, (n, p)) in OVERSIZED.items()],
     ("test_bench_empty_grid_usage_error",
      "bench success-rate --p 16 --s 2 --grid= --lambda 1e-4 --out-prefix x", {}, 2,
      "robustpr bench success-rate: error: argument --grid: "
@@ -1345,15 +1400,13 @@ REFUSALS = [
        inst(), 2, f"error: lam must be finite and positive, got {float(bad)}")
       for bad in ["nan", "inf", "-inf", "0", "-1e-3"]],
     # image
+    # the size rule bounds the image's matrix, so no pixel cap is a flag
     ("test_image_cap_refusal", f"{IMAGE} --cap 8", PGM, 2,
-     "error: image has 9 pixels, above the cap 8; downscale it or raise --cap"),
-    *[(f"test_image_rejects_bad_threshold_and_cap[{flag}-{value}]",
-       f"{IMAGE} {flag} {value}", PGM, 2,
-       f"robustpr image: error: argument {flag}: must be {rule}, got '{value}'")
-      for flag, rule, values in [
-          ("--threshold", "a finite nonnegative number", ["nan", "-1", "inf"]),
-          ("--cap", "a positive integer", ["-5", "0"])]
-      for value in values],
+     "robustpr: error: unrecognized arguments: --cap 8"),
+    *[(f"test_image_rejects_bad_threshold_and_cap[--threshold-{value}]",
+       f"{IMAGE} --threshold {value}", PGM, 2,
+       "robustpr image: error: argument --threshold: must be a finite nonnegative "
+       f"number, got '{value}'") for value in ["nan", "-1", "inf"]],
     ("test_image_threshold_above_every_pixel", f"{IMAGE} --threshold 1.5", PGM, 2,
      "error: image is entirely black after thresholding"),
     ("test_image_rejects_non_pgm", IMAGE, {"in.pgm": b"JFIF nonsense"}, 4,
@@ -1474,6 +1527,25 @@ def refuse(rows, request):
 
 
 globals().update(refusal_tests(REFUSALS, refuse))
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_an_oversized_draw_allocates_nothing(tmp_path, monkeypatch, name):
+    # NumPy records even an allocation that fails in tracemalloc, so an
+    # attempted draw shows in the peak
+    argv, files, _ = OVERSIZED[name]
+    monkeypatch.chdir(tmp_path)
+    for path, text in files.items():
+        assert len(text) < 1024
+        Path(path).write_text(text)
+    tracemalloc.start()
+    try:
+        assert run(*argv.split()) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
 
 # the class of each refusal in src/, and the exit code that class maps to
 EXIT_CODES = {"ValueError": 2, "ParseError": 4, "DomainError": 3}

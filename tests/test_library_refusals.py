@@ -16,6 +16,7 @@ message built in ``src/`` in a row of one table or the other.
 import base64
 import importlib
 import json
+import os
 import tempfile
 from dataclasses import replace
 from functools import partial as call
@@ -56,6 +57,7 @@ from robustpr.errors import DomainError, ParseError
 from robustpr.metrics import align
 from robustpr.model import (
     NOISE_KINDS,
+    PEAK,
     MeasurementEnsemble,
     _check_count,
     _check_nonnegative,
@@ -196,6 +198,18 @@ def count(name, value):
     return f"{name} must be a positive integer, got {value}"
 
 
+MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def beyond_memory(n, p, field, memory=MEMORY):
+    """The size rule's refusal of an n x p ``field`` sampling matrix on a
+    machine with ``memory`` bytes of physical memory."""
+    size, gib = n * p * np.dtype(field.dtype).itemsize, 2.0**30
+    return (f"a {n} x {p} {field.value} sampling matrix ({size / gib:.3g} GiB) would "
+            f"peak near {PEAK * size / gib:.3g} GiB, above the {memory / gib:.3g} GiB "
+            "of physical memory")
+
+
 # the inputs, each built once
 TINY = synthesize_instance(2, 1, 3, REAL, NONE, 0)
 TINY_DOC = json.loads(serialize_instance(TINY))
@@ -279,6 +293,10 @@ LIBRARY_REFUSALS = [
     *[(f"test_model::test_generate_sampling_refuses_an_empty_shape[{p}-{n}]",
        call(generate_sampling, p, n, REAL, 0), ValueError,
        count("p" if p == 0 else "n", 0)) for p, n in [(0, 4), (4, 0)]],
+    # 2^62 entries: more bytes than a 64-bit address space holds
+    ("test_model::test_refusal[sampling-beyond-memory]",
+     call(generate_sampling, 2**31, 2**31, REAL, 0), ValueError,
+     beyond_memory(2**31, 2**31, REAL)),
     *[(f"test_model::test_check_count_names_the_first_bad_count_and_its_value[{case}]",
        call(_check_count, p=3, n=value, s=0), ValueError, count("n", value))
       for case, value in [("0", 0), ("-3", -3), ("2.0", 2.0), ("2.5", 2.5), ("nan", np.nan),

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import math
 import tracemalloc
 import warnings
 import zlib
@@ -24,6 +25,7 @@ from robustpr import (
     synthesize_instance,
 )
 from robustpr.model import (
+    PEAK,
     _check_count,
     _check_nonnegative,
     _check_positive,
@@ -34,7 +36,7 @@ from robustpr.model import (
 )
 from robustpr.rng import _check_seed
 
-from test_library_refusals import library_refusal_tests
+from test_library_refusals import beyond_memory, library_refusal_tests
 
 
 def test_generate_signal_sparsity_large_instance():
@@ -84,6 +86,26 @@ def test_generators_take_numpy_integer_counts():
     np.testing.assert_array_equal(x, generate_signal(8, 2, FieldTag.REAL, 1))
     a = generate_sampling(np.int64(8), np.uint16(16), FieldTag.COMPLEX, 1)
     np.testing.assert_array_equal(a, generate_sampling(8, 16, FieldTag.COMPLEX, 1))
+
+
+def test_the_size_rule_holds_to_the_byte(physical_memory):
+    # a draw fits while PEAK times its bytes is at most the physical memory;
+    # one byte less refuses it before anything the size of the matrix exists
+    p, n, field = 64, 384, FieldTag.COMPLEX
+    size = n * p * 16
+    drawn = generate_sampling(p, n, field, 3)
+    physical_memory(math.ceil(PEAK * size))
+    np.testing.assert_array_equal(generate_sampling(p, n, field, 3), drawn)
+    physical_memory(math.ceil(PEAK * size) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            generate_sampling(p, n, field, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == beyond_memory(n, p, field, math.ceil(PEAK * size) - 1)
+    assert peak < size / 8
 
 
 def test_generate_sampling_complex_second_moment():

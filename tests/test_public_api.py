@@ -387,6 +387,16 @@ def _is_ignore_filter(node) -> bool:
             and action.value.startswith("ignore"))
 
 
+def _reads_the_size_rule(node) -> bool:
+    """A ``sysconf`` call (``os.sysconf(...)``, say) or a read of ``PEAK``, by
+    name or as an attribute; ``PEAK``'s own assignment is no read."""
+    if isinstance(node, ast.Call):
+        return (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                ) == "sysconf"
+    return (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and (getattr(node, "id", None) or getattr(node, "attr", None)) == "PEAK")
+
+
 @dataclasses.dataclass(frozen=True)
 class Rule:
     """A rule written in one place.  The nodes ``match`` finds in the files
@@ -462,6 +472,12 @@ RULE_HOMES = [
                   "y = _half_threshold(v, mu) - x"),
          ignores=("_mm_map(x, g, lam, tau)", "threshold_point(mu)",
                   "from .prox import _half_threshold", "f = _half_threshold")),
+    # the size rule: the machine's memory and the predicted peak, read where
+    # every draw checks them
+    Rule("size-rule", _reads_the_size_rule, {"src/robustpr/model.py": ["_check_fits"] * 3},
+         catches=("os.sysconf('SC_PHYS_PAGES')", "sysconf('SC_PAGE_SIZE')",
+                  "peak = PEAK * size", "model.PEAK > 2"),
+         ignores=("PEAK = 2.6", "os.cpu_count()", "peak = 3 * size", "PEAKS[0]")),
     Rule("ignore-filter", _is_ignore_filter, {}, scope=("src/**/*.py", "tests/**/*.py"),
          catches=("warnings.simplefilter('ignore', RuntimeWarning)",
                   "warnings.filterwarnings(action='ignore')",
